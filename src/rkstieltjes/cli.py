@@ -186,7 +186,7 @@ def _kron_pole_lists(family: str, iv: SpectralInterval, ell: int):
 
         if family == "eds-laplace":
             psi = list(eds_poles(iv, ell, "laplace").poles)
-            return psi, list(psi)
+            return psi, [-p for p in psi]
         return _eds_kron_cauchy_pair(iv, ell)
     if family == "extended":
         seq = [math.inf if j % 2 == 0 else 0.0 for j in range(ell)]

@@ -468,7 +468,7 @@ def _kron_pole_pair(variant: str, strategy: str, iv: SpectralInterval,
     if strategy == "eds":
         if variant == "laplace":
             psi = list(eds_poles(iv, ell, "laplace").poles)
-            return psi, list(psi)
+            return psi, [-p for p in psi]
         return _eds_kron_cauchy_pair(iv, ell)
     raise ValueError(f"unknown Kronecker strategy {strategy!r}")
 

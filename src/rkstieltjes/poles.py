@@ -428,7 +428,6 @@ class EdsState:
     lower: float              # normalized inner endpoint a' in (0, 1)
     norm_const: float         # M = K(sqrt(1 - a'^2))
     index: int                # next 1-based index j
-    points: tuple = ()        # sigma-tilde values emitted so far
 
     ZETA = 1.0 / math.sqrt(2.0)
 
@@ -509,9 +508,7 @@ def eds_next(state: EdsState) -> tuple[float, EdsState]:
     s = math.modf(state.index * EdsState.ZETA)[0]
     t = _invert_g(s, state.lower, state.norm_const)
     sig = math.sqrt(t)
-    new_state = replace(state, index=state.index + 1,
-                        points=state.points + (sig,))
-    return sig, new_state
+    return sig, replace(state, index=state.index + 1)
 
 
 def eds_pole_iter(interval, variant: str) -> Iterator[float]:

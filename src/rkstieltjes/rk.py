@@ -67,6 +67,15 @@ class RKDecomposition:
     ``poles_used`` (one entry per consumed pole), ``breakdown`` (the last
     candidate block deflated away completely, i.e. the space became
     A-invariant and every further iterate is exact).
+
+    The columns live in one Fortran-order n x capacity buffer that grows
+    in place: a new block is written into the next free columns, and
+    running out of room reallocates to max(needed, 2 * capacity), so a
+    pole-at-a-time caller copies O(n m) in total rather than per step.
+    ``extend`` reserves room for its whole pole list first, so a one-shot
+    build allocates once.  ``basis``, ``dim`` and ``last_block`` are views
+    of the filled columns; a ``basis`` taken earlier keeps its values,
+    because filled columns are never written again.
     """
 
     def __init__(self, op: HermitianOperator, v: np.ndarray,
@@ -85,7 +94,8 @@ class RKDecomposition:
 
         n = op.n
         dtype = np.complex128 if np.iscomplexobj(block) else np.float64
-        self._u = np.zeros((n, 0), dtype=dtype, order="F")
+        self._buf = np.zeros((n, 0), dtype=dtype, order="F")
+        self._m = 0
         self._h = np.zeros((0, 0), dtype=dtype)
         self._rhs = np.zeros((0, self.block_width), dtype=dtype)
         self._block_sizes: list[int] = []
@@ -106,16 +116,16 @@ class RKDecomposition:
     @property
     def dim(self) -> int:
         """Number of orthonormal basis vectors accumulated so far."""
-        return self._u.shape[1]
+        return self._m
 
     @property
     def basis(self) -> np.ndarray:
-        return self._u
+        return self._buf[:, :self._m]
 
     @property
     def last_block(self) -> np.ndarray:
         w = self._block_sizes[-1]
-        return self._u[:, self._u.shape[1] - w:]
+        return self._buf[:, self._m - w:self._m]
 
     def reduced_matrix(self) -> np.ndarray:
         """Projection U*AU, symmetrized to kill roundoff skew."""
@@ -128,9 +138,21 @@ class RKDecomposition:
 
     # -- growth -----------------------------------------------------------
 
+    def _reserve(self, cols: int) -> None:
+        """Make room for ``cols`` basis columns."""
+        cap = self._buf.shape[1]
+        if cols <= cap:
+            return
+        buf = np.empty((self._buf.shape[0], max(cols, 2 * cap)),
+                       dtype=self._buf.dtype, order="F")
+        buf[:, :self._m] = self.basis
+        self._buf = buf
+
     def _promote_complex(self) -> None:
-        if not np.iscomplexobj(self._u):
-            self._u = self._u.astype(np.complex128)
+        if not np.iscomplexobj(self._buf):
+            buf = np.empty(self._buf.shape, dtype=np.complex128, order="F")
+            buf[:, :self._m] = self.basis
+            self._buf = buf
             self._h = self._h.astype(np.complex128)
             self._rhs = self._rhs.astype(np.complex128)
 
@@ -139,7 +161,7 @@ class RKDecomposition:
         column-by-column pass inside the block with rank-revealing
         deflation (drop when the surviving norm is below tol times the
         column's incoming norm)."""
-        u = self._u
+        u = self.basis
         pre = np.linalg.norm(cand, axis=0)
         for _ in range(2):
             if u.shape[1]:
@@ -163,9 +185,9 @@ class RKDecomposition:
         width = block.shape[1]
         if width == 0:
             return 0
-        m = self._u.shape[1]
+        m = self._m
         aw = self.op.matvec(block)
-        cross = self._u.conj().T @ aw if m else np.zeros((0, width), dtype=block.dtype)
+        cross = self.basis.conj().T @ aw
         corner = block.conj().T @ aw
 
         h = np.zeros((m + width, m + width), dtype=np.result_type(self._h, block))
@@ -174,10 +196,13 @@ class RKDecomposition:
         h[m:, :m] = cross.conj().T
         h[m:, m:] = corner
         self._h = h
-        self._u = np.hstack([self._u, block])
-        # Later blocks are orthogonal to the seed only up to roundoff;
-        # project exactly rather than padding with zeros.
-        self._rhs = self._u.conj().T @ self._seed_cache
+        self._reserve(m + width)
+        self._buf[:, m:m + width] = block
+        self._m = m + width
+        # Earlier rows of U*v are final because earlier columns never
+        # change; later blocks are orthogonal to the seed only up to
+        # roundoff, so project exactly rather than padding with zeros.
+        self._rhs = np.vstack([self._rhs, block.conj().T @ self._seed_cache])
         self._block_sizes.append(width)
         return width
 
@@ -195,20 +220,21 @@ class RKDecomposition:
             raise RuntimeError(
                 "decomposition was closed by total deflation (invariant "
                 "subspace reached); it cannot be extended")
+        self._reserve(self._m + len(poles) * self.block_width)
         for sigma in poles:
             if self.breakdown:
                 break
             sigma = complex(sigma)
             if sigma.imag == 0.0:
                 sigma = sigma.real
-            elif not np.iscomplexobj(self._u):
+            elif not np.iscomplexobj(self._buf):
                 self._promote_complex()
             prev = self.last_block
             if isinstance(sigma, float) and math.isinf(sigma):
                 cand = self.op.matvec(prev)
             else:
                 cand = self.op.shifted_solve(sigma, prev)
-            kept = self._append_block(np.asarray(cand, dtype=self._u.dtype))
+            kept = self._append_block(np.asarray(cand, dtype=self._buf.dtype))
             self.poles_used.append(sigma)
             if kept == 0:
                 self.breakdown = True
@@ -229,16 +255,26 @@ def rk_extend(dec: RKDecomposition, more) -> RKDecomposition:
     return dec.extend(more)
 
 
-def rk_funv(dec: RKDecomposition, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Galerkin extraction x = U f(U*AU) U*v, matching the seed's shape."""
-    h = dec.reduced_matrix()
-    w, q = np.linalg.eigh(h)
+def _reduced_funv(dec: RKDecomposition,
+                  f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Coordinates y = Q f(L) Q* U*v (m x k) of the Galerkin iterate in the
+    basis, where U*AU = Q L Q*."""
+    w, q = np.linalg.eigh(dec.reduced_matrix())
     coeff = q.conj().T @ dec.reduced_seed()
-    y = q @ (np.asarray(f(w))[:, None] * coeff)
+    return q @ (np.asarray(f(w))[:, None] * coeff)
+
+
+def _lift(dec: RKDecomposition, y: np.ndarray) -> np.ndarray:
+    """x = U y, matching the seed's shape."""
     x = dec.basis @ y
     if dec.seed_ndim == 1:
         return x[:, 0]
     return x
+
+
+def rk_funv(dec: RKDecomposition, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Galerkin extraction x = U f(U*AU) U*v, matching the seed's shape."""
+    return _lift(dec, _reduced_funv(dec, f))
 
 
 # -- exactness ------------------------------------------------------------
@@ -419,9 +455,18 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     entry, while the interval-optimal families (zolotarev/cauchy) are
     regenerated from scratch at pole counts ``checkpoint_stride, 2*...``.
     ``oracle`` (a reference solution) fills the true-error column.
+
+    Nested strategies compute the estimate in reduced coordinates: with
+    x_k = U y_k and U orthonormal, ||x_k - x_(k-2)|| = ||y_k - [y_(k-2); 0]||
+    and ||x_k|| = ||y_k||, so only the final iterate is lifted (every step
+    is lifted only when ``oracle`` asks for the true error).  Iterates are
+    not kept: memory is the basis, O(n * capacity), plus the last two
+    reduced or (for the rebuilt families) full iterates.
     """
     if (tol is None) == (ell is None):
         raise ValueError("pass exactly one of tol= or ell=")
+    if tol is not None and max_ell < 1:
+        raise ValueError(f"max_ell must be >= 1, got {max_ell}")
     if isinstance(interval, SpectralInterval):
         iv = interval.require_positive()
     else:
@@ -430,6 +475,8 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     known = FIXED_STRATEGIES + NESTED_STRATEGIES
     if strategy not in known:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {known}")
+    if strategy == "custom" and (custom_poles is None or len(custom_poles) == 0):
+        raise ValueError("strategy 'custom' needs a non-empty custom_poles list")
 
     block = _as_block(v)
     vnorm = float(np.linalg.norm(block))
@@ -454,18 +501,22 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
         return FunvResult(x=x, trace=tuple(trace), converged=True,
                           strategy=strategy, poles_used=tuple(dec.poles_used))
 
-    history: list[np.ndarray] = []
+    recent: list[np.ndarray] = []  # the last two iterates
 
-    def record(x: np.ndarray, count: int) -> float:
-        if len(history) >= 2:
-            ref = history[-2]
-            num = float(np.linalg.norm(_as_block(x) - _as_block(ref)))
-            den = float(np.linalg.norm(x))
+    def record(z: np.ndarray, count: int, err: float) -> float:
+        """Trace iterate z (a reduced y, or a full x) and return the lag-2
+        estimate; an iterate two back with fewer rows is zero-padded."""
+        if len(recent) == 2:
+            ref = recent[0]
+            r = ref.shape[0]
+            num = math.hypot(float(np.linalg.norm(z[:r] - ref)),
+                             float(np.linalg.norm(z[r:])))
+            den = float(np.linalg.norm(z))
             est = num / den if den > 0.0 else 0.0
         else:
             est = math.inf
-        history.append(np.array(x, copy=True))
-        trace.append(FunvTraceRow(count, est, true_err(x), bound_at(count)))
+        recent[:] = recent[-1:] + [z]
+        trace.append(FunvTraceRow(count, est, err, bound_at(count)))
         return est
 
     if strategy in NESTED_STRATEGIES:
@@ -478,19 +529,21 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
             except StopIteration:
                 break
             dec.extend([sigma])
-            x = rk_funv(dec, f)
-            est = record(x, len(dec.poles_used))
+            y = _reduced_funv(dec, f)
+            err = math.nan if oracle is None else true_err(_lift(dec, y))
+            est = record(y, len(dec.poles_used), err)
             if dec.breakdown:
                 converged = True
                 break
             if est <= tol:
                 converged = True
                 break
-        return FunvResult(x=history[-1], trace=tuple(trace), converged=converged,
-                          strategy=strategy,
+        return FunvResult(x=_lift(dec, recent[-1]), trace=tuple(trace),
+                          converged=converged, strategy=strategy,
                           poles_used=tuple(dec.poles_used))
 
-    # Interval-optimal families: rebuild at checkpoint counts.
+    # Interval-optimal families: each checkpoint builds a different basis,
+    # so iterates are compared lifted.
     converged = False
     poles_used: tuple = ()
     count = 0
@@ -499,12 +552,12 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
         poleset = _fixed_pole_set(strategy, iv, count)
         dec = rk_build(op, v, poleset)
         x = rk_funv(dec, f)
-        est = record(x, len(dec.poles_used))
+        est = record(x, len(dec.poles_used), true_err(x))
         poles_used = tuple(dec.poles_used)
         if dec.breakdown or est <= tol:
             converged = True
             break
-    return FunvResult(x=history[-1], trace=tuple(trace), converged=converged,
+    return FunvResult(x=recent[-1], trace=tuple(trace), converged=converged,
                       strategy=strategy, poles_used=poles_used)
 
 

@@ -5,15 +5,19 @@ import os
 import numpy as np
 import pytest
 
+from rkstieltjes.cli import _kron_pole_lists
 from rkstieltjes.experiments import (
     EXPERIMENT_IDS,
     ExperimentConfig,
+    _kron_pole_pair,
     diffusion_operator,
     emit_bounds,
     run_experiment,
 )
 from rkstieltjes.functions import catalog_function
+from rkstieltjes.kronfun import KroneckerProblem, dense_kron_solution, kron_fun
 from rkstieltjes.operators import spectral_interval
+from rkstieltjes.poles import laplace_kron_poles
 
 
 def _read_csv(path):
@@ -172,3 +176,33 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(cfg)
         assert os.listdir(tmp_path) == []
+
+
+class TestKronPolePairs:
+    def test_eds_laplace_pair_tracks_canonical(self):
+        # The right space is built on -B, so the EDS Laplace pair must
+        # negate its right poles like laplace_kron_poles does.
+        n = 100
+        op = diffusion_operator(n)
+        f = catalog_function("phi", 1)
+        iv = op.exact_interval()
+        rng = np.random.default_rng(0)
+        prob = KroneckerProblem(op, op, rng.standard_normal((n, 2)),
+                                rng.standard_normal((n, 2)), f, iv)
+        ref = dense_kron_solution(prob)
+
+        def rel_err(psi, xi):
+            x = kron_fun(prob, psi, xi).materialize()
+            return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+        for ell in (5, 10, 15):
+            psi, xi = laplace_kron_poles(iv, ell)
+            canonical = rel_err(list(psi.poles), list(xi.poles))
+            eds = rel_err(*_kron_pole_pair("laplace", "eds", iv, ell))
+            assert eds <= 10.0 * canonical, (ell, eds, canonical)
+
+    @pytest.mark.parametrize("variant", ["laplace", "cauchy"])
+    def test_cli_eds_pair_matches_experiments(self, variant):
+        iv = diffusion_operator(50).exact_interval()
+        assert (_kron_pole_lists(f"eds-{variant}", iv, 6)
+                == _kron_pole_pair(variant, "eds", iv, 6))

@@ -13,6 +13,7 @@ from rkstieltjes.operators import (
 )
 from rkstieltjes.poles import extended_poles, zolotarev_poles
 from rkstieltjes.rk import (
+    RKDecomposition,
     error_sweep,
     exactness_check,
     funv_driver,
@@ -138,6 +139,50 @@ class TestExtend:
         np.testing.assert_allclose(got, v / np.sqrt(d), rtol=1e-12)
 
 
+class TestBasisBuffer:
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_one_pole_growth_matches_one_shot_build(self, width):
+        op = _tridiag_op(120)
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal(120) if width == 1 else rng.standard_normal((120, width))
+        poles = (list(zolotarev_poles((0.05, 4.0), 10)) + [math.inf] * 4) * 2
+        whole = rk_build(op, v, poles)
+        grown = RKDecomposition(op, v)
+        capacities = set()
+        for sigma in poles:
+            grown.extend([sigma])
+            capacities.add(grown._buf.shape[1])
+        # 1 -> 29 columns (2 -> 58 for the block) doubles five times
+        assert sorted(capacities) == [width * 2 ** k for k in range(1, 6)]
+        assert grown.dim == whole.dim == width * (len(poles) + 1)
+        u, w = grown.basis, whole.basis
+        assert np.linalg.norm(w - u @ (u.T @ w)) <= 1e-12
+        np.testing.assert_allclose(grown.reduced_matrix(), whole.reduced_matrix(),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grown.reduced_seed(), whole.reduced_seed(),
+                                   rtol=0, atol=1e-12)
+
+    def test_earlier_basis_unchanged_by_growth(self, small_problem):
+        op, v, _ = small_problem
+        dec = rk_build(op, v, [-2.0])
+        early = dec.basis
+        snapshot = early.copy()
+        for sigma in [math.inf, -3.0, math.inf, -1.5, math.inf, -0.5]:
+            dec.extend([sigma])
+        np.testing.assert_array_equal(early, snapshot)
+        np.testing.assert_array_equal(dec.basis[:, :early.shape[1]], snapshot)
+
+    def test_complex_promotion_keeps_layout(self, small_problem):
+        op, v, _ = small_problem
+        dec = rk_build(op, v, [-2.0, math.inf])
+        dec.extend([-1.0 + 0.5j, -1.0 - 0.5j, math.inf])
+        u = dec.basis
+        assert np.iscomplexobj(u)
+        assert u.flags.f_contiguous
+        assert dec.dim == 6
+        assert np.linalg.norm(u.conj().T @ u - np.eye(dec.dim), 2) <= 1e-12
+
+
 class TestExactness:
     def test_rational_functions_reproduced(self, small_problem):
         op, v, _ = small_problem
@@ -222,6 +267,41 @@ class TestDrivers:
         assert tuple(res.poles_used) == tuple(custom)
         with pytest.raises(ValueError):
             funv_driver(op, f, v, iv, strategy="custom", ell=6)
+
+    @pytest.mark.parametrize("strategy", ["extended", "eds-cauchy"])
+    def test_estimate_equals_lifted_lag2_distance(self, strategy):
+        op = _tridiag_op(200)
+        f = catalog_function("power", -0.5)
+        rng = np.random.default_rng(8)
+        v = rng.standard_normal(200)
+        iv = spectral_interval(op, mode="exact-small")
+        res = funv_driver(op, f, v, iv, strategy=strategy, tol=1e-4, max_ell=60)
+        assert res.converged and len(res.trace) >= 4
+        xs = [rk_funv(rk_build(op, v, res.poles_used[:row.ell]), f)
+              for row in res.trace]
+        assert all(math.isinf(row.est_error) for row in res.trace[:2])
+        for k in range(2, len(res.trace)):
+            want = np.linalg.norm(xs[k] - xs[k - 2]) / np.linalg.norm(xs[k])
+            assert res.trace[k].est_error == pytest.approx(want, rel=1e-10)
+        np.testing.assert_allclose(res.x, xs[-1], rtol=0,
+                                   atol=1e-13 * np.linalg.norm(xs[-1]))
+
+    @pytest.mark.parametrize("strategy", ["extended", "zolotarev"])
+    def test_tol_mode_rejects_zero_max_ell(self, strategy):
+        op = _tridiag_op(20)
+        f = catalog_function("inverse")
+        iv = spectral_interval(op, mode="exact-small")
+        with pytest.raises(ValueError, match="max_ell"):
+            funv_driver(op, f, np.ones(20), iv, strategy=strategy, tol=1e-6,
+                        max_ell=0)
+
+    def test_empty_custom_pole_list_rejected(self):
+        op = _tridiag_op(20)
+        f = catalog_function("inverse")
+        iv = spectral_interval(op, mode="exact-small")
+        with pytest.raises(ValueError, match="non-empty"):
+            funv_driver(op, f, np.ones(20), iv, strategy="custom", tol=1e-6,
+                        custom_poles=[])
 
     def test_unknown_strategy(self):
         op = _tridiag_op(10)
