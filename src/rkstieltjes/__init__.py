@@ -61,8 +61,8 @@ from .rk import (
     error_sweep,
     exactness_check,
     funv_driver,
+    iterates,
     rk_build,
-    rk_extend,
     rk_funv,
 )
 from .kronfun import (

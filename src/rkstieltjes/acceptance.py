@@ -20,13 +20,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .bounds import (
-    cauchy_bound,
-    kron_cauchy_bound,
-    kron_laplace_bound,
-    laplace_bound,
-    sylvester_residual_bound,
-)
+from .bounds import sylvester_residual_bound
 from .functions import catalog_function
 from .kronfun import (
     KroneckerProblem,
@@ -46,15 +40,15 @@ from .poles import (
     EdsState,
     _eds_g,
     as_rational,
-    cauchy_kron_poles,
     eds_next,
     eds_start,
     rate_rho,
     zolotarev_poles,
     zolotarev_ratio,
 )
-from .rk import RKDecomposition, error_sweep, exactness_check, rk_funv
+from .rk import error_sweep, exactness_check, iterates
 from .experiments import diffusion_operator
+from .strategies import KRON_PAIRS
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_acceptance"]
 
@@ -197,18 +191,11 @@ def _crit_laplace_1d() -> tuple[bool, str]:
 
 
 def _first_below(op, f, v, iv, strategy: str, cap: int, oracle, tol: float):
-    from .rk import _pole_stream
-
     xnorm = float(np.linalg.norm(oracle))
-    stream = _pole_stream(strategy, iv, None)
-    dec = RKDecomposition(op, v)
-    for step in range(1, cap + 1):
-        dec.extend([next(stream)])
-        err = float(np.linalg.norm(rk_funv(dec, f) - oracle)) / xnorm
+    for dec, y in iterates(op, f, v, strategy, iv, range(1, cap + 1)):
+        err = float(np.linalg.norm(dec.lift(y) - oracle)) / xnorm
         if err <= tol:
-            return step, err
-        if dec.breakdown:
-            break
+            return len(dec.poles_used), err
     return None, err
 
 
@@ -291,25 +278,33 @@ def _kron_fixture(f, n: int = 300, seed: int = 11) -> tuple:
     return prob, dense_kron_solution(prob)
 
 
-def _crit_kron_cauchy() -> tuple[bool, str]:
-    f = catalog_function("power", -0.5)
+def _kron_rows(f, pair: str) -> tuple:
+    """(ell, error, bound) of the table's Kronecker pair on the fixture for
+    ell = 1..20, stopping at the first error above its bound."""
     prob, x_ref = _kron_fixture(f)
-    iv = prob.interval
+    kron = KRON_PAIRS[pair]
     fnorm = prob.rhs_norm2()
-    errs = []
+    rows = []
     for ell in range(1, 21):
-        psi, xi = cauchy_kron_poles(iv, ell)
-        res = kron_fun(prob, psi, xi)
+        res = kron_fun(prob, *kron.poles(prob.interval, ell))
         err = float(np.linalg.norm(res.materialize() - x_ref, ord=2))
-        bnd = kron_cauchy_bound(f, iv, ell, fnorm)
-        if not err <= bnd:
-            return False, f"error {err:.3e} > bound {bnd:.3e} at ell={ell}"
-        errs.append(err)
+        rows.append((ell, err, kron.bound(f, prob.interval, ell, fnorm)))
+        if not err <= rows[-1][2]:
+            break
+    return prob, x_ref, rows
+
+
+def _crit_kron_cauchy() -> tuple[bool, str]:
+    prob, x_ref, rows = _kron_rows(catalog_function("power", -0.5), "cauchy-kron")
+    ell, err, bnd = rows[-1]
+    if not err <= bnd:
+        return False, f"error {err:.3e} > bound {bnd:.3e} at ell={ell}"
     # Two-sided projection realizes the predicted rate itself (no Galerkin
     # doubling: each factor contributes its denominator once), so the
     # measured slope must match log rho within 25% in both directions.
+    iv = prob.interval
     target = math.log(rate_rho(iv.lower, 2.0 * iv.upper))
-    slope = _fit_slope(range(1, 21), errs,
+    slope = _fit_slope(range(1, 21), [err for _, err, _ in rows],
                        floor=1e-12 * float(np.linalg.norm(x_ref, ord=2)))
     dev = abs(slope - target) / abs(target)
     ok = dev <= 0.25
@@ -318,21 +313,11 @@ def _crit_kron_cauchy() -> tuple[bool, str]:
 
 
 def _crit_kron_laplace() -> tuple[bool, str]:
-    from .poles import laplace_kron_poles
-
-    f = catalog_function("phi", 1)
-    prob, x_ref = _kron_fixture(f)
-    iv = prob.interval
-    fnorm = prob.rhs_norm2()
-    worst = 0.0
-    for ell in range(1, 21):
-        psi, xi = laplace_kron_poles(iv, ell)
-        res = kron_fun(prob, psi, xi)
-        err = float(np.linalg.norm(res.materialize() - x_ref, ord=2))
-        bnd = kron_laplace_bound(f, iv, ell, fnorm)
-        if not err <= bnd:
-            return False, f"error {err:.3e} > bound {bnd:.3e} at ell={ell}"
-        worst = max(worst, err / bnd)
+    _, _, rows = _kron_rows(catalog_function("phi", 1), "laplace-kron")
+    ell, err, bnd = rows[-1]
+    if not err <= bnd:
+        return False, f"error {err:.3e} > bound {bnd:.3e} at ell={ell}"
+    worst = max(err / bnd for _, err, bnd in rows)
     return True, f"error <= bound for ell=1..20 (max error/bound {worst:.2e})"
 
 

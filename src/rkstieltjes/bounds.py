@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .operators import SpectralInterval
+from .operators import SpectralInterval, positive_interval
 from .poles import gamma_const, rate_rho
 
 __all__ = [
@@ -21,14 +21,26 @@ __all__ = [
     "kron_cauchy_bound",
     "sylvester_residual_bound",
     "singular_value_bound",
-    "strategy_bound",
 ]
 
 
-def _iv(interval) -> SpectralInterval:
-    if isinstance(interval, SpectralInterval):
-        return interval.require_positive()
-    return SpectralInterval(float(interval[0]), float(interval[1])).require_positive()
+def _laplace_type(const: float, f, iv: SpectralInterval, ell: int,
+                  norm: float, conjectured_gamma: bool) -> float:
+    """const * gamma_{l,kappa} * f(0+) * norm * rho_{[a,b]}^(l/2); infinite
+    when the anchor f(0+) diverges."""
+    anchor = f.limit_at_zero()
+    if math.isinf(anchor):
+        return math.inf
+    g = gamma_const(ell, iv.kappa, conjectured=conjectured_gamma)
+    return const * g * anchor * norm * rate_rho(iv.lower, iv.upper) ** (0.5 * ell)
+
+
+def _cauchy_mirror(f, iv: SpectralInterval, ell: int, norm: float,
+                   factor: float = 1.0) -> float:
+    """4 * f(2a) * factor * norm * rho_{[a,2b]}^l, the Cauchy-class rate
+    against the mirrored interval."""
+    return (4.0 * f.at(2.0 * iv.lower) * factor * norm
+            * rate_rho(iv.lower, 2.0 * iv.upper) ** ell)
 
 
 def laplace_bound(f, interval, ell: int, vnorm: float,
@@ -40,43 +52,34 @@ def laplace_bound(f, interval, ell: int, vnorm: float,
     diverges (use a shifted function/operator pair to recover a finite
     constant).
     """
-    iv = _iv(interval)
-    anchor = f.limit_at_zero()
-    if math.isinf(anchor):
-        return math.inf
-    g = gamma_const(ell, iv.kappa, conjectured=conjectured_gamma)
-    return 8.0 * g * anchor * vnorm * rate_rho(iv.lower, iv.upper) ** (0.5 * ell)
+    return _laplace_type(8.0, f, positive_interval(interval), ell, vnorm,
+                         conjectured_gamma)
 
 
 def cauchy_bound(f, interval, ell: int, vnorm: float) -> float:
     """8 * f(a) * ||v|| * rho_{[a,4b]}^l for Cauchy-class f with the
     half-line pole family."""
-    iv = _iv(interval)
+    iv = positive_interval(interval)
     return 8.0 * f.at(iv.lower) * vnorm * rate_rho(iv.lower, 4.0 * iv.upper) ** ell
 
 
 def kron_laplace_bound(f, interval, ell: int, fnorm: float,
                        conjectured_gamma: bool = False) -> float:
     """16 * gamma_{l,kappa} * f(0+) * rho_{[a,b]}^(l/2) * ||F||_2."""
-    iv = _iv(interval)
-    anchor = f.limit_at_zero()
-    if math.isinf(anchor):
-        return math.inf
-    g = gamma_const(ell, iv.kappa, conjectured=conjectured_gamma)
-    return 16.0 * g * anchor * fnorm * rate_rho(iv.lower, iv.upper) ** (0.5 * ell)
+    return _laplace_type(16.0, f, positive_interval(interval), ell, fnorm,
+                         conjectured_gamma)
 
 
 def kron_cauchy_bound(f, interval, ell: int, fnorm: float) -> float:
     """4 * f(2a) * (1 + kappa) * rho_{[a,2b]}^l * ||F||_2."""
-    iv = _iv(interval)
-    return (4.0 * f.at(2.0 * iv.lower) * (1.0 + iv.kappa) * fnorm
-            * rate_rho(iv.lower, 2.0 * iv.upper) ** ell)
+    iv = positive_interval(interval)
+    return _cauchy_mirror(f, iv, ell, fnorm, factor=1.0 + iv.kappa)
 
 
 def sylvester_residual_bound(interval, ell: int, fnorm: float) -> float:
     """(1 + kappa) * 4 * rho_{[a,b]}^l * ||F||_2 for the mirrored
     Zolotarev pole pair (Psi, -Psi)."""
-    iv = _iv(interval)
+    iv = positive_interval(interval)
     return (1.0 + iv.kappa) * 4.0 * rate_rho(iv.lower, iv.upper) ** ell * fnorm
 
 
@@ -88,29 +91,9 @@ def singular_value_bound(f, interval, ell: int, fnorm: float,
     ``variant="cauchy"``: 4 f(2a) rho_{[a,2b]}^l ||F||_2;
     ``variant="laplace"``: 16 gamma_{l,kappa} f(0+) rho_{[a,b]}^(l/2) ||F||_2.
     """
-    iv = _iv(interval)
+    iv = positive_interval(interval)
     if variant == "cauchy":
-        return 4.0 * f.at(2.0 * iv.lower) * fnorm * rate_rho(
-            iv.lower, 2.0 * iv.upper) ** ell
+        return _cauchy_mirror(f, iv, ell, fnorm)
     if variant == "laplace":
-        anchor = f.limit_at_zero()
-        if math.isinf(anchor):
-            return math.inf
-        g = gamma_const(ell, iv.kappa, conjectured=conjectured_gamma)
-        return 16.0 * g * anchor * fnorm * rate_rho(iv.lower, iv.upper) ** (0.5 * ell)
+        return _laplace_type(16.0, f, iv, ell, fnorm, conjectured_gamma)
     raise ValueError(f"unknown singular-value bound variant {variant!r}")
-
-
-def strategy_bound(strategy: str, f, interval, ell: int, vnorm: float,
-                   conjectured_gamma: bool = False) -> float:
-    """Bound column for a 1-D trace; nan when no certificate covers the
-    strategy (extended/polynomial/custom), and the matching certified
-    value as a reference curve for the EDS variants."""
-    if strategy in ("zolotarev", "eds-laplace"):
-        return laplace_bound(f, interval, ell, vnorm,
-                             conjectured_gamma=conjectured_gamma)
-    if strategy in ("cauchy", "eds-cauchy"):
-        if not f.is_cauchy:
-            return math.nan
-        return cauchy_bound(f, interval, ell, vnorm)
-    return math.nan

@@ -15,12 +15,12 @@ import sys
 import numpy as np
 
 from .acceptance import run_acceptance
-from .bounds import kron_cauchy_bound, kron_laplace_bound
 from .experiments import (
     EXPERIMENT_IDS,
     ExperimentConfig,
     diffusion_operator,
     run_experiment,
+    write_csv,
 )
 from .functions import parse_function_spec
 from .kronfun import KroneckerProblem, dense_kron_solution, kron_fun
@@ -30,26 +30,16 @@ from .operators import (
     SpectralInterval,
     load_matrix,
     oracle_funv,
+    positive_interval,
     spectral_interval,
     toeplitz_tridiagonal,
 )
-from .poles import (
-    cauchy_kron_poles,
-    cauchy_poles,
-    eds_poles,
-    extended_poles,
-    laplace_kron_poles,
-    polynomial_poles,
-    read_pole_file,
-    write_pole_file,
-    zolotarev_poles,
-)
+from .poles import read_pole_file, write_pole_file
 from .rk import funv_driver
+from .strategies import KRON_PAIRS, STRATEGIES
 
-FUNV_STRATEGIES = ("zolotarev", "cauchy", "eds-laplace", "eds-cauchy",
-                   "extended", "polynomial")
-KRON_FAMILIES = ("laplace-kron", "cauchy-kron", "eds-laplace", "eds-cauchy",
-                 "extended", "polynomial")
+# Strategy names the CLI generates poles for; ``custom`` takes a file.
+_NAMED = [name for name in STRATEGIES if name != "custom"]
 
 
 # ---------------------------------------------------------------------------
@@ -99,19 +89,6 @@ def _load_factor(path: str) -> np.ndarray:
     return m[:, None] if m.ndim == 1 else m
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
-
-
-def _write_rows(path: str, header: list[str], rows: list[tuple]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommand: funv
 
@@ -141,10 +118,10 @@ def _cmd_funv(args) -> int:
     if strategy.startswith("custom:"):
         custom = list(read_pole_file(strategy[7:]).poles)
         strategy = "custom"
-    elif strategy not in FUNV_STRATEGIES:
+    elif strategy not in _NAMED:
         raise SystemExit(
             f"--poles: unknown strategy {strategy!r}; expected one of "
-            f"{', '.join(FUNV_STRATEGIES)} or custom:FILE")
+            f"{', '.join(_NAMED)} or custom:FILE")
 
     oracle = None
     if args.oracle == "on":
@@ -157,9 +134,9 @@ def _cmd_funv(args) -> int:
         conjectured_gamma=args.gamma_one)
 
     if args.out:
-        _write_rows(args.out, ["ell", "est_error", "true_error", "bound"],
-                    [(r.ell, r.est_error, r.true_error, r.bound)
-                     for r in result.trace])
+        write_csv(args.out, ["ell", "est_error", "true_error", "bound"],
+                  [(r.ell, r.est_error, r.true_error, r.bound)
+                   for r in result.trace])
     last = result.trace[-1]
     status = "converged" if result.converged else "stopped"
     print(f"{status} at ell={last.ell} ({result.strategy}); "
@@ -172,30 +149,6 @@ def _cmd_funv(args) -> int:
 
 # ---------------------------------------------------------------------------
 # subcommand: kronfun
-
-
-def _kron_pole_lists(family: str, iv: SpectralInterval, ell: int):
-    if family == "laplace-kron":
-        psi, xi = laplace_kron_poles(iv, ell)
-        return list(psi.poles), list(xi.poles)
-    if family == "cauchy-kron":
-        psi, xi = cauchy_kron_poles(iv, ell)
-        return list(psi.poles), list(xi.poles)
-    if family in ("eds-laplace", "eds-cauchy"):
-        from .experiments import _eds_kron_cauchy_pair
-
-        if family == "eds-laplace":
-            psi = list(eds_poles(iv, ell, "laplace").poles)
-            return psi, [-p for p in psi]
-        return _eds_kron_cauchy_pair(iv, ell)
-    if family == "extended":
-        seq = [math.inf if j % 2 == 0 else 0.0 for j in range(ell)]
-        return seq, list(seq)
-    if family == "polynomial":
-        return [math.inf] * ell, [math.inf] * ell
-    raise SystemExit(
-        f"--poles: unknown family {family!r}; expected one of "
-        f"{', '.join(KRON_FAMILIES)} or custom:PSI_FILE,XI_FILE")
 
 
 def _cmd_kronfun(args) -> int:
@@ -228,6 +181,7 @@ def _cmd_kronfun(args) -> int:
     prob = KroneckerProblem(a_op, bneg_op, u, w, f, iv)
 
     family = args.poles
+    bound = math.nan
     if family.startswith("custom:"):
         spec = family[7:]
         if "," not in spec:
@@ -235,19 +189,17 @@ def _cmd_kronfun(args) -> int:
         psi_path, xi_path = spec.split(",", 1)
         psi = list(read_pole_file(psi_path).poles)
         xi = list(read_pole_file(xi_path).poles)
+    elif family in KRON_PAIRS:
+        pair = KRON_PAIRS[family]
+        psi, xi = pair.poles(iv, args.ell)
+        bound = pair.bound(f, iv, args.ell, prob.rhs_norm2(),
+                           conjectured_gamma=args.gamma_one)
     else:
-        psi, xi = _kron_pole_lists(family, iv, args.ell)
+        raise SystemExit(
+            f"--poles: unknown family {family!r}; expected one of "
+            f"{', '.join(KRON_PAIRS)} or custom:PSI_FILE,XI_FILE")
 
     res = kron_fun(prob, psi, xi, ell=args.ell)
-
-    fnorm = prob.rhs_norm2()
-    if family == "laplace-kron":
-        bound = kron_laplace_bound(f, iv, args.ell, fnorm,
-                                   conjectured_gamma=args.gamma_one)
-    elif family == "cauchy-kron":
-        bound = kron_cauchy_bound(f, iv, args.ell, fnorm)
-    else:
-        bound = math.nan
 
     true_error = math.nan
     if args.oracle == "on":
@@ -255,14 +207,14 @@ def _cmd_kronfun(args) -> int:
         true_error = float(np.linalg.norm(res.materialize() - x_ref, ord=2))
 
     if args.out:
-        _write_rows(args.out,
-                    ["ell", "storage_rank", "norm2", "bound", "true_error"],
-                    [(args.ell, res.storage_rank, res.norm2(), bound,
-                      true_error)])
+        write_csv(args.out,
+                  ["ell", "storage_rank", "norm2", "bound", "true_error"],
+                  [(args.ell, res.storage_rank, res.norm2(), bound,
+                    true_error)])
     if args.svd_report:
         svals = np.linalg.svd(res.core, compute_uv=False)
-        _write_rows(args.svd_report, ["index", "sigma"],
-                    [(j + 1, float(s)) for j, s in enumerate(svals)])
+        write_csv(args.svd_report, ["index", "sigma"],
+                  [(j + 1, float(s)) for j, s in enumerate(svals)])
 
     print(f"ell={args.ell} family={family} storage_rank={res.storage_rank} "
           f"norm2={res.norm2():.6e} bound={bound:.3e} "
@@ -275,31 +227,20 @@ def _cmd_kronfun(args) -> int:
 
 
 def _cmd_poles(args) -> int:
-    needs_interval = args.strategy not in ("extended", "polynomial")
-    if needs_interval and args.interval is None:
+    # A name of both a 1-D strategy and a Kronecker pair means the former.
+    strategy = STRATEGIES.get(args.strategy)
+    if (strategy is None or strategy.needs_interval) and args.interval is None:
         raise SystemExit(f"--interval a,b is required for {args.strategy}")
     iv = None
     if args.interval is not None:
-        lo, hi = (float(t) for t in args.interval.split(","))
-        iv = SpectralInterval(lo, hi).require_positive()
+        lo, hi = args.interval.split(",")
+        iv = positive_interval((lo, hi))
 
     xi = None
-    if args.strategy == "zolotarev":
-        seq = zolotarev_poles(iv, args.ell)
-    elif args.strategy == "cauchy":
-        seq = cauchy_poles(iv, args.ell)
-    elif args.strategy in ("eds-laplace", "eds-cauchy"):
-        seq = eds_poles(iv, args.ell, args.strategy.split("-")[1])
-    elif args.strategy == "extended":
-        seq = extended_poles(args.ell)
-    elif args.strategy == "polynomial":
-        seq = polynomial_poles(args.ell)
-    elif args.strategy == "laplace-kron":
-        seq, xi = laplace_kron_poles(iv, args.ell)
-    elif args.strategy == "cauchy-kron":
-        seq, xi = cauchy_kron_poles(iv, args.ell)
-    else:  # pragma: no cover - argparse choices guard this
-        raise SystemExit(f"unknown strategy {args.strategy!r}")
+    if strategy is not None:
+        seq = strategy.first(iv, args.ell)
+    else:
+        seq, xi = KRON_PAIRS[args.strategy].poles(iv, args.ell)
 
     write_pole_file(args.out, seq)
     print(f"{args.ell} poles ({args.strategy}) -> {args.out}")
@@ -363,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="e.g. phi:1, power:-0.5, inverse, log1p, sqrt-exp, "
                          "lambertw, rational:w,p;w,p")
     pf.add_argument("--poles", default="zolotarev",
-                    help=f"{'|'.join(FUNV_STRATEGIES)}|custom:FILE")
+                    help=f"{'|'.join(_NAMED)}|custom:FILE")
     pf.add_argument("--interval", default="auto",
                     help="a,b | auto | gershgorin[:floor]")
     pf.add_argument("--shift", type=float, default=0.0,
@@ -392,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--ufile", help="left factor file (.npy or text)")
     pk.add_argument("--vfile", help="right factor file (.npy or text)")
     pk.add_argument("--poles", default="cauchy-kron",
-                    help=f"{'|'.join(KRON_FAMILIES)}|custom:PSI,XI")
+                    help=f"{'|'.join(KRON_PAIRS)}|custom:PSI,XI")
     pk.add_argument("--ell", type=int, required=True)
     pk.add_argument("--interval", default="auto", help="a,b | auto")
     pk.add_argument("--oracle", choices=("on", "off"), default="off")
@@ -405,9 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("poles", parents=[common],
                         help="generate pole files")
     pp.add_argument("--strategy", required=True,
-                    choices=("zolotarev", "cauchy", "eds-laplace",
-                             "eds-cauchy", "extended", "polynomial",
-                             "laplace-kron", "cauchy-kron"))
+                    choices=list(dict.fromkeys([*_NAMED, *KRON_PAIRS])))
     pp.add_argument("--interval", help="a,b (spectral enclosure)")
     pp.add_argument("--ell", type=int, required=True)
     pp.add_argument("--out", required=True)

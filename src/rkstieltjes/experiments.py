@@ -12,22 +12,17 @@ across runs; timing columns are informative only.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bounds import (
-    cauchy_bound,
-    kron_cauchy_bound,
-    kron_laplace_bound,
-    laplace_bound,
-)
 from .functions import StieltjesFunction, catalog_function
 from .kronfun import (
     KroneckerProblem,
@@ -40,18 +35,21 @@ from .operators import (
     SpectralInterval,
     TridiagonalOperator,
     oracle_funv,
+    positive_interval,
     toeplitz_tridiagonal,
 )
-from .poles import (
-    cauchy_kron_poles,
-    eds_next,
-    eds_poles,
-    eds_start,
-    laplace_kron_poles,
-    mobius_kron,
-    rate_rho,
+# perfbench's tracer wraps ``experiments.eds_next``, so the name stays
+# here; the EDS Kronecker pairs step the sequence in ``poles.eds_pole_iter``,
+# where its ``poles.eds_next`` wrapper times each step.
+from .poles import eds_next  # noqa: F401
+from .rk import error_sweep, iterates
+from .strategies import (
+    CANONICAL,
+    STRATEGIES,
+    KronPair,
+    get_strategy,
+    strategy_bound,
 )
-from .rk import RKDecomposition, error_sweep, rk_funv
 
 __all__ = [
     "EXPERIMENT_IDS",
@@ -59,6 +57,7 @@ __all__ = [
     "run_experiment",
     "emit_bounds",
     "diffusion_operator",
+    "write_csv",
 ]
 
 EXPERIMENT_IDS = (
@@ -160,18 +159,18 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: str, header: Sequence[str],
-               rows: Sequence[Sequence]) -> str:
-    """Write atomically: a temp file in the target directory is renamed
-    over the destination, so a crash never leaves a half-written CSV."""
+def _write_atomic(path: str, lines: Iterable[str]) -> str:
+    """Write one line per item atomically: a temp file in the target
+    directory is renamed over the destination, so a crash or a line that
+    fails to format leaves the old file and no temp file behind."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-", suffix=".csv")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-",
+                               suffix=os.path.splitext(path)[1])
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -180,29 +179,39 @@ def _write_csv(path: str, header: Sequence[str],
     return path
 
 
-def _write_gnuplot(path: str, title: str, curve_files: dict,
-                   ycol: int = 2) -> str:
+def write_csv(path: str, header: Sequence[str],
+              rows: Iterable[Sequence]) -> str:
+    """Write a CSV atomically (see ``_write_atomic``)."""
+    return _write_atomic(path, itertools.chain(
+        [",".join(header)], (",".join(_fmt(x) for x in row) for row in rows)))
+
+
+def _write_gnuplot(outdir: str, stem: str, labels: Sequence[str]) -> str:
+    """``{stem}.gp``, plotting the curve ``{stem}-{label}.csv`` per label."""
     lines = [
         "set datafile separator ','",
         "set logscale y",
         "set xlabel 'poles'",
         "set ylabel 'error'",
-        f"set title '{title}'",
+        f"set title '{stem}'",
         "set key outside",
     ]
     plots = [
-        f"'{os.path.basename(fname)}' using 1:{ycol} skip 1 "
+        f"'{stem}-{label}.csv' using 1:2 skip 1 "
         f"with linespoints title '{label}'"
-        for label, fname in curve_files.items()
+        for label in labels
     ]
     lines.append("plot \\\n  " + ", \\\n  ".join(plots))
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-", suffix=".gp")
-    with os.fdopen(fd, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
-    return path
+    return _write_atomic(os.path.join(outdir, f"{stem}.gp"), lines)
+
+
+def _per_strategy(cfg: ExperimentConfig, one: Callable[[str], str],
+                  strategies: Sequence[str]) -> list[str]:
+    """``one(strategy)`` for every strategy, on ``cfg.threads`` threads."""
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            return list(pool.map(one, strategies))
+    return [one(s) for s in strategies]
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +230,14 @@ def emit_bounds(f: StieltjesFunction, interval, ells: Sequence[int],
     ``shift`` eta is required, and the curve is evaluated for f(.+eta) on
     the left-shifted interval.
     """
-    iv = interval if isinstance(interval, SpectralInterval) else \
-        SpectralInterval(float(interval[0]), float(interval[1]))
-    iv.require_positive()
-    if mode not in ("laplace-1d", "cauchy-1d", "laplace-kron", "cauchy-kron"):
+    iv = positive_interval(interval)
+    variant, _, dim = mode.partition("-")
+    if variant not in CANONICAL or dim not in ("1d", "kron"):
         raise ValueError(f"unknown bound mode {mode!r}")
+    canonical = get_strategy(CANONICAL[variant])
+    bound = canonical.bound if dim == "1d" else canonical.kron.bound
     f_b, iv_b = f, iv
-    if mode.startswith("laplace"):
+    if variant == "laplace":
         if shift:
             f_b = f.with_shift(shift)
             iv_b = iv.shifted(-shift).require_positive()
@@ -236,22 +246,11 @@ def emit_bounds(f: StieltjesFunction, interval, ells: Sequence[int],
                 f"{f.label}: the bound anchor f(0+) is infinite; pass a "
                 "positive shift eta (e.g. half the lower spectral edge) so "
                 "the curve anchors at the finite value f(eta)")
-    rows = []
-    for ell in ells:
-        ell = int(ell)
-        if mode == "laplace-1d":
-            b = laplace_bound(f_b, iv_b, ell, norm,
-                              conjectured_gamma=conjectured_gamma)
-        elif mode == "cauchy-1d":
-            b = cauchy_bound(f_b, iv_b, ell, norm)
-        elif mode == "laplace-kron":
-            b = kron_laplace_bound(f_b, iv_b, ell, norm,
-                                   conjectured_gamma=conjectured_gamma)
-        else:
-            b = kron_cauchy_bound(f_b, iv_b, ell, norm)
-        rows.append((ell, b))
+    rows = [(int(ell), bound(f_b, iv_b, int(ell), norm,
+                             conjectured_gamma=conjectured_gamma))
+            for ell in ells]
     if out_path is not None:
-        _write_csv(out_path, ("ell", "bound"), rows)
+        write_csv(out_path, ("ell", "bound"), rows)
     return rows
 
 
@@ -259,48 +258,31 @@ def emit_bounds(f: StieltjesFunction, interval, ells: Sequence[int],
 # 1-D studies
 
 
-def _sweep_to_csv(op, f, v, iv, strategy, ells, oracle, path,
-                  conjectured_gamma=False, bound_shift=0.0) -> str:
-    rows = error_sweep(op, f, v, iv, strategy, ells, oracle,
-                       conjectured_gamma=conjectured_gamma,
-                       bound_shift=bound_shift)
-    return _write_csv(path, ("ell", "true_error", "bound"),
-                      [(r.ell, r.true_error, r.bound) for r in rows])
-
-
 def _run_panel_1d(cfg: ExperimentConfig, op, f: StieltjesFunction, stem: str,
                   strategies: Sequence[str], bound_mode: str,
-                  bound_shift: float = 0.0,
-                  interval: SpectralInterval | None = None) -> list[str]:
-    iv = op.exact_interval() if interval is None else interval
+                  bound_shift: float = 0.0) -> list[str]:
+    iv = op.exact_interval()
     rng = np.random.default_rng(cfg.seed)
     v = _unit_normal(rng, op.n)
     oracle = oracle_funv(op, f, v)
     ells = range(1, cfg.ell_max + 1)
 
     def one(strategy: str) -> str:
-        path = os.path.join(cfg.outdir, f"{stem}-{strategy}.csv")
-        return _sweep_to_csv(op, f, v, iv, strategy, ells, oracle, path,
-                             conjectured_gamma=cfg.conjectured_gamma,
-                             bound_shift=bound_shift)
+        rows = error_sweep(op, f, v, iv, strategy, ells, oracle,
+                           conjectured_gamma=cfg.conjectured_gamma,
+                           bound_shift=bound_shift)
+        return write_csv(os.path.join(cfg.outdir, f"{stem}-{strategy}.csv"),
+                         ("ell", "true_error", "bound"),
+                         [(r.ell, r.true_error, r.bound) for r in rows])
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            paths = list(pool.map(one, strategies))
-    else:
-        paths = [one(s) for s in strategies]
-
+    paths = _per_strategy(cfg, one, strategies)
     bound_path = os.path.join(cfg.outdir, f"{stem}-bound.csv")
     emit_bounds(f, iv, ells, float(np.linalg.norm(v)), bound_mode,
                 out_path=bound_path, shift=bound_shift,
                 conjectured_gamma=cfg.conjectured_gamma)
     paths.append(bound_path)
     if cfg.gnuplot:
-        curves = {s: os.path.join(cfg.outdir, f"{stem}-{s}.csv")
-                  for s in strategies}
-        curves["bound"] = bound_path
-        paths.append(_write_gnuplot(os.path.join(cfg.outdir, f"{stem}.gp"),
-                                    stem, curves))
+        paths.append(_write_gnuplot(cfg.outdir, stem, [*strategies, "bound"]))
     return paths
 
 
@@ -380,26 +362,18 @@ def _timed_nested_run(op, f, v, iv, strategy: str, max_ell: int,
                       oracle: np.ndarray) -> list[tuple]:
     """Per-step (ell, abs_error, cumulative_seconds) for a nested strategy.
 
-    Timing covers basis growth and reduced extraction (the method); the
-    oracle comparison is measurement overhead and excluded.
+    Timing covers basis growth and extraction, lift included (the method);
+    the oracle comparison is measurement overhead and excluded.
     """
-    from .rk import _pole_stream  # shared strategy -> stream mapping
-
-    stream = _pole_stream(strategy, iv, None)
     rows = []
     elapsed = 0.0
     t0 = time.perf_counter()
-    dec = RKDecomposition(op, v)
-    elapsed += time.perf_counter() - t0
-    for _ in range(max_ell):
-        t0 = time.perf_counter()
-        dec.extend([next(stream)])
-        x = rk_funv(dec, f)
+    for dec, y in iterates(op, f, v, strategy, iv, range(1, max_ell + 1)):
+        x = dec.lift(y)
         elapsed += time.perf_counter() - t0
         err = float(np.linalg.norm(x - oracle))
         rows.append((len(dec.poles_used), err, elapsed))
-        if dec.breakdown:
-            break
+        t0 = time.perf_counter()
     return rows
 
 
@@ -416,11 +390,9 @@ def _run_table_times(cfg: ExperimentConfig) -> list[str]:
     paths, summary = [], []
     for strategy, cap in caps.items():
         rows = _timed_nested_run(op, f, v, iv, strategy, cap, oracle)
-        trace = [(ell, err,
-                  cauchy_bound(f, iv, ell, 1.0) if strategy == "eds-cauchy"
-                  else math.nan)
+        trace = [(ell, err, strategy_bound(strategy, f, iv, ell, 1.0))
                  for ell, err, _ in rows]
-        paths.append(_write_csv(
+        paths.append(write_csv(
             os.path.join(cfg.outdir, f"table-times-{strategy}.csv"),
             ("ell", "true_error", "bound"), trace))
         for tol in TIME_TOLERANCES:
@@ -429,7 +401,7 @@ def _run_table_times(cfg: ExperimentConfig) -> list[str]:
             summary.append((f"{tol:g}", strategy,
                             hit[0] if hit else "",
                             f"{hit[1]:.4g}" if hit else ""))
-    paths.append(_write_csv(
+    paths.append(write_csv(
         os.path.join(cfg.outdir, "table-times-summary.csv"),
         ("tolerance", "strategy", "iterations", "seconds"), summary))
     return paths
@@ -439,49 +411,31 @@ def _run_table_times(cfg: ExperimentConfig) -> list[str]:
 # Kronecker studies
 
 
-def _eds_kron_cauchy_pair(iv: SpectralInterval, count: int):
-    """Nested analog of the two-sided Cauchy pole pair: equidistributed
-    points on the normalized interval, pushed through the same Moebius
-    chart, mirrored for the second factor."""
-    mob = mobius_kron(iv)
-    state = eds_start(mob.endpoint)
-    psi = []
-    for _ in range(count):
-        s, state = eds_next(state)
-        psi.append(float(mob.inv(-s)))
-    xi = [-p for p in psi]
-    return psi, xi
+def _kron_pair_for(variant: str, strategy: str) -> KronPair:
+    """The table's Kronecker pair behind an experiment label:
+    ``canonical`` is the certified pair of the function class, ``eds`` its
+    nested analog."""
+    name = {"canonical": CANONICAL[variant], "eds": f"eds-{variant}"}.get(
+        strategy, strategy)
+    record = STRATEGIES.get(name)
+    if record is None or record.kron is None:
+        raise ValueError(f"unknown Kronecker strategy {strategy!r}")
+    return record.kron
 
 
 def _kron_pole_pair(variant: str, strategy: str, iv: SpectralInterval,
                     ell: int):
-    if strategy == "extended":
-        seq = [math.inf if j % 2 == 0 else 0.0 for j in range(ell)]
-        return seq, list(seq)
-    if strategy == "polynomial":
-        seq = [math.inf] * ell
-        return seq, list(seq)
-    if strategy == "canonical":
-        maker = laplace_kron_poles if variant == "laplace" else cauchy_kron_poles
-        psi, xi = maker(iv, ell)
-        return list(psi.poles), list(xi.poles)
-    if strategy == "eds":
-        if variant == "laplace":
-            psi = list(eds_poles(iv, ell, "laplace").poles)
-            return psi, [-p for p in psi]
-        return _eds_kron_cauchy_pair(iv, ell)
-    raise ValueError(f"unknown Kronecker strategy {strategy!r}")
+    return _kron_pair_for(variant, strategy).poles(iv, ell)
 
 
-def _run_kron(cfg: ExperimentConfig, variant: str, stem: str) -> list[str]:
+def _run_kron(cfg: ExperimentConfig, variant: str) -> list[str]:
+    stem = cfg.experiment
     if variant == "laplace":
         op = diffusion_operator(cfg.n)
         f = catalog_function("phi", 1)
-        bound_mode = "laplace-kron"
     else:
         op = toeplitz_tridiagonal(cfg.n, 1.0)
         f = catalog_function("power", -0.5)
-        bound_mode = "cauchy-kron"
     iv = op.exact_interval()
     rng = np.random.default_rng(cfg.seed)
     u = _unit_normal(rng, cfg.n)[:, None]
@@ -492,33 +446,20 @@ def _run_kron(cfg: ExperimentConfig, variant: str, stem: str) -> list[str]:
     ells = range(1, cfg.ell_max + 1)
 
     def one(strategy: str) -> str:
+        pair = _kron_pair_for(variant, strategy)
         rows = []
         for ell in ells:
-            psi, xi = _kron_pole_pair(variant, strategy, iv, ell)
-            res = kron_fun(prob, psi, xi)
+            res = kron_fun(prob, *pair.poles(iv, ell))
             err = float(np.linalg.norm(res.materialize() - x_ref, ord=2))
-            if strategy == "canonical":
-                if variant == "laplace":
-                    b = kron_laplace_bound(
-                        f, iv, ell, fnorm,
-                        conjectured_gamma=cfg.conjectured_gamma)
-                else:
-                    b = kron_cauchy_bound(f, iv, ell, fnorm)
-            else:
-                b = math.nan
-            rows.append((ell, err, b))
-        return _write_csv(os.path.join(cfg.outdir, f"{stem}-{strategy}.csv"),
-                          ("ell", "true_error", "bound"), rows)
+            rows.append((ell, err, pair.bound(
+                f, iv, ell, fnorm, conjectured_gamma=cfg.conjectured_gamma)))
+        return write_csv(os.path.join(cfg.outdir, f"{stem}-{strategy}.csv"),
+                         ("ell", "true_error", "bound"), rows)
 
     strategies = ("extended", "polynomial", "canonical", "eds")
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            paths = list(pool.map(one, strategies))
-    else:
-        paths = [one(s) for s in strategies]
-
+    paths = _per_strategy(cfg, one, strategies)
     bound_path = os.path.join(cfg.outdir, f"{stem}-bound.csv")
-    emit_bounds(f, iv, ells, fnorm, bound_mode, out_path=bound_path,
+    emit_bounds(f, iv, ells, fnorm, f"{variant}-kron", out_path=bound_path,
                 conjectured_gamma=cfg.conjectured_gamma)
     paths.append(bound_path)
 
@@ -527,27 +468,15 @@ def _run_kron(cfg: ExperimentConfig, variant: str, stem: str) -> list[str]:
                                   dense_limit=cfg.dense_limit,
                                   conjectured_gamma=cfg.conjectured_gamma)
     sv_rows = [(j + 1, float(s)) for j, s in enumerate(svals[:cfg.ell_max + 1])]
-    paths.append(_write_csv(os.path.join(cfg.outdir, f"{stem}-singvals.csv"),
-                            ("index", "sigma"), sv_rows))
-    paths.append(_write_csv(
+    paths.append(write_csv(os.path.join(cfg.outdir, f"{stem}-singvals.csv"),
+                           ("index", "sigma"), sv_rows))
+    paths.append(write_csv(
         os.path.join(cfg.outdir, f"{stem}-singval-bounds.csv"),
         ("ell", "sigma_1_plus_ell_k", "bound"), decay))
 
     if cfg.gnuplot:
-        curves = {s: os.path.join(cfg.outdir, f"{stem}-{s}.csv")
-                  for s in strategies}
-        curves["bound"] = bound_path
-        paths.append(_write_gnuplot(os.path.join(cfg.outdir, f"{stem}.gp"),
-                                    stem, curves))
+        paths.append(_write_gnuplot(cfg.outdir, stem, [*strategies, "bound"]))
     return paths
-
-
-def _run_fig_lapl_2d(cfg: ExperimentConfig) -> list[str]:
-    return _run_kron(cfg, "laplace", "fig-lapl-2d")
-
-
-def _run_fig_cauchy_2d(cfg: ExperimentConfig) -> list[str]:
-    return _run_kron(cfg, "cauchy", "fig-cauchy-2d")
 
 
 _RUNNERS: dict[str, Callable[[ExperimentConfig], list[str]]] = {
@@ -556,8 +485,8 @@ _RUNNERS: dict[str, Callable[[ExperimentConfig], list[str]]] = {
     "fig-cauchy-1d-eig": _run_fig_cauchy_1d_eig,
     "fig-cauchy-1d-funcs": _run_fig_cauchy_1d_funcs,
     "table-times": _run_table_times,
-    "fig-lapl-2d": _run_fig_lapl_2d,
-    "fig-cauchy-2d": _run_fig_cauchy_2d,
+    "fig-lapl-2d": lambda cfg: _run_kron(cfg, "laplace"),
+    "fig-cauchy-2d": lambda cfg: _run_kron(cfg, "cauchy"),
 }
 
 

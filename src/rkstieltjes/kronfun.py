@@ -166,8 +166,7 @@ def funm_diag(f: Callable[[np.ndarray], np.ndarray], a_small: np.ndarray,
 
 
 def kron_fun(problem: KroneckerProblem, left_poles, right_poles,
-             ell: int | None = None,
-             deflation_tol: float = 1e-12) -> KroneckerResult:
+             ell: int | None = None) -> KroneckerResult:
     """Project both sides and solve the compressed problem.
 
     ``left_poles`` drive the space for A seeded with U_F; ``right_poles``
@@ -185,10 +184,8 @@ def kron_fun(problem: KroneckerProblem, left_poles, right_poles,
                 f"ell={ell} exceeds the supplied pole counts "
                 f"({len(left)} left, {len(right)} right)")
         left, right = left[:ell], right[:ell]
-    dec_u = rk_build(problem.a_op, problem.u_factor, left,
-                     deflation_tol=deflation_tol)
-    dec_v = rk_build(problem.bneg_op, problem.v_factor, _neg_poles(right),
-                     deflation_tol=deflation_tol)
+    dec_u = rk_build(problem.a_op, problem.u_factor, left)
+    dec_v = rk_build(problem.bneg_op, problem.v_factor, _neg_poles(right))
     a_small = dec_u.reduced_matrix()
     b_small = -dec_v.reduced_matrix()  # projection of B in the shared basis
     f_small = dec_u.reduced_seed() @ dec_v.reduced_seed().conj().T

@@ -72,7 +72,15 @@ class SpectralInterval:
         yield self.upper
 
 
-def _as_block(rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+def positive_interval(interval) -> SpectralInterval:
+    """``interval`` (a SpectralInterval or an (a, b) pair) as a
+    SpectralInterval with 0 < a <= b; ValueError otherwise."""
+    if not isinstance(interval, SpectralInterval):
+        interval = SpectralInterval(float(interval[0]), float(interval[1]))
+    return interval.require_positive()
+
+
+def as_block(rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     """View ``rhs`` as an (n, k) block; report whether it was 1-D."""
     rhs = np.asarray(rhs)
     if rhs.ndim == 1:
@@ -164,7 +172,7 @@ class DenseOperator(HermitianOperator):
         return self.a @ x
 
     def shifted_solve(self, sigma: complex, rhs: np.ndarray) -> np.ndarray:
-        block, was_1d = _as_block(rhs)
+        block, was_1d = as_block(rhs)
         if self._is_inf_shift(sigma):
             return _restore(block.copy(), was_1d)
         m = self.a - sigma * np.eye(self.n)
@@ -202,11 +210,11 @@ class DiagonalOperator(HermitianOperator):
         self.d = d.copy()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        block, was_1d = _as_block(x)
+        block, was_1d = as_block(x)
         return _restore(self.d[:, None] * block, was_1d)
 
     def shifted_solve(self, sigma: complex, rhs: np.ndarray) -> np.ndarray:
-        block, was_1d = _as_block(rhs)
+        block, was_1d = as_block(rhs)
         if self._is_inf_shift(sigma):
             return _restore(block.copy(), was_1d)
         denom = self.d - sigma
@@ -259,7 +267,7 @@ class TridiagonalOperator(HermitianOperator):
         self.e = e.copy()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        block, was_1d = _as_block(x)
+        block, was_1d = as_block(x)
         out = self.d[:, None] * block
         if self.n > 1:
             out[:-1] += self.e[:, None] * block[1:]
@@ -267,7 +275,7 @@ class TridiagonalOperator(HermitianOperator):
         return _restore(out, was_1d)
 
     def shifted_solve(self, sigma: complex, rhs: np.ndarray) -> np.ndarray:
-        block, was_1d = _as_block(rhs)
+        block, was_1d = as_block(rhs)
         if self._is_inf_shift(sigma):
             return _restore(block.copy(), was_1d)
         dtype = complex if (np.iscomplexobj(block) or isinstance(sigma, complex)
@@ -420,7 +428,7 @@ def oracle_funv(
     tridiagonal Toeplitz family c*tridiag(-1,2,-1) is handled at any order
     through its closed-form sine eigenvectors (an orthonormal DST-I).
     """
-    block, was_1d = _as_block(v)
+    block, was_1d = as_block(v)
     if isinstance(op, TridiagonalOperator):
         c = op.toeplitz_scale()
         if c is not None:

@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 from scipy.integrate import quad
 
-from .operators import SpectralInterval
+from .operators import SpectralInterval, positive_interval
 
 __all__ = [
     "PoleSequence",
@@ -55,13 +55,6 @@ __all__ = [
     "write_pole_file",
     "read_pole_file",
 ]
-
-
-def _as_interval(interval) -> SpectralInterval:
-    if isinstance(interval, SpectralInterval):
-        return interval
-    lo, hi = interval
-    return SpectralInterval(float(lo), float(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +201,7 @@ class PoleSequence:
         "cauchy-kron",
         "eds-laplace",
         "eds-cauchy",
+        "eds-kron-cauchy",
         "extended",
         "polynomial",
         "custom",
@@ -244,7 +238,7 @@ def zolotarev_poles(interval, ell: int) -> PoleSequence:
     exactly, so extreme condition ratios do not lose the inner endpoint.
     Degenerate a == b collapses every pole to -a.
     """
-    iv = _as_interval(interval).require_positive()
+    iv = positive_interval(interval)
     if ell < 1:
         raise ValueError("ell must be >= 1")
     a, b = iv.lower, iv.upper
@@ -303,21 +297,7 @@ class MobiusMap:
 
     def inv(self, z):
         """Apply the inverse map (delta*z - beta) / (-gamma*z + alpha)."""
-        arr = np.asarray(z, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr).astype(float)
-        out = np.empty_like(arr)
-        fin = np.isfinite(arr)
-        with np.errstate(divide="ignore"):
-            out[fin] = (self.delta * arr[fin] - self.beta) / (
-                -self.gamma * arr[fin] + self.alpha
-            )
-        if np.any(~fin):
-            if self.gamma == 0.0:
-                out[~fin] = math.inf
-            else:
-                out[~fin] = -self.delta / self.gamma
-        return float(out[0]) if scalar else out
+        return MobiusMap(self.delta, -self.beta, -self.gamma, self.alpha)(z)
 
 
 def _endpoint_map(a: float, b: float, delta: float, endpoint: float,
@@ -340,7 +320,7 @@ def mobius_cauchy(interval) -> MobiusMap:
     the rationalized form a*b/(b + Delta)^2 to avoid cancellation; the
     inverse condition ratio satisfies 1/a^ <= 4b/a.
     """
-    iv = _as_interval(interval).require_positive()
+    iv = positive_interval(interval)
     a, b = iv.lower, iv.upper
     delta = math.sqrt(b * (b - a)) if b > a else 0.0
     if delta == 0.0:
@@ -355,7 +335,7 @@ def mobius_kron(interval) -> MobiusMap:
     Delta = sqrt(b^2 - a^2), a~ = (Delta + a - b)/(Delta - a + b) in the
     rationalized form 2a(b-a)/(Delta + b - a)^2; 1/a~ <= 2b/a.
     """
-    iv = _as_interval(interval).require_positive()
+    iv = positive_interval(interval)
     a, b = iv.lower, iv.upper
     delta = math.sqrt((b - a) * (b + a)) if b > a else 0.0
     if delta == 0.0:
@@ -371,7 +351,7 @@ def cauchy_poles(interval, ell: int) -> PoleSequence:
     pulled back through the inverse Moebius map; all images are negative
     reals.
     """
-    iv = _as_interval(interval).require_positive()
+    iv = positive_interval(interval)
     m = mobius_cauchy(iv)
     base = zolotarev_poles((m.endpoint, 1.0), ell)
     return PoleSequence(m.inv(base.poles), "cauchy", iv)
@@ -395,7 +375,7 @@ def cauchy_kron_poles(interval, ell: int) -> tuple[PoleSequence, PoleSequence]:
     mirror-pair Moebius map (all negative); Xi is its elementwise
     negation.
     """
-    iv = _as_interval(interval).require_positive()
+    iv = positive_interval(interval)
     m = mobius_kron(iv)
     base = zolotarev_poles((m.endpoint, 1.0), ell)
     psi = PoleSequence(m.inv(base.poles), "cauchy-kron", iv)
@@ -516,17 +496,24 @@ def eds_pole_iter(interval, variant: str) -> Iterator[float]:
 
     ``variant="laplace"`` rescales the normalized points to [-b, -a];
     ``variant="cauchy"`` maps their negatives through the inverse
-    half-line Moebius map of the original interval.
+    half-line Moebius map of the original interval.  ``"kron-cauchy"``
+    (the left poles of the nested two-sided Cauchy pair) starts the
+    sequence at the inner endpoint of the mirror chart ``mobius_kron``
+    and maps through that chart instead.
     """
-    iv = _as_interval(interval).require_positive()
+    iv = positive_interval(interval)
     a, b = iv.lower, iv.upper
-    if variant not in ("laplace", "cauchy"):
+    if variant not in ("laplace", "cauchy", "kron-cauchy"):
         raise ValueError(f"unknown EDS variant {variant!r}")
-    if a == b:
+    if variant == "kron-cauchy":
+        mob = mobius_kron(iv)
+        state = eds_start(mob.endpoint)
+    elif a == b:
         while True:
             yield -a
-    state = eds_start(a / b)
-    mob = mobius_cauchy(iv) if variant == "cauchy" else None
+    else:
+        state = eds_start(a / b)
+        mob = mobius_cauchy(iv) if variant == "cauchy" else None
     while True:
         sig, state = eds_next(state)
         if variant == "laplace":
@@ -541,7 +528,7 @@ def eds_poles(interval, count: int, variant: str) -> PoleSequence:
         raise ValueError("count must be >= 1")
     it = eds_pole_iter(interval, variant)
     poles = np.array([next(it) for _ in range(count)])
-    return PoleSequence(poles, f"eds-{variant}", _as_interval(interval))
+    return PoleSequence(poles, f"eds-{variant}", positive_interval(interval))
 
 
 # ---------------------------------------------------------------------------

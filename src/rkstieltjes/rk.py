@@ -10,23 +10,17 @@ poles at infinity resp. alternating infinity / zero.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bounds import strategy_bound
 from .functions import StieltjesFunction
-from .operators import HermitianOperator, SpectralInterval
-from .poles import (
-    PoleSequence,
-    cauchy_poles,
-    eds_pole_iter,
-    extended_poles,
-    polynomial_poles,
-    zolotarev_poles,
-)
+from .operators import HermitianOperator, as_block, positive_interval
+from .poles import PoleSequence, cauchy_poles, zolotarev_poles
+from .strategies import Strategy, get_strategy, strategy_bound
 
 __all__ = [
     "DEFLATION_TOL",
@@ -38,26 +32,16 @@ __all__ = [
     "FunvTraceRow",
     "FunvResult",
     "funv_driver",
-    "NESTED_STRATEGIES",
-    "FIXED_STRATEGIES",
+    "iterates",
+    "error_sweep",
+    "CHECKPOINT_STRIDE",
 ]
 
 DEFLATION_TOL = 1e-12
 
-# Strategies whose pole streams are nested (extend step by step) versus
-# those whose optimal pole set depends on the target count (regenerate at
-# checkpoints when running adaptively).
-NESTED_STRATEGIES = ("eds-laplace", "eds-cauchy", "extended", "polynomial", "custom")
-FIXED_STRATEGIES = ("zolotarev", "cauchy")
-
-
-def _as_block(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    if v.ndim == 1:
-        return v[:, None]
-    if v.ndim == 2:
-        return v
-    raise ValueError("seed must be a vector or an (n, k) block")
+#: Pole-count step between the rebuilt bases of the interval-optimal
+#: families in tolerance mode.
+CHECKPOINT_STRIDE = 4
 
 
 class RKDecomposition:
@@ -78,16 +62,14 @@ class RKDecomposition:
     because filled columns are never written again.
     """
 
-    def __init__(self, op: HermitianOperator, v: np.ndarray,
-                 deflation_tol: float = DEFLATION_TOL):
-        block = _as_block(v)
+    def __init__(self, op: HermitianOperator, v: np.ndarray):
+        block, _ = as_block(v)
         if block.shape[0] != op.n:
             raise ValueError(
                 f"seed has {block.shape[0]} rows, operator order is {op.n}")
         self.op = op
         self.seed_ndim = np.asarray(v).ndim
         self.block_width = block.shape[1]
-        self.deflation_tol = float(deflation_tol)
         self.seed_norm = float(np.linalg.norm(block))
         if self.seed_norm == 0.0:
             raise ValueError("seed block is zero")
@@ -136,6 +118,13 @@ class RKDecomposition:
         """Projection U*v of the seed block (m x k)."""
         return self._rhs
 
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        """x = U y for reduced coordinates y, matching the seed's shape."""
+        x = self.basis @ y
+        if self.seed_ndim == 1:
+            return x[:, 0]
+        return x
+
     # -- growth -----------------------------------------------------------
 
     def _reserve(self, cols: int) -> None:
@@ -173,7 +162,7 @@ class RKDecomposition:
                 for q in kept:
                     w = w - q * (q.conj() @ w)
             nrm = np.linalg.norm(w)
-            if nrm <= self.deflation_tol * max(pre[j], self.seed_norm * 1e-300):
+            if nrm <= DEFLATION_TOL * max(pre[j], self.seed_norm * 1e-300):
                 continue
             kept.append(w / nrm)
         if not kept:
@@ -241,18 +230,11 @@ class RKDecomposition:
         return self
 
 
-def rk_build(op: HermitianOperator, v: np.ndarray, poles,
-             deflation_tol: float = DEFLATION_TOL) -> RKDecomposition:
+def rk_build(op: HermitianOperator, v: np.ndarray, poles) -> RKDecomposition:
     """Build the rational Krylov basis of (op, v) for the given poles."""
-    dec = RKDecomposition(op, v, deflation_tol=deflation_tol)
+    dec = RKDecomposition(op, v)
     dec.extend(poles)
     return dec
-
-
-def rk_extend(dec: RKDecomposition, more) -> RKDecomposition:
-    """Continue the recurrence with more poles; equivalent (to rounding)
-    to a fresh build with the concatenated pole list."""
-    return dec.extend(more)
 
 
 def _reduced_funv(dec: RKDecomposition,
@@ -264,17 +246,9 @@ def _reduced_funv(dec: RKDecomposition,
     return q @ (np.asarray(f(w))[:, None] * coeff)
 
 
-def _lift(dec: RKDecomposition, y: np.ndarray) -> np.ndarray:
-    """x = U y, matching the seed's shape."""
-    x = dec.basis @ y
-    if dec.seed_ndim == 1:
-        return x[:, 0]
-    return x
-
-
 def rk_funv(dec: RKDecomposition, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Galerkin extraction x = U f(U*AU) U*v, matching the seed's shape."""
-    return _lift(dec, _reduced_funv(dec, f))
+    return dec.lift(_reduced_funv(dec, f))
 
 
 # -- exactness ------------------------------------------------------------
@@ -321,7 +295,7 @@ def exactness_check(op: HermitianOperator, v: np.ndarray, poles,
     else:
         poles = list(poles)
     dec = rk_build(op, v, poles)
-    block = _as_block(np.asarray(v, dtype=dec.basis.dtype))
+    block, _ = as_block(np.asarray(v, dtype=dec.basis.dtype))
 
     h = dec.reduced_matrix()
     w, q = np.linalg.eigh(h)
@@ -390,54 +364,55 @@ class FunvResult:
         return self.trace[-1].ell if self.trace else 0
 
 
-def _inf_stream() -> Iterator[float]:
-    while True:
-        yield math.inf
+def iterates(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
+             strategy: str, iv, counts: Iterable[int],
+             custom_poles: Sequence[complex] | None = None
+             ) -> Iterator[tuple[RKDecomposition, np.ndarray]]:
+    """Yield ``(dec, y)`` at each pole count in the increasing ``counts``,
+    where y are the reduced coordinates of the Galerkin iterate in
+    ``dec.basis`` (``dec.lift(y)`` is the iterate itself).
+
+    Nested families grow one decomposition, taking the poles up to the
+    next count in one ``extend`` call; the generator stops after that
+    basis breaks down or the pole stream runs out (a stream that runs out
+    short of a count yields its shorter basis once).  Interval-optimal
+    families build a fresh basis for every count and yield them all.
+    Counts below 1, an unknown strategy and a missing custom list raise
+    ValueError at the call.
+    """
+    counts = list(counts)
+    if counts and min(counts) < 1:
+        raise ValueError(f"pole counts must be >= 1, got {min(counts)}")
+    s = get_strategy(strategy)
+    stream = s.stream(iv, custom_poles) if s.nested else None
+    return _iterates(op, f, v, s, iv, counts, stream)
 
 
-def _extended_stream() -> Iterator[float]:
-    while True:
-        yield math.inf
-        yield 0.0
+def _fixed_poles(s: Strategy, iv, count: int) -> PoleSequence:
+    """The interval-optimal poles of ``s`` at ``count``, called through
+    this module's global of the factory's name (``zolotarev_poles``,
+    ``cauchy_poles``): perfbench's tracer wraps those globals to time pole
+    generation."""
+    return globals().get(s.fixed.__name__, s.fixed)(iv, count)
 
 
-def _pole_stream(strategy: str, interval: SpectralInterval,
-                 custom_poles: Sequence[complex] | None) -> Iterator[complex]:
-    if strategy == "eds-laplace":
-        return eds_pole_iter(interval, variant="laplace")
-    if strategy == "eds-cauchy":
-        return eds_pole_iter(interval, variant="cauchy")
-    if strategy == "extended":
-        return _extended_stream()
-    if strategy == "polynomial":
-        return _inf_stream()
-    if strategy == "custom":
-        if custom_poles is None:
-            raise ValueError("strategy 'custom' needs custom_poles")
-        return iter(list(custom_poles))
-    raise ValueError(f"strategy {strategy!r} has no nested pole stream")
-
-
-def _fixed_pole_set(strategy: str, interval: SpectralInterval, ell: int):
-    if strategy == "zolotarev":
-        return zolotarev_poles(interval, ell)
-    if strategy == "cauchy":
-        return cauchy_poles(interval, ell)
-    raise ValueError(f"strategy {strategy!r} has no fixed pole set")
-
-
-def _materialize_poles(strategy: str, interval: SpectralInterval, ell: int,
-                       custom_poles: Sequence[complex] | None) -> list[complex]:
-    if strategy in FIXED_STRATEGIES:
-        return list(_fixed_pole_set(strategy, interval, ell).poles)
-    stream = _pole_stream(strategy, interval, custom_poles)
-    out = []
-    for _ in range(ell):
-        try:
-            out.append(next(stream))
-        except StopIteration:
-            break
-    return out
+def _iterates(op, f, v, s: Strategy, iv, counts: list[int],
+              stream: Iterator[complex] | None):
+    if stream is None:
+        for count in counts:
+            dec = rk_build(op, v, _fixed_poles(s, iv, count))
+            yield dec, _reduced_funv(dec, f)
+        return
+    dec = RKDecomposition(op, v)
+    for count in counts:
+        need = count - len(dec.poles_used)
+        batch = list(itertools.islice(stream, need))
+        if need > 0 and not batch:
+            return
+        dec.extend(batch)
+        yield dec, _reduced_funv(dec, f)
+        if dec.breakdown or len(batch) < need:
+            return
 
 
 def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
@@ -445,7 +420,6 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
                 tol: float | None = None, ell: int | None = None,
                 max_ell: int = 80, oracle: np.ndarray | None = None,
                 custom_poles: Sequence[complex] | None = None,
-                checkpoint_stride: int = 4,
                 conjectured_gamma: bool = False) -> FunvResult:
     """Approximate f(A)v to a relative tolerance or at a fixed pole count.
 
@@ -453,7 +427,8 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     error estimate is the relative distance between the current iterate and
     the one two trace entries back; nested strategies add one pole per
     entry, while the interval-optimal families (zolotarev/cauchy) are
-    regenerated from scratch at pole counts ``checkpoint_stride, 2*...``.
+    rebuilt from scratch at pole counts ``CHECKPOINT_STRIDE``,
+    ``2 * CHECKPOINT_STRIDE``, ... (4, 8, ...), capped at ``max_ell``.
     ``oracle`` (a reference solution) fills the true-error column.
 
     Nested strategies compute the estimate in reduced coordinates: with
@@ -467,40 +442,36 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
         raise ValueError("pass exactly one of tol= or ell=")
     if tol is not None and max_ell < 1:
         raise ValueError(f"max_ell must be >= 1, got {max_ell}")
-    if isinstance(interval, SpectralInterval):
-        iv = interval.require_positive()
+    iv = positive_interval(interval)
+    s = get_strategy(strategy)
+    if ell is not None:
+        counts = [ell]
+    elif s.nested:
+        counts = range(1, max_ell + 1)
     else:
-        iv = SpectralInterval(float(interval[0]), float(interval[1])).require_positive()
+        counts = [*range(CHECKPOINT_STRIDE, max_ell, CHECKPOINT_STRIDE), max_ell]
+    steps = iterates(op, f, v, strategy, iv, counts, custom_poles)
 
-    known = FIXED_STRATEGIES + NESTED_STRATEGIES
-    if strategy not in known:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {known}")
-    if strategy == "custom" and (custom_poles is None or len(custom_poles) == 0):
-        raise ValueError("strategy 'custom' needs a non-empty custom_poles list")
+    vnorm = float(np.linalg.norm(v))
 
-    block = _as_block(v)
-    vnorm = float(np.linalg.norm(block))
-
-    def true_err(x: np.ndarray) -> float:
+    def true_err(x: np.ndarray | None) -> float:
         if oracle is None:
             return math.nan
-        return _rel_err(_as_block(x), _as_block(np.asarray(oracle)))
+        return _rel_err(as_block(x)[0], as_block(oracle)[0])
 
-    def bound_at(count: int) -> float:
-        return strategy_bound(strategy, f, iv, count, vnorm,
-                              conjectured_gamma=conjectured_gamma)
-
-    trace: list[FunvTraceRow] = []
+    def row(count: int, est: float, err: float) -> FunvTraceRow:
+        return FunvTraceRow(count, est, err, strategy_bound(
+            strategy, f, iv, count, vnorm, conjectured_gamma=conjectured_gamma))
 
     if ell is not None:
-        poles = _materialize_poles(strategy, iv, ell, custom_poles)
-        dec = rk_build(op, v, poles)
-        x = rk_funv(dec, f)
-        trace.append(FunvTraceRow(len(dec.poles_used), math.nan, true_err(x),
-                                  bound_at(len(dec.poles_used))))
-        return FunvResult(x=x, trace=tuple(trace), converged=True,
-                          strategy=strategy, poles_used=tuple(dec.poles_used))
+        dec, y = next(steps)
+        x = dec.lift(y)
+        return FunvResult(x=x, trace=(row(len(dec.poles_used), math.nan,
+                                          true_err(x)),),
+                          converged=True, strategy=strategy,
+                          poles_used=tuple(dec.poles_used))
 
+    trace: list[FunvTraceRow] = []
     recent: list[np.ndarray] = []  # the last two iterates
 
     def record(z: np.ndarray, count: int, err: float) -> float:
@@ -516,49 +487,22 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
         else:
             est = math.inf
         recent[:] = recent[-1:] + [z]
-        trace.append(FunvTraceRow(count, est, err, bound_at(count)))
+        trace.append(row(count, est, err))
         return est
 
-    if strategy in NESTED_STRATEGIES:
-        stream = _pole_stream(strategy, iv, custom_poles)
-        dec = RKDecomposition(op, v)
-        converged = False
-        while len(dec.poles_used) < max_ell:
-            try:
-                sigma = next(stream)
-            except StopIteration:
-                break
-            dec.extend([sigma])
-            y = _reduced_funv(dec, f)
-            err = math.nan if oracle is None else true_err(_lift(dec, y))
-            est = record(y, len(dec.poles_used), err)
-            if dec.breakdown:
-                converged = True
-                break
-            if est <= tol:
-                converged = True
-                break
-        return FunvResult(x=_lift(dec, recent[-1]), trace=tuple(trace),
-                          converged=converged, strategy=strategy,
-                          poles_used=tuple(dec.poles_used))
-
-    # Interval-optimal families: each checkpoint builds a different basis,
-    # so iterates are compared lifted.
+    # Nested iterates share one basis and are compared in reduced
+    # coordinates; each rebuilt family's checkpoint has its own basis, so
+    # those iterates are compared lifted.
     converged = False
-    poles_used: tuple = ()
-    count = 0
-    while count < max_ell:
-        count = min(count + checkpoint_stride, max_ell)
-        poleset = _fixed_pole_set(strategy, iv, count)
-        dec = rk_build(op, v, poleset)
-        x = rk_funv(dec, f)
-        est = record(x, len(dec.poles_used), true_err(x))
-        poles_used = tuple(dec.poles_used)
+    for dec, y in steps:
+        x = dec.lift(y) if oracle is not None or not s.nested else None
+        est = record(y if s.nested else x, len(dec.poles_used), true_err(x))
         if dec.breakdown or est <= tol:
             converged = True
             break
-    return FunvResult(x=recent[-1], trace=tuple(trace), converged=converged,
-                      strategy=strategy, poles_used=poles_used)
+    x = dec.lift(recent[-1]) if s.nested else recent[-1]
+    return FunvResult(x=x, trace=tuple(trace), converged=converged,
+                      strategy=strategy, poles_used=tuple(dec.poles_used))
 
 
 def error_sweep(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
@@ -570,47 +514,27 @@ def error_sweep(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     tables.  true_error is ||x_exact - x_ell||_2 (the bounds are absolute,
     so domination can be read off row by row).
 
-    Nested strategies grow one decomposition incrementally; fixed families
-    rebuild per count.  The oracle is required: this is the measurement
-    harness, not the adaptive driver.  ``bound_shift`` > 0 evaluates the
-    bound column for the right-shifted function on the left-shifted
-    interval -- the finite-anchor workaround when f(0+) diverges.
+    Rows follow ``iterates``: a nested basis that breaks down or a custom
+    list that runs out ends the curve early.  The oracle is required: this
+    is the measurement harness, not the adaptive driver.  ``bound_shift``
+    > 0 evaluates the bound column for the right-shifted function on the
+    left-shifted interval -- the finite-anchor workaround when f(0+)
+    diverges.
     """
-    if isinstance(interval, SpectralInterval):
-        iv = interval.require_positive()
-    else:
-        iv = SpectralInterval(float(interval[0]), float(interval[1])).require_positive()
-    ref = _as_block(np.asarray(oracle))
-    vnorm = float(np.linalg.norm(_as_block(v)))
-
+    iv = positive_interval(interval)
+    ref, _ = as_block(oracle)
+    vnorm = float(np.linalg.norm(v))
     f_b, iv_b = f, iv
     if bound_shift:
         f_b = f.with_shift(bound_shift)
         iv_b = iv.shifted(-bound_shift).require_positive()
 
-    def bound_at(count: int) -> float:
-        return strategy_bound(strategy, f_b, iv_b, count, vnorm,
-                              conjectured_gamma=conjectured_gamma)
-
     rows: list[FunvTraceRow] = []
-    ells = sorted(set(int(e) for e in ells))
-    if strategy in NESTED_STRATEGIES:
-        stream = _pole_stream(strategy, iv, custom_poles)
-        dec = RKDecomposition(op, v)
-        for target in ells:
-            while len(dec.poles_used) < target and not dec.breakdown:
-                dec.extend([next(stream)])
-            x = rk_funv(dec, f)
-            err = float(np.linalg.norm(_as_block(x) - ref))
-            rows.append(FunvTraceRow(len(dec.poles_used), math.nan, err,
-                                     bound_at(len(dec.poles_used))))
-            if dec.breakdown:
-                break
-    else:
-        for target in ells:
-            dec = rk_build(op, v, _fixed_pole_set(strategy, iv, target))
-            x = rk_funv(dec, f)
-            err = float(np.linalg.norm(_as_block(x) - ref))
-            rows.append(FunvTraceRow(len(dec.poles_used), math.nan, err,
-                                     bound_at(len(dec.poles_used))))
+    counts = sorted(set(int(e) for e in ells))
+    for dec, y in iterates(op, f, v, strategy, iv, counts, custom_poles):
+        count = len(dec.poles_used)
+        err = float(np.linalg.norm(dec.basis @ y - ref))
+        rows.append(FunvTraceRow(count, math.nan, err, strategy_bound(
+            strategy, f_b, iv_b, count, vnorm,
+            conjectured_gamma=conjectured_gamma)))
     return rows

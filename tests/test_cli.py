@@ -140,6 +140,19 @@ class TestKronfun:
         sig = [float(r[1]) for r in rows]
         assert sig == sorted(sig, reverse=True)
 
+    def test_cauchy_pair_prints_no_bound_for_laplace_function(self, capsys):
+        # phi_1 is not a Cauchy-Stieltjes function; funv --poles cauchy
+        # prints nan for it too.
+        rc = main(["kronfun", "--a", "tridiag:60", "--bneg", "tridiag:60",
+                   "--function", "phi:1", "--poles", "cauchy-kron",
+                   "--ell", "6"])
+        assert rc == 0
+        assert "bound=nan" in capsys.readouterr().out
+        rc = main(["funv", "--matrix", "tridiag:60", "--function", "phi:1",
+                   "--poles", "cauchy", "--ell", "6"])
+        assert rc == 0
+        assert "bound=nan" in capsys.readouterr().out
+
     def test_factor_files(self, tmp_path):
         u = tmp_path / "u.npy"
         v = tmp_path / "v.npy"

@@ -5,19 +5,22 @@ import os
 import numpy as np
 import pytest
 
-from rkstieltjes.cli import _kron_pole_lists
+from rkstieltjes import cli
 from rkstieltjes.experiments import (
     EXPERIMENT_IDS,
     ExperimentConfig,
     _kron_pole_pair,
+    _kron_pair_for,
     diffusion_operator,
     emit_bounds,
     run_experiment,
+    write_csv,
 )
 from rkstieltjes.functions import catalog_function
 from rkstieltjes.kronfun import KroneckerProblem, dense_kron_solution, kron_fun
 from rkstieltjes.operators import spectral_interval
 from rkstieltjes.poles import laplace_kron_poles
+from rkstieltjes.strategies import KRON_PAIRS
 
 
 def _read_csv(path):
@@ -178,6 +181,15 @@ class TestRunExperiment:
         assert os.listdir(tmp_path) == []
 
 
+def test_csv_writer_keeps_old_file_when_a_row_fails(tmp_path):
+    out = tmp_path / "t.csv"
+    write_csv(str(out), ("ell", "bound"), [(1, 0.5)])
+    with pytest.raises(TypeError):
+        write_csv(str(out), ("ell", "bound"), [(1, 0.25), (2, object())])
+    assert out.read_text() == "ell,bound\n1,0.5\n"
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
 class TestKronPolePairs:
     def test_eds_laplace_pair_tracks_canonical(self):
         # The right space is built on -B, so the EDS Laplace pair must
@@ -203,6 +215,9 @@ class TestKronPolePairs:
 
     @pytest.mark.parametrize("variant", ["laplace", "cauchy"])
     def test_cli_eds_pair_matches_experiments(self, variant):
+        # `kronfun --poles eds-<variant>` looks its pair up in KRON_PAIRS.
         iv = diffusion_operator(50).exact_interval()
-        assert (_kron_pole_lists(f"eds-{variant}", iv, 6)
-                == _kron_pole_pair(variant, "eds", iv, 6))
+        pair = KRON_PAIRS[f"eds-{variant}"]
+        assert cli.KRON_PAIRS is KRON_PAIRS
+        assert _kron_pair_for(variant, "eds") is pair
+        assert _kron_pole_pair(variant, "eds", iv, 6) == pair.poles(iv, 6)

@@ -245,6 +245,18 @@ class TestEds:
         with pytest.raises(ValueError):
             eds_poles((1.0, 4.0), 5, "fourier")
 
+    def test_kron_cauchy_variant_uses_the_mirror_chart(self):
+        # Left poles of the nested two-sided Cauchy pair: the sequence
+        # started at mobius_kron's endpoint, pulled back through that chart
+        # onto (-inf, -a].
+        mob = mobius_kron((1.0, 4.0))
+        state, want = eds_start(mob.endpoint), []
+        for _ in range(6):
+            sig, state = eds_next(state)
+            want.append(float(mob.inv(-sig)))
+        got = list(eds_poles((1.0, 4.0), 6, "kron-cauchy").poles)
+        assert got == want and all(p < -1.0 for p in got)
+
 
 class TestPoleFiles:
     def test_roundtrip_with_infinite(self, tmp_path):

@@ -17,10 +17,11 @@ from rkstieltjes.rk import (
     error_sweep,
     exactness_check,
     funv_driver,
+    iterates,
     rk_build,
-    rk_extend,
     rk_funv,
 )
+from rkstieltjes.strategies import STRATEGIES
 
 
 def _tridiag_op(n, scale=1.0):
@@ -92,7 +93,7 @@ class TestExtend:
         all_poles = list(zolotarev_poles((1.0, 4.0), 8))
         whole = rk_build(op, v, all_poles)
         part = rk_build(op, v, all_poles[:3])
-        grown = rk_extend(part, all_poles[3:])
+        grown = part.extend(all_poles[3:])
         assert grown.dim == whole.dim
         # same space: cross-projector has full singular values
         s = np.linalg.svd(grown.basis.T @ whole.basis, compute_uv=False)
@@ -108,7 +109,7 @@ class TestExtend:
         op, v, _ = small_problem
         dec = rk_build(op, v, [-2.0, -3.0])
         before = dec.basis.copy()
-        out = rk_extend(dec, [])
+        out = dec.extend([])
         assert out.dim == 3
         np.testing.assert_array_equal(out.basis, before)
 
@@ -127,7 +128,7 @@ class TestExtend:
         dec = rk_build(op, np.ones(3), [math.inf] * 5)
         assert dec.breakdown
         with pytest.raises(RuntimeError):
-            rk_extend(dec, [-1.0])
+            dec.extend([-1.0])
 
     def test_breakdown_is_still_exact(self):
         # saturated space reproduces f(A)v exactly for any f
@@ -303,6 +304,15 @@ class TestDrivers:
             funv_driver(op, f, np.ones(20), iv, strategy="custom", tol=1e-6,
                         custom_poles=[])
 
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    def test_ell_below_one_rejected(self, strategy):
+        op = _tridiag_op(20)
+        f = catalog_function("power", -0.5)
+        iv = spectral_interval(op, mode="exact-small")
+        with pytest.raises(ValueError, match="pole counts must be >= 1"):
+            funv_driver(op, f, np.ones(20), iv, strategy=strategy, ell=0,
+                        custom_poles=[-1.0])
+
     def test_unknown_strategy(self):
         op = _tridiag_op(10)
         f = catalog_function("inverse")
@@ -332,6 +342,26 @@ class TestErrorSweep:
         direct = np.linalg.norm(rk_funv(dec, f) - ref)
         assert dec_err == pytest.approx(direct, rel=1e-12)
 
+    def test_short_custom_list_returns_rows_reached(self):
+        op = _tridiag_op(30)
+        f = catalog_function("inverse")
+        v = np.ones(30)
+        iv = spectral_interval(op, mode="exact-small")
+        ref = oracle_funv(op, f, v)
+        rows = error_sweep(op, f, v, iv, "custom", [1, 2, 5], ref,
+                           custom_poles=[-1.0, -2.0])
+        assert [r.ell for r in rows] == [1, 2]
+        assert all(math.isnan(r.bound) for r in rows)
+
+    @pytest.mark.parametrize("strategy", ["extended", "zolotarev"])
+    def test_counts_below_one_rejected(self, strategy):
+        op = _tridiag_op(30)
+        f = catalog_function("inverse")
+        v = np.ones(30)
+        iv = spectral_interval(op, mode="exact-small")
+        with pytest.raises(ValueError, match="pole counts must be >= 1"):
+            error_sweep(op, f, v, iv, strategy, [0, 3], oracle_funv(op, f, v))
+
     def test_bound_shift_restores_finite_anchor(self):
         # The run stays unshifted; only the bound column is evaluated for
         # f(. + eta) on the left-shifted interval so the anchor is finite.
@@ -348,3 +378,51 @@ class TestErrorSweep:
             assert r.true_error <= r.bound
         plain = error_sweep(op, f, v, iv, "zolotarev", [2, 4], oracle=ref)
         assert all(math.isinf(r.bound) for r in plain)
+
+
+class TestIterates:
+    def _setup(self):
+        op = _tridiag_op(120)
+        f = catalog_function("power", -0.5)
+        v = np.random.default_rng(9).standard_normal(120)
+        return op, f, v, spectral_interval(op, mode="exact-small")
+
+    def test_nested_family_grows_one_basis(self):
+        op, f, v, iv = self._setup()
+        steps = list(iterates(op, f, v, "eds-cauchy", iv, [1, 3, 4, 9]))
+        decs = {id(dec) for dec, _ in steps}
+        assert len(decs) == 1
+        dec = steps[-1][0]
+        assert len(dec.poles_used) == 9
+        # Each step took its poles in one extend call off the same stream.
+        assert dec.poles_used == STRATEGIES["eds-cauchy"].first(iv, 9)
+        _, y = steps[-1]
+        np.testing.assert_allclose(dec.lift(y), rk_funv(dec, f), rtol=1e-14)
+
+    def test_rebuilt_family_yields_fresh_bases(self):
+        op, f, v, iv = self._setup()
+        steps = list(iterates(op, f, v, "zolotarev", iv, [2, 5]))
+        assert steps[0][0] is not steps[1][0]
+        for (dec, y), count in zip(steps, (2, 5)):
+            np.testing.assert_array_equal(dec.poles_used,
+                                          zolotarev_poles(iv, count).poles)
+            assert y.shape == (count + 1, 1)
+
+    def test_stops_after_breakdown(self):
+        d = np.array([1.0, 1.0, 2.0, 2.0, 3.0])
+        op = from_dense_array(np.diag(d))
+        f = catalog_function("inverse")
+        seen = []
+        for dec, y in iterates(op, f, np.ones(5), "polynomial", (1.0, 3.0),
+                               range(1, 10)):
+            seen.append((len(dec.poles_used), dec.breakdown))
+        # Three distinct eigenvalues: the third pole deflates away.
+        assert seen == [(1, False), (2, False), (3, True)]
+        np.testing.assert_allclose(dec.lift(y), np.ones(5) / d, rtol=1e-12)
+
+    def test_bad_arguments_raise_at_the_call(self):
+        op, f, v, iv = self._setup()
+        with pytest.raises(ValueError, match="unknown strategy"):
+            iterates(op, f, v, "chebyshev", iv, [1])
+        with pytest.raises(ValueError, match="non-empty"):
+            iterates(op, f, v, "custom", iv, [1])
