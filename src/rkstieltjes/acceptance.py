@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
+from scipy.integrate import quad
 
 from .bounds import sylvester_residual_bound
 from .functions import catalog_function
@@ -38,7 +39,6 @@ from .operators import (
 )
 from .poles import (
     EdsState,
-    _eds_g,
     as_rational,
     eds_next,
     eds_start,
@@ -364,6 +364,31 @@ def _crit_singular_decay() -> tuple[bool, str]:
 
 # --------------------------------------------------------------------------
 # 11. equidistributed sequence validity and rate parity
+
+
+# Quadrature, not dn: poles.eds_next inverts g through dn, so this is independent.
+def _eds_g(t: float, a: float, big_m: float) -> float:
+    """Cumulative equilibrium distribution g(t) on [a^2, 1].
+
+    g(t) = (1/2M) * int_{a^2}^t dy / sqrt((y - a^2) y (1 - y)); the
+    substitution y = a^2 + (1-a^2) u^2 removes the left endpoint
+    singularity and the adaptive Gauss-Kronrod rule handles the rest.
+    g(a^2) = 0 and g(1) = 1 by the choice of M.
+    """
+    a2 = a * a
+    if t <= a2:
+        return 0.0
+    if t >= 1.0:
+        return 1.0
+    one_m_a2 = (1.0 - a) * (1.0 + a)
+    u_t = math.sqrt((t - a2) / one_m_a2)
+
+    def integrand(u: float) -> float:
+        y = a2 + one_m_a2 * u * u
+        return 1.0 / math.sqrt((1.0 - u * u) * y)
+
+    val, _ = quad(integrand, 0.0, u_t, epsabs=1e-13, epsrel=1e-13, limit=200)
+    return val / big_m
 
 
 def _crit_eds() -> tuple[bool, str]:

@@ -74,13 +74,15 @@ def _parse_interval(spec: str, op: HermitianOperator,
         if ":" in spec:
             floor = float(spec.split(":", 1)[1])
         return spectral_interval(op, mode="gershgorin", floor=floor)
+    return spectral_interval(op, mode="user", bounds=_split_interval(spec))
+
+
+def _split_interval(spec: str) -> tuple[float, float]:
     try:
         lo, hi = (float(t) for t in spec.split(","))
     except ValueError:
-        raise SystemExit(
-            f"--interval: expected 'a,b', 'auto' or 'gershgorin[:floor]', "
-            f"got {spec!r}")
-    return spectral_interval(op, mode="user", bounds=(lo, hi))
+        raise SystemExit(f"--interval: expected 'a,b' (see --help), got {spec!r}")
+    return lo, hi
 
 
 def _load_factor(path: str) -> np.ndarray:
@@ -233,8 +235,7 @@ def _cmd_poles(args) -> int:
         raise SystemExit(f"--interval a,b is required for {args.strategy}")
     iv = None
     if args.interval is not None:
-        lo, hi = args.interval.split(",")
-        iv = positive_interval((lo, hi))
+        iv = positive_interval(_split_interval(args.interval))
 
     xi = None
     if strategy is not None:

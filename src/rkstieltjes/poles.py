@@ -3,15 +3,15 @@
 The optimal fixed-count sequences come from the classical third Zolotarev
 problem on [-b,-a] u [a,b]: the extremal rational function has its poles at
 -b*dn((2j-1)K/(2l), mu), expressed through the complete elliptic integral K
-and the Jacobi dn function, both implemented here with AGM recursions.
+(the AGM) and the Jacobi dn function (the ascending Landen transformation).
 Asymmetric problems (one interval against a half-line, or against the
 mirror interval) reduce to the symmetric one through Moebius maps, giving
 the half-line ("cauchy") and mirror-pair ("cauchy-kron") sequences.
 
 For stopping-criterion driven runs the fixed-count sequences are awkward
 because they are not nested; the equidistributed sequences (EDS) trade a
-provable constant for nestedness by inverting the cumulative equilibrium
-distribution g at the fractional parts of j/sqrt(2).
+provable constant for nestedness.  They invert the cumulative equilibrium
+distribution g at s_j = frac(j/sqrt(2)) in closed form, dn((1 - s_j) K, k).
 
 Everything here is plain float arithmetic; ``inf`` entries mark polynomial
 (Krylov) steps and are legal in every consumer.
@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
-from scipy.integrate import quad
 
 from .operators import SpectralInterval, positive_interval
 
@@ -58,7 +57,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# elliptic special functions (AGM)
+# elliptic special functions
 
 
 def elliptic_K(k: float, kprime: float | None = None) -> float:
@@ -89,43 +88,21 @@ def elliptic_K(k: float, kprime: float | None = None) -> float:
             raise ValueError(f"complementary modulus must lie in (0,1], got {kprime}")
     a, b = 1.0, kprime
     for _ in range(200):
-        if abs(a - b) <= 1e-16 * a:
+        # A tolerance below 2 ulps would let a 1-ulp cycle run all 200 rounds.
+        if abs(a - b) <= 4e-16 * a:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
-
-
-def _dn_agm(u: np.ndarray, k: float, kprime: float) -> np.ndarray:
-    """Jacobi dn on the reduced range via the descending Landen/AGM chain."""
-    a_seq = [1.0]
-    c_seq = [k]
-    b = kprime
-    n = 0
-    while abs(c_seq[-1]) > 1e-17 * a_seq[-1] and n < 64:
-        a_next = 0.5 * (a_seq[-1] + b)
-        c_next = 0.5 * (a_seq[-1] - b)
-        b = math.sqrt(a_seq[-1] * b)
-        a_seq.append(a_next)
-        c_seq.append(c_next)
-        n += 1
-    phi = (2.0 ** n) * a_seq[n] * u
-    phi1 = phi
-    for m in range(n, 0, -1):
-        s = np.clip(c_seq[m] / a_seq[m] * np.sin(phi), -1.0, 1.0)
-        phi_down = 0.5 * (phi + np.arcsin(s))
-        if m == 1:
-            phi1 = phi
-        phi = phi_down
-    # A&S 16.4.4: dn u = cos(phi_0) / cos(phi_1 - phi_0).
-    return np.cos(phi) / np.cos(phi1 - phi)
+    return math.pi / (a + b)
 
 
 def jacobi_dn(u, k: float, kprime: float | None = None):
     """Jacobi elliptic dn(u, k) for real u, modulus 0 <= k < 1.
 
-    Uses the descending Landen/AGM recursion.  On (K/2, K] the reflection
-    dn(u) = k'/dn(K-u) keeps small values relatively accurate, which is
-    what the pole formula needs near the inner spectral endpoint.
+    Ascending Landen transformation (A&S 16.14.3) until k' <= 1e-9, where
+    the expansion about k = 1 (A&S 16.15.3) is exact to rounding.  Every
+    term is positive, so nothing cancels: the result is accurate to a few
+    ulps relative over the whole period (small values near u = K too) for
+    k' down to 1e-12.  Pass ``kprime`` when sqrt(1 - k^2) cannot resolve it.
     """
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
@@ -138,15 +115,21 @@ def jacobi_dn(u, k: float, kprime: float | None = None):
     if k < 1e-8:
         out = 1.0 - 0.5 * k * k * np.sin(arr) ** 2
         return float(out[0]) if scalar else out
-    big_k = elliptic_K(k, kprime=kprime)
-    out = np.empty_like(arr)
-    refl = (arr > 0.5 * big_k) & (arr <= big_k)
-    plain = ~refl
-    if np.any(plain):
-        out[plain] = _dn_agm(arr[plain], k, kprime)
-    if np.any(refl):
-        out[refl] = kprime / _dn_agm(big_k - arr[refl], k, kprime)
-    return float(out[0]) if scalar else out
+    # dn has period 2K; the base expansion holds on [0, K] only.
+    period = 2.0 * elliptic_K(k, kprime=kprime)
+    v = arr % period
+    v = np.minimum(v, period - v)
+    chain = []
+    while kprime > 1e-9 and len(chain) < 64:
+        r = kprime * kprime / ((1.0 + k) * (1.0 + k))
+        v = v / (1.0 + r)
+        k, kprime = 2.0 * math.sqrt(k) / (1.0 + k), r
+        chain.append(r)
+    d = (1.0 + 0.25 * kprime * kprime * (np.sinh(v) * np.cosh(v) + v)
+         * np.tanh(v)) / np.cosh(v)
+    for r in reversed(chain):
+        d = (d * d + r) / ((1.0 + r) * d)
+    return float(d[0]) if scalar else d
 
 
 # ---------------------------------------------------------------------------
@@ -419,75 +402,12 @@ def eds_start(lower: float) -> EdsState:
     return EdsState(lower=float(lower), norm_const=big_m, index=1)
 
 
-def _eds_g(t: float, a: float, big_m: float) -> float:
-    """Cumulative equilibrium distribution g(t) on [a^2, 1].
-
-    g(t) = (1/2M) * int_{a^2}^t dy / sqrt((y - a^2) y (1 - y)); the
-    substitution y = a^2 + (1-a^2) u^2 removes the left endpoint
-    singularity and the adaptive Gauss-Kronrod rule handles the rest.
-    g(a^2) = 0 and g(1) = 1 by the choice of M.
-    """
-    a2 = a * a
-    if t <= a2:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
-    one_m_a2 = (1.0 - a) * (1.0 + a)
-    u_t = math.sqrt((t - a2) / one_m_a2)
-
-    def integrand(u: float) -> float:
-        y = a2 + one_m_a2 * u * u
-        return 1.0 / math.sqrt((1.0 - u * u) * y)
-
-    val, _ = quad(integrand, 0.0, u_t, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return val / big_m
-
-
-def _eds_g_deriv(t: float, a: float, big_m: float) -> float:
-    a2 = a * a
-    return 1.0 / (2.0 * big_m * math.sqrt((t - a2) * t * (1.0 - t)))
-
-
-def _invert_g(s: float, a: float, big_m: float) -> float:
-    """Solve g(t) = s on (a^2, 1) by safeguarded Newton.
-
-    The starting guess is the root of the linear fit to that -> g(e^that)-s
-    through the points t = a^2 and t = a (that = log t), following the
-    construction the sequence was published with.
-    """
-    a2 = a * a
-    lo, hi = a2, 1.0  # g(lo)-s <= 0 <= g(hi)-s
-    g_at_a = _eds_g(a, a, big_m)
-    if g_at_a > 0.0:
-        that = math.log(a) * (2.0 - s / g_at_a)
-        t = math.exp(that)
-    else:
-        t = math.sqrt(a2)
-    t = min(max(t, a2 + 1e-14 * (1.0 - a2)), 1.0 - 1e-14 * (1.0 - a2))
-    for _ in range(80):
-        resid = _eds_g(t, a, big_m) - s
-        if abs(resid) <= 1e-13:
-            break
-        if resid > 0.0:
-            hi = t
-        else:
-            lo = t
-        step = resid / _eds_g_deriv(t, a, big_m)
-        t_new = t - step
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)  # bisection fallback keeps the bracket
-        if abs(t_new - t) <= 1e-16 * t:
-            t = t_new
-            break
-        t = t_new
-    return t
-
-
 def eds_next(state: EdsState) -> tuple[float, EdsState]:
     """Emit sigma-tilde_j = sqrt(t_j) where g(t_j) = frac(j/sqrt(2))."""
     s = math.modf(state.index * EdsState.ZETA)[0]
-    t = _invert_g(s, state.lower, state.norm_const)
-    sig = math.sqrt(t)
+    # t = dn^2(u, k), k = sqrt(1 - a'^2), turns g(t) into 1 - u/K.
+    k = math.sqrt((1.0 - state.lower) * (1.0 + state.lower))
+    sig = jacobi_dn((1.0 - s) * state.norm_const, k, kprime=state.lower)
     return sig, replace(state, index=state.index + 1)
 
 

@@ -429,7 +429,8 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     entry, while the interval-optimal families (zolotarev/cauchy) are
     rebuilt from scratch at pole counts ``CHECKPOINT_STRIDE``,
     ``2 * CHECKPOINT_STRIDE``, ... (4, 8, ...), capped at ``max_ell``.
-    ``oracle`` (a reference solution) fills the true-error column.
+    ``oracle`` (a reference solution) fills the true-error column.  In
+    ``ell=`` mode a custom list shorter than ``ell`` raises ValueError.
 
     Nested strategies compute the estimate in reduced coordinates: with
     x_k = U y_k and U orthonormal, ||x_k - x_(k-2)|| = ||y_k - [y_(k-2); 0]||
@@ -444,6 +445,9 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
         raise ValueError(f"max_ell must be >= 1, got {max_ell}")
     iv = positive_interval(interval)
     s = get_strategy(strategy)
+    if ell is not None and s.name == "custom" and len(custom_poles or ()) < ell:
+        raise ValueError(f"ell={ell} needs at least {ell} custom poles, "
+                         f"got {len(custom_poles or ())}")
     if ell is not None:
         counts = [ell]
     elif s.nested:

@@ -107,6 +107,15 @@ class TestPoles:
         assert rc == 0
         assert out.read_text().split()[0] == "inf"
 
+    @pytest.mark.parametrize("spec", ["1,2,3", "1,x"])
+    def test_bad_interval_is_a_usage_error(self, spec):
+        for argv in (["poles", "--strategy", "zolotarev", "--ell", "3",
+                      "--out", "/dev/null"],
+                     ["funv", "--matrix", "tridiag:20", "--function",
+                      "inverse", "--ell", "3"]):
+            with pytest.raises(SystemExit, match="--interval: expected 'a,b'"):
+                main(argv + ["--interval", spec])
+
     def test_interval_required_for_zolotarev(self):
         with pytest.raises(SystemExit, match="interval"):
             main(["poles", "--strategy", "zolotarev", "--ell", "3",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rkstieltjes.acceptance import _eds_g
 from rkstieltjes.poles import (
     EdsState,
     as_rational,
@@ -86,19 +87,41 @@ class TestJacobiDn:
 
     def test_half_period_identity(self):
         # dn(K/2) = sqrt(k') for every modulus
-        for kp in (0.9, 0.5, 0.1, 1e-3, 1e-6):
+        for kp in (0.9, 0.5, 0.1, 1e-3, 1e-6, 1e-9, 1e-12):
             k = math.sqrt((1.0 - kp) * (1.0 + kp))
             K = elliptic_K(k, kp)
             got = jacobi_dn(K / 2.0, k, kp)
-            assert got == pytest.approx(math.sqrt(kp), rel=1e-10)
+            assert got == pytest.approx(math.sqrt(kp), rel=1e-13)
 
     def test_extreme_modulus_absolute(self):
-        # Near k = 1 the value at u = K underflows toward k'; only absolute
-        # accuracy is meaningful there.
         kp = 1e-10
         k = math.sqrt((1.0 - kp) * (1.0 + kp))
         K = elliptic_K(k, kp)
-        assert abs(jacobi_dn(K, k, kp) - kp) < 1e-12
+        assert jacobi_dn(K, k, kp) == pytest.approx(kp, rel=1e-13)
+
+    def test_quarter_period_product(self):
+        # dn(u) dn(K - u) = k', relatively, down to the small values near K
+        kp = 1e-10
+        k = math.sqrt((1.0 - kp) * (1.0 + kp))
+        K = elliptic_K(k, kp)
+        u = np.linspace(0.0, K, 33)
+        prod = jacobi_dn(u, k, kp) * jacobi_dn(K - u, k, kp)
+        np.testing.assert_allclose(prod, kp, rtol=1e-13)
+
+    def test_period_and_parity(self):
+        kp = 0.3
+        k = math.sqrt(1.0 - kp * kp)
+        K = elliptic_K(k, kp)
+        u = np.linspace(0.0, K, 9)
+        base = jacobi_dn(u, k, kp)
+        for image in (-u, 2.0 * K - u, u + 2.0 * K, u - 4.0 * K):
+            np.testing.assert_allclose(jacobi_dn(image, k, kp), base,
+                                       rtol=1e-13)
+
+    def test_zero_modulus(self):
+        assert jacobi_dn(0.7, 0.0) == 1.0
+        np.testing.assert_array_equal(jacobi_dn(np.array([0.0, 2.0]), 0.0),
+                                      [1.0, 1.0])
 
     def test_array_argument(self):
         kp = 0.4
@@ -129,6 +152,14 @@ class TestZolotarev:
             r = as_rational(zolotarev_poles((a, b), ell))
             ratio = zolotarev_ratio(r, (a, b), (-b, -a))
             assert ratio <= 4.0 * rate_rho(a, b) ** ell
+
+    def test_extreme_ratio_pairs_multiply_to_ab(self):
+        # u_j + u_(l+1-j) = K and dn(u) dn(K - u) = a/b, so mirrored poles
+        # multiply to a*b; at a/b = 1e-9 this needs dn relatively accurate
+        # near K.
+        a, b, ell = 1e-9, 1.0, 40
+        ps = zolotarev_poles((a, b), ell).poles
+        np.testing.assert_allclose(ps * ps[::-1], a * b, rtol=1e-13)
 
     def test_as_rational_rejects_infinite(self):
         with pytest.raises(ValueError):
@@ -209,6 +240,15 @@ class TestEds:
         assert state2.index == state.index + 1
         # nodes live strictly inside (lower, 1)
         assert 0.25 < sig < 1.0
+
+    def test_tiny_endpoint_matches_quadrature(self):
+        # g(sigma_j^2) = s_j against the independent quadrature g
+        for ap in (1e-6, 1e-8, 1e-10):
+            state = eds_start(ap)
+            for j in range(1, 61):
+                sig, state = eds_next(state)
+                s = math.modf(j * EdsState.ZETA)[0]
+                assert abs(_eds_g(sig * sig, ap, state.norm_const) - s) <= 1e-13
 
     def test_start_validates(self):
         with pytest.raises(ValueError):

@@ -304,6 +304,14 @@ class TestDrivers:
             funv_driver(op, f, np.ones(20), iv, strategy="custom", tol=1e-6,
                         custom_poles=[])
 
+    def test_ell_mode_short_custom_list_rejected(self):
+        op = _tridiag_op(20)
+        f = catalog_function("inverse")
+        iv = spectral_interval(op, mode="exact-small")
+        with pytest.raises(ValueError, match="custom poles"):
+            funv_driver(op, f, np.ones(20), iv, strategy="custom", ell=5,
+                        custom_poles=[-1.0, -2.0])
+
     @pytest.mark.parametrize("strategy", list(STRATEGIES))
     def test_ell_below_one_rejected(self, strategy):
         op = _tridiag_op(20)
