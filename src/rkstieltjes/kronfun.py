@@ -11,7 +11,6 @@ explicitly materialized.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -120,16 +119,10 @@ def kron_problem(a_op: HermitianOperator, bneg_op: HermitianOperator,
 
 
 def _neg_poles(poles) -> list[complex]:
+    # rk.extend reads a zero imaginary part as real and +-inf as a matvec.
     if isinstance(poles, PoleSequence):
-        return list(poles.negated().poles)
-    out = []
-    for s in poles:
-        s = complex(s)
-        if math.isinf(s.real) or math.isinf(s.imag):
-            out.append(math.inf)
-        else:
-            out.append(-s.real if s.imag == 0.0 else -s)
-    return out
+        poles = poles.poles
+    return list(-np.asarray(poles, dtype=complex))
 
 
 def funm_diag(f: Callable[[np.ndarray], np.ndarray], a_small: np.ndarray,

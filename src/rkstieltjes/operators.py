@@ -5,17 +5,28 @@ tridiagonal.  Every operator knows how to apply itself to a block of
 vectors, solve (A - sigma*I) X = RHS for real or complex shifts, and
 produce a guaranteed enclosure of its spectrum.  Shifts of ``inf`` act as
 the identity (the corresponding rational factor is simply omitted), which
-is the convention the rational Krylov layer relies on.
+is the convention the rational Krylov layer relies on; a shift with zero
+imaginary part is real.
 
-Matrix ingestion covers MatrixMarket files (dense or coordinate; the
-bandwidth decides which storage class is used) and plain text files with
-one diagonal entry per line.
+Shift rule, one for every storage: sigma is refused (ValueError) when the
+smallest pivot of A - sigma*I (partial pivoting) is at most
+``_SINGULAR_TOL`` times the largest, or its reciprocal 1-norm condition
+number is at most ``_SINGULAR_TOL``: exact for diagonal storage and an SPD
+tridiagonal L D L^T, LAPACK's ``gecon``/``gtcon`` estimate otherwise.
+Both are scale invariant.  Pivots alone miss an eigenvalue whose
+eigenvector is localized: every pivot can stay O(1).
+
+MatrixMarket files (array or coordinate) and dense arrays share one
+storage picker: square, ||A - A^T||_F <= ``_SYM_TOL`` ||A||_F, and the
+bandwidth picks diagonal, tridiagonal or dense storage.  Dense storage
+above order ``DENSE_EIG_LIMIT`` is refused, never built silently
+(``DenseOperator(a)`` asks for it).  Other files are a plain text
+diagonal, one value per line.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +41,8 @@ DENSE_EIG_LIMIT = 4000
 #: Relative symmetry tolerance accepted on ingestion.
 _SYM_TOL = 1e-12
 
-#: Relative deviation allowed when checking a pivot/denominator for
-#: near-singularity in shifted solves.
+#: A shift is refused when the pivot ratio or the reciprocal condition
+#: number of A - sigma*I is at or below this.
 _SINGULAR_TOL = 1e-13
 
 
@@ -94,6 +105,51 @@ def _restore(block: np.ndarray, was_1d: bool) -> np.ndarray:
     return block[:, 0] if was_1d else block
 
 
+def _solve_args(sigma: complex, rhs: np.ndarray):
+    """(sigma, block, was_1d): sigma as a float when its imaginary part is
+    zero, ``rhs`` as an (n, k) block."""
+    sigma = complex(sigma)
+    block, was_1d = as_block(rhs)
+    return (sigma.real if sigma.imag == 0.0 else sigma), block, was_1d
+
+
+def _require_regular(sigma: complex, pivots: np.ndarray, rcond: float = 1.0) -> None:
+    """The shift rule of the module docstring; NaN refuses too."""
+    pivots = np.abs(pivots)
+    ratio = pivots.min() / max(pivots.max(), 1e-300)
+    if not (ratio > _SINGULAR_TOL and rcond > _SINGULAR_TOL):
+        raise ValueError(
+            f"shift sigma={sigma} is singular or near-singular for this "
+            f"operator (pivot ratio {ratio:.1e}, reciprocal condition "
+            f"number {rcond:.1e})"
+        )
+
+
+def _dense_solve(a: np.ndarray, sigma: complex, block: np.ndarray) -> np.ndarray:
+    """LU solve of (a - sigma*I) X = block; ``a`` is not modified."""
+    m = a.astype(np.result_type(a, sigma))
+    m[np.diag_indices_from(m)] -= sigma
+    anorm = np.linalg.norm(m, 1)
+    getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), (m,))
+    lu, piv, _ = getrf(m, overwrite_a=True)
+    _require_regular(sigma, np.diag(lu), gecon(lu, anorm)[0])
+    return sla.lu_solve((lu, piv), block)
+
+
+def _require_symmetric(a, name: str) -> None:
+    """ValueError unless A (dense or sparse) is square with
+    ||A - A^T||_F <= _SYM_TOL ||A||_F."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name}: expected a square matrix, got {a.shape}")
+    dev, norm = (np.linalg.norm(x.data if scipy.sparse.issparse(x) else x)
+                 for x in (a - a.T, a))
+    if dev > _SYM_TOL * norm:
+        raise ValueError(
+            f"{name}: not symmetric, ||A - A^T|| = {dev:.3e} "
+            f"exceeds {_SYM_TOL:.0e} * ||A||"
+        )
+
+
 class HermitianOperator:
     """Base class; concrete storage lives in the subclasses."""
 
@@ -108,7 +164,8 @@ class HermitianOperator:
         raise NotImplementedError
 
     def shifted_solve(self, sigma: complex, rhs: np.ndarray) -> np.ndarray:
-        """Solve (A - sigma*I) x = rhs; sigma == inf returns rhs unchanged."""
+        """Solve (A - sigma*I) x = rhs; sigma == inf returns rhs unchanged
+        and a near-singular sigma raises ValueError (see the module doc)."""
         raise NotImplementedError
 
     def gershgorin(self) -> SpectralInterval:
@@ -129,17 +186,15 @@ class HermitianOperator:
             raise ValueError(
                 f"order {self.n} exceeds dense eigendecomposition limit {limit}"
             )
-        w, q = np.linalg.eigh(self.to_dense())
-        return w, q
+        return self._eig()
+
+    def _eig(self):
+        return np.linalg.eigh(self.to_dense())
 
     def exact_interval(self, limit: int = DENSE_EIG_LIMIT) -> SpectralInterval:
         """Tight enclosure from a dense eigendecomposition."""
         w, _ = self.dense_eig(limit)
         return _enclose(w[0], w[-1])
-
-    @staticmethod
-    def _is_inf_shift(sigma: complex) -> bool:
-        return not np.isfinite(sigma)
 
 
 def _enclose(lo: float, hi: float) -> SpectralInterval:
@@ -156,15 +211,7 @@ class DenseOperator(HermitianOperator):
 
     def __init__(self, a: np.ndarray):
         a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"dense operator needs a square array, got {a.shape}")
-        dev = np.linalg.norm(a - a.T)
-        scale = max(np.linalg.norm(a), 1e-300)
-        if dev > _SYM_TOL * scale:
-            raise ValueError(
-                f"matrix is not symmetric: ||A - A^T|| = {dev:.3e} "
-                f"exceeds {_SYM_TOL:.0e} * ||A||"
-            )
+        _require_symmetric(a, "matrix")
         super().__init__(a.shape[0])
         self.a = 0.5 * (a + a.T)  # store an exactly symmetric copy
 
@@ -172,18 +219,10 @@ class DenseOperator(HermitianOperator):
         return self.a @ x
 
     def shifted_solve(self, sigma: complex, rhs: np.ndarray) -> np.ndarray:
-        block, was_1d = as_block(rhs)
-        if self._is_inf_shift(sigma):
+        sigma, block, was_1d = _solve_args(sigma, rhs)
+        if np.isinf(sigma):
             return _restore(block.copy(), was_1d)
-        m = self.a - sigma * np.eye(self.n)
-        lu, piv = sla.lu_factor(m)
-        pivots = np.abs(np.diag(lu))
-        if pivots.min() <= _SINGULAR_TOL * max(pivots.max(), 1e-300):
-            raise ValueError(
-                f"shift sigma={sigma} is singular or near-singular for this operator"
-            )
-        out = sla.lu_solve((lu, piv), block)
-        return _restore(out, was_1d)
+        return _restore(_dense_solve(self.a, sigma, block), was_1d)
 
     def gershgorin(self) -> SpectralInterval:
         d = np.diag(self.a)
@@ -214,15 +253,11 @@ class DiagonalOperator(HermitianOperator):
         return _restore(self.d[:, None] * block, was_1d)
 
     def shifted_solve(self, sigma: complex, rhs: np.ndarray) -> np.ndarray:
-        block, was_1d = as_block(rhs)
-        if self._is_inf_shift(sigma):
+        sigma, block, was_1d = _solve_args(sigma, rhs)
+        if np.isinf(sigma):
             return _restore(block.copy(), was_1d)
         denom = self.d - sigma
-        floor = _SINGULAR_TOL * max(np.max(np.abs(self.d)), abs(sigma), 1.0)
-        if np.min(np.abs(denom)) <= floor:
-            raise ValueError(
-                f"shift sigma={sigma} collides with a diagonal entry"
-            )
+        _require_regular(sigma, denom)
         return _restore(block / denom[:, None], was_1d)
 
     def gershgorin(self) -> SpectralInterval:
@@ -231,17 +266,10 @@ class DiagonalOperator(HermitianOperator):
     def to_dense(self) -> np.ndarray:
         return np.diag(self.d)
 
-    def dense_eig(self, limit: int = DENSE_EIG_LIMIT):
-        # Diagonal case is closed form at any order.
+    def _eig(self):
+        # Closed form: the sorted entries and permuted unit vectors.
         order = np.argsort(self.d)
-        w = self.d[order]
-        q = np.zeros((self.n, self.n)) if self.n <= limit else None
-        if q is None:
-            raise ValueError(
-                f"order {self.n} exceeds dense eigendecomposition limit {limit}"
-            )
-        q[order, np.arange(self.n)] = 1.0
-        return w, q
+        return self.d[order], np.eye(self.n)[:, order]
 
     def exact_interval(self, limit: int = DENSE_EIG_LIMIT) -> SpectralInterval:
         return _enclose(float(self.d.min()), float(self.d.max()))
@@ -269,64 +297,50 @@ class TridiagonalOperator(HermitianOperator):
     def matvec(self, x: np.ndarray) -> np.ndarray:
         block, was_1d = as_block(x)
         out = self.d[:, None] * block
-        if self.n > 1:
-            out[:-1] += self.e[:, None] * block[1:]
-            out[1:] += self.e[:, None] * block[:-1]
+        out[:-1] += self.e[:, None] * block[1:]
+        out[1:] += self.e[:, None] * block[:-1]
         return _restore(out, was_1d)
 
     def shifted_solve(self, sigma: complex, rhs: np.ndarray) -> np.ndarray:
-        block, was_1d = as_block(rhs)
-        if self._is_inf_shift(sigma):
+        sigma, block, was_1d = _solve_args(sigma, rhs)
+        if np.isinf(sigma):
             return _restore(block.copy(), was_1d)
-        dtype = complex if (np.iscomplexobj(block) or isinstance(sigma, complex)
-                            and sigma.imag != 0.0) else float
-        if isinstance(sigma, complex) and sigma.imag == 0.0:
-            sigma = sigma.real
-        ab = np.zeros((3, self.n), dtype=dtype)
-        ab[0, 1:] = self.e
-        ab[1, :] = self.d - sigma
-        ab[2, :-1] = self.e
-        try:
-            out = sla.solve_banded((1, 1), ab, block.astype(dtype, copy=False))
-        except np.linalg.LinAlgError as exc:  # exactly singular pivot
-            raise ValueError(
-                f"shift sigma={sigma} is singular for this operator"
-            ) from exc
-        # A banded LU has no pivot report here; a cheap residual check
-        # catches near-singular shifts instead.
-        resid = self.matvec(out) - sigma * out - block
-        rscale = np.linalg.norm(block) + np.linalg.norm(out) * (
-            np.max(np.abs(self.d)) + 2 * np.max(np.abs(self.e), initial=0.0)
-            + abs(sigma)
-        )
-        if not np.all(np.isfinite(out)) or np.linalg.norm(resid) > 1e-8 * max(
-            rscale, 1e-300
-        ):
-            raise ValueError(
-                f"shift sigma={sigma} is near-singular for this operator"
-            )
-        return _restore(out, was_1d)
+        if self.n < 3:  # the LAPACK tridiagonal wrappers need order >= 3
+            return _restore(_dense_solve(self.to_dense(), sigma, block), was_1d)
+        d = self.d - sigma
+        gttrf, gtcon, gttrs = sla.get_lapack_funcs(
+            ("gttrf", "gtcon", "gttrs"), (d, block))
+        lu = gttrf(self.e, d, self.e)[:5]
+        dl, u, du, du2, ipiv = lu
+        anorm = np.max(np.abs(d) + self._radii())
+        if (np.isrealobj(u) and u.min() > 0.0
+                and np.array_equal(ipiv, np.arange(1, self.n + 1))):
+            # No interchanges, positive pivots: A - sigma*I = L D L^T is SPD and
+            # |(A - sigma*I)^-1| is the inverse of the factors with -|l|, -|e|.
+            x = gttrs(-np.abs(dl), u, -np.abs(du), du2, ipiv, np.ones((self.n, 1)))
+            rcond = 1.0 / (anorm * x[0].max())
+        else:
+            rcond = gtcon(*lu, anorm)[0]
+        _require_regular(sigma, u, rcond)
+        return _restore(gttrs(*lu, block)[0], was_1d)
+
+    def _radii(self) -> np.ndarray:
+        """Off-diagonal absolute row sums (= column sums)."""
+        radii = np.zeros(self.n)
+        radii[:-1] += np.abs(self.e)
+        radii[1:] += np.abs(self.e)
+        return radii
 
     def gershgorin(self) -> SpectralInterval:
-        radii = np.zeros(self.n)
-        if self.n > 1:
-            radii[:-1] += np.abs(self.e)
-            radii[1:] += np.abs(self.e)
+        radii = self._radii()
         return SpectralInterval(
             float(np.min(self.d - radii)), float(np.max(self.d + radii))
         )
 
     def to_dense(self) -> np.ndarray:
-        a = np.diag(self.d)
-        if self.n > 1:
-            a += np.diag(self.e, 1) + np.diag(self.e, -1)
-        return a
+        return np.diag(self.d) + np.diag(self.e, 1) + np.diag(self.e, -1)
 
-    def dense_eig(self, limit: int = DENSE_EIG_LIMIT):
-        if self.n > limit:
-            raise ValueError(
-                f"order {self.n} exceeds dense eigendecomposition limit {limit}"
-            )
+    def _eig(self):
         return sla.eigh_tridiagonal(self.d, self.e)
 
     def diag_shifted(self, c: float) -> "TridiagonalOperator":
@@ -452,73 +466,46 @@ def load_matrix(path: str) -> HermitianOperator:
     """Build an operator from a matrix file.
 
     MatrixMarket files (``.mtx``/``.mm`` or a ``%%MatrixMarket`` header)
-    are accepted in dense or coordinate form; the bandwidth picks the
-    storage class (diagonal, tridiagonal, dense).  Any other file is read
-    as a plain text diagonal, one value per line.
+    are accepted in array or coordinate form and go through the storage
+    picker.  Any other file is read as a plain text diagonal, one value per
+    line.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     with open(path, "rb") as fh:
         head = fh.read(64)
-    is_mm = path.endswith((".mtx", ".mm")) or head.startswith(b"%%MatrixMarket")
-    if not is_mm:
-        d = np.loadtxt(path, dtype=float, ndmin=1)
-        if d.ndim != 1:
-            raise ValueError(
-                f"{path}: expected one diagonal value per line, got shape {d.shape}"
-            )
-        return DiagonalOperator(d)
-
-    m = scipy.io.mmread(path)
-    if scipy.sparse.issparse(m):
-        m = m.tocoo()
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"{path}: matrix is not square {m.shape}")
-        offsets = m.col - m.row
-        mask = m.data != 0.0
-        band = int(np.max(np.abs(offsets[mask]), initial=0))
-        if band <= 1:
-            n = m.shape[0]
-            d = np.zeros(n)
-            lo = np.zeros(max(n - 1, 0))
-            up = np.zeros(max(n - 1, 0))
-            for r, c, x in zip(m.row, m.col, m.data):
-                if r == c:
-                    d[r] += x
-                elif c == r + 1:
-                    up[r] += x
-                else:
-                    lo[c] += x
-            if np.max(np.abs(lo - up), initial=0.0) > _SYM_TOL * max(
-                np.max(np.abs(up), initial=0.0), 1.0
-            ):
-                raise ValueError(f"{path}: sub- and super-diagonals differ")
-            if band == 0:
-                return DiagonalOperator(d)
-            return TridiagonalOperator(d, 0.5 * (lo + up))
-        m = m.toarray()
-    m = np.asarray(m, dtype=float)
-    return from_dense_array(m, name=path)
+    if path.endswith((".mtx", ".mm")) or head.startswith(b"%%MatrixMarket"):
+        return _pick_storage(scipy.io.mmread(path), path)
+    d = np.loadtxt(path, dtype=float, ndmin=1)
+    if d.ndim != 1:
+        raise ValueError(
+            f"{path}: expected one diagonal value per line, got shape {d.shape}"
+        )
+    return DiagonalOperator(d)
 
 
 def from_dense_array(m: np.ndarray, name: str = "matrix") -> HermitianOperator:
     """Wrap a dense array, dropping to banded storage when possible."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name}: expected a square matrix, got {m.shape}")
-    dev = np.linalg.norm(m - m.T)
-    if dev > _SYM_TOL * max(np.linalg.norm(m), 1e-300):
+    return _pick_storage(np.asarray(m, dtype=float), name)
+
+
+def _pick_storage(m, name: str) -> HermitianOperator:
+    """Store a square symmetric matrix (dense array or scipy.sparse) as
+    diagonal, tridiagonal or dense by its bandwidth."""
+    m = scipy.sparse.csr_array(m, dtype=float)
+    _require_symmetric(m, name)
+    coo = m.tocoo()
+    band = int(np.abs(coo.col - coo.row)[coo.data != 0.0].max(initial=0))
+    if band == 0:
+        return DiagonalOperator(m.diagonal())
+    if band == 1:
+        return TridiagonalOperator(
+            m.diagonal(), 0.5 * (m.diagonal(1) + m.diagonal(-1)))
+    if m.shape[0] > DENSE_EIG_LIMIT:
         raise ValueError(
-            f"{name}: not symmetric, ||A - A^T|| = {dev:.3e}"
+            f"{name}: order {m.shape[0]} with bandwidth {band} would need "
+            f"dense storage, refused above order {DENSE_EIG_LIMIT}; build "
+            "DenseOperator(a) to ask for it explicitly"
         )
-    m = 0.5 * (m + m.T)
-    off = m - np.diag(np.diag(m))
-    if not np.any(off):
-        return DiagonalOperator(np.diag(m))
-    band1 = off - np.diag(np.diag(off, 1), 1) - np.diag(np.diag(off, -1), -1)
-    if not np.any(band1):
-        return TridiagonalOperator(np.diag(m), np.diag(m, 1))
-    return DenseOperator(m)
+    return DenseOperator(m.toarray())
 
 
 def save_matrix_market(path: str, op: HermitianOperator) -> None:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse
 
 from rkstieltjes.functions import catalog_function
 from rkstieltjes.operators import (
+    DENSE_EIG_LIMIT,
     DenseOperator,
     DiagonalOperator,
     SpectralInterval,
@@ -139,12 +142,76 @@ def test_matrix_market_roundtrip(tmp_path):
     np.testing.assert_allclose(back.to_dense(), op.to_dense(), atol=1e-14)
 
 
+def test_matrix_market_array_form_picks_banded_storage(tmp_path):
+    path = str(tmp_path / "a.mtx")
+    scipy.io.mmwrite(path, toeplitz_tridiagonal(6, 2.0).to_dense())
+    back = load_matrix(path)
+    assert back.kind == "tridiagonal"
+    np.testing.assert_array_equal(back.e, np.full(5, -2.0))
+
+
+def test_symmetry_rule_is_relative_at_any_scale(tmp_path):
+    # sub- and super-diagonal differ by 50%; tiny entries must not hide it
+    m = scipy.sparse.diags([1e-20 * np.ones(3), 2e-20 * np.ones(4),
+                            1.5e-20 * np.ones(3)], [-1, 0, 1])
+    path = str(tmp_path / "u.mtx")
+    scipy.io.mmwrite(path, m)
+    with pytest.raises(ValueError, match="not symmetric"):
+        load_matrix(path)
+    with pytest.raises(ValueError, match="not symmetric"):
+        from_dense_array(m.toarray())
+
+
+def test_picker_refuses_silent_densification(tmp_path):
+    n = DENSE_EIG_LIMIT + 1
+    band = [np.full(n - abs(k), -1.0 if k else 4.0) for k in range(-2, 3)]
+    path = str(tmp_path / "penta.mtx")
+    scipy.io.mmwrite(path, scipy.sparse.diags(band, list(range(-2, 3))))
+    with pytest.raises(ValueError, match=rf"order {n} with bandwidth 2"):
+        load_matrix(path)
+
+
 def test_load_plain_text_diagonal(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text("1.5\n2.5\n3.5\n")
     op = load_matrix(str(path))
     assert op.kind == "diagonal"
     np.testing.assert_array_equal(op.d, [1.5, 2.5, 3.5])
+
+
+class TestShiftRule:
+    """One near-singular rule and one dtype rule for the three storages."""
+
+    def _storages(self, op):
+        return [op, DenseOperator(op.to_dense()),
+                DiagonalOperator(np.linalg.eigvalsh(op.to_dense()))]
+
+    def test_eigenvalue_shift_refused_by_every_storage(self):
+        op = toeplitz_tridiagonal(50)
+        lam = np.linalg.eigvalsh(op.to_dense())[3]
+        for storage in self._storages(op):
+            for sigma in (lam, lam * (1 + 1e-13)):
+                with pytest.raises(ValueError, match="near-singular"):
+                    storage.shifted_solve(sigma, np.ones(50))
+
+    def test_tiny_scale_is_not_singular(self):
+        op = DiagonalOperator([1e-20, 2e-20, 3e-20])
+        np.testing.assert_allclose(op.shifted_solve(-1e-20, np.ones(3)),
+                                   [5e19, 1e20 / 3, 2.5e19], rtol=1e-15)
+
+    def test_zero_imaginary_part_is_real(self):
+        b = np.ones(8)
+        for storage in self._storages(toeplitz_tridiagonal(8)):
+            real = storage.shifted_solve(complex(-1.0, 0.0), b)
+            assert real.dtype == np.float64
+            np.testing.assert_array_equal(real, storage.shifted_solve(-1.0, b))
+            assert storage.shifted_solve(complex(-1.0, 0.5), b).dtype == np.complex128
+
+    def test_order_one_tridiagonal(self):
+        op = toeplitz_tridiagonal(1)
+        np.testing.assert_array_equal(op.shifted_solve(0.0, np.ones(1)), [0.5])
+        with pytest.raises(ValueError, match="near-singular"):
+            op.shifted_solve(2.0, np.ones(1))
 
 
 class TestOracleFunv:
