@@ -70,7 +70,9 @@ from .kronfun import (
     KroneckerResult,
     dense_kron_solution,
     funm_diag,
+    kron_error_sweep,
     kron_fun,
+    kron_iterates,
     kron_problem,
     residual_bound,
     singular_decay_report,

@@ -27,7 +27,8 @@ from .kronfun import (
     KroneckerProblem,
     dense_kron_solution,
     funm_diag,
-    kron_fun,
+    kron_error_sweep,
+    kron_iterates,
     singular_decay_report,
     sylvester_residual,
 )
@@ -280,18 +281,12 @@ def _kron_fixture(f, n: int = 300, seed: int = 11) -> tuple:
 
 def _kron_rows(f, pair: str) -> tuple:
     """(ell, error, bound) of the table's Kronecker pair on the fixture for
-    ell = 1..20, stopping at the first error above its bound."""
+    ell = 1..20, up to the first error above its bound."""
     prob, x_ref = _kron_fixture(f)
-    kron = KRON_PAIRS[pair]
-    fnorm = prob.rhs_norm2()
-    rows = []
-    for ell in range(1, 21):
-        res = kron_fun(prob, *kron.poles(prob.interval, ell))
-        err = float(np.linalg.norm(res.materialize() - x_ref, ord=2))
-        rows.append((ell, err, kron.bound(f, prob.interval, ell, fnorm)))
-        if not err <= rows[-1][2]:
-            break
-    return prob, x_ref, rows
+    rows = kron_error_sweep(prob, KRON_PAIRS[pair], range(1, 21), x_ref)
+    kept = next((i for i, (_, err, bnd) in enumerate(rows) if not err <= bnd),
+                len(rows) - 1)
+    return prob, x_ref, rows[:kept + 1]
 
 
 def _crit_kron_cauchy() -> tuple[bool, str]:
@@ -331,10 +326,8 @@ def _crit_sylvester() -> tuple[bool, str]:
     iv = prob.interval
     fnorm = prob.rhs_norm2()
     worst = 0.0
-    for ell in range(1, 16):
-        psi = zolotarev_poles(iv, ell)
-        xi = [-p for p in psi.poles]
-        res = kron_fun(prob, list(psi.poles), xi)
+    steps = kron_iterates(prob, KRON_PAIRS["laplace-kron"], range(1, 16))
+    for ell, res in enumerate(steps, start=1):
         resid = sylvester_residual(prob, res)
         bnd = sylvester_residual_bound(iv, ell, fnorm)
         if not resid <= bnd:

@@ -25,7 +25,6 @@ from .experiments import (
 from .functions import parse_function_spec
 from .kronfun import KroneckerProblem, dense_kron_solution, kron_fun
 from .operators import (
-    DiagonalOperator,
     HermitianOperator,
     SpectralInterval,
     load_matrix,
@@ -59,9 +58,7 @@ def _parse_matrix(spec: str) -> HermitianOperator:
         eps = float(parts[1]) if len(parts) > 1 else 1e-2
         dt = float(parts[2]) if len(parts) > 2 else 0.1
         return diffusion_operator(n, eps, dt)
-    if spec.startswith("diag:"):
-        return DiagonalOperator(np.loadtxt(spec[5:], dtype=float, ndmin=1))
-    return load_matrix(spec)
+    return load_matrix(spec[5:] if spec.startswith("diag:") else spec)
 
 
 def _parse_interval(spec: str, op: HermitianOperator,
@@ -169,16 +166,11 @@ def _cmd_kronfun(args) -> int:
         u /= np.linalg.norm(u, axis=0)
         w /= np.linalg.norm(w, axis=0)
 
-    if args.interval == "auto":
-        iv = spectral_interval(a_op, mode="exact-small",
-                               dense_limit=args.dense_limit)
-        iv2 = spectral_interval(bneg_op, mode="exact-small",
-                                dense_limit=args.dense_limit)
-        iv = SpectralInterval(min(iv.lower, iv2.lower),
-                              max(iv.upper, iv2.upper))
-    else:
-        iv = _parse_interval(args.interval, a_op, args.dense_limit)
-    iv.require_positive()
+    # One interval must enclose the spectra of both A and -B.
+    iva, ivb = (_parse_interval(args.interval, op, args.dense_limit)
+                for op in (a_op, bneg_op))
+    iv = SpectralInterval(min(iva.lower, ivb.lower),
+                          max(iva.upper, ivb.upper)).require_positive()
 
     prob = KroneckerProblem(a_op, bneg_op, u, w, f, iv)
 
@@ -336,7 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--poles", default="cauchy-kron",
                     help=f"{'|'.join(KRON_PAIRS)}|custom:PSI,XI")
     pk.add_argument("--ell", type=int, required=True)
-    pk.add_argument("--interval", default="auto", help="a,b | auto")
+    pk.add_argument("--interval", default="auto",
+                    help="a,b | auto | gershgorin[:floor]")
     pk.add_argument("--oracle", choices=("on", "off"), default="off")
     pk.add_argument("--out", help="write a one-row summary CSV here")
     pk.add_argument("--svd-report",

@@ -27,7 +27,7 @@ from .functions import StieltjesFunction, catalog_function
 from .kronfun import (
     KroneckerProblem,
     dense_kron_solution,
-    kron_fun,
+    kron_error_sweep,
     singular_decay_report,
 )
 from .operators import (
@@ -446,13 +446,8 @@ def _run_kron(cfg: ExperimentConfig, variant: str) -> list[str]:
     ells = range(1, cfg.ell_max + 1)
 
     def one(strategy: str) -> str:
-        pair = _kron_pair_for(variant, strategy)
-        rows = []
-        for ell in ells:
-            res = kron_fun(prob, *pair.poles(iv, ell))
-            err = float(np.linalg.norm(res.materialize() - x_ref, ord=2))
-            rows.append((ell, err, pair.bound(
-                f, iv, ell, fnorm, conjectured_gamma=cfg.conjectured_gamma)))
+        rows = kron_error_sweep(prob, _kron_pair_for(variant, strategy), ells,
+                                x_ref, conjectured_gamma=cfg.conjectured_gamma)
         return write_csv(os.path.join(cfg.outdir, f"{stem}-{strategy}.csv"),
                          ("ell", "true_error", "bound"), rows)
 

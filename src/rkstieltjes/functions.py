@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
+import scipy.special
 
 __all__ = [
     "StieltjesFunction",
@@ -141,39 +142,13 @@ def _one_minus_exp_sqrt_over_z(z: np.ndarray) -> np.ndarray:
     return -np.expm1(-s) / z
 
 
-def lambert_w(x, tol: float = 1e-15, maxiter: int = 60):
-    """Principal branch W(x) for x >= 0 by Halley iteration.
-
-    The starting guess is the series near the origin and log(x) - log(log(x))
-    for large x; convergence is measured on the defining identity
-    w*exp(w) = x in relative terms.
-    """
+def lambert_w(x):
+    """Principal branch W(x) for x >= 0 (``scipy.special.lambertw``)."""
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
     if np.any(arr < 0.0):
         raise ValueError("lambert_w is implemented for x >= 0 only")
-    # log1p is within a factor ~1.4 of W on [0, 20] and keeps w >= 0, well
-    # clear of the Halley singularity at w = -1.
-    w = np.log1p(arr)
-    big = arr > 20.0
-    if np.any(big):
-        lg = np.log(arr[big])
-        w[big] = lg - np.log(lg)
-    for _ in range(maxiter):
-        ew = np.exp(w)
-        fw = w * ew - arr
-        wp1 = w + 1.0
-        # Halley step for f(w) = w e^w - x.
-        denom = ew * wp1 - (w + 2.0) * fw / (2.0 * wp1)
-        step = fw / denom
-        w = w - step
-        if np.all(np.abs(fw) <= tol * np.maximum(arr, 1e-300)) or np.all(
-            np.abs(step) <= 4e-16 * (np.abs(w) + 1e-300)
-        ):
-            break
-    w[arr == 0.0] = 0.0
-    return float(w[0]) if scalar else w
+    w = scipy.special.lambertw(arr).real
+    return float(w) if arr.ndim == 0 else w
 
 
 def _lambertw_scaled(z: np.ndarray) -> np.ndarray:

@@ -12,21 +12,23 @@ explicitly materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .bounds import singular_value_bound, sylvester_residual_bound
 from .functions import StieltjesFunction
 from .operators import HermitianOperator, SpectralInterval, spectral_interval
-from .poles import PoleSequence
-from .rk import rk_build
+from .rk import RKDecomposition, grow, rk_build
+from .strategies import KronPair
 
 __all__ = [
     "KroneckerProblem",
     "KroneckerResult",
     "kron_problem",
     "kron_fun",
+    "kron_iterates",
+    "kron_error_sweep",
     "funm_diag",
     "sylvester_residual",
     "dense_kron_solution",
@@ -118,13 +120,6 @@ def kron_problem(a_op: HermitianOperator, bneg_op: HermitianOperator,
                             np.asarray(v_factor, dtype=float), f, interval)
 
 
-def _neg_poles(poles) -> list[complex]:
-    # rk.extend reads a zero imaginary part as real and +-inf as a matvec.
-    if isinstance(poles, PoleSequence):
-        poles = poles.poles
-    return list(-np.asarray(poles, dtype=complex))
-
-
 def funm_diag(f: Callable[[np.ndarray], np.ndarray], a_small: np.ndarray,
               b_small: np.ndarray, f_small: np.ndarray) -> np.ndarray:
     """Evaluate the compressed solution by double diagonalization.
@@ -167,10 +162,7 @@ def kron_fun(problem: KroneckerProblem, left_poles, right_poles,
     signs (the two spaces coincide).  ``ell`` truncates both pole lists;
     omitted, the full lists are consumed.
     """
-    left = list(left_poles.poles if isinstance(left_poles, PoleSequence)
-                else left_poles)
-    right = list(right_poles.poles if isinstance(right_poles, PoleSequence)
-                 else right_poles)
+    left, right = list(left_poles), list(right_poles)  # PoleSequence iterates
     if ell is not None:
         if ell > min(len(left), len(right)):
             raise ValueError(
@@ -178,14 +170,54 @@ def kron_fun(problem: KroneckerProblem, left_poles, right_poles,
                 f"({len(left)} left, {len(right)} right)")
         left, right = left[:ell], right[:ell]
     dec_u = rk_build(problem.a_op, problem.u_factor, left)
-    dec_v = rk_build(problem.bneg_op, problem.v_factor, _neg_poles(right))
+    # rk.extend reads a zero imaginary part as real and +-inf as a matvec.
+    dec_v = rk_build(problem.bneg_op, problem.v_factor, [-p for p in right])
+    return _solve_projected(problem, dec_u, dec_v, right)
+
+
+def _solve_projected(problem: KroneckerProblem, dec_u: RKDecomposition,
+                     dec_v: RKDecomposition, poles_right) -> KroneckerResult:
+    """Solve the problem compressed onto the bases of A (``dec_u``) and of
+    -B (``dec_v``) by double diagonalization."""
     a_small = dec_u.reduced_matrix()
     b_small = -dec_v.reduced_matrix()  # projection of B in the shared basis
     f_small = dec_u.reduced_seed() @ dec_v.reduced_seed().conj().T
     core = funm_diag(problem.f, a_small, b_small, f_small)
     return KroneckerResult(left=dec_u.basis, right=dec_v.basis, core=core,
                            poles_left=tuple(dec_u.poles_used),
-                           poles_right=tuple(right))
+                           poles_right=tuple(poles_right))
+
+
+def kron_iterates(problem: KroneckerProblem, pair: KronPair,
+                  counts: Iterable[int]) -> Iterator[KroneckerResult]:
+    """Yield ``kron_fun(problem, *pair.poles(problem.interval, count))``
+    at each pole count in the increasing ``counts``: the two-seed case of
+    ``rk.grow``, seeds (A, U_F) and (-B, V_F), so a nested pair builds L
+    blocks per side for a sweep to L.  Earlier results keep their values.
+    """
+    seeds = [(problem.a_op, problem.u_factor),
+             (problem.bneg_op, problem.v_factor)]
+    steps = grow(pair, problem.interval, counts, seeds)
+    return (_solve_projected(problem, dec_u, dec_v,
+                             map(pair.mirror, dec_v.poles_used))
+            for dec_u, dec_v in steps)
+
+
+def kron_error_sweep(problem: KroneckerProblem, pair: KronPair,
+                     ells: Sequence[int], x_ref: np.ndarray,
+                     conjectured_gamma: bool = False) -> list[tuple]:
+    """Rows (ell, ||X - X_ell||_2, bound) of ``pair`` over the given pole
+    counts against the reference solution ``x_ref``, for experiment tables
+    and acceptance: the Kronecker twin of ``rk.error_sweep``."""
+    fnorm = problem.rhs_norm2()
+    counts = sorted(set(int(e) for e in ells))
+    rows = []
+    for ell, res in zip(counts, kron_iterates(problem, pair, counts)):
+        err = float(np.linalg.norm(res.materialize() - x_ref, ord=2))
+        bound = pair.bound(problem.f, problem.interval, ell, fnorm,
+                           conjectured_gamma=conjectured_gamma)
+        rows.append((ell, err, bound))
+    return rows
 
 
 def sylvester_residual(problem: KroneckerProblem,

@@ -509,5 +509,13 @@ def _pick_storage(m, name: str) -> HermitianOperator:
 
 
 def save_matrix_market(path: str, op: HermitianOperator) -> None:
-    """Write an operator in MatrixMarket coordinate form."""
-    scipy.io.mmwrite(path, scipy.sparse.coo_matrix(op.to_dense()))
+    """Write an operator in MatrixMarket coordinate form; the diagonal and
+    tridiagonal storages write their bands without an n x n array."""
+    if isinstance(op, TridiagonalOperator):
+        m = scipy.sparse.diags([op.e, op.d, op.e], [-1, 0, 1],
+                               shape=(op.n, op.n))
+    elif isinstance(op, DiagonalOperator):
+        m = scipy.sparse.diags(op.d)
+    else:
+        m = op.to_dense()
+    scipy.io.mmwrite(path, scipy.sparse.coo_matrix(m))

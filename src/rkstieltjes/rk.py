@@ -32,6 +32,7 @@ __all__ = [
     "FunvTraceRow",
     "FunvResult",
     "funv_driver",
+    "grow",
     "iterates",
     "error_sweep",
     "CHECKPOINT_STRIDE",
@@ -202,9 +203,7 @@ class RKDecomposition:
         Refuses to grow a decomposition already flagged by total deflation;
         an empty pole list is a no-op either way.
         """
-        if isinstance(poles, PoleSequence):
-            poles = poles.poles
-        poles = list(poles)
+        poles = list(poles)  # a PoleSequence iterates over its poles
         if poles and self.breakdown:
             raise RuntimeError(
                 "decomposition was closed by total deflation (invariant "
@@ -290,10 +289,7 @@ def exactness_check(op: HermitianOperator, v: np.ndarray, poles,
     matvecs on the full operator, and through the reduced problem; the
     space built with those poles must make the two agree.
     """
-    if isinstance(poles, PoleSequence):
-        poles = list(poles.poles)
-    else:
-        poles = list(poles)
+    poles = list(poles)
     dec = rk_build(op, v, poles)
     block, _ = as_block(np.asarray(v, dtype=dec.basis.dtype))
 
@@ -364,28 +360,25 @@ class FunvResult:
         return self.trace[-1].ell if self.trace else 0
 
 
-def iterates(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
-             strategy: str, iv, counts: Iterable[int],
-             custom_poles: Sequence[complex] | None = None
-             ) -> Iterator[tuple[RKDecomposition, np.ndarray]]:
-    """Yield ``(dec, y)`` at each pole count in the increasing ``counts``,
-    where y are the reduced coordinates of the Galerkin iterate in
-    ``dec.basis`` (``dec.lift(y)`` is the iterate itself).
+def grow(s: Strategy, iv, counts: Iterable[int],
+         seeds: Sequence[tuple[HermitianOperator, np.ndarray]],
+         custom_poles: Sequence[complex] | None = None
+         ) -> Iterator[list[RKDecomposition]]:
+    """Yield one decomposition per ``(op, v)`` seed, all taking the poles
+    of ``s``, at each pole count in the increasing ``counts``.
 
-    Nested families grow one decomposition, taking the poles up to the
-    next count in one ``extend`` call; the generator stops after that
-    basis breaks down or the pole stream runs out (a stream that runs out
-    short of a count yields its shorter basis once).  Interval-optimal
-    families build a fresh basis for every count and yield them all.
-    Counts below 1, an unknown strategy and a missing custom list raise
-    ValueError at the call.
+    Nested families extend each unbroken basis by the poles up to the next
+    count in one ``extend`` call, and stop after every basis has broken
+    down or the stream runs out (one short of a count yields its shorter
+    bases once).  Interval-optimal families build fresh bases for every
+    count.  Counts below 1 and a missing custom list raise ValueError at
+    the call.
     """
     counts = list(counts)
     if counts and min(counts) < 1:
         raise ValueError(f"pole counts must be >= 1, got {min(counts)}")
-    s = get_strategy(strategy)
     stream = s.stream(iv, custom_poles) if s.nested else None
-    return _iterates(op, f, v, s, iv, counts, stream)
+    return _grow(s, iv, counts, seeds, stream)
 
 
 def _fixed_poles(s: Strategy, iv, count: int) -> PoleSequence:
@@ -396,23 +389,41 @@ def _fixed_poles(s: Strategy, iv, count: int) -> PoleSequence:
     return globals().get(s.fixed.__name__, s.fixed)(iv, count)
 
 
-def _iterates(op, f, v, s: Strategy, iv, counts: list[int],
-              stream: Iterator[complex] | None):
+def _grow(s: Strategy, iv, counts: list[int], seeds,
+          stream: Iterator[complex] | None):
     if stream is None:
         for count in counts:
-            dec = rk_build(op, v, _fixed_poles(s, iv, count))
-            yield dec, _reduced_funv(dec, f)
+            poles = _fixed_poles(s, iv, count)
+            yield [rk_build(op, v, poles) for op, v in seeds]
         return
-    dec = RKDecomposition(op, v)
+    decs = [RKDecomposition(op, v) for op, v in seeds]
+    taken = 0
     for count in counts:
-        need = count - len(dec.poles_used)
+        need = count - taken
         batch = list(itertools.islice(stream, need))
         if need > 0 and not batch:
             return
-        dec.extend(batch)
-        yield dec, _reduced_funv(dec, f)
-        if dec.breakdown or len(batch) < need:
+        taken += len(batch)
+        for dec in decs:
+            if not dec.breakdown:
+                dec.extend(batch)
+        yield decs
+        if all(dec.breakdown for dec in decs) or len(batch) < need:
             return
+
+
+def iterates(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
+             strategy: str, iv, counts: Iterable[int],
+             custom_poles: Sequence[complex] | None = None
+             ) -> Iterator[tuple[RKDecomposition, np.ndarray]]:
+    """Yield ``(dec, y)`` at each pole count in the increasing ``counts``,
+    where y are the reduced coordinates of the Galerkin iterate in
+    ``dec.basis`` (``dec.lift(y)`` is the iterate itself): the one-seed
+    case of ``grow``.  Counts below 1, an unknown strategy and a missing
+    custom list raise ValueError at the call.
+    """
+    steps = grow(get_strategy(strategy), iv, counts, [(op, v)], custom_poles)
+    return ((dec, _reduced_funv(dec, f)) for dec, in steps)
 
 
 def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,

@@ -31,7 +31,6 @@ from .poles import (
     cauchy_poles,
     eds_pole_iter,
     extended_poles,
-    laplace_kron_poles,
     polynomial_poles,
     zolotarev_poles,
 )
@@ -79,36 +78,6 @@ def _custom(iv, custom_poles) -> Iterator[complex]:
     return iter(list(custom_poles))
 
 
-def _prefix(stream: Stream, iv, count: int) -> list:
-    return list(itertools.islice(stream(iv, None), count))
-
-
-def _fixed_pair(maker) -> Callable:
-    def pair(iv, ell: int):
-        psi, xi = maker(iv, ell)
-        return list(psi.poles), list(xi.poles)
-    return pair
-
-
-def _nested_pair(stream: Stream, mirror: Callable) -> Callable:
-    """Left poles from a nested stream, right poles mirrored from them
-    (0 and inf are their own mirror images, so the baselines keep them)."""
-    def pair(iv, ell: int):
-        psi = _prefix(stream, iv, ell)
-        return psi, [mirror(p) for p in psi]
-    return pair
-
-
-@dataclass(frozen=True)
-class KronPair:
-    """Pole pair of the Kronecker-sum solver.  ``poles(iv, ell)`` returns
-    the left poles (for A) and the literal right poles (for B^T)."""
-
-    name: str
-    poles: Callable[[SpectralInterval, int], tuple[list, list]]
-    bound: Bound = _uncertified
-
-
 @dataclass(frozen=True)
 class Strategy:
     """One pole family.  Exactly one of ``stream`` (nested: a pole
@@ -131,34 +100,52 @@ class Strategy:
         if count < 1:
             raise ValueError(f"pole count must be >= 1, got {count}")
         if self.nested:
-            return _prefix(self.stream, iv, count)
+            return list(itertools.islice(self.stream(iv, None), count))
         return list(self.fixed(iv, count).poles)
+
+
+@dataclass(frozen=True)
+class KronPair(Strategy):
+    """Pole pair of the Kronecker-sum solver.  Its ``stream`` or ``fixed``
+    gives the left poles (for A) like a 1-D family, and ``mirror`` maps
+    each to a literal right pole (for B^T).  Both spaces grow with the
+    left poles: the right space is built on -B, where the mirrored pole
+    -p of a certified pair is p again, and 0 and inf, the baselines'
+    poles, are their own mirror images."""
+
+    mirror: Callable[[complex], complex] = operator.neg
+
+    def poles(self, iv, ell: int) -> tuple[list, list]:
+        """The left and the literal right poles at ``ell``."""
+        psi = self.first(iv, ell)
+        return psi, [self.mirror(p) for p in psi]
 
 
 _EXTENDED = _repeating(extended_poles(2))
 _POLYNOMIAL = _repeating(polynomial_poles(1))
 
 STRATEGIES: dict[str, Strategy] = {s.name: s for s in (
+    # The left poles of ``laplace_kron_poles`` are the Zolotarev poles.
     Strategy("zolotarev", fixed=zolotarev_poles, bound=laplace_bound,
-             kron=KronPair("laplace-kron", _fixed_pair(laplace_kron_poles),
-                           kron_laplace_bound)),
+             kron=KronPair("laplace-kron", fixed=zolotarev_poles,
+                           bound=kron_laplace_bound)),
     Strategy("cauchy", fixed=cauchy_poles, bound=_cauchy_only(cauchy_bound),
-             kron=KronPair("cauchy-kron", _fixed_pair(cauchy_kron_poles),
-                           _cauchy_only(kron_cauchy_bound))),
+             kron=KronPair("cauchy-kron",
+                           fixed=lambda iv, ell: cauchy_kron_poles(iv, ell)[0],
+                           bound=_cauchy_only(kron_cauchy_bound))),
     # The EDS variants carry the certified curve of their family as a
     # reference column.
     Strategy("eds-laplace", stream=_eds("laplace"), bound=laplace_bound,
-             kron=KronPair("eds-laplace",
-                           _nested_pair(_eds("laplace"), operator.neg))),
+             kron=KronPair("eds-laplace", stream=_eds("laplace"))),
     Strategy("eds-cauchy", stream=_eds("cauchy"),
              bound=_cauchy_only(cauchy_bound),
-             kron=KronPair("eds-cauchy",
-                           _nested_pair(_eds("kron-cauchy"), operator.neg))),
+             kron=KronPair("eds-cauchy", stream=_eds("kron-cauchy"))),
     Strategy("extended", stream=_EXTENDED, needs_interval=False,
-             kron=KronPair("extended", _nested_pair(_EXTENDED, operator.pos))),
+             kron=KronPair("extended", stream=_EXTENDED, mirror=operator.pos,
+                           needs_interval=False)),
     Strategy("polynomial", stream=_POLYNOMIAL, needs_interval=False,
-             kron=KronPair("polynomial",
-                           _nested_pair(_POLYNOMIAL, operator.pos))),
+             kron=KronPair("polynomial", stream=_POLYNOMIAL,
+                           mirror=operator.pos, needs_interval=False)),
     Strategy("custom", stream=_custom, needs_interval=False),
 )}
 

@@ -76,6 +76,14 @@ class TestFunv:
         assert rc == 2
         assert "hilbert" in capsys.readouterr().err
 
+    def test_diag_file_goes_through_load_matrix(self, tmp_path, capsys):
+        two_columns = tmp_path / "d.txt"
+        two_columns.write_text("1 2\n3 4\n")
+        rc = main(["funv", "--matrix", f"diag:{two_columns}", "--function",
+                   "inverse", "--poles", "extended", "--ell", "2"])
+        assert rc == 2
+        assert "expected one diagonal value per line" in capsys.readouterr().err
+
 
 class TestPoles:
     def test_writes_file(self, tmp_path):
@@ -161,6 +169,17 @@ class TestKronfun:
                    "--poles", "cauchy", "--ell", "6"])
         assert rc == 0
         assert "bound=nan" in capsys.readouterr().out
+
+    def test_gershgorin_interval_encloses_both_operators(self, capsys):
+        # -B = tridiag(-4, 8, -4) reaches 16, beyond A's Gershgorin disc.
+        bounds = []
+        for interval in ("gershgorin:0.01", "0.01,16"):
+            rc = main(["kronfun", "--a", "tridiag:50:1", "--bneg",
+                       "tridiag:50:4", "--function", "power:-0.5", "--ell",
+                       "6", "--poles", "cauchy-kron", "--interval", interval])
+            assert rc == 0
+            bounds.append(capsys.readouterr().out.split("bound=")[1].split()[0])
+        assert bounds[0] == bounds[1]
 
     def test_factor_files(self, tmp_path):
         u = tmp_path / "u.npy"

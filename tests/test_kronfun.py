@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from rkstieltjes.kronfun import (
     KroneckerProblem,
     dense_kron_solution,
     funm_diag,
+    kron_error_sweep,
     kron_fun,
+    kron_iterates,
     kron_problem,
     residual_bound,
     singular_decay_report,
@@ -17,6 +20,7 @@ from rkstieltjes.kronfun import (
 )
 from rkstieltjes.operators import SpectralInterval, TridiagonalOperator, from_dense_array
 from rkstieltjes.poles import cauchy_kron_poles, laplace_kron_poles, zolotarev_poles
+from rkstieltjes.strategies import KRON_PAIRS
 
 
 def _inverse(d):
@@ -194,6 +198,77 @@ class TestKronFun:
         assert res.core.shape == (5, 7)
         with pytest.raises(ValueError):
             kron_fun(prob, psi, xi, ell=5)  # exceeds the shorter list
+
+
+class _CountingTridiagonal(TridiagonalOperator):
+    def __init__(self, d, e):
+        super().__init__(d, e)
+        self.calls = Counter()
+
+    def matvec(self, x):
+        self.calls["matvec"] += 1
+        return super().matvec(x)
+
+    def shifted_solve(self, sigma, rhs):
+        self.calls["solve"] += 1
+        return super().shifted_solve(sigma, rhs)
+
+
+class TestKronIterates:
+    @pytest.mark.parametrize("name", list(KRON_PAIRS))
+    def test_equals_kron_fun_at_every_count(self, name):
+        prob = _make_problem(n=40, rank=2, seed=15,
+                             f=catalog_function("power", -0.5))
+        pair = KRON_PAIRS[name]
+        counts = [1, 2, 5, 6, 11]
+        results = list(kron_iterates(prob, pair, counts))
+        assert len(results) == len(counts)
+        for count, res in zip(counts, results):
+            ref = kron_fun(prob, *pair.poles(prob.interval, count))
+            for got, want in ((res.left, ref.left), (res.right, ref.right),
+                              (res.core, ref.core)):
+                np.testing.assert_array_equal(got, want)
+            assert res.poles_left == ref.poles_left
+            assert res.poles_right == ref.poles_right
+
+    @pytest.mark.parametrize("name, step", [("eds-cauchy", "solve"),
+                                            ("polynomial", "matvec")])
+    def test_nested_pair_takes_one_step_per_pole(self, name, step):
+        # Growing both bases: L poles cost L steps per side, plus one
+        # projection matvec per block; rebuilding per count cost L(L+1)/2.
+        n, last = 60, 12
+        a_op = _CountingTridiagonal(np.full(n, 2.0), np.full(n - 1, -1.0))
+        bneg_op = _CountingTridiagonal(np.full(n, 2.5), np.full(n - 1, -1.0))
+        rng = np.random.default_rng(16)
+        prob = kron_problem(a_op, bneg_op, rng.standard_normal(n),
+                            rng.standard_normal(n), catalog_function("inverse"))
+        for op in (a_op, bneg_op):
+            op.calls.clear()
+        steps = list(kron_iterates(prob, KRON_PAIRS[name], range(1, last + 1)))
+        assert len(steps) == last
+        blocks = last + 1
+        want = {"solve": Counter(solve=last, matvec=blocks),
+                "matvec": Counter(matvec=last + blocks)}[step]
+        for op in (a_op, bneg_op):
+            assert op.calls == want
+
+    def test_error_sweep_rows(self):
+        prob = _make_problem(n=30, seed=17, f=catalog_function("power", -0.5))
+        x_ref = dense_kron_solution(prob)
+        pair = KRON_PAIRS["cauchy-kron"]
+        rows = kron_error_sweep(prob, pair, [6, 2, 4, 4], x_ref)
+        assert [r[0] for r in rows] == [2, 4, 6]
+        fnorm = prob.rhs_norm2()
+        for ell, err, bound in rows:
+            x = kron_fun(prob, *pair.poles(prob.interval, ell)).materialize()
+            assert err == float(np.linalg.norm(x - x_ref, ord=2))
+            assert bound == pair.bound(prob.f, prob.interval, ell, fnorm)
+            assert err <= bound
+
+    def test_counts_below_one_raise_at_the_call(self):
+        prob = _make_problem(n=10)
+        with pytest.raises(ValueError, match=">= 1"):
+            kron_iterates(prob, KRON_PAIRS["extended"], [0, 1])
 
 
 class TestResiduals:

@@ -1,4 +1,5 @@
-"""Property tests: the three storages agree, and share one shift rule.
+"""Property tests: the three storages agree, and share one shift rule;
+a rational Krylov space reproduces the rational functions of its poles.
 
 Matrices are random symmetric tridiagonals made strictly diagonally
 dominant with a positive diagonal (so SPD, spectrum above 0.1), plus their
@@ -11,14 +12,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rkstieltjes.operators import DenseOperator, DiagonalOperator, TridiagonalOperator
+from rkstieltjes.rk import exactness_check
 
 _floats = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
 
 
 @st.composite
-def spd_tridiagonals(draw):
+def spd_tridiagonals(draw, min_n=1, max_n=10):
     """(d, e) of an SPD tridiagonal; e == 0 in about a third of the draws."""
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(min_n, max_n))
     e = np.array(draw(st.lists(st.floats(-1.0, 1.0, **_floats),
                                min_size=n - 1, max_size=n - 1)), dtype=float)
     if draw(st.integers(0, 2)) == 0:
@@ -107,3 +109,27 @@ def test_scaling_keeps_accept_or_refuse(de, k, sigma, scale):
     for s in (exact_eigenvalue(*de, k), sigma):
         for op, scaled in zip(storages(*de), storages(*de, scale)):
             assert refuses(op, s) == refuses(scaled, scale * s)
+
+
+@st.composite
+def pole_mixes(draw):
+    """1-7 negative poles in -10^[-3, 2], sometimes one of them repeated,
+    and 0-3 infinite poles, in a random order."""
+    finite = draw(st.lists(st.floats(-3.0, 2.0, **_floats),
+                           min_size=1, max_size=7))
+    poles = [-10.0 ** x for x in finite]
+    if draw(st.booleans()):
+        poles.append(draw(st.sampled_from(poles)))
+    poles += [np.inf] * draw(st.integers(0, 3))
+    return draw(st.permutations(poles))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spd_tridiagonals(min_n=3, max_n=80), pole_mixes(),
+       st.integers(0, 2**32 - 1))
+def test_exactness_check_on_random_spaces(de, poles, seed):
+    # The threshold is acceptance criterion 1's.
+    d, e = de
+    op = TridiagonalOperator(d, e) if np.any(e) else DiagonalOperator(d)
+    v = np.random.default_rng(seed).standard_normal(op.n)
+    assert exactness_check(op, v, poles).max_rel_err <= 1e-9

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.io
@@ -140,6 +142,35 @@ def test_matrix_market_roundtrip(tmp_path):
     back = load_matrix(path)
     assert back.kind == "tridiagonal"
     np.testing.assert_allclose(back.to_dense(), op.to_dense(), atol=1e-14)
+
+
+@pytest.mark.parametrize("op", [
+    DiagonalOperator([3.0, 1e-300, 2.5]),
+    TridiagonalOperator([4.0, 3.0, 5.0, 2.0], [1.5, 0.0, -0.25]),
+    DenseOperator(np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 1.0],
+                            [0.5, 1.0, 5.0]])),
+], ids=["diagonal", "tridiagonal-zero-offdiagonal", "dense"])
+def test_matrix_market_roundtrip_is_exact(tmp_path, op):
+    path = str(tmp_path / "m.mtx")
+    save_matrix_market(path, op)
+    back = load_matrix(path)
+    assert back.kind == op.kind
+    np.testing.assert_array_equal(back.to_dense(), op.to_dense())
+
+
+def test_matrix_market_writes_bands_without_dense_copy(tmp_path):
+    op = toeplitz_tridiagonal(3000)
+    path = str(tmp_path / "big.mtx")
+    tracemalloc.start()
+    try:
+        save_matrix_market(path, op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20  # a dense copy alone is 69 MiB
+    back = load_matrix(path)
+    np.testing.assert_array_equal(back.d, op.d)
+    np.testing.assert_array_equal(back.e, op.e)
 
 
 def test_matrix_market_array_form_picks_banded_storage(tmp_path):

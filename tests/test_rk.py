@@ -17,6 +17,7 @@ from rkstieltjes.rk import (
     error_sweep,
     exactness_check,
     funv_driver,
+    grow,
     iterates,
     rk_build,
     rk_funv,
@@ -427,6 +428,21 @@ class TestIterates:
         # Three distinct eigenvalues: the third pole deflates away.
         assert seen == [(1, False), (2, False), (3, True)]
         np.testing.assert_allclose(dec.lift(y), np.ones(5) / d, rtol=1e-12)
+
+    def test_grow_keeps_extending_unbroken_seeds(self):
+        # Polynomial poles close the space of a matrix with three distinct
+        # eigenvalues at the third pole; the other seed keeps growing.
+        closing = from_dense_array(np.diag([1.0, 1.0, 2.0, 2.0, 3.0]))
+        op, _, v, iv = self._setup()
+        seen = []
+        for small, big in grow(STRATEGIES["polynomial"], iv, range(1, 7),
+                               [(closing, np.ones(5)), (op, v)]):
+            seen.append((len(small.poles_used), small.breakdown,
+                         len(big.poles_used)))
+        assert seen == [(1, False, 1), (2, False, 2), (3, True, 3),
+                        (3, True, 4), (3, True, 5), (3, True, 6)]
+        np.testing.assert_array_equal(big.basis,
+                                      rk_build(op, v, [np.inf] * 6).basis)
 
     def test_bad_arguments_raise_at_the_call(self):
         op, f, v, iv = self._setup()

@@ -45,11 +45,14 @@ def test_names_and_kron_pairs():
     assert CANONICAL == {"laplace": "zolotarev", "cauchy": "cauchy"}
 
 
-@pytest.mark.parametrize("name", list(STRATEGIES))
-def test_each_record_has_one_pole_source(name):
-    s = STRATEGIES[name]
+@pytest.mark.parametrize("s", [
+    *(pytest.param(s, id=name) for name, s in STRATEGIES.items()),
+    *(pytest.param(s, id=f"kron-{name}") for name, s in KRON_PAIRS.items()),
+])
+def test_each_record_has_one_pole_source(s):
     assert (s.stream is None) != (s.fixed is None)
-    assert s.nested == (name not in ("zolotarev", "cauchy"))
+    assert s.nested == (s.name not in ("zolotarev", "cauchy", "laplace-kron",
+                                       "cauchy-kron"))
 
 
 def test_unknown_name():
@@ -95,6 +98,14 @@ def test_kron_pairs():
     for name in ("extended", "polynomial"):
         psi, xi = KRON_PAIRS[name].poles(IV, 5)
         assert psi == xi == list(STRATEGIES[name].first(IV, 5))
+    # Both spaces take the left poles: the right space lives on -B, where
+    # a literal right pole xi is -xi, the left pole again (0 and inf are
+    # their own mirror images).
+    for name, pair in KRON_PAIRS.items():
+        psi, xi = pair.poles(IV, 6)
+        assert psi == pair.first(IV, 6)
+        assert all(-x == p or math.isinf(x) and math.isinf(p)
+                   for p, x in zip(psi, xi)), name
 
 
 def test_bounds_named_by_the_table():
