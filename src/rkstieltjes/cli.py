@@ -221,27 +221,33 @@ def _cmd_kronfun(args) -> int:
 
 
 def _cmd_poles(args) -> int:
-    # A name of both a 1-D strategy and a Kronecker pair means the former.
-    strategy = STRATEGIES.get(args.strategy)
-    if (strategy is None or strategy.needs_interval) and args.interval is None:
+    # --out-xi asks for the Kronecker pair of a name; without it, a name of
+    # both a 1-D strategy and a pair means the 1-D strategy.
+    if args.out_xi:
+        family = KRON_PAIRS.get(args.strategy)
+        if family is None:
+            raise SystemExit(
+                f"{args.strategy} is a 1-D strategy with one pole list; "
+                f"--out-xi needs a Kronecker pair: {', '.join(KRON_PAIRS)}")
+    else:
+        family = STRATEGIES.get(args.strategy)
+        if family is None:
+            raise SystemExit(
+                f"{args.strategy} produces a pole pair; --out-xi FILE is "
+                "required for the second factor")
+    if family.needs_interval and args.interval is None:
         raise SystemExit(f"--interval a,b is required for {args.strategy}")
     iv = None
     if args.interval is not None:
         iv = positive_interval(_split_interval(args.interval))
 
-    xi = None
-    if strategy is not None:
-        seq = strategy.first(iv, args.ell)
+    if args.out_xi:
+        seq, xi = family.poles(iv, args.ell)
     else:
-        seq, xi = KRON_PAIRS[args.strategy].poles(iv, args.ell)
-
+        seq = family.first(iv, args.ell)
     write_pole_file(args.out, seq)
     print(f"{args.ell} poles ({args.strategy}) -> {args.out}")
-    if xi is not None:
-        if not args.out_xi:
-            raise SystemExit(
-                f"{args.strategy} produces a pole pair; --out-xi FILE is "
-                "required for the second factor")
+    if args.out_xi:
         write_pole_file(args.out_xi, xi)
         print(f"second-factor poles -> {args.out_xi}")
     return 0

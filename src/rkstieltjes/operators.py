@@ -16,6 +16,18 @@ tridiagonal L D L^T, LAPACK's ``gecon``/``gtcon`` estimate otherwise.
 Both are scale invariant.  Pivots alone miss an eigenvalue whose
 eigenvector is localized: every pivot can stay O(1).
 
+Factor cache: ``shifted_solve(sigma, rhs, factors=d)`` keeps the
+factorization of A - sigma*I (LU, tridiagonal LU or the shifted diagonal)
+in the caller's dict ``d``, keyed by sigma (0.0 apart from -0.0) and the
+dtype of the solve, and on a later call with the same sigma runs only the
+triangular solves, so the result is bit-identical to a fresh solve.  The
+caller owns the dict and uses it with one operator only; each
+``RKDecomposition`` keeps one, so the operator itself holds no state and
+may be shared between threads.  At most ``FACTOR_SLOTS`` entries are kept
+(the oldest goes first), because a dense factor costs n^2 numbers.  The
+shift rule runs with the factorization, and a refused sigma raises before
+anything is stored, so it raises on every use.
+
 MatrixMarket files (array or coordinate) and dense arrays share one
 storage picker: square, ||A - A^T||_F <= ``_SYM_TOL`` ||A||_F, and the
 bandwidth picks diagonal, tridiagonal or dense storage.  Dense storage
@@ -44,6 +56,9 @@ _SYM_TOL = 1e-12
 #: A shift is refused when the pivot ratio or the reciprocal condition
 #: number of A - sigma*I is at or below this.
 _SINGULAR_TOL = 1e-13
+
+#: Most factorizations one ``factors`` dict of ``shifted_solve`` keeps.
+FACTOR_SLOTS = 2
 
 
 @dataclass(frozen=True)
@@ -125,15 +140,35 @@ def _require_regular(sigma: complex, pivots: np.ndarray, rcond: float = 1.0) -> 
         )
 
 
-def _dense_solve(a: np.ndarray, sigma: complex, block: np.ndarray) -> np.ndarray:
-    """LU solve of (a - sigma*I) X = block; ``a`` is not modified."""
+def _solver(op: "HermitianOperator", sigma: complex, block: np.ndarray,
+            factors: dict | None):
+    """``op._factor(sigma, block)``, taken from or stored in ``factors``.
+
+    The key tells 0.0 from -0.0 and carries the block's dtype, which picks
+    the tridiagonal LAPACK routines, so a hit repeats the fresh solve bit
+    for bit.  A refused sigma raises in ``_factor``, before the store.
+    """
+    if factors is None:
+        return op._factor(sigma, block)
+    key = (sigma, math.copysign(1.0, sigma.real), block.dtype.char)
+    solve = factors.get(key)
+    if solve is None:
+        solve = op._factor(sigma, block)
+        if len(factors) >= FACTOR_SLOTS:
+            del factors[next(iter(factors))]
+        factors[key] = solve
+    return solve
+
+
+def _dense_factor(a: np.ndarray, sigma: complex):
+    """LU solver of (a - sigma*I) X = B; ``a`` is not modified."""
     m = a.astype(np.result_type(a, sigma))
     m[np.diag_indices_from(m)] -= sigma
     anorm = np.linalg.norm(m, 1)
     getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), (m,))
     lu, piv, _ = getrf(m, overwrite_a=True)
     _require_regular(sigma, np.diag(lu), gecon(lu, anorm)[0])
-    return sla.lu_solve((lu, piv), block)
+    return lambda b: sla.lu_solve((lu, piv), b)
 
 
 def _require_symmetric(a, name: str) -> None:
@@ -163,9 +198,25 @@ class HermitianOperator:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def shifted_solve(self, sigma: complex, rhs: np.ndarray) -> np.ndarray:
+    def shifted_solve(self, sigma: complex, rhs: np.ndarray,
+                      factors: dict | None = None) -> np.ndarray:
         """Solve (A - sigma*I) x = rhs; sigma == inf returns rhs unchanged
-        and a near-singular sigma raises ValueError (see the module doc)."""
+        and a near-singular sigma raises ValueError (see the module doc).
+
+        ``factors`` is the caller's factor cache for this operator (see the
+        module doc): a dict, empty at first, that keeps at most
+        ``FACTOR_SLOTS`` factorizations, or None to factor afresh.  A
+        refused sigma is never stored.  Each storage lists this method in
+        its own class dict, where a profiler can wrap it per storage.
+        """
+        sigma, block, was_1d = _solve_args(sigma, rhs)
+        if np.isinf(sigma):
+            return _restore(block.copy(), was_1d)
+        return _restore(_solver(self, sigma, block, factors)(block), was_1d)
+
+    def _factor(self, sigma: complex, block: np.ndarray):
+        """Solver B -> (A - sigma*I)^-1 B for blocks of ``block``'s dtype;
+        ValueError when the shift rule refuses sigma."""
         raise NotImplementedError
 
     def gershgorin(self) -> SpectralInterval:
@@ -218,11 +269,10 @@ class DenseOperator(HermitianOperator):
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.a @ x
 
-    def shifted_solve(self, sigma: complex, rhs: np.ndarray) -> np.ndarray:
-        sigma, block, was_1d = _solve_args(sigma, rhs)
-        if np.isinf(sigma):
-            return _restore(block.copy(), was_1d)
-        return _restore(_dense_solve(self.a, sigma, block), was_1d)
+    shifted_solve = HermitianOperator.shifted_solve
+
+    def _factor(self, sigma: complex, block: np.ndarray):
+        return _dense_factor(self.a, sigma)
 
     def gershgorin(self) -> SpectralInterval:
         d = np.diag(self.a)
@@ -252,13 +302,12 @@ class DiagonalOperator(HermitianOperator):
         block, was_1d = as_block(x)
         return _restore(self.d[:, None] * block, was_1d)
 
-    def shifted_solve(self, sigma: complex, rhs: np.ndarray) -> np.ndarray:
-        sigma, block, was_1d = _solve_args(sigma, rhs)
-        if np.isinf(sigma):
-            return _restore(block.copy(), was_1d)
+    shifted_solve = HermitianOperator.shifted_solve
+
+    def _factor(self, sigma: complex, block: np.ndarray):
         denom = self.d - sigma
         _require_regular(sigma, denom)
-        return _restore(block / denom[:, None], was_1d)
+        return lambda b: b / denom[:, None]
 
     def gershgorin(self) -> SpectralInterval:
         return SpectralInterval(float(self.d.min()), float(self.d.max()))
@@ -301,12 +350,11 @@ class TridiagonalOperator(HermitianOperator):
         out[1:] += self.e[:, None] * block[:-1]
         return _restore(out, was_1d)
 
-    def shifted_solve(self, sigma: complex, rhs: np.ndarray) -> np.ndarray:
-        sigma, block, was_1d = _solve_args(sigma, rhs)
-        if np.isinf(sigma):
-            return _restore(block.copy(), was_1d)
+    shifted_solve = HermitianOperator.shifted_solve
+
+    def _factor(self, sigma: complex, block: np.ndarray):
         if self.n < 3:  # the LAPACK tridiagonal wrappers need order >= 3
-            return _restore(_dense_solve(self.to_dense(), sigma, block), was_1d)
+            return _dense_factor(self.to_dense(), sigma)
         d = self.d - sigma
         gttrf, gtcon, gttrs = sla.get_lapack_funcs(
             ("gttrf", "gtcon", "gttrs"), (d, block))
@@ -322,7 +370,7 @@ class TridiagonalOperator(HermitianOperator):
         else:
             rcond = gtcon(*lu, anorm)[0]
         _require_regular(sigma, u, rcond)
-        return _restore(gttrs(*lu, block)[0], was_1d)
+        return lambda b: gttrs(*lu, b)[0]
 
     def _radii(self) -> np.ndarray:
         """Off-diagonal absolute row sums (= column sums)."""

@@ -84,6 +84,7 @@ class RKDecomposition:
         self._block_sizes: list[int] = []
         self.poles_used: list[complex] = []
         self.breakdown = False
+        self._factors: dict = {}  # shifted_solve's cache, one per basis
 
         self._seed_cache = block.astype(dtype, copy=True)
         kept = self._append_block(self._seed_cache)
@@ -221,7 +222,7 @@ class RKDecomposition:
             if isinstance(sigma, float) and math.isinf(sigma):
                 cand = self.op.matvec(prev)
             else:
-                cand = self.op.shifted_solve(sigma, prev)
+                cand = self.op.shifted_solve(sigma, prev, factors=self._factors)
             kept = self._append_block(np.asarray(cand, dtype=self._buf.dtype))
             self.poles_used.append(sigma)
             if kept == 0:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from rkstieltjes.cli import main
+from rkstieltjes.poles import read_pole_file
+from rkstieltjes.strategies import KRON_PAIRS, STRATEGIES
 
 
 def _read_csv(path):
@@ -107,6 +109,30 @@ class TestPoles:
         psi = [float(t) for t in (tmp_path / "psi.txt").read_text().split()]
         xi = [float(t) for t in (tmp_path / "xi.txt").read_text().split()]
         np.testing.assert_allclose(xi, [-p for p in psi])
+
+    def test_out_xi_writes_the_pair_of_a_shared_name(self, tmp_path):
+        # eds-cauchy names a 1-D strategy and a Kronecker pair with other
+        # poles; --out-xi picks the pair, its absence the 1-D strategy.
+        psi, xi, one = (str(tmp_path / f) for f in ("psi", "xi", "one"))
+        base = ["poles", "--strategy", "eds-cauchy", "--interval", "1,4",
+                "--ell", "5"]
+        assert main(base + ["--out", psi, "--out-xi", xi]) == 0
+        assert main(base + ["--out", one]) == 0
+        want_psi, want_xi = KRON_PAIRS["eds-cauchy"].poles((1.0, 4.0), 5)
+        np.testing.assert_array_equal(read_pole_file(psi).poles, want_psi)
+        np.testing.assert_array_equal(read_pole_file(xi).poles, want_xi)
+        np.testing.assert_array_equal(
+            read_pole_file(one).poles,
+            STRATEGIES["eds-cauchy"].first((1.0, 4.0), 5))
+        assert not np.array_equal(read_pole_file(one).poles, want_psi)
+
+    def test_out_xi_refused_for_a_1d_strategy(self, tmp_path):
+        out = tmp_path / "p.txt"
+        with pytest.raises(SystemExit, match="1-D strategy.*--out-xi"):
+            main(["poles", "--strategy", "cauchy", "--interval", "1,4",
+                  "--ell", "3", "--out", str(out),
+                  "--out-xi", str(tmp_path / "xi.txt")])
+        assert not out.exists()
 
     def test_extended_needs_no_interval(self, tmp_path):
         out = tmp_path / "e.txt"

@@ -209,9 +209,9 @@ class _CountingTridiagonal(TridiagonalOperator):
         self.calls["matvec"] += 1
         return super().matvec(x)
 
-    def shifted_solve(self, sigma, rhs):
+    def shifted_solve(self, sigma, rhs, factors=None):
         self.calls["solve"] += 1
-        return super().shifted_solve(sigma, rhs)
+        return super().shifted_solve(sigma, rhs, factors)
 
 
 class TestKronIterates:

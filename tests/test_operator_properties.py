@@ -8,7 +8,7 @@ diagonal special case; each is built in every storage that can hold it.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rkstieltjes.operators import DenseOperator, DiagonalOperator, TridiagonalOperator
@@ -104,7 +104,11 @@ def test_exact_eigenvalue_is_refused_by_every_storage(de, k):
 
 @settings(max_examples=60, deadline=None)
 @given(spd_tridiagonals(), st.integers(0, 9), shifts,
-       st.sampled_from([1e-20, 1e20]))
+       st.sampled_from([2.0**-66, 2.0**66]))
+# Powers of two scale d, e and sigma exactly, so an exactly singular
+# A - sigma*I stays exactly singular; a scale of 1e-20 broke this example.
+@example(de=(np.array([1.0, 1.0]), np.array([2.220446049250313e-16])),
+         k=0, sigma=-1.0, scale=2.0**-66)
 def test_scaling_keeps_accept_or_refuse(de, k, sigma, scale):
     for s in (exact_eigenvalue(*de, k), sigma):
         for op, scaled in zip(storages(*de), storages(*de, scale)):

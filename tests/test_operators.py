@@ -6,8 +6,11 @@ import scipy.io
 import scipy.sparse
 
 from rkstieltjes.functions import catalog_function
+from rkstieltjes.rk import RKDecomposition, rk_build
+from rkstieltjes.strategies import STRATEGIES
 from rkstieltjes.operators import (
     DENSE_EIG_LIMIT,
+    FACTOR_SLOTS,
     DenseOperator,
     DiagonalOperator,
     SpectralInterval,
@@ -243,6 +246,80 @@ class TestShiftRule:
         np.testing.assert_array_equal(op.shifted_solve(0.0, np.ones(1)), [0.5])
         with pytest.raises(ValueError, match="near-singular"):
             op.shifted_solve(2.0, np.ones(1))
+
+
+class TestFactorCache:
+    """``shifted_solve(..., factors=d)`` factors each sigma once and then
+    repeats the fresh solve bit for bit; ``RKDecomposition`` owns one d."""
+
+    def _storages(self, n=12):
+        op = toeplitz_tridiagonal(n)
+        return [op, DenseOperator(op.to_dense()),
+                DiagonalOperator(np.linspace(0.5, 3.5, n)),
+                toeplitz_tridiagonal(2)]  # order < 3: tridiagonal via dense LU
+
+    def test_cached_solve_equals_fresh_solve(self):
+        rng = np.random.default_rng(5)
+        for op in self._storages():
+            real = rng.standard_normal((op.n, 3))
+            rhs = [real[:, 0], real, real + 1j * rng.standard_normal((op.n, 3))]
+            factors = {}
+            for sigma in (-0.5, complex(1.0, 0.5), -0.5):
+                for b in rhs:
+                    fresh = op.shifted_solve(sigma, b)
+                    for _ in range(2):  # a miss, then a hit
+                        got = op.shifted_solve(sigma, b, factors=factors)
+                        assert got.shape == b.shape
+                        np.testing.assert_array_equal(got, fresh)
+                    assert len(factors) <= FACTOR_SLOTS
+
+    def test_zero_and_negative_zero_are_two_shifts(self):
+        # With -0.0 on the diagonal, the two zero shifts give solutions
+        # that differ in the sign of a zero entry.
+        op = DenseOperator([[-0.0, 1.0, 0.0], [1.0, -0.0, 1.0], [0.0, 1.0, 3.0]])
+        b = -np.eye(3)[:, 1]
+        factors = {}
+        for sigma in (0.0, -0.0):
+            got = op.shifted_solve(sigma, b, factors=factors)
+            assert got.tobytes() == op.shifted_solve(sigma, b).tobytes()
+        assert len(factors) == 2
+
+    @pytest.mark.parametrize("storage", range(3))
+    def test_extended_build_factors_once(self, storage, monkeypatch):
+        op = self._storages(40)[storage]
+        cls = type(op)
+        calls = []
+        factor = cls._factor
+
+        def counting(self, sigma, block):
+            calls.append(sigma)
+            return factor(self, sigma, block)
+
+        monkeypatch.setattr(cls, "_factor", counting)
+        poles = STRATEGIES["extended"].first(None, 40)
+        dec = rk_build(op, np.ones(40), poles)
+        assert len(dec.poles_used) == 40
+        assert calls == [0.0]
+
+    def test_refused_shift_raises_on_every_use(self):
+        for op in self._storages(50)[:3]:
+            lam = np.linalg.eigvalsh(op.to_dense())[3]
+            dec = RKDecomposition(op, np.ones(50))
+            dec.extend([-1.0])
+            for _ in range(2):
+                with pytest.raises(ValueError, match="near-singular"):
+                    dec.extend([lam])
+            assert [k[0] for k in dec._factors] == [-1.0]
+            dec.extend([-1.0])
+            assert dec.poles_used == [-1.0, -1.0]
+
+    def test_distinct_poles_keep_at_most_the_bound(self):
+        op = toeplitz_tridiagonal(200)
+        dec = RKDecomposition(op, np.ones(200))
+        for sigma in STRATEGIES["cauchy"].first(op.exact_interval(), 30):
+            dec.extend([sigma])
+            assert len(dec._factors) <= FACTOR_SLOTS
+        assert len(dec.poles_used) == 30
 
 
 class TestOracleFunv:
