@@ -23,10 +23,11 @@ dtype of the solve, and on a later call with the same sigma runs only the
 triangular solves, so the result is bit-identical to a fresh solve.  The
 caller owns the dict and uses it with one operator only; each
 ``RKDecomposition`` keeps one, so the operator itself holds no state and
-may be shared between threads.  At most ``FACTOR_SLOTS`` entries are kept
-(the oldest goes first), because a dense factor costs n^2 numbers.  The
-shift rule runs with the factorization, and a refused sigma raises before
-anything is stored, so it raises on every use.
+may be shared between threads.  The dict keeps only the last factor, and a
+miss drops it before factoring, because a dense factor costs n^2 numbers;
+the only repeated finite pole, extended Krylov's sigma = 0, needs no more.
+The shift rule runs with the factorization, and a refused sigma raises
+before anything is stored, so it raises on every use.
 
 MatrixMarket files (array or coordinate) and dense arrays share one
 storage picker: square, ||A - A^T||_F <= ``_SYM_TOL`` ||A||_F, and the
@@ -56,9 +57,6 @@ _SYM_TOL = 1e-12
 #: A shift is refused when the pivot ratio or the reciprocal condition
 #: number of A - sigma*I is at or below this.
 _SINGULAR_TOL = 1e-13
-
-#: Most factorizations one ``factors`` dict of ``shifted_solve`` keeps.
-FACTOR_SLOTS = 2
 
 
 @dataclass(frozen=True)
@@ -153,10 +151,8 @@ def _solver(op: "HermitianOperator", sigma: complex, block: np.ndarray,
     key = (sigma, math.copysign(1.0, sigma.real), block.dtype.char)
     solve = factors.get(key)
     if solve is None:
-        solve = op._factor(sigma, block)
-        if len(factors) >= FACTOR_SLOTS:
-            del factors[next(iter(factors))]
-        factors[key] = solve
+        factors.clear()  # at most one factor alive, even while factoring
+        solve = factors[key] = op._factor(sigma, block)
     return solve
 
 
@@ -204,10 +200,10 @@ class HermitianOperator:
         and a near-singular sigma raises ValueError (see the module doc).
 
         ``factors`` is the caller's factor cache for this operator (see the
-        module doc): a dict, empty at first, that keeps at most
-        ``FACTOR_SLOTS`` factorizations, or None to factor afresh.  A
-        refused sigma is never stored.  Each storage lists this method in
-        its own class dict, where a profiler can wrap it per storage.
+        module doc): a dict, empty at first, that keeps the last
+        factorization, or None to factor afresh.  A refused sigma is never
+        stored.  Each storage lists this method in its own class dict,
+        where a profiler can wrap it per storage.
         """
         sigma, block, was_1d = _solve_args(sigma, rhs)
         if np.isinf(sigma):

@@ -231,9 +231,14 @@ class RKDecomposition:
 
 
 def rk_build(op: HermitianOperator, v: np.ndarray, poles) -> RKDecomposition:
-    """Build the rational Krylov basis of (op, v) for the given poles."""
+    """Build the rational Krylov basis of (op, v) for the given poles.
+
+    The finished basis keeps no factorization: a full pole list is not
+    extended again, and a dense factor costs n^2 numbers.
+    """
     dec = RKDecomposition(op, v)
     dec.extend(poles)
+    dec._factors.clear()
     return dec
 
 

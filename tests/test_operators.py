@@ -10,7 +10,6 @@ from rkstieltjes.rk import RKDecomposition, rk_build
 from rkstieltjes.strategies import STRATEGIES
 from rkstieltjes.operators import (
     DENSE_EIG_LIMIT,
-    FACTOR_SLOTS,
     DenseOperator,
     DiagonalOperator,
     SpectralInterval,
@@ -267,11 +266,11 @@ class TestFactorCache:
             for sigma in (-0.5, complex(1.0, 0.5), -0.5):
                 for b in rhs:
                     fresh = op.shifted_solve(sigma, b)
-                    for _ in range(2):  # a miss, then a hit
+                    for _ in range(2):  # the second call is a hit
                         got = op.shifted_solve(sigma, b, factors=factors)
                         assert got.shape == b.shape
                         np.testing.assert_array_equal(got, fresh)
-                    assert len(factors) <= FACTOR_SLOTS
+                    assert len(factors) == 1
 
     def test_zero_and_negative_zero_are_two_shifts(self):
         # With -0.0 on the diagonal, the two zero shifts give solutions
@@ -282,7 +281,6 @@ class TestFactorCache:
         for sigma in (0.0, -0.0):
             got = op.shifted_solve(sigma, b, factors=factors)
             assert got.tobytes() == op.shifted_solve(sigma, b).tobytes()
-        assert len(factors) == 2
 
     @pytest.mark.parametrize("storage", range(3))
     def test_extended_build_factors_once(self, storage, monkeypatch):
@@ -300,6 +298,7 @@ class TestFactorCache:
         dec = rk_build(op, np.ones(40), poles)
         assert len(dec.poles_used) == 40
         assert calls == [0.0]
+        assert not dec._factors  # a finished rk_build basis keeps none
 
     def test_refused_shift_raises_on_every_use(self):
         for op in self._storages(50)[:3]:
@@ -309,16 +308,24 @@ class TestFactorCache:
             for _ in range(2):
                 with pytest.raises(ValueError, match="near-singular"):
                     dec.extend([lam])
-            assert [k[0] for k in dec._factors] == [-1.0]
+                assert not dec._factors  # dropped before factoring
             dec.extend([-1.0])
+            assert [k[0] for k in dec._factors] == [-1.0]
             assert dec.poles_used == [-1.0, -1.0]
 
-    def test_distinct_poles_keep_at_most_the_bound(self):
+    def test_distinct_poles_keep_only_the_last_factor(self, monkeypatch):
         op = toeplitz_tridiagonal(200)
         dec = RKDecomposition(op, np.ones(200))
+        factor = TridiagonalOperator._factor
+
+        def checking(self, sigma, block):
+            assert not dec._factors  # the old factor is gone first
+            return factor(self, sigma, block)
+
+        monkeypatch.setattr(TridiagonalOperator, "_factor", checking)
         for sigma in STRATEGIES["cauchy"].first(op.exact_interval(), 30):
             dec.extend([sigma])
-            assert len(dec._factors) <= FACTOR_SLOTS
+            assert [k[0] for k in dec._factors] == [sigma]
         assert len(dec.poles_used) == 30
 
 
