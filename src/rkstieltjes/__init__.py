@@ -27,7 +27,6 @@ from .functions import (
 )
 from .poles import (
     MobiusMap,
-    PoleSequence,
     cauchy_kron_poles,
     cauchy_poles,
     eds_poles,

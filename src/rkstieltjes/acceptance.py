@@ -113,7 +113,7 @@ def _crit_exactness() -> tuple[bool, str]:
         iv = op.gershgorin()
         if iv.lower <= 0:
             iv = op.exact_interval()
-        finite = list(zolotarev_poles(iv, int(rng.integers(2, 6))).poles)
+        finite = list(zolotarev_poles(iv, int(rng.integers(2, 6))))
         poles = finite + [math.inf] * int(rng.integers(1, 4))
         rep = exactness_check(op, v, poles, max_pairs=10)
         if rep.max_rel_err > worst:
@@ -131,14 +131,14 @@ def _crit_zolotarev() -> tuple[bool, str]:
     for (a, b) in ((1.0, 10.0), (1.0, 1000.0), (1e-3, 4.0)):
         rho = rate_rho(a, b)
         for ell in range(1, 11):
-            seq = zolotarev_poles((a, b), ell)
-            ratio = zolotarev_ratio(as_rational(seq), (a, b), (-b, -a))
+            poles = zolotarev_poles((a, b), ell)
+            ratio = zolotarev_ratio(as_rational(poles), (a, b), (-b, -a))
             rel = ratio / (4.0 * rho ** ell)
             worst = max(worst, rel)
             if rel > 1.0:
                 return False, (f"ratio {ratio:.3e} exceeds 4*rho^ell on "
                                f"[{a:g},{b:g}] at ell={ell}")
-    p1 = float(zolotarev_poles((1.0, 10.0), 1).poles[0])
+    p1 = float(zolotarev_poles((1.0, 10.0), 1)[0])
     dev = abs(p1 + math.sqrt(10.0))
     if dev > 1e-10:
         return False, f"ell=1 pole {p1} differs from -sqrt(ab) by {dev:.2e}"
@@ -344,8 +344,9 @@ def _crit_singular_decay() -> tuple[bool, str]:
     worst = 0.0
     for f, variant in ((catalog_function("power", -0.5), "cauchy"),
                        (catalog_function("phi", 1), "laplace")):
-        prob, _ = _kron_fixture(f)
-        rows = singular_decay_report(prob, range(1, 26), variant)
+        prob, x_ref = _kron_fixture(f)
+        svals = np.linalg.svd(x_ref, compute_uv=False)
+        rows = singular_decay_report(prob, range(1, 26), variant, svals)
         for ell, sigma, bnd in rows:
             if not sigma <= bnd:
                 return False, (f"{variant}: sigma_(1+{ell}k) = {sigma:.3e} > "

@@ -71,7 +71,7 @@ def _parse_interval(spec: str, op: HermitianOperator,
         if ":" in spec:
             floor = float(spec.split(":", 1)[1])
         return spectral_interval(op, mode="gershgorin", floor=floor)
-    return spectral_interval(op, mode="user", bounds=_split_interval(spec))
+    return SpectralInterval(*_split_interval(spec))
 
 
 def _split_interval(spec: str) -> tuple[float, float]:
@@ -115,7 +115,7 @@ def _cmd_funv(args) -> int:
 
     strategy, custom = args.poles, None
     if strategy.startswith("custom:"):
-        custom = list(read_pole_file(strategy[7:]).poles)
+        custom = list(read_pole_file(strategy[7:]))
         strategy = "custom"
     elif strategy not in _NAMED:
         raise SystemExit(
@@ -181,8 +181,8 @@ def _cmd_kronfun(args) -> int:
         if "," not in spec:
             raise SystemExit("--poles custom: expected custom:PSI_FILE,XI_FILE")
         psi_path, xi_path = spec.split(",", 1)
-        psi = list(read_pole_file(psi_path).poles)
-        xi = list(read_pole_file(xi_path).poles)
+        psi = list(read_pole_file(psi_path))
+        xi = list(read_pole_file(xi_path))
     elif family in KRON_PAIRS:
         pair = KRON_PAIRS[family]
         psi, xi = pair.poles(iv, args.ell)
@@ -280,11 +280,10 @@ def _cmd_accept(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Only the subcommands that read these take them; the rest refuse them.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for generated vectors/factors")
-    common.add_argument("--threads", type=int, default=1,
-                        help="parallel strategies in experiments")
     common.add_argument("--dense-limit", type=int, default=4000,
                         help="largest order for dense references/oracles")
 
@@ -343,8 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--gamma-one", action="store_true")
     pk.set_defaults(fn=_cmd_kronfun)
 
-    pp = sub.add_parser("poles", parents=[common],
-                        help="generate pole files")
+    pp = sub.add_parser("poles", help="generate pole files")
     pp.add_argument("--strategy", required=True,
                     choices=list(dict.fromkeys([*_NAMED, *KRON_PAIRS])))
     pp.add_argument("--interval", help="a,b (spectral enclosure)")
@@ -362,11 +360,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--outdir", default=".")
     pe.add_argument("--gnuplot", action="store_true",
                     help="also write a companion gnuplot script")
+    pe.add_argument("--threads", type=int, default=1,
+                    help="strategies run in parallel")
     pe.add_argument("--gamma-one", action="store_true")
     pe.set_defaults(fn=_cmd_experiment)
 
-    pa = sub.add_parser("accept", parents=[common],
-                        help="run the acceptance suite")
+    pa = sub.add_parser("accept", help="run the acceptance suite")
     pa.add_argument("--only", help="comma-separated criterion numbers")
     pa.set_defaults(fn=_cmd_accept)
 

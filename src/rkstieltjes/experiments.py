@@ -459,8 +459,7 @@ def _run_kron(cfg: ExperimentConfig, variant: str) -> list[str]:
     paths.append(bound_path)
 
     svals = np.linalg.svd(x_ref, compute_uv=False)
-    decay = singular_decay_report(prob, list(ells), variant,
-                                  dense_limit=cfg.dense_limit,
+    decay = singular_decay_report(prob, list(ells), variant, svals,
                                   conjectured_gamma=cfg.conjectured_gamma)
     sv_rows = [(j + 1, float(s)) for j, s in enumerate(svals[:cfg.ell_max + 1])]
     paths.append(write_csv(os.path.join(cfg.outdir, f"{stem}-singvals.csv"),

@@ -72,12 +72,6 @@ class StieltjesFunction:
         return float(self(z))
 
     @property
-    def is_laplace(self) -> bool:
-        # Cauchy-Stieltjes is contained in Laplace-Stieltjes, so every
-        # catalog entry qualifies for the Laplace-type bounds.
-        return True
-
-    @property
     def is_cauchy(self) -> bool:
         return self.family == "cauchy"
 

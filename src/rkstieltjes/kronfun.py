@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import singular_value_bound, sylvester_residual_bound
 from .functions import StieltjesFunction
-from .operators import HermitianOperator, SpectralInterval, spectral_interval
+from .operators import HermitianOperator, SpectralInterval
 from .rk import RKDecomposition, grow, rk_build
 from .strategies import KronPair
 
@@ -106,14 +106,11 @@ class KroneckerResult:
 def kron_problem(a_op: HermitianOperator, bneg_op: HermitianOperator,
                  u_factor: np.ndarray, v_factor: np.ndarray,
                  f: StieltjesFunction,
-                 interval: SpectralInterval | None = None,
-                 interval_mode: str = "exact-small",
-                 floor: float | None = None) -> KroneckerProblem:
+                 interval: SpectralInterval | None = None) -> KroneckerProblem:
     """Assemble a problem, enclosing both spectra in one interval when the
     caller does not pin it."""
     if interval is None:
-        iva = spectral_interval(a_op, mode=interval_mode, floor=floor)
-        ivb = spectral_interval(bneg_op, mode=interval_mode, floor=floor)
+        iva, ivb = a_op.exact_interval(), bneg_op.exact_interval()
         interval = SpectralInterval(min(iva.lower, ivb.lower),
                                     max(iva.upper, ivb.upper))
     return KroneckerProblem(a_op, bneg_op, np.asarray(u_factor, dtype=float),
@@ -162,7 +159,7 @@ def kron_fun(problem: KroneckerProblem, left_poles, right_poles,
     signs (the two spaces coincide).  ``ell`` truncates both pole lists;
     omitted, the full lists are consumed.
     """
-    left, right = list(left_poles), list(right_poles)  # PoleSequence iterates
+    left, right = list(left_poles), list(right_poles)
     if ell is not None:
         if ell > min(len(left), len(right)):
             raise ValueError(
@@ -252,12 +249,11 @@ def dense_kron_solution(problem: KroneckerProblem,
 
 
 def singular_decay_report(problem: KroneckerProblem, ells: Sequence[int],
-                          variant: str, dense_limit: int = 4000,
+                          variant: str, svals: np.ndarray,
                           conjectured_gamma: bool = False) -> list[tuple]:
     """Rows (ell, sigma_{1+ell*k}(X), bound) measuring how fast the exact
-    solution's singular values fall against the a-priori decay estimate."""
-    x = dense_kron_solution(problem, dense_limit=dense_limit)
-    svals = np.linalg.svd(x, compute_uv=False)
+    solution's singular values ``svals`` (descending, as ``np.linalg.svd``
+    returns them) fall against the a-priori decay estimate."""
     fnorm = problem.rhs_norm2()
     k = problem.rank
     rows = []

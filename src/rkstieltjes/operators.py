@@ -434,25 +434,19 @@ def spectral_interval(
     op: HermitianOperator,
     mode: str = "exact-small",
     floor: float | None = None,
-    bounds: tuple[float, float] | None = None,
     dense_limit: int = DENSE_EIG_LIMIT,
 ) -> SpectralInterval:
     """Enclosure of the spectrum of ``op``.
 
     Parameters
     ----------
-    mode : {"gershgorin", "exact-small", "user"}
+    mode : {"gershgorin", "exact-small"}
         ``gershgorin`` uses disc bounds and clamps the lower end at
         ``floor`` (required whenever the disc lower bound is <= 0, as for
         discrete Laplacians).  ``exact-small`` computes eigenvalues, via
         closed form where available and a dense decomposition otherwise
-        (order capped by ``dense_limit``).  ``user`` passes ``bounds``
-        through after validation.
+        (order capped by ``dense_limit``).
     """
-    if mode == "user":
-        if bounds is None:
-            raise ValueError("mode='user' requires explicit bounds")
-        return SpectralInterval(float(bounds[0]), float(bounds[1]))
     if mode == "gershgorin":
         iv = op.gershgorin()
         if floor is not None:

@@ -13,8 +13,9 @@ because they are not nested; the equidistributed sequences (EDS) trade a
 provable constant for nestedness.  They invert the cumulative equilibrium
 distribution g at s_j = frac(j/sqrt(2)) in closed form, dn((1 - s_j) K, k).
 
-Everything here is plain float arithmetic; ``inf`` entries mark polynomial
-(Krylov) steps and are legal in every consumer.
+Everything here is plain float arithmetic, and every pole family returns a
+1-D float array; ``inf`` entries mark polynomial (Krylov) steps and are
+legal in every consumer.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .operators import SpectralInterval, positive_interval
+from .operators import positive_interval
 
 __all__ = [
-    "PoleSequence",
     "MobiusMap",
     "RationalFunctionFactored",
     "elliptic_K",
@@ -164,57 +164,7 @@ def gamma_const(ell: int, kappa: float, conjectured: bool = False) -> float:
 # pole sequences
 
 
-@dataclass(frozen=True)
-class PoleSequence:
-    """An ordered pole multiset with its provenance and source interval.
-
-    ``inf`` entries denote polynomial steps.  For Kronecker pole pairs the
-    second member holds the literal right-side poles and is tagged
-    ``custom``; location invariants are stated per provenance for the
-    directly generated families only.
-    """
-
-    poles: np.ndarray
-    provenance: str
-    interval: SpectralInterval | None = None
-
-    _PROVENANCES = (
-        "zolotarev",
-        "cauchy",
-        "cauchy-kron",
-        "eds-laplace",
-        "eds-cauchy",
-        "eds-kron-cauchy",
-        "extended",
-        "polynomial",
-        "custom",
-    )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "poles", np.atleast_1d(np.asarray(self.poles)))
-        if self.provenance not in self._PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-
-    def __len__(self) -> int:
-        return self.poles.size
-
-    def __iter__(self):
-        return iter(self.poles)
-
-    def __getitem__(self, i):
-        return self.poles[i]
-
-    def prefix(self, m: int) -> "PoleSequence":
-        if not 0 <= m <= len(self):
-            raise ValueError(f"prefix length {m} out of range")
-        return replace(self, poles=self.poles[:m].copy())
-
-    def negated(self) -> "PoleSequence":
-        """Elementwise negation (inf stays inf); provenance becomes custom."""
-        return PoleSequence(-self.poles, "custom", self.interval)
-
-
-def zolotarev_poles(interval, ell: int) -> PoleSequence:
+def zolotarev_poles(interval, ell: int) -> np.ndarray:
     """Optimal poles for [a,b] against [-b,-a]: -b*dn((2j-1)K/(2l), mu).
 
     mu = sqrt(1 - (a/b)^2); the complementary modulus a/b is passed through
@@ -226,14 +176,13 @@ def zolotarev_poles(interval, ell: int) -> PoleSequence:
         raise ValueError("ell must be >= 1")
     a, b = iv.lower, iv.upper
     if a == b:
-        return PoleSequence(np.full(ell, -a), "zolotarev", iv)
+        return np.full(ell, -a)
     ratio = a / b
     mu = math.sqrt((1.0 - ratio) * (1.0 + ratio))
     big_k = elliptic_K(mu, kprime=ratio)
     j = np.arange(1, ell + 1, dtype=float)
     u = (2.0 * j - 1.0) * big_k / (2.0 * ell)
-    poles = -b * jacobi_dn(u, mu, kprime=ratio)
-    return PoleSequence(poles, "zolotarev", iv)
+    return -b * jacobi_dn(u, mu, kprime=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +195,7 @@ class MobiusMap:
 
     ``endpoint`` stores the derived inner endpoint of the normalized
     problem (a-hat for the half-line reduction, a-tilde for the mirror
-    pair); ``interval`` is the source [a, b].
+    pair).
     """
 
     alpha: float
@@ -254,7 +203,6 @@ class MobiusMap:
     gamma: float
     delta: float
     endpoint: float | None = None
-    interval: SpectralInterval | None = None
 
     def __post_init__(self) -> None:
         det = self.alpha * self.delta - self.beta * self.gamma
@@ -283,8 +231,7 @@ class MobiusMap:
         return MobiusMap(self.delta, -self.beta, -self.gamma, self.alpha)(z)
 
 
-def _endpoint_map(a: float, b: float, delta: float, endpoint: float,
-                  iv: SpectralInterval) -> MobiusMap:
+def _endpoint_map(b: float, delta: float, endpoint: float) -> MobiusMap:
     # Shared form T(z) = (Delta + z - b) / (Delta - z + b).
     return MobiusMap(
         alpha=1.0,
@@ -292,7 +239,6 @@ def _endpoint_map(a: float, b: float, delta: float, endpoint: float,
         gamma=-1.0,
         delta=delta + b,
         endpoint=endpoint,
-        interval=iv,
     )
 
 
@@ -309,7 +255,7 @@ def mobius_cauchy(interval) -> MobiusMap:
     if delta == 0.0:
         raise ValueError("mobius_cauchy needs a < b")
     ahat = a * b / (b + delta) ** 2
-    return _endpoint_map(a, b, delta, ahat, iv)
+    return _endpoint_map(b, delta, ahat)
 
 
 def mobius_kron(interval) -> MobiusMap:
@@ -324,23 +270,21 @@ def mobius_kron(interval) -> MobiusMap:
     if delta == 0.0:
         raise ValueError("mobius_kron needs a < b")
     atilde = 2.0 * a * (b - a) / (delta + b - a) ** 2
-    return _endpoint_map(a, b, delta, atilde, iv)
+    return _endpoint_map(b, delta, atilde)
 
 
-def cauchy_poles(interval, ell: int) -> PoleSequence:
+def cauchy_poles(interval, ell: int) -> np.ndarray:
     """Poles for [a,b] against the half-line (-inf, 0].
 
     The symmetric Zolotarev poles of the normalized interval [a^, 1] are
     pulled back through the inverse Moebius map; all images are negative
     reals.
     """
-    iv = positive_interval(interval)
-    m = mobius_cauchy(iv)
-    base = zolotarev_poles((m.endpoint, 1.0), ell)
-    return PoleSequence(m.inv(base.poles), "cauchy", iv)
+    m = mobius_cauchy(interval)
+    return m.inv(zolotarev_poles((m.endpoint, 1.0), ell))
 
 
-def laplace_kron_poles(interval, ell: int) -> tuple[PoleSequence, PoleSequence]:
+def laplace_kron_poles(interval, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Canonical Kronecker pole pair for Laplace-class functions.
 
     The left factor takes the symmetric Zolotarev poles of [a,b]; the
@@ -348,36 +292,33 @@ def laplace_kron_poles(interval, ell: int) -> tuple[PoleSequence, PoleSequence]:
     is built on -B, where these become the same Zolotarev poles again).
     """
     psi = zolotarev_poles(interval, ell)
-    return psi, psi.negated()
+    return psi, -psi
 
 
-def cauchy_kron_poles(interval, ell: int) -> tuple[PoleSequence, PoleSequence]:
+def cauchy_kron_poles(interval, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Kronecker pole pair for Cauchy-class functions.
 
     Psi is the pullback of the Zolotarev poles of [a~, 1] through the
     mirror-pair Moebius map (all negative); Xi is its elementwise
     negation.
     """
-    iv = positive_interval(interval)
-    m = mobius_kron(iv)
-    base = zolotarev_poles((m.endpoint, 1.0), ell)
-    psi = PoleSequence(m.inv(base.poles), "cauchy-kron", iv)
-    return psi, psi.negated()
+    m = mobius_kron(interval)
+    psi = m.inv(zolotarev_poles((m.endpoint, 1.0), ell))
+    return psi, -psi
 
 
-def extended_poles(ell: int) -> PoleSequence:
+def extended_poles(ell: int) -> np.ndarray:
     """Alternating inf, 0, inf, 0, ... (extended Krylov), length ell."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    poles = np.where(np.arange(ell) % 2 == 0, math.inf, 0.0)
-    return PoleSequence(poles, "extended", None)
+    return np.where(np.arange(ell) % 2 == 0, math.inf, 0.0)
 
 
-def polynomial_poles(ell: int) -> PoleSequence:
+def polynomial_poles(ell: int) -> np.ndarray:
     """All-inf sequence (plain Krylov), length ell."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    return PoleSequence(np.full(ell, math.inf), "polynomial", None)
+    return np.full(ell, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +383,12 @@ def eds_pole_iter(interval, variant: str) -> Iterator[float]:
             yield float(mob.inv(-sig))
 
 
-def eds_poles(interval, count: int, variant: str) -> PoleSequence:
+def eds_poles(interval, count: int, variant: str) -> np.ndarray:
     """First ``count`` EDS poles; prefixes of a fixed infinite sequence."""
     if count < 1:
         raise ValueError("count must be >= 1")
     it = eds_pole_iter(interval, variant)
-    poles = np.array([next(it) for _ in range(count)])
-    return PoleSequence(poles, f"eds-{variant}", positive_interval(interval))
+    return np.array([next(it) for _ in range(count)])
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +423,10 @@ class RationalFunctionFactored:
         out[fin] = vals
         return float(out[0]) if scalar else out
 
-    def __call__(self, z):
-        arr = np.asarray(z, dtype=float)
-        num = np.prod(arr[..., None] - self.zeros, axis=-1)
-        den = np.prod(arr[..., None] - self.poles, axis=-1)
-        with np.errstate(divide="ignore"):
-            return num / den
 
-
-def as_rational(seq: PoleSequence) -> RationalFunctionFactored:
+def as_rational(poles) -> RationalFunctionFactored:
     """The symmetric extremal candidate with zeros at the mirrored poles."""
-    poles = np.asarray(seq.poles, dtype=float)
+    poles = np.asarray(poles, dtype=float)
     if not np.all(np.isfinite(poles)):
         raise ValueError(
             "pole sequence contains inf entries; the factored extremal "
@@ -510,13 +443,11 @@ def _cheb_grid(lo: float, hi: float, m: int) -> np.ndarray:
 
 
 def _refine_extremum(fun, x0: float, lo: float, hi: float, want_max: bool,
-                     rounds: int = 4, width: float | None = None) -> float:
+                     width: float) -> float:
     """Zoom a bracketing window around x0 to polish a smooth extremum."""
-    if width is None:
-        width = (hi - lo) * 1e-2
     best = fun(np.array([x0]))[0]
     left, right = max(lo, x0 - width), min(hi, x0 + width)
-    for _ in range(rounds):
+    for _ in range(4):
         grid = np.linspace(left, right, 33)
         vals = fun(grid)
         idx = int(np.argmax(vals) if want_max else np.argmin(vals))
@@ -532,10 +463,8 @@ def zolotarev_ratio(r: RationalFunctionFactored, interval_max, interval_min,
                     gridsize: int = 2000) -> float:
     """Witness ratio  max_{I1} |r| / min_{I2} |r|  on grids plus refinement.
 
-    ``interval_max`` must be finite and free of poles of r (a pole there is
-    reported as an error since the sup is infinite); ``interval_min`` may
-    be a half-line ``(-inf, c]``, covered by a reciprocal chart with the
-    point at infinity included through the equal-degree limit |r| -> 1.
+    Both intervals must be finite.  ``interval_max`` must be free of poles
+    of r (a pole there is reported as an error since the sup is infinite).
     Poles of r inside ``interval_min`` are expected (the extremal function
     lives there) and are handled per sub-interval between poles.
     """
@@ -557,23 +486,11 @@ def zolotarev_ratio(r: RationalFunctionFactored, interval_max, interval_min,
                             width=width1)
 
     lo2, hi2 = float(interval_min[0]), float(interval_min[1])
-    if not math.isfinite(hi2):
-        raise ValueError("interval_min upper end must be finite")
-    segments: list[tuple[float, float]] = []
-    if math.isfinite(lo2):
-        if lo2 >= hi2:
-            raise ValueError("interval_min must be nondegenerate")
-        lo_cover = lo2
-    else:
-        # Reciprocal chart: map u in [-1, 0) to z = c + 1/u, covering
-        # (-inf, c-1]; the finite window [c-1, c] is gridded directly and
-        # the point at infinity contributes |r(inf)| = 1.
-        lo_cover = hi2 - 1.0
-    inner = real_poles[(real_poles > lo_cover) & (real_poles < hi2)]
-    cut = np.concatenate(([lo_cover], np.sort(inner), [hi2]))
-    for s, e in zip(cut[:-1], cut[1:]):
-        if e > s:
-            segments.append((s, e))
+    if not (math.isfinite(lo2) and math.isfinite(hi2) and lo2 < hi2):
+        raise ValueError("interval_min must be a finite nondegenerate interval")
+    inner = real_poles[(real_poles > lo2) & (real_poles < hi2)]
+    cut = np.concatenate(([lo2], np.sort(inner), [hi2]))
+    segments = [(s, e) for s, e in zip(cut[:-1], cut[1:]) if e > s]
     vmin = math.inf
     per_seg = max(64, int(gridsize / max(len(segments), 1)))
     for s, e in segments:
@@ -587,17 +504,6 @@ def zolotarev_ratio(r: RationalFunctionFactored, interval_max, interval_min,
         width = (ge - gs) / per_seg * 4.0
         vmin = min(vmin, _refine_extremum(r.abs_at, float(grid[idx]), gs, ge,
                                           False, width=width))
-    if not math.isfinite(lo2):
-        u = np.linspace(-1.0, -1e-9, max(gridsize // 2, 64))
-        far = hi2 + 1.0 / u
-        far_vals = r.abs_at(far)
-        idx = int(np.argmin(far_vals))
-        vmin = min(vmin, float(far_vals[idx]), 1.0)
-        if 0 < idx < far.size - 1:
-            vmin = min(vmin, _refine_extremum(
-                r.abs_at, float(far[idx]), float(far[idx - 1]),
-                float(far[idx + 1]), False,
-                width=(far[idx + 1] - far[idx - 1]) / 4.0))
     if vmin <= 0.0:
         raise ValueError("r vanishes on the min-side interval; ratio undefined")
     return vmax / vmin
@@ -607,11 +513,10 @@ def zolotarev_ratio(r: RationalFunctionFactored, interval_max, interval_min,
 # pole files
 
 
-def write_pole_file(path: str, seq: PoleSequence | np.ndarray) -> None:
+def write_pole_file(path: str, poles) -> None:
     """One pole per line, 17 significant digits, ``inf`` spelled literally."""
-    poles = seq.poles if isinstance(seq, PoleSequence) else np.atleast_1d(seq)
     lines = []
-    for p in poles:
+    for p in np.atleast_1d(poles):
         if isinstance(p, complex) and p.imag != 0.0:
             lines.append(f"{p.real:.17g}{p.imag:+.17g}j")
         elif not np.isfinite(np.real(p)):
@@ -622,8 +527,11 @@ def write_pole_file(path: str, seq: PoleSequence | np.ndarray) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_pole_file(path: str) -> PoleSequence:
-    """Parse a pole file; accepts ``inf`` and complex literals like 1+2j."""
+def read_pole_file(path: str) -> np.ndarray:
+    """Parse a pole file; accepts ``inf`` and complex literals like 1+2j.
+
+    The array is complex when the file holds a complex pole, float
+    otherwise."""
     poles: list[complex | float] = []
     with open(path) as fh:
         for line in fh:
@@ -640,7 +548,5 @@ def read_pole_file(path: str) -> PoleSequence:
     if not poles:
         raise ValueError(f"{path}: no poles found")
     if any(isinstance(p, complex) for p in poles):
-        arr = np.array(poles, dtype=complex)
-    else:
-        arr = np.array(poles, dtype=float)
-    return PoleSequence(arr, "custom", None)
+        return np.array(poles, dtype=complex)
+    return np.array(poles, dtype=float)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .functions import StieltjesFunction
 from .operators import HermitianOperator, as_block, positive_interval
-from .poles import PoleSequence, cauchy_poles, zolotarev_poles
+from .poles import cauchy_poles, zolotarev_poles
 from .strategies import Strategy, get_strategy, strategy_bound
 
 __all__ = [
@@ -92,10 +92,6 @@ class RKDecomposition:
             raise ValueError("seed block deflated away entirely")
 
     # -- geometry ---------------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return self.op.n
 
     @property
     def dim(self) -> int:
@@ -204,7 +200,7 @@ class RKDecomposition:
         Refuses to grow a decomposition already flagged by total deflation;
         an empty pole list is a no-op either way.
         """
-        poles = list(poles)  # a PoleSequence iterates over its poles
+        poles = list(poles)
         if poles and self.breakdown:
             raise RuntimeError(
                 "decomposition was closed by total deflation (invariant "
@@ -387,7 +383,7 @@ def grow(s: Strategy, iv, counts: Iterable[int],
     return _grow(s, iv, counts, seeds, stream)
 
 
-def _fixed_poles(s: Strategy, iv, count: int) -> PoleSequence:
+def _fixed_poles(s: Strategy, iv, count: int) -> np.ndarray:
     """The interval-optimal poles of ``s`` at ``count``, called through
     this module's global of the factory's name (``zolotarev_poles``,
     ``cauchy_poles``): perfbench's tracer wraps those globals to time pole

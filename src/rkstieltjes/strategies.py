@@ -23,10 +23,11 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+import numpy as np
+
 from .bounds import cauchy_bound, kron_cauchy_bound, kron_laplace_bound, laplace_bound
 from .operators import SpectralInterval
 from .poles import (
-    PoleSequence,
     cauchy_kron_poles,
     cauchy_poles,
     eds_pole_iter,
@@ -66,9 +67,9 @@ def _eds(variant: str) -> Stream:
     return lambda iv, custom_poles: eds_pole_iter(iv, variant)
 
 
-def _repeating(period: PoleSequence) -> Stream:
+def _repeating(period: np.ndarray) -> Stream:
     """Nested stream repeating one period of a baseline sequence."""
-    poles = period.poles.tolist()
+    poles = period.tolist()
     return lambda iv, custom_poles: itertools.cycle(poles)
 
 
@@ -86,7 +87,7 @@ class Strategy:
 
     name: str
     stream: Stream | None = None
-    fixed: Callable[[SpectralInterval, int], PoleSequence] | None = None
+    fixed: Callable[[SpectralInterval, int], np.ndarray] | None = None
     bound: Bound = _uncertified
     kron: KronPair | None = None
     needs_interval: bool = True
@@ -101,7 +102,7 @@ class Strategy:
             raise ValueError(f"pole count must be >= 1, got {count}")
         if self.nested:
             return list(itertools.islice(self.stream(iv, None), count))
-        return list(self.fixed(iv, count).poles)
+        return list(self.fixed(iv, count))
 
 
 @dataclass(frozen=True)

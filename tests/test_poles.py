@@ -153,12 +153,17 @@ class TestZolotarev:
             ratio = zolotarev_ratio(r, (a, b), (-b, -a))
             assert ratio <= 4.0 * rate_rho(a, b) ** ell
 
+    def test_ratio_refuses_a_half_line(self):
+        r = as_rational(zolotarev_poles((1.0, 10.0), 2))
+        with pytest.raises(ValueError, match="finite"):
+            zolotarev_ratio(r, (1.0, 10.0), (-math.inf, -1.0))
+
     def test_extreme_ratio_pairs_multiply_to_ab(self):
         # u_j + u_(l+1-j) = K and dn(u) dn(K - u) = a/b, so mirrored poles
         # multiply to a*b; at a/b = 1e-9 this needs dn relatively accurate
         # near K.
         a, b, ell = 1e-9, 1.0, 40
-        ps = zolotarev_poles((a, b), ell).poles
+        ps = zolotarev_poles((a, b), ell)
         np.testing.assert_allclose(ps * ps[::-1], a * b, rtol=1e-13)
 
     def test_as_rational_rejects_infinite(self):
@@ -294,7 +299,7 @@ class TestEds:
         for _ in range(6):
             sig, state = eds_next(state)
             want.append(float(mob.inv(-sig)))
-        got = list(eds_poles((1.0, 4.0), 6, "kron-cauchy").poles)
+        got = list(eds_poles((1.0, 4.0), 6, "kron-cauchy"))
         assert got == want and all(p < -1.0 for p in got)
 
 
@@ -326,9 +331,32 @@ class TestPoleFiles:
         got = np.asarray(list(read_pole_file(path)))
         np.testing.assert_allclose(got, [1 + 2j, 3 - 4j])
 
-    def test_prefix_and_negated(self):
-        seq = zolotarev_poles((1.0, 9.0), 5)
-        pre = seq.prefix(2)
-        assert list(pre) == list(seq)[:2]
-        np.testing.assert_allclose(np.asarray(list(seq.negated())),
-                                   -np.asarray(list(seq)))
+
+def _read_text(tmp_path, text):
+    path = tmp_path / "poles.txt"
+    path.write_text(text)
+    return read_pole_file(str(path))
+
+
+POLE_MAKERS = {
+    "zolotarev": lambda tmp: zolotarev_poles((1.0, 9.0), 5),
+    "cauchy": lambda tmp: cauchy_poles((1.0, 9.0), 5),
+    "eds-laplace": lambda tmp: eds_poles((1.0, 9.0), 5, "laplace"),
+    "eds-cauchy": lambda tmp: eds_poles((1.0, 9.0), 5, "cauchy"),
+    "eds-kron-cauchy": lambda tmp: eds_poles((1.0, 9.0), 5, "kron-cauchy"),
+    "extended": lambda tmp: extended_poles(5),
+    "polynomial": lambda tmp: polynomial_poles(5),
+    "laplace-kron-psi": lambda tmp: laplace_kron_poles((1.0, 9.0), 5)[0],
+    "laplace-kron-xi": lambda tmp: laplace_kron_poles((1.0, 9.0), 5)[1],
+    "cauchy-kron-psi": lambda tmp: cauchy_kron_poles((1.0, 9.0), 5)[0],
+    "cauchy-kron-xi": lambda tmp: cauchy_kron_poles((1.0, 9.0), 5)[1],
+    "file": lambda tmp: _read_text(tmp, "-1.5\ninf\n0\n-2\n-3\n"),
+    "complex-file": lambda tmp: _read_text(tmp, "-1.5\n1+2j\ninf\n0\n-3\n"),
+}
+
+
+@pytest.mark.parametrize("name", POLE_MAKERS)
+def test_pole_functions_return_plain_arrays(name, tmp_path):
+    poles = POLE_MAKERS[name](tmp_path)
+    assert type(poles) is np.ndarray and poles.shape == (5,)
+    assert poles.dtype == (complex if name == "complex-file" else float)

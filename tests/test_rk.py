@@ -414,7 +414,7 @@ class TestIterates:
         assert steps[0][0] is not steps[1][0]
         for (dec, y), count in zip(steps, (2, 5)):
             np.testing.assert_array_equal(dec.poles_used,
-                                          zolotarev_poles(iv, count).poles)
+                                          zolotarev_poles(iv, count))
             assert y.shape == (count + 1, 1)
 
     def test_stops_after_breakdown(self):

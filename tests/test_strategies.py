@@ -61,12 +61,12 @@ def test_unknown_name():
 
 
 @pytest.mark.parametrize("name, want", [
-    ("zolotarev", lambda n: zolotarev_poles(IV, n).poles),
-    ("cauchy", lambda n: cauchy_poles(IV, n).poles),
-    ("eds-laplace", lambda n: eds_poles(IV, n, "laplace").poles),
-    ("eds-cauchy", lambda n: eds_poles(IV, n, "cauchy").poles),
-    ("extended", lambda n: extended_poles(n).poles),
-    ("polynomial", lambda n: polynomial_poles(n).poles),
+    ("zolotarev", lambda n: zolotarev_poles(IV, n)),
+    ("cauchy", lambda n: cauchy_poles(IV, n)),
+    ("eds-laplace", lambda n: eds_poles(IV, n, "laplace")),
+    ("eds-cauchy", lambda n: eds_poles(IV, n, "cauchy")),
+    ("extended", lambda n: extended_poles(n)),
+    ("polynomial", lambda n: polynomial_poles(n)),
 ])
 def test_first_poles_match_pole_functions(name, want):
     for count in (1, 2, 7):
@@ -88,10 +88,9 @@ def test_kron_pairs():
     for name, maker in (("laplace-kron", laplace_kron_poles),
                         ("cauchy-kron", cauchy_kron_poles)):
         psi, xi = maker(IV, 6)
-        assert KRON_PAIRS[name].poles(IV, 6) == (list(psi.poles),
-                                                 list(xi.poles))
+        assert KRON_PAIRS[name].poles(IV, 6) == (list(psi), list(xi))
     psi, xi = KRON_PAIRS["eds-laplace"].poles(IV, 6)
-    assert psi == list(eds_poles(IV, 6, "laplace").poles)
+    assert psi == list(eds_poles(IV, 6, "laplace"))
     assert xi == [-p for p in psi]
     psi, xi = KRON_PAIRS["eds-cauchy"].poles(IV, 6)
     assert xi == [-p for p in psi] and all(p < 0 for p in psi)
