@@ -514,9 +514,14 @@ def zolotarev_ratio(r: RationalFunctionFactored, interval_max, interval_min,
 
 
 def write_pole_file(path: str, poles) -> None:
-    """One pole per line, 17 significant digits, ``inf`` spelled literally."""
+    """One pole per line, 17 significant digits, ``inf`` spelled literally.
+
+    A NaN pole is refused: written as ``inf`` it would come back as a
+    polynomial step."""
     lines = []
-    for p in np.atleast_1d(poles):
+    for i, p in enumerate(np.atleast_1d(poles)):
+        if np.isnan(p):
+            raise ValueError(f"{path}: pole {i} is NaN")
         if isinstance(p, complex) and p.imag != 0.0:
             lines.append(f"{p.real:.17g}{p.imag:+.17g}j")
         elif not np.isfinite(np.real(p)):
@@ -531,10 +536,10 @@ def read_pole_file(path: str) -> np.ndarray:
     """Parse a pole file; accepts ``inf`` and complex literals like 1+2j.
 
     The array is complex when the file holds a complex pole, float
-    otherwise."""
+    otherwise.  A NaN pole is refused with its file and line."""
     poles: list[complex | float] = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             tok = line.strip()
             if not tok or tok.startswith("#"):
                 continue
@@ -542,9 +547,12 @@ def read_pole_file(path: str) -> np.ndarray:
                 poles.append(math.inf)
                 continue
             try:
-                poles.append(float(tok))
+                pole = float(tok)
             except ValueError:
-                poles.append(complex(tok))
+                pole = complex(tok)
+            if np.isnan(pole):
+                raise ValueError(f"{path}:{lineno}: pole {tok!r} is NaN")
+            poles.append(pole)
     if not poles:
         raise ValueError(f"{path}: no poles found")
     if any(isinstance(p, complex) for p in poles):

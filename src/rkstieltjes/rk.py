@@ -45,6 +45,12 @@ DEFLATION_TOL = 1e-12
 CHECKPOINT_STRIDE = 4
 
 
+def _column_norms(x: np.ndarray) -> list[float]:
+    """2-norms of the columns of a narrow block; one 1-D norm per column
+    costs less than ``norm(x, axis=0)`` at the widths met here."""
+    return [np.linalg.norm(x[:, j]) for j in range(x.shape[1])]
+
+
 class RKDecomposition:
     """Growing orthonormal basis of a rational Krylov space.
 
@@ -61,6 +67,15 @@ class RKDecomposition:
     build allocates once.  ``basis``, ``dim`` and ``last_block`` are views
     of the filled columns; a ``basis`` taken earlier keeps its values,
     because filled columns are never written again.
+
+    Step cost: each appended block's product A·block is kept (n x width
+    numbers), so a polynomial step takes it as its candidate with no
+    matvec, and the last block column of U*AU as its first-pass
+    coefficients.  A step reads the n x m basis once for the first-pass
+    coefficients (shifted-solve steps only), once for the first-pass
+    update, twice more when the second Gram-Schmidt pass runs, and once
+    for the cross product U*(A·block): 2 to 5 passes, where a plain block
+    CGS2 step takes 5.
     """
 
     def __init__(self, op: HermitianOperator, v: np.ndarray):
@@ -143,16 +158,27 @@ class RKDecomposition:
             self._h = self._h.astype(np.complex128)
             self._rhs = self._rhs.astype(np.complex128)
 
-    def _orthonormalize(self, cand: np.ndarray) -> np.ndarray:
-        """Two-pass block Gram-Schmidt against the basis, then a
-        column-by-column pass inside the block with rank-revealing
-        deflation (drop when the surviving norm is below tol times the
-        column's incoming norm)."""
+    def _orthonormalize(self, cand: np.ndarray,
+                        coeffs: np.ndarray | None = None) -> np.ndarray:
+        """Block Gram-Schmidt against the basis, then a column-by-column
+        pass inside the block with rank-revealing deflation (drop when the
+        surviving norm is below tol times the column's incoming norm).
+
+        ``coeffs`` are the first-pass coefficients U*cand when the caller
+        already holds them.  The second pass against the basis runs only
+        when some column keeps less than 1/sqrt(2) of its incoming norm
+        ("twice is enough": Giraud, Langou and Rozloznik 2005), so a
+        near-dependent candidate always gets both passes."""
         u = self.basis
-        pre = np.linalg.norm(cand, axis=0)
-        for _ in range(2):
-            if u.shape[1]:
-                cand = cand - u @ (u.conj().T @ cand)
+        pre = _column_norms(cand)
+        if coeffs is None:
+            coeffs = u.conj().T @ cand
+        cand = cand - u @ coeffs
+        # ||cand - U c||^2 = ||cand||^2 - ||c||^2: a column keeps less than
+        # 1/sqrt(2) of its norm exactly when ||c|| is more than 1/sqrt(2)
+        # of it, which reads m numbers instead of n.
+        if any(c > p / math.sqrt(2.0) for c, p in zip(_column_norms(coeffs), pre)):
+            cand = cand - u @ (u.conj().T @ cand)
         kept: list[np.ndarray] = []
         for j in range(cand.shape[1]):
             w = cand[:, j]
@@ -167,8 +193,9 @@ class RKDecomposition:
             return np.zeros((cand.shape[0], 0), dtype=cand.dtype)
         return np.column_stack(kept)
 
-    def _append_block(self, cand: np.ndarray) -> int:
-        block = self._orthonormalize(cand)
+    def _append_block(self, cand: np.ndarray,
+                      coeffs: np.ndarray | None = None) -> int:
+        block = self._orthonormalize(cand, coeffs)
         width = block.shape[1]
         if width == 0:
             return 0
@@ -176,6 +203,7 @@ class RKDecomposition:
         aw = self.op.matvec(block)
         cross = self.basis.conj().T @ aw
         corner = block.conj().T @ aw
+        self._a_last = aw  # a polynomial step's candidate
 
         h = np.zeros((m + width, m + width), dtype=np.result_type(self._h, block))
         h[:m, :m] = self._h
@@ -214,12 +242,17 @@ class RKDecomposition:
                 sigma = sigma.real
             elif not np.iscomplexobj(self._buf):
                 self._promote_complex()
-            prev = self.last_block
             if isinstance(sigma, float) and math.isinf(sigma):
-                cand = self.op.matvec(prev)
+                # A·last_block and U*(A·last_block), the last block column
+                # of U*AU, were computed when that block was appended.
+                cand = self._a_last
+                coeffs = self._h[:, self._m - self._block_sizes[-1]:]
             else:
-                cand = self.op.shifted_solve(sigma, prev, factors=self._factors)
-            kept = self._append_block(np.asarray(cand, dtype=self._buf.dtype))
+                cand = self.op.shifted_solve(sigma, self.last_block,
+                                             factors=self._factors)
+                coeffs = None
+            kept = self._append_block(np.asarray(cand, dtype=self._buf.dtype),
+                                      coeffs)
             self.poles_used.append(sigma)
             if kept == 0:
                 self.breakdown = True

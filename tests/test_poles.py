@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -330,6 +331,22 @@ class TestPoleFiles:
         write_pole_file(path, np.array([1.0 + 2.0j, 3.0 - 4.0j]))
         got = np.asarray(list(read_pole_file(path)))
         np.testing.assert_allclose(got, [1 + 2j, 3 - 4j])
+
+    @pytest.mark.parametrize("poles", [[-1.0, math.nan, -math.inf],
+                                       [-1.0, complex(math.nan, 1.0)],
+                                       [-1.0 + 2.0j, complex(-1.0, math.nan)]])
+    def test_write_refuses_nan(self, tmp_path, poles):
+        path = tmp_path / "nan.txt"
+        with pytest.raises(ValueError, match="pole 1 is NaN"):
+            write_pole_file(str(path), np.array(poles))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("token", ["nan", "NaN", "-nan", "nan+1j", "1+nanj"])
+    def test_read_refuses_nan_naming_file_and_line(self, tmp_path, token):
+        path = tmp_path / "nan.txt"
+        path.write_text(f"# header\n-1\n\n{token}\n-2\n")
+        with pytest.raises(ValueError, match=re.escape(f"nan.txt:4: pole '{token}' is NaN")):
+            read_pole_file(str(path))
 
 
 def _read_text(tmp_path, text):

@@ -6,12 +6,13 @@ import pytest
 
 from rkstieltjes.functions import catalog_function
 from rkstieltjes.operators import (
+    DiagonalOperator,
     TridiagonalOperator,
     from_dense_array,
     oracle_funv,
     spectral_interval,
 )
-from rkstieltjes.poles import extended_poles, zolotarev_poles
+from rkstieltjes.poles import extended_poles, polynomial_poles, zolotarev_poles
 from rkstieltjes.rk import (
     RKDecomposition,
     error_sweep,
@@ -86,6 +87,54 @@ class TestBasisInvariants:
         x = rk_funv(dec, lambda w: 1.0 / w)
         r = op.matvec(x) - v
         assert np.linalg.norm(dec.basis.T @ r) <= 1e-10 * np.linalg.norm(v)
+
+
+class _CountingTridiagonal(TridiagonalOperator):
+    def __init__(self, d, e):
+        super().__init__(d, e)
+        self.matvecs = 0
+
+    def matvec(self, x):
+        self.matvecs += 1
+        return super().matvec(x)
+
+
+class TestStepCost:
+    """A step runs the second Gram-Schmidt pass only when a column loses
+    most of its norm, and a polynomial step reuses its block's product."""
+
+    MIXED = [math.inf, 0.0, -0.5, -0.5, -1.0 + 0.5j, -1.0 - 0.5j, math.inf,
+             -2.0, 0.0, -2.0, -1.0 + 0.5j] * 4
+
+    @pytest.mark.parametrize("width, poles", [
+        (1, extended_poles(200)),
+        (2, extended_poles(200)),
+        (1, MIXED),
+    ], ids=["extended-200", "extended-200-width-2", "mixed-custom"])
+    def test_orthonormal_to_1e_13(self, width, poles):
+        op = _tridiag_op(2000)
+        rng = np.random.default_rng(21)
+        v = rng.standard_normal(2000) if width == 1 else rng.standard_normal((2000, width))
+        dec = rk_build(op, v, poles)
+        assert dec.dim == width * (len(poles) + 1)
+        u = dec.basis
+        assert np.linalg.norm(u.conj().T @ u - np.eye(dec.dim), 2) <= 1e-13
+
+    def test_one_matvec_per_block(self):
+        op = _CountingTridiagonal(np.full(500, 2.0), np.full(499, -1.0))
+        v = np.random.default_rng(22).standard_normal(500)
+        dec = rk_build(op, v, extended_poles(40))
+        assert dec.dim == 41
+        assert op.matvecs == 41  # one per block: the 20 polynomial steps add none
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    @pytest.mark.parametrize("poles", [polynomial_poles(10), extended_poles(10)],
+                             ids=["polynomial", "extended"])
+    def test_k_distinct_eigenvalues_break_down_at_step_k(self, k, poles):
+        op = DiagonalOperator(np.repeat(np.arange(1.0, k + 1), 3))
+        dec = rk_build(op, np.arange(1.0, 3 * k + 1), poles)
+        assert dec.breakdown
+        assert dec.dim == len(dec.poles_used) == k
 
 
 class TestExtend:
