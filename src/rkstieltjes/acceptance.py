@@ -24,8 +24,6 @@ from scipy.integrate import quad
 from .bounds import sylvester_residual_bound
 from .functions import catalog_function
 from .kronfun import (
-    KroneckerProblem,
-    dense_kron_solution,
     funm_diag,
     kron_error_sweep,
     kron_iterates,
@@ -35,7 +33,6 @@ from .kronfun import (
 from .operators import (
     DiagonalOperator,
     TridiagonalOperator,
-    oracle_funv,
     toeplitz_tridiagonal,
 )
 from .poles import (
@@ -47,8 +44,13 @@ from .poles import (
     zolotarev_poles,
     zolotarev_ratio,
 )
-from .rk import error_sweep, exactness_check, iterates
-from .experiments import diffusion_operator
+from .rk import error_sweep, exactness_check
+from .experiments import (
+    diffusion_operator,
+    fixture_1d,
+    fixture_2d,
+    timed_sweep,
+)
 from .strategies import KRON_PAIRS
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_acceptance"]
@@ -149,20 +151,17 @@ def _crit_zolotarev() -> tuple[bool, str]:
 # 3/4. one-dimensional convergence corollaries
 
 
-def _sweep_fixture(op, f, strategy: str, ells, seed: int = 7):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(op.n)
-    v /= np.linalg.norm(v)
-    iv = op.exact_interval()
-    oracle = oracle_funv(op, f, v)
-    rows = error_sweep(op, f, v, iv, strategy, ells, oracle)
+def _sweep(op, f, strategy: str, seed: int = 7):
+    """(interval, oracle, rows) of ``strategy`` for ell = 1..30."""
+    v, iv, oracle = fixture_1d(op, f, seed)
+    rows = error_sweep(op, f, v, iv, strategy, range(1, 31), oracle)
     return iv, oracle, rows
 
 
 def _crit_cauchy_1d() -> tuple[bool, str]:
     op = toeplitz_tridiagonal(2000, 1.0)
     f = catalog_function("power", -0.5)
-    iv, oracle, rows = _sweep_fixture(op, f, "cauchy", range(1, 31))
+    iv, oracle, rows = _sweep(op, f, "cauchy")
     for r in rows:
         if not r.true_error <= r.bound:
             return False, f"error {r.true_error:.3e} > bound {r.bound:.3e} at ell={r.ell}"
@@ -181,7 +180,7 @@ def _crit_cauchy_1d() -> tuple[bool, str]:
 def _crit_laplace_1d() -> tuple[bool, str]:
     op = diffusion_operator(2000)
     f = catalog_function("phi", 1)
-    _, _, rows = _sweep_fixture(op, f, "zolotarev", range(1, 31))
+    _, _, rows = _sweep(op, f, "zolotarev")
     worst = max(r.true_error / r.bound for r in rows)
     ok = all(r.true_error <= r.bound for r in rows)
     return ok, f"error <= bound for ell=1..30 (max error/bound {worst:.2e})"
@@ -191,26 +190,19 @@ def _crit_laplace_1d() -> tuple[bool, str]:
 # 5. iteration counts on the 100k fixture
 
 
-def _first_below(op, f, v, iv, strategy: str, cap: int, oracle, tol: float):
-    xnorm = float(np.linalg.norm(oracle))
-    for dec, y in iterates(op, f, v, strategy, iv, range(1, cap + 1)):
-        err = float(np.linalg.norm(dec.lift(y) - oracle)) / xnorm
-        if err <= tol:
-            return len(dec.poles_used), err
-    return None, err
-
-
 def _crit_table_times() -> tuple[bool, str]:
-    n = 100_000
-    op = toeplitz_tridiagonal(n, 1.0)
+    op = toeplitz_tridiagonal(100_000, 1.0)
     f = catalog_function("power", -0.5)
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    iv = op.exact_interval()
-    oracle = oracle_funv(op, f, v)
-    eds_it, eds_err = _first_below(op, f, v, iv, "eds-cauchy", 60, oracle, 1e-6)
-    ek_it, ek_err = _first_below(op, f, v, iv, "extended", 220, oracle, 1e-6)
+    v, iv, oracle = fixture_1d(op, f, 7)
+    xnorm = float(np.linalg.norm(oracle))
+
+    def first_below(strategy: str, cap: int) -> tuple:
+        rows = timed_sweep(op, f, v, iv, strategy, cap, oracle)
+        return next(((ell, err / xnorm) for ell, err, _ in rows
+                     if err / xnorm <= 1e-6), (None, None))
+
+    eds_it, eds_err = first_below("eds-cauchy", 60)
+    ek_it, _ = first_below("extended", 220)
     if eds_it is None or eds_it > 35:
         return False, f"EDS needed {eds_it or '>60'} iterations (want <= 35)"
     if ek_it is not None and ek_it < 150:
@@ -268,21 +260,10 @@ def _crit_funm_diag() -> tuple[bool, str]:
 # 7/8. Kronecker convergence corollaries
 
 
-def _kron_fixture(f, n: int = 300, seed: int = 11) -> tuple:
-    op = toeplitz_tridiagonal(n, 1.0)
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((n, 1))
-    u /= np.linalg.norm(u)
-    w = rng.standard_normal((n, 1))
-    w /= np.linalg.norm(w)
-    prob = KroneckerProblem(op, op, u, w, f, op.exact_interval())
-    return prob, dense_kron_solution(prob)
-
-
 def _kron_rows(f, pair: str) -> tuple:
     """(ell, error, bound) of the table's Kronecker pair on the fixture for
     ell = 1..20, up to the first error above its bound."""
-    prob, x_ref = _kron_fixture(f)
+    prob, x_ref = fixture_2d(toeplitz_tridiagonal(300, 1.0), f, 11)
     rows = kron_error_sweep(prob, KRON_PAIRS[pair], range(1, 21), x_ref)
     kept = next((i for i, (_, err, bnd) in enumerate(rows) if not err <= bnd),
                 len(rows) - 1)
@@ -322,7 +303,7 @@ def _crit_kron_laplace() -> tuple[bool, str]:
 
 def _crit_sylvester() -> tuple[bool, str]:
     f = catalog_function("inverse")
-    prob, _ = _kron_fixture(f, n=200, seed=3)
+    prob, _ = fixture_2d(toeplitz_tridiagonal(200, 1.0), f, 3)
     iv = prob.interval
     fnorm = prob.rhs_norm2()
     worst = 0.0
@@ -344,7 +325,7 @@ def _crit_singular_decay() -> tuple[bool, str]:
     worst = 0.0
     for f, variant in ((catalog_function("power", -0.5), "cauchy"),
                        (catalog_function("phi", 1), "laplace")):
-        prob, x_ref = _kron_fixture(f)
+        prob, x_ref = fixture_2d(toeplitz_tridiagonal(300, 1.0), f, 11)
         svals = np.linalg.svd(x_ref, compute_uv=False)
         rows = singular_decay_report(prob, range(1, 26), variant, svals)
         for ell, sigma, bnd in rows:
@@ -402,7 +383,7 @@ def _crit_eds() -> tuple[bool, str]:
     # so the guaranteed rate -- not their measured slope -- is the anchor.)
     op = toeplitz_tridiagonal(2000, 1.0)
     f = catalog_function("power", -0.5)
-    iv, oracle, rows_e = _sweep_fixture(op, f, "eds-cauchy", range(1, 31))
+    iv, oracle, rows_e = _sweep(op, f, "eds-cauchy")
     target = math.log(rate_rho(iv.lower, 4.0 * iv.upper))
     slope_e = _fit_slope([r.ell for r in rows_e],
                          [r.true_error for r in rows_e],

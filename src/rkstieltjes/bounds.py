@@ -83,8 +83,7 @@ def sylvester_residual_bound(interval, ell: int, fnorm: float) -> float:
     return (1.0 + iv.kappa) * 4.0 * rate_rho(iv.lower, iv.upper) ** ell * fnorm
 
 
-def singular_value_bound(f, interval, ell: int, fnorm: float,
-                         variant: str, block_width: int = 1,
+def singular_value_bound(f, interval, ell: int, fnorm: float, variant: str,
                          conjectured_gamma: bool = False) -> float:
     """Decay bound on sigma_{1 + l*k} of the exact solution X.
 

@@ -261,7 +261,7 @@ def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig(
         experiment=args.id, n=args.n, ell_max=args.ell_max, seed=args.seed,
         outdir=args.outdir, gnuplot=args.gnuplot, threads=args.threads,
-        dense_limit=args.dense_limit, conjectured_gamma=args.gamma_one)
+        conjectured_gamma=args.gamma_one)
     for path in run_experiment(cfg):
         print(path)
     return 0
@@ -281,9 +281,10 @@ def _cmd_accept(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     # Only the subcommands that read these take them; the rest refuse them.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
                         help="seed for generated vectors/factors")
+    common = argparse.ArgumentParser(add_help=False, parents=[seeded])
     common.add_argument("--dense-limit", type=int, default=4000,
                         help="largest order for dense references/oracles")
 
@@ -352,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="second file for the B^T-side poles of kron pairs")
     pp.set_defaults(fn=_cmd_poles)
 
-    pe = sub.add_parser("experiment", parents=[common],
+    pe = sub.add_parser("experiment", parents=[seeded],
                         help="run a bundled convergence study")
     pe.add_argument("id", choices=EXPERIMENT_IDS)
     pe.add_argument("--n", type=int, help="matrix order (desk-scale default)")

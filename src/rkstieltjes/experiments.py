@@ -19,7 +19,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,40 +57,11 @@ __all__ = [
     "run_experiment",
     "emit_bounds",
     "diffusion_operator",
+    "fixture_1d",
+    "fixture_2d",
+    "timed_sweep",
     "write_csv",
 ]
-
-EXPERIMENT_IDS = (
-    "fig-lapl-1d",
-    "fig-cauchy-1d",
-    "fig-cauchy-1d-eig",
-    "fig-cauchy-1d-funcs",
-    "table-times",
-    "fig-lapl-2d",
-    "fig-cauchy-2d",
-)
-
-# (default n, maximum n): 1-D families use O(n) solves and an O(n log n)
-# oracle; the 2-D cap keeps the dense reference solution tractable.
-_SIZE_TABLE = {
-    "fig-lapl-1d": (2000, 200_000),
-    "fig-cauchy-1d": (2000, 200_000),
-    "fig-cauchy-1d-eig": (2000, 200_000),
-    "fig-cauchy-1d-funcs": (2000, 200_000),
-    "table-times": (100_000, 200_000),
-    "fig-lapl-2d": (300, 1500),
-    "fig-cauchy-2d": (300, 1500),
-}
-
-_DEFAULT_ELL = {
-    "fig-lapl-1d": 40,
-    "fig-cauchy-1d": 40,
-    "fig-cauchy-1d-eig": 40,
-    "fig-cauchy-1d-funcs": 40,
-    "table-times": 220,
-    "fig-lapl-2d": 25,
-    "fig-cauchy-2d": 25,
-}
 
 TIME_TOLERANCES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
@@ -104,7 +75,6 @@ class ExperimentConfig:
     outdir: str = "."
     gnuplot: bool = False
     threads: int = 1
-    dense_limit: int = 4000
     conjectured_gamma: bool = False
 
     def resolved(self) -> "ExperimentConfig":
@@ -112,14 +82,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"field 'experiment': unknown id {self.experiment!r}; "
                 f"expected one of {', '.join(EXPERIMENT_IDS)}")
-        default_n, max_n = _SIZE_TABLE[self.experiment]
+        default_n, max_n, default_ell, _ = _EXPERIMENTS[self.experiment]
         n = default_n if self.n is None else int(self.n)
         if not 16 <= n <= max_n:
             raise ValueError(
                 f"field 'n': {n} outside the supported range [16, {max_n}] "
                 f"for {self.experiment}")
-        ell = _DEFAULT_ELL[self.experiment] if self.ell_max is None \
-            else int(self.ell_max)
+        ell = default_ell if self.ell_max is None else int(self.ell_max)
         if ell < 4:
             raise ValueError(f"field 'ell_max': {ell} must be >= 4")
         if self.seed < 0:
@@ -145,6 +114,41 @@ def diffusion_operator(n: int, eps: float = 1e-2,
 def _unit_normal(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def fixture_1d(op, f: StieltjesFunction, seed: int) -> tuple:
+    """(v, interval, oracle): a unit seed vector drawn from
+    ``default_rng(seed)``, the exact spectral interval and f(A)v."""
+    v = _unit_normal(np.random.default_rng(seed), op.n)
+    return v, op.exact_interval(), oracle_funv(op, f, v)
+
+
+def fixture_2d(op, f: StieltjesFunction, seed: int) -> tuple:
+    """(problem, x_ref): f(I⊗A − Bᵀ⊗I) vec(u wᵀ) with A = −B = ``op`` and
+    unit u, w drawn in that order from ``default_rng(seed)``, and its dense
+    reference solution."""
+    rng = np.random.default_rng(seed)
+    u = _unit_normal(rng, op.n)[:, None]
+    w = _unit_normal(rng, op.n)[:, None]
+    prob = KroneckerProblem(op, op, u, w, f, op.exact_interval())
+    return prob, dense_kron_solution(prob)
+
+
+def timed_sweep(op, f: StieltjesFunction, v, iv, strategy: str, max_ell: int,
+                oracle: np.ndarray) -> Iterator[tuple[int, float, float]]:
+    """Lazy per-step (ell, abs_error, cumulative_seconds) of a nested
+    strategy; the basis grows only as far as the caller reads.
+
+    Timing covers basis growth and extraction, lift included (the method);
+    the oracle comparison and the caller's work are excluded.
+    """
+    elapsed = 0.0
+    t0 = time.perf_counter()
+    for dec, y in iterates(op, f, v, strategy, iv, range(1, max_ell + 1)):
+        x = dec.lift(y)
+        elapsed += time.perf_counter() - t0
+        yield len(dec.poles_used), float(np.linalg.norm(x - oracle)), elapsed
+        t0 = time.perf_counter()
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +209,25 @@ def _write_gnuplot(outdir: str, stem: str, labels: Sequence[str]) -> str:
     return _write_atomic(os.path.join(outdir, f"{stem}.gp"), lines)
 
 
-def _per_strategy(cfg: ExperimentConfig, one: Callable[[str], str],
-                  strategies: Sequence[str]) -> list[str]:
-    """``one(strategy)`` for every strategy, on ``cfg.threads`` threads."""
+def _write_panel(cfg: ExperimentConfig, stem: str, labels: Sequence[str],
+                 sweep: Callable[[str], list], bound_rows: list) -> list[str]:
+    """One panel: ``{stem}-{label}.csv`` with the (ell, true_error, bound)
+    rows of ``sweep(label)`` per label, on ``cfg.threads`` threads, then
+    ``{stem}-bound.csv`` and, with ``cfg.gnuplot``, ``{stem}.gp``."""
+    def one(label: str) -> str:
+        return write_csv(os.path.join(cfg.outdir, f"{stem}-{label}.csv"),
+                         ("ell", "true_error", "bound"), sweep(label))
+
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(one, strategies))
-    return [one(s) for s in strategies]
+            paths = list(pool.map(one, labels))
+    else:
+        paths = [one(label) for label in labels]
+    paths.append(write_csv(os.path.join(cfg.outdir, f"{stem}-bound.csv"),
+                           ("ell", "bound"), bound_rows))
+    if cfg.gnuplot:
+        paths.append(_write_gnuplot(cfg.outdir, stem, [*labels, "bound"]))
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -258,53 +274,45 @@ def emit_bounds(f: StieltjesFunction, interval, ells: Sequence[int],
 # 1-D studies
 
 
-def _run_panel_1d(cfg: ExperimentConfig, op, f: StieltjesFunction, stem: str,
-                  strategies: Sequence[str], bound_mode: str,
-                  bound_shift: float = 0.0) -> list[str]:
-    iv = op.exact_interval()
-    rng = np.random.default_rng(cfg.seed)
-    v = _unit_normal(rng, op.n)
-    oracle = oracle_funv(op, f, v)
+def _run_panels_1d(cfg: ExperimentConfig, variant: str,
+                   panels: Sequence[tuple]) -> list[str]:
+    """Each ``(stem, op, f, bound_shift)`` panel compares the extended
+    Krylov space, the certified poles of the function class ``variant`` and
+    their nested EDS analog with the class's bound curve."""
+    strategies = ("extended", CANONICAL[variant], f"eds-{variant}")
     ells = range(1, cfg.ell_max + 1)
+    paths = []
+    for stem, op, f, shift in panels:
+        v, iv, oracle = fixture_1d(op, f, cfg.seed)
 
-    def one(strategy: str) -> str:
-        rows = error_sweep(op, f, v, iv, strategy, ells, oracle,
-                           conjectured_gamma=cfg.conjectured_gamma,
-                           bound_shift=bound_shift)
-        return write_csv(os.path.join(cfg.outdir, f"{stem}-{strategy}.csv"),
-                         ("ell", "true_error", "bound"),
-                         [(r.ell, r.true_error, r.bound) for r in rows])
+        def sweep(strategy: str) -> list:
+            rows = error_sweep(op, f, v, iv, strategy, ells, oracle,
+                               conjectured_gamma=cfg.conjectured_gamma,
+                               bound_shift=shift)
+            return [(r.ell, r.true_error, r.bound) for r in rows]
 
-    paths = _per_strategy(cfg, one, strategies)
-    bound_path = os.path.join(cfg.outdir, f"{stem}-bound.csv")
-    emit_bounds(f, iv, ells, float(np.linalg.norm(v)), bound_mode,
-                out_path=bound_path, shift=bound_shift,
-                conjectured_gamma=cfg.conjectured_gamma)
-    paths.append(bound_path)
-    if cfg.gnuplot:
-        paths.append(_write_gnuplot(cfg.outdir, stem, [*strategies, "bound"]))
+        paths += _write_panel(cfg, stem, strategies, sweep, emit_bounds(
+            f, iv, ells, float(np.linalg.norm(v)), f"{variant}-1d",
+            shift=shift, conjectured_gamma=cfg.conjectured_gamma))
     return paths
 
 
 def _run_fig_lapl_1d(cfg: ExperimentConfig) -> list[str]:
     op = diffusion_operator(cfg.n)
-    strategies = ("extended", "zolotarev", "eds-laplace")
-    paths = _run_panel_1d(cfg, op, catalog_function("phi", 1),
-                          "fig-lapl-1d-phi1", strategies, "laplace-1d")
     # z^(-3/2) W(z) has an infinite anchor at 0+; its bound curve uses the
     # half-edge shift.
-    iv = op.exact_interval()
-    paths += _run_panel_1d(cfg, op, catalog_function("lambertw_scaled"),
-                           "fig-lapl-1d-lambertw", strategies, "laplace-1d",
-                           bound_shift=0.5 * iv.lower)
-    return paths
+    return _run_panels_1d(cfg, "laplace", [
+        ("fig-lapl-1d-phi1", op, catalog_function("phi", 1), 0.0),
+        ("fig-lapl-1d-lambertw", op, catalog_function("lambertw_scaled"),
+         0.5 * op.exact_interval().lower),
+    ])
 
 
 def _run_fig_cauchy_1d(cfg: ExperimentConfig) -> list[str]:
-    op = toeplitz_tridiagonal(cfg.n, 1.0)
-    return _run_panel_1d(cfg, op, catalog_function("power", -0.5),
-                         "fig-cauchy-1d",
-                         ("extended", "cauchy", "eds-cauchy"), "cauchy-1d")
+    return _run_panels_1d(cfg, "cauchy", [
+        ("fig-cauchy-1d", toeplitz_tridiagonal(cfg.n, 1.0),
+         catalog_function("power", -0.5), 0.0),
+    ])
 
 
 def _eig_fixtures(n: int) -> dict:
@@ -329,67 +337,38 @@ def _cheb_points(lo: float, hi: float, m: int) -> np.ndarray:
 
 def _run_fig_cauchy_1d_eig(cfg: ExperimentConfig) -> list[str]:
     f = catalog_function("power", -0.5)
-    paths = []
-    for tag, diag in _eig_fixtures(cfg.n).items():
-        op = DiagonalOperator(diag)
-        paths += _run_panel_1d(cfg, op, f, f"fig-cauchy-1d-eig-{tag}",
-                               ("extended", "cauchy", "eds-cauchy"),
-                               "cauchy-1d")
-    return paths
+    return _run_panels_1d(cfg, "cauchy", [
+        (f"fig-cauchy-1d-eig-{tag}", DiagonalOperator(diag), f, 0.0)
+        for tag, diag in _eig_fixtures(cfg.n).items()
+    ])
 
 
 def _run_fig_cauchy_1d_funcs(cfg: ExperimentConfig) -> list[str]:
     op = toeplitz_tridiagonal(cfg.n, 1.0)
-    panels = (
-        ("fig-cauchy-1d-funcs-sqrtexp",
-         catalog_function("one_minus_exp_sqrt_over_z")),
-        ("fig-cauchy-1d-funcs-pow02", catalog_function("power", -0.2)),
-        ("fig-cauchy-1d-funcs-pow08", catalog_function("power", -0.8)),
-    )
-    paths = []
-    for stem, f in panels:
-        paths += _run_panel_1d(cfg, op, f, stem,
-                               ("extended", "cauchy", "eds-cauchy"),
-                               "cauchy-1d")
-    return paths
+    return _run_panels_1d(cfg, "cauchy", [
+        ("fig-cauchy-1d-funcs-sqrtexp", op,
+         catalog_function("one_minus_exp_sqrt_over_z"), 0.0),
+        ("fig-cauchy-1d-funcs-pow02", op,
+         catalog_function("power", -0.2), 0.0),
+        ("fig-cauchy-1d-funcs-pow08", op,
+         catalog_function("power", -0.8), 0.0),
+    ])
 
 
 # ---------------------------------------------------------------------------
 # iteration/time table
 
 
-def _timed_nested_run(op, f, v, iv, strategy: str, max_ell: int,
-                      oracle: np.ndarray) -> list[tuple]:
-    """Per-step (ell, abs_error, cumulative_seconds) for a nested strategy.
-
-    Timing covers basis growth and extraction, lift included (the method);
-    the oracle comparison is measurement overhead and excluded.
-    """
-    rows = []
-    elapsed = 0.0
-    t0 = time.perf_counter()
-    for dec, y in iterates(op, f, v, strategy, iv, range(1, max_ell + 1)):
-        x = dec.lift(y)
-        elapsed += time.perf_counter() - t0
-        err = float(np.linalg.norm(x - oracle))
-        rows.append((len(dec.poles_used), err, elapsed))
-        t0 = time.perf_counter()
-    return rows
-
-
 def _run_table_times(cfg: ExperimentConfig) -> list[str]:
     op = toeplitz_tridiagonal(cfg.n, 1.0)
-    iv = op.exact_interval()
     f = catalog_function("power", -0.5)
-    rng = np.random.default_rng(cfg.seed)
-    v = _unit_normal(rng, cfg.n)
-    oracle = oracle_funv(op, f, v)
+    v, iv, oracle = fixture_1d(op, f, cfg.seed)
     xnorm = float(np.linalg.norm(oracle))
 
     caps = {"eds-cauchy": min(60, cfg.ell_max), "extended": cfg.ell_max}
     paths, summary = [], []
     for strategy, cap in caps.items():
-        rows = _timed_nested_run(op, f, v, iv, strategy, cap, oracle)
+        rows = list(timed_sweep(op, f, v, iv, strategy, cap, oracle))
         trace = [(ell, err, strategy_bound(strategy, f, iv, ell, 1.0))
                  for ell, err, _ in rows]
         paths.append(write_csv(
@@ -436,27 +415,17 @@ def _run_kron(cfg: ExperimentConfig, variant: str) -> list[str]:
     else:
         op = toeplitz_tridiagonal(cfg.n, 1.0)
         f = catalog_function("power", -0.5)
-    iv = op.exact_interval()
-    rng = np.random.default_rng(cfg.seed)
-    u = _unit_normal(rng, cfg.n)[:, None]
-    w = _unit_normal(rng, cfg.n)[:, None]
-    prob = KroneckerProblem(op, op, u, w, f, iv)
-    x_ref = dense_kron_solution(prob, dense_limit=cfg.dense_limit)
-    fnorm = prob.rhs_norm2()
+    prob, x_ref = fixture_2d(op, f, cfg.seed)
     ells = range(1, cfg.ell_max + 1)
 
-    def one(strategy: str) -> str:
-        rows = kron_error_sweep(prob, _kron_pair_for(variant, strategy), ells,
-                                x_ref, conjectured_gamma=cfg.conjectured_gamma)
-        return write_csv(os.path.join(cfg.outdir, f"{stem}-{strategy}.csv"),
-                         ("ell", "true_error", "bound"), rows)
-
-    strategies = ("extended", "polynomial", "canonical", "eds")
-    paths = _per_strategy(cfg, one, strategies)
-    bound_path = os.path.join(cfg.outdir, f"{stem}-bound.csv")
-    emit_bounds(f, iv, ells, fnorm, f"{variant}-kron", out_path=bound_path,
-                conjectured_gamma=cfg.conjectured_gamma)
-    paths.append(bound_path)
+    paths = _write_panel(
+        cfg, stem, ("extended", "polynomial", "canonical", "eds"),
+        lambda label: kron_error_sweep(
+            prob, _kron_pair_for(variant, label), ells, x_ref,
+            conjectured_gamma=cfg.conjectured_gamma),
+        emit_bounds(f, prob.interval, ells, prob.rhs_norm2(),
+                    f"{variant}-kron",
+                    conjectured_gamma=cfg.conjectured_gamma))
 
     svals = np.linalg.svd(x_ref, compute_uv=False)
     decay = singular_decay_report(prob, list(ells), variant, svals,
@@ -467,25 +436,28 @@ def _run_kron(cfg: ExperimentConfig, variant: str) -> list[str]:
     paths.append(write_csv(
         os.path.join(cfg.outdir, f"{stem}-singval-bounds.csv"),
         ("ell", "sigma_1_plus_ell_k", "bound"), decay))
-
-    if cfg.gnuplot:
-        paths.append(_write_gnuplot(cfg.outdir, stem, [*strategies, "bound"]))
     return paths
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig], list[str]]] = {
-    "fig-lapl-1d": _run_fig_lapl_1d,
-    "fig-cauchy-1d": _run_fig_cauchy_1d,
-    "fig-cauchy-1d-eig": _run_fig_cauchy_1d_eig,
-    "fig-cauchy-1d-funcs": _run_fig_cauchy_1d_funcs,
-    "table-times": _run_table_times,
-    "fig-lapl-2d": lambda cfg: _run_kron(cfg, "laplace"),
-    "fig-cauchy-2d": lambda cfg: _run_kron(cfg, "cauchy"),
+# id -> (default n, maximum n, default ell_max, runner).  1-D families use
+# O(n) solves and an O(n log n) oracle; the 2-D cap keeps the dense
+# reference solution tractable.
+_EXPERIMENTS: dict[str, tuple[int, int, int,
+                              Callable[[ExperimentConfig], list[str]]]] = {
+    "fig-lapl-1d": (2000, 200_000, 40, _run_fig_lapl_1d),
+    "fig-cauchy-1d": (2000, 200_000, 40, _run_fig_cauchy_1d),
+    "fig-cauchy-1d-eig": (2000, 200_000, 40, _run_fig_cauchy_1d_eig),
+    "fig-cauchy-1d-funcs": (2000, 200_000, 40, _run_fig_cauchy_1d_funcs),
+    "table-times": (100_000, 200_000, 220, _run_table_times),
+    "fig-lapl-2d": (300, 1500, 25, lambda cfg: _run_kron(cfg, "laplace")),
+    "fig-cauchy-2d": (300, 1500, 25, lambda cfg: _run_kron(cfg, "cauchy")),
 }
+
+EXPERIMENT_IDS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[str]:
     """Run one experiment and return the list of files written."""
     cfg = cfg.resolved()
     os.makedirs(cfg.outdir, exist_ok=True)
-    return _RUNNERS[cfg.experiment](cfg)
+    return _EXPERIMENTS[cfg.experiment][3](cfg)

@@ -261,7 +261,7 @@ def singular_decay_report(problem: KroneckerProblem, ells: Sequence[int],
         idx = ell * k  # 0-based position of sigma_{1 + ell*k}
         sigma = float(svals[idx]) if idx < svals.size else 0.0
         bound = singular_value_bound(problem.f, problem.interval, ell, fnorm,
-                                     variant, block_width=k,
+                                     variant,
                                      conjectured_gamma=conjectured_gamma)
         rows.append((int(ell), sigma, bound))
     return rows

@@ -338,6 +338,11 @@ class TridiagonalOperator(HermitianOperator):
         super().__init__(d.size)
         self.d = d.copy()
         self.e = e.copy()
+        # Off-diagonal absolute row sums (= column sums), read by every
+        # factorization's norm estimate and by ``gershgorin``.
+        self._radii = np.zeros(self.n)
+        self._radii[:-1] += np.abs(self.e)
+        self._radii[1:] += np.abs(self.e)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         block, was_1d = as_block(x)
@@ -356,7 +361,7 @@ class TridiagonalOperator(HermitianOperator):
             ("gttrf", "gtcon", "gttrs"), (d, block))
         lu = gttrf(self.e, d, self.e)[:5]
         dl, u, du, du2, ipiv = lu
-        anorm = np.max(np.abs(d) + self._radii())
+        anorm = np.max(np.abs(d) + self._radii)
         if (np.isrealobj(u) and u.min() > 0.0
                 and np.array_equal(ipiv, np.arange(1, self.n + 1))):
             # No interchanges, positive pivots: A - sigma*I = L D L^T is SPD and
@@ -368,18 +373,9 @@ class TridiagonalOperator(HermitianOperator):
         _require_regular(sigma, u, rcond)
         return lambda b: gttrs(*lu, b)[0]
 
-    def _radii(self) -> np.ndarray:
-        """Off-diagonal absolute row sums (= column sums)."""
-        radii = np.zeros(self.n)
-        radii[:-1] += np.abs(self.e)
-        radii[1:] += np.abs(self.e)
-        return radii
-
     def gershgorin(self) -> SpectralInterval:
-        radii = self._radii()
-        return SpectralInterval(
-            float(np.min(self.d - radii)), float(np.max(self.d + radii))
-        )
+        return SpectralInterval(float(np.min(self.d - self._radii)),
+                                float(np.max(self.d + self._radii)))
 
     def to_dense(self) -> np.ndarray:
         return np.diag(self.d) + np.diag(self.e, 1) + np.diag(self.e, -1)

@@ -258,6 +258,7 @@ _KRONFUN = ["kronfun", "--a", "tridiag:20", "--bneg", "tridiag:20",
     ["accept", "--only", "2", "--threads", "2"],
     ["accept", "--only", "2", "--seed", "1"],
     ["accept", "--only", "2", "--dense-limit", "10"],
+    ["experiment", "fig-lapl-1d", "--dense-limit", "10"],
     _FUNV + ["--threads", "2"],
     _KRONFUN + ["--threads", "2"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import os
 
@@ -13,12 +14,20 @@ from rkstieltjes.experiments import (
     _kron_pair_for,
     diffusion_operator,
     emit_bounds,
+    fixture_1d,
+    fixture_2d,
     run_experiment,
+    timed_sweep,
     write_csv,
 )
 from rkstieltjes.functions import catalog_function
 from rkstieltjes.kronfun import KroneckerProblem, dense_kron_solution, kron_fun
-from rkstieltjes.operators import spectral_interval
+from rkstieltjes.operators import (
+    oracle_funv,
+    spectral_interval,
+    toeplitz_tridiagonal,
+)
+from rkstieltjes.rk import RKDecomposition
 from rkstieltjes.poles import laplace_kron_poles
 from rkstieltjes.strategies import KRON_PAIRS
 
@@ -56,6 +65,91 @@ class TestConfigValidation:
         cfg = ExperimentConfig(experiment="fig-lapl-1d").resolved()
         assert cfg.n is not None and cfg.n > 0
         assert cfg.ell_max is not None and cfg.ell_max > 0
+
+
+# id -> (default n, default ell_max)
+_DEFAULTS = {
+    "fig-lapl-1d": (2000, 40),
+    "fig-cauchy-1d": (2000, 40),
+    "fig-cauchy-1d-eig": (2000, 40),
+    "fig-cauchy-1d-funcs": (2000, 40),
+    "table-times": (100_000, 220),
+    "fig-lapl-2d": (300, 25),
+    "fig-cauchy-2d": (300, 25),
+}
+
+
+def _expected_header(name):
+    for suffix, header in (
+            ("-singvals.csv", ["index", "sigma"]),
+            ("-singval-bounds.csv", ["ell", "sigma_1_plus_ell_k", "bound"]),
+            ("-bound.csv", ["ell", "bound"]),
+            ("-summary.csv",
+             ["tolerance", "strategy", "iterations", "seconds"])):
+        if name.endswith(suffix):
+            return header
+    return ["ell", "true_error", "bound"]
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
+def test_every_experiment_at_toy_size(experiment, tmp_path):
+    cfg = ExperimentConfig(experiment).resolved()
+    assert (cfg.n, cfg.ell_max) == _DEFAULTS[experiment]
+    n = 200 if experiment == "table-times" else 40
+    paths = run_experiment(ExperimentConfig(
+        experiment, n=n, ell_max=4, outdir=str(tmp_path), gnuplot=True))
+    assert sorted(paths) == sorted(str(p) for p in tmp_path.iterdir())
+    for path in paths:
+        name = os.path.basename(path)
+        if name.endswith(".gp"):
+            assert (tmp_path / name).read_text().startswith("set datafile")
+            continue
+        header, rows = _read_csv(path)
+        assert header == _expected_header(name), name
+        assert rows, name
+
+
+class TestFixtures:
+    def test_1d_fixture(self):
+        op = diffusion_operator(60)
+        f = catalog_function("phi", 1)
+        v, iv, oracle = fixture_1d(op, f, 5)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+        assert iv == op.exact_interval()
+        np.testing.assert_array_equal(oracle, oracle_funv(op, f, v))
+        v2, _, _ = fixture_1d(op, f, 5)
+        np.testing.assert_array_equal(v, v2)
+
+    def test_2d_fixture(self):
+        op = toeplitz_tridiagonal(50, 1.0)
+        f = catalog_function("power", -0.5)
+        prob, x_ref = fixture_2d(op, f, 11)
+        np.testing.assert_array_equal(x_ref, dense_kron_solution(prob))
+        # Same numbers as drawing each factor as an (n, 1) block.
+        rng = np.random.default_rng(11)
+        for factor in (prob.u_factor, prob.v_factor):
+            g = rng.standard_normal((50, 1))
+            np.testing.assert_array_equal(factor, g / np.linalg.norm(g))
+        assert prob.interval == op.exact_interval()
+
+    def test_timed_sweep_is_lazy(self, monkeypatch):
+        calls = []
+        extend = RKDecomposition.extend
+
+        def counting(self, poles):
+            calls.append(len(poles))
+            return extend(self, poles)
+
+        monkeypatch.setattr(RKDecomposition, "extend", counting)
+        op = toeplitz_tridiagonal(200, 1.0)
+        f = catalog_function("power", -0.5)
+        v, iv, oracle = fixture_1d(op, f, 0)
+        rows = list(itertools.islice(
+            timed_sweep(op, f, v, iv, "eds-cauchy", 50, oracle), 3))
+        assert len(calls) == 3
+        assert [ell for ell, _, _ in rows] == [1, 2, 3]
+        seconds = [sec for _, _, sec in rows]
+        assert seconds == sorted(seconds)
 
 
 class TestDiffusionOperator:
