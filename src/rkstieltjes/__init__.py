@@ -26,7 +26,6 @@ from .functions import (
     parse_function_spec,
 )
 from .poles import (
-    MobiusMap,
     cauchy_kron_poles,
     cauchy_poles,
     eds_poles,

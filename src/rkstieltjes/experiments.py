@@ -316,9 +316,12 @@ def _run_fig_cauchy_1d(cfg: ExperimentConfig) -> list[str]:
 
 
 def _eig_fixtures(n: int) -> dict:
+    m_low = 20  # points in the low cluster of ``gapped``
+    if n <= m_low:
+        raise ValueError(f"field 'n': fig-cauchy-1d-eig needs n >= "
+                         f"{m_low + 1}, got {n}")
     k = np.arange(1, n + 1)
     shifted = 2.0 + 1e-3 - 2.0 * np.cos(k * np.pi / (n + 1))
-    m_low = 20
     gapped = np.concatenate([
         _cheb_points(1e-3, 1e-1, m_low),
         _cheb_points(10.0, 1e3, n - m_low),

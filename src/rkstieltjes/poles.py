@@ -3,9 +3,11 @@
 The optimal fixed-count sequences come from the classical third Zolotarev
 problem on [-b,-a] u [a,b]: the extremal rational function has its poles at
 -b*dn((2j-1)K/(2l), mu), expressed through the complete elliptic integral K
-(the AGM) and the Jacobi dn function (the ascending Landen transformation).
-Asymmetric problems (one interval against a half-line, or against the
-mirror interval) reduce to the symmetric one through Moebius maps, giving
+(``scipy.special.ellipkm1``) and the Jacobi dn function (the ascending
+Landen transformation).  Asymmetric problems (one interval against a
+half-line, or against the mirror interval) reduce to the symmetric one
+through a Moebius chart T(z) = (Delta + z - b)/(Delta - z + b); the poles of
+the normalized problem come back through one closed-form pullback, giving
 the half-line ("cauchy") and mirror-pair ("cauchy-kron") sequences.
 
 For stopping-criterion driven runs the fixed-count sequences are awkward
@@ -23,14 +25,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
+from scipy.special import ellipkm1
 
 from .operators import positive_interval
 
 __all__ = [
-    "MobiusMap",
     "RationalFunctionFactored",
     "elliptic_K",
     "jacobi_dn",
@@ -61,12 +63,14 @@ __all__ = [
 
 
 def elliptic_K(k: float, kprime: float | None = None) -> float:
-    """Complete elliptic integral K(k), k the modulus, via the AGM.
+    """Complete elliptic integral K(k), k the modulus.
 
-    K(k) = pi / (2 * AGM(1, k')) with k' = sqrt(1 - k^2).  When the caller
-    knows the complementary modulus to better accuracy than 1 - k^2 can
-    resolve (extreme condition ratios), it should pass ``kprime`` directly;
-    the modulus argument is then only sanity-checked.
+    K is read from ``scipy.special.ellipkm1(k'^2)``, k' = sqrt(1 - k^2).
+    When the caller knows the complementary modulus to better accuracy than
+    1 - k^2 can resolve (extreme condition ratios), it should pass
+    ``kprime`` directly; the modulus argument is then only sanity-checked.
+    Below k' = 1e-8, K = log(4/k') to rounding; that form is used there,
+    so a k'^2 that underflows still gives a finite K.
     """
     k = float(k)
     if kprime is None:
@@ -86,13 +90,9 @@ def elliptic_K(k: float, kprime: float | None = None) -> float:
         kprime = float(kprime)
         if not 0.0 < kprime <= 1.0:
             raise ValueError(f"complementary modulus must lie in (0,1], got {kprime}")
-    a, b = 1.0, kprime
-    for _ in range(200):
-        # A tolerance below 2 ulps would let a 1-ulp cycle run all 200 rounds.
-        if abs(a - b) <= 4e-16 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (a + b)
+    if kprime < 1e-8:
+        return math.log(4.0) - math.log(kprime)
+    return float(ellipkm1(kprime * kprime))
 
 
 def jacobi_dn(u, k: float, kprime: float | None = None):
@@ -186,102 +186,66 @@ def zolotarev_poles(interval, ell: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Moebius maps
+# Moebius charts
 
 
-@dataclass(frozen=True)
-class MobiusMap:
-    """z -> (alpha*z + beta) / (gamma*z + delta) with nonzero determinant.
-
-    ``endpoint`` stores the derived inner endpoint of the normalized
-    problem (a-hat for the half-line reduction, a-tilde for the mirror
-    pair).
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-    endpoint: float | None = None
-
-    def __post_init__(self) -> None:
-        det = self.alpha * self.delta - self.beta * self.gamma
-        if det == 0.0 or not math.isfinite(det):
-            raise ValueError("Moebius map is not invertible")
-
-    def __call__(self, z):
-        arr = np.asarray(z, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr).astype(float)
-        out = np.empty_like(arr)
-        fin = np.isfinite(arr)
-        with np.errstate(divide="ignore"):
-            out[fin] = (self.alpha * arr[fin] + self.beta) / (
-                self.gamma * arr[fin] + self.delta
-            )
-        if np.any(~fin):
-            if self.gamma == 0.0:
-                out[~fin] = math.inf
-            else:
-                out[~fin] = self.alpha / self.gamma
-        return float(out[0]) if scalar else out
-
-    def inv(self, z):
-        """Apply the inverse map (delta*z - beta) / (-gamma*z + alpha)."""
-        return MobiusMap(self.delta, -self.beta, -self.gamma, self.alpha)(z)
+Pullback = Callable[[np.ndarray], np.ndarray]
 
 
-def _endpoint_map(b: float, delta: float, endpoint: float) -> MobiusMap:
-    # Shared form T(z) = (Delta + z - b) / (Delta - z + b).
-    return MobiusMap(
-        alpha=1.0,
-        beta=delta - b,
-        gamma=-1.0,
-        delta=delta + b,
-        endpoint=endpoint,
-    )
+def _chart(interval, mirror: bool) -> tuple[float, Pullback]:
+    """(endpoint, pullback) of T(z) = (Delta + z - b) / (Delta - z + b).
 
-
-def mobius_cauchy(interval) -> MobiusMap:
-    """Map sending (-inf, 0] u [a, b] onto [-1, -a^] u [a^, 1].
-
-    Delta = sqrt(b^2 - a*b) and a^ = (b - Delta)/(Delta + b), computed in
-    the rationalized form a*b/(b + Delta)^2 to avoid cancellation; the
-    inverse condition ratio satisfies 1/a^ <= 4b/a.
+    T fixes the shape of both charts; only Delta differs.  A normalized
+    pole -sigma pulls back to (b + Delta) (c - sigma) / (1 - sigma) with
+    c = (b - Delta)/(b + Delta) = (b^2 - Delta^2)/(b + Delta)^2, so c is
+    formed without the subtraction b - Delta that loses every digit of a
+    small a/b.  Everything is computed in units of b (r = a/b,
+    d = Delta/b), so no product of endpoints under- or overflows.
     """
     iv = positive_interval(interval)
     a, b = iv.lower, iv.upper
-    delta = math.sqrt(b * (b - a)) if b > a else 0.0
-    if delta == 0.0:
-        raise ValueError("mobius_cauchy needs a < b")
-    ahat = a * b / (b + delta) ** 2
-    return _endpoint_map(b, delta, ahat)
+    if not a < b:
+        raise ValueError(f"interval [{a:g}, {b:g}] is a single point; "
+                         "the Cauchy pole families need a < b")
+    r = a / b
+    if mirror:
+        d = math.sqrt((1.0 - r) * (1.0 + r))
+        endpoint = 2.0 * r * (1.0 - r) / (d + 1.0 - r) ** 2
+        c = r * r / (1.0 + d) ** 2
+    else:
+        d = math.sqrt(1.0 - r)
+        endpoint = c = r / (1.0 + d) ** 2
+    scale = b * (1.0 + d)
+    return endpoint, lambda sigma: scale * (c - sigma) / (1.0 - sigma)
 
 
-def mobius_kron(interval) -> MobiusMap:
-    """Map sending (-inf, -a] u [a, b] onto [-1, -a~] u [a~, 1].
+def mobius_cauchy(interval) -> tuple[float, Pullback]:
+    """Chart sending (-inf, 0] u [a, b] onto [-1, -a^] u [a^, 1].
 
-    Delta = sqrt(b^2 - a^2), a~ = (Delta + a - b)/(Delta - a + b) in the
-    rationalized form 2a(b-a)/(Delta + b - a)^2; 1/a~ <= 2b/a.
+    Delta = sqrt(b^2 - a*b), a^ = a*b/(b + Delta)^2, and 1/a^ <= 4b/a.
+    Returns a^ and the pullback sigma -> T^-1(-sigma).
     """
-    iv = positive_interval(interval)
-    a, b = iv.lower, iv.upper
-    delta = math.sqrt((b - a) * (b + a)) if b > a else 0.0
-    if delta == 0.0:
-        raise ValueError("mobius_kron needs a < b")
-    atilde = 2.0 * a * (b - a) / (delta + b - a) ** 2
-    return _endpoint_map(b, delta, atilde)
+    return _chart(interval, mirror=False)
+
+
+def mobius_kron(interval) -> tuple[float, Pullback]:
+    """Chart sending (-inf, -a] u [a, b] onto [-1, -a~] u [a~, 1].
+
+    Delta = sqrt(b^2 - a^2), a~ = 2a(b-a)/(Delta + b - a)^2, and
+    1/a~ <= 2b/a.  Returns a~ and the pullback sigma -> T^-1(-sigma).
+    """
+    return _chart(interval, mirror=True)
 
 
 def cauchy_poles(interval, ell: int) -> np.ndarray:
     """Poles for [a,b] against the half-line (-inf, 0].
 
     The symmetric Zolotarev poles of the normalized interval [a^, 1] are
-    pulled back through the inverse Moebius map; all images are negative
+    pulled back through the half-line chart; all images are negative
     reals.
     """
-    m = mobius_cauchy(interval)
-    return m.inv(zolotarev_poles((m.endpoint, 1.0), ell))
+    endpoint, pullback = mobius_cauchy(interval)
+    return pullback(-zolotarev_poles((endpoint, 1.0), ell))
 
 
 def laplace_kron_poles(interval, ell: int) -> tuple[np.ndarray, np.ndarray]:
@@ -299,11 +263,10 @@ def cauchy_kron_poles(interval, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Kronecker pole pair for Cauchy-class functions.
 
     Psi is the pullback of the Zolotarev poles of [a~, 1] through the
-    mirror-pair Moebius map (all negative); Xi is its elementwise
-    negation.
+    mirror-pair chart (all negative); Xi is its elementwise negation.
     """
-    m = mobius_kron(interval)
-    psi = m.inv(zolotarev_poles((m.endpoint, 1.0), ell))
+    endpoint, pullback = mobius_kron(interval)
+    psi = pullback(-zolotarev_poles((endpoint, 1.0), ell))
     return psi, -psi
 
 
@@ -356,31 +319,29 @@ def eds_pole_iter(interval, variant: str) -> Iterator[float]:
     """Infinite stream of EDS poles for ``interval``.
 
     ``variant="laplace"`` rescales the normalized points to [-b, -a];
-    ``variant="cauchy"`` maps their negatives through the inverse
-    half-line Moebius map of the original interval.  ``"kron-cauchy"``
+    ``variant="cauchy"`` pulls their negatives back through the half-line
+    chart ``mobius_cauchy`` of the original interval.  ``"kron-cauchy"``
     (the left poles of the nested two-sided Cauchy pair) starts the
     sequence at the inner endpoint of the mirror chart ``mobius_kron``
-    and maps through that chart instead.
+    and pulls back through that chart instead.
     """
     iv = positive_interval(interval)
     a, b = iv.lower, iv.upper
-    if variant not in ("laplace", "cauchy", "kron-cauchy"):
-        raise ValueError(f"unknown EDS variant {variant!r}")
-    if variant == "kron-cauchy":
-        mob = mobius_kron(iv)
-        state = eds_start(mob.endpoint)
-    elif a == b:
-        while True:
-            yield -a
+    if variant == "laplace":
+        if a == b:
+            while True:
+                yield -a
+        lower, emit = a / b, lambda sig: -b * sig
+    elif variant == "cauchy":
+        lower, emit = a / b, mobius_cauchy(iv)[1]
+    elif variant == "kron-cauchy":
+        lower, emit = mobius_kron(iv)
     else:
-        state = eds_start(a / b)
-        mob = mobius_cauchy(iv) if variant == "cauchy" else None
+        raise ValueError(f"unknown EDS variant {variant!r}")
+    state = eds_start(lower)
     while True:
         sig, state = eds_next(state)
-        if variant == "laplace":
-            yield -b * sig
-        else:
-            yield float(mob.inv(-sig))
+        yield emit(sig)
 
 
 def eds_poles(interval, count: int, variant: str) -> np.ndarray:

@@ -150,6 +150,19 @@ class TestPoles:
             with pytest.raises(SystemExit, match="--interval: expected 'a,b'"):
                 main(argv + ["--interval", spec])
 
+    @pytest.mark.parametrize("strategy, pair", [
+        ("cauchy", False), ("eds-cauchy", False), ("cauchy-kron", True),
+        ("eds-cauchy", True)])
+    def test_single_point_interval_refused(self, tmp_path, capsys,
+                                           strategy, pair):
+        out, xi = tmp_path / "psi.txt", tmp_path / "xi.txt"
+        argv = ["poles", "--strategy", strategy, "--interval", "2,2",
+                "--ell", "3", "--out", str(out)]
+        assert main(argv + (["--out-xi", str(xi)] if pair else [])) == 2
+        assert ("interval [2, 2] is a single point"
+                in capsys.readouterr().err)
+        assert not out.exists() and not xi.exists()
+
     def test_interval_required_for_zolotarev(self):
         with pytest.raises(SystemExit, match="interval"):
             main(["poles", "--strategy", "zolotarev", "--ell", "3",

@@ -275,6 +275,19 @@ class TestRunExperiment:
         assert os.listdir(tmp_path) == []
 
 
+def test_eig_experiment_refuses_a_size_below_its_clusters(tmp_path, capsys):
+    # The gapped spectrum puts 20 points in its low cluster, so n <= 20
+    # cannot be built; refused before anything is written.
+    cfg = ExperimentConfig("fig-cauchy-1d-eig", n=16, outdir=str(tmp_path))
+    with pytest.raises(ValueError, match="fig-cauchy-1d-eig needs n >= 21"):
+        run_experiment(cfg)
+    assert os.listdir(tmp_path) == []
+    assert cli.main(["experiment", "fig-cauchy-1d-eig", "--n", "16",
+                     "--outdir", str(tmp_path)]) == 2
+    assert "needs n >= 21" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_csv_writer_keeps_old_file_when_a_row_fails(tmp_path):
     out = tmp_path / "t.csv"
     write_csv(str(out), ("ell", "bound"), [(1, 0.5)])

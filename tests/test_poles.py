@@ -30,6 +30,7 @@ from rkstieltjes.poles import (
     zolotarev_poles,
     zolotarev_ratio,
 )
+from rkstieltjes.strategies import KRON_PAIRS, STRATEGIES
 
 # Frozen references (mpmath, 40 digits).
 K_HALF = 1.8540746773013719          # K(k) at k = 1/sqrt(2)
@@ -40,6 +41,12 @@ GAMMA_1_PI = 3.1125424006106064      # 2.23 + (2/pi) log 4
 CAUCHY_HAT_A = 0.07179676972449082   # transformed left endpoint, [1, 4]
 KRON_TILDE_A = 0.12701665379258312
 SIGMA1_QUARTER = 0.7535990807823625  # first EDS node at lower = 0.25
+K_OF_KPRIME = {                      # K at complementary modulus k' (50 digits)
+    1e-14: 33.622485663036530196,
+    1e-8: 19.80697510507225654,
+    1e-3: 8.2940514636154399645,
+    0.5: 2.1565156474996432354,
+}
 
 
 class TestScalarHelpers:
@@ -55,6 +62,18 @@ class TestScalarHelpers:
         val = elliptic_K(k, kp)
         # K ~ log(4/k') as k -> 1
         assert val == pytest.approx(math.log(4.0 / kp), rel=1e-4)
+
+    @pytest.mark.parametrize("kp, want", K_OF_KPRIME.items())
+    def test_elliptic_K_frozen(self, kp, want):
+        k = math.sqrt((1.0 - kp) * (1.0 + kp))
+        assert elliptic_K(k, kp) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("kp, want", [(1e-160, 369.79990924016720007),
+                                          (1e-200, 461.90331295992902744),
+                                          (5e-324, 745.82636628250115293)])
+    def test_elliptic_K_finite_where_kprime_squared_underflows(self, kp, want):
+        # k'^2 is subnormal or 0 here, where ellipkm1 loses it or gives inf.
+        assert elliptic_K(1.0, kp) == pytest.approx(want, rel=1e-15)
 
     def test_rate_rho_frozen(self):
         assert rate_rho(1.0, 4.0) == pytest.approx(RHO_1_4, rel=1e-13)
@@ -174,31 +193,82 @@ class TestZolotarev:
 
 class TestMobius:
     def test_cauchy_endpoint(self):
-        m = mobius_cauchy((1.0, 4.0))
-        assert m.endpoint == pytest.approx(CAUCHY_HAT_A, rel=1e-13)
-        assert 1.0 / m.endpoint == pytest.approx(13.928203230275509, rel=1e-13)
+        endpoint, _ = mobius_cauchy((1.0, 4.0))
+        assert endpoint == pytest.approx(CAUCHY_HAT_A, rel=1e-13)
+        assert 1.0 / endpoint == pytest.approx(13.928203230275509, rel=1e-13)
 
     def test_kron_endpoint(self):
-        m = mobius_kron((1.0, 4.0))
-        assert m.endpoint == pytest.approx(KRON_TILDE_A, rel=1e-13)
+        endpoint, _ = mobius_kron((1.0, 4.0))
+        assert endpoint == pytest.approx(KRON_TILDE_A, rel=1e-13)
 
     @given(st.floats(min_value=1e-3, max_value=1.0),
-           st.floats(min_value=1.5, max_value=1e3),
-           st.floats(min_value=-50.0, max_value=50.0))
+           st.floats(min_value=1.5, max_value=1e3))
     @settings(max_examples=80, deadline=None)
-    def test_roundtrip(self, a, scale, z):
+    def test_pullback_identities(self, a, scale):
+        # The pullback sigma -> T^-1(-sigma) sends the normalized points
+        # 1 and endpoint back to b and a, and -endpoint to the inner end
+        # of the other set: 0 for the half-line, -a for the mirror.
         b = a * scale
-        for m in (mobius_cauchy((a, b)), mobius_kron((a, b))):
-            w = m(z)
-            if math.isfinite(w) and abs(w) < 1e12:
-                assert m.inv(w) == pytest.approx(z, rel=1e-8, abs=1e-8)
+        for maker, inner in ((mobius_cauchy, 0.0), (mobius_kron, -a)):
+            endpoint, pullback = maker((a, b))
+            assert pullback(-1.0) == pytest.approx(b, rel=1e-13)
+            assert pullback(-endpoint) == pytest.approx(a, rel=1e-12)
+            assert pullback(endpoint) == pytest.approx(inner, rel=1e-10,
+                                                       abs=1e-12 * b)
 
-    def test_maps_interval_endpoints(self):
-        # right endpoint b lands at 1, left endpoint at .endpoint
-        for maker in (mobius_cauchy, mobius_kron):
-            m = maker((1.0, 4.0))
-            assert m(4.0) == pytest.approx(1.0, rel=1e-12)
-            assert m(1.0) == pytest.approx(m.endpoint, rel=1e-12)
+
+# 50-digit mpmath references: the poles of each Cauchy-side family on
+# [a, 1] at a position in the list (fixed families at ell = 40, the EDS
+# streams from the same float targets frac(j/sqrt(2))).
+CAUCHY_SIDE_REFS = {
+    (1e-06, "cauchy"): {
+        0: -92.702416060172411592, 20: -0.00081256438210598778124,
+        39: -1.0787205366372628234e-8},
+    (1e-06, "cauchy-kron"): {
+        0: -100.99346818630591508, 20: -0.0011600541087280458463,
+        39: -1.0198032809024224009e-6},
+    (1e-06, "eds-cauchy"): {
+        0: -0.047701771657210851838, 40: -232.50626756355899408,
+        57: -1.534457856781128409e-6, 59: -0.00065309155987478106631},
+    (1e-06, "kron-cauchy"): {
+        0: -0.038769537355601351894, 40: -212.64186494838252256,
+        57: -1.0188404410568473113e-6, 59: -0.00043912777749864565532},
+    (2.5e-10, "cauchy"): {
+        0: -41.017195135858695686, 20: -0.000011584854517456821669,
+        39: -6.0950047698761608963e-12},
+    (2.5e-10, "cauchy-kron"): {
+        0: -43.420805800223965168, 20: -0.000016526246112219248755,
+        39: -2.6151521697750944327e-10},
+    (2.5e-10, "eds-cauchy"): {
+        0: -0.0041137163091539543645, 40: -97.135864659433716524,
+        57: -3.9566018052896347435e-10, 59: -5.6109762184080153048e-6},
+    (2.5e-10, "kron-cauchy"): {
+        0: -0.0033566090618377882551, 40: -91.629928425234600181,
+        57: -2.6095305114271330246e-10, 59: -3.7703265461366287735e-6},
+}
+
+CAUCHY_SIDE_FAMILIES = {
+    "cauchy": lambda iv: STRATEGIES["cauchy"].first(iv, 40),
+    "cauchy-kron": lambda iv: KRON_PAIRS["cauchy-kron"].poles(iv, 40)[0],
+    "eds-cauchy": lambda iv: STRATEGIES["eds-cauchy"].first(iv, 60),
+    "kron-cauchy": lambda iv: KRON_PAIRS["eds-cauchy"].poles(iv, 60)[0],
+}
+
+
+@pytest.mark.parametrize("ratio, family", CAUCHY_SIDE_REFS)
+def test_cauchy_side_poles_match_mpmath(ratio, family):
+    poles = CAUCHY_SIDE_FAMILIES[family]((ratio, 1.0))
+    for j, want in CAUCHY_SIDE_REFS[ratio, family].items():
+        assert poles[j] == pytest.approx(want, rel=1e-13, abs=0.0), j
+
+
+@pytest.mark.parametrize("family", CAUCHY_SIDE_FAMILIES)
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_cauchy_side_poles_scale_with_the_interval(family, scale):
+    # b*(b - a) or a*b would under- or overflow at these scales.
+    want = np.asarray(CAUCHY_SIDE_FAMILIES[family]((1.0, 4.0)))
+    got = np.asarray(CAUCHY_SIDE_FAMILIES[family]((scale, 4.0 * scale)))
+    np.testing.assert_allclose(got / scale, want, rtol=1e-13)
 
 
 class TestCanonicalFamilies:
@@ -295,11 +365,11 @@ class TestEds:
         # Left poles of the nested two-sided Cauchy pair: the sequence
         # started at mobius_kron's endpoint, pulled back through that chart
         # onto (-inf, -a].
-        mob = mobius_kron((1.0, 4.0))
-        state, want = eds_start(mob.endpoint), []
+        endpoint, pullback = mobius_kron((1.0, 4.0))
+        state, want = eds_start(endpoint), []
         for _ in range(6):
             sig, state = eds_next(state)
-            want.append(float(mob.inv(-sig)))
+            want.append(pullback(sig))
         got = list(eds_poles((1.0, 4.0), 6, "kron-cauchy"))
         assert got == want and all(p < -1.0 for p in got)
 

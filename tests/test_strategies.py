@@ -107,6 +107,32 @@ def test_kron_pairs():
                    for p, x in zip(psi, xi)), name
 
 
+POINT = (2.0, 2.0)
+SINGLE_POINT = re.escape(
+    "interval [2, 2] is a single point; the Cauchy pole families need a < b")
+
+
+@pytest.mark.parametrize("poles", [
+    pytest.param(lambda: STRATEGIES["cauchy"].first(POINT, 3), id="cauchy"),
+    pytest.param(lambda: STRATEGIES["eds-cauchy"].first(POINT, 3),
+                 id="eds-cauchy"),
+    pytest.param(lambda: KRON_PAIRS["cauchy-kron"].poles(POINT, 3),
+                 id="cauchy-kron"),
+    pytest.param(lambda: KRON_PAIRS["eds-cauchy"].poles(POINT, 3),
+                 id="kron-cauchy-stream"),
+])
+def test_cauchy_families_refuse_a_single_point(poles):
+    with pytest.raises(ValueError, match=SINGLE_POINT):
+        poles()
+
+
+def test_laplace_families_sit_at_a_single_point():
+    for name in ("zolotarev", "eds-laplace"):
+        assert STRATEGIES[name].first(POINT, 3) == [-2.0] * 3, name
+    for name in ("laplace-kron", "eds-laplace"):
+        assert KRON_PAIRS[name].poles(POINT, 3) == ([-2.0] * 3, [2.0] * 3)
+
+
 def test_bounds_named_by_the_table():
     phi = catalog_function("phi", 1)
     power = catalog_function("power", -0.5)
