@@ -56,7 +56,6 @@ from .rk import (
     FunvResult,
     FunvTraceRow,
     RKDecomposition,
-    error_sweep,
     exactness_check,
     funv_driver,
     iterates,
@@ -68,7 +67,6 @@ from .kronfun import (
     KroneckerResult,
     dense_kron_solution,
     funm_diag,
-    kron_error_sweep,
     kron_fun,
     kron_iterates,
     kron_problem,

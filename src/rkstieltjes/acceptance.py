@@ -25,7 +25,6 @@ from .bounds import sylvester_residual_bound
 from .functions import catalog_function
 from .kronfun import (
     funm_diag,
-    kron_error_sweep,
     kron_iterates,
     singular_decay_report,
     sylvester_residual,
@@ -44,14 +43,18 @@ from .poles import (
     zolotarev_poles,
     zolotarev_ratio,
 )
-from .rk import error_sweep, exactness_check
+from .rk import exactness_check
 from .experiments import (
     diffusion_operator,
+    first_at_or_below,
     fixture_1d,
     fixture_2d,
+    solutions_1d,
+    solutions_2d,
     timed_sweep,
+    with_bounds,
 )
-from .strategies import KRON_PAIRS
+from .strategies import KRON_PAIRS, get_strategy
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_acceptance"]
 
@@ -152,25 +155,26 @@ def _crit_zolotarev() -> tuple[bool, str]:
 
 
 def _sweep(op, f, strategy: str, seed: int = 7):
-    """(interval, oracle, rows) of ``strategy`` for ell = 1..30."""
+    """(interval, oracle, rows (ell, error, bound)) for ell = 1..30."""
     v, iv, oracle = fixture_1d(op, f, seed)
-    rows = error_sweep(op, f, v, iv, strategy, range(1, 31), oracle)
-    return iv, oracle, rows
+    curve = timed_sweep(solutions_1d(op, f, v, iv, strategy, 30), oracle)
+    return iv, oracle, with_bounds(curve, get_strategy(strategy).bound, f, iv,
+                                   float(np.linalg.norm(v)))
 
 
 def _crit_cauchy_1d() -> tuple[bool, str]:
     op = toeplitz_tridiagonal(2000, 1.0)
     f = catalog_function("power", -0.5)
     iv, oracle, rows = _sweep(op, f, "cauchy")
-    for r in rows:
-        if not r.true_error <= r.bound:
-            return False, f"error {r.true_error:.3e} > bound {r.bound:.3e} at ell={r.ell}"
+    for ell, err, bnd in rows:
+        if not err <= bnd:
+            return False, f"error {err:.3e} > bound {bnd:.3e} at ell={ell}"
     # One-sided Galerkin over-delivers (the per-ell optimal sets realize
     # roughly the squared rate), so the slope check guards against
     # under-delivery only: observed decay must reach the predicted rate up
     # to 25% slack.  Faster than predicted is success, not failure.
     target = math.log(rate_rho(iv.lower, 4.0 * iv.upper))
-    slope = _fit_slope([r.ell for r in rows], [r.true_error for r in rows],
+    slope = _fit_slope([ell for ell, _, _ in rows], [err for _, err, _ in rows],
                        floor=1e-12 * float(np.linalg.norm(oracle)))
     ok = slope <= 0.75 * target
     return ok, (f"error <= bound for ell=1..30; slope {slope:.4f} reaches "
@@ -181,8 +185,8 @@ def _crit_laplace_1d() -> tuple[bool, str]:
     op = diffusion_operator(2000)
     f = catalog_function("phi", 1)
     _, _, rows = _sweep(op, f, "zolotarev")
-    worst = max(r.true_error / r.bound for r in rows)
-    ok = all(r.true_error <= r.bound for r in rows)
+    worst = max(err / bnd for _, err, bnd in rows)
+    ok = all(err <= bnd for _, err, bnd in rows)
     return ok, f"error <= bound for ell=1..30 (max error/bound {worst:.2e})"
 
 
@@ -197,9 +201,9 @@ def _crit_table_times() -> tuple[bool, str]:
     xnorm = float(np.linalg.norm(oracle))
 
     def first_below(strategy: str, cap: int) -> tuple:
-        rows = timed_sweep(op, f, v, iv, strategy, cap, oracle)
-        return next(((ell, err / xnorm) for ell, err, _ in rows
-                     if err / xnorm <= 1e-6), (None, None))
+        curve = timed_sweep(solutions_1d(op, f, v, iv, strategy, cap), oracle)
+        hit = first_at_or_below(curve, 1e-6, xnorm)
+        return (hit[0], hit[1] / xnorm) if hit else (None, None)
 
     eds_it, eds_err = first_below("eds-cauchy", 60)
     ek_it, _ = first_below("extended", 220)
@@ -264,7 +268,9 @@ def _kron_rows(f, pair: str) -> tuple:
     """(ell, error, bound) of the table's Kronecker pair on the fixture for
     ell = 1..20, up to the first error above its bound."""
     prob, x_ref = fixture_2d(toeplitz_tridiagonal(300, 1.0), f, 11)
-    rows = kron_error_sweep(prob, KRON_PAIRS[pair], range(1, 21), x_ref)
+    record = KRON_PAIRS[pair]
+    rows = with_bounds(timed_sweep(solutions_2d(prob, record, 20), x_ref),
+                       record.bound, f, prob.interval, prob.rhs_norm2())
     kept = next((i for i, (_, err, bnd) in enumerate(rows) if not err <= bnd),
                 len(rows) - 1)
     return prob, x_ref, rows[:kept + 1]
@@ -385,8 +391,8 @@ def _crit_eds() -> tuple[bool, str]:
     f = catalog_function("power", -0.5)
     iv, oracle, rows_e = _sweep(op, f, "eds-cauchy")
     target = math.log(rate_rho(iv.lower, 4.0 * iv.upper))
-    slope_e = _fit_slope([r.ell for r in rows_e],
-                         [r.true_error for r in rows_e],
+    slope_e = _fit_slope([ell for ell, _, _ in rows_e],
+                         [err for _, err, _ in rows_e],
                          floor=1e-12 * float(np.linalg.norm(oracle)))
     dev = abs(slope_e - target) / abs(target)
     ok = dev <= 0.30

@@ -25,6 +25,7 @@ from .experiments import (
 from .functions import parse_function_spec
 from .kronfun import KroneckerProblem, dense_kron_solution, kron_fun
 from .operators import (
+    DENSE_EIG_LIMIT,
     HermitianOperator,
     SpectralInterval,
     load_matrix,
@@ -83,9 +84,8 @@ def _split_interval(spec: str) -> tuple[float, float]:
 
 
 def _load_factor(path: str) -> np.ndarray:
-    m = np.load(path) if path.endswith(".npy") else np.loadtxt(path, ndmin=2)
-    m = np.asarray(m, dtype=float)
-    return m[:, None] if m.ndim == 1 else m
+    """A factor as stored; ``KroneckerProblem`` coerces it."""
+    return np.load(path) if path.endswith(".npy") else np.loadtxt(path, ndmin=2)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("--seed", type=int, default=0,
                         help="seed for generated vectors/factors")
     common = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    common.add_argument("--dense-limit", type=int, default=4000,
+    common.add_argument("--dense-limit", type=int, default=DENSE_EIG_LIMIT,
                         help="largest order for dense references/oracles")
 
     p = argparse.ArgumentParser(

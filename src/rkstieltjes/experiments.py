@@ -1,4 +1,5 @@
-"""Bundled convergence experiments with CSV artifacts.
+"""Bundled convergence experiments with CSV artifacts: the measurement
+harness around the library.
 
 Each experiment compares pole-selection strategies on a fixed matrix
 family and writes one trace CSV per strategy (columns ell,true_error,bound
@@ -7,7 +8,9 @@ Kronecker studies -- a singular-value CSV.  Sizes default to desk scale so
 an exact reference solution is always available: 1-D runs use the
 closed-form sine-transform or diagonal oracle, 2-D runs a full double
 diagonalization.  Given the same seed the error columns are bit-identical
-across runs; timing columns are informative only.
+across runs; timing columns are informative only.  Every error curve,
+here and in the acceptance suite, is one ``timed_sweep``, and every bound
+column one ``emit_bounds`` call.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .functions import StieltjesFunction, catalog_function
 from .kronfun import (
     KroneckerProblem,
     dense_kron_solution,
-    kron_error_sweep,
+    kron_iterates,
     singular_decay_report,
 )
 from .operators import (
@@ -42,14 +45,8 @@ from .operators import (
 # here; the EDS Kronecker pairs step the sequence in ``poles.eds_pole_iter``,
 # where its ``poles.eds_next`` wrapper times each step.
 from .poles import eds_next  # noqa: F401
-from .rk import error_sweep, iterates
-from .strategies import (
-    CANONICAL,
-    STRATEGIES,
-    KronPair,
-    get_strategy,
-    strategy_bound,
-)
+from .rk import iterates
+from .strategies import CANONICAL, STRATEGIES, KronPair, get_strategy
 
 __all__ = [
     "EXPERIMENT_IDS",
@@ -57,9 +54,13 @@ __all__ = [
     "run_experiment",
     "emit_bounds",
     "diffusion_operator",
+    "first_at_or_below",
     "fixture_1d",
     "fixture_2d",
+    "solutions_1d",
+    "solutions_2d",
     "timed_sweep",
+    "with_bounds",
     "write_csv",
 ]
 
@@ -134,21 +135,47 @@ def fixture_2d(op, f: StieltjesFunction, seed: int) -> tuple:
     return prob, dense_kron_solution(prob)
 
 
-def timed_sweep(op, f: StieltjesFunction, v, iv, strategy: str, max_ell: int,
-                oracle: np.ndarray) -> Iterator[tuple[int, float, float]]:
-    """Lazy per-step (ell, abs_error, cumulative_seconds) of a nested
-    strategy; the basis grows only as far as the caller reads.
+def solutions_1d(op, f: StieltjesFunction, v, iv, strategy: str,
+                 max_ell: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Lazy (ell, x_ell) for ell = 1..max_ell: ``rk.iterates``, lifted;
+    it ends early where a nested basis breaks down."""
+    return ((len(dec.poles_used), dec.lift(y)) for dec, y in
+            iterates(op, f, v, strategy, iv, range(1, max_ell + 1)))
+
+
+def solutions_2d(problem: KroneckerProblem, pair: KronPair,
+                 max_ell: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Lazy (ell, X_ell) for ell = 1..max_ell: ``kron_iterates``,
+    materialized."""
+    counts = range(1, max_ell + 1)
+    return ((ell, res.materialize()) for ell, res in
+            zip(counts, kron_iterates(problem, pair, counts)))
+
+
+def timed_sweep(solutions: Iterable[tuple[int, np.ndarray]],
+                reference: np.ndarray) -> Iterator[tuple[int, float, float]]:
+    """Lazy (ell, abs_error, cumulative_seconds) over ``solutions``
+    (``solutions_1d`` or ``solutions_2d``); the method runs only as far as
+    the caller reads.  abs_error is the 2-norm ||x_ell - reference||: of
+    the vector in 1-D, the spectral norm in 2-D.
 
     Timing covers basis growth and extraction, lift included (the method);
-    the oracle comparison and the caller's work are excluded.
+    the error norm and the caller's work are excluded.
     """
     elapsed = 0.0
     t0 = time.perf_counter()
-    for dec, y in iterates(op, f, v, strategy, iv, range(1, max_ell + 1)):
-        x = dec.lift(y)
+    for ell, x in solutions:
         elapsed += time.perf_counter() - t0
-        yield len(dec.poles_used), float(np.linalg.norm(x - oracle)), elapsed
+        yield ell, float(np.linalg.norm(x - reference, 2)), elapsed
         t0 = time.perf_counter()
+
+
+def first_at_or_below(curve: Iterable[tuple[int, float, float]], tol: float,
+                      scale: float) -> tuple[int, float, float] | None:
+    """The first (ell, abs_error, seconds) row of ``curve`` whose error
+    relative to ``scale`` is at or below ``tol``, or None; a lazy curve is
+    read only that far."""
+    return next((row for row in curve if row[1] / scale <= tol), None)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +245,8 @@ def _write_panel(cfg: ExperimentConfig, stem: str, labels: Sequence[str],
         return write_csv(os.path.join(cfg.outdir, f"{stem}-{label}.csv"),
                          ("ell", "true_error", "bound"), sweep(label))
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            paths = list(pool.map(one, labels))
-    else:
-        paths = [one(label) for label in labels]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        paths = list(pool.map(one, labels))
     paths.append(write_csv(os.path.join(cfg.outdir, f"{stem}-bound.csv"),
                            ("ell", "bound"), bound_rows))
     if cfg.gnuplot:
@@ -234,40 +258,41 @@ def _write_panel(cfg: ExperimentConfig, stem: str, labels: Sequence[str],
 # bound curves
 
 
-def emit_bounds(f: StieltjesFunction, interval, ells: Sequence[int],
-                norm: float, mode: str, out_path: str | None = None,
-                shift: float = 0.0,
+def emit_bounds(bound, f: StieltjesFunction, interval, ells: Sequence[int],
+                norm: float, shift: float = 0.0,
                 conjectured_gamma: bool = False) -> list[tuple]:
-    """A-priori bound curve (ell, bound) for one of the four certified
-    settings: ``laplace-1d``, ``cauchy-1d``, ``laplace-kron``,
-    ``cauchy-kron``.
+    """Bound curve (ell, bound(f, interval, ell, norm)) of a strategy
+    record's ``bound`` (a ``Strategy`` or a ``KronPair``).
 
-    Laplace-type bounds anchor at f(0+); when that diverges a positive
-    ``shift`` eta is required, and the curve is evaluated for f(.+eta) on
-    the left-shifted interval.
+    A positive ``shift`` eta evaluates the curve for f(.+eta) on the
+    left-shifted interval [a - eta, b - eta], the finite-anchor workaround
+    when f(0+) diverges; a curve that comes out infinite because f(0+) does
+    is refused without one.
     """
     iv = positive_interval(interval)
-    variant, _, dim = mode.partition("-")
-    if variant not in CANONICAL or dim not in ("1d", "kron"):
-        raise ValueError(f"unknown bound mode {mode!r}")
-    canonical = get_strategy(CANONICAL[variant])
-    bound = canonical.bound if dim == "1d" else canonical.kron.bound
-    f_b, iv_b = f, iv
-    if variant == "laplace":
-        if shift:
-            f_b = f.with_shift(shift)
-            iv_b = iv.shifted(-shift).require_positive()
-        elif math.isinf(f.limit_at_zero()):
-            raise ValueError(
-                f"{f.label}: the bound anchor f(0+) is infinite; pass a "
-                "positive shift eta (e.g. half the lower spectral edge) so "
-                "the curve anchors at the finite value f(eta)")
-    rows = [(int(ell), bound(f_b, iv_b, int(ell), norm,
+    if shift:
+        f = f.with_shift(shift)
+        iv = iv.shifted(-shift).require_positive()
+    rows = [(int(ell), bound(f, iv, int(ell), norm,
                              conjectured_gamma=conjectured_gamma))
             for ell in ells]
-    if out_path is not None:
-        write_csv(out_path, ("ell", "bound"), rows)
+    if math.isinf(f.limit_at_zero()) and any(math.isinf(b) for _, b in rows):
+        raise ValueError(
+            f"{f.label}: the bound anchor f(0+) is infinite; pass a "
+            "positive shift eta (e.g. half the lower spectral edge) so "
+            "the curve anchors at the finite value f(eta)")
     return rows
+
+
+def with_bounds(curve: Iterable[tuple], bound, f: StieltjesFunction,
+                interval, norm: float, shift: float = 0.0,
+                conjectured_gamma: bool = False) -> list[tuple]:
+    """The rows (ell, abs_error, bound) of a timed curve, read whole, with
+    the ``emit_bounds`` column of ``bound`` at the pole counts reached."""
+    rows = list(curve)
+    column = emit_bounds(bound, f, interval, [ell for ell, _, _ in rows],
+                         norm, shift, conjectured_gamma)
+    return [(ell, err, b) for (ell, err, _), (_, b) in zip(rows, column)]
 
 
 # ---------------------------------------------------------------------------
@@ -276,24 +301,26 @@ def emit_bounds(f: StieltjesFunction, interval, ells: Sequence[int],
 
 def _run_panels_1d(cfg: ExperimentConfig, variant: str,
                    panels: Sequence[tuple]) -> list[str]:
-    """Each ``(stem, op, f, bound_shift)`` panel compares the extended
-    Krylov space, the certified poles of the function class ``variant`` and
-    their nested EDS analog with the class's bound curve."""
+    """Each ``(stem, op, f, shift)`` panel compares the extended Krylov
+    space, the certified poles of the function class ``variant`` and their
+    nested EDS analog with the class's bound curve (``emit_bounds`` with
+    ``shift``)."""
     strategies = ("extended", CANONICAL[variant], f"eds-{variant}")
-    ells = range(1, cfg.ell_max + 1)
     paths = []
     for stem, op, f, shift in panels:
         v, iv, oracle = fixture_1d(op, f, cfg.seed)
+        vnorm = float(np.linalg.norm(v))
 
         def sweep(strategy: str) -> list:
-            rows = error_sweep(op, f, v, iv, strategy, ells, oracle,
-                               conjectured_gamma=cfg.conjectured_gamma,
-                               bound_shift=shift)
-            return [(r.ell, r.true_error, r.bound) for r in rows]
+            return with_bounds(
+                timed_sweep(solutions_1d(op, f, v, iv, strategy, cfg.ell_max),
+                            oracle),
+                get_strategy(strategy).bound, f, iv, vnorm, shift,
+                cfg.conjectured_gamma)
 
         paths += _write_panel(cfg, stem, strategies, sweep, emit_bounds(
-            f, iv, ells, float(np.linalg.norm(v)), f"{variant}-1d",
-            shift=shift, conjectured_gamma=cfg.conjectured_gamma))
+            get_strategy(CANONICAL[variant]).bound, f, iv,
+            range(1, cfg.ell_max + 1), vnorm, shift, cfg.conjectured_gamma))
     return paths
 
 
@@ -371,18 +398,17 @@ def _run_table_times(cfg: ExperimentConfig) -> list[str]:
     caps = {"eds-cauchy": min(60, cfg.ell_max), "extended": cfg.ell_max}
     paths, summary = [], []
     for strategy, cap in caps.items():
-        rows = list(timed_sweep(op, f, v, iv, strategy, cap, oracle))
-        trace = [(ell, err, strategy_bound(strategy, f, iv, ell, 1.0))
-                 for ell, err, _ in rows]
+        rows = list(timed_sweep(solutions_1d(op, f, v, iv, strategy, cap),
+                                oracle))
         paths.append(write_csv(
             os.path.join(cfg.outdir, f"table-times-{strategy}.csv"),
-            ("ell", "true_error", "bound"), trace))
+            ("ell", "true_error", "bound"),
+            with_bounds(rows, get_strategy(strategy).bound, f, iv, 1.0)))
         for tol in TIME_TOLERANCES:
-            hit = next(((ell, sec) for ell, err, sec in rows
-                        if err / xnorm <= tol), None)
+            hit = first_at_or_below(rows, tol, xnorm)
             summary.append((f"{tol:g}", strategy,
                             hit[0] if hit else "",
-                            f"{hit[1]:.4g}" if hit else ""))
+                            f"{hit[2]:.4g}" if hit else ""))
     paths.append(write_csv(
         os.path.join(cfg.outdir, "table-times-summary.csv"),
         ("tolerance", "strategy", "iterations", "seconds"), summary))
@@ -420,14 +446,19 @@ def _run_kron(cfg: ExperimentConfig, variant: str) -> list[str]:
         f = catalog_function("power", -0.5)
     prob, x_ref = fixture_2d(op, f, cfg.seed)
     ells = range(1, cfg.ell_max + 1)
+    fnorm = prob.rhs_norm2()
+
+    def sweep(label: str) -> list:
+        pair = _kron_pair_for(variant, label)
+        return with_bounds(
+            timed_sweep(solutions_2d(prob, pair, cfg.ell_max), x_ref),
+            pair.bound, f, prob.interval, fnorm,
+            conjectured_gamma=cfg.conjectured_gamma)
 
     paths = _write_panel(
-        cfg, stem, ("extended", "polynomial", "canonical", "eds"),
-        lambda label: kron_error_sweep(
-            prob, _kron_pair_for(variant, label), ells, x_ref,
-            conjectured_gamma=cfg.conjectured_gamma),
-        emit_bounds(f, prob.interval, ells, prob.rhs_norm2(),
-                    f"{variant}-kron",
+        cfg, stem, ("extended", "polynomial", "canonical", "eds"), sweep,
+        emit_bounds(_kron_pair_for(variant, "canonical").bound, f,
+                    prob.interval, ells, fnorm,
                     conjectured_gamma=cfg.conjectured_gamma))
 
     svals = np.linalg.svd(x_ref, compute_uv=False)

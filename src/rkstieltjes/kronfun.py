@@ -6,7 +6,9 @@ Kronecker factors are projected onto small rational Krylov spaces -- A
 against the left poles, -B against the negated right poles, which is the
 same space as B^T against the right poles -- and the compressed problem is
 solved by double diagonalization.  X never gets formed at full size unless
-explicitly materialized.
+explicitly materialized.  The factors are real; error curves against a
+dense reference are the harness's (``experiments.timed_sweep`` over
+``kron_iterates``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .bounds import singular_value_bound, sylvester_residual_bound
 from .functions import StieltjesFunction
-from .operators import HermitianOperator, SpectralInterval
+from .operators import DENSE_EIG_LIMIT, HermitianOperator, SpectralInterval
 from .rk import RKDecomposition, grow, rk_build
 from .strategies import KronPair
 
@@ -28,7 +30,6 @@ __all__ = [
     "kron_problem",
     "kron_fun",
     "kron_iterates",
-    "kron_error_sweep",
     "funm_diag",
     "sylvester_residual",
     "dense_kron_solution",
@@ -53,19 +54,22 @@ class KroneckerProblem:
     interval: SpectralInterval
 
     def __post_init__(self):
-        uf = np.atleast_2d(np.asarray(self.u_factor, dtype=float))
-        vf = np.atleast_2d(np.asarray(self.v_factor, dtype=float))
-        if uf.shape[0] == 1 and self.a_op.n != 1:
-            uf = uf.T
-        if vf.shape[0] == 1 and self.bneg_op.n != 1:
-            vf = vf.T
-        object.__setattr__(self, "u_factor", uf)
-        object.__setattr__(self, "v_factor", vf)
-        if uf.shape[0] != self.a_op.n:
-            raise ValueError("u_factor rows must match the left operator order")
-        if vf.shape[0] != self.bneg_op.n:
-            raise ValueError("v_factor rows must match the right operator order")
-        if uf.shape[1] != vf.shape[1]:
+        # The one coercion of the factors: real float blocks, with a row or
+        # a 1-D vector read as one column.
+        for name, op, side in (("u_factor", self.a_op, "left"),
+                               ("v_factor", self.bneg_op, "right")):
+            m = np.atleast_2d(getattr(self, name))
+            if np.iscomplexobj(m):
+                raise ValueError(f"{name} is complex; the Kronecker solver "
+                                 "takes real factors")
+            m = m.astype(float, copy=False)
+            if m.shape[0] == 1 and op.n != 1:
+                m = m.T
+            if m.shape[0] != op.n:
+                raise ValueError(f"{name} rows must match the {side} "
+                                 "operator order")
+            object.__setattr__(self, name, m)
+        if self.u_factor.shape[1] != self.v_factor.shape[1]:
             raise ValueError("u_factor and v_factor must share the rank dimension")
         self.interval.require_positive()
 
@@ -113,8 +117,7 @@ def kron_problem(a_op: HermitianOperator, bneg_op: HermitianOperator,
         iva, ivb = a_op.exact_interval(), bneg_op.exact_interval()
         interval = SpectralInterval(min(iva.lower, ivb.lower),
                                     max(iva.upper, ivb.upper))
-    return KroneckerProblem(a_op, bneg_op, np.asarray(u_factor, dtype=float),
-                            np.asarray(v_factor, dtype=float), f, interval)
+    return KroneckerProblem(a_op, bneg_op, u_factor, v_factor, f, interval)
 
 
 def funm_diag(f: Callable[[np.ndarray], np.ndarray], a_small: np.ndarray,
@@ -200,23 +203,6 @@ def kron_iterates(problem: KroneckerProblem, pair: KronPair,
             for dec_u, dec_v in steps)
 
 
-def kron_error_sweep(problem: KroneckerProblem, pair: KronPair,
-                     ells: Sequence[int], x_ref: np.ndarray,
-                     conjectured_gamma: bool = False) -> list[tuple]:
-    """Rows (ell, ||X - X_ell||_2, bound) of ``pair`` over the given pole
-    counts against the reference solution ``x_ref``, for experiment tables
-    and acceptance: the Kronecker twin of ``rk.error_sweep``."""
-    fnorm = problem.rhs_norm2()
-    counts = sorted(set(int(e) for e in ells))
-    rows = []
-    for ell, res in zip(counts, kron_iterates(problem, pair, counts)):
-        err = float(np.linalg.norm(res.materialize() - x_ref, ord=2))
-        bound = pair.bound(problem.f, problem.interval, ell, fnorm,
-                           conjectured_gamma=conjectured_gamma)
-        rows.append((ell, err, bound))
-    return rows
-
-
 def sylvester_residual(problem: KroneckerProblem,
                        result: KroneckerResult) -> float:
     """||A X - X B - F||_2 for the rank-structured approximation, via thin
@@ -232,7 +218,7 @@ def sylvester_residual(problem: KroneckerProblem,
 
 
 def dense_kron_solution(problem: KroneckerProblem,
-                        dense_limit: int = 4000) -> np.ndarray:
+                        dense_limit: int = DENSE_EIG_LIMIT) -> np.ndarray:
     """Reference solution by full diagonalization of both operators.
 
     Cost is cubic in each order; guarded by ``dense_limit`` like the other

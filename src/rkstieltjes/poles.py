@@ -164,6 +164,16 @@ def gamma_const(ell: int, kappa: float, conjectured: bool = False) -> float:
 # pole sequences
 
 
+def _inner_endpoint(iv, endpoint: float) -> float:
+    """``endpoint``, the inner end of ``iv`` normalized into (0, 1]."""
+    if not endpoint > 0.0:
+        raise ValueError(
+            f"interval [{iv.lower:g}, {iv.upper:g}] is too wide for the pole "
+            "families: its lower endpoint normalized by the upper one "
+            "underflows to 0")
+    return endpoint
+
+
 def zolotarev_poles(interval, ell: int) -> np.ndarray:
     """Optimal poles for [a,b] against [-b,-a]: -b*dn((2j-1)K/(2l), mu).
 
@@ -177,7 +187,7 @@ def zolotarev_poles(interval, ell: int) -> np.ndarray:
     a, b = iv.lower, iv.upper
     if a == b:
         return np.full(ell, -a)
-    ratio = a / b
+    ratio = _inner_endpoint(iv, a / b)
     mu = math.sqrt((1.0 - ratio) * (1.0 + ratio))
     big_k = elliptic_K(mu, kprime=ratio)
     j = np.arange(1, ell + 1, dtype=float)
@@ -216,7 +226,8 @@ def _chart(interval, mirror: bool) -> tuple[float, Pullback]:
         d = math.sqrt(1.0 - r)
         endpoint = c = r / (1.0 + d) ** 2
     scale = b * (1.0 + d)
-    return endpoint, lambda sigma: scale * (c - sigma) / (1.0 - sigma)
+    return (_inner_endpoint(iv, endpoint),
+            lambda sigma: scale * (c - sigma) / (1.0 - sigma))
 
 
 def mobius_cauchy(interval) -> tuple[float, Pullback]:
@@ -331,7 +342,7 @@ def eds_pole_iter(interval, variant: str) -> Iterator[float]:
         if a == b:
             while True:
                 yield -a
-        lower, emit = a / b, lambda sig: -b * sig
+        lower, emit = _inner_endpoint(iv, a / b), lambda sig: -b * sig
     elif variant == "cauchy":
         lower, emit = a / b, mobius_cauchy(iv)[1]
     elif variant == "kron-cauchy":

@@ -5,7 +5,9 @@ span{ q(A)^-1 [v, Av, ..., A^(l-1) v] } together with the projected
 quantities U*AU and U*v, grown one pole at a time.  Infinite poles
 contribute a multiplication step, finite poles a shifted solve, so the
 classical polynomial and extended spaces are the special cases with all
-poles at infinity resp. alternating infinity / zero.
+poles at infinity resp. alternating infinity / zero.  Error curves against
+a reference are the harness's (``experiments.timed_sweep`` over
+``iterates``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "funv_driver",
     "grow",
     "iterates",
-    "error_sweep",
     "CHECKPOINT_STRIDE",
 ]
 
@@ -549,38 +550,3 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     x = dec.lift(recent[-1]) if s.nested else recent[-1]
     return FunvResult(x=x, trace=tuple(trace), converged=converged,
                       strategy=strategy, poles_used=tuple(dec.poles_used))
-
-
-def error_sweep(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
-                interval, strategy: str, ells: Sequence[int],
-                oracle: np.ndarray, custom_poles: Sequence[complex] | None = None,
-                conjectured_gamma: bool = False,
-                bound_shift: float = 0.0) -> list[FunvTraceRow]:
-    """Absolute-error curve over the given pole counts, for experiment
-    tables.  true_error is ||x_exact - x_ell||_2 (the bounds are absolute,
-    so domination can be read off row by row).
-
-    Rows follow ``iterates``: a nested basis that breaks down or a custom
-    list that runs out ends the curve early.  The oracle is required: this
-    is the measurement harness, not the adaptive driver.  ``bound_shift``
-    > 0 evaluates the bound column for the right-shifted function on the
-    left-shifted interval -- the finite-anchor workaround when f(0+)
-    diverges.
-    """
-    iv = positive_interval(interval)
-    ref, _ = as_block(oracle)
-    vnorm = float(np.linalg.norm(v))
-    f_b, iv_b = f, iv
-    if bound_shift:
-        f_b = f.with_shift(bound_shift)
-        iv_b = iv.shifted(-bound_shift).require_positive()
-
-    rows: list[FunvTraceRow] = []
-    counts = sorted(set(int(e) for e in ells))
-    for dec, y in iterates(op, f, v, strategy, iv, counts, custom_poles):
-        count = len(dec.poles_used)
-        err = float(np.linalg.norm(dec.basis @ y - ref))
-        rows.append(FunvTraceRow(count, math.nan, err, strategy_bound(
-            strategy, f_b, iv_b, count, vnorm,
-            conjectured_gamma=conjectured_gamma)))
-    return rows

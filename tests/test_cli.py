@@ -163,6 +163,14 @@ class TestPoles:
                 in capsys.readouterr().err)
         assert not out.exists() and not xi.exists()
 
+    def test_underflowing_interval_named(self, tmp_path, capsys):
+        out = tmp_path / "z.txt"
+        assert main(["poles", "--strategy", "zolotarev", "--interval",
+                     "1e-300,1e300", "--ell", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "interval [1e-300, 1e+300] is too wide" in err
+        assert not out.exists()
+
     def test_interval_required_for_zolotarev(self):
         with pytest.raises(SystemExit, match="interval"):
             main(["poles", "--strategy", "zolotarev", "--ell", "3",
@@ -230,6 +238,17 @@ class TestKronfun:
                    "--function", "inverse", "--ufile", str(u),
                    "--vfile", str(v), "--poles", "extended", "--ell", "6"])
         assert rc == 0
+
+    def test_complex_factor_file_refused(self, tmp_path, capsys):
+        u = tmp_path / "u.npy"
+        v = tmp_path / "v.npy"
+        np.save(u, (1 + 1j) * np.ones((20, 1)))
+        np.save(v, np.ones((20, 1)))
+        rc = main(["kronfun", "--a", "tridiag:20:2", "--bneg", "tridiag:20:2",
+                   "--function", "inverse", "--ufile", str(u),
+                   "--vfile", str(v), "--poles", "extended", "--ell", "3"])
+        assert rc == 2
+        assert "u_factor is complex" in capsys.readouterr().err
 
 
 class TestExperimentAndAccept:

@@ -14,9 +14,11 @@ from rkstieltjes.experiments import (
     _kron_pair_for,
     diffusion_operator,
     emit_bounds,
+    first_at_or_below,
     fixture_1d,
     fixture_2d,
     run_experiment,
+    solutions_1d,
     timed_sweep,
     write_csv,
 )
@@ -29,7 +31,7 @@ from rkstieltjes.operators import (
 )
 from rkstieltjes.rk import RKDecomposition
 from rkstieltjes.poles import laplace_kron_poles
-from rkstieltjes.strategies import KRON_PAIRS
+from rkstieltjes.strategies import KRON_PAIRS, STRATEGIES
 
 
 def _read_csv(path):
@@ -109,6 +111,40 @@ def test_every_experiment_at_toy_size(experiment, tmp_path):
         assert rows, name
 
 
+# Labels whose bound column is the panel's certified curve.
+_CERTIFIED = ("zolotarev", "cauchy", "eds-laplace", "eds-cauchy", "canonical")
+
+
+@pytest.mark.parametrize(
+    "experiment", [e for e in EXPERIMENT_IDS if e != "table-times"])
+def test_certified_bound_columns_equal_the_bound_curve(experiment, tmp_path):
+    paths = run_experiment(ExperimentConfig(
+        experiment, n=40, ell_max=4, outdir=str(tmp_path)))
+    stems = [p[:-len("-bound.csv")] for p in paths if p.endswith("-bound.csv")]
+    assert stems
+    for stem in stems:
+        _, curve = _read_csv(f"{stem}-bound.csv")
+        assert len(curve) == 4
+        certified = [f"{stem}-{label}.csv" for label in _CERTIFIED
+                     if f"{stem}-{label}.csv" in paths]
+        assert len(certified) == (1 if experiment.endswith("2d") else 2)
+        for path in certified:
+            _, rows = _read_csv(path)
+            assert [[ell, bound] for ell, _, bound in rows] == curve, path
+
+
+@pytest.mark.parametrize("experiment", ["fig-cauchy-1d", "fig-cauchy-2d"])
+def test_thread_count_leaves_every_file_unchanged(experiment, tmp_path):
+    files = []
+    for threads in (1, 2):
+        paths = run_experiment(ExperimentConfig(
+            experiment, n=40, ell_max=4, outdir=str(tmp_path / str(threads)),
+            gnuplot=True, threads=threads))
+        files.append({os.path.basename(p): open(p, "rb").read()
+                      for p in paths})
+    assert files[0] == files[1]
+
+
 class TestFixtures:
     def test_1d_fixture(self):
         op = diffusion_operator(60)
@@ -145,11 +181,24 @@ class TestFixtures:
         f = catalog_function("power", -0.5)
         v, iv, oracle = fixture_1d(op, f, 0)
         rows = list(itertools.islice(
-            timed_sweep(op, f, v, iv, "eds-cauchy", 50, oracle), 3))
+            timed_sweep(solutions_1d(op, f, v, iv, "eds-cauchy", 50), oracle),
+            3))
         assert len(calls) == 3
         assert [ell for ell, _, _ in rows] == [1, 2, 3]
         seconds = [sec for _, _, sec in rows]
         assert seconds == sorted(seconds)
+
+    def test_first_at_or_below_reads_only_that_far(self):
+        read = []
+
+        def curve():
+            for row in [(1, 4.0, 0.1), (2, 1.0, 0.2), (3, 0.5, 0.3)]:
+                read.append(row[0])
+                yield row
+
+        assert first_at_or_below(curve(), 0.5, 2.0) == (2, 1.0, 0.2)
+        assert read == [1, 2]
+        assert first_at_or_below(curve(), 0.1, 2.0) is None
 
 
 class TestDiffusionOperator:
@@ -165,37 +214,34 @@ class TestDiffusionOperator:
 class TestEmitBounds:
     def test_infinite_anchor_raises(self):
         f = catalog_function("power", -0.5)
-        with pytest.raises(ValueError, match="shift"):
-            emit_bounds(f, (0.5, 4.0), [1, 2, 3], norm=1.0, mode="laplace-1d")
+        for bound in (STRATEGIES["zolotarev"].bound,
+                      KRON_PAIRS["laplace-kron"].bound):
+            with pytest.raises(ValueError, match="shift"):
+                emit_bounds(bound, f, (0.5, 4.0), [1, 2, 3], norm=1.0)
 
     def test_shift_gives_finite_decreasing(self):
         f = catalog_function("power", -0.5)
-        rows = emit_bounds(f, (0.5, 4.0), list(range(1, 9)), norm=1.0,
-                           mode="laplace-1d", shift=0.25)
+        rows = emit_bounds(STRATEGIES["zolotarev"].bound, f, (0.5, 4.0),
+                           list(range(1, 9)), norm=1.0, shift=0.25)
         assert [e for e, _ in rows] == list(range(1, 9))
         arr = np.asarray([b for _, b in rows])
         assert np.all(np.isfinite(arr))
         assert np.all(np.diff(arr) < 0.0)
+        # the curve of f(. + eta) on [a - eta, b - eta]
+        assert rows[2][1] == STRATEGIES["zolotarev"].bound(
+            f.with_shift(0.25), (0.25, 3.75), 3, 1.0)
 
     def test_cauchy_mode_finite_without_shift(self):
         f = catalog_function("power", -0.5)  # f(a) finite for a > 0
-        rows = emit_bounds(f, (0.5, 4.0), [1, 4, 7], norm=2.0, mode="cauchy-1d")
+        rows = emit_bounds(STRATEGIES["cauchy"].bound, f, (0.5, 4.0),
+                           [1, 4, 7], norm=2.0)
         assert all(math.isfinite(b) and b > 0 for _, b in rows)
 
-    def test_writes_csv(self, tmp_path):
-        f = catalog_function("phi", 1)
-        out = tmp_path / "bounds.csv"
-        emit_bounds(f, (0.5, 4.0), [1, 2, 3], norm=1.0, mode="laplace-1d",
-                    out_path=str(out))
-        header, rows = _read_csv(str(out))
-        assert header == ["ell", "bound"]
-        assert len(rows) == 3
-        assert int(rows[0][0]) == 1
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            emit_bounds(catalog_function("phi", 1), (0.5, 4.0), [1],
-                        norm=1.0, mode="fourier")
+    def test_uncertified_curve_is_nan_not_refused(self):
+        f = catalog_function("power", -0.5)
+        rows = emit_bounds(STRATEGIES["extended"].bound, f, (0.5, 4.0),
+                           [1, 2], norm=1.0)
+        assert all(math.isnan(b) for _, b in rows)
 
 
 class TestRunExperiment:

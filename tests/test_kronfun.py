@@ -4,12 +4,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from rkstieltjes.experiments import solutions_2d, timed_sweep, with_bounds
 from rkstieltjes.functions import catalog_function
 from rkstieltjes.kronfun import (
     KroneckerProblem,
     dense_kron_solution,
     funm_diag,
-    kron_error_sweep,
     kron_fun,
     kron_iterates,
     kron_problem,
@@ -143,6 +143,23 @@ class TestProblemConstruction:
                          rng.standard_normal((10, 2)),
                          catalog_function("inverse"))
 
+    @pytest.mark.parametrize("side", ["u_factor", "v_factor"])
+    def test_complex_factor_refused(self, side):
+        # A cast to float would drop the imaginary part without a word.
+        a_op = _tridiag(6)
+        factors = {"u_factor": np.ones((6, 1)), "v_factor": np.ones((6, 1))}
+        factors[side] = (1 + 1j) * factors[side]
+        with pytest.raises(ValueError, match=f"{side} is complex"):
+            kron_problem(a_op, a_op, factors["u_factor"],
+                         factors["v_factor"], catalog_function("inverse"))
+
+    def test_integer_factors_become_float(self):
+        a_op = _tridiag(6)
+        prob = kron_problem(a_op, a_op, np.ones(6, dtype=int),
+                            [[1]] * 6, catalog_function("inverse"))
+        for factor in (prob.u_factor, prob.v_factor):
+            assert factor.dtype == np.float64 and factor.shape == (6, 1)
+
     def test_one_dim_factor_promoted(self):
         rng = np.random.default_rng(4)
         a_op = _tridiag(8, scale=2.0)
@@ -254,12 +271,14 @@ class TestKronIterates:
             assert op.calls == want
 
     def test_error_sweep_rows(self):
+        # The harness's 2-D curve over kron_iterates, bounds from the pair.
         prob = _make_problem(n=30, seed=17, f=catalog_function("power", -0.5))
         x_ref = dense_kron_solution(prob)
         pair = KRON_PAIRS["cauchy-kron"]
-        rows = kron_error_sweep(prob, pair, [6, 2, 4, 4], x_ref)
-        assert [r[0] for r in rows] == [2, 4, 6]
         fnorm = prob.rhs_norm2()
+        rows = with_bounds(timed_sweep(solutions_2d(prob, pair, 6), x_ref),
+                           pair.bound, prob.f, prob.interval, fnorm)
+        assert [r[0] for r in rows] == [1, 2, 3, 4, 5, 6]
         for ell, err, bound in rows:
             x = kron_fun(prob, *pair.poles(prob.interval, ell)).materialize()
             assert err == float(np.linalg.norm(x - x_ref, ord=2))

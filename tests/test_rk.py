@@ -4,6 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from rkstieltjes.experiments import (
+    emit_bounds,
+    solutions_1d,
+    timed_sweep,
+    with_bounds,
+)
 from rkstieltjes.functions import catalog_function
 from rkstieltjes.operators import (
     DiagonalOperator,
@@ -12,10 +18,14 @@ from rkstieltjes.operators import (
     oracle_funv,
     spectral_interval,
 )
-from rkstieltjes.poles import extended_poles, polynomial_poles, zolotarev_poles
+from rkstieltjes.poles import (
+    cauchy_poles,
+    extended_poles,
+    polynomial_poles,
+    zolotarev_poles,
+)
 from rkstieltjes.rk import (
     RKDecomposition,
-    error_sweep,
     exactness_check,
     funv_driver,
     grow,
@@ -381,6 +391,10 @@ class TestDrivers:
 
 
 class TestErrorSweep:
+    """The error curve of the experiments and the acceptance suite: the
+    harness's ``timed_sweep`` over the lifted ``iterates``, with its bound
+    column from ``emit_bounds``."""
+
     def test_absolute_errors_against_oracle(self):
         op = _tridiag_op(50)
         f = catalog_function("power", -0.5)
@@ -389,27 +403,28 @@ class TestErrorSweep:
         v /= np.linalg.norm(v)
         iv = spectral_interval(op, mode="exact-small")
         ref = oracle_funv(op, f, v)
-        rows = error_sweep(op, f, v, iv, "cauchy", [1, 3, 5, 8], oracle=ref)
-        assert [r.ell for r in rows] == [1, 3, 5, 8]
-        for r in rows:
-            assert r.true_error <= r.bound
-        # absolute error convention: ell=1 error is the raw 2-norm distance
-        dec_err = rows[0].true_error
-        from rkstieltjes.poles import cauchy_poles
-        dec = rk_build(op, v, cauchy_poles(iv, 1))
-        direct = np.linalg.norm(rk_funv(dec, f) - ref)
-        assert dec_err == pytest.approx(direct, rel=1e-12)
+        curve = timed_sweep(solutions_1d(op, f, v, iv, "cauchy", 8), ref)
+        rows = with_bounds(curve, STRATEGIES["cauchy"].bound, f, iv,
+                           np.linalg.norm(v))
+        assert [ell for ell, _, _ in rows] == list(range(1, 9))
+        for ell, err, bound in rows:
+            assert err <= bound
+            # absolute error convention: the raw 2-norm distance
+            dec = rk_build(op, v, cauchy_poles(iv, ell))
+            direct = np.linalg.norm(rk_funv(dec, f) - ref)
+            assert err == pytest.approx(direct, rel=1e-12)
 
     def test_short_custom_list_returns_rows_reached(self):
         op = _tridiag_op(30)
         f = catalog_function("inverse")
         v = np.ones(30)
         iv = spectral_interval(op, mode="exact-small")
-        ref = oracle_funv(op, f, v)
-        rows = error_sweep(op, f, v, iv, "custom", [1, 2, 5], ref,
-                           custom_poles=[-1.0, -2.0])
-        assert [r.ell for r in rows] == [1, 2]
-        assert all(math.isnan(r.bound) for r in rows)
+        steps = iterates(op, f, v, "custom", iv, [1, 2, 5],
+                         custom_poles=[-1.0, -2.0])
+        ells = [len(dec.poles_used) for dec, _ in steps]
+        assert ells == [1, 2]
+        bounds = emit_bounds(STRATEGIES["custom"].bound, f, iv, ells, 1.0)
+        assert all(math.isnan(b) for _, b in bounds)
 
     @pytest.mark.parametrize("strategy", ["extended", "zolotarev"])
     def test_counts_below_one_rejected(self, strategy):
@@ -418,7 +433,7 @@ class TestErrorSweep:
         v = np.ones(30)
         iv = spectral_interval(op, mode="exact-small")
         with pytest.raises(ValueError, match="pole counts must be >= 1"):
-            error_sweep(op, f, v, iv, strategy, [0, 3], oracle_funv(op, f, v))
+            iterates(op, f, v, strategy, iv, [0, 3])
 
     def test_bound_shift_restores_finite_anchor(self):
         # The run stays unshifted; only the bound column is evaluated for
@@ -429,13 +444,17 @@ class TestErrorSweep:
         v = np.ones(40) / math.sqrt(40)
         ref = oracle_funv(op, f, v)
         eta = 0.5 * iv.lower
-        rows = error_sweep(op, f, v, iv, "zolotarev", [2, 4],
-                           oracle=ref, bound_shift=eta)
-        for r in rows:
-            assert math.isfinite(r.bound)
-            assert r.true_error <= r.bound
-        plain = error_sweep(op, f, v, iv, "zolotarev", [2, 4], oracle=ref)
-        assert all(math.isinf(r.bound) for r in plain)
+        curve = list(timed_sweep(solutions_1d(op, f, v, iv, "zolotarev", 4),
+                                 ref))
+        bound = STRATEGIES["zolotarev"].bound
+        rows = with_bounds(curve, bound, f, iv, np.linalg.norm(v),
+                           shift=eta)
+        assert [ell for ell, _, _ in rows] == [1, 2, 3, 4]
+        for _, err, bnd in rows:
+            assert math.isfinite(bnd)
+            assert err <= bnd
+        with pytest.raises(ValueError, match="anchor f\\(0\\+\\) is infinite"):
+            with_bounds(curve, bound, f, iv, 1.0)
 
 
 class TestIterates:

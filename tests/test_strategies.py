@@ -126,6 +126,33 @@ def test_cauchy_families_refuse_a_single_point(poles):
         poles()
 
 
+WIDE = (1e-300, 1e300)  # a/b underflows to 0
+TOO_WIDE = re.escape(
+    "interval [1e-300, 1e+300] is too wide for the pole families: its "
+    "lower endpoint normalized by the upper one underflows to 0")
+
+
+@pytest.mark.parametrize("poles", [
+    *(pytest.param(lambda name=name: STRATEGIES[name].first(WIDE, 3), id=name)
+      for name in ("zolotarev", "cauchy", "eds-laplace", "eds-cauchy")),
+    *(pytest.param(lambda name=name: KRON_PAIRS[name].poles(WIDE, 3),
+                   id=f"kron-{name}")
+      for name in ("laplace-kron", "cauchy-kron", "eds-laplace",
+                   "eds-cauchy")),
+])
+def test_interval_families_name_an_underflowing_interval(poles):
+    with pytest.raises(ValueError, match=TOO_WIDE):
+        poles()
+
+
+def test_baselines_ignore_an_underflowing_interval():
+    for name in ("extended", "polynomial"):
+        assert STRATEGIES[name].first(WIDE, 2) == STRATEGIES[name].first(
+            None, 2)
+        assert KRON_PAIRS[name].poles(WIDE, 2) == KRON_PAIRS[name].poles(
+            None, 2)
+
+
 def test_laplace_families_sit_at_a_single_point():
     for name in ("zolotarev", "eds-laplace"):
         assert STRATEGIES[name].first(POINT, 3) == [-2.0] * 3, name
