@@ -5,6 +5,10 @@ from a function anchor (f(0+), f(a) or f(2a)), the interval condition
 ratio and the seed norm.  They are exact consequences of the pole
 construction, so the experiment layer may assert observed <= bound for the
 certified strategies at every step.
+
+Every certificate is ``bound(f, interval, ell, norm)`` and checks its own
+function class: the Laplace-type bounds hold for every completely monotonic
+f, the Cauchy-type ones are nan unless f is Cauchy-Stieltjes.
 """
 
 from __future__ import annotations
@@ -25,26 +29,27 @@ __all__ = [
 
 
 def _laplace_type(const: float, f, iv: SpectralInterval, ell: int,
-                  norm: float, conjectured_gamma: bool) -> float:
+                  norm: float) -> float:
     """const * gamma_{l,kappa} * f(0+) * norm * rho_{[a,b]}^(l/2); infinite
     when the anchor f(0+) diverges."""
     anchor = f.limit_at_zero()
     if math.isinf(anchor):
         return math.inf
-    g = gamma_const(ell, iv.kappa, conjectured=conjectured_gamma)
-    return const * g * anchor * norm * rate_rho(iv.lower, iv.upper) ** (0.5 * ell)
+    return (const * gamma_const(ell, iv.kappa) * anchor * norm
+            * rate_rho(iv.lower, iv.upper) ** (0.5 * ell))
 
 
 def _cauchy_mirror(f, iv: SpectralInterval, ell: int, norm: float,
                    factor: float = 1.0) -> float:
     """4 * f(2a) * factor * norm * rho_{[a,2b]}^l, the Cauchy-class rate
-    against the mirrored interval."""
+    against the mirrored interval; nan unless f is Cauchy-Stieltjes."""
+    if not f.is_cauchy:
+        return math.nan
     return (4.0 * f.at(2.0 * iv.lower) * factor * norm
             * rate_rho(iv.lower, 2.0 * iv.upper) ** ell)
 
 
-def laplace_bound(f, interval, ell: int, vnorm: float,
-                  conjectured_gamma: bool = False) -> float:
+def laplace_bound(f, interval, ell: int, norm: float) -> float:
     """8 * gamma_{l,kappa} * f(0+) * ||v|| * rho_{[a,b]}^(l/2).
 
     Valid for every completely monotonic f with finite f(0+) when the
@@ -52,28 +57,28 @@ def laplace_bound(f, interval, ell: int, vnorm: float,
     diverges (use a shifted function/operator pair to recover a finite
     constant).
     """
-    return _laplace_type(8.0, f, positive_interval(interval), ell, vnorm,
-                         conjectured_gamma)
+    return _laplace_type(8.0, f, positive_interval(interval), ell, norm)
 
 
-def cauchy_bound(f, interval, ell: int, vnorm: float) -> float:
-    """8 * f(a) * ||v|| * rho_{[a,4b]}^l for Cauchy-class f with the
-    half-line pole family."""
+def cauchy_bound(f, interval, ell: int, norm: float) -> float:
+    """8 * f(a) * ||v|| * rho_{[a,4b]}^l for Cauchy-Stieltjes f with the
+    half-line pole family; nan for any other f."""
+    if not f.is_cauchy:
+        return math.nan
     iv = positive_interval(interval)
-    return 8.0 * f.at(iv.lower) * vnorm * rate_rho(iv.lower, 4.0 * iv.upper) ** ell
+    return 8.0 * f.at(iv.lower) * norm * rate_rho(iv.lower, 4.0 * iv.upper) ** ell
 
 
-def kron_laplace_bound(f, interval, ell: int, fnorm: float,
-                       conjectured_gamma: bool = False) -> float:
+def kron_laplace_bound(f, interval, ell: int, norm: float) -> float:
     """16 * gamma_{l,kappa} * f(0+) * rho_{[a,b]}^(l/2) * ||F||_2."""
-    return _laplace_type(16.0, f, positive_interval(interval), ell, fnorm,
-                         conjectured_gamma)
+    return _laplace_type(16.0, f, positive_interval(interval), ell, norm)
 
 
-def kron_cauchy_bound(f, interval, ell: int, fnorm: float) -> float:
-    """4 * f(2a) * (1 + kappa) * rho_{[a,2b]}^l * ||F||_2."""
+def kron_cauchy_bound(f, interval, ell: int, norm: float) -> float:
+    """4 * f(2a) * (1 + kappa) * rho_{[a,2b]}^l * ||F||_2 for
+    Cauchy-Stieltjes f; nan for any other f."""
     iv = positive_interval(interval)
-    return _cauchy_mirror(f, iv, ell, fnorm, factor=1.0 + iv.kappa)
+    return _cauchy_mirror(f, iv, ell, norm, factor=1.0 + iv.kappa)
 
 
 def sylvester_residual_bound(interval, ell: int, fnorm: float) -> float:
@@ -83,16 +88,11 @@ def sylvester_residual_bound(interval, ell: int, fnorm: float) -> float:
     return (1.0 + iv.kappa) * 4.0 * rate_rho(iv.lower, iv.upper) ** ell * fnorm
 
 
-def singular_value_bound(f, interval, ell: int, fnorm: float, variant: str,
-                         conjectured_gamma: bool = False) -> float:
-    """Decay bound on sigma_{1 + l*k} of the exact solution X.
-
-    ``variant="cauchy"``: 4 f(2a) rho_{[a,2b]}^l ||F||_2;
-    ``variant="laplace"``: 16 gamma_{l,kappa} f(0+) rho_{[a,b]}^(l/2) ||F||_2.
-    """
+def singular_value_bound(f, interval, ell: int, norm: float) -> float:
+    """Decay bound on sigma_{1 + l*k} of the exact solution X for the class
+    of f: 4 f(2a) rho_{[a,2b]}^l ||F||_2 for Cauchy-Stieltjes f and
+    16 gamma_{l,kappa} f(0+) rho_{[a,b]}^(l/2) ||F||_2 for the others."""
     iv = positive_interval(interval)
-    if variant == "cauchy":
-        return _cauchy_mirror(f, iv, ell, fnorm)
-    if variant == "laplace":
-        return _laplace_type(16.0, f, iv, ell, fnorm, conjectured_gamma)
-    raise ValueError(f"unknown singular-value bound variant {variant!r}")
+    if f.is_cauchy:
+        return _cauchy_mirror(f, iv, ell, norm)
+    return _laplace_type(16.0, f, iv, ell, norm)

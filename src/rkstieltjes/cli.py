@@ -129,8 +129,7 @@ def _cmd_funv(args) -> int:
     result = funv_driver(
         op, f, v, iv, strategy=strategy,
         tol=args.tol, ell=args.ell, max_ell=args.max_ell,
-        oracle=oracle, custom_poles=custom,
-        conjectured_gamma=args.gamma_one)
+        oracle=oracle, custom_poles=custom)
 
     if args.out:
         write_csv(args.out, ["ell", "est_error", "true_error", "bound"],
@@ -186,8 +185,7 @@ def _cmd_kronfun(args) -> int:
     elif family in KRON_PAIRS:
         pair = KRON_PAIRS[family]
         psi, xi = pair.poles(iv, args.ell)
-        bound = pair.bound(f, iv, args.ell, prob.rhs_norm2(),
-                           conjectured_gamma=args.gamma_one)
+        bound = pair.bound(f, iv, args.ell, prob.rhs_norm2())
     else:
         raise SystemExit(
             f"--poles: unknown family {family!r}; expected one of "
@@ -260,8 +258,7 @@ def _cmd_poles(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig(
         experiment=args.id, n=args.n, ell_max=args.ell_max, seed=args.seed,
-        outdir=args.outdir, gnuplot=args.gnuplot, threads=args.threads,
-        conjectured_gamma=args.gamma_one)
+        outdir=args.outdir, gnuplot=args.gnuplot, threads=args.threads)
     for path in run_experiment(cfg):
         print(path)
     return 0
@@ -316,8 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--oracle", choices=("on", "off"), default="off",
                     help="compute true errors against a reference solution")
     pf.add_argument("--out", help="write the trace CSV here")
-    pf.add_argument("--gamma-one", action="store_true",
-                    help="use the conjectured gamma=1 constant in bounds")
     pf.set_defaults(fn=_cmd_funv)
 
     pk = sub.add_parser("kronfun", parents=[common],
@@ -340,7 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--out", help="write a one-row summary CSV here")
     pk.add_argument("--svd-report",
                     help="write singular values of the compressed core here")
-    pk.add_argument("--gamma-one", action="store_true")
     pk.set_defaults(fn=_cmd_kronfun)
 
     pp = sub.add_parser("poles", help="generate pole files")
@@ -363,7 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="also write a companion gnuplot script")
     pe.add_argument("--threads", type=int, default=1,
                     help="strategies run in parallel")
-    pe.add_argument("--gamma-one", action="store_true")
     pe.set_defaults(fn=_cmd_experiment)
 
     pa = sub.add_parser("accept", help="run the acceptance suite")

@@ -76,7 +76,6 @@ class ExperimentConfig:
     outdir: str = "."
     gnuplot: bool = False
     threads: int = 1
-    conjectured_gamma: bool = False
 
     def resolved(self) -> "ExperimentConfig":
         if self.experiment not in EXPERIMENT_IDS:
@@ -259,8 +258,7 @@ def _write_panel(cfg: ExperimentConfig, stem: str, labels: Sequence[str],
 
 
 def emit_bounds(bound, f: StieltjesFunction, interval, ells: Sequence[int],
-                norm: float, shift: float = 0.0,
-                conjectured_gamma: bool = False) -> list[tuple]:
+                norm: float, shift: float = 0.0) -> list[tuple]:
     """Bound curve (ell, bound(f, interval, ell, norm)) of a strategy
     record's ``bound`` (a ``Strategy`` or a ``KronPair``).
 
@@ -273,9 +271,7 @@ def emit_bounds(bound, f: StieltjesFunction, interval, ells: Sequence[int],
     if shift:
         f = f.with_shift(shift)
         iv = iv.shifted(-shift).require_positive()
-    rows = [(int(ell), bound(f, iv, int(ell), norm,
-                             conjectured_gamma=conjectured_gamma))
-            for ell in ells]
+    rows = [(int(ell), bound(f, iv, int(ell), norm)) for ell in ells]
     if math.isinf(f.limit_at_zero()) and any(math.isinf(b) for _, b in rows):
         raise ValueError(
             f"{f.label}: the bound anchor f(0+) is infinite; pass a "
@@ -285,13 +281,12 @@ def emit_bounds(bound, f: StieltjesFunction, interval, ells: Sequence[int],
 
 
 def with_bounds(curve: Iterable[tuple], bound, f: StieltjesFunction,
-                interval, norm: float, shift: float = 0.0,
-                conjectured_gamma: bool = False) -> list[tuple]:
+                interval, norm: float, shift: float = 0.0) -> list[tuple]:
     """The rows (ell, abs_error, bound) of a timed curve, read whole, with
     the ``emit_bounds`` column of ``bound`` at the pole counts reached."""
     rows = list(curve)
     column = emit_bounds(bound, f, interval, [ell for ell, _, _ in rows],
-                         norm, shift, conjectured_gamma)
+                         norm, shift)
     return [(ell, err, b) for (ell, err, _), (_, b) in zip(rows, column)]
 
 
@@ -315,12 +310,11 @@ def _run_panels_1d(cfg: ExperimentConfig, variant: str,
             return with_bounds(
                 timed_sweep(solutions_1d(op, f, v, iv, strategy, cfg.ell_max),
                             oracle),
-                get_strategy(strategy).bound, f, iv, vnorm, shift,
-                cfg.conjectured_gamma)
+                get_strategy(strategy).bound, f, iv, vnorm, shift)
 
         paths += _write_panel(cfg, stem, strategies, sweep, emit_bounds(
             get_strategy(CANONICAL[variant]).bound, f, iv,
-            range(1, cfg.ell_max + 1), vnorm, shift, cfg.conjectured_gamma))
+            range(1, cfg.ell_max + 1), vnorm, shift))
     return paths
 
 
@@ -393,7 +387,7 @@ def _run_table_times(cfg: ExperimentConfig) -> list[str]:
     op = toeplitz_tridiagonal(cfg.n, 1.0)
     f = catalog_function("power", -0.5)
     v, iv, oracle = fixture_1d(op, f, cfg.seed)
-    xnorm = float(np.linalg.norm(oracle))
+    vnorm, xnorm = float(np.linalg.norm(v)), float(np.linalg.norm(oracle))
 
     caps = {"eds-cauchy": min(60, cfg.ell_max), "extended": cfg.ell_max}
     paths, summary = [], []
@@ -403,7 +397,7 @@ def _run_table_times(cfg: ExperimentConfig) -> list[str]:
         paths.append(write_csv(
             os.path.join(cfg.outdir, f"table-times-{strategy}.csv"),
             ("ell", "true_error", "bound"),
-            with_bounds(rows, get_strategy(strategy).bound, f, iv, 1.0)))
+            with_bounds(rows, get_strategy(strategy).bound, f, iv, vnorm)))
         for tol in TIME_TOLERANCES:
             hit = first_at_or_below(rows, tol, xnorm)
             summary.append((f"{tol:g}", strategy,
@@ -452,18 +446,15 @@ def _run_kron(cfg: ExperimentConfig, variant: str) -> list[str]:
         pair = _kron_pair_for(variant, label)
         return with_bounds(
             timed_sweep(solutions_2d(prob, pair, cfg.ell_max), x_ref),
-            pair.bound, f, prob.interval, fnorm,
-            conjectured_gamma=cfg.conjectured_gamma)
+            pair.bound, f, prob.interval, fnorm)
 
     paths = _write_panel(
         cfg, stem, ("extended", "polynomial", "canonical", "eds"), sweep,
         emit_bounds(_kron_pair_for(variant, "canonical").bound, f,
-                    prob.interval, ells, fnorm,
-                    conjectured_gamma=cfg.conjectured_gamma))
+                    prob.interval, ells, fnorm))
 
     svals = np.linalg.svd(x_ref, compute_uv=False)
-    decay = singular_decay_report(prob, list(ells), variant, svals,
-                                  conjectured_gamma=cfg.conjectured_gamma)
+    decay = singular_decay_report(prob, list(ells), svals)
     sv_rows = [(j + 1, float(s)) for j, s in enumerate(svals[:cfg.ell_max + 1])]
     paths.append(write_csv(os.path.join(cfg.outdir, f"{stem}-singvals.csv"),
                            ("index", "sigma"), sv_rows))

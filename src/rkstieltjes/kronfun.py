@@ -235,20 +235,17 @@ def dense_kron_solution(problem: KroneckerProblem,
 
 
 def singular_decay_report(problem: KroneckerProblem, ells: Sequence[int],
-                          variant: str, svals: np.ndarray,
-                          conjectured_gamma: bool = False) -> list[tuple]:
+                          svals: np.ndarray) -> list[tuple]:
     """Rows (ell, sigma_{1+ell*k}(X), bound) measuring how fast the exact
     solution's singular values ``svals`` (descending, as ``np.linalg.svd``
-    returns them) fall against the a-priori decay estimate."""
+    returns them) fall against the a-priori estimate for the class of f."""
     fnorm = problem.rhs_norm2()
     k = problem.rank
     rows = []
     for ell in ells:
         idx = ell * k  # 0-based position of sigma_{1 + ell*k}
         sigma = float(svals[idx]) if idx < svals.size else 0.0
-        bound = singular_value_bound(problem.f, problem.interval, ell, fnorm,
-                                     variant,
-                                     conjectured_gamma=conjectured_gamma)
+        bound = singular_value_bound(problem.f, problem.interval, ell, fnorm)
         rows.append((int(ell), sigma, bound))
     return rows
 

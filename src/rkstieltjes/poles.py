@@ -102,7 +102,8 @@ def jacobi_dn(u, k: float, kprime: float | None = None):
     the expansion about k = 1 (A&S 16.15.3) is exact to rounding.  Every
     term is positive, so nothing cancels: the result is accurate to a few
     ulps relative over the whole period (small values near u = K too) for
-    k' down to 1e-12.  Pass ``kprime`` when sqrt(1 - k^2) cannot resolve it.
+    k' down to 1e-12, and finite without overflow for subnormal k'.  Pass
+    ``kprime`` when sqrt(1 - k^2) cannot resolve it.
     """
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
@@ -125,8 +126,17 @@ def jacobi_dn(u, k: float, kprime: float | None = None):
         v = v / (1.0 + r)
         k, kprime = 2.0 * math.sqrt(k) / (1.0 + k), r
         chain.append(r)
-    d = (1.0 + 0.25 * kprime * kprime * (np.sinh(v) * np.cosh(v) + v)
-         * np.tanh(v)) / np.cosh(v)
+    # (1 + h^2 (sinh v cosh v + v) tanh v) / cosh v with h = k'/2, where
+    # h^2 sinh v cosh v tanh v = (h sinh v)^2 stays <= 1 on [0, K] while
+    # sinh v cosh v alone overflows for small k'.
+    if kprime >= 1e-300:
+        h = 0.5 * kprime
+        c, hs = np.cosh(v), h * np.sinh(v)
+        d = (1.0 + hs * hs + h * h * v * np.tanh(v)) / c
+    else:  # cosh K overflows: (h sinh v)^2 = exp(2 (v + log(k'/4))), h^2 = 0
+        w = np.exp(-v)
+        d = ((1.0 + np.exp(2.0 * (v + (math.log(kprime) - math.log(4.0)))))
+             * (2.0 * w / (1.0 + w * w)))
     for r in reversed(chain):
         d = (d * d + r) / ((1.0 + r) * d)
     return float(d[0]) if scalar else d
@@ -145,18 +155,13 @@ def rate_rho(alpha: float, beta: float) -> float:
     return math.exp(-math.pi ** 2 / math.log(4.0 * beta / alpha))
 
 
-def gamma_const(ell: int, kappa: float, conjectured: bool = False) -> float:
-    """Slowly growing constant 2.23 + (2/pi) log(4 l sqrt(kappa/pi)).
-
-    ``conjectured=True`` returns 1.0 (the numerically observed constant,
-    exposed for plotting only; every proven bound uses the default).
-    """
+def gamma_const(ell: int, kappa: float) -> float:
+    """Slowly growing constant 2.23 + (2/pi) log(4 l sqrt(kappa/pi)) of the
+    Laplace-type bounds."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
-    if conjectured:
-        return 1.0
     return 2.23 + (2.0 / math.pi) * math.log(4.0 * ell * math.sqrt(kappa / math.pi))
 
 
@@ -431,8 +436,12 @@ def _refine_extremum(fun, x0: float, lo: float, hi: float, want_max: bool,
     return best
 
 
-def zolotarev_ratio(r: RationalFunctionFactored, interval_max, interval_min,
-                    gridsize: int = 2000) -> float:
+#: Grid points of ``zolotarev_ratio`` on each side.
+RATIO_GRIDSIZE = 2000
+
+
+def zolotarev_ratio(r: RationalFunctionFactored, interval_max,
+                    interval_min) -> float:
     """Witness ratio  max_{I1} |r| / min_{I2} |r|  on grids plus refinement.
 
     Both intervals must be finite.  ``interval_max`` must be free of poles
@@ -450,10 +459,10 @@ def zolotarev_ratio(r: RationalFunctionFactored, interval_max, interval_min,
             f"pole {real_poles[inside][0]} of r lies inside the max-side "
             "interval; the ratio is unbounded"
         )
-    grid1 = _cheb_grid(lo1, hi1, max(gridsize, 16))
+    grid1 = _cheb_grid(lo1, hi1, RATIO_GRIDSIZE)
     vals1 = r.abs_at(grid1)
     imax = int(np.argmax(vals1))
-    width1 = (hi1 - lo1) / max(gridsize, 16) * 4.0
+    width1 = (hi1 - lo1) / RATIO_GRIDSIZE * 4.0
     vmax = _refine_extremum(r.abs_at, float(grid1[imax]), lo1, hi1, True,
                             width=width1)
 
@@ -464,7 +473,7 @@ def zolotarev_ratio(r: RationalFunctionFactored, interval_max, interval_min,
     cut = np.concatenate(([lo2], np.sort(inner), [hi2]))
     segments = [(s, e) for s, e in zip(cut[:-1], cut[1:]) if e > s]
     vmin = math.inf
-    per_seg = max(64, int(gridsize / max(len(segments), 1)))
+    per_seg = max(64, RATIO_GRIDSIZE // max(len(segments), 1))
     for s, e in segments:
         # Trim away from interior pole endpoints to keep grids finite.
         pad = (e - s) * 1e-9

@@ -11,8 +11,8 @@ are the uncertified baselines, and ``custom`` takes the caller's list.
 Nested families hand out one pole stream, so a basis grows a pole at a
 time; the interval-optimal families depend on the target count and are
 regenerated for each count.  Every bound is called as
-``bound(f, interval, ell, norm, conjectured_gamma=...)`` and is nan where
-no certificate covers the family or the function class.
+``bound(f, interval, ell, norm)`` and is nan where no certificate covers
+the family or the function class.
 """
 
 from __future__ import annotations
@@ -46,21 +46,12 @@ __all__ = [
     "strategy_bound",
 ]
 
-Bound = Callable[..., float]
+Bound = Callable[..., float]  # (f, interval, ell, norm) -> bound
 Stream = Callable[..., Iterator[complex]]  # (interval, custom_poles) -> poles
 
 
-def _uncertified(f, interval, ell: int, norm: float,
-                 conjectured_gamma: bool = False) -> float:
+def _uncertified(f, interval, ell: int, norm: float) -> float:
     return math.nan
-
-
-def _cauchy_only(bound: Callable[..., float]) -> Bound:
-    """The Cauchy-class certificates hold for Cauchy-Stieltjes f only."""
-    def checked(f, interval, ell: int, norm: float,
-                conjectured_gamma: bool = False) -> float:
-        return bound(f, interval, ell, norm) if f.is_cauchy else math.nan
-    return checked
 
 
 def _eds(variant: str) -> Stream:
@@ -130,16 +121,15 @@ STRATEGIES: dict[str, Strategy] = {s.name: s for s in (
     Strategy("zolotarev", fixed=zolotarev_poles, bound=laplace_bound,
              kron=KronPair("laplace-kron", fixed=zolotarev_poles,
                            bound=kron_laplace_bound)),
-    Strategy("cauchy", fixed=cauchy_poles, bound=_cauchy_only(cauchy_bound),
+    Strategy("cauchy", fixed=cauchy_poles, bound=cauchy_bound,
              kron=KronPair("cauchy-kron",
                            fixed=lambda iv, ell: cauchy_kron_poles(iv, ell)[0],
-                           bound=_cauchy_only(kron_cauchy_bound))),
+                           bound=kron_cauchy_bound)),
     # The EDS variants carry the certified curve of their family as a
     # reference column.
     Strategy("eds-laplace", stream=_eds("laplace"), bound=laplace_bound,
              kron=KronPair("eds-laplace", stream=_eds("laplace"))),
-    Strategy("eds-cauchy", stream=_eds("cauchy"),
-             bound=_cauchy_only(cauchy_bound),
+    Strategy("eds-cauchy", stream=_eds("cauchy"), bound=cauchy_bound,
              kron=KronPair("eds-cauchy", stream=_eds("kron-cauchy"))),
     Strategy("extended", stream=_EXTENDED, needs_interval=False,
              kron=KronPair("extended", stream=_EXTENDED, mirror=operator.pos,
@@ -165,8 +155,6 @@ def get_strategy(name: str) -> Strategy:
                          f"{', '.join(STRATEGIES)}") from None
 
 
-def strategy_bound(strategy: str, f, interval, ell: int, vnorm: float,
-                   conjectured_gamma: bool = False) -> float:
+def strategy_bound(strategy: str, f, interval, ell: int, norm: float) -> float:
     """Bound column of a 1-D trace: the named record's ``bound``."""
-    return get_strategy(strategy).bound(f, interval, ell, vnorm,
-                                        conjectured_gamma=conjectured_gamma)
+    return get_strategy(strategy).bound(f, interval, ell, norm)

@@ -293,6 +293,10 @@ _KRONFUN = ["kronfun", "--a", "tridiag:20", "--bneg", "tridiag:20",
     ["experiment", "fig-lapl-1d", "--dense-limit", "10"],
     _FUNV + ["--threads", "2"],
     _KRONFUN + ["--threads", "2"],
+    pytest.param(_FUNV + ["--gamma-one"], id="funv--gamma-one"),
+    pytest.param(_KRONFUN + ["--gamma-one"], id="kronfun--gamma-one"),
+    pytest.param(["experiment", "fig-lapl-1d", "--gamma-one"],
+                 id="experiment--gamma-one"),
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_option_a_subcommand_does_not_read_is_refused(argv, capsys):
     with pytest.raises(SystemExit) as exc:

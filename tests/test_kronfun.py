@@ -347,14 +347,9 @@ def _svals(prob):
 class TestSingularDecay:
     def test_report_rows_and_domination(self):
         prob = _make_problem(n=40, seed=14, f=catalog_function("power", -0.5))
-        rows = singular_decay_report(prob, [1, 3, 5, 7], "cauchy", _svals(prob))
+        rows = singular_decay_report(prob, [1, 3, 5, 7], _svals(prob))
         assert [r[0] for r in rows] == [1, 3, 5, 7]
         for ell, sigma, bnd in rows:
             assert sigma <= bnd
         sig = [r[1] for r in rows]
         assert sig[-1] < sig[0]
-
-    def test_variant_validation(self):
-        prob = _make_problem(n=20)
-        with pytest.raises(ValueError):
-            singular_decay_report(prob, [1, 2], "hankel", _svals(prob))

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkstieltjes.acceptance import _eds_g
+from rkstieltjes.operators import positive_interval
 from rkstieltjes.poles import (
     EdsState,
     as_rational,
@@ -91,7 +93,6 @@ class TestScalarHelpers:
 
     def test_gamma_const(self):
         assert gamma_const(1, math.pi) == pytest.approx(GAMMA_1_PI, rel=1e-14)
-        assert gamma_const(9, 1234.5, conjectured=True) == 1.0
         # grows logarithmically in both arguments
         assert gamma_const(10, math.pi) > gamma_const(1, math.pi)
         assert gamma_const(1, 100.0) > gamma_const(1, math.pi)
@@ -269,6 +270,38 @@ def test_cauchy_side_poles_scale_with_the_interval(family, scale):
     want = np.asarray(CAUCHY_SIDE_FAMILIES[family]((1.0, 4.0)))
     got = np.asarray(CAUCHY_SIDE_FAMILIES[family]((scale, 4.0 * scale)))
     np.testing.assert_allclose(got / scale, want, rtol=1e-13)
+
+
+# 700-digit mpmath references: the ell = 4 Zolotarev poles of [a, 1] at a/b
+# where sinh K cosh K overflows (1e-200) and where a/b is subnormal (1e-310).
+ZOLOTAREV_WIDE_REFS = {
+    1e-200: [-1.6817928305074291e-25, -1.1892071150027211e-75,
+             -8.4089641525371453e-126, -5.9460355750136052e-176],
+    1e-310: [-2.9906975624424399e-39, -6.6874030497642126e-117,
+             -1.4953487812212177e-194, -3.3437015248821012e-272],
+}
+
+INTERVAL_FAMILIES = {
+    **{name: s.first for name, s in STRATEGIES.items() if s.needs_interval},
+    **{f"kron:{name}": (lambda iv, ell, p=p: p.poles(iv, ell)[0])
+       for name, p in KRON_PAIRS.items() if p.needs_interval},
+}
+
+
+@pytest.mark.parametrize("family", INTERVAL_FAMILIES)
+@pytest.mark.parametrize("lower", ZOLOTAREV_WIDE_REFS)
+def test_wide_interval_poles_are_finite_and_negative(family, lower):
+    iv = positive_interval((lower, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        poles = np.asarray(INTERVAL_FAMILIES[family](iv, 12))
+    assert np.all(np.isfinite(poles)) and np.all(poles < 0.0), poles
+
+
+@pytest.mark.parametrize("lower", ZOLOTAREV_WIDE_REFS)
+def test_wide_interval_zolotarev_poles_match_mpmath(lower):
+    np.testing.assert_allclose(zolotarev_poles((lower, 1.0), 4),
+                               ZOLOTAREV_WIDE_REFS[lower], rtol=2e-13)
 
 
 class TestCanonicalFamilies:

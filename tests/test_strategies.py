@@ -1,4 +1,5 @@
 """The strategy table: one record per pole family, and the bounds it names."""
+import inspect
 import math
 import os
 import re
@@ -20,8 +21,10 @@ from rkstieltjes.poles import (
     cauchy_poles,
     eds_poles,
     extended_poles,
+    gamma_const,
     laplace_kron_poles,
     polynomial_poles,
+    rate_rho,
     zolotarev_poles,
 )
 from rkstieltjes.strategies import (
@@ -167,14 +170,14 @@ def test_bounds_named_by_the_table():
         phi, IV, 6, 2.0)
     assert STRATEGIES["eds-cauchy"].bound(power, IV, 6, 2.0) == cauchy_bound(
         power, IV, 6, 2.0)
-    assert KRON_PAIRS["laplace-kron"].bound(
-        phi, IV, 6, 2.0, conjectured_gamma=True) == kron_laplace_bound(
-            phi, IV, 6, 2.0, conjectured_gamma=True)
+    assert KRON_PAIRS["laplace-kron"].bound(phi, IV, 6, 2.0) == \
+        kron_laplace_bound(phi, IV, 6, 2.0)
     assert KRON_PAIRS["cauchy-kron"].bound(power, IV, 6, 2.0) == \
         kron_cauchy_bound(power, IV, 6, 2.0)
     # phi_1 is not a Cauchy-Stieltjes function: no Cauchy certificate.
     for bound in (STRATEGIES["cauchy"].bound, STRATEGIES["eds-cauchy"].bound,
-                  KRON_PAIRS["cauchy-kron"].bound):
+                  KRON_PAIRS["cauchy-kron"].bound, cauchy_bound,
+                  kron_cauchy_bound):
         assert math.isnan(bound(phi, IV, 6, 2.0))
     for name in ("extended", "polynomial", "custom"):
         assert math.isnan(STRATEGIES[name].bound(phi, IV, 6, 2.0))
@@ -191,17 +194,43 @@ def test_bounds_named_by_the_table():
 def test_laplace_and_cauchy_type_bounds_share_their_forms(ell):
     # The Laplace-type bounds differ only in the constant (8 or 16); the
     # two f(2a) rho_[a,2b]^l Cauchy forms only in the (1 + kappa) factor.
+    # singular_value_bound takes the form of the class of f: Laplace for
+    # phi_1, Cauchy for z^-1/2.
     f = catalog_function("phi", 1)
     g = catalog_function("power", -0.5)
     kron = kron_laplace_bound(f, IV, ell, 3.0)
     assert laplace_bound(f, IV, ell, 3.0) == pytest.approx(kron / 2, rel=1e-15)
-    assert singular_value_bound(f, IV, ell, 3.0, "laplace") == kron
+    assert singular_value_bound(f, IV, ell, 3.0) == kron
     rho = math.exp(-math.pi ** 2 / math.log(4.0 * 2.0 * IV.upper / IV.lower))
     want = 4.0 * g.at(2.0 * IV.lower) * 3.0 * rho ** ell
-    assert singular_value_bound(g, IV, ell, 3.0, "cauchy") == pytest.approx(
+    assert singular_value_bound(g, IV, ell, 3.0) == pytest.approx(
         want, rel=1e-15)
     assert kron_cauchy_bound(g, IV, ell, 3.0) == pytest.approx(
         (1.0 + IV.kappa) * want, rel=1e-15)
+
+
+def test_observed_gamma_one_curve_is_a_bound_over_gamma_const():
+    phi = catalog_function("phi", 1)
+    rho = rate_rho(IV.lower, IV.upper)
+    for ell in (1, 6, 40):
+        assert laplace_bound(phi, IV, ell, 2.0) / gamma_const(
+            ell, IV.kappa) == pytest.approx(
+                8.0 * phi.limit_at_zero() * 2.0 * rho ** (0.5 * ell),
+                rel=1e-14)
+
+
+ALL_BOUNDS = {
+    **{f"strategy:{name}": s.bound for name, s in STRATEGIES.items()},
+    **{f"kron:{name}": p.bound for name, p in KRON_PAIRS.items()},
+    **{b.__name__: b for b in (laplace_bound, cauchy_bound, kron_laplace_bound,
+                               kron_cauchy_bound, singular_value_bound)},
+}
+
+
+@pytest.mark.parametrize("name", ALL_BOUNDS)
+def test_every_bound_has_one_signature(name):
+    assert list(inspect.signature(ALL_BOUNDS[name]).parameters) == [
+        "f", "interval", "ell", "norm"]
 
 
 def test_positive_interval():
