@@ -25,7 +25,6 @@ from .experiments import (
 from .functions import parse_function_spec
 from .kronfun import KroneckerProblem, dense_kron_solution, kron_fun
 from .operators import (
-    DENSE_EIG_LIMIT,
     HermitianOperator,
     SpectralInterval,
     load_matrix,
@@ -62,11 +61,9 @@ def _parse_matrix(spec: str) -> HermitianOperator:
     return load_matrix(spec[5:] if spec.startswith("diag:") else spec)
 
 
-def _parse_interval(spec: str, op: HermitianOperator,
-                    dense_limit: int) -> SpectralInterval:
+def _parse_interval(spec: str, op: HermitianOperator) -> SpectralInterval:
     if spec == "auto":
-        return spectral_interval(op, mode="exact-small",
-                                 dense_limit=dense_limit)
+        return spectral_interval(op, mode="exact-small")
     if spec.startswith("gershgorin"):
         floor = None
         if ":" in spec:
@@ -95,7 +92,7 @@ def _load_factor(path: str) -> np.ndarray:
 def _cmd_funv(args) -> int:
     op = _parse_matrix(args.matrix)
     f = parse_function_spec(args.function)
-    iv = _parse_interval(args.interval, op, args.dense_limit)
+    iv = _parse_interval(args.interval, op)
 
     if args.shift:
         eta = float(args.shift)
@@ -124,7 +121,7 @@ def _cmd_funv(args) -> int:
 
     oracle = None
     if args.oracle == "on":
-        oracle = oracle_funv(op, f, v, dense_limit=args.dense_limit)
+        oracle = oracle_funv(op, f, v)
 
     result = funv_driver(
         op, f, v, iv, strategy=strategy,
@@ -166,8 +163,7 @@ def _cmd_kronfun(args) -> int:
         w /= np.linalg.norm(w, axis=0)
 
     # One interval must enclose the spectra of both A and -B.
-    iva, ivb = (_parse_interval(args.interval, op, args.dense_limit)
-                for op in (a_op, bneg_op))
+    iva, ivb = (_parse_interval(args.interval, op) for op in (a_op, bneg_op))
     iv = SpectralInterval(min(iva.lower, ivb.lower),
                           max(iva.upper, ivb.upper)).require_positive()
 
@@ -195,7 +191,7 @@ def _cmd_kronfun(args) -> int:
 
     true_error = math.nan
     if args.oracle == "on":
-        x_ref = dense_kron_solution(prob, dense_limit=args.dense_limit)
+        x_ref = dense_kron_solution(prob)
         true_error = float(np.linalg.norm(res.materialize() - x_ref, ord=2))
 
     if args.out:
@@ -281,9 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0,
                         help="seed for generated vectors/factors")
-    common = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    common.add_argument("--dense-limit", type=int, default=DENSE_EIG_LIMIT,
-                        help="largest order for dense references/oracles")
 
     p = argparse.ArgumentParser(
         prog="rkstieltjes",
@@ -291,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "functions with certified pole choices.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    pf = sub.add_parser("funv", parents=[common],
+    pf = sub.add_parser("funv", parents=[seeded],
                         help="approximate f(A)v")
     pf.add_argument("--matrix", required=True,
                     help="tridiag:n[:scale] | diffusion:n[:eps[:dt]] | "
@@ -315,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--out", help="write the trace CSV here")
     pf.set_defaults(fn=_cmd_funv)
 
-    pk = sub.add_parser("kronfun", parents=[common],
+    pk = sub.add_parser("kronfun", parents=[seeded],
                         help="low-rank f(Kronecker sum) evaluation")
     pk.add_argument("--a", required=True, help="matrix spec for A (SPD)")
     pk.add_argument("--bneg", required=True,

@@ -8,7 +8,9 @@ Kronecker studies -- a singular-value CSV.  Sizes default to desk scale so
 an exact reference solution is always available: 1-D runs use the
 closed-form sine-transform or diagonal oracle, 2-D runs a full double
 diagonalization.  Given the same seed the error columns are bit-identical
-across runs; timing columns are informative only.  Every error curve,
+across runs at one BLAS thread count; another thread count changes them
+by rounding (``table-times`` at n = 20000 does, from 1 to 2 OpenBLAS
+threads).  Timing columns are informative only.  Every error curve,
 here and in the acceptance suite, is one ``timed_sweep``, and every bound
 column one ``emit_bounds`` call.
 """

@@ -20,7 +20,8 @@ import numpy as np
 
 from .bounds import singular_value_bound, sylvester_residual_bound
 from .functions import StieltjesFunction
-from .operators import DENSE_EIG_LIMIT, HermitianOperator, SpectralInterval
+from . import operators
+from .operators import HermitianOperator, SpectralInterval
 from .rk import RKDecomposition, grow, rk_build
 from .strategies import KronPair
 
@@ -217,17 +218,16 @@ def sylvester_residual(problem: KroneckerProblem,
     return float(np.linalg.norm(rl @ rr.conj().T, ord=2))
 
 
-def dense_kron_solution(problem: KroneckerProblem,
-                        dense_limit: int = DENSE_EIG_LIMIT) -> np.ndarray:
+def dense_kron_solution(problem: KroneckerProblem) -> np.ndarray:
     """Reference solution by full diagonalization of both operators.
 
-    Cost is cubic in each order; guarded by ``dense_limit`` like the other
-    dense fallbacks.
+    Cost is cubic in each order; refused above ``DENSE_EIG_LIMIT`` like the
+    other dense fallbacks.
     """
     big = max(problem.a_op.n, problem.bneg_op.n)
-    if big > dense_limit:
-        raise ValueError(
-            f"order {big} exceeds dense reference limit {dense_limit}")
+    limit = operators.DENSE_EIG_LIMIT
+    if big > limit:
+        raise ValueError(f"order {big} exceeds dense reference limit {limit}")
     a_dense = problem.a_op.to_dense()
     bneg_dense = problem.bneg_op.to_dense()
     f_full = problem.u_factor @ problem.v_factor.T

@@ -184,8 +184,6 @@ def _require_symmetric(a, name: str) -> None:
 class HermitianOperator:
     """Base class; concrete storage lives in the subclasses."""
 
-    kind: str = "abstract"
-
     def __init__(self, n: int):
         self.n = int(n)
 
@@ -227,20 +225,22 @@ class HermitianOperator:
 
     # -- shared helpers ------------------------------------------------------
 
-    def dense_eig(self, limit: int = DENSE_EIG_LIMIT):
-        """Full eigendecomposition (w, Q); refuses orders above ``limit``."""
-        if self.n > limit:
+    def dense_eig(self):
+        """Full eigendecomposition (w, Q); refuses orders above
+        ``DENSE_EIG_LIMIT``."""
+        if self.n > DENSE_EIG_LIMIT:
             raise ValueError(
-                f"order {self.n} exceeds dense eigendecomposition limit {limit}"
+                f"order {self.n} exceeds dense eigendecomposition limit "
+                f"{DENSE_EIG_LIMIT}"
             )
         return self._eig()
 
     def _eig(self):
         return np.linalg.eigh(self.to_dense())
 
-    def exact_interval(self, limit: int = DENSE_EIG_LIMIT) -> SpectralInterval:
+    def exact_interval(self) -> SpectralInterval:
         """Tight enclosure from a dense eigendecomposition."""
-        w, _ = self.dense_eig(limit)
+        w, _ = self.dense_eig()
         return _enclose(w[0], w[-1])
 
 
@@ -253,8 +253,6 @@ def _enclose(lo: float, hi: float) -> SpectralInterval:
 
 class DenseOperator(HermitianOperator):
     """Dense symmetric storage, O(n^2) matvec, LU-based shifted solves."""
-
-    kind = "dense"
 
     def __init__(self, a: np.ndarray):
         a = np.asarray(a, dtype=float)
@@ -285,8 +283,6 @@ class DenseOperator(HermitianOperator):
 class DiagonalOperator(HermitianOperator):
     """Diagonal storage; solves are elementwise divisions."""
 
-    kind = "diagonal"
-
     def __init__(self, d: np.ndarray):
         d = np.asarray(d, dtype=float).ravel()
         if d.size == 0:
@@ -316,7 +312,7 @@ class DiagonalOperator(HermitianOperator):
         order = np.argsort(self.d)
         return self.d[order], np.eye(self.n)[:, order]
 
-    def exact_interval(self, limit: int = DENSE_EIG_LIMIT) -> SpectralInterval:
+    def exact_interval(self) -> SpectralInterval:
         return _enclose(float(self.d.min()), float(self.d.max()))
 
     def diag_shifted(self, c: float) -> "DiagonalOperator":
@@ -325,8 +321,6 @@ class DiagonalOperator(HermitianOperator):
 
 class TridiagonalOperator(HermitianOperator):
     """Symmetric tridiagonal storage with O(n) banded shifted solves."""
-
-    kind = "tridiagonal"
 
     def __init__(self, d: np.ndarray, e: np.ndarray):
         d = np.asarray(d, dtype=float).ravel()
@@ -399,7 +393,7 @@ class TridiagonalOperator(HermitianOperator):
             return float(c)
         return None
 
-    def exact_interval(self, limit: int = DENSE_EIG_LIMIT) -> SpectralInterval:
+    def exact_interval(self) -> SpectralInterval:
         c = self.toeplitz_scale()
         if c is not None:
             # Eigenvalues of c*tridiag(-1,2,-1): 2c*(1 - cos(k*pi/(n+1))).
@@ -408,7 +402,7 @@ class TridiagonalOperator(HermitianOperator):
                 2.0 * c * (1.0 - math.cos(t)),
                 2.0 * c * (1.0 - math.cos(self.n * t)),
             )
-        return super().exact_interval(limit)
+        return super().exact_interval()
 
 
 def toeplitz_tridiagonal(n: int, scale: float = 1.0) -> TridiagonalOperator:
@@ -430,7 +424,6 @@ def spectral_interval(
     op: HermitianOperator,
     mode: str = "exact-small",
     floor: float | None = None,
-    dense_limit: int = DENSE_EIG_LIMIT,
 ) -> SpectralInterval:
     """Enclosure of the spectrum of ``op``.
 
@@ -441,7 +434,7 @@ def spectral_interval(
         ``floor`` (required whenever the disc lower bound is <= 0, as for
         discrete Laplacians).  ``exact-small`` computes eigenvalues, via
         closed form where available and a dense decomposition otherwise
-        (order capped by ``dense_limit``).
+        (order capped by ``DENSE_EIG_LIMIT``).
     """
     if mode == "gershgorin":
         iv = op.gershgorin()
@@ -456,7 +449,7 @@ def spectral_interval(
             )
         return iv
     if mode == "exact-small":
-        return op.exact_interval(dense_limit)
+        return op.exact_interval()
     raise ValueError(f"unknown spectral interval mode {mode!r}")
 
 
@@ -468,11 +461,10 @@ def oracle_funv(
     op: HermitianOperator,
     f,
     v: np.ndarray,
-    dense_limit: int = DENSE_EIG_LIMIT,
 ) -> np.ndarray:
     """Reference f(A) v through an exact eigendecomposition.
 
-    Dense decompositions are refused above ``dense_limit``; the constant
+    Dense decompositions are refused above ``DENSE_EIG_LIMIT``; the constant
     tridiagonal Toeplitz family c*tridiag(-1,2,-1) is handled at any order
     through its closed-form sine eigenvectors (an orthonormal DST-I).
     """
@@ -487,7 +479,7 @@ def oracle_funv(
             return _restore(out, was_1d)
     if isinstance(op, DiagonalOperator):
         return _restore(f(op.d)[:, None] * block, was_1d)
-    w, q = op.dense_eig(dense_limit)
+    w, q = op.dense_eig()
     out = q @ (f(w)[:, None] * (q.T @ block))
     return _restore(out, was_1d)
 
@@ -516,9 +508,9 @@ def load_matrix(path: str) -> HermitianOperator:
     return DiagonalOperator(d)
 
 
-def from_dense_array(m: np.ndarray, name: str = "matrix") -> HermitianOperator:
+def from_dense_array(m: np.ndarray) -> HermitianOperator:
     """Wrap a dense array, dropping to banded storage when possible."""
-    return _pick_storage(np.asarray(m, dtype=float), name)
+    return _pick_storage(np.asarray(m, dtype=float), "matrix")
 
 
 def _pick_storage(m, name: str) -> HermitianOperator:

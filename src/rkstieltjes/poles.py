@@ -33,7 +33,6 @@ from scipy.special import ellipkm1
 from .operators import positive_interval
 
 __all__ = [
-    "RationalFunctionFactored",
     "elliptic_K",
     "jacobi_dn",
     "rate_rho",
@@ -51,7 +50,6 @@ __all__ = [
     "eds_next",
     "eds_poles",
     "eds_pole_iter",
-    "as_rational",
     "zolotarev_ratio",
     "write_pole_file",
     "read_pole_file",
@@ -369,125 +367,56 @@ def eds_poles(interval, count: int, variant: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# factored rationals and the witness ratio
+# the witness ratio
 
 
-@dataclass(frozen=True)
-class RationalFunctionFactored:
-    """r(z) = prod (z - zeros_j) / prod (z - poles_j), equal degrees."""
-
-    zeros: np.ndarray
-    poles: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "zeros", np.atleast_1d(np.asarray(self.zeros)))
-        object.__setattr__(self, "poles", np.atleast_1d(np.asarray(self.poles)))
-        if self.zeros.size != self.poles.size:
-            raise ValueError("factored rational needs equal numbers of zeros and poles")
-
-    def abs_at(self, z):
-        """|r(z)| elementwise; the z -> +-inf limit is 1 (equal degrees)."""
-        arr = np.asarray(z, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr).astype(float)
-        out = np.ones_like(arr)
-        fin = np.isfinite(arr)
-        zf = arr[fin]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            num = np.prod(np.abs(zf[:, None] - self.zeros[None, :]), axis=1)
-            den = np.prod(np.abs(zf[:, None] - self.poles[None, :]), axis=1)
-            vals = np.where(den == 0.0, math.inf, num / den)
-        out[fin] = vals
-        return float(out[0]) if scalar else out
-
-
-def as_rational(poles) -> RationalFunctionFactored:
-    """The symmetric extremal candidate with zeros at the mirrored poles."""
-    poles = np.asarray(poles, dtype=float)
-    if not np.all(np.isfinite(poles)):
-        raise ValueError(
-            "pole sequence contains inf entries; the factored extremal "
-            "candidate requires finite poles"
-        )
-    return RationalFunctionFactored(zeros=-poles, poles=poles.copy())
-
-
-def _cheb_grid(lo: float, hi: float, m: int) -> np.ndarray:
-    # Chebyshev points cluster where extrema of near-optimal rationals live.
-    k = np.arange(m, dtype=float)
-    x = np.cos(math.pi * k / (m - 1)) if m > 1 else np.array([0.0])
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x[::-1]
-
-
-def _refine_extremum(fun, x0: float, lo: float, hi: float, want_max: bool,
-                     width: float) -> float:
-    """Zoom a bracketing window around x0 to polish a smooth extremum."""
-    best = fun(np.array([x0]))[0]
-    left, right = max(lo, x0 - width), min(hi, x0 + width)
-    for _ in range(4):
-        grid = np.linspace(left, right, 33)
-        vals = fun(grid)
-        idx = int(np.argmax(vals) if want_max else np.argmin(vals))
-        cand = vals[idx]
-        best = max(best, cand) if want_max else min(best, cand)
-        step = (right - left) / 32.0
-        left = max(lo, grid[idx] - step)
-        right = min(hi, grid[idx] + step)
-    return best
-
-
-#: Grid points of ``zolotarev_ratio`` on each side.
+#: Chebyshev points of the ``zolotarev_ratio`` search on [a, b].
 RATIO_GRIDSIZE = 2000
 
 
-def zolotarev_ratio(r: RationalFunctionFactored, interval_max,
-                    interval_min) -> float:
-    """Witness ratio  max_{I1} |r| / min_{I2} |r|  on grids plus refinement.
+def zolotarev_ratio(poles, interval) -> float:
+    """Witness ratio max_{[a,b]} |r| / min_{[-b,-a]} |r| of the symmetric
+    candidate r(z) = prod (z + p_j) / (z - p_j).
 
-    Both intervals must be finite.  ``interval_max`` must be free of poles
-    of r (a pole there is reported as an error since the sup is infinite).
-    Poles of r inside ``interval_min`` are expected (the extremal function
-    lives there) and are handled per sub-interval between poles.
+    Since r(-z) = 1/r(z), the minimum over [-b, -a] is 1/max over [a, b],
+    and the ratio is that maximum squared.  The maximum is searched on a
+    Chebyshev grid (extrema of near-optimal rationals cluster at the
+    endpoints) and polished by zooming in on the best point.  Poles must
+    be finite and outside [a, b], and 0 < a < b.
     """
-    lo1, hi1 = float(interval_max[0]), float(interval_max[1])
-    if not (math.isfinite(lo1) and math.isfinite(hi1) and lo1 < hi1):
-        raise ValueError("interval_max must be a finite nondegenerate interval")
-    real_poles = np.asarray(r.poles, dtype=float)
-    inside = (real_poles >= lo1) & (real_poles <= hi1)
+    poles = np.atleast_1d(np.asarray(poles, dtype=float))
+    if not np.all(np.isfinite(poles)):
+        raise ValueError(
+            "pole sequence contains inf entries; the symmetric candidate "
+            "requires finite poles")
+    a, b = (float(t) for t in interval)
+    if not 0.0 < a < b < math.inf:
+        raise ValueError(f"interval [{a}, {b}] must satisfy 0 < a < b < inf")
+    inside = (poles >= a) & (poles <= b)
     if np.any(inside):
         raise ValueError(
-            f"pole {real_poles[inside][0]} of r lies inside the max-side "
-            "interval; the ratio is unbounded"
-        )
-    grid1 = _cheb_grid(lo1, hi1, RATIO_GRIDSIZE)
-    vals1 = r.abs_at(grid1)
-    imax = int(np.argmax(vals1))
-    width1 = (hi1 - lo1) / RATIO_GRIDSIZE * 4.0
-    vmax = _refine_extremum(r.abs_at, float(grid1[imax]), lo1, hi1, True,
-                            width=width1)
+            f"pole {poles[inside][0]} lies inside [{a}, {b}]; the ratio is "
+            "unbounded")
 
-    lo2, hi2 = float(interval_min[0]), float(interval_min[1])
-    if not (math.isfinite(lo2) and math.isfinite(hi2) and lo2 < hi2):
-        raise ValueError("interval_min must be a finite nondegenerate interval")
-    inner = real_poles[(real_poles > lo2) & (real_poles < hi2)]
-    cut = np.concatenate(([lo2], np.sort(inner), [hi2]))
-    segments = [(s, e) for s, e in zip(cut[:-1], cut[1:]) if e > s]
-    vmin = math.inf
-    per_seg = max(64, RATIO_GRIDSIZE // max(len(segments), 1))
-    for s, e in segments:
-        # Trim away from interior pole endpoints to keep grids finite.
-        pad = (e - s) * 1e-9
-        gs = s + (pad if s in inner else 0.0)
-        ge = e - (pad if e in inner else 0.0)
-        grid = _cheb_grid(gs, ge, per_seg)
-        vals = r.abs_at(grid)
-        idx = int(np.argmin(vals))
-        width = (ge - gs) / per_seg * 4.0
-        vmin = min(vmin, _refine_extremum(r.abs_at, float(grid[idx]), gs, ge,
-                                          False, width=width))
-    if vmin <= 0.0:
-        raise ValueError("r vanishes on the min-side interval; ratio undefined")
-    return vmax / vmin
+    def abs_r(z):
+        return np.prod(np.abs((z[:, None] + poles) / (z[:, None] - poles)),
+                       axis=1)
+
+    x = np.cos(math.pi * np.arange(RATIO_GRIDSIZE) / (RATIO_GRIDSIZE - 1))
+    grid = 0.5 * (a + b) + 0.5 * (b - a) * x[::-1]
+    vals = abs_r(grid)
+    i = int(np.argmax(vals))
+    best = vals[i]
+    width = 4.0 * (b - a) / RATIO_GRIDSIZE
+    lo, hi = max(a, grid[i] - width), min(b, grid[i] + width)
+    for _ in range(4):
+        zoom = np.linspace(lo, hi, 33)
+        vals = abs_r(zoom)
+        i = int(np.argmax(vals))
+        best = max(best, vals[i])
+        step = (hi - lo) / 32.0
+        lo, hi = max(a, zoom[i] - step), min(b, zoom[i] + step)
+    return float(best) ** 2
 
 
 # ---------------------------------------------------------------------------

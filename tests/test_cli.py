@@ -293,6 +293,8 @@ _KRONFUN = ["kronfun", "--a", "tridiag:20", "--bneg", "tridiag:20",
     ["experiment", "fig-lapl-1d", "--dense-limit", "10"],
     _FUNV + ["--threads", "2"],
     _KRONFUN + ["--threads", "2"],
+    _FUNV + ["--dense-limit", "10"],
+    _KRONFUN + ["--dense-limit", "10"],
     pytest.param(_FUNV + ["--gamma-one"], id="funv--gamma-one"),
     pytest.param(_KRONFUN + ["--gamma-one"], id="kronfun--gamma-one"),
     pytest.param(["experiment", "fig-lapl-1d", "--gamma-one"],

@@ -18,7 +18,12 @@ from rkstieltjes.kronfun import (
     sylvester_residual,
     sylvester_residual_bound,
 )
-from rkstieltjes.operators import SpectralInterval, TridiagonalOperator, from_dense_array
+from rkstieltjes.operators import (
+    DENSE_EIG_LIMIT,
+    SpectralInterval,
+    TridiagonalOperator,
+    from_dense_array,
+)
 from rkstieltjes.poles import cauchy_kron_poles, laplace_kron_poles, zolotarev_poles
 from rkstieltjes.strategies import KRON_PAIRS
 
@@ -326,9 +331,15 @@ class TestResiduals:
 
 class TestDenseOracle:
     def test_limit_guard(self):
-        prob = _make_problem(n=80)
-        with pytest.raises(ValueError):
-            dense_kron_solution(prob, dense_limit=79)
+        # Non-Toeplitz tridiagonals and an explicit interval: the guard
+        # refuses before any n x n array exists.
+        n = DENSE_EIG_LIMIT + 1
+        op = TridiagonalOperator(np.arange(1.0, n + 1), np.full(n - 1, 0.1))
+        prob = KroneckerProblem(op, op, np.ones(n), np.ones(n),
+                                catalog_function("inverse"),
+                                SpectralInterval(0.5, n + 1.0))
+        with pytest.raises(ValueError, match=f"order {n} exceeds"):
+            dense_kron_solution(prob)
 
     def test_against_brute_force(self):
         prob = _make_problem(n=6, seed=13, f=catalog_function("phi", 1))

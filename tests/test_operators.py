@@ -119,11 +119,11 @@ def test_spectral_interval_modes():
 
 
 def test_from_dense_array_chooses_storage():
-    assert from_dense_array(np.diag([1.0, 2.0])).kind == "diagonal"
+    assert isinstance(from_dense_array(np.diag([1.0, 2.0])), DiagonalOperator)
     tri = np.diag([2.0, 2, 2]) + np.diag([-1.0, -1], 1) + np.diag([-1.0, -1], -1)
-    assert from_dense_array(tri).kind == "tridiagonal"
+    assert isinstance(from_dense_array(tri), TridiagonalOperator)
     full = np.ones((3, 3)) + np.eye(3) * 3
-    assert from_dense_array(full).kind == "dense"
+    assert isinstance(from_dense_array(full), DenseOperator)
     with pytest.raises(ValueError):
         from_dense_array(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
@@ -133,7 +133,7 @@ def test_matrix_market_roundtrip(tmp_path):
     path = str(tmp_path / "t.mtx")
     save_matrix_market(path, op)
     back = load_matrix(path)
-    assert back.kind == "tridiagonal"
+    assert isinstance(back, TridiagonalOperator)
     np.testing.assert_allclose(back.to_dense(), op.to_dense(), atol=1e-14)
 
 
@@ -147,7 +147,7 @@ def test_matrix_market_roundtrip_is_exact(tmp_path, op):
     path = str(tmp_path / "m.mtx")
     save_matrix_market(path, op)
     back = load_matrix(path)
-    assert back.kind == op.kind
+    assert isinstance(back, type(op))
     np.testing.assert_array_equal(back.to_dense(), op.to_dense())
 
 
@@ -170,7 +170,7 @@ def test_matrix_market_array_form_picks_banded_storage(tmp_path):
     path = str(tmp_path / "a.mtx")
     scipy.io.mmwrite(path, toeplitz_tridiagonal(6, 2.0).to_dense())
     back = load_matrix(path)
-    assert back.kind == "tridiagonal"
+    assert isinstance(back, TridiagonalOperator)
     np.testing.assert_array_equal(back.e, np.full(5, -2.0))
 
 
@@ -199,7 +199,7 @@ def test_load_plain_text_diagonal(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text("1.5\n2.5\n3.5\n")
     op = load_matrix(str(path))
-    assert op.kind == "diagonal"
+    assert isinstance(op, DiagonalOperator)
     np.testing.assert_array_equal(op.d, [1.5, 2.5, 3.5])
 
 
@@ -351,5 +351,11 @@ class TestOracleFunv:
         got = oracle_funv(op, f, v)
         np.testing.assert_allclose(got, np.linalg.solve(op.to_dense(), v),
                                    rtol=1e-10)
-        with pytest.raises(ValueError):
-            oracle_funv(op, f, v, dense_limit=10)
+        # A non-Toeplitz tridiagonal above the limit is refused before any
+        # n x n array exists.
+        n = DENSE_EIG_LIMIT + 1
+        big = TridiagonalOperator(np.arange(1.0, n + 1), np.ones(n - 1))
+        with pytest.raises(ValueError, match="exceeds dense"):
+            oracle_funv(big, f, np.ones(n))
+        with pytest.raises(ValueError, match="exceeds dense"):
+            big.exact_interval()

@@ -11,7 +11,6 @@ from rkstieltjes.acceptance import _eds_g
 from rkstieltjes.operators import positive_interval
 from rkstieltjes.poles import (
     EdsState,
-    as_rational,
     cauchy_kron_poles,
     cauchy_poles,
     eds_next,
@@ -170,14 +169,40 @@ class TestZolotarev:
         # equioscillation ratio on the symmetric two-interval problem
         a, b = 1.0, 10.0
         for ell in (2, 4):
-            r = as_rational(zolotarev_poles((a, b), ell))
-            ratio = zolotarev_ratio(r, (a, b), (-b, -a))
+            ratio = zolotarev_ratio(zolotarev_poles((a, b), ell), (a, b))
             assert ratio <= 4.0 * rate_rho(a, b) ** ell
 
-    def test_ratio_refuses_a_half_line(self):
-        r = as_rational(zolotarev_poles((1.0, 10.0), 2))
-        with pytest.raises(ValueError, match="finite"):
-            zolotarev_ratio(r, (1.0, 10.0), (-math.inf, -1.0))
+    @pytest.mark.parametrize("a, b", [(1.0, 10.0), (1.0, 1000.0), (1e-3, 4.0),
+                                      (1e-5, 1.0), (1e-8, 1.0)])
+    @pytest.mark.parametrize("ell", [1, 2, 5, 10, 20])
+    def test_ratio_matches_two_sided_grid(self, a, b, ell):
+        # Independent of the symmetry the ratio relies on: max of |r| on a
+        # geometric grid of [a, b] over min of |r| on its mirror image.
+        poles = zolotarev_poles((a, b), ell)
+        z = np.geomspace(a, b, 200_000)
+
+        def abs_r(x):
+            out = np.ones_like(x)
+            with np.errstate(divide="ignore"):
+                for p in poles:
+                    out *= np.abs((x + p) / (x - p))
+            return out
+
+        grid = abs_r(z).max() / abs_r(-z).min()
+        assert zolotarev_ratio(poles, (a, b)) == pytest.approx(grid, rel=1e-6)
+
+    @pytest.mark.parametrize("poles, interval, match", [
+        (extended_poles(4), (1.0, 10.0), "inf"),
+        ([-2.0, 3.0], (1.0, 10.0), "inside"),
+        ([-2.0], (1.0, 1.0), "0 < a < b"),
+        ([-2.0], (0.0, 10.0), "0 < a < b"),
+        ([-2.0], (-10.0, -1.0), "0 < a < b"),
+        ([-2.0], (1.0, math.inf), "b < inf"),
+    ], ids=["inf-pole", "pole-inside", "one-point", "zero-end", "negative",
+            "half-line"])
+    def test_ratio_refuses(self, poles, interval, match):
+        with pytest.raises(ValueError, match=match):
+            zolotarev_ratio(poles, interval)
 
     def test_extreme_ratio_pairs_multiply_to_ab(self):
         # u_j + u_(l+1-j) = K and dn(u) dn(K - u) = a/b, so mirrored poles
@@ -186,10 +211,6 @@ class TestZolotarev:
         a, b, ell = 1e-9, 1.0, 40
         ps = zolotarev_poles((a, b), ell)
         np.testing.assert_allclose(ps * ps[::-1], a * b, rtol=1e-13)
-
-    def test_as_rational_rejects_infinite(self):
-        with pytest.raises(ValueError):
-            as_rational(extended_poles(4))
 
 
 class TestMobius:
