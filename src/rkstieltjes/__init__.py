@@ -3,7 +3,9 @@
 Core objects: linear operators with shifted solves (`operators`), the
 completely monotonic / Markov function catalog (`functions`), certified
 pole families with their convergence rates (`poles`), the block rational
-Arnoldi driver (`rk`), and the Kronecker-sum solver (`kronfun`).
+Arnoldi driver (`rk`), and the Kronecker-sum solver (`kronfun`).  The
+measurement harness is not loaded here: import `rkstieltjes.experiments`
+and `rkstieltjes.acceptance` for it.
 """
 
 from .operators import (
@@ -74,7 +76,5 @@ from .kronfun import (
     singular_decay_report,
     sylvester_residual,
 )
-from .experiments import EXPERIMENT_IDS, ExperimentConfig, run_experiment
-from .acceptance import run_acceptance
 
 __version__ = "0.1.0"

@@ -45,7 +45,7 @@ def _cauchy_mirror(f, iv: SpectralInterval, ell: int, norm: float,
     against the mirrored interval; nan unless f is Cauchy-Stieltjes."""
     if not f.is_cauchy:
         return math.nan
-    return (4.0 * f.at(2.0 * iv.lower) * factor * norm
+    return (4.0 * f(2.0 * iv.lower) * factor * norm
             * rate_rho(iv.lower, 2.0 * iv.upper) ** ell)
 
 
@@ -66,7 +66,7 @@ def cauchy_bound(f, interval, ell: int, norm: float) -> float:
     if not f.is_cauchy:
         return math.nan
     iv = positive_interval(interval)
-    return 8.0 * f.at(iv.lower) * norm * rate_rho(iv.lower, 4.0 * iv.upper) ** ell
+    return 8.0 * f(iv.lower) * norm * rate_rho(iv.lower, 4.0 * iv.upper) ** ell
 
 
 def kron_laplace_bound(f, interval, ell: int, norm: float) -> float:

@@ -68,9 +68,6 @@ class StieltjesFunction:
             return float(self.base(np.asarray(self.shift)))
         return self.base_limit0
 
-    def at(self, z: float) -> float:
-        return float(self(z))
-
     @property
     def is_cauchy(self) -> bool:
         return self.family == "cauchy"
@@ -252,9 +249,11 @@ def catalog_function(name: str, *params) -> StieltjesFunction:
 def parse_function_spec(spec: str) -> StieltjesFunction:
     """Parse CLI shorthand like ``phi:1``, ``power:-0.5`` or ``lambertw``.
 
-    ``rational:w1,p1;w2,p2;...`` lists weight,pole pairs.
+    ``rational:w1,p1;w2,p2;...`` lists weight,pole pairs.  An argument
+    that a name cannot use (``inverse:3``, ``phi:2.5``) raises a
+    ``ValueError`` naming the spec.
     """
-    name, _, arg = spec.partition(":")
+    name, sep, arg = spec.partition(":")
     name = name.strip().lower()
     aliases = {
         "phi": "phi",
@@ -272,20 +271,23 @@ def parse_function_spec(spec: str) -> StieltjesFunction:
     if name not in aliases:
         raise ValueError(f"unknown function spec {spec!r}")
     name = aliases[name]
-    if name == "phi":
-        return catalog_function("phi", int(arg) if arg else 1)
-    if name == "power":
-        if not arg:
-            raise ValueError("power spec needs an exponent, e.g. power:-0.5")
-        return catalog_function("power", float(arg))
-    if name == "rational":
-        if not arg:
-            raise ValueError("rational spec needs weight,pole pairs")
-        pairs = [p for p in arg.split(";") if p]
-        weights, poles = [], []
-        for p in pairs:
-            w, _, q = p.partition(",")
-            weights.append(float(w))
-            poles.append(float(q))
-        return catalog_function("rational", np.array(weights), np.array(poles))
-    return catalog_function(name)
+    try:
+        if name == "phi":
+            return catalog_function("phi", int(arg) if arg else 1)
+        if name == "power":
+            if not arg:
+                raise ValueError("power needs an exponent, e.g. power:-0.5")
+            return catalog_function("power", float(arg))
+        if name == "rational":
+            pairs = [p.partition(",") for p in arg.split(";") if p]
+            if not pairs or not all(comma for _, comma, _ in pairs):
+                raise ValueError("rational needs weight,pole pairs, "
+                                 "e.g. rational:2,-1;3,-4")
+            return catalog_function("rational",
+                                    np.array([float(w) for w, _, _ in pairs]),
+                                    np.array([float(q) for _, _, q in pairs]))
+        if sep:
+            raise ValueError(f"{name} takes no argument")
+        return catalog_function(name)
+    except ValueError as exc:
+        raise ValueError(f"function spec {spec!r}: {exc}") from None

@@ -2,18 +2,19 @@
 
 The optimal fixed-count sequences come from the classical third Zolotarev
 problem on [-b,-a] u [a,b]: the extremal rational function has its poles at
--b*dn((2j-1)K/(2l), mu), expressed through the complete elliptic integral K
+-b*dn((2j-1)K/(2l)), expressed through the complete elliptic integral K
 (``scipy.special.ellipkm1``) and the Jacobi dn function (the ascending
-Landen transformation).  Asymmetric problems (one interval against a
-half-line, or against the mirror interval) reduce to the symmetric one
-through a Moebius chart T(z) = (Delta + z - b)/(Delta - z + b); the poles of
+Landen transformation), both at the complementary modulus k' = a/b as
+their only modulus.  Asymmetric problems (one interval against a half-line,
+or against the mirror interval) reduce to the symmetric one through a
+Moebius chart T(z) = (Delta + z - b)/(Delta - z + b); the poles of
 the normalized problem come back through one closed-form pullback, giving
 the half-line ("cauchy") and mirror-pair ("cauchy-kron") sequences.
 
 For stopping-criterion driven runs the fixed-count sequences are awkward
 because they are not nested; the equidistributed sequences (EDS) trade a
 provable constant for nestedness.  They invert the cumulative equilibrium
-distribution g at s_j = frac(j/sqrt(2)) in closed form, dn((1 - s_j) K, k).
+distribution g at s_j = frac(j/sqrt(2)) in closed form, dn((1 - s_j) K).
 
 Everything here is plain float arithmetic, and every pole family returns a
 1-D float array; ``inf`` entries mark polynomial (Krylov) steps and are
@@ -22,9 +23,8 @@ legal in every consumer.
 
 from __future__ import annotations
 
+import itertools
 import math
-import warnings
-from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -45,8 +45,7 @@ __all__ = [
     "cauchy_kron_poles",
     "extended_poles",
     "polynomial_poles",
-    "EdsState",
-    "eds_start",
+    "EDS_ZETA",
     "eds_next",
     "eds_poles",
     "eds_pole_iter",
@@ -60,62 +59,42 @@ __all__ = [
 # elliptic special functions
 
 
-def elliptic_K(k: float, kprime: float | None = None) -> float:
-    """Complete elliptic integral K(k), k the modulus.
+def elliptic_K(kprime: float) -> float:
+    """Complete elliptic integral K at complementary modulus k' in (0, 1].
 
-    K is read from ``scipy.special.ellipkm1(k'^2)``, k' = sqrt(1 - k^2).
-    When the caller knows the complementary modulus to better accuracy than
-    1 - k^2 can resolve (extreme condition ratios), it should pass
-    ``kprime`` directly; the modulus argument is then only sanity-checked.
-    Below k' = 1e-8, K = log(4/k') to rounding; that form is used there,
-    so a k'^2 that underflows still gives a finite K.
+    K is read from ``scipy.special.ellipkm1(k'^2)``; k' is the quantity
+    every pole family holds (a/b or a chart's endpoint), so k = sqrt(1 - k'^2)
+    is never formed and extreme condition ratios lose nothing.  Below
+    k' = 1e-8, K = log(4/k') to rounding; that form is used there, so a k'^2
+    that underflows still gives a finite K.  k' = 1 gives K = pi/2.
     """
-    k = float(k)
-    if kprime is None:
-        if not 0.0 <= k < 1.0:
-            raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k}")
-        if 1.0 - k <= 1e-10:
-            warnings.warn(
-                "modulus within 1e-10 of the degenerate endpoint k=1; "
-                "K(k) is large and limited to the accuracy of 1-k^2",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        kprime = math.sqrt((1.0 - k) * (1.0 + k))
-        if kprime == 0.0:
-            raise ValueError("modulus k=1 is degenerate (K diverges)")
-    else:
-        kprime = float(kprime)
-        if not 0.0 < kprime <= 1.0:
-            raise ValueError(f"complementary modulus must lie in (0,1], got {kprime}")
+    kprime = float(kprime)
+    if not 0.0 < kprime <= 1.0:
+        raise ValueError(f"complementary modulus must lie in (0,1], got {kprime}")
     if kprime < 1e-8:
         return math.log(4.0) - math.log(kprime)
     return float(ellipkm1(kprime * kprime))
 
 
-def jacobi_dn(u, k: float, kprime: float | None = None):
-    """Jacobi elliptic dn(u, k) for real u, modulus 0 <= k < 1.
+def jacobi_dn(u, kprime: float):
+    """Jacobi elliptic dn(u, k) for real u, complementary modulus k' in (0, 1].
 
     Ascending Landen transformation (A&S 16.14.3) until k' <= 1e-9, where
     the expansion about k = 1 (A&S 16.15.3) is exact to rounding.  Every
     term is positive, so nothing cancels: the result is accurate to a few
     ulps relative over the whole period (small values near u = K too) for
-    k' down to 1e-12, and finite without overflow for subnormal k'.  Pass
-    ``kprime`` when sqrt(1 - k^2) cannot resolve it.
+    k' down to 1e-12, and finite without overflow for subnormal k'.
+    k' = 1 (k = 0) gives dn = 1 exactly.
     """
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
     arr = np.abs(np.atleast_1d(arr).astype(float))  # dn is even
-    k = float(k)
-    if kprime is None:
-        if not 0.0 <= k < 1.0:
-            raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k}")
-        kprime = math.sqrt((1.0 - k) * (1.0 + k))
-    if k < 1e-8:
-        out = 1.0 - 0.5 * k * k * np.sin(arr) ** 2
-        return float(out[0]) if scalar else out
+    kprime = float(kprime)
+    period = 2.0 * elliptic_K(kprime)  # refuses k' outside (0, 1]
+    if kprime == 1.0:
+        return 1.0 if scalar else np.ones_like(arr)
+    k = math.sqrt((1.0 - kprime) * (1.0 + kprime))
     # dn has period 2K; the base expansion holds on [0, K] only.
-    period = 2.0 * elliptic_K(k, kprime=kprime)
     v = arr % period
     v = np.minimum(v, period - v)
     chain = []
@@ -178,24 +157,19 @@ def _inner_endpoint(iv, endpoint: float) -> float:
 
 
 def zolotarev_poles(interval, ell: int) -> np.ndarray:
-    """Optimal poles for [a,b] against [-b,-a]: -b*dn((2j-1)K/(2l), mu).
+    """Optimal poles for [a,b] against [-b,-a]: -b*dn((2j-1)K/(2l)).
 
-    mu = sqrt(1 - (a/b)^2); the complementary modulus a/b is passed through
-    exactly, so extreme condition ratios do not lose the inner endpoint.
-    Degenerate a == b collapses every pole to -a.
+    The complementary modulus a/b is passed through exactly, so extreme
+    condition ratios do not lose the inner endpoint.  A one-point interval
+    gives k' = 1, dn = 1 and every pole at -a.
     """
     iv = positive_interval(interval)
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    a, b = iv.lower, iv.upper
-    if a == b:
-        return np.full(ell, -a)
-    ratio = _inner_endpoint(iv, a / b)
-    mu = math.sqrt((1.0 - ratio) * (1.0 + ratio))
-    big_k = elliptic_K(mu, kprime=ratio)
+    ratio = _inner_endpoint(iv, iv.lower / iv.upper)
     j = np.arange(1, ell + 1, dtype=float)
-    u = (2.0 * j - 1.0) * big_k / (2.0 * ell)
-    return -b * jacobi_dn(u, mu, kprime=ratio)
+    u = (2.0 * j - 1.0) * elliptic_K(ratio) / (2.0 * ell)
+    return -iv.upper * jacobi_dn(u, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -302,31 +276,18 @@ def polynomial_poles(ell: int) -> np.ndarray:
 # equidistributed sequences (EDS)
 
 
-@dataclass(frozen=True)
-class EdsState:
-    """Progress of the nested sequence on the normalized interval [a', 1]."""
-
-    lower: float              # normalized inner endpoint a' in (0, 1)
-    norm_const: float         # M = K(sqrt(1 - a'^2))
-    index: int                # next 1-based index j
-
-    ZETA = 1.0 / math.sqrt(2.0)
+#: Step of the equidistribution targets s_j = frac(j * EDS_ZETA).
+EDS_ZETA = 1.0 / math.sqrt(2.0)
 
 
-def eds_start(lower: float) -> EdsState:
-    if not 0.0 < lower < 1.0:
-        raise ValueError(f"normalized endpoint must be in (0,1), got {lower}")
-    big_m = elliptic_K(math.sqrt((1.0 - lower) * (1.0 + lower)), kprime=lower)
-    return EdsState(lower=float(lower), norm_const=big_m, index=1)
+def eds_next(lower: float, norm_const: float, j: int) -> float:
+    """Node sigma-tilde_j = sqrt(t_j) in [lower, 1], g(t_j) = frac(j/sqrt(2)).
 
-
-def eds_next(state: EdsState) -> tuple[float, EdsState]:
-    """Emit sigma-tilde_j = sqrt(t_j) where g(t_j) = frac(j/sqrt(2))."""
-    s = math.modf(state.index * EdsState.ZETA)[0]
-    # t = dn^2(u, k), k = sqrt(1 - a'^2), turns g(t) into 1 - u/K.
-    k = math.sqrt((1.0 - state.lower) * (1.0 + state.lower))
-    sig = jacobi_dn((1.0 - s) * state.norm_const, k, kprime=state.lower)
-    return sig, replace(state, index=state.index + 1)
+    ``norm_const`` is M = ``elliptic_K(lower)``; t = dn^2(u, k) with
+    k' = lower turns g(t) into 1 - u/M.
+    """
+    s = math.modf(j * EDS_ZETA)[0]
+    return jacobi_dn((1.0 - s) * norm_const, lower)
 
 
 def eds_pole_iter(interval, variant: str) -> Iterator[float]:
@@ -342,9 +303,6 @@ def eds_pole_iter(interval, variant: str) -> Iterator[float]:
     iv = positive_interval(interval)
     a, b = iv.lower, iv.upper
     if variant == "laplace":
-        if a == b:
-            while True:
-                yield -a
         lower, emit = _inner_endpoint(iv, a / b), lambda sig: -b * sig
     elif variant == "cauchy":
         lower, emit = a / b, mobius_cauchy(iv)[1]
@@ -352,10 +310,9 @@ def eds_pole_iter(interval, variant: str) -> Iterator[float]:
         lower, emit = mobius_kron(iv)
     else:
         raise ValueError(f"unknown EDS variant {variant!r}")
-    state = eds_start(lower)
-    while True:
-        sig, state = eds_next(state)
-        yield emit(sig)
+    norm_const = elliptic_K(lower)
+    for j in itertools.count(1):
+        yield emit(eds_next(lower, norm_const, j))
 
 
 def eds_poles(interval, count: int, variant: str) -> np.ndarray:

@@ -78,6 +78,12 @@ class TestFunv:
         assert rc == 2
         assert "hilbert" in capsys.readouterr().err
 
+    def test_function_argument_it_cannot_use_is_refused(self, capsys):
+        rc = main(["funv", "--matrix", "tridiag:20", "--function", "inverse:3",
+                   "--ell", "2"])
+        assert rc == 2
+        assert "'inverse:3'" in capsys.readouterr().err
+
     def test_diag_file_goes_through_load_matrix(self, tmp_path, capsys):
         two_columns = tmp_path / "d.txt"
         two_columns.write_text("1 2\n3 4\n")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,11 @@ def test_parse_function_spec():
     assert lw(1.0) == pytest.approx(W_AT_1, rel=1e-13)  # 1^{-3/2} W(1)
     with pytest.raises(ValueError):
         parse_function_spec("nope:1")
+    # An argument the name cannot use is refused, naming the spec.
+    for spec in ("inverse:3", "log1p:7", "lambertw:2", "sqrt-exp:x",
+                 "rational:2", "rational:", "phi:2.5", "power:"):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            parse_function_spec(spec)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e3),

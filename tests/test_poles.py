@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from rkstieltjes.acceptance import _eds_g
 from rkstieltjes.operators import positive_interval
 from rkstieltjes.poles import (
-    EdsState,
+    EDS_ZETA,
     cauchy_kron_poles,
     cauchy_poles,
     eds_next,
     eds_pole_iter,
     eds_poles,
-    eds_start,
     elliptic_K,
     extended_poles,
     gamma_const,
@@ -34,7 +33,7 @@ from rkstieltjes.poles import (
 from rkstieltjes.strategies import KRON_PAIRS, STRATEGIES
 
 # Frozen references (mpmath, 40 digits).
-K_HALF = 1.8540746773013719          # K(k) at k = 1/sqrt(2)
+K_HALF = 1.8540746773013719          # K at k = k' = 1/sqrt(2)
 RHO_1_4 = 0.028447149087636490       # exp(-pi^2 / log 16)
 RHO_EQUAL = 8.0924029121421757e-4    # degenerate [c, c] interval
 RHO_1_16 = 0.093187822953575873
@@ -53,28 +52,32 @@ K_OF_KPRIME = {                      # K at complementary modulus k' (50 digits)
 class TestScalarHelpers:
     def test_elliptic_K(self):
         assert elliptic_K(1.0 / math.sqrt(2.0)) == pytest.approx(K_HALF, rel=1e-13)
-        assert elliptic_K(0.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
+        assert elliptic_K(1.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
 
     def test_elliptic_K_small_complement(self):
-        # With the complement passed explicitly the log singularity stays
-        # accurate where k alone would have lost it to rounding.
+        # The complement is the argument, so the log singularity stays
+        # accurate where k = sqrt(1 - k'^2) would have lost it to rounding.
         kp = 1e-8
-        k = math.sqrt((1.0 - kp) * (1.0 + kp))
-        val = elliptic_K(k, kp)
         # K ~ log(4/k') as k -> 1
-        assert val == pytest.approx(math.log(4.0 / kp), rel=1e-4)
+        assert elliptic_K(kp) == pytest.approx(math.log(4.0 / kp), rel=1e-4)
 
     @pytest.mark.parametrize("kp, want", K_OF_KPRIME.items())
     def test_elliptic_K_frozen(self, kp, want):
-        k = math.sqrt((1.0 - kp) * (1.0 + kp))
-        assert elliptic_K(k, kp) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert elliptic_K(kp) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("kp, want", [(1e-160, 369.79990924016720007),
                                           (1e-200, 461.90331295992902744),
                                           (5e-324, 745.82636628250115293)])
     def test_elliptic_K_finite_where_kprime_squared_underflows(self, kp, want):
         # k'^2 is subnormal or 0 here, where ellipkm1 loses it or gives inf.
-        assert elliptic_K(1.0, kp) == pytest.approx(want, rel=1e-15)
+        assert elliptic_K(kp) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("kp", [0.0, -0.5, 1.5, math.nan])
+    def test_complement_outside_unit_interval_refused(self, kp):
+        with pytest.raises(ValueError, match="complementary modulus"):
+            elliptic_K(kp)
+        with pytest.raises(ValueError, match="complementary modulus"):
+            jacobi_dn(0.5, kp)
 
     def test_rate_rho_frozen(self):
         assert rate_rho(1.0, 4.0) == pytest.approx(RHO_1_4, rel=1e-13)
@@ -100,54 +103,46 @@ class TestScalarHelpers:
 class TestJacobiDn:
     def test_endpoint_values(self):
         kp = 0.3
-        k = math.sqrt(1.0 - kp * kp)
-        K = elliptic_K(k, kp)
-        assert jacobi_dn(0.0, k, kp) == pytest.approx(1.0, rel=1e-14)
-        assert jacobi_dn(K, k, kp) == pytest.approx(kp, rel=1e-12)
+        K = elliptic_K(kp)
+        assert jacobi_dn(0.0, kp) == pytest.approx(1.0, rel=1e-14)
+        assert jacobi_dn(K, kp) == pytest.approx(kp, rel=1e-12)
 
     def test_half_period_identity(self):
         # dn(K/2) = sqrt(k') for every modulus
         for kp in (0.9, 0.5, 0.1, 1e-3, 1e-6, 1e-9, 1e-12):
-            k = math.sqrt((1.0 - kp) * (1.0 + kp))
-            K = elliptic_K(k, kp)
-            got = jacobi_dn(K / 2.0, k, kp)
+            got = jacobi_dn(elliptic_K(kp) / 2.0, kp)
             assert got == pytest.approx(math.sqrt(kp), rel=1e-13)
 
     def test_extreme_modulus_absolute(self):
         kp = 1e-10
-        k = math.sqrt((1.0 - kp) * (1.0 + kp))
-        K = elliptic_K(k, kp)
-        assert jacobi_dn(K, k, kp) == pytest.approx(kp, rel=1e-13)
+        assert jacobi_dn(elliptic_K(kp), kp) == pytest.approx(kp, rel=1e-13)
 
     def test_quarter_period_product(self):
         # dn(u) dn(K - u) = k', relatively, down to the small values near K
         kp = 1e-10
-        k = math.sqrt((1.0 - kp) * (1.0 + kp))
-        K = elliptic_K(k, kp)
+        K = elliptic_K(kp)
         u = np.linspace(0.0, K, 33)
-        prod = jacobi_dn(u, k, kp) * jacobi_dn(K - u, k, kp)
+        prod = jacobi_dn(u, kp) * jacobi_dn(K - u, kp)
         np.testing.assert_allclose(prod, kp, rtol=1e-13)
 
     def test_period_and_parity(self):
         kp = 0.3
-        k = math.sqrt(1.0 - kp * kp)
-        K = elliptic_K(k, kp)
+        K = elliptic_K(kp)
         u = np.linspace(0.0, K, 9)
-        base = jacobi_dn(u, k, kp)
+        base = jacobi_dn(u, kp)
         for image in (-u, 2.0 * K - u, u + 2.0 * K, u - 4.0 * K):
-            np.testing.assert_allclose(jacobi_dn(image, k, kp), base,
-                                       rtol=1e-13)
+            np.testing.assert_allclose(jacobi_dn(image, kp), base, rtol=1e-13)
 
     def test_zero_modulus(self):
-        assert jacobi_dn(0.7, 0.0) == 1.0
-        np.testing.assert_array_equal(jacobi_dn(np.array([0.0, 2.0]), 0.0),
+        # k = 0 is k' = 1, an ordinary input: dn is 1 exactly.
+        assert jacobi_dn(0.7, 1.0) == 1.0
+        np.testing.assert_array_equal(jacobi_dn(np.array([0.0, 2.0]), 1.0),
                                       [1.0, 1.0])
 
     def test_array_argument(self):
         kp = 0.4
-        k = math.sqrt(1.0 - kp * kp)
         u = np.linspace(0.0, 1.0, 7)
-        vals = jacobi_dn(u, k, kp)
+        vals = jacobi_dn(u, kp)
         assert vals.shape == (7,)
         assert np.all(vals <= 1.0 + 1e-15) and np.all(vals >= kp - 1e-15)
 
@@ -357,42 +352,37 @@ class TestCanonicalFamilies:
 
 class TestEds:
     def test_zeta_and_targets(self):
-        assert EdsState.ZETA == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+        assert EDS_ZETA == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
         # first three equidistribution targets frac(j * zeta)
-        assert EdsState.ZETA % 1.0 == pytest.approx(0.7071067811865475)
-        assert (2 * EdsState.ZETA) % 1.0 == pytest.approx(0.41421356237309503)
-        assert (3 * EdsState.ZETA) % 1.0 == pytest.approx(0.12132034355964261)
+        assert EDS_ZETA % 1.0 == pytest.approx(0.7071067811865475)
+        assert (2 * EDS_ZETA) % 1.0 == pytest.approx(0.41421356237309503)
+        assert (3 * EDS_ZETA) % 1.0 == pytest.approx(0.12132034355964261)
 
     def test_first_node_frozen(self):
-        state = eds_start(0.25)
-        sig, state2 = eds_next(state)
+        sig = eds_next(0.25, elliptic_K(0.25), 1)
         assert sig == pytest.approx(SIGMA1_QUARTER, rel=1e-12)
-        assert state2.index == state.index + 1
         # nodes live strictly inside (lower, 1)
         assert 0.25 < sig < 1.0
 
     def test_tiny_endpoint_matches_quadrature(self):
         # g(sigma_j^2) = s_j against the independent quadrature g
         for ap in (1e-6, 1e-8, 1e-10):
-            state = eds_start(ap)
+            big_m = elliptic_K(ap)
             for j in range(1, 61):
-                sig, state = eds_next(state)
-                s = math.modf(j * EdsState.ZETA)[0]
-                assert abs(_eds_g(sig * sig, ap, state.norm_const) - s) <= 1e-13
+                sig = eds_next(ap, big_m, j)
+                s = math.modf(j * EDS_ZETA)[0]
+                assert abs(_eds_g(sig * sig, ap, big_m) - s) <= 1e-13
 
     def test_start_validates(self):
-        with pytest.raises(ValueError):
-            eds_start(0.0)
-        with pytest.raises(ValueError):
-            eds_start(1.0)
+        # lower = 1 is a one-point interval, whose every node is 1.
+        with pytest.raises(ValueError, match="complementary modulus"):
+            eds_next(0.0, 1.0, 1)
+        assert eds_next(1.0, elliptic_K(1.0), 1) == 1.0
 
     def test_nodes_fill_interval(self):
-        state = eds_start(0.1)
-        seen = []
-        for _ in range(40):
-            sig, state = eds_next(state)
-            assert 0.1 < sig < 1.0
-            seen.append(sig)
+        big_m = elliptic_K(0.1)
+        seen = [eds_next(0.1, big_m, j) for j in range(1, 41)]
+        assert all(0.1 < sig < 1.0 for sig in seen)
         # equidistributed, so the low and high ends are both visited
         assert min(seen) < 0.2 and max(seen) > 0.9
 
@@ -420,10 +410,8 @@ class TestEds:
         # started at mobius_kron's endpoint, pulled back through that chart
         # onto (-inf, -a].
         endpoint, pullback = mobius_kron((1.0, 4.0))
-        state, want = eds_start(endpoint), []
-        for _ in range(6):
-            sig, state = eds_next(state)
-            want.append(pullback(sig))
+        big_m = elliptic_K(endpoint)
+        want = [pullback(eds_next(endpoint, big_m, j)) for j in range(1, 7)]
         got = list(eds_poles((1.0, 4.0), 6, "kron-cauchy"))
         assert got == want and all(p < -1.0 for p in got)
 

@@ -202,7 +202,7 @@ def test_laplace_and_cauchy_type_bounds_share_their_forms(ell):
     assert laplace_bound(f, IV, ell, 3.0) == pytest.approx(kron / 2, rel=1e-15)
     assert singular_value_bound(f, IV, ell, 3.0) == kron
     rho = math.exp(-math.pi ** 2 / math.log(4.0 * 2.0 * IV.upper / IV.lower))
-    want = 4.0 * g.at(2.0 * IV.lower) * 3.0 * rho ** ell
+    want = 4.0 * g(2.0 * IV.lower) * 3.0 * rho ** ell
     assert singular_value_bound(g, IV, ell, 3.0) == pytest.approx(
         want, rel=1e-15)
     assert kron_cauchy_bound(g, IV, ell, 3.0) == pytest.approx(
