@@ -27,6 +27,7 @@ from .kronfun import KroneckerProblem, dense_kron_solution, kron_fun
 from .operators import (
     HermitianOperator,
     SpectralInterval,
+    count,
     load_matrix,
     oracle_funv,
     positive_interval,
@@ -78,6 +79,14 @@ def _split_interval(spec: str) -> tuple[float, float]:
     except ValueError:
         raise SystemExit(f"--interval: expected 'a,b' (see --help), got {spec!r}")
     return lo, hi
+
+
+def _count_arg(text: str) -> int:
+    """argparse ``type`` of the count options: a refusal names the option."""
+    try:
+        return count(int(text), "value")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
 def _load_factor(path: str) -> np.ndarray:
@@ -300,8 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="evaluate f(.+eta) on the shifted operator")
     group = pf.add_mutually_exclusive_group(required=True)
     group.add_argument("--tol", type=float, help="stop at this error estimate")
-    group.add_argument("--ell", type=int, help="use exactly this many poles")
-    pf.add_argument("--max-ell", type=int, default=80)
+    group.add_argument("--ell", type=_count_arg, help="use exactly this many poles")
+    pf.add_argument("--max-ell", type=_count_arg, default=80)
     pf.add_argument("--vector", help="text file with the seed vector")
     pf.add_argument("--oracle", choices=("on", "off"), default="off",
                     help="compute true errors against a reference solution")
@@ -315,13 +324,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="matrix spec for -B (SPD); the argument is "
                          "I x A - B^T x I")
     pk.add_argument("--function", required=True)
-    pk.add_argument("--rank", type=int, default=1,
+    pk.add_argument("--rank", type=_count_arg, default=1,
                     help="rank of the generated right-hand side")
     pk.add_argument("--ufile", help="left factor file (.npy or text)")
     pk.add_argument("--vfile", help="right factor file (.npy or text)")
     pk.add_argument("--poles", default="cauchy-kron",
                     help=f"{'|'.join(KRON_PAIRS)}|custom:PSI,XI")
-    pk.add_argument("--ell", type=int, required=True)
+    pk.add_argument("--ell", type=_count_arg, required=True)
     pk.add_argument("--interval", default="auto",
                     help="a,b | auto | gershgorin[:floor]")
     pk.add_argument("--oracle", choices=("on", "off"), default="off")
@@ -334,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--strategy", required=True,
                     choices=list(dict.fromkeys([*_NAMED, *KRON_PAIRS])))
     pp.add_argument("--interval", help="a,b (spectral enclosure)")
-    pp.add_argument("--ell", type=int, required=True)
+    pp.add_argument("--ell", type=_count_arg, required=True)
     pp.add_argument("--out", required=True)
     pp.add_argument("--out-xi",
                     help="second file for the B^T-side poles of kron pairs")
@@ -343,12 +352,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("experiment", parents=[seeded],
                         help="run a bundled convergence study")
     pe.add_argument("id", choices=EXPERIMENT_IDS)
-    pe.add_argument("--n", type=int, help="matrix order (desk-scale default)")
-    pe.add_argument("--ell-max", type=int)
+    pe.add_argument("--n", type=_count_arg, help="matrix order (desk-scale default)")
+    pe.add_argument("--ell-max", type=_count_arg)
     pe.add_argument("--outdir", default=".")
     pe.add_argument("--gnuplot", action="store_true",
                     help="also write a companion gnuplot script")
-    pe.add_argument("--threads", type=int, default=1,
+    pe.add_argument("--threads", type=_count_arg, default=1,
                     help="strategies run in parallel")
     pe.set_defaults(fn=_cmd_experiment)
 

@@ -39,6 +39,7 @@ from .operators import (
     DiagonalOperator,
     SpectralInterval,
     TridiagonalOperator,
+    count,
     oracle_funv,
     positive_interval,
     toeplitz_tridiagonal,
@@ -85,18 +86,18 @@ class ExperimentConfig:
                 f"field 'experiment': unknown id {self.experiment!r}; "
                 f"expected one of {', '.join(EXPERIMENT_IDS)}")
         default_n, max_n, default_ell, _ = _EXPERIMENTS[self.experiment]
-        n = default_n if self.n is None else int(self.n)
+        n = default_n if self.n is None else count(self.n, "field 'n'")
         if not 16 <= n <= max_n:
             raise ValueError(
                 f"field 'n': {n} outside the supported range [16, {max_n}] "
                 f"for {self.experiment}")
-        ell = default_ell if self.ell_max is None else int(self.ell_max)
+        ell = (default_ell if self.ell_max is None
+               else count(self.ell_max, "field 'ell_max'"))
         if ell < 4:
             raise ValueError(f"field 'ell_max': {ell} must be >= 4")
         if self.seed < 0:
             raise ValueError(f"field 'seed': {self.seed} must be >= 0")
-        if self.threads < 1:
-            raise ValueError(f"field 'threads': {self.threads} must be >= 1")
+        count(self.threads, "field 'threads'")
         return replace(self, n=n, ell_max=ell)
 
 

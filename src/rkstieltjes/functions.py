@@ -19,6 +19,8 @@ from typing import Callable
 import numpy as np
 import scipy.special
 
+from .operators import count
+
 __all__ = [
     "StieltjesFunction",
     "catalog_function",
@@ -40,8 +42,8 @@ class StieltjesFunction:
     def __post_init__(self) -> None:
         if self.family not in ("laplace", "cauchy"):
             raise ValueError(f"unknown function class {self.family!r}")
-        if self.shift < 0.0:
-            raise ValueError("shift must be non-negative")
+        if not 0.0 <= self.shift < math.inf:
+            raise ValueError(f"shift must be finite and >= 0, got {self.shift!r}")
 
     def __call__(self, z):
         """Evaluate f0(z + shift); defined for z + shift > 0 only."""
@@ -56,8 +58,6 @@ class StieltjesFunction:
         return float(out) if arr.ndim == 0 else out
 
     def with_shift(self, eta: float) -> "StieltjesFunction":
-        if eta < 0.0:
-            raise ValueError("shift must be non-negative")
         return replace(self, shift=float(eta))
 
     # -- anchors used by the a-priori bounds ---------------------------------
@@ -87,9 +87,6 @@ def _phi_large(j: int, zl: np.ndarray) -> np.ndarray:
 
 
 def _phi(j: int):
-    if j < 1:
-        raise ValueError("phi index must be >= 1")
-
     def f(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         out = np.empty_like(z)
@@ -178,9 +175,7 @@ def catalog_function(name: str, *params) -> StieltjesFunction:
     ``lambertw_scaled``, ``rational`` (params: weights array, poles array).
     """
     if name == "phi":
-        j = int(params[0]) if params else 1
-        if j < 1:
-            raise ValueError("phi index must be >= 1")
+        j = count(params[0], "phi index") if params else 1
         return StieltjesFunction(
             label=f"phi_{j}",
             family="laplace",

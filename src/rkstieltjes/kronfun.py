@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import singular_value_bound, sylvester_residual_bound
 from .functions import StieltjesFunction
 from . import operators
-from .operators import HermitianOperator, SpectralInterval
+from .operators import HermitianOperator, SpectralInterval, count, finite
 from .rk import RKDecomposition, grow, rk_build
 from .strategies import KronPair
 
@@ -63,7 +63,7 @@ class KroneckerProblem:
             if np.iscomplexobj(m):
                 raise ValueError(f"{name} is complex; the Kronecker solver "
                                  "takes real factors")
-            m = m.astype(float, copy=False)
+            m = finite(m.astype(float, copy=False), name)
             if m.shape[0] == 1 and op.n != 1:
                 m = m.T
             if m.shape[0] != op.n:
@@ -165,7 +165,7 @@ def kron_fun(problem: KroneckerProblem, left_poles, right_poles,
     """
     left, right = list(left_poles), list(right_poles)
     if ell is not None:
-        if ell > min(len(left), len(right)):
+        if count(ell, "ell") > min(len(left), len(right)):
             raise ValueError(
                 f"ell={ell} exceeds the supplied pole counts "
                 f"({len(left)} left, {len(right)} right)")

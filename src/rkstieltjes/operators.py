@@ -40,6 +40,7 @@ diagonal, one value per line.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,27 @@ def positive_interval(interval) -> SpectralInterval:
     if not isinstance(interval, SpectralInterval):
         interval = SpectralInterval(float(interval[0]), float(interval[1]))
     return interval.require_positive()
+
+
+def count(value, name: str) -> int:
+    """``value`` as an int >= 1 (as ``operator.index`` takes it, so not 2.0):
+    every pole count, order and size; else ValueError naming ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return value
+
+
+def finite(a, name: str) -> np.ndarray:
+    """``a`` as an array; ValueError naming ``name`` unless every entry is
+    finite.  Run where outside data comes in, never per solve (``as_block``)."""
+    a = np.asarray(a)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite, got {a[~np.isfinite(a)][0]}")
+    return a
 
 
 def as_block(rhs: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -255,7 +277,7 @@ class DenseOperator(HermitianOperator):
     """Dense symmetric storage, O(n^2) matvec, LU-based shifted solves."""
 
     def __init__(self, a: np.ndarray):
-        a = np.asarray(a, dtype=float)
+        a = finite(np.asarray(a, dtype=float), "matrix")
         _require_symmetric(a, "matrix")
         super().__init__(a.shape[0])
         self.a = 0.5 * (a + a.T)  # store an exactly symmetric copy
@@ -284,7 +306,7 @@ class DiagonalOperator(HermitianOperator):
     """Diagonal storage; solves are elementwise divisions."""
 
     def __init__(self, d: np.ndarray):
-        d = np.asarray(d, dtype=float).ravel()
+        d = finite(np.asarray(d, dtype=float).ravel(), "diagonal")
         if d.size == 0:
             raise ValueError("diagonal operator needs at least one entry")
         super().__init__(d.size)
@@ -323,8 +345,8 @@ class TridiagonalOperator(HermitianOperator):
     """Symmetric tridiagonal storage with O(n) banded shifted solves."""
 
     def __init__(self, d: np.ndarray, e: np.ndarray):
-        d = np.asarray(d, dtype=float).ravel()
-        e = np.asarray(e, dtype=float).ravel()
+        d = finite(np.asarray(d, dtype=float).ravel(), "diagonal")
+        e = finite(np.asarray(e, dtype=float).ravel(), "off-diagonal")
         if e.size != d.size - 1:
             raise ValueError(
                 f"off-diagonal length {e.size} does not match order {d.size}"
@@ -407,10 +429,9 @@ class TridiagonalOperator(HermitianOperator):
 
 def toeplitz_tridiagonal(n: int, scale: float = 1.0) -> TridiagonalOperator:
     """The 1-D diffusion stencil c*tridiag(-1, 2, -1) of order n."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    n = count(n, "n")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and > 0, got {scale!r}")
     return TridiagonalOperator(
         np.full(n, 2.0 * scale), np.full(n - 1, -scale)
     )
@@ -439,8 +460,8 @@ def spectral_interval(
     if mode == "gershgorin":
         iv = op.gershgorin()
         if floor is not None:
-            if floor <= 0.0:
-                raise ValueError("gershgorin floor must be positive")
+            if not floor > 0.0:
+                raise ValueError(f"gershgorin floor must be > 0, got {floor!r}")
             return SpectralInterval(max(iv.lower, float(floor)), iv.upper)
         if iv.lower <= 0.0:
             raise ValueError(

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy.special import ellipkm1
 
-from .operators import positive_interval
+from .operators import count, positive_interval
 
 __all__ = [
     "elliptic_K",
@@ -135,10 +135,9 @@ def rate_rho(alpha: float, beta: float) -> float:
 def gamma_const(ell: int, kappa: float) -> float:
     """Slowly growing constant 2.23 + (2/pi) log(4 l sqrt(kappa/pi)) of the
     Laplace-type bounds."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    if kappa < 1.0:
-        raise ValueError("kappa must be >= 1")
+    ell = count(ell, "ell")
+    if not kappa >= 1.0:
+        raise ValueError(f"kappa must be >= 1, got {kappa!r}")
     return 2.23 + (2.0 / math.pi) * math.log(4.0 * ell * math.sqrt(kappa / math.pi))
 
 
@@ -164,8 +163,7 @@ def zolotarev_poles(interval, ell: int) -> np.ndarray:
     gives k' = 1, dn = 1 and every pole at -a.
     """
     iv = positive_interval(interval)
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    ell = count(ell, "ell")
     ratio = _inner_endpoint(iv, iv.lower / iv.upper)
     j = np.arange(1, ell + 1, dtype=float)
     u = (2.0 * j - 1.0) * elliptic_K(ratio) / (2.0 * ell)
@@ -260,16 +258,12 @@ def cauchy_kron_poles(interval, ell: int) -> tuple[np.ndarray, np.ndarray]:
 
 def extended_poles(ell: int) -> np.ndarray:
     """Alternating inf, 0, inf, 0, ... (extended Krylov), length ell."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    return np.where(np.arange(ell) % 2 == 0, math.inf, 0.0)
+    return np.where(np.arange(count(ell, "ell")) % 2 == 0, math.inf, 0.0)
 
 
 def polynomial_poles(ell: int) -> np.ndarray:
     """All-inf sequence (plain Krylov), length ell."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    return np.full(ell, math.inf)
+    return np.full(count(ell, "ell"), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +309,10 @@ def eds_pole_iter(interval, variant: str) -> Iterator[float]:
         yield emit(eds_next(lower, norm_const, j))
 
 
-def eds_poles(interval, count: int, variant: str) -> np.ndarray:
-    """First ``count`` EDS poles; prefixes of a fixed infinite sequence."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+def eds_poles(interval, ell: int, variant: str) -> np.ndarray:
+    """First ``ell`` EDS poles; prefixes of a fixed infinite sequence."""
     it = eds_pole_iter(interval, variant)
-    return np.array([next(it) for _ in range(count)])
+    return np.array([next(it) for _ in range(count(ell, "ell"))])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .functions import StieltjesFunction
-from .operators import HermitianOperator, as_block, positive_interval
+from .operators import HermitianOperator, as_block, count, finite, positive_interval
 from .poles import cauchy_poles, zolotarev_poles
 from .strategies import Strategy, get_strategy, strategy_bound
 
@@ -83,7 +83,7 @@ class RKDecomposition:
     """
 
     def __init__(self, op: HermitianOperator, v: np.ndarray):
-        block, _ = as_block(v)
+        block, _ = as_block(finite(v, "seed"))
         if block.shape[0] != op.n:
             raise ValueError(
                 f"seed has {block.shape[0]} rows, operator order is {op.n}")
@@ -91,8 +91,8 @@ class RKDecomposition:
         self.seed_ndim = np.asarray(v).ndim
         self.block_width = block.shape[1]
         self.seed_norm = float(np.linalg.norm(block))
-        if self.seed_norm == 0.0:
-            raise ValueError("seed block is zero")
+        if not 0.0 < self.seed_norm < math.inf:
+            raise ValueError(f"seed norm must be > 0 and finite, got {self.seed_norm}")
 
         n = op.n
         dtype = np.complex128 if np.iscomplexobj(block) else np.float64
@@ -106,9 +106,7 @@ class RKDecomposition:
         self._factors: dict = {}  # shifted_solve's cache, one per basis
 
         self._seed_cache = block.astype(dtype, copy=True)
-        kept = self._append_block(self._seed_cache)
-        if kept == 0:  # pragma: no cover - zero norm is caught above
-            raise ValueError("seed block deflated away entirely")
+        self._append_block(self._seed_cache)
 
     # -- geometry ---------------------------------------------------------
 
@@ -401,12 +399,10 @@ def grow(s: Strategy, iv, counts: Iterable[int],
     count in one ``extend`` call, and stop after every basis has broken
     down or the stream runs out (one short of a count yields its shorter
     bases once).  Interval-optimal families build fresh bases for every
-    count.  Counts below 1 and a missing custom list raise ValueError at
-    the call.
+    count.  A count that is not an integer >= 1 and a missing custom list
+    raise ValueError at the call.
     """
-    counts = list(counts)
-    if counts and min(counts) < 1:
-        raise ValueError(f"pole counts must be >= 1, got {min(counts)}")
+    counts = [count(c, "pole counts") for c in counts]
     stream = s.stream(iv, custom_poles) if s.nested else None
     return _grow(s, iv, counts, seeds, stream)
 
@@ -449,8 +445,8 @@ def iterates(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     """Yield ``(dec, y)`` at each pole count in the increasing ``counts``,
     where y are the reduced coordinates of the Galerkin iterate in
     ``dec.basis`` (``dec.lift(y)`` is the iterate itself): the one-seed
-    case of ``grow``.  Counts below 1, an unknown strategy and a missing
-    custom list raise ValueError at the call.
+    case of ``grow``.  Counts that are not integers >= 1, an unknown
+    strategy and a missing custom list raise ValueError at the call.
     """
     steps = grow(get_strategy(strategy), iv, counts, [(op, v)], custom_poles)
     return ((dec, _reduced_funv(dec, f)) for dec, in steps)
@@ -481,19 +477,20 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     """
     if (tol is None) == (ell is None):
         raise ValueError("pass exactly one of tol= or ell=")
-    if tol is not None and max_ell < 1:
-        raise ValueError(f"max_ell must be >= 1, got {max_ell}")
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    max_ell = count(max_ell, "max_ell")
     iv = positive_interval(interval)
     s = get_strategy(strategy)
-    if ell is not None and s.name == "custom" and len(custom_poles or ()) < ell:
-        raise ValueError(f"ell={ell} needs at least {ell} custom poles, "
-                         f"got {len(custom_poles or ())}")
-    if ell is not None:
-        counts = [ell]
+    if ell is not None:  # named for ell, in the words of grow's check
+        counts = [count(ell, "ell: pole counts")]
     elif s.nested:
         counts = range(1, max_ell + 1)
     else:
         counts = [*range(CHECKPOINT_STRIDE, max_ell, CHECKPOINT_STRIDE), max_ell]
+    if ell is not None and s.name == "custom" and len(custom_poles or ()) < ell:
+        raise ValueError(f"ell={ell} needs at least {ell} custom poles, "
+                         f"got {len(custom_poles or ())}")
     steps = iterates(op, f, v, strategy, iv, counts, custom_poles)
 
     vnorm = float(np.linalg.norm(v))

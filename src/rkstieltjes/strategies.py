@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .bounds import cauchy_bound, kron_cauchy_bound, kron_laplace_bound, laplace_bound
-from .operators import SpectralInterval
+from .operators import SpectralInterval, count
 from .poles import (
     cauchy_kron_poles,
     cauchy_poles,
@@ -87,13 +87,12 @@ class Strategy:
     def nested(self) -> bool:
         return self.stream is not None
 
-    def first(self, iv, count: int) -> list:
-        """The first ``count`` poles of a named family."""
-        if count < 1:
-            raise ValueError(f"pole count must be >= 1, got {count}")
+    def first(self, iv, ell: int) -> list:
+        """The first ``ell`` poles of a named family."""
+        ell = count(ell, "ell")
         if self.nested:
-            return list(itertools.islice(self.stream(iv, None), count))
-        return list(self.fixed(iv, count))
+            return list(itertools.islice(self.stream(iv, None), ell))
+        return list(self.fixed(iv, ell))
 
 
 @dataclass(frozen=True)
