@@ -9,6 +9,7 @@ and `rkstieltjes.acceptance` for it.
 """
 
 from .operators import (
+    BandedOperator,
     DenseOperator,
     DiagonalOperator,
     HermitianOperator,

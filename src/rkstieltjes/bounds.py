@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .operators import SpectralInterval, positive_interval
+from .operators import SpectralInterval, count, positive_interval
 from .poles import gamma_const, rate_rho
 
 __all__ = [
@@ -43,6 +43,7 @@ def _cauchy_mirror(f, iv: SpectralInterval, ell: int, norm: float,
                    factor: float = 1.0) -> float:
     """4 * f(2a) * factor * norm * rho_{[a,2b]}^l, the Cauchy-class rate
     against the mirrored interval; nan unless f is Cauchy-Stieltjes."""
+    ell = count(ell, "ell")
     if not f.is_cauchy:
         return math.nan
     return (4.0 * f(2.0 * iv.lower) * factor * norm
@@ -63,6 +64,7 @@ def laplace_bound(f, interval, ell: int, norm: float) -> float:
 def cauchy_bound(f, interval, ell: int, norm: float) -> float:
     """8 * f(a) * ||v|| * rho_{[a,4b]}^l for Cauchy-Stieltjes f with the
     half-line pole family; nan for any other f."""
+    ell = count(ell, "ell")
     if not f.is_cauchy:
         return math.nan
     iv = positive_interval(interval)
@@ -84,6 +86,7 @@ def kron_cauchy_bound(f, interval, ell: int, norm: float) -> float:
 def sylvester_residual_bound(interval, ell: int, fnorm: float) -> float:
     """(1 + kappa) * 4 * rho_{[a,b]}^l * ||F||_2 for the mirrored
     Zolotarev pole pair (Psi, -Psi)."""
+    ell = count(ell, "ell")
     iv = positive_interval(interval)
     return (1.0 + iv.kappa) * 4.0 * rate_rho(iv.lower, iv.upper) ** ell * fnorm
 

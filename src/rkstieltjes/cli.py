@@ -46,20 +46,22 @@ _NAMED = [name for name in STRATEGIES if name != "custom"]
 # argument helpers
 
 
-def _parse_matrix(spec: str) -> HermitianOperator:
-    """tridiag:n[:scale] | diffusion:n[:eps[:dt]] | diag:path | a matrix file."""
-    if spec.startswith("tridiag:"):
-        parts = spec.split(":")[1:]
-        n = int(parts[0])
-        scale = float(parts[1]) if len(parts) > 1 else 1.0
-        return toeplitz_tridiagonal(n, scale)
-    if spec.startswith("diffusion:"):
-        parts = spec.split(":")[1:]
-        n = int(parts[0])
-        eps = float(parts[1]) if len(parts) > 1 else 1e-2
-        dt = float(parts[2]) if len(parts) > 2 else 0.1
+def _parse_matrix(spec: str, option: str) -> HermitianOperator:
+    """tridiag:n[:scale] | diffusion:n[:eps[:dt]] | diag:path | a matrix file;
+    a refused order names ``option`` and the spec."""
+    kind, sep, rest = spec.partition(":")
+    if sep and kind in ("tridiag", "diffusion"):
+        text, *params = rest.split(":")
+        try:
+            n = _count_arg(text)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{option} {spec!r}: n {exc}") from None
+        if kind == "tridiag":
+            return toeplitz_tridiagonal(n, float(params[0]) if params else 1.0)
+        eps = float(params[0]) if params else 1e-2
+        dt = float(params[1]) if len(params) > 1 else 0.1
         return diffusion_operator(n, eps, dt)
-    return load_matrix(spec[5:] if spec.startswith("diag:") else spec)
+    return load_matrix(rest if sep and kind == "diag" else spec)
 
 
 def _parse_interval(spec: str, op: HermitianOperator) -> SpectralInterval:
@@ -99,7 +101,7 @@ def _load_factor(path: str) -> np.ndarray:
 
 
 def _cmd_funv(args) -> int:
-    op = _parse_matrix(args.matrix)
+    op = _parse_matrix(args.matrix, "--matrix")
     f = parse_function_spec(args.function)
     iv = _parse_interval(args.interval, op)
 
@@ -156,8 +158,8 @@ def _cmd_funv(args) -> int:
 
 
 def _cmd_kronfun(args) -> int:
-    a_op = _parse_matrix(args.a)
-    bneg_op = _parse_matrix(args.bneg)
+    a_op = _parse_matrix(args.a, "--a")
+    bneg_op = _parse_matrix(args.bneg, "--bneg")
     f = parse_function_spec(args.function)
 
     if args.ufile or args.vfile:

@@ -1,7 +1,7 @@
 """Real symmetric operators with shifted solves and spectral enclosures.
 
-Three storage formats are supported: dense, diagonal and symmetric
-tridiagonal.  Every operator knows how to apply itself to a block of
+Four storage formats are supported: dense, diagonal, symmetric tridiagonal
+and symmetric band.  Every operator knows how to apply itself to a block of
 vectors, solve (A - sigma*I) X = RHS for real or complex shifts, and
 produce a guaranteed enclosure of its spectrum.  Shifts of ``inf`` act as
 the identity (the corresponding rational factor is simply omitted), which
@@ -12,16 +12,16 @@ Shift rule, one for every storage: sigma is refused (ValueError) when the
 smallest pivot of A - sigma*I (partial pivoting) is at most
 ``_SINGULAR_TOL`` times the largest, or its reciprocal 1-norm condition
 number is at most ``_SINGULAR_TOL``: exact for diagonal storage and an SPD
-tridiagonal L D L^T, LAPACK's ``gecon``/``gtcon`` estimate otherwise.
-Both are scale invariant.  Pivots alone miss an eigenvalue whose
-eigenvector is localized: every pivot can stay O(1).
+tridiagonal L D L^T, LAPACK's ``gecon``/``gtcon``/``gbcon`` estimate
+otherwise.  Both are scale invariant.  Pivots alone miss an eigenvalue
+whose eigenvector is localized: every pivot can stay O(1).
 
 Factor cache: ``shifted_solve(sigma, rhs, factors=d)`` keeps the
-factorization of A - sigma*I (LU, tridiagonal LU or the shifted diagonal)
-in the caller's dict ``d``, keyed by sigma (0.0 apart from -0.0) and the
-dtype of the solve, and on a later call with the same sigma runs only the
-triangular solves, so the result is bit-identical to a fresh solve.  The
-caller owns the dict and uses it with one operator only; each
+factorization of A - sigma*I (LU, band or tridiagonal LU, or the shifted
+diagonal) in the caller's dict ``d``, keyed by sigma (0.0 apart from -0.0)
+and the dtype of the solve, and on a later call with the same sigma runs
+only the triangular solves, so the result is bit-identical to a fresh
+solve.  The caller owns the dict and uses it with one operator only; each
 ``RKDecomposition`` keeps one, so the operator itself holds no state and
 may be shared between threads.  The dict keeps only the last factor, and a
 miss drops it before factoring, because a dense factor costs n^2 numbers;
@@ -29,12 +29,13 @@ the only repeated finite pole, extended Krylov's sigma = 0, needs no more.
 The shift rule runs with the factorization, and a refused sigma raises
 before anything is stored, so it raises on every use.
 
-MatrixMarket files (array or coordinate) and dense arrays share one
-storage picker: square, ||A - A^T||_F <= ``_SYM_TOL`` ||A||_F, and the
-bandwidth picks diagonal, tridiagonal or dense storage.  Dense storage
-above order ``DENSE_EIG_LIMIT`` is refused, never built silently
-(``DenseOperator(a)`` asks for it).  Other files are a plain text
-diagonal, one value per line.
+MatrixMarket files (array or coordinate) and dense arrays share one storage
+picker: square, ||A - A^T||_F <= ``_SYM_TOL`` ||A||_F, and the bandwidth k
+picks diagonal (k = 0), tridiagonal (k = 1), band (3k + 1 <= n, so the band
+LU array, (3k + 1) x n, is no larger than the matrix) or dense storage.
+Order above ``DENSE_EIG_LIMIT`` with k >= 2 is refused, never stored
+silently (``DenseOperator(a)`` or ``BandedOperator(ab)`` asks for it).
+Other files are a plain text diagonal, one value per line.
 """
 
 from __future__ import annotations
@@ -44,10 +45,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.linalg as sla
-import scipy.sparse
-from scipy.fft import dst
 
 #: Order above which dense eigendecompositions are refused.
 DENSE_EIG_LIMIT = 4000
@@ -165,7 +163,7 @@ def _solver(op: "HermitianOperator", sigma: complex, block: np.ndarray,
     """``op._factor(sigma, block)``, taken from or stored in ``factors``.
 
     The key tells 0.0 from -0.0 and carries the block's dtype, which picks
-    the tridiagonal LAPACK routines, so a hit repeats the fresh solve bit
+    the tridiagonal and band LAPACK routines, so a hit repeats the fresh solve bit
     for bit.  A refused sigma raises in ``_factor``, before the store.
     """
     if factors is None:
@@ -194,7 +192,7 @@ def _require_symmetric(a, name: str) -> None:
     ||A - A^T||_F <= _SYM_TOL ||A||_F."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name}: expected a square matrix, got {a.shape}")
-    dev, norm = (np.linalg.norm(x.data if scipy.sparse.issparse(x) else x)
+    dev, norm = (np.linalg.norm(x if isinstance(x, np.ndarray) else x.data)
                  for x in (a - a.T, a))
     if dev > _SYM_TOL * norm:
         raise ValueError(
@@ -427,6 +425,80 @@ class TridiagonalOperator(HermitianOperator):
         return super().exact_interval()
 
 
+class BandedOperator(HermitianOperator):
+    """Symmetric band storage with LAPACK band LU shifted solves.
+
+    ``ab`` is the lower band form read by ``scipy.linalg.eig_banded``:
+    ``ab[i, j] = A[j + i, j]`` for the bandwidth k = ``ab.shape[0] - 1``;
+    the unused tail ``ab[i, n - i:]`` is ignored.
+    """
+
+    def __init__(self, ab: np.ndarray):
+        ab = np.array(ab, dtype=float)
+        if ab.ndim != 2 or 0 in ab.shape:
+            raise ValueError(f"band: expected a (k + 1, n) array, got {ab.shape}")
+        super().__init__(ab.shape[1])
+        ab = ab[:self.n]
+        for i in range(1, ab.shape[0]):
+            ab[i, self.n - i:] = 0.0
+        self.ab = finite(ab, "band")
+        self.k = self.ab.shape[0] - 1
+        # The stored off-diagonals that hold a nonzero, and the off-diagonal
+        # absolute row sums (= column sums), as in TridiagonalOperator.
+        self._offsets = [i for i in range(1, self.k + 1) if self.ab[i].any()]
+        self._radii = np.zeros(self.n)
+        for i in self._offsets:
+            e = np.abs(self.ab[i, :self.n - i])
+            self._radii[i:] += e
+            self._radii[:-i] += e
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        block, was_1d = as_block(x)
+        out = self.ab[0][:, None] * block
+        for i in self._offsets:
+            e = self.ab[i, :self.n - i, None]
+            out[:-i] += e * block[i:]
+            out[i:] += e * block[:-i]
+        return _restore(out, was_1d)
+
+    shifted_solve = HermitianOperator.shifted_solve
+
+    def _factor(self, sigma: complex, block: np.ndarray):
+        # General band form of A - sigma*I with kl = ku = k and room for
+        # the fill-in of partial pivoting: A[i, j] sits in row 2k + i - j.
+        n, k = self.n, self.k
+        m = np.zeros((3 * k + 1, n), dtype=np.result_type(self.ab, sigma, block))
+        m[2 * k] = self.ab[0] - sigma
+        for i in self._offsets:
+            m[2 * k + i, :n - i] = m[2 * k - i, i:] = self.ab[i, :n - i]
+        anorm = np.max(np.abs(m[2 * k]) + self._radii)
+        gbtrf, gbcon, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (m,))
+        lu, piv, _ = gbtrf(m, k, k, overwrite_ab=True)
+        _require_regular(sigma, lu[2 * k], gbcon(k, k, lu, piv, anorm)[0])
+        return lambda b: gbtrs(lu, k, k, b, piv)[0]
+
+    def gershgorin(self) -> SpectralInterval:
+        return SpectralInterval(float(np.min(self.ab[0] - self._radii)),
+                                float(np.max(self.ab[0] + self._radii)))
+
+    def to_dense(self) -> np.ndarray:
+        a = np.diag(self.ab[0])
+        for i in self._offsets:
+            j = np.arange(self.n - i)
+            a[j + i, j] = a[j, j + i] = self.ab[i, :self.n - i]
+        return a
+
+    def exact_interval(self) -> SpectralInterval:
+        # Eigenvalues only, from the band: no n x n array.
+        w = sla.eigvals_banded(self.ab, lower=True)
+        return _enclose(w[0], w[-1])
+
+    def diag_shifted(self, c: float) -> "BandedOperator":
+        ab = self.ab.copy()
+        ab[0] += c
+        return BandedOperator(ab)
+
+
 def toeplitz_tridiagonal(n: int, scale: float = 1.0) -> TridiagonalOperator:
     """The 1-D diffusion stencil c*tridiag(-1, 2, -1) of order n."""
     n = count(n, "n")
@@ -454,8 +526,8 @@ def spectral_interval(
         ``gershgorin`` uses disc bounds and clamps the lower end at
         ``floor`` (required whenever the disc lower bound is <= 0, as for
         discrete Laplacians).  ``exact-small`` computes eigenvalues, via
-        closed form where available and a dense decomposition otherwise
-        (order capped by ``DENSE_EIG_LIMIT``).
+        closed form where available, from the band for band storage and a
+        dense decomposition otherwise (order capped by ``DENSE_EIG_LIMIT``).
     """
     if mode == "gershgorin":
         iv = op.gershgorin()
@@ -493,6 +565,8 @@ def oracle_funv(
     if isinstance(op, TridiagonalOperator):
         c = op.toeplitz_scale()
         if c is not None:
+            from scipy.fft import dst
+
             n = op.n
             lam = 2.0 * c * (1.0 - np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
             coeff = dst(block, type=1, norm="ortho", axis=0)
@@ -520,6 +594,8 @@ def load_matrix(path: str) -> HermitianOperator:
     with open(path, "rb") as fh:
         head = fh.read(64)
     if path.endswith((".mtx", ".mm")) or head.startswith(b"%%MatrixMarket"):
+        import scipy.io
+
         return _pick_storage(scipy.io.mmread(path), path)
     d = np.loadtxt(path, dtype=float, ndmin=1)
     if d.ndim != 1:
@@ -535,34 +611,55 @@ def from_dense_array(m: np.ndarray) -> HermitianOperator:
 
 
 def _pick_storage(m, name: str) -> HermitianOperator:
-    """Store a square symmetric matrix (dense array or scipy.sparse) as
-    diagonal, tridiagonal or dense by its bandwidth."""
+    """Store a square symmetric matrix (dense array or scipy.sparse) by its
+    bandwidth k: diagonal (k = 0), tridiagonal (k = 1), banded while the
+    band LU array, (3k + 1) x n, is no larger than the matrix, else dense."""
+    import scipy.sparse
+
     m = scipy.sparse.csr_array(m, dtype=float)
     _require_symmetric(m, name)
+    n = m.shape[0]
     coo = m.tocoo()
-    band = int(np.abs(coo.col - coo.row)[coo.data != 0.0].max(initial=0))
-    if band == 0:
-        return DiagonalOperator(m.diagonal())
-    if band == 1:
-        return TridiagonalOperator(
-            m.diagonal(), 0.5 * (m.diagonal(1) + m.diagonal(-1)))
-    if m.shape[0] > DENSE_EIG_LIMIT:
+    nz = coo.data != 0.0
+    row, col, val = coo.row[nz], coo.col[nz], coo.data[nz]
+    band = int(np.abs(col - row).max(initial=0))
+    if band >= 2 and n > DENSE_EIG_LIMIT:
         raise ValueError(
-            f"{name}: order {m.shape[0]} with bandwidth {band} would need "
+            f"{name}: order {n} with bandwidth {band} would need "
             f"dense storage, refused above order {DENSE_EIG_LIMIT}; build "
             "DenseOperator(a) to ask for it explicitly"
         )
-    return DenseOperator(m.toarray())
+    if band >= 2 and 3 * band + 1 > n:
+        return DenseOperator(m.toarray())
+    # Lower band form; each off-diagonal is the mean of A's two triangles.
+    ab = np.zeros((band + 1, n))
+    low = row >= col
+    ab[row[low] - col[low], col[low]] = val[low]
+    ab[col[~low] - row[~low], row[~low]] += val[~low]
+    ab[1:] *= 0.5
+    if band == 0:
+        return DiagonalOperator(ab[0])
+    if band == 1:
+        return TridiagonalOperator(ab[0], ab[1, :-1])
+    return BandedOperator(ab)
 
 
 def save_matrix_market(path: str, op: HermitianOperator) -> None:
-    """Write an operator in MatrixMarket coordinate form; the diagonal and
-    tridiagonal storages write their bands without an n x n array."""
-    if isinstance(op, TridiagonalOperator):
-        m = scipy.sparse.diags([op.e, op.d, op.e], [-1, 0, 1],
-                               shape=(op.n, op.n))
-    elif isinstance(op, DiagonalOperator):
-        m = scipy.sparse.diags(op.d)
+    """Write an operator in MatrixMarket coordinate form; the band storages
+    write their bands without an n x n array."""
+    import scipy.io
+    import scipy.sparse
+
+    if isinstance(op, DiagonalOperator):
+        bands = {0: op.d}
+    elif isinstance(op, TridiagonalOperator):
+        bands = {0: op.d, 1: op.e}
+    elif isinstance(op, BandedOperator):
+        bands = {i: op.ab[i, :op.n - i] for i in (0, *op._offsets)}
     else:
-        m = op.to_dense()
+        bands = {}
+    off = [i for i in bands if i]
+    m = scipy.sparse.diags([*bands.values(), *(bands[i] for i in off)],
+                           [*bands, *(-i for i in off)],
+                           shape=(op.n, op.n)) if bands else op.to_dense()
     scipy.io.mmwrite(path, scipy.sparse.coo_matrix(m))

@@ -78,6 +78,14 @@ class TestFunv:
         assert rc == 2
         assert "hilbert" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["tridiag:2.5", "diffusion:0", "tridiag:"])
+    def test_matrix_order_names_the_option_and_spec(self, spec, capsys):
+        rc = main(["funv", "--matrix", spec, "--function", "inverse",
+                   "--poles", "extended", "--ell", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--matrix {spec!r}: n must be an integer >= 1" in err
+
     def test_function_argument_it_cannot_use_is_refused(self, capsys):
         rc = main(["funv", "--matrix", "tridiag:20", "--function", "inverse:3",
                    "--ell", "2"])

@@ -11,11 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rkstieltjes.bounds import (
+    cauchy_bound,
+    kron_cauchy_bound,
+    singular_value_bound,
+    sylvester_residual_bound,
+)
 from rkstieltjes.cli import main
 from rkstieltjes.experiments import ExperimentConfig
 from rkstieltjes.functions import catalog_function
 from rkstieltjes.kronfun import KroneckerProblem, kron_fun, kron_iterates
 from rkstieltjes.operators import (
+    BandedOperator,
     DenseOperator,
     DiagonalOperator,
     SpectralInterval,
@@ -74,6 +81,18 @@ def test_nan_scale_on_the_command_line_is_named():
     code, err = _cli(["funv", "--matrix", "tridiag:200:nan", "--function",
                       "inverse", "--ell", "4"])
     assert code == 2 and "scale" in err
+
+
+@pytest.mark.parametrize("ell", [2.5, 0, -1])
+def test_cauchy_type_certificates_check_ell(ell):
+    # ell enters these bounds only as an exponent, so without the check a
+    # bad count yields a plausible number (ell = 2.5 gives 0.0212).
+    f = catalog_function("power", -0.5)
+    for bound in (cauchy_bound, kron_cauchy_bound, singular_value_bound):
+        with pytest.raises(ValueError, match="ell"):
+            bound(f, (1.0, 4.0), ell, 1.0)
+    with pytest.raises(ValueError, match="ell"):
+        sylvester_residual_bound((1.0, 4.0), ell, 1.0)
 
 
 def test_nan_kappa_refused():
@@ -163,6 +182,8 @@ def test_nan_kronecker_factor_refused():
     pytest.param(lambda: DiagonalOperator([1.0, math.nan]), id="diagonal"),
     pytest.param(lambda: TridiagonalOperator([2.0, math.nan], [-1.0]),
                  id="tridiagonal"),
+    pytest.param(lambda: BandedOperator([[2.0, 2.0, 2.0], [-1.0, math.nan, 0.0],
+                                         [0.5, 0.0, 0.0]]), id="banded"),
 ])
 def test_nan_entry_refused_by_every_storage(build):
     with pytest.raises(ValueError, match="must be finite"):
@@ -199,6 +220,10 @@ _KRONFUN = ["kronfun", "--a", f"tridiag:{N}", "--bneg", f"tridiag:{N}",
 # (entry point, the argument name its refusal must carry)
 COUNT_ENTRIES = [
     (_library(lambda x: gamma_const(x, 4.0)), "ell"),
+    (_library(lambda x: cauchy_bound(F, IV, x, 1.0)), "ell"),
+    (_library(lambda x: kron_cauchy_bound(F, IV, x, 1.0)), "ell"),
+    (_library(lambda x: singular_value_bound(F, IV, x, 1.0)), "ell"),
+    (_library(lambda x: sylvester_residual_bound(IV, x, 1.0)), "ell"),
     (_library(lambda x: zolotarev_poles(IV, x)), "ell"),
     (_library(lambda x: cauchy_poles(IV, x)), "ell"),
     (_library(lambda x: laplace_kron_poles(IV, x)), "ell"),
@@ -226,6 +251,10 @@ COUNT_ENTRIES = [
                 .resolved()), k) for k in ("n", "ell_max", "threads")),
     (_command(["funv", "--matrix", f"tridiag:{N}", "--function", "inverse",
                "--ell={x}"]), "--ell"),
+    (_command(["funv", "--matrix", "tridiag:{x}", "--function", "inverse",
+               "--ell", "2"]), "--matrix"),
+    (_command(["kronfun", "--a", f"tridiag:{N}", "--bneg", "diffusion:{x}",
+               "--function", "inverse", "--ell", "2"]), "--bneg"),
     (_command(["funv", "--matrix", f"tridiag:{N}", "--function", "inverse",
                "--tol", "1e-6", "--max-ell={x}"]), "--max-ell"),
     (_command([*_KRONFUN, "--ell={x}"]), "--ell"),

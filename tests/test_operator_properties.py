@@ -1,9 +1,9 @@
-"""Property tests: the three storages agree, and share one shift rule;
+"""Property tests: the four storages agree, and share one shift rule;
 a rational Krylov space reproduces the rational functions of its poles.
 
-Matrices are random symmetric tridiagonals made strictly diagonally
-dominant with a positive diagonal (so SPD, spectrum above 0.1), plus their
-diagonal special case; each is built in every storage that can hold it.
+Matrices are random symmetric band matrices of bandwidth at most 3, made
+strictly diagonally dominant with a positive diagonal (so SPD, spectrum
+above 0.1); each is built in every storage that can hold it.
 """
 
 import numpy as np
@@ -11,35 +11,56 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rkstieltjes.operators import DenseOperator, DiagonalOperator, TridiagonalOperator
+from rkstieltjes.operators import (
+    BandedOperator,
+    DenseOperator,
+    DiagonalOperator,
+    TridiagonalOperator,
+)
 from rkstieltjes.rk import exactness_check
 
 _floats = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
 
 
+def band_to_dense(ab):
+    """The symmetric matrix of the lower band form ab[i, j] = A[j + i, j]."""
+    n = ab.shape[1]
+    a = np.diag(ab[0])
+    for i in range(1, ab.shape[0]):
+        a += np.diag(ab[i, :n - i], -i) + np.diag(ab[i, :n - i], i)
+    return a
+
+
 @st.composite
-def spd_tridiagonals(draw, min_n=1, max_n=10):
-    """(d, e) of an SPD tridiagonal; e == 0 in about a third of the draws."""
+def spd_bands(draw, min_n=1, max_n=10):
+    """Lower band form ab, (k + 1) x n, of an SPD band matrix; k = 1 (the
+    tridiagonal case) in half the draws and 2 or 3 otherwise, capped at
+    n - 1, the unused tail ab[i, n - i:] holds junk, and the off-diagonals
+    are all zero in about a third of the draws."""
     n = draw(st.integers(min_n, max_n))
-    e = np.array(draw(st.lists(st.floats(-1.0, 1.0, **_floats),
-                               min_size=n - 1, max_size=n - 1)), dtype=float)
+    k = min(draw(st.sampled_from([1, 1, 2, 3])), n - 1)
+    ab = np.array(draw(st.lists(st.floats(-1.0, 1.0, **_floats),
+                                min_size=(k + 1) * n, max_size=(k + 1) * n)),
+                  dtype=float).reshape(k + 1, n)
     if draw(st.integers(0, 2)) == 0:
-        e[:] = 0.0
-    base = np.array(draw(st.lists(st.floats(0.1, 10.0, **_floats),
-                                  min_size=n, max_size=n)))
-    radii = np.zeros(n)
-    radii[:-1] += np.abs(e)
-    radii[1:] += np.abs(e)
-    return base + radii, e
+        ab[1:] = 0.0
+    ab[0] = 0.0
+    radii = np.abs(band_to_dense(ab)).sum(axis=1)
+    ab[0] = np.array(draw(st.lists(st.floats(0.1, 10.0, **_floats),
+                                   min_size=n, max_size=n))) + radii
+    return ab
 
 
-def storages(d, e, scale=1.0):
-    """The operator scale*T in every storage that can hold it."""
-    d, e = scale * d, scale * e
-    a = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    ops = [TridiagonalOperator(d, e), DenseOperator(a)]
-    if not np.any(e):
-        ops.append(DiagonalOperator(d))
+def storages(ab, scale=1.0):
+    """The operator scale*A in every storage that can hold it, the most
+    specialized first and dense last."""
+    ab = scale * ab
+    a = band_to_dense(ab)
+    ops = [BandedOperator(ab), DenseOperator(a)]
+    if not np.tril(a, -2).any():
+        ops.insert(0, TridiagonalOperator(np.diag(a), np.diag(a, -1)))
+    if not np.tril(a, -1).any():
+        ops.insert(0, DiagonalOperator(np.diag(a)))
     return ops
 
 
@@ -51,10 +72,11 @@ def refuses(op, sigma) -> bool:
     return False
 
 
-def exact_eigenvalue(d, e, k):
-    if not np.any(e):
-        return float(d[k % d.size])
-    w = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+def exact_eigenvalue(ab, k):
+    a = band_to_dense(ab)
+    if not np.tril(a, -1).any():
+        return float(ab[0, k % ab.shape[1]])
+    w = np.linalg.eigvalsh(a)
     return float(w[k % w.size])
 
 
@@ -66,21 +88,21 @@ shifts = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(spd_tridiagonals(), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_matvec_agrees_across_storages(de, width, seed):
-    ops = storages(*de)
+@given(spd_bands(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_matvec_agrees_across_storages(ab, width, seed):
+    ops = storages(ab)
     x = np.random.default_rng(seed).standard_normal((ops[0].n, width))
-    want = ops[1].matvec(x)
+    want = ops[-1].matvec(x)
     for op in ops:
         np.testing.assert_allclose(op.matvec(x), want, rtol=1e-13, atol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
-@given(spd_tridiagonals(), shifts, st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_shifted_solve_agrees_across_storages(de, sigma, width, seed):
-    ops = storages(*de)
+@given(spd_bands(), shifts, st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_shifted_solve_agrees_across_storages(ab, sigma, width, seed):
+    ops = storages(ab)
     b = np.random.default_rng(seed).standard_normal((ops[0].n, width))
-    want = np.linalg.solve(ops[1].to_dense() - sigma * np.eye(ops[1].n), b)
+    want = np.linalg.solve(ops[-1].to_dense() - sigma * np.eye(ops[-1].n), b)
     for op in ops:
         got = op.shifted_solve(sigma, b)
         assert got.shape == b.shape
@@ -88,30 +110,30 @@ def test_shifted_solve_agrees_across_storages(de, sigma, width, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(spd_tridiagonals(), st.integers(0, 9))
-def test_exact_eigenvalue_is_refused_by_every_storage(de, k):
-    sigma = exact_eigenvalue(*de, k)
-    ops = storages(*de)
+@given(spd_bands(), st.integers(0, 9))
+def test_exact_eigenvalue_is_refused_by_every_storage(ab, k):
+    sigma = exact_eigenvalue(ab, k)
+    ops = storages(ab)
     # A computed eigenvalue is exact to rounding relative to ||A||, which is
     # not always singular relative to ||A - sigma*I||: for d = [1, 1] and
     # e = [1e-70], A - 1*I = 1e-70 * [[0, 1], [1, 0]] is perfectly
     # conditioned.  Such draws test nothing and are skipped.
-    assume(np.linalg.cond(ops[1].to_dense() - sigma * np.eye(ops[1].n)) >= 1e15)
+    assume(np.linalg.cond(ops[-1].to_dense() - sigma * np.eye(ops[-1].n)) >= 1e15)
     for op in ops:
         with pytest.raises(ValueError, match="near-singular"):
             op.shifted_solve(sigma, np.ones(op.n))
 
 
 @settings(max_examples=60, deadline=None)
-@given(spd_tridiagonals(), st.integers(0, 9), shifts,
+@given(spd_bands(), st.integers(0, 9), shifts,
        st.sampled_from([2.0**-66, 2.0**66]))
-# Powers of two scale d, e and sigma exactly, so an exactly singular
+# Powers of two scale A and sigma exactly, so an exactly singular
 # A - sigma*I stays exactly singular; a scale of 1e-20 broke this example.
-@example(de=(np.array([1.0, 1.0]), np.array([2.220446049250313e-16])),
+@example(ab=np.array([[1.0, 1.0], [2.220446049250313e-16, 0.0]]),
          k=0, sigma=-1.0, scale=2.0**-66)
-def test_scaling_keeps_accept_or_refuse(de, k, sigma, scale):
-    for s in (exact_eigenvalue(*de, k), sigma):
-        for op, scaled in zip(storages(*de), storages(*de, scale)):
+def test_scaling_keeps_accept_or_refuse(ab, k, sigma, scale):
+    for s in (exact_eigenvalue(ab, k), sigma):
+        for op, scaled in zip(storages(ab), storages(ab, scale)):
             assert refuses(op, s) == refuses(scaled, scale * s)
 
 
@@ -129,11 +151,10 @@ def pole_mixes(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(spd_tridiagonals(min_n=3, max_n=80), pole_mixes(),
+@given(spd_bands(min_n=3, max_n=80), pole_mixes(),
        st.integers(0, 2**32 - 1))
-def test_exactness_check_on_random_spaces(de, poles, seed):
+def test_exactness_check_on_random_spaces(ab, poles, seed):
     # The threshold is acceptance criterion 1's.
-    d, e = de
-    op = TridiagonalOperator(d, e) if np.any(e) else DiagonalOperator(d)
+    op = storages(ab)[0]
     v = np.random.default_rng(seed).standard_normal(op.n)
     assert exactness_check(op, v, poles).max_rel_err <= 1e-9

@@ -6,10 +6,11 @@ import scipy.io
 import scipy.sparse
 
 from rkstieltjes.functions import catalog_function
-from rkstieltjes.rk import RKDecomposition, rk_build
+from rkstieltjes.rk import RKDecomposition, funv_driver, rk_build
 from rkstieltjes.strategies import STRATEGIES
 from rkstieltjes.operators import (
     DENSE_EIG_LIMIT,
+    BandedOperator,
     DenseOperator,
     DiagonalOperator,
     SpectralInterval,
@@ -21,6 +22,23 @@ from rkstieltjes.operators import (
     spectral_interval,
     toeplitz_tridiagonal,
 )
+
+
+def _spd_band(n, k, seed=0):
+    """A dense SPD matrix of order n and bandwidth exactly k."""
+    rng = np.random.default_rng(seed)
+    low = np.tril(np.triu(rng.uniform(-1.0, 1.0, (n, n)), -k), -1)
+    low[np.arange(k, n), np.arange(n - k)] = 0.5  # the outer band is nonzero
+    a = low + low.T
+    return a + np.diag(np.abs(a).sum(axis=1) + rng.uniform(0.5, 2.0, n))
+
+
+def _laplacian_2d(m):
+    """Five-point Laplacian on an m x m grid: order m^2, bandwidth m."""
+    t = scipy.sparse.diags([-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)],
+                           [-1, 0, 1])
+    eye = scipy.sparse.identity(m)
+    return scipy.sparse.kron(eye, t) + scipy.sparse.kron(t, eye)
 
 
 def test_spectral_interval_validation():
@@ -128,6 +146,87 @@ def test_from_dense_array_chooses_storage():
         from_dense_array(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("k", [2, 3, 7])
+def test_picker_band_boundary_is_3k_plus_1(k):
+    # The band LU array, (3k + 1) x n, is never larger than the matrix.
+    n = 3 * k + 1
+    assert isinstance(from_dense_array(_spd_band(n, k)), BandedOperator)
+    assert isinstance(from_dense_array(_spd_band(n - 1, k)), DenseOperator)
+    assert isinstance(from_dense_array(_spd_band(n, k + 1)), DenseOperator)
+
+
+def test_picker_keeps_diagonal_and_tridiagonal_at_any_order():
+    assert isinstance(from_dense_array(_spd_band(1, 0)), DiagonalOperator)
+    assert isinstance(from_dense_array(_spd_band(2, 1)), TridiagonalOperator)
+    assert isinstance(from_dense_array(_spd_band(4, 1)), TridiagonalOperator)
+
+
+class TestBandedOperator:
+    """Band storage agrees with dense storage of the same matrix."""
+
+    N, K = 40, 3
+    A = _spd_band(N, K)
+
+    def _pair(self):
+        op = from_dense_array(self.A)
+        assert isinstance(op, BandedOperator) and op.k == self.K
+        return op, DenseOperator(self.A)
+
+    def _rhs(self):
+        rng = np.random.default_rng(7)
+        real = rng.standard_normal((self.N, 2))
+        block = real + 1j * rng.standard_normal((self.N, 2))
+        return [real[:, 0], real, block[:, 0], block]
+
+    @pytest.mark.parametrize("sigma", [-0.5, 2.0, complex(1.0, 0.5)])
+    def test_shifted_solve_matches_dense(self, sigma):
+        op, dense = self._pair()
+        for b in self._rhs():
+            got = op.shifted_solve(sigma, b)
+            assert got.shape == b.shape
+            assert got.dtype == np.result_type(b, sigma)
+            np.testing.assert_allclose(got, dense.shifted_solve(sigma, b),
+                                       rtol=1e-13, atol=1e-14)
+
+    def test_matvec_and_to_dense_match_dense(self):
+        op, dense = self._pair()
+        np.testing.assert_array_equal(op.to_dense(), self.A)
+        for x in self._rhs():
+            np.testing.assert_allclose(op.matvec(x), dense.matvec(x),
+                                       rtol=1e-14, atol=1e-14)
+
+    def test_intervals_enclose_the_spectrum(self):
+        op, _ = self._pair()
+        w = np.linalg.eigvalsh(self.A)
+        iv = op.exact_interval()
+        assert iv.lower <= w[0] and w[-1] <= iv.upper
+        np.testing.assert_allclose(tuple(iv), (w[0], w[-1]), rtol=1e-13)
+        np.testing.assert_allclose(tuple(op.gershgorin()),
+                                   tuple(DenseOperator(self.A).gershgorin()),
+                                   rtol=1e-14)
+
+    def test_diag_shifted_stays_banded(self):
+        op, _ = self._pair()
+        shifted = op.diag_shifted(2.5)
+        assert isinstance(shifted, BandedOperator)
+        np.testing.assert_array_equal(shifted.to_dense(),
+                                      self.A + 2.5 * np.eye(self.N))
+
+    def test_funv_driver_matches_dense_storage(self, tmp_path):
+        path = str(tmp_path / "lap.mtx")
+        scipy.io.mmwrite(path, _laplacian_2d(12))
+        op = load_matrix(path)
+        assert isinstance(op, BandedOperator) and op.k == 12
+        dense = DenseOperator(op.to_dense())
+        f = catalog_function("power", -0.5)
+        v = np.random.default_rng(3).standard_normal(op.n)
+        got, want = (funv_driver(o, f, v, o.exact_interval(), "extended",
+                                 tol=1e-8) for o in (op, dense))
+        assert got.converged and got.ell == want.ell
+        err = np.linalg.norm(got.x - want.x) / np.linalg.norm(want.x)
+        assert err < 1e-13
+
+
 def test_matrix_market_roundtrip(tmp_path):
     op = toeplitz_tridiagonal(9, 1.5)
     path = str(tmp_path / "t.mtx")
@@ -142,7 +241,8 @@ def test_matrix_market_roundtrip(tmp_path):
     TridiagonalOperator([4.0, 3.0, 5.0, 2.0], [1.5, 0.0, -0.25]),
     DenseOperator(np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 1.0],
                             [0.5, 1.0, 5.0]])),
-], ids=["diagonal", "tridiagonal-zero-offdiagonal", "dense"])
+    from_dense_array(_spd_band(10, 3)),
+], ids=["diagonal", "tridiagonal-zero-offdiagonal", "dense", "banded"])
 def test_matrix_market_roundtrip_is_exact(tmp_path, op):
     path = str(tmp_path / "m.mtx")
     save_matrix_market(path, op)
@@ -166,6 +266,23 @@ def test_matrix_market_writes_bands_without_dense_copy(tmp_path):
     np.testing.assert_array_equal(back.e, op.e)
 
 
+def test_matrix_market_writes_wide_bands_without_dense_copy(tmp_path):
+    ab = np.random.default_rng(4).uniform(-1.0, 1.0, (4, 3000))
+    ab[0] += 10.0
+    op = BandedOperator(ab)
+    path = str(tmp_path / "band.mtx")
+    tracemalloc.start()
+    try:
+        save_matrix_market(path, op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20  # a dense copy alone is 69 MiB
+    back = load_matrix(path)
+    assert isinstance(back, BandedOperator)
+    np.testing.assert_array_equal(back.ab, op.ab)
+
+
 def test_matrix_market_array_form_picks_banded_storage(tmp_path):
     path = str(tmp_path / "a.mtx")
     scipy.io.mmwrite(path, toeplitz_tridiagonal(6, 2.0).to_dense())
@@ -187,12 +304,19 @@ def test_symmetry_rule_is_relative_at_any_scale(tmp_path):
 
 
 def test_picker_refuses_silent_densification(tmp_path):
-    n = DENSE_EIG_LIMIT + 1
-    band = [np.full(n - abs(k), -1.0 if k else 4.0) for k in range(-2, 3)]
     path = str(tmp_path / "penta.mtx")
-    scipy.io.mmwrite(path, scipy.sparse.diags(band, list(range(-2, 3))))
-    with pytest.raises(ValueError, match=rf"order {n} with bandwidth 2"):
-        load_matrix(path)
+
+    def pentadiagonal(n):
+        band = [np.full(n - abs(k), -1.0 if k else 4.0) for k in range(-2, 3)]
+        scipy.io.mmwrite(path, scipy.sparse.diags(band, list(range(-2, 3))))
+        return load_matrix(path)
+
+    n = DENSE_EIG_LIMIT + 1
+    with pytest.raises(ValueError, match=rf"order {n} with bandwidth 2 would "
+                       r"need dense storage, refused above order"):
+        pentadiagonal(n)
+    # At the order cap the same band is stored as a band.
+    assert isinstance(pentadiagonal(DENSE_EIG_LIMIT), BandedOperator)
 
 
 def test_load_plain_text_diagonal(tmp_path):
@@ -204,11 +328,12 @@ def test_load_plain_text_diagonal(tmp_path):
 
 
 class TestShiftRule:
-    """One near-singular rule and one dtype rule for the three storages."""
+    """One near-singular rule and one dtype rule for the four storages."""
 
     def _storages(self, op):
         return [op, DenseOperator(op.to_dense()),
-                DiagonalOperator(np.linalg.eigvalsh(op.to_dense()))]
+                DiagonalOperator(np.linalg.eigvalsh(op.to_dense())),
+                BandedOperator([op.d, np.append(op.e, 0.0)])]
 
     def test_eigenvalue_shift_refused_by_every_storage(self):
         op = toeplitz_tridiagonal(50)
@@ -246,6 +371,7 @@ class TestFactorCache:
         op = toeplitz_tridiagonal(n)
         return [op, DenseOperator(op.to_dense()),
                 DiagonalOperator(np.linspace(0.5, 3.5, n)),
+                from_dense_array(_spd_band(n, 3)),
                 toeplitz_tridiagonal(2)]  # order < 3: tridiagonal via dense LU
 
     def test_cached_solve_equals_fresh_solve(self):
@@ -273,7 +399,7 @@ class TestFactorCache:
             got = op.shifted_solve(sigma, b, factors=factors)
             assert got.tobytes() == op.shifted_solve(sigma, b).tobytes()
 
-    @pytest.mark.parametrize("storage", range(3))
+    @pytest.mark.parametrize("storage", range(4))
     def test_extended_build_factors_once(self, storage, monkeypatch):
         op = self._storages(40)[storage]
         cls = type(op)
@@ -292,7 +418,7 @@ class TestFactorCache:
         assert not dec._factors  # a finished rk_build basis keeps none
 
     def test_refused_shift_raises_on_every_use(self):
-        for op in self._storages(50)[:3]:
+        for op in self._storages(50)[:4]:
             lam = np.linalg.eigvalsh(op.to_dense())[3]
             dec = RKDecomposition(op, np.ones(50))
             dec.extend([-1.0])
