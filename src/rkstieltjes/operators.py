@@ -422,7 +422,12 @@ class TridiagonalOperator(HermitianOperator):
                 2.0 * c * (1.0 - math.cos(t)),
                 2.0 * c * (1.0 - math.cos(self.n * t)),
             )
-        return super().exact_interval()
+        # The two extreme eigenvalues alone, by bisection: O(n) work and
+        # memory, no eigenvectors and no order cap.
+        lo, hi = (sla.eigvalsh_tridiagonal(self.d, self.e, select="i",
+                                           select_range=(i, i))[0]
+                  for i in (0, self.n - 1))
+        return _enclose(lo, hi)
 
 
 class BandedOperator(HermitianOperator):
@@ -525,8 +530,9 @@ def spectral_interval(
     mode : {"gershgorin", "exact-small"}
         ``gershgorin`` uses disc bounds and clamps the lower end at
         ``floor`` (required whenever the disc lower bound is <= 0, as for
-        discrete Laplacians).  ``exact-small`` computes eigenvalues, via
-        closed form where available, from the band for band storage and a
+        discrete Laplacians).  ``exact-small`` computes the extreme
+        eigenvalues: in closed form for c*tridiag(-1, 2, -1), by bisection
+        for other tridiagonals, from the band for band storage, and from a
         dense decomposition otherwise (order capped by ``DENSE_EIG_LIMIT``).
     """
     if mode == "gershgorin":

@@ -48,11 +48,65 @@ CHECKPOINT_STRIDE = 4
 #: Most products of two resolvents that ``exactness_check`` verifies.
 EXACTNESS_MAX_PAIRS = 10
 
+#: The basis doubles one buffer with a copy until it holds about this many
+#: bytes; after that it adds chunks of that many columns, never fewer than
+#: ``CHUNK_MIN_COLS``, and copies no filled column again.
+CHUNK_BYTES = 4 << 20
+
+#: Fewest columns in a chunk: every chunk adds Python and BLAS calls to
+#: each pass over the basis, so chunks stay at least this wide at large n.
+CHUNK_MIN_COLS = 32
+
 
 def _column_norms(x: np.ndarray) -> list[float]:
     """2-norms of the columns of a narrow block; one 1-D norm per column
     costs less than ``norm(x, axis=0)`` at the widths met here."""
     return [np.linalg.norm(x[:, j]) for j in range(x.shape[1])]
+
+
+def _adjoint_product(parts: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """U* x for U stored as the column chunks ``parts`` (none while the
+    basis is empty)."""
+    if len(parts) == 1:
+        return parts[0].conj().T @ x
+    if not parts:
+        return np.zeros((0, x.shape[1]), dtype=x.dtype)
+    return np.vstack([p.conj().T @ x for p in parts])
+
+
+def _product(parts: list[np.ndarray], y: np.ndarray) -> np.ndarray:
+    """U y for U stored as the column chunks ``parts``."""
+    x = parts[0] @ y[:parts[0].shape[1]]
+    lo = parts[0].shape[1]
+    for p in parts[1:]:
+        x += p @ y[lo:lo + p.shape[1]]
+        lo += p.shape[1]
+    return x
+
+
+def _subtract_product(parts: list[np.ndarray], y: np.ndarray,
+                      x: np.ndarray) -> np.ndarray:
+    """x - U y for U stored as the column chunks ``parts``.  One column
+    against one chunk is one gemv and a subtraction.  Otherwise it is
+    computed in place in x when x is Fortran-ordered (else in a Fortran
+    copy), and every chunk's product lands in one n x k Fortran scratch
+    block rather than a new temporary per chunk; for k > 1 that layout also
+    makes numpy's matmul faster than into a C-ordered result (a width-2
+    ``rk_build`` at n = 3e4 took 16% less time).  scipy's gemv/gemm with
+    beta = 1 would save the scratch pass, but scipy and numpy load separate
+    OpenBLAS libraries: with two BLAS threads, alternating between their
+    thread pools made a width-1 ``rk_build`` at n = 2e4 about 5x slower on
+    a 2-vCPU Xeon."""
+    if len(parts) == 1 and x.shape[1] == 1:  # one gemv: fewest calls
+        return x - parts[0] @ y
+    x = np.asfortranarray(x)
+    scratch = np.empty_like(x, order="F")
+    lo = 0
+    for p in parts:
+        np.matmul(p, y[lo:lo + p.shape[1]], out=scratch)
+        x -= scratch
+        lo += p.shape[1]
+    return x
 
 
 class RKDecomposition:
@@ -63,14 +117,18 @@ class RKDecomposition:
     candidate block deflated away completely, i.e. the space became
     A-invariant and every further iterate is exact).
 
-    The columns live in one Fortran-order n x capacity buffer that grows
-    in place: a new block is written into the next free columns, and
-    running out of room reallocates to max(needed, 2 * capacity), so a
-    pole-at-a-time caller copies O(n m) in total rather than per step.
-    ``extend`` reserves room for its whole pole list first, so a one-shot
-    build allocates once.  ``basis``, ``dim`` and ``last_block`` are views
-    of the filled columns; a ``basis`` taken earlier keeps its values,
-    because filled columns are never written again.
+    The columns live in a list of Fortran-order chunks.  While the basis
+    is small it is one buffer that doubles with a copy, up to the chunk
+    width: about ``CHUNK_BYTES`` of columns, never fewer than
+    ``CHUNK_MIN_COLS``.  After that a full chunk is closed at its filled
+    columns and a new one of the chunk width opens, so no filled column is
+    copied again and a pole-at-a-time caller holds at most one chunk of
+    spare room.  ``extend`` reserves room for its whole pole list first,
+    so a one-shot build is one contiguous array.  ``basis`` is a view of
+    the filled columns while they sit in one chunk and a Fortran copy once
+    they span several; ``last_block`` is always a view.  A ``basis`` taken
+    earlier keeps its values, because filled columns are never written
+    again.
 
     Step cost: each appended block's product A·block is kept (n x width
     numbers), so a polynomial step takes it as its candidate with no
@@ -79,7 +137,9 @@ class RKDecomposition:
     coefficients (shifted-solve steps only), once for the first-pass
     update, twice more when the second Gram-Schmidt pass runs, and once
     for the cross product U*(A·block): 2 to 5 passes, where a plain block
-    CGS2 step takes 5.
+    CGS2 step takes 5.  Each pass runs chunk by chunk, and an update over
+    several chunks subtracts in place through one n x width scratch block,
+    so a step makes no n x m temporary.
     """
 
     def __init__(self, op: HermitianOperator, v: np.ndarray):
@@ -96,7 +156,10 @@ class RKDecomposition:
 
         n = op.n
         dtype = np.complex128 if np.iscomplexobj(block) else np.float64
-        self._buf = np.zeros((n, 0), dtype=dtype, order="F")
+        self._chunk_cols = max(CHUNK_MIN_COLS,
+                               CHUNK_BYTES // (n * np.dtype(dtype).itemsize))
+        self._chunks = [np.zeros((n, 0), dtype=dtype, order="F")]
+        self._closed = 0  # columns in the chunks before the last
         self._m = 0
         self._h = np.zeros((0, 0), dtype=dtype)
         self._rhs = np.zeros((0, self.block_width), dtype=dtype)
@@ -106,7 +169,7 @@ class RKDecomposition:
         self._factors: dict = {}  # shifted_solve's cache, one per basis
 
         self._seed_cache = block.astype(dtype, copy=True)
-        self._append_block(self._seed_cache)
+        self._append_block(self._seed_cache.copy(order="F"))
 
     # -- geometry ---------------------------------------------------------
 
@@ -115,14 +178,28 @@ class RKDecomposition:
         """Number of orthonormal basis vectors accumulated so far."""
         return self._m
 
+    def _parts(self) -> list[np.ndarray]:
+        """The filled columns, one Fortran view per chunk that has any."""
+        fill = self._m - self._closed
+        return self._chunks[:-1] + ([self._chunks[-1][:, :fill]] if fill else [])
+
     @property
     def basis(self) -> np.ndarray:
-        return self._buf[:, :self._m]
+        """The n x m basis: a view while it is one chunk, else a copy."""
+        parts = self._parts()
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts, axis=1)
 
     @property
     def last_block(self) -> np.ndarray:
+        # A block never straddles two chunks; the last chunk is empty only
+        # right after extend opened it.
         w = self._block_sizes[-1]
-        return self._buf[:, self._m - w:self._m]
+        fill = self._m - self._closed
+        if fill:
+            return self._chunks[-1][:, fill - w:fill]
+        return self._chunks[-2][:, -w:]
 
     def reduced_matrix(self) -> np.ndarray:
         """Projection U*AU, symmetrized to kill roundoff skew."""
@@ -135,7 +212,7 @@ class RKDecomposition:
 
     def lift(self, y: np.ndarray) -> np.ndarray:
         """x = U y for reduced coordinates y, matching the seed's shape."""
-        x = self.basis @ y
+        x = _product(self._parts(), y)
         if self.seed_ndim == 1:
             return x[:, 0]
         return x
@@ -143,44 +220,59 @@ class RKDecomposition:
     # -- growth -----------------------------------------------------------
 
     def _reserve(self, cols: int) -> None:
-        """Make room for ``cols`` basis columns."""
-        cap = self._buf.shape[1]
-        if cols <= cap:
+        """Make room for ``cols`` more columns in the last chunk."""
+        last = self._chunks[-1]
+        fill = self._m - self._closed
+        if fill + cols <= last.shape[1]:
             return
-        buf = np.empty((self._buf.shape[0], max(cols, 2 * cap)),
-                       dtype=self._buf.dtype, order="F")
-        buf[:, :self._m] = self.basis
-        self._buf = buf
+        if len(self._chunks) == 1 and last.shape[1] < self._chunk_cols:
+            cap = max(fill + cols, min(2 * last.shape[1], self._chunk_cols))
+            buf = np.empty((last.shape[0], cap), dtype=last.dtype, order="F")
+            buf[:, :fill] = last[:, :fill]
+            self._chunks[0] = buf
+            return
+        new = np.empty((last.shape[0], max(cols, self._chunk_cols)),
+                       dtype=last.dtype, order="F")
+        if fill == 0:  # opened by an extend that raised before its first block
+            self._chunks[-1] = new
+            return
+        self._chunks[-1] = last[:, :fill]
+        self._closed += fill
+        self._chunks.append(new)
 
     def _promote_complex(self) -> None:
-        if not np.iscomplexobj(self._buf):
-            buf = np.empty(self._buf.shape, dtype=np.complex128, order="F")
-            buf[:, :self._m] = self.basis
-            self._buf = buf
-            self._h = self._h.astype(np.complex128)
-            self._rhs = self._rhs.astype(np.complex128)
+        """Turn the chunks complex one at a time, so the real and complex
+        copies of at most one chunk are alive together."""
+        last = len(self._chunks) - 1
+        for i, chunk in enumerate(self._chunks):
+            fill = self._m - self._closed if i == last else chunk.shape[1]
+            buf = np.empty(chunk.shape, dtype=np.complex128, order="F")
+            buf[:, :fill] = chunk[:, :fill]
+            self._chunks[i] = buf
+        self._h = self._h.astype(np.complex128)
+        self._rhs = self._rhs.astype(np.complex128)
 
-    def _orthonormalize(self, cand: np.ndarray,
+    def _orthonormalize(self, parts: list[np.ndarray], cand: np.ndarray,
                         coeffs: np.ndarray | None = None) -> np.ndarray:
-        """Block Gram-Schmidt against the basis, then a column-by-column
-        pass inside the block with rank-revealing deflation (drop when the
-        surviving norm is below tol times the column's incoming norm).
+        """Block Gram-Schmidt against the basis (its chunks ``parts``), then
+        a column-by-column pass inside the block with rank-revealing
+        deflation (drop when the surviving norm is below tol times the
+        column's incoming norm).  ``cand`` may be overwritten.
 
         ``coeffs`` are the first-pass coefficients U*cand when the caller
         already holds them.  The second pass against the basis runs only
         when some column keeps less than 1/sqrt(2) of its incoming norm
         ("twice is enough": Giraud, Langou and Rozloznik 2005), so a
         near-dependent candidate always gets both passes."""
-        u = self.basis
         pre = _column_norms(cand)
         if coeffs is None:
-            coeffs = u.conj().T @ cand
-        cand = cand - u @ coeffs
+            coeffs = _adjoint_product(parts, cand)
+        cand = _subtract_product(parts, coeffs, cand)
         # ||cand - U c||^2 = ||cand||^2 - ||c||^2: a column keeps less than
         # 1/sqrt(2) of its norm exactly when ||c|| is more than 1/sqrt(2)
         # of it, which reads m numbers instead of n.
         if any(c > p / math.sqrt(2.0) for c, p in zip(_column_norms(coeffs), pre)):
-            cand = cand - u @ (u.conj().T @ cand)
+            cand = _subtract_product(parts, _adjoint_product(parts, cand), cand)
         kept: list[np.ndarray] = []
         for j in range(cand.shape[1]):
             w = cand[:, j]
@@ -197,13 +289,14 @@ class RKDecomposition:
 
     def _append_block(self, cand: np.ndarray,
                       coeffs: np.ndarray | None = None) -> int:
-        block = self._orthonormalize(cand, coeffs)
+        parts = self._parts()
+        block = self._orthonormalize(parts, cand, coeffs)
         width = block.shape[1]
         if width == 0:
             return 0
         m = self._m
         aw = self.op.matvec(block)
-        cross = self.basis.conj().T @ aw
+        cross = _adjoint_product(parts, aw)
         corner = block.conj().T @ aw
         self._a_last = aw  # a polynomial step's candidate
 
@@ -213,8 +306,9 @@ class RKDecomposition:
         h[m:, :m] = cross.conj().T
         h[m:, m:] = corner
         self._h = h
-        self._reserve(m + width)
-        self._buf[:, m:m + width] = block
+        self._reserve(width)
+        fill = m - self._closed
+        self._chunks[-1][:, fill:fill + width] = block
         self._m = m + width
         # Earlier rows of U*v are final because earlier columns never
         # change; later blocks are orthogonal to the seed only up to
@@ -235,14 +329,14 @@ class RKDecomposition:
             raise RuntimeError(
                 "decomposition was closed by total deflation (invariant "
                 "subspace reached); it cannot be extended")
-        self._reserve(self._m + len(poles) * self.block_width)
+        self._reserve(len(poles) * self.block_width)
         for sigma in poles:
             if self.breakdown:
                 break
             sigma = complex(sigma)
             if sigma.imag == 0.0:
                 sigma = sigma.real
-            elif not np.iscomplexobj(self._buf):
+            elif not np.iscomplexobj(self._chunks[-1]):
                 self._promote_complex()
             if isinstance(sigma, float) and math.isinf(sigma):
                 # A·last_block and U*(A·last_block), the last block column
@@ -253,7 +347,7 @@ class RKDecomposition:
                 cand = self.op.shifted_solve(sigma, self.last_block,
                                              factors=self._factors)
                 coeffs = None
-            kept = self._append_block(np.asarray(cand, dtype=self._buf.dtype),
+            kept = self._append_block(np.asarray(cand, dtype=self._chunks[-1].dtype),
                                       coeffs)
             self.poles_used.append(sigma)
             if kept == 0:
@@ -328,10 +422,11 @@ def exactness_check(op: HermitianOperator, v: np.ndarray,
     """
     poles = list(poles)
     dec = rk_build(op, v, poles)
-    block, _ = as_block(np.asarray(v, dtype=dec.basis.dtype))
+    parts = dec._parts()
+    block, _ = as_block(np.asarray(v, dtype=parts[0].dtype))
 
     def reduced(f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        return dec.basis @ _reduced_funv(dec, f)
+        return _product(parts, _reduced_funv(dec, f))
 
     members: dict = {}
 

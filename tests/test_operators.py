@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg as sla
 import scipy.sparse
 
 from rkstieltjes.functions import catalog_function
@@ -67,6 +68,27 @@ class TestTridiagonal:
         w = np.linalg.eigvalsh(op.to_dense())
         assert iv.lower == pytest.approx(w[0], rel=1e-12)
         assert iv.upper == pytest.approx(w[-1], rel=1e-12)
+
+    def test_exact_interval_matches_dense_eigenvalues(self):
+        # Diagonally dominant and not Toeplitz, so the ends come from
+        # bisection; the padded interval encloses the dense eigenvalues.
+        rng = np.random.default_rng(17)
+        n = 2000
+        op = TridiagonalOperator(rng.uniform(2.0, 5.0, n),
+                                 rng.uniform(-1.0, 1.0, n - 1))
+        w = np.linalg.eigvalsh(op.to_dense())
+        iv = op.exact_interval()
+        assert iv.lower <= w[0] and w[-1] <= iv.upper
+        np.testing.assert_allclose(tuple(iv), (w[0], w[-1]), rtol=1e-13)
+
+    def test_exact_interval_has_no_order_cap(self):
+        n = 6000
+        assert n > DENSE_EIG_LIMIT
+        op = TridiagonalOperator(np.linspace(3.0, 5.0, n), np.full(n - 1, 0.5))
+        w = sla.eigvalsh_tridiagonal(op.d, op.e)
+        iv = op.exact_interval()
+        assert iv.lower <= w[0] and w[-1] <= iv.upper
+        np.testing.assert_allclose(tuple(iv), (w[0], w[-1]), rtol=1e-14)
 
     def test_two_by_two_solve(self):
         # tridiag(-1,2,-1) on n=2: A^{-1} e_1 = (2/3, 1/3)
@@ -483,5 +505,3 @@ class TestOracleFunv:
         big = TridiagonalOperator(np.arange(1.0, n + 1), np.ones(n - 1))
         with pytest.raises(ValueError, match="exceeds dense"):
             oracle_funv(big, f, np.ones(n))
-        with pytest.raises(ValueError, match="exceeds dense"):
-            big.exact_interval()

@@ -1,5 +1,6 @@
 """Rational Krylov core: basis invariants, exactness, drivers."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from rkstieltjes.experiments import (
     with_bounds,
 )
 from rkstieltjes.functions import catalog_function
+from rkstieltjes.kronfun import KroneckerProblem, kron_fun
 from rkstieltjes.operators import (
     DiagonalOperator,
+    SpectralInterval,
     TridiagonalOperator,
     from_dense_array,
     oracle_funv,
@@ -25,6 +28,7 @@ from rkstieltjes.poles import (
     zolotarev_poles,
 )
 from rkstieltjes.rk import (
+    CHUNK_MIN_COLS,
     RKDecomposition,
     exactness_check,
     funv_driver,
@@ -200,28 +204,132 @@ class TestExtend:
         np.testing.assert_allclose(got, v / np.sqrt(d), rtol=1e-12)
 
 
+def _grow_one_pole_at_a_time(op, v, poles):
+    """A basis grown by one ``extend`` call per pole, and the chunk widths
+    seen after each call."""
+    dec = RKDecomposition(op, v)
+    layouts = []
+    for sigma in poles:
+        dec.extend([sigma])
+        layouts.append(tuple(c.shape[1] for c in dec._chunks))
+    return dec, layouts
+
+
 class TestBasisBuffer:
+    # At this order a chunk of CHUNK_BYTES holds fewer than CHUNK_MIN_COLS
+    # columns, so the chunk width is CHUNK_MIN_COLS.
+    N_CHUNKED = 20000
+
     @pytest.mark.parametrize("width", [1, 2])
     def test_one_pole_growth_matches_one_shot_build(self, width):
-        op = _tridiag_op(120)
+        n = self.N_CHUNKED
+        op = _tridiag_op(n)
         rng = np.random.default_rng(11)
-        v = rng.standard_normal(120) if width == 1 else rng.standard_normal((120, width))
-        poles = (list(zolotarev_poles((0.05, 4.0), 10)) + [math.inf] * 4) * 2
+        v = rng.standard_normal(n) if width == 1 else rng.standard_normal((n, width))
+        poles = (list(zolotarev_poles((0.05, 4.0), 10)) + [math.inf] * 4) * 3
         whole = rk_build(op, v, poles)
-        grown = RKDecomposition(op, v)
-        capacities = set()
-        for sigma in poles:
-            grown.extend([sigma])
-            capacities.add(grown._buf.shape[1])
-        # 1 -> 29 columns (2 -> 58 for the block) doubles five times
-        assert sorted(capacities) == [width * 2 ** k for k in range(1, 6)]
+        grown, layouts = _grow_one_pole_at_a_time(op, v, poles)
+        c = CHUNK_MIN_COLS
+        assert grown._chunk_cols == c
+        # The first chunk doubles up to the chunk width, then chunks of that
+        # width are added: 1 -> 43 columns (2 -> 86 for the block).
         assert grown.dim == whole.dim == width * (len(poles) + 1)
+        chunks = -(-grown.dim // c)
+        assert sorted(set(layouts)) == sorted(
+            {(k,) for k in (2, 4, 8, 16, 32) if k > width}
+            | {(c,) * j for j in range(2, chunks + 1)})
+        # The one-shot build reserved its whole pole list at once.
+        assert [ch.shape[1] for ch in whole._chunks] == [whole.dim]
         u, w = grown.basis, whole.basis
+        assert u.flags.f_contiguous
         assert np.linalg.norm(w - u @ (u.T @ w)) <= 1e-12
         np.testing.assert_allclose(grown.reduced_matrix(), whole.reduced_matrix(),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(grown.reduced_seed(), whole.reduced_seed(),
                                    rtol=0, atol=1e-12)
+        y = rng.standard_normal((grown.dim, width))
+        np.testing.assert_allclose(grown.lift(y), u @ y if width > 1 else u @ y[:, 0],
+                                   rtol=0, atol=1e-12)
+
+    def test_filled_chunks_are_never_copied(self):
+        n = self.N_CHUNKED
+        op = _tridiag_op(n)
+        dec = RKDecomposition(op, np.random.default_rng(3).standard_normal(n))
+        while len(dec._chunks) < 2:
+            dec.extend([math.inf])
+        first = dec._chunks[0]
+        snapshot = first.copy()
+        address = first.__array_interface__["data"][0]
+        while len(dec._chunks) < 4:
+            dec.extend([math.inf])
+        assert dec._chunks[0].__array_interface__["data"][0] == address
+        np.testing.assert_array_equal(dec._chunks[0], snapshot)
+        np.testing.assert_array_equal(dec.basis[:, :first.shape[1]], snapshot)
+
+    def test_one_shot_builds_are_views(self):
+        # A one-shot build past the chunk width is still one array, and
+        # both rk_build's basis and the Kronecker bases are views of it.
+        n = self.N_CHUNKED
+        op = _tridiag_op(n)
+        poles = [math.inf] * (CHUNK_MIN_COLS + 8)
+        dec = rk_build(op, np.ones(n), poles)
+        assert len(dec._chunks) == 1
+        assert np.shares_memory(dec.basis, dec._chunks[0])
+        prob = KroneckerProblem(op, op, np.ones(n), np.linspace(1.0, 2.0, n),
+                                catalog_function("inverse"),
+                                SpectralInterval(1e-9, 4.0))
+        res = kron_fun(prob, poles, poles)
+        for side in (res.left, res.right):
+            assert side.shape == (n, len(poles) + 1)
+            assert side.base is not None and side.flags.f_contiguous
+
+    def test_pole_at_a_time_peak_is_basis_plus_one_chunk(self):
+        n = self.N_CHUNKED
+        op = _tridiag_op(n)
+        v = np.random.default_rng(5).standard_normal(n)
+        tracemalloc.start()
+        try:
+            dec, _ = _grow_one_pole_at_a_time(op, v, [math.inf] * 70)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(dec._chunks) == 3
+        assert peak < (dec.dim + CHUNK_MIN_COLS + 4) * n * 8
+
+    def test_growth_after_a_refused_pole(self):
+        # The refused extend opened a chunk and wrote nothing into it; the
+        # next one must still start from the last block actually written.
+        n = self.N_CHUNKED
+        op = DiagonalOperator(np.linspace(1.0, 4.0, n))
+        v = np.random.default_rng(4).standard_normal(n)
+        dec = rk_build(op, v, [math.inf] * (CHUNK_MIN_COLS - 1))
+        with pytest.raises(ValueError, match="singular"):
+            dec.extend([1.0] + [math.inf] * (CHUNK_MIN_COLS + 8))
+        dec.extend([-1.0] * (CHUNK_MIN_COLS + 16))
+        ref = rk_build(op, v, [math.inf] * (CHUNK_MIN_COLS - 1))
+        ref.extend([-1.0] * (CHUNK_MIN_COLS + 16))
+        assert not dec.breakdown
+        assert dec.dim == ref.dim == 2 * CHUNK_MIN_COLS + 16
+        np.testing.assert_array_equal(dec.basis, ref.basis)
+
+    def test_complex_promotion_after_several_chunks(self):
+        n = self.N_CHUNKED
+        op = _tridiag_op(n)
+        v = np.random.default_rng(9).standard_normal(n)
+        real = [math.inf, -0.5] * 20
+        dec, _ = _grow_one_pole_at_a_time(op, v, real)
+        assert len(dec._chunks) == 2
+        before = dec.basis
+        dec.extend([-1.0 + 0.5j, -1.0 - 0.5j, math.inf])
+        assert all(np.iscomplexobj(c) and c.flags.f_contiguous for c in dec._chunks)
+        u = dec.basis
+        assert u.flags.f_contiguous
+        assert dec.dim == len(real) + 4
+        np.testing.assert_array_equal(u[:, :before.shape[1]], before)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(dec.dim), 2) <= 1e-12
+        whole = rk_build(op, v, real + [-1.0 + 0.5j, -1.0 - 0.5j, math.inf])
+        w = whole.basis
+        assert np.linalg.norm(w - u @ (u.conj().T @ w)) <= 1e-12
 
     def test_earlier_basis_unchanged_by_growth(self, small_problem):
         op, v, _ = small_problem
