@@ -63,6 +63,9 @@ class KroneckerProblem:
             if np.iscomplexobj(m):
                 raise ValueError(f"{name} is complex; the Kronecker solver "
                                  "takes real factors")
+            if m.size == 0:
+                raise ValueError(f"{name} has no columns; the Kronecker solver "
+                                 "takes factors of rank >= 1")
             m = finite(m.astype(float, copy=False), name)
             if m.shape[0] == 1 and op.n != 1:
                 m = m.T

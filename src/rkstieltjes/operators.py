@@ -9,25 +9,31 @@ is the convention the rational Krylov layer relies on; a shift with zero
 imaginary part is real.
 
 Shift rule, one for every storage: sigma is refused (ValueError) when the
-smallest pivot of A - sigma*I (partial pivoting) is at most
-``_SINGULAR_TOL`` times the largest, or its reciprocal 1-norm condition
-number is at most ``_SINGULAR_TOL``: exact for diagonal storage and an SPD
-tridiagonal L D L^T, LAPACK's ``gecon``/``gtcon``/``gbcon`` estimate
-otherwise.  Both are scale invariant.  Pivots alone miss an eigenvalue
-whose eigenvector is localized: every pivot can stay O(1).
+smallest pivot of A - sigma*I (partial pivoting, or D of L D L^T) is at
+most ``_SINGULAR_TOL`` times the largest, or its reciprocal 1-norm
+condition number is at most ``_SINGULAR_TOL``: exact for diagonal storage
+and an SPD tridiagonal L D L^T, LAPACK's ``gecon``/``gtcon``/``gbcon``
+estimate otherwise.  Both are scale invariant.  Pivots alone miss an
+eigenvalue whose eigenvector is localized: every pivot can stay O(1).
+
+Tridiagonal solves with a real sigma and a real block first try L D L^T
+without pivoting (LAPACK ``pttrf``/``pttrs``), which succeeds exactly when
+A - sigma*I is SPD, as it is for a positive definite A and every finite
+pole of the Stieltjes families (real and <= 0); pivoted LU
+(``gttrf``/``gttrs``) solves every other case.
 
 Factor cache: ``shifted_solve(sigma, rhs, factors=d)`` keeps the
-factorization of A - sigma*I (LU, band or tridiagonal LU, or the shifted
-diagonal) in the caller's dict ``d``, keyed by sigma (0.0 apart from -0.0)
-and the dtype of the solve, and on a later call with the same sigma runs
-only the triangular solves, so the result is bit-identical to a fresh
-solve.  The caller owns the dict and uses it with one operator only; each
-``RKDecomposition`` keeps one, so the operator itself holds no state and
-may be shared between threads.  The dict keeps only the last factor, and a
-miss drops it before factoring, because a dense factor costs n^2 numbers;
-the only repeated finite pole, extended Krylov's sigma = 0, needs no more.
-The shift rule runs with the factorization, and a refused sigma raises
-before anything is stored, so it raises on every use.
+factorization of A - sigma*I (LU, band LU, tridiagonal L D L^T or LU, or
+the shifted diagonal) in the caller's dict ``d``, keyed by sigma (0.0
+apart from -0.0) and the dtype of the solve, and on a later call with the
+same sigma runs only the triangular solves, so the result is bit-identical
+to a fresh solve.  The caller owns the dict and uses it with one operator
+only; each ``RKDecomposition`` keeps one, so the operator itself holds no
+state and may be shared between threads.  The dict keeps only the last
+factor, and a miss drops it before factoring, because a dense factor costs
+n^2 numbers; the only repeated finite pole, extended Krylov's sigma = 0,
+needs no more.  The shift rule runs with the factorization, and a refused
+sigma raises before anything is stored, so it raises on every use.
 
 MatrixMarket files (array or coordinate) and dense arrays share one storage
 picker: square, ||A - A^T||_F <= ``_SYM_TOL`` ||A||_F, and the bandwidth k
@@ -220,13 +226,19 @@ class HermitianOperator:
         ``factors`` is the caller's factor cache for this operator (see the
         module doc): a dict, empty at first, that keeps the last
         factorization, or None to factor afresh.  A refused sigma is never
-        stored.  Each storage lists this method in its own class dict,
-        where a profiler can wrap it per storage.
+        stored.  A zero-width block still runs the shift rule and returns
+        an (n, 0) array without a LAPACK call.  Each storage lists this
+        method in its own class dict, where a profiler can wrap it per
+        storage.
         """
         sigma, block, was_1d = _solve_args(sigma, rhs)
         if np.isinf(sigma):
             return _restore(block.copy(), was_1d)
-        return _restore(_solver(self, sigma, block, factors)(block), was_1d)
+        solve = _solver(self, sigma, block, factors)
+        if block.shape[1] == 0:  # LAPACK's gttrs corrupts the heap on n x 0
+            return np.empty(block.shape,
+                            np.result_type(block, np.float64, sigma))
+        return _restore(solve(block), was_1d)
 
     def _factor(self, sigma: complex, block: np.ndarray):
         """Solver B -> (A - sigma*I)^-1 B for blocks of ``block``'s dtype;
@@ -371,20 +383,20 @@ class TridiagonalOperator(HermitianOperator):
         if self.n < 3:  # the LAPACK tridiagonal wrappers need order >= 3
             return _dense_factor(self.to_dense(), sigma)
         d = self.d - sigma
+        anorm = np.max(np.abs(d) + self._radii)
+        if np.isrealobj(d) and np.isrealobj(block):
+            pttrf, pttrs = sla.get_lapack_funcs(("pttrf", "pttrs"), (d,))
+            dd, l, info = pttrf(d, self.e)
+            if info == 0:
+                # A - sigma*I = L D L^T is SPD, and |(A - sigma*I)^-1| is the
+                # inverse of the factors with -|l|.
+                x = pttrs(dd, -np.abs(l), np.ones((self.n, 1)))[0]
+                _require_regular(sigma, dd, 1.0 / (anorm * x.max()))
+                return lambda b: pttrs(dd, l, b)[0]
         gttrf, gtcon, gttrs = sla.get_lapack_funcs(
             ("gttrf", "gtcon", "gttrs"), (d, block))
         lu = gttrf(self.e, d, self.e)[:5]
-        dl, u, du, du2, ipiv = lu
-        anorm = np.max(np.abs(d) + self._radii)
-        if (np.isrealobj(u) and u.min() > 0.0
-                and np.array_equal(ipiv, np.arange(1, self.n + 1))):
-            # No interchanges, positive pivots: A - sigma*I = L D L^T is SPD and
-            # |(A - sigma*I)^-1| is the inverse of the factors with -|l|, -|e|.
-            x = gttrs(-np.abs(dl), u, -np.abs(du), du2, ipiv, np.ones((self.n, 1)))
-            rcond = 1.0 / (anorm * x[0].max())
-        else:
-            rcond = gtcon(*lu, anorm)[0]
-        _require_regular(sigma, u, rcond)
+        _require_regular(sigma, lu[1], gtcon(*lu, anorm)[0])
         return lambda b: gttrs(*lu, b)[0]
 
     def gershgorin(self) -> SpectralInterval:

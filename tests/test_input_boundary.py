@@ -20,7 +20,8 @@ from rkstieltjes.bounds import (
 from rkstieltjes.cli import main
 from rkstieltjes.experiments import ExperimentConfig
 from rkstieltjes.functions import catalog_function
-from rkstieltjes.kronfun import KroneckerProblem, kron_fun, kron_iterates
+from rkstieltjes.kronfun import (KroneckerProblem, kron_fun, kron_iterates,
+                                 kron_problem)
 from rkstieltjes.operators import (
     BandedOperator,
     DenseOperator,
@@ -175,6 +176,13 @@ def test_nan_kronecker_factor_refused():
     u[0] = math.nan
     with pytest.raises(ValueError, match="u_factor must be finite"):
         KroneckerProblem(OP, OP, u, V, F, IV)
+
+
+@pytest.mark.parametrize("name", ["u_factor", "v_factor"])
+def test_rank_zero_kronecker_factor_refused(name):
+    factors = {"u_factor": V, "v_factor": V, name: np.ones((N, 0))}
+    with pytest.raises(ValueError, match=f"{name} has no columns"):
+        kron_problem(OP, OP, f=F, **factors)
 
 
 @pytest.mark.parametrize("build", [

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from rkstieltjes import operators
 from rkstieltjes.operators import (
     BandedOperator,
     DenseOperator,
@@ -122,6 +123,41 @@ def test_exact_eigenvalue_is_refused_by_every_storage(ab, k):
     for op in ops:
         with pytest.raises(ValueError, match="near-singular"):
             op.shifted_solve(sigma, np.ones(op.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spd_bands(min_n=3, max_n=40).filter(lambda ab: ab.shape[0] == 2),
+       st.floats(1e-3, 10.0, **_floats), st.integers(0, 39),
+       st.integers(0, 2**32 - 1))
+def test_tridiagonal_routes_match_dense_storage(ab, gap, k, seed):
+    # Left of the spectrum A - sigma*I is SPD: the L D L^T route, which
+    # hands the shift rule the exact rcond.  On an eigenvalue it is
+    # indefinite or singular: the pivoted LU fallback.
+    tri = TridiagonalOperator(ab[0], ab[1, :-1])
+    dense = DenseOperator(band_to_dense(ab))
+    w = np.linalg.eigvalsh(dense.a)
+    b = np.random.default_rng(seed).standard_normal(tri.n)
+    sigma = w[0] - gap
+    m = dense.a - sigma * np.eye(tri.n)
+    rconds = []
+    rule = operators._require_regular
+
+    def spy(shift, pivots, rcond=1.0):
+        rconds.append(rcond)
+        return rule(shift, pivots, rcond)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_require_regular", spy)
+        got = tri.shifted_solve(sigma, b)
+    np.testing.assert_allclose(got, dense.shifted_solve(sigma, b),
+                               rtol=1e-10, atol=1e-12)
+    exact = 1.0 / (np.linalg.norm(m, 1) * np.linalg.norm(np.linalg.inv(m), 1))
+    np.testing.assert_allclose(rconds, [exact], rtol=1e-8)
+    sigma = exact_eigenvalue(ab, k)
+    assume(np.linalg.cond(dense.a - sigma * np.eye(tri.n)) >= 1e15)
+    for op in (tri, dense):
+        with pytest.raises(ValueError, match="near-singular"):
+            op.shifted_solve(sigma, b)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ import scipy.io
 import scipy.linalg as sla
 import scipy.sparse
 
+from rkstieltjes import operators
 from rkstieltjes.functions import catalog_function
 from rkstieltjes.rk import RKDecomposition, funv_driver, rk_build
 from rkstieltjes.strategies import STRATEGIES
@@ -106,6 +112,54 @@ class TestTridiagonal:
             got = op.shifted_solve(sigma, b)
             want = np.linalg.solve(op.to_dense() - sigma * np.eye(30), b)
             np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    @staticmethod
+    def _solve_and_rule(monkeypatch, op, sigma, b):
+        """(solution, pivots, rcond): what the shift rule was given."""
+        seen = []
+        rule = operators._require_regular
+
+        def spy(shift, pivots, rcond=1.0):
+            seen.append((pivots, rcond))
+            return rule(shift, pivots, rcond)
+
+        monkeypatch.setattr(operators, "_require_regular", spy)
+        x = op.shifted_solve(sigma, b)
+        np.testing.assert_allclose(
+            x, np.linalg.solve(op.to_dense() - sigma * np.eye(op.n), b),
+            rtol=1e-12)
+        [(pivots, rcond)] = seen
+        return x, pivots, rcond
+
+    def test_spd_shift_gets_exact_rcond_where_lu_pivots(self, monkeypatch):
+        # Partial pivoting swaps the first two rows (|e_1| > |d_1|), so the
+        # LU is no L D L^T, yet A = L D L^T with D = I is SPD.
+        d, e = np.array([1.0, 5.0, 5.0]), np.array([2.0, 2.0])
+        ipiv = sla.lapack.dgttrf(e, d, e)[4]
+        assert not np.array_equal(ipiv, [1, 2, 3])
+        op = TridiagonalOperator(d, e)
+        a = op.to_dense()
+        exact = 1.0 / (np.linalg.norm(a, 1) * np.linalg.norm(np.linalg.inv(a), 1))
+        _, pivots, rcond = self._solve_and_rule(monkeypatch, op, 0.0, np.ones(3))
+        np.testing.assert_array_equal(pivots, [1.0, 1.0, 1.0])
+        assert rcond == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("sigma, dtype", [
+        (2.5, float),                # inside the spectrum: indefinite
+        (complex(-1.0, 0.5), float),
+        (-1.0, complex),             # real sigma, complex block
+    ])
+    def test_pivoted_lu_fallback(self, monkeypatch, sigma, dtype):
+        rng = np.random.default_rng(3)
+        op = TridiagonalOperator(rng.uniform(2.0, 4.0, 20),
+                                 rng.uniform(-0.8, 0.8, 19))
+        b = rng.standard_normal((20, 2)).astype(dtype)
+        if dtype is complex:
+            b += 1j * rng.standard_normal((20, 2))
+        x, pivots, _ = self._solve_and_rule(monkeypatch, op, sigma, b)
+        # The L D L^T route hands the rule a positive real D.
+        assert np.iscomplexobj(pivots) or pivots.min() < 0.0
+        assert x.dtype == np.result_type(b, sigma)
 
     def test_infinite_pole_solve_is_copy(self):
         op = toeplitz_tridiagonal(8, 1.0)
@@ -383,6 +437,49 @@ class TestShiftRule:
         np.testing.assert_array_equal(op.shifted_solve(0.0, np.ones(1)), [0.5])
         with pytest.raises(ValueError, match="near-singular"):
             op.shifted_solve(2.0, np.ones(1))
+
+
+_ZERO_WIDTH_PROBE = textwrap.dedent("""
+    import numpy as np
+    from rkstieltjes.operators import (BandedOperator, DenseOperator,
+        DiagonalOperator, toeplitz_tridiagonal)
+    ops = [toeplitz_tridiagonal(40), toeplitz_tridiagonal(2),
+           DenseOperator(toeplitz_tridiagonal(5).to_dense()),
+           DiagonalOperator(np.arange(1.0, 6.0)),
+           BandedOperator([np.full(9, 4.0), np.full(9, -1.0), np.full(9, 0.5)])]
+    for _ in range(50):
+        for op in ops:
+            for sigma in (-1.0, complex(-1.0, 0.5)):
+                for dtype in (float, complex):
+                    for factors in (None, {}):
+                        out = op.shifted_solve(sigma, np.ones((op.n, 0), dtype),
+                                               factors=factors)
+                        assert out.shape == (op.n, 0), out.shape
+                        assert out.dtype == np.result_type(dtype, sigma)
+    lam = np.linalg.eigvalsh(ops[0].to_dense())[3]
+    factors = {}
+    for _ in range(2):
+        try:
+            ops[0].shifted_solve(lam, np.ones((40, 0)), factors=factors)
+        except ValueError as exc:
+            assert "near-singular" in str(exc)
+        else:
+            raise AssertionError("a refused shift solved a zero-width block")
+    print("ok")
+""")
+
+
+def test_zero_width_block_never_reaches_lapack():
+    # LAPACK's dgttrs corrupts the heap on an n x 0 right-hand side; glibc
+    # with MALLOC_CHECK_=3 turns the corruption into an abort, which a
+    # fresh interpreter reports here instead of killing pytest.
+    env = dict(os.environ, MALLOC_CHECK_="3")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _ZERO_WIDTH_PROBE], env=env,
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "ok\n"), out.stderr
 
 
 class TestFactorCache:
