@@ -13,7 +13,10 @@ smallest pivot of A - sigma*I (partial pivoting, or D of L D L^T) is at
 most ``_SINGULAR_TOL`` times the largest, or its reciprocal 1-norm
 condition number is at most ``_SINGULAR_TOL``: exact for diagonal storage
 and an SPD tridiagonal L D L^T, LAPACK's ``gecon``/``gtcon``/``gbcon``
-estimate otherwise.  Both are scale invariant.  Pivots alone miss an
+estimate otherwise.  Both are scale invariant down to the smallest normal
+float: where the norm of A - sigma*I nears either end of the float range,
+the LU routes factor it times a power of two and the L D L^T route scales
+its rcond solve the same way (``_unit_scale``).  Pivots alone miss an
 eigenvalue whose eigenvector is localized: every pivot can stay O(1).
 
 Tridiagonal solves with a real sigma and a real block first try L D L^T
@@ -155,7 +158,7 @@ def _solve_args(sigma: complex, rhs: np.ndarray):
 def _require_regular(sigma: complex, pivots: np.ndarray, rcond: float = 1.0) -> None:
     """The shift rule of the module docstring; NaN refuses too."""
     pivots = np.abs(pivots)
-    ratio = pivots.min() / max(pivots.max(), 1e-300)
+    ratio = pivots.min() / (pivots.max() or 1.0)  # all zero: ratio 0
     if not (ratio > _SINGULAR_TOL and rcond > _SINGULAR_TOL):
         raise ValueError(
             f"shift sigma={sigma} is singular or near-singular for this "
@@ -182,15 +185,46 @@ def _solver(op: "HermitianOperator", sigma: complex, block: np.ndarray,
     return solve
 
 
+def _unit_scale(anorm: float) -> float:
+    """1.0 for a norm within 2^+-256; else the power of two c with c * anorm
+    in [1, 2) (capped at 2^1023).
+
+    The LU routes factor c (A - sigma*I) and scale its solves by c; the
+    tridiagonal L D L^T route solves for ones / c to get its exact rcond.
+    Either way LAPACK works on numbers far from both ends of the float
+    range, where unscaled condition estimators return 0 for an inverse near
+    overflow, so the shift rule is scale invariant.  A power of two scales
+    every rounding exactly, so the solves are bit-identical to unscaled
+    ones.
+    """
+    e = math.frexp(anorm)[1]
+    return 1.0 if -256 < e <= 256 else math.ldexp(1.0, min(1 - e, 1023))
+
+
+def _times(c: float, solve):
+    """B -> c * solve(B), scaling the solve's own fresh output in place."""
+    if c == 1.0:
+        return solve
+
+    def scaled(b):
+        x = solve(b)
+        x *= c
+        return x
+    return scaled
+
+
 def _dense_factor(a: np.ndarray, sigma: complex):
     """LU solver of (a - sigma*I) X = B; ``a`` is not modified."""
     m = a.astype(np.result_type(a, sigma))
     m[np.diag_indices_from(m)] -= sigma
     anorm = np.linalg.norm(m, 1)
+    c = _unit_scale(anorm)
+    if c != 1.0:
+        m *= c
     getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), (m,))
     lu, piv, _ = getrf(m, overwrite_a=True)
-    _require_regular(sigma, np.diag(lu), gecon(lu, anorm)[0])
-    return lambda b: sla.lu_solve((lu, piv), b)
+    _require_regular(sigma, np.diag(lu), gecon(lu, c * anorm)[0])
+    return _times(c, lambda b: sla.lu_solve((lu, piv), b))
 
 
 def _require_symmetric(a, name: str) -> None:
@@ -384,20 +418,22 @@ class TridiagonalOperator(HermitianOperator):
             return _dense_factor(self.to_dense(), sigma)
         d = self.d - sigma
         anorm = np.max(np.abs(d) + self._radii)
+        c = _unit_scale(anorm)
         if np.isrealobj(d) and np.isrealobj(block):
             pttrf, pttrs = sla.get_lapack_funcs(("pttrf", "pttrs"), (d,))
             dd, l, info = pttrf(d, self.e)
             if info == 0:
                 # A - sigma*I = L D L^T is SPD, and |(A - sigma*I)^-1| is the
-                # inverse of the factors with -|l|.
-                x = pttrs(dd, -np.abs(l), np.ones((self.n, 1)))[0]
-                _require_regular(sigma, dd, 1.0 / (anorm * x.max()))
+                # inverse of the factors with -|l|; ones / c keeps its solve
+                # in range.
+                x = pttrs(dd, -np.abs(l), np.full((self.n, 1), 1.0 / c))[0]
+                _require_regular(sigma, dd, 1.0 / (c * anorm * x.max()))
                 return lambda b: pttrs(dd, l, b)[0]
         gttrf, gtcon, gttrs = sla.get_lapack_funcs(
             ("gttrf", "gtcon", "gttrs"), (d, block))
-        lu = gttrf(self.e, d, self.e)[:5]
-        _require_regular(sigma, lu[1], gtcon(*lu, anorm)[0])
-        return lambda b: gttrs(*lu, b)[0]
+        lu = gttrf(c * self.e, c * d, c * self.e)[:5]
+        _require_regular(sigma, lu[1], gtcon(*lu, c * anorm)[0])
+        return _times(c, lambda b: gttrs(*lu, b)[0])
 
     def gershgorin(self) -> SpectralInterval:
         return SpectralInterval(float(np.min(self.d - self._radii)),
@@ -489,10 +525,13 @@ class BandedOperator(HermitianOperator):
         for i in self._offsets:
             m[2 * k + i, :n - i] = m[2 * k - i, i:] = self.ab[i, :n - i]
         anorm = np.max(np.abs(m[2 * k]) + self._radii)
+        c = _unit_scale(anorm)
+        if c != 1.0:
+            m *= c
         gbtrf, gbcon, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (m,))
         lu, piv, _ = gbtrf(m, k, k, overwrite_ab=True)
-        _require_regular(sigma, lu[2 * k], gbcon(k, k, lu, piv, anorm)[0])
-        return lambda b: gbtrs(lu, k, k, b, piv)[0]
+        _require_regular(sigma, lu[2 * k], gbcon(k, k, lu, piv, c * anorm)[0])
+        return _times(c, lambda b: gbtrs(lu, k, k, b, piv)[0])
 
     def gershgorin(self) -> SpectralInterval:
         return SpectralInterval(float(np.min(self.ab[0] - self._radii)),

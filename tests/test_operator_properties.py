@@ -167,6 +167,10 @@ def test_tridiagonal_routes_match_dense_storage(ab, gap, k, seed):
 # A - sigma*I stays exactly singular; a scale of 1e-20 broke this example.
 @example(ab=np.array([[1.0, 1.0], [2.220446049250313e-16, 0.0]]),
          k=0, sigma=-1.0, scale=2.0**-66)
+# A - 1*I = [[0, t], [t, 0]] with t the smallest normal float: perfectly
+# conditioned, but unscaled factors put its inverse near overflow.
+@example(ab=np.array([[1.0, 1.0], [np.finfo(float).tiny, 0.0]]),
+         k=0, sigma=0.0, scale=2.0**66)
 def test_scaling_keeps_accept_or_refuse(ab, k, sigma, scale):
     for s in (exact_eigenvalue(ab, k), sigma):
         for op, scaled in zip(storages(ab), storages(ab, scale)):

@@ -419,6 +419,22 @@ class TestShiftRule:
                 with pytest.raises(ValueError, match="near-singular"):
                     storage.shifted_solve(sigma, np.ones(50))
 
+    @pytest.mark.parametrize("d, e", [(0.0, 1.0), (2.0, -1.0)])
+    def test_rule_holds_at_the_bottom_of_the_float_range(self, d, e):
+        # t * tridiag(e, d, e) of order 8, indefinite (pivoted LU) or SPD
+        # (L D L^T), with t the smallest normal float: its inverse, with
+        # entries up to 10 / t, is near or past overflow, where unscaled
+        # condition numbers read 0 and the shift would be refused.
+        t, n = np.finfo(float).tiny, 8
+        unit = TridiagonalOperator(np.full(n, d), np.full(n - 1, e))
+        op = TridiagonalOperator(t * unit.d, t * unit.e)
+        b = np.full(n, 2.0 ** -8)
+        want = unit.shifted_solve(0.0, b)
+        for storage in (op, DenseOperator(op.to_dense()),
+                        BandedOperator([op.d, np.append(op.e, 0.0)])):
+            np.testing.assert_allclose(storage.shifted_solve(0.0, b) * t,
+                                       want, rtol=1e-13)
+
     def test_tiny_scale_is_not_singular(self):
         op = DiagonalOperator([1e-20, 2e-20, 3e-20])
         np.testing.assert_allclose(op.shifted_solve(-1e-20, np.ones(3)),
