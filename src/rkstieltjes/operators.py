@@ -431,7 +431,8 @@ class TridiagonalOperator(HermitianOperator):
                 return lambda b: pttrs(dd, l, b)[0]
         gttrf, gtcon, gttrs = sla.get_lapack_funcs(
             ("gttrf", "gtcon", "gttrs"), (d, block))
-        lu = gttrf(c * self.e, c * d, c * self.e)[:5]
+        e = c * self.e
+        lu = gttrf(e, c * d, e)[:5]
         _require_regular(sigma, lu[1], gtcon(*lu, c * anorm)[0])
         return _times(c, lambda b: gttrs(*lu, b)[0])
 
