@@ -1,33 +1,35 @@
 """Real symmetric operators with shifted solves and spectral enclosures.
 
-Four storage formats are supported: dense, diagonal, symmetric tridiagonal
-and symmetric band.  Every operator knows how to apply itself to a block of
-vectors, solve (A - sigma*I) X = RHS for real or complex shifts, and
-produce a guaranteed enclosure of its spectrum.  Shifts of ``inf`` act as
-the identity (the corresponding rational factor is simply omitted), which
-is the convention the rational Krylov layer relies on; a shift with zero
-imaginary part is real.
+Two storage formats hold every operator: dense, and symmetric band
+(``BandedOperator``), whose k = 0 and k = 1 cases are the subclasses
+``DiagonalOperator`` and ``TridiagonalOperator``.  Every operator knows how
+to apply itself to a block of vectors, solve (A - sigma*I) X = RHS for real
+or complex shifts, and produce a guaranteed enclosure of its spectrum.
+Shifts of ``inf`` act as the identity (the corresponding rational factor is
+simply omitted), which is the convention the rational Krylov layer relies
+on; a shift with zero imaginary part is real.
 
 Shift rule, one for every storage: sigma is refused (ValueError) when the
 smallest pivot of A - sigma*I (partial pivoting, or D of L D L^T) is at
 most ``_SINGULAR_TOL`` times the largest, or its reciprocal 1-norm
 condition number is at most ``_SINGULAR_TOL``: exact for diagonal storage
-and an SPD tridiagonal L D L^T, LAPACK's ``gecon``/``gtcon``/``gbcon``
-estimate otherwise.  Both are scale invariant down to the smallest normal
-float: where the norm of A - sigma*I nears either end of the float range,
-the LU routes factor it times a power of two and the L D L^T route scales
-its rcond solve the same way (``_unit_scale``).  Pivots alone miss an
+and an SPD tridiagonal L D L^T, LAPACK's ``gecon``/``gbcon`` estimate
+otherwise.  Both are scale invariant down to the smallest normal float:
+where the norm of A - sigma*I nears either end of the float range, the LU
+routes factor it times a power of two and the L D L^T route scales its
+rcond solve the same way (``_unit_scale``).  Pivots alone miss an
 eigenvalue whose eigenvector is localized: every pivot can stay O(1).
 
-Tridiagonal solves with a real sigma and a real block first try L D L^T
-without pivoting (LAPACK ``pttrf``/``pttrs``), which succeeds exactly when
-A - sigma*I is SPD, as it is for a positive definite A and every finite
-pole of the Stieltjes families (real and <= 0); pivoted LU
-(``gttrf``/``gttrs``) solves every other case.
+Band solves are pivoted band LU (LAPACK ``gbtrf``/``gbtrs``) at every
+bandwidth, with two exceptions: diagonal solves divide elementwise, and
+tridiagonal solves with a real sigma and a real block at order >= 2 first
+try L D L^T without pivoting (``pttrf``/``pttrs``), which succeeds exactly
+when A - sigma*I is SPD, as it is for a positive definite A and every
+finite pole of the Stieltjes families (real and <= 0).
 
 Factor cache: ``shifted_solve(sigma, rhs, factors=d)`` keeps the
-factorization of A - sigma*I (LU, band LU, tridiagonal L D L^T or LU, or
-the shifted diagonal) in the caller's dict ``d``, keyed by sigma (0.0
+factorization of A - sigma*I (LU, band LU, tridiagonal L D L^T, or the
+shifted diagonal) in the caller's dict ``d``, keyed by sigma (0.0
 apart from -0.0) and the dtype of the solve, and on a later call with the
 same sigma runs only the triangular solves, so the result is bit-identical
 to a fresh solve.  The caller owns the dict and uses it with one operator
@@ -42,8 +44,8 @@ MatrixMarket files (array or coordinate) and dense arrays share one storage
 picker: square, ||A - A^T||_F <= ``_SYM_TOL`` ||A||_F, and the bandwidth k
 picks diagonal (k = 0), tridiagonal (k = 1), band (3k + 1 <= n, so the band
 LU array, (3k + 1) x n, is no larger than the matrix) or dense storage.
-Order above ``DENSE_EIG_LIMIT`` with k >= 2 is refused, never stored
-silently (``DenseOperator(a)`` or ``BandedOperator(ab)`` asks for it).
+Dense storage above order ``DENSE_EIG_LIMIT`` is refused, never picked
+silently (``DenseOperator(a)`` asks for it); a band fits at any order.
 Other files are a plain text diagonal, one value per line.
 """
 
@@ -213,20 +215,6 @@ def _times(c: float, solve):
     return scaled
 
 
-def _dense_factor(a: np.ndarray, sigma: complex):
-    """LU solver of (a - sigma*I) X = B; ``a`` is not modified."""
-    m = a.astype(np.result_type(a, sigma))
-    m[np.diag_indices_from(m)] -= sigma
-    anorm = np.linalg.norm(m, 1)
-    c = _unit_scale(anorm)
-    if c != 1.0:
-        m *= c
-    getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), (m,))
-    lu, piv, _ = getrf(m, overwrite_a=True)
-    _require_regular(sigma, np.diag(lu), gecon(lu, c * anorm)[0])
-    return _times(c, lambda b: sla.lu_solve((lu, piv), b))
-
-
 def _require_symmetric(a, name: str) -> None:
     """ValueError unless A (dense or sparse) is square with
     ||A - A^T||_F <= _SYM_TOL ||A||_F."""
@@ -269,7 +257,7 @@ class HermitianOperator:
         if np.isinf(sigma):
             return _restore(block.copy(), was_1d)
         solve = _solver(self, sigma, block, factors)
-        if block.shape[1] == 0:  # LAPACK's gttrs corrupts the heap on n x 0
+        if block.shape[1] == 0:  # no LAPACK solve on an empty right-hand side
             return np.empty(block.shape,
                             np.result_type(block, np.float64, sigma))
         return _restore(solve(block), was_1d)
@@ -332,7 +320,16 @@ class DenseOperator(HermitianOperator):
     shifted_solve = HermitianOperator.shifted_solve
 
     def _factor(self, sigma: complex, block: np.ndarray):
-        return _dense_factor(self.a, sigma)
+        m = self.a.astype(np.result_type(self.a, sigma))
+        m[np.diag_indices_from(m)] -= sigma
+        anorm = np.linalg.norm(m, 1)
+        c = _unit_scale(anorm)
+        if c != 1.0:
+            m *= c
+        getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), (m,))
+        lu, piv, _ = getrf(m, overwrite_a=True)
+        _require_regular(sigma, np.diag(lu), gecon(lu, c * anorm)[0])
+        return _times(c, lambda b: sla.lu_solve((lu, piv), b))
 
     def gershgorin(self) -> SpectralInterval:
         d = np.diag(self.a)
@@ -346,165 +343,43 @@ class DenseOperator(HermitianOperator):
         return DenseOperator(self.a + c * np.eye(self.n))
 
 
-class DiagonalOperator(HermitianOperator):
-    """Diagonal storage; solves are elementwise divisions."""
-
-    def __init__(self, d: np.ndarray):
-        d = finite(np.asarray(d, dtype=float).ravel(), "diagonal")
-        if d.size == 0:
-            raise ValueError("diagonal operator needs at least one entry")
-        super().__init__(d.size)
-        self.d = d.copy()
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        block, was_1d = as_block(x)
-        return _restore(self.d[:, None] * block, was_1d)
-
-    shifted_solve = HermitianOperator.shifted_solve
-
-    def _factor(self, sigma: complex, block: np.ndarray):
-        denom = self.d - sigma
-        _require_regular(sigma, denom)
-        return lambda b: b / denom[:, None]
-
-    def gershgorin(self) -> SpectralInterval:
-        return SpectralInterval(float(self.d.min()), float(self.d.max()))
-
-    def to_dense(self) -> np.ndarray:
-        return np.diag(self.d)
-
-    def _eig(self):
-        # Closed form: the sorted entries and permuted unit vectors.
-        order = np.argsort(self.d)
-        return self.d[order], np.eye(self.n)[:, order]
-
-    def exact_interval(self) -> SpectralInterval:
-        return _enclose(float(self.d.min()), float(self.d.max()))
-
-    def diag_shifted(self, c: float) -> "DiagonalOperator":
-        return DiagonalOperator(self.d + c)
-
-
-class TridiagonalOperator(HermitianOperator):
-    """Symmetric tridiagonal storage with O(n) banded shifted solves."""
-
-    def __init__(self, d: np.ndarray, e: np.ndarray):
-        d = finite(np.asarray(d, dtype=float).ravel(), "diagonal")
-        e = finite(np.asarray(e, dtype=float).ravel(), "off-diagonal")
-        if e.size != d.size - 1:
-            raise ValueError(
-                f"off-diagonal length {e.size} does not match order {d.size}"
-            )
-        super().__init__(d.size)
-        self.d = d.copy()
-        self.e = e.copy()
-        # Off-diagonal absolute row sums (= column sums), read by every
-        # factorization's norm estimate and by ``gershgorin``.
-        self._radii = np.zeros(self.n)
-        self._radii[:-1] += np.abs(self.e)
-        self._radii[1:] += np.abs(self.e)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        block, was_1d = as_block(x)
-        out = self.d[:, None] * block
-        out[:-1] += self.e[:, None] * block[1:]
-        out[1:] += self.e[:, None] * block[:-1]
-        return _restore(out, was_1d)
-
-    shifted_solve = HermitianOperator.shifted_solve
-
-    def _factor(self, sigma: complex, block: np.ndarray):
-        if self.n < 3:  # the LAPACK tridiagonal wrappers need order >= 3
-            return _dense_factor(self.to_dense(), sigma)
-        d = self.d - sigma
-        anorm = np.max(np.abs(d) + self._radii)
-        c = _unit_scale(anorm)
-        if np.isrealobj(d) and np.isrealobj(block):
-            pttrf, pttrs = sla.get_lapack_funcs(("pttrf", "pttrs"), (d,))
-            dd, l, info = pttrf(d, self.e)
-            if info == 0:
-                # A - sigma*I = L D L^T is SPD, and |(A - sigma*I)^-1| is the
-                # inverse of the factors with -|l|; ones / c keeps its solve
-                # in range.
-                x = pttrs(dd, -np.abs(l), np.full((self.n, 1), 1.0 / c))[0]
-                _require_regular(sigma, dd, 1.0 / (c * anorm * x.max()))
-                return lambda b: pttrs(dd, l, b)[0]
-        gttrf, gtcon, gttrs = sla.get_lapack_funcs(
-            ("gttrf", "gtcon", "gttrs"), (d, block))
-        e = c * self.e
-        lu = gttrf(e, c * d, e)[:5]
-        _require_regular(sigma, lu[1], gtcon(*lu, c * anorm)[0])
-        return _times(c, lambda b: gttrs(*lu, b)[0])
-
-    def gershgorin(self) -> SpectralInterval:
-        return SpectralInterval(float(np.min(self.d - self._radii)),
-                                float(np.max(self.d + self._radii)))
-
-    def to_dense(self) -> np.ndarray:
-        return np.diag(self.d) + np.diag(self.e, 1) + np.diag(self.e, -1)
-
-    def _eig(self):
-        return sla.eigh_tridiagonal(self.d, self.e)
-
-    def diag_shifted(self, c: float) -> "TridiagonalOperator":
-        return TridiagonalOperator(self.d + c, self.e)
-
-    # -- Toeplitz special case ----------------------------------------------
-
-    def toeplitz_scale(self) -> float | None:
-        """Scale c when this is c*tridiag(-1, 2, -1), else None."""
-        if self.n < 2:
-            return None
-        c = -self.e[0]
-        if c <= 0.0:
-            return None
-        if np.all(self.d == 2.0 * c) and np.all(self.e == -c):
-            return float(c)
-        return None
-
-    def exact_interval(self) -> SpectralInterval:
-        c = self.toeplitz_scale()
-        if c is not None:
-            # Eigenvalues of c*tridiag(-1,2,-1): 2c*(1 - cos(k*pi/(n+1))).
-            t = np.pi / (self.n + 1)
-            return _enclose(
-                2.0 * c * (1.0 - math.cos(t)),
-                2.0 * c * (1.0 - math.cos(self.n * t)),
-            )
-        # The two extreme eigenvalues alone, by bisection: O(n) work and
-        # memory, no eigenvectors and no order cap.
-        lo, hi = (sla.eigvalsh_tridiagonal(self.d, self.e, select="i",
-                                           select_range=(i, i))[0]
-                  for i in (0, self.n - 1))
-        return _enclose(lo, hi)
-
-
 class BandedOperator(HermitianOperator):
     """Symmetric band storage with LAPACK band LU shifted solves.
 
     ``ab`` is the lower band form read by ``scipy.linalg.eig_banded``:
-    ``ab[i, j] = A[j + i, j]`` for the bandwidth k = ``ab.shape[0] - 1``;
-    the unused tail ``ab[i, n - i:]`` is ignored.
+    ``ab[i, j] = A[j + i, j]`` for the bandwidth k = ``ab.shape[0] - 1``,
+    capped at n - 1; the unused tail ``ab[i, n - i:]`` is ignored.  The
+    stored ``ab`` is read-only.  Diagonal (k = 0) and tridiagonal (k = 1)
+    storage are the subclasses below, which share everything here but their
+    own solves and spectral routes.
     """
 
     def __init__(self, ab: np.ndarray):
         ab = np.array(ab, dtype=float)
         if ab.ndim != 2 or 0 in ab.shape:
-            raise ValueError(f"band: expected a (k + 1, n) array, got {ab.shape}")
+            raise ValueError(
+                f"band: expected a (k + 1, n) array with n >= 1, got {ab.shape}")
         super().__init__(ab.shape[1])
         ab = ab[:self.n]
         for i in range(1, ab.shape[0]):
             ab[i, self.n - i:] = 0.0
         self.ab = finite(ab, "band")
+        self.ab.flags.writeable = False
         self.k = self.ab.shape[0] - 1
         # The stored off-diagonals that hold a nonzero, and the off-diagonal
-        # absolute row sums (= column sums), as in TridiagonalOperator.
+        # absolute row sums (= column sums), read by every factorization's
+        # norm and by ``gershgorin``.
         self._offsets = [i for i in range(1, self.k + 1) if self.ab[i].any()]
         self._radii = np.zeros(self.n)
         for i in self._offsets:
             e = np.abs(self.ab[i, :self.n - i])
             self._radii[i:] += e
             self._radii[:-i] += e
+
+    @property
+    def d(self) -> np.ndarray:
+        """The diagonal, a read-only view of ``ab``."""
+        return self.ab[0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         block, was_1d = as_block(x)
@@ -551,9 +426,105 @@ class BandedOperator(HermitianOperator):
         return _enclose(w[0], w[-1])
 
     def diag_shifted(self, c: float) -> "BandedOperator":
-        ab = self.ab.copy()
-        ab[0] += c
-        return BandedOperator(ab)
+        """A + c*I in the same class (a subclass is a band too)."""
+        shifted = object.__new__(type(self))
+        BandedOperator.__init__(shifted, [self.ab[0] + c, *self.ab[1:]])
+        return shifted
+
+
+class DiagonalOperator(BandedOperator):
+    """Diagonal storage, the band with k = 0; solves are elementwise
+    divisions."""
+
+    def __init__(self, d: np.ndarray):
+        super().__init__(np.ravel(d)[None, :])
+
+    # Listed per class, like ``shifted_solve``, so a profiler can wrap it
+    # per storage.
+    matvec = BandedOperator.matvec
+    shifted_solve = HermitianOperator.shifted_solve
+
+    def _factor(self, sigma: complex, block: np.ndarray):
+        denom = self.d - sigma
+        _require_regular(sigma, denom)
+        return lambda b: b / denom[:, None]
+
+    def _eig(self):
+        # Closed form: the sorted entries and permuted unit vectors.
+        order = np.argsort(self.d)
+        return self.d[order], np.eye(self.n)[:, order]
+
+    def exact_interval(self) -> SpectralInterval:
+        return _enclose(float(self.d.min()), float(self.d.max()))
+
+
+class TridiagonalOperator(BandedOperator):
+    """Symmetric tridiagonal storage, the band with k = 1 (k = 0 at order
+    1), with O(n) shifted solves."""
+
+    def __init__(self, d: np.ndarray, e: np.ndarray):
+        d, e = np.ravel(d), np.ravel(e)
+        if e.size != d.size - 1:
+            raise ValueError(
+                f"off-diagonal length {e.size} does not match order {d.size}"
+            )
+        super().__init__([d, np.append(e, 0.0)])
+
+    @property
+    def e(self) -> np.ndarray:
+        """The off-diagonal, a read-only view of ``ab`` (empty at order 1)."""
+        return self.ab[1, :-1] if self.k else self.ab[0, :0]
+
+    matvec = BandedOperator.matvec
+    shifted_solve = HermitianOperator.shifted_solve
+
+    def _factor(self, sigma: complex, block: np.ndarray):
+        d = self.d - sigma
+        if self.n > 1 and np.isrealobj(d) and np.isrealobj(block):  # pttrf: n >= 2
+            pttrf, pttrs = sla.get_lapack_funcs(("pttrf", "pttrs"), (d,))
+            dd, l, info = pttrf(d, self.e)
+            if info == 0:
+                # A - sigma*I = L D L^T is SPD, and |(A - sigma*I)^-1| is the
+                # inverse of the factors with -|l|; ones / c keeps its solve
+                # in range.
+                anorm = np.max(np.abs(d) + self._radii)
+                c = _unit_scale(anorm)
+                x = pttrs(dd, -np.abs(l), np.full((self.n, 1), 1.0 / c))[0]
+                _require_regular(sigma, dd, 1.0 / (c * anorm * x.max()))
+                return lambda b: pttrs(dd, l, b)[0]
+        return super()._factor(sigma, block)
+
+    def _eig(self):
+        return sla.eigh_tridiagonal(self.d, self.e)
+
+    # -- Toeplitz special case ----------------------------------------------
+
+    def toeplitz_scale(self) -> float | None:
+        """Scale c when this is c*tridiag(-1, 2, -1), else None."""
+        if self.n < 2:
+            return None
+        c = -self.e[0]
+        if c <= 0.0:
+            return None
+        if np.all(self.d == 2.0 * c) and np.all(self.e == -c):
+            return float(c)
+        return None
+
+    def exact_interval(self) -> SpectralInterval:
+        c = self.toeplitz_scale()
+        if c is not None:
+            # Eigenvalues of c*tridiag(-1,2,-1): 2c*(1 - cos(k*pi/(n+1))).
+            t = np.pi / (self.n + 1)
+            return _enclose(
+                2.0 * c * (1.0 - math.cos(t)),
+                2.0 * c * (1.0 - math.cos(self.n * t)),
+            )
+        # The two extreme eigenvalues alone, by bisection: O(n) work and
+        # memory, no eigenvectors and no order cap.
+        lo, hi = (sla.eigvalsh_tridiagonal(self.d, self.e, select="i",
+                                           select_range=(i, i))[0]
+                  for i in (0, self.n - 1))
+        return _enclose(lo, hi)
 
 
 def toeplitz_tridiagonal(n: int, scale: float = 1.0) -> TridiagonalOperator:
@@ -671,7 +642,8 @@ def from_dense_array(m: np.ndarray) -> HermitianOperator:
 def _pick_storage(m, name: str) -> HermitianOperator:
     """Store a square symmetric matrix (dense array or scipy.sparse) by its
     bandwidth k: diagonal (k = 0), tridiagonal (k = 1), banded while the
-    band LU array, (3k + 1) x n, is no larger than the matrix, else dense."""
+    band LU array, (3k + 1) x n, is no larger than the matrix, else dense
+    (refused above order ``DENSE_EIG_LIMIT``)."""
     import scipy.sparse
 
     m = scipy.sparse.csr_array(m, dtype=float)
@@ -681,13 +653,13 @@ def _pick_storage(m, name: str) -> HermitianOperator:
     nz = coo.data != 0.0
     row, col, val = coo.row[nz], coo.col[nz], coo.data[nz]
     band = int(np.abs(col - row).max(initial=0))
-    if band >= 2 and n > DENSE_EIG_LIMIT:
-        raise ValueError(
-            f"{name}: order {n} with bandwidth {band} would need "
-            f"dense storage, refused above order {DENSE_EIG_LIMIT}; build "
-            "DenseOperator(a) to ask for it explicitly"
-        )
     if band >= 2 and 3 * band + 1 > n:
+        if n > DENSE_EIG_LIMIT:
+            raise ValueError(
+                f"{name}: order {n} with bandwidth {band} would need "
+                f"dense storage, refused above order {DENSE_EIG_LIMIT}; build "
+                "DenseOperator(a) to ask for it explicitly"
+            )
         return DenseOperator(m.toarray())
     # Lower band form; each off-diagonal is the mean of A's two triangles.
     ab = np.zeros((band + 1, n))
@@ -708,16 +680,11 @@ def save_matrix_market(path: str, op: HermitianOperator) -> None:
     import scipy.io
     import scipy.sparse
 
-    if isinstance(op, DiagonalOperator):
-        bands = {0: op.d}
-    elif isinstance(op, TridiagonalOperator):
-        bands = {0: op.d, 1: op.e}
-    elif isinstance(op, BandedOperator):
-        bands = {i: op.ab[i, :op.n - i] for i in (0, *op._offsets)}
+    if isinstance(op, BandedOperator):
+        off = op._offsets
+        bands = [op.ab[i, :op.n - i] for i in off]
+        m = scipy.sparse.diags([op.ab[0], *bands, *bands],
+                               [0, *off, *(-i for i in off)], shape=(op.n, op.n))
     else:
-        bands = {}
-    off = [i for i in bands if i]
-    m = scipy.sparse.diags([*bands.values(), *(bands[i] for i in off)],
-                           [*bands, *(-i for i in off)],
-                           shape=(op.n, op.n)) if bands else op.to_dense()
+        m = op.to_dense()
     scipy.io.mmwrite(path, scipy.sparse.coo_matrix(m))

@@ -160,6 +160,9 @@ class TestTridiagonal:
         # The L D L^T route hands the rule a positive real D.
         assert np.iscomplexobj(pivots) or pivots.min() < 0.0
         assert x.dtype == np.result_type(b, sigma)
+        # The fallback is the band LU of the same matrix, bit for bit.
+        band = BandedOperator([op.d, np.append(op.e, 0.0)])
+        assert x.tobytes() == band.shifted_solve(sigma, b).tobytes()
 
     def test_infinite_pole_solve_is_copy(self):
         op = toeplitz_tridiagonal(8, 1.0)
@@ -182,9 +185,11 @@ def test_diag_shifted_consistency():
         DiagonalOperator(rng.uniform(1, 3, 10)),
         toeplitz_tridiagonal(10, 1.0),
         DenseOperator(np.eye(10) * 2 + 0.1 * np.ones((10, 10))),
+        from_dense_array(_spd_band(10, 3)),
     ]
     for op in ops:
         shifted = op.diag_shifted(-0.5)
+        assert type(shifted) is type(op)
         np.testing.assert_allclose(
             shifted.to_dense(), op.to_dense() - 0.5 * np.eye(10), atol=1e-14)
 
@@ -380,19 +385,23 @@ def test_symmetry_rule_is_relative_at_any_scale(tmp_path):
 
 
 def test_picker_refuses_silent_densification(tmp_path):
-    path = str(tmp_path / "penta.mtx")
+    path = str(tmp_path / "m.mtx")
 
-    def pentadiagonal(n):
-        band = [np.full(n - abs(k), -1.0 if k else 4.0) for k in range(-2, 3)]
-        scipy.io.mmwrite(path, scipy.sparse.diags(band, list(range(-2, 3))))
+    def load(m):
+        scipy.io.mmwrite(path, m)
         return load_matrix(path)
 
     n = DENSE_EIG_LIMIT + 1
-    with pytest.raises(ValueError, match=rf"order {n} with bandwidth 2 would "
-                       r"need dense storage, refused above order"):
-        pentadiagonal(n)
-    # At the order cap the same band is stored as a band.
-    assert isinstance(pentadiagonal(DENSE_EIG_LIMIT), BandedOperator)
+    # Corner entries make the bandwidth n - 1, too wide for band storage.
+    wide = scipy.sparse.diags([np.full(n, 4.0)], [0], format="lil")
+    wide[0, n - 1] = wide[n - 1, 0] = -1.0
+    with pytest.raises(ValueError, match=rf"order {n} with bandwidth {n - 1} "
+                       r"would need dense storage, refused above order"):
+        load(wide)
+    # A narrow band above the order cap is stored as a band.
+    band = [np.full(n - abs(k), -1.0 if k else 4.0) for k in range(-2, 3)]
+    op = load(scipy.sparse.diags(band, list(range(-2, 3))))
+    assert type(op) is BandedOperator and op.k == 2
 
 
 def test_load_plain_text_diagonal(tmp_path):
@@ -486,9 +495,10 @@ _ZERO_WIDTH_PROBE = textwrap.dedent("""
 
 
 def test_zero_width_block_never_reaches_lapack():
-    # LAPACK's dgttrs corrupts the heap on an n x 0 right-hand side; glibc
-    # with MALLOC_CHECK_=3 turns the corruption into an abort, which a
-    # fresh interpreter reports here instead of killing pytest.
+    # A zero-width block returns an (n, 0) result without a LAPACK call:
+    # LAPACK solves on an empty right-hand side have corrupted the heap,
+    # and glibc with MALLOC_CHECK_=3 turns such corruption into an abort,
+    # which a fresh interpreter reports here instead of killing pytest.
     env = dict(os.environ, MALLOC_CHECK_="3")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -507,7 +517,7 @@ class TestFactorCache:
         return [op, DenseOperator(op.to_dense()),
                 DiagonalOperator(np.linspace(0.5, 3.5, n)),
                 from_dense_array(_spd_band(n, 3)),
-                toeplitz_tridiagonal(2)]  # order < 3: tridiagonal via dense LU
+                toeplitz_tridiagonal(2)]  # order 2: the smallest L D L^T
 
     def test_cached_solve_equals_fresh_solve(self):
         rng = np.random.default_rng(5)
