@@ -65,9 +65,9 @@ def cauchy_bound(f, interval, ell: int, norm: float) -> float:
     """8 * f(a) * ||v|| * rho_{[a,4b]}^l for Cauchy-Stieltjes f with the
     half-line pole family; nan for any other f."""
     ell = count(ell, "ell")
+    iv = positive_interval(interval)
     if not f.is_cauchy:
         return math.nan
-    iv = positive_interval(interval)
     return 8.0 * f(iv.lower) * norm * rate_rho(iv.lower, 4.0 * iv.upper) ** ell
 
 

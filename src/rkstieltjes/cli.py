@@ -92,8 +92,9 @@ def _count_arg(text: str) -> int:
 
 
 def _load_factor(path: str) -> np.ndarray:
-    """A factor as stored; ``KroneckerProblem`` coerces it."""
-    return np.load(path) if path.endswith(".npy") else np.loadtxt(path, ndmin=2)
+    """A factor as stored, a one-line text factor as a column (1-D);
+    ``KroneckerProblem`` coerces it."""
+    return np.load(path) if path.endswith(".npy") else np.loadtxt(path, ndmin=1)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +176,9 @@ def _cmd_kronfun(args) -> int:
 
     # One interval must enclose the spectra of both A and -B.
     iva, ivb = (_parse_interval(args.interval, op) for op in (a_op, bneg_op))
-    iv = SpectralInterval(min(iva.lower, ivb.lower),
-                          max(iva.upper, ivb.upper)).require_positive()
-
-    prob = KroneckerProblem(a_op, bneg_op, u, w, f, iv)
+    prob = KroneckerProblem(a_op, bneg_op, u, w, f,
+                            SpectralInterval(min(iva.lower, ivb.lower),
+                                             max(iva.upper, ivb.upper)))
 
     family = args.poles
     bound = math.nan
@@ -191,8 +191,8 @@ def _cmd_kronfun(args) -> int:
         xi = list(read_pole_file(xi_path))
     elif family in KRON_PAIRS:
         pair = KRON_PAIRS[family]
-        psi, xi = pair.poles(iv, args.ell)
-        bound = pair.bound(f, iv, args.ell, prob.rhs_norm2())
+        psi, xi = pair.poles(prob.interval, args.ell)
+        bound = pair.bound(f, prob.interval, args.ell, prob.rhs_norm2())
     else:
         raise SystemExit(
             f"--poles: unknown family {family!r}; expected one of "

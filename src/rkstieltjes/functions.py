@@ -49,7 +49,7 @@ class StieltjesFunction:
         """Evaluate f0(z + shift); defined for z + shift > 0 only."""
         arr = np.asarray(z, dtype=float)
         w = arr + self.shift
-        if np.any(w <= 0.0):
+        if not np.all(w > 0.0):  # NaN refuses too
             bad = float(np.min(arr))
             raise ValueError(
                 f"{self.label} is undefined at z={bad!r} (z + shift must be > 0)"
@@ -77,32 +77,28 @@ class StieltjesFunction:
 # scalar kernels
 
 
-def _phi_large(j: int, zl: np.ndarray) -> np.ndarray:
-    # phi_1 = (1 - e^-z)/z, then phi_{i+1} = (1/i! - phi_i)/z; the upward
-    # recurrence is only used away from 0 where it does not cancel.
-    val = -np.expm1(-zl) / zl
-    for i in range(1, j):
-        val = (1.0 / math.factorial(i) - val) / zl
-    return val
-
-
 def _phi(j: int):
+    # phi_1 = (1 - e^-z)/z has no cancellation at any z > 0.  For j >= 2
+    # the upward recurrence phi_{i+1} = (1/i! - phi_i)/z cancels near 0, so
+    # |z| < 0.5 sums the Taylor series sum_i (-z)^i/(i + j)! by Horner to
+    # i = 17: the first term dropped is under 1e-21 of phi_j(0) = 1/j!.
+    coeffs = [(-1.0) ** i / math.factorial(i + j) for i in range(17, -1, -1)]
+
     def f(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
+        if j == 1:
+            return -np.expm1(-z) / z
         out = np.empty_like(z)
         small = np.abs(z) < 0.5
-        if np.any(small):
-            zs = z[small]
-            acc = np.ones_like(zs) / math.factorial(j)
-            term = acc.copy()
-            for i in range(1, 40):
-                term = term * (-zs) / (i + j)
-                acc = acc + term
-                if np.all(np.abs(term) <= 1e-18 * np.maximum(np.abs(acc), 1e-300)):
-                    break
-            out[small] = acc
-        if np.any(~small):
-            out[~small] = _phi_large(j, z[~small])
+        zs, zl = z[small], z[~small]
+        acc = np.full_like(zs, coeffs[0])
+        for c in coeffs[1:]:
+            acc = acc * zs + c
+        out[small] = acc
+        val = -np.expm1(-zl) / zl
+        for i in range(1, j):
+            val = (1.0 / math.factorial(i) - val) / zl
+        out[~small] = val
         return out
 
     return f
@@ -116,12 +112,9 @@ def _power(alpha: float):
 
 
 def _log1p_over_z(z: np.ndarray) -> np.ndarray:
+    # z > 0 (``StieltjesFunction.__call__``), where log1p has no cancellation.
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    tiny = np.abs(z) < 1e-8
-    out[tiny] = 1.0 - z[tiny] / 2.0 + z[tiny] ** 2 / 3.0
-    out[~tiny] = np.log1p(z[~tiny]) / z[~tiny]
-    return out
+    return np.log1p(z) / z
 
 
 def _one_minus_exp_sqrt_over_z(z: np.ndarray) -> np.ndarray:

@@ -21,7 +21,8 @@ import numpy as np
 from .bounds import singular_value_bound, sylvester_residual_bound
 from .functions import StieltjesFunction
 from . import operators
-from .operators import HermitianOperator, SpectralInterval, count, finite
+from .operators import (HermitianOperator, SpectralInterval, as_block, count,
+                        finite, positive_interval)
 from .rk import RKDecomposition, grow, rk_build
 from .strategies import KronPair
 
@@ -44,7 +45,8 @@ class KroneckerProblem:
 
     ``bneg_op`` acts as -B: spectra of ``a_op`` and ``bneg_op`` must both
     sit inside ``interval`` on the positive axis so that every eigenvalue
-    difference lambda_A - lambda_B stays in the function's domain.
+    difference lambda_A - lambda_B stays in the function's domain; an
+    (a, b) pair is stored as ``operators.positive_interval`` reads it.
     """
 
     a_op: HermitianOperator
@@ -55,11 +57,11 @@ class KroneckerProblem:
     interval: SpectralInterval
 
     def __post_init__(self):
-        # The one coercion of the factors: real float blocks, with a row or
-        # a 1-D vector read as one column.
+        # The one coercion of the factors: real float blocks, with a 1-D
+        # vector read as one column.
         for name, op, side in (("u_factor", self.a_op, "left"),
                                ("v_factor", self.bneg_op, "right")):
-            m = np.atleast_2d(getattr(self, name))
+            m, _ = as_block(getattr(self, name))
             if np.iscomplexobj(m):
                 raise ValueError(f"{name} is complex; the Kronecker solver "
                                  "takes real factors")
@@ -67,15 +69,13 @@ class KroneckerProblem:
                 raise ValueError(f"{name} has no columns; the Kronecker solver "
                                  "takes factors of rank >= 1")
             m = finite(m.astype(float, copy=False), name)
-            if m.shape[0] == 1 and op.n != 1:
-                m = m.T
             if m.shape[0] != op.n:
                 raise ValueError(f"{name} rows must match the {side} "
                                  "operator order")
             object.__setattr__(self, name, m)
         if self.u_factor.shape[1] != self.v_factor.shape[1]:
             raise ValueError("u_factor and v_factor must share the rank dimension")
-        self.interval.require_positive()
+        object.__setattr__(self, "interval", positive_interval(self.interval))
 
     @property
     def rank(self) -> int:
@@ -164,9 +164,10 @@ def kron_fun(problem: KroneckerProblem, left_poles, right_poles,
     ``left_poles`` drive the space for A seeded with U_F; ``right_poles``
     are the poles for B^T seeded with V_F, realized on -B with flipped
     signs (the two spaces coincide).  ``ell`` truncates both pole lists;
-    omitted, the full lists are consumed.
+    omitted, the full lists are consumed.  An empty list is refused.
     """
     left, right = list(left_poles), list(right_poles)
+    count(min(len(left), len(right)), "pole counts")
     if ell is not None:
         if count(ell, "ell") > min(len(left), len(right)):
             raise ValueError(

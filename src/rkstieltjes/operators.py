@@ -6,8 +6,9 @@ Two storage formats hold every operator: dense, and symmetric band
 to apply itself to a block of vectors, solve (A - sigma*I) X = RHS for real
 or complex shifts, and produce a guaranteed enclosure of its spectrum.
 Shifts of ``inf`` act as the identity (the corresponding rational factor is
-simply omitted), which is the convention the rational Krylov layer relies
-on; a shift with zero imaginary part is real.
+simply omitted); the rational Krylov layer takes a matvec for an infinite
+pole and never makes that call, so the identity is kept for direct callers.
+Every pole is read by ``as_pole``: one with zero imaginary part is real.
 
 Shift rule, one for every storage: sigma is refused (ValueError) when the
 smallest pivot of A - sigma*I (partial pivoting, or D of L D L^T) is at
@@ -87,9 +88,7 @@ class SpectralInterval:
     @property
     def kappa(self) -> float:
         """Condition ratio upper/lower (positive intervals only)."""
-        if self.lower <= 0.0:
-            raise ValueError("kappa requires a positive interval")
-        return self.upper / self.lower
+        return self.upper / self.require_positive().lower
 
     def require_positive(self) -> "SpectralInterval":
         if self.lower <= 0.0:
@@ -107,10 +106,17 @@ class SpectralInterval:
 
 
 def positive_interval(interval) -> SpectralInterval:
-    """``interval`` (a SpectralInterval or an (a, b) pair) as a
-    SpectralInterval with 0 < a <= b; ValueError otherwise."""
+    """``interval`` (a SpectralInterval or a pair of reals, not a string)
+    as a finite SpectralInterval with 0 < a <= b; else ValueError.  The one
+    reading of a caller's interval."""
     if not isinstance(interval, SpectralInterval):
-        interval = SpectralInterval(float(interval[0]), float(interval[1]))
+        try:
+            a, b = () if isinstance(interval, (str, bytes)) else interval
+            a, b = float(a), float(b)
+        except (TypeError, ValueError):
+            raise ValueError("interval must be a SpectralInterval or a pair "
+                             f"(a, b) of reals, got {interval!r}") from None
+        interval = SpectralInterval(a, b)
     return interval.require_positive()
 
 
@@ -149,12 +155,12 @@ def _restore(block: np.ndarray, was_1d: bool) -> np.ndarray:
     return block[:, 0] if was_1d else block
 
 
-def _solve_args(sigma: complex, rhs: np.ndarray):
-    """(sigma, block, was_1d): sigma as a float when its imaginary part is
-    zero, ``rhs`` as an (n, k) block."""
+def as_pole(sigma) -> float | complex:
+    """``sigma`` as a float when its imaginary part is zero, else a complex:
+    the one reading of a pole or shift, so a complex-typed ``inf`` is the
+    infinite (polynomial) pole."""
     sigma = complex(sigma)
-    block, was_1d = as_block(rhs)
-    return (sigma.real if sigma.imag == 0.0 else sigma), block, was_1d
+    return sigma.real if sigma.imag == 0.0 else sigma
 
 
 def _require_regular(sigma: complex, pivots: np.ndarray, rcond: float = 1.0) -> None:
@@ -253,7 +259,7 @@ class HermitianOperator:
         method in its own class dict, where a profiler can wrap it per
         storage.
         """
-        sigma, block, was_1d = _solve_args(sigma, rhs)
+        sigma, (block, was_1d) = as_pole(sigma), as_block(rhs)
         if np.isinf(sigma):
             return _restore(block.copy(), was_1d)
         solve = _solver(self, sigma, block, factors)
@@ -437,7 +443,8 @@ class DiagonalOperator(BandedOperator):
     divisions."""
 
     def __init__(self, d: np.ndarray):
-        super().__init__(np.ravel(d)[None, :])
+        # A 1-D d is a (1, n) band; any other shape fails the band's check.
+        super().__init__(np.asarray(d, dtype=float)[None])
 
     # Listed per class, like ``shifted_solve``, so a profiler can wrap it
     # per storage.
@@ -463,11 +470,11 @@ class TridiagonalOperator(BandedOperator):
     1), with O(n) shifted solves."""
 
     def __init__(self, d: np.ndarray, e: np.ndarray):
-        d, e = np.ravel(d), np.ravel(e)
-        if e.size != d.size - 1:
+        d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+        if d.ndim != 1 or e.shape != (d.size - 1,):
             raise ValueError(
-                f"off-diagonal length {e.size} does not match order {d.size}"
-            )
+                f"tridiagonal: expected d of shape (n,) and e of shape "
+                f"(n - 1,), got {d.shape} and {e.shape}")
         super().__init__([d, np.append(e, 0.0)])
 
     @property

@@ -338,9 +338,9 @@ def zolotarev_ratio(poles, interval) -> float:
         raise ValueError(
             "pole sequence contains inf entries; the symmetric candidate "
             "requires finite poles")
-    a, b = (float(t) for t in interval)
-    if not 0.0 < a < b < math.inf:
-        raise ValueError(f"interval [{a}, {b}] must satisfy 0 < a < b < inf")
+    a, b = positive_interval(interval)
+    if not a < b:
+        raise ValueError(f"interval [{a}, {b}] must satisfy 0 < a < b")
     inside = (poles >= a) & (poles <= b)
     if np.any(inside):
         raise ValueError(

@@ -20,7 +20,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .functions import StieltjesFunction
-from .operators import HermitianOperator, as_block, count, finite, positive_interval
+from .operators import (HermitianOperator, as_block, as_pole, count, finite,
+                        positive_interval)
 from .poles import cauchy_poles, zolotarev_poles
 from .strategies import Strategy, get_strategy, strategy_bound
 
@@ -333,10 +334,8 @@ class RKDecomposition:
         for sigma in poles:
             if self.breakdown:
                 break
-            sigma = complex(sigma)
-            if sigma.imag == 0.0:
-                sigma = sigma.real
-            elif not np.iscomplexobj(self._chunks[-1]):
+            sigma = as_pole(sigma)
+            if isinstance(sigma, complex) and not np.iscomplexobj(self._chunks[-1]):
                 self._promote_complex()
             if isinstance(sigma, float) and math.isinf(sigma):
                 # A·last_block and U*(A·last_block), the last block column
@@ -420,7 +419,7 @@ def exactness_check(op: HermitianOperator, v: np.ndarray,
     matvecs on the full operator, and through the reduced problem; the
     space built with those poles must make the two agree.
     """
-    poles = list(poles)
+    poles = [as_pole(s) for s in poles]
     dec = rk_build(op, v, poles)
     parts = dec._parts()
     block, _ = as_block(np.asarray(v, dtype=parts[0].dtype))

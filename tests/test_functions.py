@@ -41,11 +41,32 @@ def test_phi_recurrence():
             assert left == pytest.approx(right, rel=1e-10, abs=1e-300)
 
 
+# phi_j(z) = sum_i (-z)^i / (i + j)!, mpmath @ 50 digits, at z on both sides
+# of the |z| = 0.5 switch between the series and the recurrence.
+PHI_Z = (1e-300, 1e-8, 0.49, 0.51, 30.0)
+PHI_REF = {
+    1: (1.0, 0.99999999500000001667, 0.79055837921547741023,
+        0.78334200232889030824, 0.033333333333330214126),
+    2: (0.5, 0.4999999983333333375, 0.4274318791520869179,
+        0.42481960327668567012, 0.032222222222222326196),
+    3: (0.16666666666666666667, 0.16666666625000000083,
+        0.14809820581206751448, 0.14741254259473398015,
+        0.015592592592592589127),
+    4: (0.041666666666666666667, 0.041666666583333333472,
+        0.03789481807061051466, 0.03775318445476997356,
+        0.0050358024691358025847),
+}
+
+
 def test_phi_small_argument_series():
     # mpmath @ 40 digits: (e^{-z} - 1 + z)/z^2
     phi2 = catalog_function("phi", 2)
     assert phi2(1e-8) == pytest.approx(0.4999999983333333375, rel=1e-14)
     assert phi2(1e-4) == pytest.approx(0.49998333374999166681, rel=1e-14)
+    for j, ref in PHI_REF.items():
+        phi = catalog_function("phi", j)
+        np.testing.assert_allclose(phi(np.array(PHI_Z)), ref, rtol=1e-14)
+        assert phi(PHI_Z[0]) == ref[0]
 
 
 def test_lambert_w_values():
@@ -102,6 +123,8 @@ def test_domain_guard():
         f(-1.0)
     with pytest.raises(ValueError):
         f(0.0)
+    with pytest.raises(ValueError):
+        f(math.nan)
 
 
 def test_array_and_list_evaluation():

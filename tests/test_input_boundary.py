@@ -1,10 +1,13 @@
-"""The input boundary: every count goes through ``operators.count`` and
-every outside array through ``operators.finite``, so a bad count or a
-non-finite entry is refused with a ValueError (CLI: exit 2) that names the
-argument, before any work is done."""
+"""The input boundary: every count goes through ``operators.count``, every
+outside array through ``operators.finite``, every interval through
+``operators.positive_interval`` and every pole through ``operators.as_pole``,
+so a bad count, a non-finite entry or a malformed interval is refused with
+a ValueError (CLI: exit 2) that names the argument, before any work is
+done, and no shape is guessed."""
 import contextlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,11 +17,13 @@ from hypothesis import strategies as st
 from rkstieltjes.bounds import (
     cauchy_bound,
     kron_cauchy_bound,
+    kron_laplace_bound,
+    laplace_bound,
     singular_value_bound,
     sylvester_residual_bound,
 )
 from rkstieltjes.cli import main
-from rkstieltjes.experiments import ExperimentConfig
+from rkstieltjes.experiments import ExperimentConfig, emit_bounds
 from rkstieltjes.functions import catalog_function
 from rkstieltjes.kronfun import (KroneckerProblem, kron_fun, kron_iterates,
                                  kron_problem)
@@ -38,11 +43,14 @@ from rkstieltjes.poles import (
     extended_poles,
     gamma_const,
     laplace_kron_poles,
+    mobius_cauchy,
+    mobius_kron,
     polynomial_poles,
     write_pole_file,
     zolotarev_poles,
+    zolotarev_ratio,
 )
-from rkstieltjes.rk import RKDecomposition, funv_driver, iterates
+from rkstieltjes.rk import RKDecomposition, exactness_check, funv_driver, iterates
 from rkstieltjes.strategies import KRON_PAIRS, STRATEGIES
 
 N = 30
@@ -294,3 +302,119 @@ def test_tol_refusal_names_tol(tol):
     code, err = _cli(["funv", "--matrix", f"tridiag:{N}", "--function",
                       "inverse", f"--tol={tol!r}"])
     assert code == 2 and "tol" in err
+
+
+# -- every interval entry point ----------------------------------------------
+
+PHI = catalog_function("phi", 1)
+
+# Short, long, absent, a string and a bare number; then pairs that are not
+# finite, not positive or empty.
+BAD_INTERVALS = [[0.5], (1.0, 2.0, 3.0), None, "12", 1.0, (math.nan, 1.0),
+                 (0.0, 1.0), (2.0, 1.0), (1.0, math.inf), (-1.0, 2.0)]
+
+
+def _entry(call, name, intervals=BAD_INTERVALS):
+    return pytest.param(call, intervals, id=name)
+
+
+INTERVAL_ENTRIES = [
+    _entry(lambda iv: zolotarev_poles(iv, 3), "zolotarev_poles"),
+    _entry(lambda iv: cauchy_poles(iv, 3), "cauchy_poles"),
+    _entry(lambda iv: laplace_kron_poles(iv, 3), "laplace_kron_poles"),
+    _entry(lambda iv: cauchy_kron_poles(iv, 3), "cauchy_kron_poles"),
+    *(_entry(lambda iv, v=v: eds_poles(iv, 3, v), f"eds_poles-{v}")
+      for v in ("laplace", "cauchy", "kron-cauchy")),
+    _entry(mobius_cauchy, "mobius_cauchy"),
+    _entry(mobius_kron, "mobius_kron"),
+    *(_entry(lambda iv, b=b, f=f: b(f, iv, 3, 1.0), f"{b.__name__}-{f.family}")
+      for b in (laplace_bound, cauchy_bound, kron_laplace_bound,
+                kron_cauchy_bound, singular_value_bound)
+      for f in (F, PHI)),
+    _entry(lambda iv: sylvester_residual_bound(iv, 3, 1.0),
+           "sylvester_residual_bound"),
+    *(_entry(lambda iv, s=s: funv_driver(OP, F, V, iv, s, ell=2),
+             f"funv_driver-{s}") for s in ("zolotarev", "extended")),
+    _entry(lambda iv: emit_bounds(STRATEGIES["cauchy"].bound, F, iv, [1, 2],
+                                  1.0), "emit_bounds"),
+    _entry(lambda iv: KroneckerProblem(OP, OP, V, V, F, iv), "KroneckerProblem"),
+    # kron_problem reads interval=None as the hull of both spectra.
+    _entry(lambda iv: kron_problem(OP, OP, V, V, F, iv), "kron_problem",
+           [iv for iv in BAD_INTERVALS if iv is not None]),
+    _entry(lambda iv: zolotarev_ratio([-2.0], iv), "zolotarev_ratio"),
+    *(_entry(lambda iv, s=s: s.first(iv, 3), f"first-{s.name}")
+      for s in STRATEGIES.values() if s.needs_interval),
+    *(_entry(lambda iv, p=p: p.poles(iv, 3), f"poles-{p.name}")
+      for p in KRON_PAIRS.values() if p.needs_interval),
+]
+
+
+@pytest.mark.parametrize("entry, intervals", INTERVAL_ENTRIES)
+def test_every_interval_entry_point_refuses_a_malformed_interval(entry,
+                                                                 intervals):
+    for iv in intervals:
+        with pytest.raises(ValueError, match="interval"):
+            entry(iv)
+
+
+def test_kronecker_problem_takes_a_pair_like_funv_driver():
+    assert KroneckerProblem(OP, OP, V, V, F, tuple(IV)).interval == IV
+
+
+def test_kron_fun_refuses_an_empty_pole_list():
+    with pytest.raises(ValueError, match="pole counts must be >= 1"):
+        kron_fun(PROBLEM, [], [])
+
+
+# -- shapes are read, never guessed ------------------------------------------
+
+
+@pytest.mark.parametrize("build, shape", [
+    pytest.param(lambda: DiagonalOperator(np.ones((2, 2))), "(1, 2, 2)",
+                 id="diagonal-2d"),
+    pytest.param(lambda: DiagonalOperator(3.0), "(1,)", id="diagonal-scalar"),
+    pytest.param(lambda: TridiagonalOperator(np.ones((2, 2)), [-1.0]),
+                 "(2, 2)", id="tridiagonal-2d-d"),
+    pytest.param(lambda: TridiagonalOperator([2.0, 2.0], [[-1.0]]), "(1, 1)",
+                 id="tridiagonal-2d-e"),
+])
+def test_storage_refuses_a_shape_it_would_have_flattened(build, shape):
+    with pytest.raises(ValueError, match=re.escape(shape)):
+        build()
+
+
+def test_kronecker_row_factor_is_not_transposed():
+    with pytest.raises(ValueError, match="u_factor rows must match the left"):
+        KroneckerProblem(OP, OP, V[None, :], V, F, IV)
+
+
+def test_kronfun_reads_a_one_line_text_factor_as_a_column(tmp_path):
+    # The library takes a (1, n) array as one row; the CLI's text reader
+    # still reads a file of one line as one column.
+    rng = np.random.default_rng(3)
+    u, v = rng.standard_normal(20), rng.standard_normal(20)
+    outs = []
+    for layout in ("row", "column"):
+        paths = [tmp_path / f"{name}-{layout}.txt" for name in "uv"]
+        for path, x in zip(paths, (u, v)):
+            np.savetxt(path, x[None, :] if layout == "row" else x[:, None])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["kronfun", "--a", "tridiag:20", "--bneg", "tridiag:20",
+                         "--function", "inverse", "--ell", "3",
+                         "--ufile", str(paths[0]), "--vfile", str(paths[1])])
+        assert code == 0
+        outs.append(out.getvalue())
+    assert outs[0] == outs[1]
+
+
+# -- one reading of a pole ---------------------------------------------------
+
+
+def test_complex_typed_infinite_pole_is_a_polynomial_step():
+    # read_pole_file returns a complex array when one pole is complex, so an
+    # inf among them arrives complex-typed.
+    poles = np.array([math.inf, -1.0], dtype=complex)
+    report = exactness_check(OP, V, poles)
+    assert report.max_rel_err <= 1e-12
+    assert report.members == exactness_check(OP, V, [math.inf, -1.0]).members
