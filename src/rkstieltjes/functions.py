@@ -160,13 +160,38 @@ def _rational_negpoles(weights: np.ndarray, poles: np.ndarray):
 # catalog
 
 
+#: The catalog entries without parameters: label, class, f0, f0(0+).
+#: z^-1 is the alpha -> 1 end of the power family; it is the natural
+#: Sylvester test function and a Cauchy-Stieltjes function with measure
+#: concentrated at t = 0.
+_FIXED = {
+    "log1p_over_z": ("log(1+z)/z", "cauchy", _log1p_over_z, 1.0),
+    "one_minus_exp_sqrt_over_z": ("(1-exp(-sqrt(z)))/z", "cauchy",
+                                  _one_minus_exp_sqrt_over_z, math.inf),
+    "lambertw_scaled": ("z^-1.5*W(z)", "laplace", _lambertw_scaled, math.inf),
+    "inverse": ("z^-1", "cauchy",
+                lambda z: 1.0 / np.asarray(z, dtype=float), math.inf),
+}
+
+#: Most parameters each catalog name takes.
+_MOST_PARAMS = {"phi": 1, "power": 1, "rational": 2, **dict.fromkeys(_FIXED, 0)}
+
+
 def catalog_function(name: str, *params) -> StieltjesFunction:
     """Construct a catalog entry.
 
     Supported names: ``phi`` (param j >= 1), ``power`` (param -alpha with
     0 < alpha < 1), ``log1p_over_z``, ``one_minus_exp_sqrt_over_z``,
-    ``lambertw_scaled``, ``rational`` (params: weights array, poles array).
+    ``lambertw_scaled``, ``rational`` (params: weights array, poles array),
+    ``inverse``.  An unknown name, and more parameters than a name takes,
+    raise ValueError.
     """
+    if name not in _MOST_PARAMS:
+        raise ValueError(f"unknown catalog function {name!r}")
+    most = _MOST_PARAMS[name]
+    if len(params) > most:
+        raise ValueError(f"{name} takes {f'at most {most}' if most else 'no'} "
+                         f"parameters, got {params!r}")
     if name == "phi":
         j = count(params[0], "phi index") if params else 1
         return StieltjesFunction(
@@ -190,27 +215,6 @@ def catalog_function(name: str, *params) -> StieltjesFunction:
             base=_power(alpha),
             base_limit0=math.inf,
         )
-    if name == "log1p_over_z":
-        return StieltjesFunction(
-            label="log(1+z)/z",
-            family="cauchy",
-            base=_log1p_over_z,
-            base_limit0=1.0,
-        )
-    if name == "one_minus_exp_sqrt_over_z":
-        return StieltjesFunction(
-            label="(1-exp(-sqrt(z)))/z",
-            family="cauchy",
-            base=_one_minus_exp_sqrt_over_z,
-            base_limit0=math.inf,
-        )
-    if name == "lambertw_scaled":
-        return StieltjesFunction(
-            label="z^-1.5*W(z)",
-            family="laplace",
-            base=_lambertw_scaled,
-            base_limit0=math.inf,
-        )
     if name == "rational":
         if len(params) != 2:
             raise ValueError("rational needs (weights, poles)")
@@ -221,17 +225,7 @@ def catalog_function(name: str, *params) -> StieltjesFunction:
             base=f,
             base_limit0=lim,
         )
-    if name == "inverse":
-        # z^-1 is the alpha -> 1 end of the power family; it is the natural
-        # Sylvester test function and a Cauchy-Stieltjes function with
-        # measure concentrated at t = 0.
-        return StieltjesFunction(
-            label="z^-1",
-            family="cauchy",
-            base=lambda z: 1.0 / np.asarray(z, dtype=float),
-            base_limit0=math.inf,
-        )
-    raise ValueError(f"unknown catalog function {name!r}")
+    return StieltjesFunction(*_FIXED[name])
 
 
 def parse_function_spec(spec: str) -> StieltjesFunction:

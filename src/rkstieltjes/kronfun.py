@@ -13,6 +13,7 @@ dense reference are the harness's (``experiments.timed_sweep`` over
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -164,7 +165,9 @@ def kron_fun(problem: KroneckerProblem, left_poles, right_poles,
     ``left_poles`` drive the space for A seeded with U_F; ``right_poles``
     are the poles for B^T seeded with V_F, realized on -B with flipped
     signs (the two spaces coincide).  ``ell`` truncates both pole lists;
-    omitted, the full lists are consumed.  An empty list is refused.
+    omitted, the full lists are offered.  A basis that closes early
+    (total deflation) consumes fewer, and the result lists the poles each
+    side consumed.  An empty list is refused.
     """
     left, right = list(left_poles), list(right_poles)
     count(min(len(left), len(right)), "pole counts")
@@ -177,20 +180,23 @@ def kron_fun(problem: KroneckerProblem, left_poles, right_poles,
     dec_u = rk_build(problem.a_op, problem.u_factor, left)
     # rk.extend reads a zero imaginary part as real and +-inf as a matvec.
     dec_v = rk_build(problem.bneg_op, problem.v_factor, [-p for p in right])
-    return _solve_projected(problem, dec_u, dec_v, right)
+    return _solve_projected(problem, dec_u, dec_v, operator.neg)
 
 
 def _solve_projected(problem: KroneckerProblem, dec_u: RKDecomposition,
-                     dec_v: RKDecomposition, poles_right) -> KroneckerResult:
+                     dec_v: RKDecomposition,
+                     mirror: Callable[[complex], complex]) -> KroneckerResult:
     """Solve the problem compressed onto the bases of A (``dec_u``) and of
-    -B (``dec_v``) by double diagonalization."""
+    -B (``dec_v``) by double diagonalization.  The result lists the poles
+    each basis consumed; ``mirror`` maps a pole of -B's basis to the
+    right pole (for B^T) it stands for."""
     a_small = dec_u.reduced_matrix()
     b_small = -dec_v.reduced_matrix()  # projection of B in the shared basis
     f_small = dec_u.reduced_seed() @ dec_v.reduced_seed().conj().T
     core = funm_diag(problem.f, a_small, b_small, f_small)
     return KroneckerResult(left=dec_u.basis, right=dec_v.basis, core=core,
                            poles_left=tuple(dec_u.poles_used),
-                           poles_right=tuple(poles_right))
+                           poles_right=tuple(map(mirror, dec_v.poles_used)))
 
 
 def kron_iterates(problem: KroneckerProblem, pair: KronPair,
@@ -203,8 +209,7 @@ def kron_iterates(problem: KroneckerProblem, pair: KronPair,
     seeds = [(problem.a_op, problem.u_factor),
              (problem.bneg_op, problem.v_factor)]
     steps = grow(pair, problem.interval, counts, seeds)
-    return (_solve_projected(problem, dec_u, dec_v,
-                             map(pair.mirror, dec_v.poles_used))
+    return (_solve_projected(problem, dec_u, dec_v, pair.mirror)
             for dec_u, dec_v in steps)
 
 

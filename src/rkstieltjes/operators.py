@@ -72,12 +72,20 @@ _SINGULAR_TOL = 1e-13
 
 @dataclass(frozen=True)
 class SpectralInterval:
-    """Closed interval [lower, upper] enclosing the spectrum."""
+    """Closed interval [lower, upper] enclosing the spectrum; the endpoints
+    are stored as floats."""
 
     lower: float
     upper: float
 
     def __post_init__(self) -> None:
+        try:
+            lower, upper = float(self.lower), float(self.upper)
+        except (TypeError, ValueError):
+            raise ValueError("spectral interval endpoints must be reals, got "
+                             f"{self.lower!r}, {self.upper!r}") from None
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             raise ValueError("spectral interval endpoints must be finite")
         if self.lower > self.upper:
@@ -112,7 +120,6 @@ def positive_interval(interval) -> SpectralInterval:
     if not isinstance(interval, SpectralInterval):
         try:
             a, b = () if isinstance(interval, (str, bytes)) else interval
-            a, b = float(a), float(b)
         except (TypeError, ValueError):
             raise ValueError("interval must be a SpectralInterval or a pair "
                              f"(a, b) of reals, got {interval!r}") from None

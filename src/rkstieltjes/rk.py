@@ -493,10 +493,13 @@ def grow(s: Strategy, iv, counts: Iterable[int],
     count in one ``extend`` call, and stop after every basis has broken
     down or the stream runs out (one short of a count yields its shorter
     bases once).  Interval-optimal families build fresh bases for every
-    count.  A count that is not an integer >= 1 and a missing custom list
-    raise ValueError at the call.
+    count.  A count that is not an integer >= 1 or not above the one
+    before, and a missing custom list, raise ValueError at the call.
     """
     counts = [count(c, "pole counts") for c in counts]
+    for before, c in zip(counts, counts[1:]):
+        if c <= before:
+            raise ValueError(f"pole counts must increase, got {c} after {before}")
     stream = s.stream(iv, custom_poles) if s.nested else None
     return _grow(s, iv, counts, seeds, stream)
 
@@ -521,7 +524,7 @@ def _grow(s: Strategy, iv, counts: list[int], seeds,
     for count in counts:
         need = count - taken
         batch = list(itertools.islice(stream, need))
-        if need > 0 and not batch:
+        if not batch:
             return
         taken += len(batch)
         for dec in decs:
@@ -539,8 +542,9 @@ def iterates(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     """Yield ``(dec, y)`` at each pole count in the increasing ``counts``,
     where y are the reduced coordinates of the Galerkin iterate in
     ``dec.basis`` (``dec.lift(y)`` is the iterate itself): the one-seed
-    case of ``grow``.  Counts that are not integers >= 1, an unknown
-    strategy and a missing custom list raise ValueError at the call.
+    case of ``grow``.  Counts that are not increasing integers >= 1, an
+    unknown strategy and a missing custom list raise ValueError at the
+    call.
     """
     steps = grow(get_strategy(strategy), iv, counts, [(op, v)], custom_poles)
     return ((dec, _reduced_funv(dec, f)) for dec, in steps)
@@ -559,7 +563,9 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     entry, while the interval-optimal families (zolotarev/cauchy) are
     rebuilt from scratch at pole counts ``CHECKPOINT_STRIDE``,
     ``2 * CHECKPOINT_STRIDE``, ... (4, 8, ...), capped at ``max_ell``.
-    ``oracle`` (a reference solution) fills the true-error column.  In
+    ``ell=`` is the same loop over the one count ``ell``: its row's
+    estimate is nan and the result is converged.  ``oracle`` (a reference
+    solution of the seed's block shape) fills the true-error column.  In
     ``ell=`` mode a custom list shorter than ``ell`` raises ValueError.
 
     Nested strategies compute the estimate in reduced coordinates: with
@@ -585,55 +591,40 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     if ell is not None and s.name == "custom" and len(custom_poles or ()) < ell:
         raise ValueError(f"ell={ell} needs at least {ell} custom poles, "
                          f"got {len(custom_poles or ())}")
+    if oracle is not None:  # compared as blocks: (n,) and (n, 1) agree
+        oracle, want = np.asarray(oracle), as_block(v)[0].shape
+        if oracle.ndim not in (1, 2) or as_block(oracle)[0].shape != want:
+            raise ValueError(f"oracle has shape {oracle.shape}, not the "
+                             f"seed's block shape {want}")
+        oracle = as_block(oracle)[0]
     steps = iterates(op, f, v, strategy, iv, counts, custom_poles)
 
     vnorm = float(np.linalg.norm(v))
-
-    def true_err(x: np.ndarray | None) -> float:
-        if oracle is None:
-            return math.nan
-        return _rel_err(as_block(x)[0], as_block(oracle)[0])
-
-    def row(count: int, est: float, err: float) -> FunvTraceRow:
-        return FunvTraceRow(count, est, err,
-                            strategy_bound(strategy, f, iv, count, vnorm))
-
-    if ell is not None:
-        dec, y = next(steps)
-        x = dec.lift(y)
-        return FunvResult(x=x, trace=(row(len(dec.poles_used), math.nan,
-                                          true_err(x)),),
-                          converged=True, strategy=strategy,
-                          poles_used=tuple(dec.poles_used))
-
     trace: list[FunvTraceRow] = []
     recent: list[np.ndarray] = []  # the last two iterates
-
-    def record(z: np.ndarray, count: int, err: float) -> float:
-        """Trace iterate z (a reduced y, or a full x) and return the lag-2
-        estimate; an iterate two back with fewer rows is zero-padded."""
-        if len(recent) == 2:
-            ref = recent[0]
-            r = ref.shape[0]
-            num = math.hypot(float(np.linalg.norm(z[:r] - ref)),
+    # Nested iterates share one basis and are compared in reduced
+    # coordinates; each rebuilt family's checkpoint has its own basis, so
+    # those iterates are compared lifted.  An iterate two back with fewer
+    # rows is zero-padded.
+    for dec, y in steps:
+        x = dec.lift(y) if oracle is not None or not s.nested else None
+        z = y if s.nested else x
+        if len(recent) < 2:  # nothing two back; an ell= run has one step
+            est = math.inf if ell is None else math.nan
+        else:
+            r = recent[0].shape[0]
+            num = math.hypot(float(np.linalg.norm(z[:r] - recent[0])),
                              float(np.linalg.norm(z[r:])))
             den = float(np.linalg.norm(z))
             est = num / den if den > 0.0 else 0.0
-        else:
-            est = math.inf
-        recent[:] = recent[-1:] + [z]
-        trace.append(row(count, est, err))
-        return est
-
-    # Nested iterates share one basis and are compared in reduced
-    # coordinates; each rebuilt family's checkpoint has its own basis, so
-    # those iterates are compared lifted.
-    converged = False
-    for dec, y in steps:
-        x = dec.lift(y) if oracle is not None or not s.nested else None
-        est = record(y if s.nested else x, len(dec.poles_used), true_err(x))
-        if dec.breakdown or est <= tol:
-            converged = True
+        recent = [*recent[-1:], z]
+        used = len(dec.poles_used)
+        trace.append(FunvTraceRow(
+            used, est,
+            math.nan if oracle is None else _rel_err(as_block(x)[0], oracle),
+            strategy_bound(strategy, f, iv, used, vnorm)))
+        converged = ell is not None or dec.breakdown or est <= tol
+        if converged:
             break
     x = dec.lift(recent[-1]) if s.nested else recent[-1]
     return FunvResult(x=x, trace=tuple(trace), converged=converged,

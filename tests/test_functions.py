@@ -165,6 +165,16 @@ def test_parse_function_spec():
             parse_function_spec(spec)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("inverse", (3,)), ("log1p_over_z", (7,)), ("phi", (2, 9)),
+    ("power", (-0.5, 3)),
+])
+def test_catalog_refuses_parameters_a_name_cannot_use(name, params):
+    # Not the plain function, phi_2 or z^-0.5 without a word.
+    with pytest.raises(ValueError, match=f"^{name} takes"):
+        catalog_function(name, *params)
+
+
 @given(st.floats(min_value=1e-6, max_value=1e3),
        st.floats(min_value=1e-6, max_value=1e3))
 @settings(max_examples=60, deadline=None)

@@ -33,6 +33,7 @@ from rkstieltjes.operators import (
     DiagonalOperator,
     SpectralInterval,
     TridiagonalOperator,
+    oracle_funv,
     spectral_interval,
     toeplitz_tridiagonal,
 )
@@ -357,6 +358,17 @@ def test_every_interval_entry_point_refuses_a_malformed_interval(entry,
             entry(iv)
 
 
+@pytest.mark.parametrize("lower, upper", [("a", 2), (None, 2), (1, [2])])
+def test_spectral_interval_refuses_endpoints_that_are_not_reals(lower, upper):
+    with pytest.raises(ValueError, match="interval endpoints must be reals"):
+        SpectralInterval(lower, upper)
+
+
+def test_spectral_interval_stores_float_endpoints():
+    iv = SpectralInterval(1, 2)
+    assert type(iv.lower) is float and type(iv.upper) is float
+
+
 def test_kronecker_problem_takes_a_pair_like_funv_driver():
     assert KroneckerProblem(OP, OP, V, V, F, tuple(IV)).interval == IV
 
@@ -381,6 +393,22 @@ def test_kron_fun_refuses_an_empty_pole_list():
 def test_storage_refuses_a_shape_it_would_have_flattened(build, shape):
     with pytest.raises(ValueError, match=re.escape(shape)):
         build()
+
+
+def test_oracle_is_read_in_the_seed_block_shape():
+    # (n,) and (n, 1) are the same block; a row would broadcast to n x n
+    # and a wrong length would fail only after the basis is built.
+    op = toeplitz_tridiagonal(200)
+    v = np.random.default_rng(7).standard_normal(200)
+    iv = op.exact_interval()
+    ref = oracle_funv(op, F, v)
+    errs = [funv_driver(op, F, v, iv, "cauchy", ell=12,
+                        oracle=o).trace[0].true_error
+            for o in (ref, ref[:, None])]
+    assert errs[0] == errs[1] < 1e-6
+    for bad in (ref[None, :], ref[:-1], ref[:, None, None]):
+        with pytest.raises(ValueError, match="oracle has shape"):
+            funv_driver(op, F, v, iv, "cauchy", ell=12, oracle=bad)
 
 
 def test_kronecker_row_factor_is_not_transposed():

@@ -236,13 +236,29 @@ class _CountingTridiagonal(TridiagonalOperator):
         return super().shifted_solve(sigma, rhs, factors)
 
 
+def _breakdown_problem():
+    """n = 3 Toeplitz on both sides: ones(3) spans a two-dimensional
+    invariant subspace and e_1 a three-dimensional one, so the left basis
+    closes after two poles and the right one after three."""
+    op = TridiagonalOperator(np.full(3, 2.0), np.full(2, -1.0))
+    return kron_problem(op, op, np.ones(3), np.eye(3)[:, 0],
+                        catalog_function("power", -0.5))
+
+
+def _sweep_problem():
+    return _make_problem(n=40, rank=2, seed=15, f=catalog_function("power", -0.5))
+
+
 class TestKronIterates:
-    @pytest.mark.parametrize("name", list(KRON_PAIRS))
-    def test_equals_kron_fun_at_every_count(self, name):
-        prob = _make_problem(n=40, rank=2, seed=15,
-                             f=catalog_function("power", -0.5))
+    @pytest.mark.parametrize("name, make, counts", [
+        *(pytest.param(name, _sweep_problem, [1, 2, 5, 6, 11], id=name)
+          for name in KRON_PAIRS),
+        *(pytest.param(name, _breakdown_problem, [1, 2, 5],
+                       id=f"breakdown-n3-{name}") for name in KRON_PAIRS),
+    ])
+    def test_equals_kron_fun_at_every_count(self, name, make, counts):
+        prob = make()
         pair = KRON_PAIRS[name]
-        counts = [1, 2, 5, 6, 11]
         results = list(kron_iterates(prob, pair, counts))
         assert len(results) == len(counts)
         for count, res in zip(counts, results):
@@ -294,6 +310,16 @@ class TestKronIterates:
         prob = _make_problem(n=10)
         with pytest.raises(ValueError, match=">= 1"):
             kron_iterates(prob, KRON_PAIRS["extended"], [0, 1])
+        with pytest.raises(ValueError, match="pole counts must increase"):
+            kron_iterates(prob, KRON_PAIRS["extended"], [5, 3])
+
+    def test_results_list_the_poles_each_basis_consumed(self):
+        prob = _breakdown_problem()
+        for res in (kron_fun(prob, [np.inf] * 5, [np.inf] * 5),
+                    list(kron_iterates(prob, KRON_PAIRS["polynomial"],
+                                       [5]))[0]):
+            assert res.poles_left == (np.inf,) * 2
+            assert res.poles_right == (np.inf,) * 3
 
 
 class TestResiduals:

@@ -28,6 +28,7 @@ from rkstieltjes.poles import (
     zolotarev_poles,
 )
 from rkstieltjes.rk import (
+    CHECKPOINT_STRIDE,
     CHUNK_MIN_COLS,
     RKDecomposition,
     exactness_check,
@@ -437,23 +438,72 @@ class TestDrivers:
         with pytest.raises(ValueError):
             funv_driver(op, f, v, iv, strategy="custom", ell=6)
 
-    @pytest.mark.parametrize("strategy", ["extended", "eds-cauchy"])
-    def test_estimate_equals_lifted_lag2_distance(self, strategy):
+    @pytest.mark.parametrize("strategy, mode, with_oracle", [
+        pytest.param("extended", {"tol": 1e-4}, False, id="extended"),
+        pytest.param("eds-cauchy", {"tol": 1e-4}, False, id="eds-cauchy"),
+        pytest.param("cauchy", {"tol": 1e-4}, False, id="cauchy"),
+        pytest.param("zolotarev", {"ell": 12}, False, id="zolotarev-ell"),
+        pytest.param("extended", {"tol": 1e-4}, True, id="extended-oracle"),
+    ])
+    def test_estimate_equals_lifted_lag2_distance(self, strategy, mode,
+                                                  with_oracle):
         op = _tridiag_op(200)
         f = catalog_function("power", -0.5)
         rng = np.random.default_rng(8)
         v = rng.standard_normal(200)
         iv = spectral_interval(op, mode="exact-small")
-        res = funv_driver(op, f, v, iv, strategy=strategy, tol=1e-4, max_ell=60)
-        assert res.converged and len(res.trace) >= 4
-        xs = [rk_funv(rk_build(op, v, res.poles_used[:row.ell]), f)
+        ref = oracle_funv(op, f, v) if with_oracle else None
+        res = funv_driver(op, f, v, iv, strategy=strategy, max_ell=60,
+                          oracle=ref, **mode)
+        s = STRATEGIES[strategy]
+        tol = mode.get("tol")
+        if tol is None:
+            assert [row.ell for row in res.trace] == [mode["ell"]]
+        else:
+            step = 1 if s.nested else CHECKPOINT_STRIDE
+            assert len(res.trace) >= 4
+            assert [row.ell for row in res.trace] == list(
+                range(step, step * len(res.trace) + 1, step))
+        xs = [rk_funv(rk_build(op, v, s.first(iv, row.ell)), f)
               for row in res.trace]
-        assert all(math.isinf(row.est_error) for row in res.trace[:2])
-        for k in range(2, len(res.trace)):
-            want = np.linalg.norm(xs[k] - xs[k - 2]) / np.linalg.norm(xs[k])
-            assert res.trace[k].est_error == pytest.approx(want, rel=1e-10)
+        for k, row in enumerate(res.trace):
+            if k >= 2:
+                want = np.linalg.norm(xs[k] - xs[k - 2]) / np.linalg.norm(xs[k])
+                assert row.est_error == pytest.approx(want, rel=1e-10)
+            else:  # nothing two back; an ell= run has one row
+                np.testing.assert_equal(row.est_error,
+                                        math.inf if tol else math.nan)
+            if ref is None:
+                assert math.isnan(row.true_error)
+            else:
+                want = np.linalg.norm(xs[k] - ref) / np.linalg.norm(ref)
+                assert row.true_error == pytest.approx(want, rel=1e-8)
+            np.testing.assert_equal(
+                row.bound, s.bound(f, iv, row.ell, np.linalg.norm(v)))
+        # Converged at the first estimate within tol, and only there.
+        ests = [row.est_error for row in res.trace]
+        assert res.converged
+        assert tol is None or (ests[-1] <= tol
+                               and all(e > tol for e in ests[:-1]))
         np.testing.assert_allclose(res.x, xs[-1], rtol=0,
                                    atol=1e-13 * np.linalg.norm(xs[-1]))
+
+    @pytest.mark.parametrize("mode, rows", [
+        ({"ell": 5}, [(2, math.nan)]),
+        ({"tol": 1e-12}, [(1, math.inf), (2, math.inf)]),
+    ])
+    def test_breakdown_ends_both_modes(self, mode, rows):
+        # ones(3) lies in a two-dimensional invariant subspace of the
+        # Toeplitz matrix: the second polynomial step closes the space.
+        op = _tridiag_op(3)
+        f = catalog_function("inverse")
+        iv = spectral_interval(op, mode="exact-small")
+        res = funv_driver(op, f, np.ones(3), iv, "polynomial", **mode)
+        assert res.converged and res.poles_used == (math.inf, math.inf)
+        np.testing.assert_equal([(r.ell, r.est_error) for r in res.trace], rows)
+        np.testing.assert_allclose(res.x, np.linalg.solve(op.to_dense(),
+                                                          np.ones(3)),
+                                   rtol=1e-14)
 
     @pytest.mark.parametrize("strategy", ["extended", "zolotarev"])
     def test_tol_mode_rejects_zero_max_ell(self, strategy):
@@ -626,3 +676,8 @@ class TestIterates:
             iterates(op, f, v, "chebyshev", iv, [1])
         with pytest.raises(ValueError, match="non-empty"):
             iterates(op, f, v, "custom", iv, [1])
+        # Counts that do not increase: refused before the first step.
+        for strategy in ("eds-cauchy", "cauchy"):
+            for counts in ([5, 3], [4, 4]):
+                with pytest.raises(ValueError, match="pole counts must increase"):
+                    iterates(op, f, v, strategy, iv, counts)
