@@ -160,7 +160,9 @@ def _cmd_funv(args) -> int:
 
 def _cmd_kronfun(args) -> int:
     a_op = _parse_matrix(args.a, "--a")
-    bneg_op = _parse_matrix(args.bneg, "--bneg")
+    # One spec is one operator: A = -B, enclosed once, and both bases share
+    # each factorization of a mirrored pair.
+    bneg_op = a_op if args.bneg == args.a else _parse_matrix(args.bneg, "--bneg")
     f = parse_function_spec(args.function)
 
     if args.ufile or args.vfile:
@@ -175,7 +177,8 @@ def _cmd_kronfun(args) -> int:
         w /= np.linalg.norm(w, axis=0)
 
     # One interval must enclose the spectra of both A and -B.
-    iva, ivb = (_parse_interval(args.interval, op) for op in (a_op, bneg_op))
+    iva = _parse_interval(args.interval, a_op)
+    ivb = iva if bneg_op is a_op else _parse_interval(args.interval, bneg_op)
     prob = KroneckerProblem(a_op, bneg_op, u, w, f,
                             SpectralInterval(min(iva.lower, ivb.lower),
                                              max(iva.upper, ivb.upper)))

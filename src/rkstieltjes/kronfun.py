@@ -24,7 +24,7 @@ from .functions import StieltjesFunction
 from . import operators
 from .operators import (HermitianOperator, SpectralInterval, as_block, count,
                         finite, positive_interval)
-from .rk import RKDecomposition, grow, rk_build
+from .rk import RKDecomposition, build_together, grow
 from .strategies import KronPair
 
 __all__ = [
@@ -118,8 +118,9 @@ def kron_problem(a_op: HermitianOperator, bneg_op: HermitianOperator,
                  interval: SpectralInterval | None = None) -> KroneckerProblem:
     """Assemble a problem, enclosing both spectra in one interval when the
     caller does not pin it."""
-    if interval is None:
-        iva, ivb = a_op.exact_interval(), bneg_op.exact_interval()
+    if interval is None:  # one enclosure when A = -B is one operator
+        iva = a_op.exact_interval()
+        ivb = iva if bneg_op is a_op else bneg_op.exact_interval()
         interval = SpectralInterval(min(iva.lower, ivb.lower),
                                     max(iva.upper, ivb.upper))
     return KroneckerProblem(a_op, bneg_op, u_factor, v_factor, f, interval)
@@ -177,9 +178,12 @@ def kron_fun(problem: KroneckerProblem, left_poles, right_poles,
                 f"ell={ell} exceeds the supplied pole counts "
                 f"({len(left)} left, {len(right)} right)")
         left, right = left[:ell], right[:ell]
-    dec_u = rk_build(problem.a_op, problem.u_factor, left)
     # rk.extend reads a zero imaginary part as real and +-inf as a matvec.
-    dec_v = rk_build(problem.bneg_op, problem.v_factor, [-p for p in right])
+    # With A = -B and a mirrored pair both bases take the same shifts on
+    # one operator, and build_together factors each once for both.
+    dec_u, dec_v = build_together(
+        [(problem.a_op, problem.u_factor), (problem.bneg_op, problem.v_factor)],
+        [left, [-p for p in right]])
     return _solve_projected(problem, dec_u, dec_v, operator.neg)
 
 

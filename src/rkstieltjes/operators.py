@@ -20,6 +20,15 @@ where the norm of A - sigma*I nears either end of the float range, the LU
 routes factor it times a power of two and the L D L^T route scales its
 rcond solve the same way (``_unit_scale``).  Pivots alone miss an
 eigenvalue whose eigenvector is localized: every pivot can stay O(1).
+The band LU and L D L^T routes skip the rcond where Varah's bound (Lin.
+Algebra Appl. 11, 1975) clears it (``BandedOperator._shifted_norm``):
+with alpha = min_i(|m_ii| - sum_(j != i) |m_ij|) > 0, ||M^-1||_inf <=
+1/alpha, so for M = A - sigma*I = M^T, rcond >= alpha / ||M||_1.  Above
+twice ``_SINGULAR_TOL``, with the pivot ratio passing, the shift is
+accepted without the L D L^T route's second solve or ``gbcon``.  The
+true rcond and LAPACK's estimate are both at least the bound, and every
+other shift, each refused one included, takes the rcond route, so no
+decision and no error text changes.
 
 Band solves are pivoted band LU (LAPACK ``gbtrf``/``gbtrs``) at every
 bandwidth, with two exceptions: diagonal solves divide elementwise, and
@@ -34,12 +43,14 @@ shifted diagonal) in the caller's dict ``d``, keyed by sigma (0.0
 apart from -0.0) and the dtype of the solve, and on a later call with the
 same sigma runs only the triangular solves, so the result is bit-identical
 to a fresh solve.  The caller owns the dict and uses it with one operator
-only; each ``RKDecomposition`` keeps one, so the operator itself holds no
-state and may be shared between threads.  The dict keeps only the last
-factor, and a miss drops it before factoring, because a dense factor costs
-n^2 numbers; the only repeated finite pole, extended Krylov's sigma = 0,
-needs no more.  The shift rule runs with the factorization, and a refused
-sigma raises before anything is stored, so it raises on every use.
+only; each ``RKDecomposition`` keeps one, shared by decompositions on one
+operator object that take the same shifts (``rk.build_together``), so the
+operator itself holds no state and may be shared between threads.  The
+dict keeps only the last factor, and a miss drops it before factoring,
+because a dense factor costs n^2 numbers; the only repeated finite pole,
+extended Krylov's sigma = 0, needs no more.  The shift rule runs with the
+factorization, and a refused sigma raises before anything is stored, so it
+raises on every use.
 
 MatrixMarket files (array or coordinate) and dense arrays share one storage
 picker: square, ||A - A^T||_F <= ``_SYM_TOL`` ||A||_F, and the bandwidth k
@@ -170,10 +181,14 @@ def as_pole(sigma) -> float | complex:
     return sigma.real if sigma.imag == 0.0 else sigma
 
 
+def _pivot_ratio(pivots: np.ndarray) -> float:
+    pivots = np.abs(pivots)
+    return pivots.min() / (pivots.max() or 1.0)  # all zero: ratio 0
+
+
 def _require_regular(sigma: complex, pivots: np.ndarray, rcond: float = 1.0) -> None:
     """The shift rule of the module docstring; NaN refuses too."""
-    pivots = np.abs(pivots)
-    ratio = pivots.min() / (pivots.max() or 1.0)  # all zero: ratio 0
+    ratio = _pivot_ratio(pivots)
     if not (ratio > _SINGULAR_TOL and rcond > _SINGULAR_TOL):
         raise ValueError(
             f"shift sigma={sigma} is singular or near-singular for this "
@@ -413,14 +428,27 @@ class BandedOperator(HermitianOperator):
         m[2 * k] = self.ab[0] - sigma
         for i in self._offsets:
             m[2 * k + i, :n - i] = m[2 * k - i, i:] = self.ab[i, :n - i]
-        anorm = np.max(np.abs(m[2 * k]) + self._radii)
-        c = _unit_scale(anorm)
+        anorm, c, dominant = self._shifted_norm(m[2 * k])
         if c != 1.0:
             m *= c
         gbtrf, gbcon, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (m,))
         lu, piv, _ = gbtrf(m, k, k, overwrite_ab=True)
-        _require_regular(sigma, lu[2 * k], gbcon(k, k, lu, piv, c * anorm)[0])
+        if not (dominant and _pivot_ratio(lu[2 * k]) > _SINGULAR_TOL):
+            _require_regular(sigma, lu[2 * k], gbcon(k, k, lu, piv, c * anorm)[0])
         return _times(c, lambda b: gbtrs(lu, k, k, b, piv)[0])
+
+    def _shifted_norm(self, d: np.ndarray) -> tuple[float, float, bool]:
+        """For M = A - sigma*I with diagonal ``d``: ||M||_1, its
+        ``_unit_scale`` c, and whether Varah's bound clears the rcond half
+        of the shift rule twice over (module doc); the factor 2 covers the
+        rounding of alpha and of LAPACK's estimate.  A margin below the
+        normal range is exact (gradual underflow), so c * alpha compares
+        in the units of c, scale invariant like the rule."""
+        absd = np.abs(d)
+        anorm = np.max(absd + self._radii)
+        c = _unit_scale(anorm)
+        alpha = np.min(absd - self._radii)
+        return anorm, c, c * alpha > 2.0 * _SINGULAR_TOL * (c * anorm)
 
     def gershgorin(self) -> SpectralInterval:
         return SpectralInterval(float(np.min(self.ab[0] - self._radii)),
@@ -501,10 +529,10 @@ class TridiagonalOperator(BandedOperator):
                 # A - sigma*I = L D L^T is SPD, and |(A - sigma*I)^-1| is the
                 # inverse of the factors with -|l|; ones / c keeps its solve
                 # in range.
-                anorm = np.max(np.abs(d) + self._radii)
-                c = _unit_scale(anorm)
-                x = pttrs(dd, -np.abs(l), np.full((self.n, 1), 1.0 / c))[0]
-                _require_regular(sigma, dd, 1.0 / (c * anorm * x.max()))
+                anorm, c, dominant = self._shifted_norm(d)
+                if not (dominant and _pivot_ratio(dd) > _SINGULAR_TOL):
+                    x = pttrs(dd, -np.abs(l), np.full((self.n, 1), 1.0 / c))[0]
+                    _require_regular(sigma, dd, 1.0 / (c * anorm * x.max()))
                 return lambda b: pttrs(dd, l, b)[0]
         return super()._factor(sigma, block)
 

@@ -29,6 +29,7 @@ __all__ = [
     "DEFLATION_TOL",
     "RKDecomposition",
     "rk_build",
+    "build_together",
     "rk_funv",
     "ExactnessReport",
     "exactness_check",
@@ -167,7 +168,9 @@ class RKDecomposition:
         self._block_sizes: list[int] = []
         self.poles_used: list[complex] = []
         self.breakdown = False
-        self._factors: dict = {}  # shifted_solve's cache, one per basis
+        # shifted_solve's cache; ``_extend_together`` shares one between
+        # bases on one operator object that take the same shifts.
+        self._factors: dict = {}
 
         self._seed_cache = block.astype(dtype, copy=True)
         self._append_block(self._seed_cache.copy(order="F"))
@@ -354,16 +357,57 @@ class RKDecomposition:
         return self
 
 
-def rk_build(op: HermitianOperator, v: np.ndarray, poles) -> RKDecomposition:
-    """Build the rational Krylov basis of (op, v) for the given poles.
+def _extend_together(decs: Sequence[RKDecomposition],
+                     pole_lists: Sequence[Iterable[complex]]) -> None:
+    """Extend each unbroken decomposition of ``decs`` by its own list of
+    ``pole_lists`` in lock-step, one pole each in turn, after reserving
+    room for each whole list: the one routine that grows several bases.
 
-    The finished basis keeps no factorization: a full pole list is not
+    Those that ask the factor cache for the same keys (one operator
+    object, one basis dtype, the same shifts) share one factor dict, so
+    each shift is factored once for all of them; any other keeps its own,
+    since the keep-last cache would refactor at every step on two shift
+    sequences.  A lone basis takes its list in one ``extend`` call.
+    """
+    if len(decs) == 1:  # nothing to share
+        if not decs[0].breakdown:
+            decs[0].extend(pole_lists[0])
+        return
+    live = [(dec, list(poles)) for dec, poles in zip(decs, pole_lists)
+            if not dec.breakdown]
+    shared: dict[tuple, dict] = {}
+    for dec, poles in live:
+        # Bitwise equal shifts: the cache tells 0.0 from -0.0 too.
+        shifts = np.array([as_pole(p) for p in poles], dtype=complex)
+        key = (id(dec.op), dec._chunks[-1].dtype, shifts.tobytes())
+        dec._factors = shared.setdefault(key, dec._factors)
+        dec._reserve(len(poles) * dec.block_width)
+    for j in range(max((len(poles) for _, poles in live), default=0)):
+        for dec, poles in live:
+            if j < len(poles) and not dec.breakdown:
+                dec.extend(poles[j:j + 1])
+
+
+def build_together(seeds: Sequence[tuple[HermitianOperator, np.ndarray]],
+                   pole_lists: Sequence[Iterable[complex]]
+                   ) -> list[RKDecomposition]:
+    """The rational Krylov bases of the ``(op, v)`` seeds, each for its own
+    list of ``pole_lists``, grown by ``_extend_together``.
+
+    The finished bases keep no factorization: a full pole list is not
     extended again, and a dense factor costs n^2 numbers.
     """
-    dec = RKDecomposition(op, v)
-    dec.extend(poles)
-    dec._factors.clear()
-    return dec
+    decs = [RKDecomposition(op, v) for op, v in seeds]
+    _extend_together(decs, pole_lists)
+    for dec in decs:
+        dec._factors.clear()
+    return decs
+
+
+def rk_build(op: HermitianOperator, v: np.ndarray, poles) -> RKDecomposition:
+    """Build the rational Krylov basis of (op, v) for the given poles: the
+    one-seed case of ``build_together``."""
+    return build_together([(op, v)], [poles])[0]
 
 
 def _reduced_funv(dec: RKDecomposition,
@@ -489,12 +533,14 @@ def grow(s: Strategy, iv, counts: Iterable[int],
     """Yield one decomposition per ``(op, v)`` seed, all taking the poles
     of ``s``, at each pole count in the increasing ``counts``.
 
-    Nested families extend each unbroken basis by the poles up to the next
-    count in one ``extend`` call, and stop after every basis has broken
-    down or the stream runs out (one short of a count yields its shorter
-    bases once).  Interval-optimal families build fresh bases for every
-    count.  A count that is not an integer >= 1 or not above the one
-    before, and a missing custom list, raise ValueError at the call.
+    Nested families extend every unbroken basis by the poles up to the
+    next count (``_extend_together``, so seeds on one operator object
+    share each factorization), and stop after every basis has broken down
+    or the stream runs out (one short of a count yields its shorter bases
+    once).  Interval-optimal families build fresh bases for every count
+    (``build_together``).  A count that is not an integer >= 1 or not above
+    the one before, and a missing custom list, raise ValueError at the
+    call.
     """
     counts = [count(c, "pole counts") for c in counts]
     for before, c in zip(counts, counts[1:]):
@@ -517,7 +563,7 @@ def _grow(s: Strategy, iv, counts: list[int], seeds,
     if stream is None:
         for count in counts:
             poles = _fixed_poles(s, iv, count)
-            yield [rk_build(op, v, poles) for op, v in seeds]
+            yield build_together(seeds, [poles] * len(seeds))
         return
     decs = [RKDecomposition(op, v) for op, v in seeds]
     taken = 0
@@ -527,9 +573,7 @@ def _grow(s: Strategy, iv, counts: list[int], seeds,
         if not batch:
             return
         taken += len(batch)
-        for dec in decs:
-            if not dec.breakdown:
-                dec.extend(batch)
+        _extend_together(decs, [batch] * len(decs))
         yield decs
         if all(dec.breakdown for dec in decs) or len(batch) < need:
             return

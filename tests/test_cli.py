@@ -242,6 +242,36 @@ class TestKronfun:
             bounds.append(capsys.readouterr().out.split("bound=")[1].split()[0])
         assert bounds[0] == bounds[1]
 
+    def test_one_spec_is_one_operator(self, tmp_path, capsys, monkeypatch):
+        # The same spec for --a and --bneg parses and encloses one operator,
+        # and prints what two equal operators print: the spellings
+        # tridiag:40 and tridiag:40:1 parse the same matrix twice.
+        from rkstieltjes import cli
+
+        parsed, enclosed = [], []
+        parse, interval = cli._parse_matrix, cli.spectral_interval
+        monkeypatch.setattr(cli, "_parse_matrix",
+                            lambda *a: parsed.append(a) or parse(*a))
+        monkeypatch.setattr(cli, "spectral_interval",
+                            lambda op, **kw: enclosed.append(op) or interval(op, **kw))
+        outs = []
+        for bneg in ("tridiag:40", "tridiag:40:1"):
+            parsed.clear()
+            enclosed.clear()
+            out = tmp_path / f"{bneg}.csv"
+            rc = main(["kronfun", "--a", "tridiag:40", "--bneg", bneg,
+                       "--function", "power:-0.5", "--rank", "2",
+                       "--poles", "cauchy-kron", "--ell", "7", "--seed", "3",
+                       "--out", str(out)])
+            assert rc == 0
+            outs.append((capsys.readouterr().out.splitlines()[0],
+                         out.read_text()))
+            if bneg == "tridiag:40":
+                assert len(parsed) == 1 and len(enclosed) == 1
+            else:
+                assert len(parsed) == 2 and len(enclosed) == 2
+        assert outs[0] == outs[1]
+
     def test_factor_files(self, tmp_path):
         u = tmp_path / "u.npy"
         v = tmp_path / "v.npy"

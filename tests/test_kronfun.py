@@ -1,4 +1,5 @@
 import math
+import operator
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ from rkstieltjes.experiments import solutions_2d, timed_sweep, with_bounds
 from rkstieltjes.functions import catalog_function
 from rkstieltjes.kronfun import (
     KroneckerProblem,
+    _solve_projected,
     dense_kron_solution,
     funm_diag,
     kron_fun,
@@ -25,6 +27,7 @@ from rkstieltjes.operators import (
     from_dense_array,
 )
 from rkstieltjes.poles import cauchy_kron_poles, laplace_kron_poles, zolotarev_poles
+from rkstieltjes.rk import build_together, rk_build
 from rkstieltjes.strategies import KRON_PAIRS
 
 
@@ -134,6 +137,22 @@ class TestProblemConstruction:
         hi = max(np.linalg.eigvalsh(da).max(), np.linalg.eigvalsh(db).max())
         assert prob.interval.lower == pytest.approx(lo, rel=1e-8)
         assert prob.interval.upper == pytest.approx(hi, rel=1e-8)
+
+    def test_one_operator_is_enclosed_once(self, monkeypatch):
+        # With A = -B on one object the interval is read once; each
+        # exact_interval of a band is an O(n^2 k) eigensolve.
+        op, other = _tridiag(30), _tridiag(30, scale=2.0)
+        want = op.exact_interval()
+        calls = []
+        for o in (op, other):
+            monkeypatch.setattr(o, "exact_interval",
+                                lambda o=o, f=o.exact_interval: calls.append(o) or f())
+        f = catalog_function("inverse")
+        assert kron_problem(op, op, np.ones(30), np.ones(30), f).interval == want
+        assert calls == [op]
+        calls.clear()
+        kron_problem(op, other, np.ones(30), np.ones(30), f)
+        assert calls == [op, other]
 
     def test_factor_shape_validation(self):
         rng = np.random.default_rng(3)
@@ -320,6 +339,114 @@ class TestKronIterates:
                                        [5]))[0]):
             assert res.poles_left == (np.inf,) * 2
             assert res.poles_right == (np.inf,) * 3
+
+
+def _count_factors(mp, *ops) -> list:
+    """Record (index into ``ops``, sigma) for every factorization."""
+    seen = []
+    for i, op in enumerate(ops):
+        def spy(sigma, block, i=i, factor=op._factor):
+            seen.append((i, sigma))
+            return factor(sigma, block)
+        mp.setattr(op, "_factor", spy)
+    return seen
+
+
+def _one_operator_problem(n=120, seed=31):
+    """A = -B on one operator object, the source paper's 2-D setting."""
+    op = _tridiag(n)
+    rng = np.random.default_rng(seed)
+    return kron_problem(op, op, rng.standard_normal((n, 2)),
+                        rng.standard_normal((n, 2)),
+                        catalog_function("power", -0.5))
+
+
+def _separate_builds(prob, psi, xi):
+    """kron_fun's result from one rk_build per side, each with its own
+    factor cache."""
+    dec_u = rk_build(prob.a_op, prob.u_factor, psi)
+    dec_v = rk_build(prob.bneg_op, prob.v_factor, [-p for p in xi])
+    return _solve_projected(prob, dec_u, dec_v, operator.neg)
+
+
+def _assert_same_result(got, want):
+    for a, b in ((got.left, want.left), (got.right, want.right),
+                 (got.core, want.core)):
+        np.testing.assert_array_equal(a, b)
+    assert got.poles_left == want.poles_left
+    assert got.poles_right == want.poles_right
+
+
+class TestSharedFactors:
+    """With A = -B on one operator and a mirrored pair, both bases take the
+    same shifts and factor each once between them."""
+
+    @pytest.mark.parametrize("name", ["laplace-kron", "cauchy-kron",
+                                      "eds-laplace", "eds-cauchy", "extended"])
+    def test_one_factorization_per_distinct_finite_shift(self, name,
+                                                         monkeypatch):
+        prob = _one_operator_problem()
+        pair, counts = KRON_PAIRS[name], [3, 7, 12]
+        seen = _count_factors(monkeypatch, prob.a_op)
+        psi, xi = pair.poles(prob.interval, 12)
+        kron_fun(prob, psi, xi)
+        distinct = len({p for p in psi if np.isfinite(p)})
+        # extended's mirror keeps 0 and inf, so -B's basis takes -0.0:
+        # another shift to the cache, factored once on that side.
+        assert len(seen) == distinct * (1 if pair.mirror is operator.neg else 2)
+        seen.clear()
+        list(kron_iterates(prob, pair, counts))
+        if pair.nested:  # one basis pair grown through every count
+            assert len(seen) == distinct
+        else:
+            assert len(seen) == sum(len(set(pair.first(prob.interval, c)))
+                                    for c in counts)
+
+    @pytest.mark.parametrize("name", ["laplace-kron", "eds-cauchy"])
+    def test_bit_identical_to_separate_builds(self, name):
+        prob = _one_operator_problem()
+        psi, xi = KRON_PAIRS[name].poles(prob.interval, 15)
+        _assert_same_result(kron_fun(prob, psi, xi),
+                            _separate_builds(prob, psi, xi))
+
+    def test_distinct_operator_objects_keep_their_own_caches(self,
+                                                             monkeypatch):
+        prob = _one_operator_problem()
+        op = prob.a_op
+        twin = op.diag_shifted(0.0)
+        psi = list(zolotarev_poles(prob.interval, 8))
+        seen = _count_factors(monkeypatch, op, twin)
+        apart = build_together([(op, prob.u_factor), (twin, prob.v_factor)],
+                               [psi, psi])
+        assert apart[0]._factors is not apart[1]._factors
+        assert sorted(seen) == sorted((i, p) for i in (0, 1) for p in psi)
+        seen.clear()
+        shared = build_together([(op, prob.u_factor), (op, prob.v_factor)],
+                                [psi, psi])
+        assert shared[0]._factors is shared[1]._factors
+        assert sorted(seen) == sorted((0, p) for p in psi)
+        for a, b in zip(apart, shared):
+            np.testing.assert_array_equal(a.basis, b.basis)
+
+    def test_unequal_lists_are_each_consumed_in_full(self):
+        prob = _one_operator_problem()
+        psi, xi = laplace_kron_poles(prob.interval, 6)
+        for left, right in ((psi[:4], xi), (psi, xi[:3])):
+            res = kron_fun(prob, left, right)
+            assert res.poles_left == tuple(left)
+            assert res.poles_right == tuple(right)
+            _assert_same_result(res, _separate_builds(prob, left, right))
+
+    def test_one_side_breaks_down_the_other_keeps_growing(self, monkeypatch):
+        prob = _breakdown_problem()  # one operator; closes after 2 and 3
+        psi, xi = cauchy_kron_poles(prob.interval, 5)
+        seen = _count_factors(monkeypatch, prob.a_op)
+        res = kron_fun(prob, psi, xi)
+        assert res.poles_left == tuple(psi[:2])
+        assert res.poles_right == tuple(xi[:3])
+        assert [p for _, p in seen] == list(psi[:3])
+        monkeypatch.undo()
+        _assert_same_result(res, _separate_builds(prob, psi, xi))
 
 
 class TestResiduals:

@@ -12,12 +12,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rkstieltjes import operators
+from rkstieltjes.experiments import diffusion_operator
 from rkstieltjes.operators import (
     BandedOperator,
     DenseOperator,
     DiagonalOperator,
     TridiagonalOperator,
+    toeplitz_tridiagonal,
 )
+from rkstieltjes.poles import zolotarev_poles
 from rkstieltjes.rk import exactness_check
 
 _floats = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
@@ -52,17 +55,33 @@ def spd_bands(draw, min_n=1, max_n=10):
     return ab
 
 
-def storages(ab, scale=1.0):
-    """The operator scale*A in every storage that can hold it, the most
-    specialized first and dense last."""
+def band_storages(ab, scale=1.0):
+    """The operator scale*A in every band storage that can hold it, the
+    most specialized first."""
     ab = scale * ab
     a = band_to_dense(ab)
-    ops = [BandedOperator(ab), DenseOperator(a)]
+    ops = [BandedOperator(ab)]
     if not np.tril(a, -2).any():
         ops.insert(0, TridiagonalOperator(np.diag(a), np.diag(a, -1)))
     if not np.tril(a, -1).any():
         ops.insert(0, DiagonalOperator(np.diag(a)))
     return ops
+
+
+def storages(ab, scale=1.0):
+    """The operator scale*A in every storage that can hold it, the most
+    specialized first and dense last."""
+    return band_storages(ab, scale) + [DenseOperator(band_to_dense(scale * ab))]
+
+
+_shifted_norm = BandedOperator._shifted_norm
+
+
+def _never(op, d):
+    """``BandedOperator._shifted_norm`` with the dominance bound forced
+    off: every shift takes the rcond route."""
+    anorm, c, _ = _shifted_norm(op, d)
+    return anorm, c, False
 
 
 def refuses(op, sigma) -> bool:
@@ -131,8 +150,9 @@ def test_exact_eigenvalue_is_refused_by_every_storage(ab, k):
        st.integers(0, 2**32 - 1))
 def test_tridiagonal_routes_match_dense_storage(ab, gap, k, seed):
     # Left of the spectrum A - sigma*I is SPD: the L D L^T route, which
-    # hands the shift rule the exact rcond.  On an eigenvalue it is
-    # indefinite or singular: the pivoted LU fallback.
+    # hands the shift rule the exact rcond where the dominance bound does
+    # not clear it first (forced here; these draws are all dominant).  On
+    # an eigenvalue it is indefinite or singular: the pivoted LU fallback.
     tri = TridiagonalOperator(ab[0], ab[1, :-1])
     dense = DenseOperator(band_to_dense(ab))
     w = np.linalg.eigvalsh(dense.a)
@@ -148,9 +168,11 @@ def test_tridiagonal_routes_match_dense_storage(ab, gap, k, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators, "_require_regular", spy)
+        mp.setattr(BandedOperator, "_shifted_norm", _never)
         got = tri.shifted_solve(sigma, b)
     np.testing.assert_allclose(got, dense.shifted_solve(sigma, b),
                                rtol=1e-10, atol=1e-12)
+    np.testing.assert_array_equal(tri.shifted_solve(sigma, b), got)
     exact = 1.0 / (np.linalg.norm(m, 1) * np.linalg.norm(np.linalg.inv(m), 1))
     np.testing.assert_allclose(rconds, [exact], rtol=1e-8)
     sigma = exact_eigenvalue(ab, k)
@@ -175,6 +197,89 @@ def test_scaling_keeps_accept_or_refuse(ab, k, sigma, scale):
     for s in (exact_eigenvalue(ab, k), sigma):
         for op, scaled in zip(storages(ab), storages(ab, scale)):
             assert refuses(op, s) == refuses(scaled, scale * s)
+
+
+def _dominance_spy(mp) -> list[bool]:
+    """Record whether Varah's bound cleared each factorization's shift."""
+    answers = []
+
+    def spy(op, d):
+        out = _shifted_norm(op, d)
+        answers.append(out[2])
+        return out
+
+    mp.setattr(BandedOperator, "_shifted_norm", spy)
+    return answers
+
+
+def _rcond(a, sigma) -> float:
+    m = a - sigma * np.eye(a.shape[0])
+    return 1.0 / (np.linalg.norm(m, 1) * np.linalg.norm(np.linalg.inv(m), 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spd_bands(), st.integers(0, 9), shifts | st.floats(-10.0, 40.0, **_floats),
+       st.sampled_from([1.0, 2.0**-1000, 2.0**1000]))
+def test_dominance_skip_keeps_accept_or_refuse(ab, k, sigma, scale):
+    # Skipping the rcond where Varah's bound clears it accepts and refuses
+    # the same shifts as the forced rcond route, at every scale down to the
+    # bottom of the float range, and skips only truly well-conditioned ones.
+    for s in (exact_eigenvalue(ab, k), sigma):
+        for op in band_storages(ab, scale):
+            with pytest.MonkeyPatch.context() as mp:
+                cleared = _dominance_spy(mp)
+                refused = refuses(op, scale * s)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(BandedOperator, "_shifted_norm", _never)
+                assert refuses(op, scale * s) == refused
+            if any(cleared):
+                assert _rcond(band_to_dense(ab), s) > operators._SINGULAR_TOL
+
+
+@pytest.mark.parametrize("op", [
+    TridiagonalOperator(np.full(50, 2.0), np.full(49, -1.0)),
+    BandedOperator([np.full(40, 6.0), np.full(40, -4.0), np.full(40, 1.0)]),
+], ids=["tridiagonal", "band"])
+def test_refused_shift_prints_its_rcond(op):
+    # Just left of the spectrum: SPD, pivot ratio fine, rcond below the
+    # rule's.  The text is the rcond route's (L D L^T exact, gbcon's
+    # estimate for the band) with the skip allowed or forced off.
+    w = np.linalg.eigvalsh(op.to_dense())
+    sigma = w[0] - 1e-14 * w[-1]
+    texts = []
+    for allowed in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            if not allowed:
+                mp.setattr(BandedOperator, "_shifted_norm", _never)
+            with pytest.raises(ValueError, match="near-singular") as err:
+                op.shifted_solve(sigma, np.ones(op.n))
+        texts.append(str(err.value))
+    assert texts[0] == texts[1]
+    printed = float(texts[0].rsplit(" ", 1)[1].rstrip(")"))
+    assert printed <= operators._SINGULAR_TOL
+    if isinstance(op, TridiagonalOperator):
+        assert printed == pytest.approx(_rcond(op.to_dense(), sigma), rel=0.06)
+
+
+@pytest.mark.parametrize("make", [toeplitz_tridiagonal, diffusion_operator])
+def test_dominance_skips_the_rcond_at_zolotarev_poles(make):
+    # Every Zolotarev pole of the 1-D fixtures clears Varah's bound, so no
+    # shift rule call and no rcond solve; sigma = 0 on the Laplacian, whose
+    # interior rows have margin 0, never does.
+    op = make(1500)
+    ones = np.ones(op.n)
+    poles = zolotarev_poles(op.exact_interval(), 25)
+    with pytest.MonkeyPatch.context() as mp:
+        rule_calls = []
+        mp.setattr(operators, "_require_regular",
+                   lambda *args: rule_calls.append(args))
+        cleared = _dominance_spy(mp)
+        for sigma in poles:
+            op.shifted_solve(sigma, ones)
+        assert cleared == [True] * len(poles) and rule_calls == []
+        cleared.clear()
+        toeplitz_tridiagonal(1500).shifted_solve(0.0, ones)
+        assert cleared == [False] and len(rule_calls) == 1
 
 
 @st.composite

@@ -115,7 +115,9 @@ class TestTridiagonal:
 
     @staticmethod
     def _solve_and_rule(monkeypatch, op, sigma, b):
-        """(solution, pivots, rcond): what the shift rule was given."""
+        """(solution, pivots, rcond): what the shift rule was given on the
+        rcond route, with the dominance skip forced off; the solution is
+        the same bit for bit with the skip allowed."""
         seen = []
         rule = operators._require_regular
 
@@ -123,11 +125,16 @@ class TestTridiagonal:
             seen.append((pivots, rcond))
             return rule(shift, pivots, rcond)
 
+        skipping = op.shifted_solve(sigma, b)
         monkeypatch.setattr(operators, "_require_regular", spy)
+        norm = BandedOperator._shifted_norm
+        monkeypatch.setattr(BandedOperator, "_shifted_norm",
+                            lambda op, d: (*norm(op, d)[:2], False))
         x = op.shifted_solve(sigma, b)
         np.testing.assert_allclose(
             x, np.linalg.solve(op.to_dense() - sigma * np.eye(op.n), b),
             rtol=1e-12)
+        assert x.tobytes() == skipping.tobytes()
         [(pivots, rcond)] = seen
         return x, pivots, rcond
 

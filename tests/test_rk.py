@@ -670,6 +670,45 @@ class TestIterates:
         np.testing.assert_array_equal(big.basis,
                                       rk_build(op, v, [np.inf] * 6).basis)
 
+    @pytest.mark.parametrize("strategy", ["eds-cauchy", "zolotarev", "extended"])
+    def test_seeds_on_one_operator_share_each_factorization(self, strategy,
+                                                            monkeypatch):
+        # Both seeds take the same shifts: each is factored once for both
+        # (extended's sigma = 0 once for the whole sweep), and every basis
+        # is bit-identical to a build of its own.
+        op, _, v, iv = self._setup()
+        w = np.random.default_rng(10).standard_normal(op.n)
+        s, counts = STRATEGIES[strategy], [2, 5, 9]
+        seen = []
+        factor = op._factor
+        monkeypatch.setattr(op, "_factor",
+                            lambda sigma, b: seen.append(sigma) or factor(sigma, b))
+        steps = [list(decs) for decs in grow(s, iv, counts, [(op, v), (op, w)])]
+        if s.nested:
+            assert len(seen) == len({p for p in s.first(iv, 9) if np.isfinite(p)})
+            steps, counts = steps[-1:], counts[-1:]
+        else:
+            assert len(seen) == sum(len(set(s.first(iv, c))) for c in counts)
+        monkeypatch.undo()
+        for decs, c in zip(steps, counts):
+            for dec, seed in zip(decs, (v, w)):
+                np.testing.assert_array_equal(
+                    dec.basis, rk_build(op, seed, s.first(iv, c)).basis)
+
+    def test_shared_factors_survive_one_seed_breaking_down(self):
+        # On one operator with six distinct eigenvalues, a seed on two of
+        # them closes at the second pole; the other grows to the sixth.
+        op = DiagonalOperator(np.array([1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+        short, full = np.eye(7)[0] + np.eye(7)[2], np.ones(7)
+        poles = STRATEGIES["eds-cauchy"].first((1.0, 6.0), 8)
+        decs = list(grow(STRATEGIES["eds-cauchy"], (1.0, 6.0), [8],
+                         [(op, short), (op, full)]))[-1]
+        assert [len(dec.poles_used) for dec in decs] == [2, 6]
+        assert [dec.breakdown for dec in decs] == [True, True]
+        for dec, seed in zip(decs, (short, full)):
+            np.testing.assert_array_equal(dec.basis,
+                                          rk_build(op, seed, poles).basis)
+
     def test_bad_arguments_raise_at_the_call(self):
         op, f, v, iv = self._setup()
         with pytest.raises(ValueError, match="unknown strategy"):
