@@ -144,9 +144,15 @@ def _cmd_funv(args) -> int:
         write_csv(args.out, ["ell", "est_error", "true_error", "bound"],
                   [(r.ell, r.est_error, r.true_error, r.bound)
                    for r in result.trace])
+    if result.interval_violated:
+        print(f"warning: a Ritz value lies outside the interval "
+              f"[{iv.lower:.6g}, {iv.upper:.6g}], so it does not enclose the "
+              "spectrum and no bound is certified (bound=nan where seen)",
+              file=sys.stderr)
     last = result.trace[-1]
     status = "converged" if result.converged else "stopped"
-    print(f"{status} at ell={last.ell} ({result.strategy}); "
+    print(f"{status} at ell={last.ell} ({result.strategy}, "
+          f"stop_reason={result.stop_reason}); "
           f"est_error={last.est_error:.3e} true_error={last.true_error:.3e} "
           f"bound={last.bound:.3e}")
     if args.out:

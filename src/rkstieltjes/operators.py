@@ -231,14 +231,25 @@ def _unit_scale(anorm: float) -> float:
     return 1.0 if -256 < e <= 256 else math.ldexp(1.0, min(1 - e, 1023))
 
 
-def _times(c: float, solve):
-    """B -> c * solve(B), scaling the solve's own fresh output in place."""
+def _times(c: float, solve, sigma: complex):
+    """B -> c * solve(B), scaling the solve's own fresh output in place.
+
+    The shift rule is scale invariant only down to the smallest normal
+    float, so a subnormal operator can pass it with a solution beyond the
+    float range: a scaled solve that leaves a non-finite entry raises a
+    ValueError naming sigma.  An unscaled solve (c == 1) is not checked.
+    """
     if c == 1.0:
         return solve
 
     def scaled(b):
         x = solve(b)
-        x *= c
+        with np.errstate(over="ignore"):
+            x *= c
+        if not np.isfinite(x).all():
+            raise ValueError(
+                f"shift sigma={sigma}: the solution of (A - sigma*I) x = b "
+                "overflows the float range")
         return x
     return scaled
 
@@ -357,7 +368,7 @@ class DenseOperator(HermitianOperator):
         getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), (m,))
         lu, piv, _ = getrf(m, overwrite_a=True)
         _require_regular(sigma, np.diag(lu), gecon(lu, c * anorm)[0])
-        return _times(c, lambda b: sla.lu_solve((lu, piv), b))
+        return _times(c, lambda b: sla.lu_solve((lu, piv), b), sigma)
 
     def gershgorin(self) -> SpectralInterval:
         d = np.diag(self.a)
@@ -435,7 +446,7 @@ class BandedOperator(HermitianOperator):
         lu, piv, _ = gbtrf(m, k, k, overwrite_ab=True)
         if not (dominant and _pivot_ratio(lu[2 * k]) > _SINGULAR_TOL):
             _require_regular(sigma, lu[2 * k], gbcon(k, k, lu, piv, c * anorm)[0])
-        return _times(c, lambda b: gbtrs(lu, k, k, b, piv)[0])
+        return _times(c, lambda b: gbtrs(lu, k, k, b, piv)[0], sigma)
 
     def _shifted_norm(self, d: np.ndarray) -> tuple[float, float, bool]:
         """For M = A - sigma*I with diagonal ``d``: ||M||_1, its

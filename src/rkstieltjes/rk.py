@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -39,9 +39,21 @@ __all__ = [
     "grow",
     "iterates",
     "CHECKPOINT_STRIDE",
+    "INTERVAL_SLACK",
+    "STOP_REASONS",
 ]
 
 DEFLATION_TOL = 1e-12
+
+#: A Ritz value may round past an end of a correct interval by about
+#: m * eps * ||A||; one beyond it by more than this share of the upper end
+#: proves that the interval misses the spectrum.
+INTERVAL_SLACK = 1e-10
+
+#: ``FunvResult.stop_reason`` values, and the ones that count as converged.
+STOP_REASONS = ("certified", "tol", "breakdown", "max_ell",
+                "poles_exhausted", "fixed_ell")
+_CONVERGED = frozenset({"certified", "tol", "breakdown", "fixed_ell"})
 
 #: Pole-count step between the rebuilt bases of the interval-optimal
 #: families in tolerance mode.
@@ -410,18 +422,18 @@ def rk_build(op: HermitianOperator, v: np.ndarray, poles) -> RKDecomposition:
     return build_together([(op, v)], [poles])[0]
 
 
-def _reduced_funv(dec: RKDecomposition,
-                  f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Coordinates y = Q f(L) Q* U*v (m x k) of the Galerkin iterate in the
-    basis, where U*AU = Q L Q*."""
+def _reduced_funv(dec: RKDecomposition, f: Callable[[np.ndarray], np.ndarray]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The Ritz values w, ascending, and the coordinates y = Q f(W) Q* U*v
+    (m x k) of the Galerkin iterate in the basis, where U*AU = Q W Q*."""
     w, q = np.linalg.eigh(dec.reduced_matrix())
     coeff = q.conj().T @ dec.reduced_seed()
-    return q @ (np.asarray(f(w))[:, None] * coeff)
+    return w, q @ (np.asarray(f(w))[:, None] * coeff)
 
 
 def rk_funv(dec: RKDecomposition, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Galerkin extraction x = U f(U*AU) U*v, matching the seed's shape."""
-    return dec.lift(_reduced_funv(dec, f))
+    return dec.lift(_reduced_funv(dec, f)[1])
 
 
 # -- exactness ------------------------------------------------------------
@@ -469,7 +481,7 @@ def exactness_check(op: HermitianOperator, v: np.ndarray,
     block, _ = as_block(np.asarray(v, dtype=parts[0].dtype))
 
     def reduced(f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        return _product(parts, _reduced_funv(dec, f))
+        return _product(parts, _reduced_funv(dec, f)[1])
 
     members: dict = {}
 
@@ -515,11 +527,19 @@ class FunvTraceRow:
 
 @dataclass(frozen=True)
 class FunvResult:
+    """``funv_driver``'s answer.  ``stop_reason`` says why the loop ended,
+    one of ``STOP_REASONS``; ``converged`` is true for ``certified``,
+    ``tol``, ``breakdown`` and ``fixed_ell``.  ``interval_violated`` is
+    set when a Ritz value proved the interval wrong (``INTERVAL_SLACK``);
+    those rows carry no bound."""
+
     x: np.ndarray
     trace: tuple
     converged: bool
     strategy: str
     poles_used: tuple
+    stop_reason: str | None = None
+    interval_violated: bool = False
 
     @property
     def ell(self) -> int:
@@ -591,7 +611,31 @@ def iterates(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     call.
     """
     steps = grow(get_strategy(strategy), iv, counts, [(op, v)], custom_poles)
-    return ((dec, _reduced_funv(dec, f)) for dec, in steps)
+    return ((dec, _reduced_funv(dec, f)[1]) for dec, in steps)
+
+
+def _certified_count(s: Strategy, f: StieltjesFunction, iv, vnorm: float,
+                     tol: float, max_ell: int) -> int | None:
+    """The smallest ell <= ``max_ell`` with s.bound(f, iv, ell, ||v||) <=
+    tol * f(b) * ||v||, or None when there is none, including every pair
+    whose bound is inf or nan.  A tol below eps * b/a, the rounding floor
+    of the shifted solves, gets None too: the bound holds in exact
+    arithmetic only, and at n = 2000 the errors level off near 1e-11.
+    Both certified bounds fall strictly with ell (a rate below 1 times a
+    constant that is fixed or grows like log ell), so a bisection over
+    [1, max_ell] finds it in about log2(max_ell) bound calls."""
+    target = tol * f(iv.upper) * vnorm
+    if not (tol >= np.finfo(float).eps * iv.kappa and target > 0.0
+            and s.bound(f, iv, max_ell, vnorm) <= target):
+        return None
+    lo, hi = 0, max_ell  # bound(lo) > target >= bound(hi); lo = 0 stands for none
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if s.bound(f, iv, mid, vnorm) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
@@ -601,16 +645,40 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
                 custom_poles: Sequence[complex] | None = None) -> FunvResult:
     """Approximate f(A)v to a relative tolerance or at a fixed pole count.
 
-    Exactly one of ``tol`` / ``ell`` picks the mode.  In tolerance mode the
-    error estimate is the relative distance between the current iterate and
-    the one two trace entries back; nested strategies add one pole per
-    entry, while the interval-optimal families (zolotarev/cauchy) are
-    rebuilt from scratch at pole counts ``CHECKPOINT_STRIDE``,
-    ``2 * CHECKPOINT_STRIDE``, ... (4, 8, ...), capped at ``max_ell``.
-    ``ell=`` is the same loop over the one count ``ell``: its row's
-    estimate is nan and the result is converged.  ``oracle`` (a reference
-    solution of the seed's block shape) fills the true-error column.  In
-    ``ell=`` mode a custom list shorter than ``ell`` raises ValueError.
+    Exactly one of ``tol`` / ``ell`` picks the mode.  Every run is one loop
+    over a schedule of pole counts (``_funv_loop``):
+
+    * ``ell=`` runs the one count ``ell``: its row's estimate is nan and
+      the result is converged (``stop_reason`` ``fixed_ell``).  A custom
+      list shorter than ``ell`` raises ValueError.
+    * ``tol=`` on an interval-optimal family (zolotarev/cauchy) whose bound
+      is finite for f first runs the one count ell*, the smallest
+      ell <= ``max_ell`` with bound(ell) <= tol * f(b) * ||v||.  Every
+      Stieltjes f is positive and decreasing, so ||f(A)v|| >= f(b) ||v||
+      when the spectrum lies in [a, b]: one build certifies a relative
+      error <= tol, and ``stop_reason`` is ``certified``.  The bound holds
+      in exact arithmetic, so a tol below eps * b/a, the rounding floor of
+      the shifted solves, is not certified.  If a Ritz value of the build
+      lies outside the interval (``INTERVAL_SLACK``), the certificate is
+      void: the run falls through to the checkpoint loop below, with
+      ``interval_violated`` set.
+    * Otherwise ``tol=`` stops on an estimate: the relative distance
+      between the current iterate and the one two trace entries back.
+      Nested strategies add one pole per entry; the interval-optimal
+      families are rebuilt from scratch at pole counts
+      ``CHECKPOINT_STRIDE``, ``2 * CHECKPOINT_STRIDE``, ... (4, 8, ...),
+      capped at ``max_ell``.  This covers the pairs without a certificate
+      (zolotarev on an f with f(0+) = inf, cauchy on an f that is not
+      Cauchy-Stieltjes), ell* > ``max_ell``, a tol below the floor and
+      every nested family (the EDS bound column is a reference curve, not
+      a certificate).  It ends with ``tol``, ``breakdown`` (an invariant
+      subspace: the iterate is exact), ``max_ell`` or ``poles_exhausted``
+      (a custom list ran out).
+
+    Every row checks the Ritz values of its basis against the interval;
+    a row whose check trips carries bound nan and sets
+    ``interval_violated``.  ``oracle`` (a reference solution of the seed's
+    block shape) fills the true-error column.
 
     Nested strategies compute the estimate in reduced coordinates: with
     x_k = U y_k and U orthonormal, ||x_k - x_(k-2)|| = ||y_k - [y_(k-2); 0]||
@@ -627,34 +695,58 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     iv = positive_interval(interval)
     s = get_strategy(strategy)
     if ell is not None:  # named for ell, in the words of grow's check
-        counts = [count(ell, "ell: pole counts")]
-    elif s.nested:
-        counts = range(1, max_ell + 1)
-    else:
-        counts = [*range(CHECKPOINT_STRIDE, max_ell, CHECKPOINT_STRIDE), max_ell]
-    if ell is not None and s.name == "custom" and len(custom_poles or ()) < ell:
-        raise ValueError(f"ell={ell} needs at least {ell} custom poles, "
-                         f"got {len(custom_poles or ())}")
+        ell = count(ell, "ell: pole counts")
+        if s.name == "custom" and len(custom_poles or ()) < ell:
+            raise ValueError(f"ell={ell} needs at least {ell} custom poles, "
+                             f"got {len(custom_poles or ())}")
     if oracle is not None:  # compared as blocks: (n,) and (n, 1) agree
         oracle, want = np.asarray(oracle), as_block(v)[0].shape
         if oracle.ndim not in (1, 2) or as_block(oracle)[0].shape != want:
             raise ValueError(f"oracle has shape {oracle.shape}, not the "
                              f"seed's block shape {want}")
         oracle = as_block(oracle)[0]
-    steps = iterates(op, f, v, strategy, iv, counts, custom_poles)
-
     vnorm = float(np.linalg.norm(v))
+
+    def loop(counts, **stop) -> FunvResult:
+        return _funv_loop(op, f, v, s, iv, vnorm, counts, oracle,
+                          custom_poles, **stop)
+
+    if ell is not None:
+        return loop([ell], fixed="fixed_ell")
+    if s.nested:
+        return loop(range(1, max_ell + 1), tol=tol)
+    ell_star = _certified_count(s, f, iv, vnorm, tol, max_ell)
+    if ell_star is not None:
+        res = loop([ell_star], fixed="certified")
+        if not res.interval_violated:
+            return res
+    res = loop([*range(CHECKPOINT_STRIDE, max_ell, CHECKPOINT_STRIDE), max_ell],
+               tol=tol)
+    # A void certificate is reported even if no checkpoint trips.
+    return res if ell_star is None else replace(res, interval_violated=True)
+
+
+def _funv_loop(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
+               s: Strategy, iv, vnorm: float, counts, oracle, custom_poles,
+               tol: float | None = None, fixed: str | None = None
+               ) -> FunvResult:
+    """``funv_driver``'s one loop over the increasing pole ``counts``: it
+    stops at the first row with an estimate <= ``tol``, or, when ``fixed``
+    names the stop reason of a one-count schedule, at that row."""
+    steps = grow(s, iv, counts, [(op, v)], custom_poles)
     trace: list[FunvTraceRow] = []
     recent: list[np.ndarray] = []  # the last two iterates
+    violated, slack = False, INTERVAL_SLACK * iv.upper
     # Nested iterates share one basis and are compared in reduced
     # coordinates; each rebuilt family's checkpoint has its own basis, so
     # those iterates are compared lifted.  An iterate two back with fewer
     # rows is zero-padded.
-    for dec, y in steps:
+    for dec, in steps:
+        w, y = _reduced_funv(dec, f)
         x = dec.lift(y) if oracle is not None or not s.nested else None
         z = y if s.nested else x
-        if len(recent) < 2:  # nothing two back; an ell= run has one step
-            est = math.inf if ell is None else math.nan
+        if len(recent) < 2:  # nothing two back; a one-count run has one step
+            est = math.nan if fixed else math.inf
         else:
             r = recent[0].shape[0]
             num = math.hypot(float(np.linalg.norm(z[:r] - recent[0])),
@@ -663,13 +755,21 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
             est = num / den if den > 0.0 else 0.0
         recent = [*recent[-1:], z]
         used = len(dec.poles_used)
+        # Ritz values lie in [lambda_min, lambda_max]: one beyond the
+        # interval by more than the rounding slack proves it wrong.
+        outside = bool(w[0] < iv.lower - slack or w[-1] > iv.upper + slack)
+        violated = violated or outside
         trace.append(FunvTraceRow(
             used, est,
             math.nan if oracle is None else _rel_err(as_block(x)[0], oracle),
-            strategy_bound(strategy, f, iv, used, vnorm)))
-        converged = ell is not None or dec.breakdown or est <= tol
-        if converged:
+            math.nan if outside else strategy_bound(s.name, f, iv, used, vnorm)))
+        reason = ("breakdown" if dec.breakdown
+                  else fixed or ("tol" if est <= tol else None))
+        if reason:
             break
+    else:  # the schedule ran out before a stop
+        reason = "poles_exhausted" if used < counts[-1] else "max_ell"
     x = dec.lift(recent[-1]) if s.nested else recent[-1]
-    return FunvResult(x=x, trace=tuple(trace), converged=converged,
-                      strategy=strategy, poles_used=tuple(dec.poles_used))
+    return FunvResult(x=x, trace=tuple(trace), converged=reason in _CONVERGED,
+                      strategy=s.name, poles_used=tuple(dec.poles_used),
+                      stop_reason=reason, interval_violated=violated)

@@ -43,6 +43,31 @@ class TestFunv:
                    "--max-ell", "3"])
         assert rc != 0
 
+    @pytest.mark.parametrize("mode, reason", [
+        (["--poles", "cauchy", "--tol", "1e-8"], "certified"),
+        (["--poles", "eds-cauchy", "--tol", "1e-8"], "tol"),
+        (["--poles", "polynomial", "--tol", "1e-8", "--max-ell", "3"], "max_ell"),
+        (["--poles", "cauchy", "--ell", "5"], "fixed_ell"),
+    ])
+    def test_status_line_names_the_stop_reason(self, mode, reason, capsys):
+        main(["funv", "--matrix", "tridiag:200", "--function", "power:-0.5",
+              *mode])
+        out, err = capsys.readouterr()
+        assert f"stop_reason={reason});" in out and err == ""
+
+    def test_wrong_interval_warns_and_prints_no_bound(self, tmp_path, capsys):
+        # The spectrum reaches down to 2.4e-4, below the claimed 1.
+        vec = tmp_path / "v.txt"
+        np.savetxt(vec, np.random.default_rng(7).standard_normal(200))
+        for mode in (["--ell", "8"], ["--tol", "1e-6"]):
+            rc = main(["funv", "--matrix", "tridiag:200", "--function",
+                       "power:-0.5", "--poles", "cauchy", "--interval", "1,4",
+                       "--vector", str(vec), *mode])
+            assert rc == 0
+            out, err = capsys.readouterr()
+            assert "bound=nan" in out and "stop_reason=certified" not in out
+            assert "warning: a Ritz value lies outside the interval [1, 4]" in err
+
     def test_shift_enables_bound(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         rc = main(["funv", "--matrix", "diffusion:64", "--function",

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -455,6 +456,24 @@ class TestShiftRule:
         op = DiagonalOperator([1e-20, 2e-20, 3e-20])
         np.testing.assert_allclose(op.shifted_solve(-1e-20, np.ones(3)),
                                    [5e19, 1e20 / 3, 2.5e19], rtol=1e-15)
+
+    def test_overflowing_scaled_solve_names_the_shift(self):
+        # A subnormal band passes the shift rule, which is scale invariant
+        # only down to the smallest normal float, but its solution lies
+        # beyond the float range: the scaled solve refuses it by name.
+        unit = BandedOperator([[3, 3, 3, 3], [1, 1, 1, 0], [0.5, 0.5, 0, 0]])
+        t = 2.0 ** -1070  # every entry below is a subnormal held exactly
+        band, sigma = BandedOperator(t * unit.ab), -0.5 * t
+        for op in (band, DenseOperator(band.to_dense())):
+            with pytest.raises(ValueError, match=re.escape(f"sigma={sigma}")):
+                op.shifted_solve(sigma, np.ones(4))
+        # A right-hand side that keeps the solution in range still solves.
+        np.testing.assert_allclose(band.shifted_solve(sigma, np.full(4, 2.0 ** -1000)),
+                                   2.0 ** 70 * unit.shifted_solve(-0.5, np.ones(4)),
+                                   rtol=1e-13)
+        # An unscaled solve is returned as it is: no check, no wrapper.
+        solve = np.negative
+        assert operators._times(1.0, solve, sigma) is solve
 
     def test_zero_imaginary_part_is_real(self):
         b = np.ones(8)

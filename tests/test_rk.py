@@ -1,11 +1,18 @@
 """Rational Krylov core: basis invariants, exactness, drivers."""
+import dataclasses
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rkstieltjes import rk
 from rkstieltjes.experiments import (
+    _eig_fixtures,
+    diffusion_operator,
     emit_bounds,
     solutions_1d,
     timed_sweep,
@@ -30,6 +37,7 @@ from rkstieltjes.poles import (
 from rkstieltjes.rk import (
     CHECKPOINT_STRIDE,
     CHUNK_MIN_COLS,
+    STOP_REASONS,
     RKDecomposition,
     exactness_check,
     funv_driver,
@@ -441,7 +449,12 @@ class TestDrivers:
     @pytest.mark.parametrize("strategy, mode, with_oracle", [
         pytest.param("extended", {"tol": 1e-4}, False, id="extended"),
         pytest.param("eds-cauchy", {"tol": 1e-4}, False, id="eds-cauchy"),
+        # z^-1/2 is Cauchy-Stieltjes, so cauchy certifies it: one build.
         pytest.param("cauchy", {"tol": 1e-4}, False, id="cauchy"),
+        pytest.param("cauchy", {"tol": 1e-6}, True, id="cauchy-oracle"),
+        # f(0+) = inf leaves zolotarev without a certificate: the
+        # checkpoint loop.
+        pytest.param("zolotarev", {"tol": 1e-4}, False, id="zolotarev"),
         pytest.param("zolotarev", {"ell": 12}, False, id="zolotarev-ell"),
         pytest.param("extended", {"tol": 1e-4}, True, id="extended-oracle"),
     ])
@@ -457,8 +470,17 @@ class TestDrivers:
                           oracle=ref, **mode)
         s = STRATEGIES[strategy]
         tol = mode.get("tol")
+        vnorm = np.linalg.norm(v)
+        one_count = tol is None or strategy == "cauchy"
+        assert res.stop_reason == ("fixed_ell" if tol is None else
+                                   "certified" if one_count else "tol")
         if tol is None:
             assert [row.ell for row in res.trace] == [mode["ell"]]
+        elif one_count:  # the smallest count whose bound certifies tol
+            target = tol * f(iv.upper) * vnorm
+            ell_star = next(k for k in range(1, 61)
+                            if s.bound(f, iv, k, vnorm) <= target)
+            assert [row.ell for row in res.trace] == [ell_star]
         else:
             step = 1 if s.nested else CHECKPOINT_STRIDE
             assert len(res.trace) >= 4
@@ -470,21 +492,21 @@ class TestDrivers:
             if k >= 2:
                 want = np.linalg.norm(xs[k] - xs[k - 2]) / np.linalg.norm(xs[k])
                 assert row.est_error == pytest.approx(want, rel=1e-10)
-            else:  # nothing two back; an ell= run has one row
+            else:  # nothing two back; a one-count run has one row
                 np.testing.assert_equal(row.est_error,
-                                        math.inf if tol else math.nan)
+                                        math.nan if one_count else math.inf)
             if ref is None:
                 assert math.isnan(row.true_error)
             else:
                 want = np.linalg.norm(xs[k] - ref) / np.linalg.norm(ref)
                 assert row.true_error == pytest.approx(want, rel=1e-8)
-            np.testing.assert_equal(
-                row.bound, s.bound(f, iv, row.ell, np.linalg.norm(v)))
+                assert tol is None or not one_count or row.true_error <= tol
+            np.testing.assert_equal(row.bound, s.bound(f, iv, row.ell, vnorm))
         # Converged at the first estimate within tol, and only there.
         ests = [row.est_error for row in res.trace]
-        assert res.converged
-        assert tol is None or (ests[-1] <= tol
-                               and all(e > tol for e in ests[:-1]))
+        assert res.converged and not res.interval_violated
+        assert one_count or (ests[-1] <= tol
+                             and all(e > tol for e in ests[:-1]))
         np.testing.assert_allclose(res.x, xs[-1], rtol=0,
                                    atol=1e-13 * np.linalg.norm(xs[-1]))
 
@@ -546,6 +568,222 @@ class TestDrivers:
         iv = spectral_interval(op, mode="exact-small")
         with pytest.raises(ValueError):
             funv_driver(op, f, v, iv, strategy="chebyshev", ell=3)
+
+
+def _mix_fixtures(n=300):
+    """Toeplitz, diffusion and gapped operators with their intervals."""
+    ops = {"toeplitz": _tridiag_op(n), "diffusion": diffusion_operator(n),
+           "gapped": DiagonalOperator(_eig_fixtures(n)["gapped"])}
+    return {k: (op, spectral_interval(op)) for k, op in ops.items()}
+
+
+_CERTIFIED = [  # (strategy, catalog function): a finite bound for every f
+    ("zolotarev", ("phi", 1)), ("zolotarev", ("phi", 3)),
+    ("zolotarev", ("log1p_over_z",)),
+    ("zolotarev", ("rational", np.array([1.0, 2.0]), np.array([-0.5, -3.0]))),
+    ("cauchy", ("power", -0.5)), ("cauchy", ("power", -0.8)),
+    ("cauchy", ("inverse",)), ("cauchy", ("log1p_over_z",)),
+    ("cauchy", ("one_minus_exp_sqrt_over_z",)),
+]
+_UNCERTIFIED = [  # f(0+) = inf, f not Cauchy-Stieltjes, or a nested family
+    ("zolotarev", ("power", -0.5)), ("zolotarev", ("inverse",)),
+    ("zolotarev", ("lambertw_scaled",)), ("cauchy", ("phi", 1)),
+    ("cauchy", ("lambertw_scaled",)), ("eds-laplace", ("phi", 1)),
+    ("eds-cauchy", ("power", -0.5)),
+]
+
+
+def _pair_id(pair):
+    return f"{pair[0]}-{pair[1][0]}"
+
+
+def _checkpoint_loop(monkeypatch, *args, **kwargs):
+    """funv_driver with the certified schedule switched off."""
+    with monkeypatch.context() as mp:
+        mp.setattr(rk, "_certified_count", lambda *a: None)
+        return funv_driver(*args, **kwargs)
+
+
+def _assert_same_result(got, want):
+    assert got.x.tobytes() == want.x.tobytes()
+    np.testing.assert_equal([dataclasses.astuple(r) for r in got.trace],
+                            [dataclasses.astuple(r) for r in want.trace])
+    assert got.poles_used == want.poles_used
+    assert (got.converged, got.stop_reason) == (want.converged, want.stop_reason)
+
+
+class TestCertifiedTolerance:
+    """Tolerance mode on an interval-optimal family with a finite bound:
+    one build at the smallest certifying count ell*."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    @pytest.mark.parametrize("pair", _CERTIFIED, ids=_pair_id)
+    def test_certified_pairs_meet_tol_with_one_build(self, pair, tol,
+                                                     monkeypatch):
+        strategy, spec = pair
+        f = catalog_function(*spec)
+        builds = []
+        init = RKDecomposition.__init__
+        monkeypatch.setattr(RKDecomposition, "__init__",
+                            lambda dec, *a: builds.append(1) or init(dec, *a))
+        for name, (op, iv) in _mix_fixtures().items():
+            v = np.random.default_rng(11).standard_normal(op.n)
+            builds.clear()
+            res = funv_driver(op, f, v, iv, strategy=strategy, tol=tol,
+                              max_ell=160)
+            ref = oracle_funv(op, f, v)
+            err = np.linalg.norm(res.x - ref) / np.linalg.norm(ref)
+            assert (res.stop_reason, res.converged) == ("certified", True), name
+            assert len(builds) == 1 and len(res.trace) == 1, name
+            assert err <= tol, name
+            [row] = res.trace
+            assert math.isnan(row.est_error) and not res.interval_violated
+            assert row.bound <= tol * f(iv.upper) * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("pair", _UNCERTIFIED, ids=_pair_id)
+    def test_uncertified_pairs_keep_the_checkpoint_loop(self, pair,
+                                                        monkeypatch):
+        strategy, spec = pair
+        f = catalog_function(*spec)
+        for name, (op, iv) in _mix_fixtures(200).items():
+            v = np.random.default_rng(12).standard_normal(op.n)
+            args = (op, f, v, iv)
+            kwargs = dict(strategy=strategy, tol=1e-8, max_ell=60)
+            res = funv_driver(*args, **kwargs)
+            assert res.stop_reason in ("tol", "max_ell"), name
+            _assert_same_result(res, _checkpoint_loop(monkeypatch, *args,
+                                                      **kwargs))
+
+    def test_ell_star_beyond_max_ell_falls_back(self, monkeypatch):
+        op, iv = _mix_fixtures(200)["toeplitz"]
+        f = catalog_function("power", -0.5)
+        v = np.random.default_rng(13).standard_normal(op.n)
+        s = STRATEGIES["cauchy"]
+        target = 1e-10 * f(iv.upper) * np.linalg.norm(v)
+        assert s.bound(f, iv, 20, np.linalg.norm(v)) > target
+        args, kwargs = (op, f, v, iv), dict(strategy="cauchy", tol=1e-10,
+                                            max_ell=20)
+        res = funv_driver(*args, **kwargs)
+        assert [row.ell for row in res.trace] == [4, 8, 12, 16, 20]
+        _assert_same_result(res, _checkpoint_loop(monkeypatch, *args, **kwargs))
+
+    def test_tol_below_the_rounding_floor_is_not_certified(self, monkeypatch):
+        # Toeplitz n = 2000: eps * b/a = 3.6e-10.  The bound reaches tol
+        # 1e-13 at ell* <= 80, but the error of that build levels off near
+        # 1e-11, so a tol below the floor takes the checkpoint loop.
+        op = _tridiag_op(2000)
+        iv = spectral_interval(op)
+        f = catalog_function("power", -0.5)
+        v = np.random.default_rng(13).standard_normal(op.n)
+        ref = oracle_funv(op, f, v)
+        s, tol = STRATEGIES["cauchy"], 1e-13
+        target = tol * f(iv.upper) * np.linalg.norm(v)
+        ell_star = next(k for k in range(1, 81)
+                        if s.bound(f, iv, k, np.linalg.norm(v)) <= target)
+        x = rk_funv(rk_build(op, v, s.first(iv, ell_star)), f)
+        assert np.linalg.norm(x - ref) / np.linalg.norm(ref) > 10 * tol
+        args, kwargs = (op, f, v, iv), dict(strategy="cauchy", tol=tol,
+                                            max_ell=80)
+        res = funv_driver(*args, **kwargs)
+        assert res.stop_reason == "max_ell" and not res.converged
+        _assert_same_result(res, _checkpoint_loop(monkeypatch, *args, **kwargs))
+
+    @pytest.mark.parametrize("interval", [
+        (2.5e-6, 4.0), (1e-2, 1.6e4), (1e-3, 1e3), (1.0, 4.0), (1e-12, 1.0),
+        (1.0, 1.0 + 1e-9), (3.0, 3.0),
+    ])
+    def test_ell_star_is_the_smallest_certifying_count(self, interval):
+        iv = SpectralInterval(*interval)
+        for strategy, spec in _CERTIFIED + _UNCERTIFIED:
+            s, f = STRATEGIES[strategy], catalog_function(*spec)
+            if s.nested:
+                continue
+            for tol, max_ell in itertools.product([1e-1, 1e-6, 1e-12],
+                                                  [1, 7, 40, 400]):
+                target = tol * f(iv.upper) * 2.0
+                scan = next((k for k in range(1, max_ell + 1)
+                             if s.bound(f, iv, k, 2.0) <= target), None)
+                if tol < np.finfo(float).eps * iv.kappa:  # the rounding floor
+                    scan = None
+                assert rk._certified_count(s, f, iv, 2.0, tol, max_ell) == scan
+
+    def test_wrong_interval_prints_no_bound_and_falls_back(self, monkeypatch):
+        # The spectrum of tridiag(-1, 2, -1) at n = 200 reaches down to
+        # 2.4e-4, far below the claimed lower end 1: the smallest Ritz value
+        # proves the interval wrong from the first pole on.
+        op = _tridiag_op(200)
+        f = catalog_function("power", -0.5)
+        v = np.random.default_rng(7).standard_normal(200)
+        ref = oracle_funv(op, f, v)
+        res = funv_driver(op, f, v, (1.0, 4.0), strategy="cauchy", ell=8)
+        assert res.interval_violated and res.stop_reason == "fixed_ell"
+        assert math.isnan(res.trace[-1].bound)
+        assert np.linalg.norm(res.x - ref) / np.linalg.norm(ref) > 0.1
+        args, kwargs = (op, f, v, (1.0, 4.0)), dict(strategy="cauchy",
+                                                    tol=1e-6)
+        res = funv_driver(*args, **kwargs)
+        assert res.interval_violated and res.stop_reason != "certified"
+        assert all(math.isnan(row.bound) for row in res.trace)
+        assert len(res.trace) > 1  # the checkpoint loop ran
+        _assert_same_result(res, _checkpoint_loop(monkeypatch, *args, **kwargs))
+
+    def test_right_intervals_never_trip(self):
+        f = catalog_function("power", -0.5)
+        for name, (op, iv) in _mix_fixtures().items():
+            v = np.random.default_rng(14).standard_normal(op.n)
+            for strategy in STRATEGIES:
+                if strategy == "custom":
+                    continue
+                res = funv_driver(op, f, v, iv, strategy=strategy, tol=1e-14,
+                                  max_ell=60)
+                assert not res.interval_violated, (name, strategy)
+
+
+class TestStopReason:
+    @settings(max_examples=60, deadline=None)
+    @given(strategy=st.sampled_from(list(STRATEGIES)),
+           spec=st.sampled_from([("phi", 1), ("power", -0.5), ("inverse",)]),
+           breaks=st.booleans(), ell=st.none() | st.integers(1, 12),
+           tol=st.sampled_from([1e-2, 1e-5, 1e-9, 1e-13]),
+           max_ell=st.integers(1, 30), n_custom=st.integers(1, 8))
+    @example(strategy="cauchy", spec=("power", -0.5), breaks=False, ell=None,
+             tol=1e-5, max_ell=30, n_custom=1)  # certified
+    @example(strategy="custom", spec=("inverse",), breaks=False, ell=None,
+             tol=1e-13, max_ell=30, n_custom=3)  # poles_exhausted
+    def test_reason_agrees_with_trace_and_converged(self, strategy, spec,
+                                                    breaks, ell, tol, max_ell,
+                                                    n_custom):
+        # Three distinct eigenvalues close every space at the third pole.
+        d = np.repeat([1.0, 2.0, 4.0], 8) if breaks else np.linspace(1.0, 4.0, 24)
+        op, f = DiagonalOperator(d), catalog_function(*spec)
+        v = np.random.default_rng(15).standard_normal(24)
+        custom = list(-np.arange(1.0, n_custom + 1.0))
+        if ell is not None and strategy == "custom":
+            ell = min(ell, n_custom)
+        mode = {"ell": ell} if ell is not None else {"tol": tol}
+        res = funv_driver(op, f, v, (1.0, 4.0), strategy=strategy,
+                          max_ell=max_ell, custom_poles=custom, **mode)
+        ells = [row.ell for row in res.trace]
+        last = res.trace[-1]
+        assert ells == sorted(set(ells)) and ells[-1] == len(res.poles_used)
+        assert res.stop_reason in STOP_REASONS and not res.interval_violated
+        assert res.converged == (res.stop_reason in (
+            "certified", "tol", "breakdown", "fixed_ell"))
+        if res.stop_reason == "fixed_ell":
+            assert ells == [ell] and math.isnan(last.est_error)
+        elif res.stop_reason == "certified":
+            assert len(ells) == 1 and math.isnan(last.est_error)
+            assert last.bound <= tol * f(4.0) * np.linalg.norm(v)
+        elif res.stop_reason == "tol":
+            assert last.est_error <= tol
+        elif res.stop_reason == "breakdown":
+            assert breaks and ells[-1] <= 3
+        elif res.stop_reason == "max_ell":
+            assert ells[-1] == max_ell and last.est_error > tol
+        else:  # poles_exhausted: the custom list ran out
+            assert strategy == "custom" and ells[-1] == n_custom < max_ell
+        if ell is None and res.stop_reason != "certified":
+            assert all(row.est_error > tol for row in res.trace[:-1])
 
 
 class TestErrorSweep:
