@@ -37,20 +37,19 @@ try L D L^T without pivoting (``pttrf``/``pttrs``), which succeeds exactly
 when A - sigma*I is SPD, as it is for a positive definite A and every
 finite pole of the Stieltjes families (real and <= 0).
 
-Factor cache: ``shifted_solve(sigma, rhs, factors=d)`` keeps the
-factorization of A - sigma*I (LU, band LU, tridiagonal L D L^T, or the
-shifted diagonal) in the caller's dict ``d``, keyed by sigma (0.0
-apart from -0.0) and the dtype of the solve, and on a later call with the
-same sigma runs only the triangular solves, so the result is bit-identical
-to a fresh solve.  The caller owns the dict and uses it with one operator
-only; each ``RKDecomposition`` keeps one, shared by decompositions on one
-operator object that take the same shifts (``rk.build_together``), so the
-operator itself holds no state and may be shared between threads.  The
-dict keeps only the last factor, and a miss drops it before factoring,
-because a dense factor costs n^2 numbers; the only repeated finite pole,
-extended Krylov's sigma = 0, needs no more.  The shift rule runs with the
-factorization, and a refused sigma raises before anything is stored, so it
-raises on every use.
+Factor cache: each operator keeps its last factorization of A - sigma*I
+(LU, band LU, tridiagonal L D L^T, or the shifted diagonal) as one
+``(key, solve)`` entry, keyed by sigma (0.0 apart from -0.0) and the dtype
+of the solve.  A ``shifted_solve`` with that key, in this call or a later
+one, runs only the triangular solves, bit-identical to a fresh solve.  A
+miss drops the entry before it factors, so an operator holds at most one
+factorization: n numbers for diagonal storage, 2n for a tridiagonal
+L D L^T, (3k + 1) n for a band LU, n^2 for dense.  A refused sigma raises
+before anything is stored, so it raises on every use.  Threads may share
+an operator: the entry is swapped in one assignment and every solve
+allocates its own output, so two misses at once may both factor but never
+return a wrong result.  Copies and pickles start without the entry
+(``__getstate__``), and the stored matrix is read-only, in them too.
 
 MatrixMarket files (array or coordinate) and dense arrays share one storage
 picker: square, ||A - A^T||_F <= ``_SYM_TOL`` ||A||_F, and the bandwidth k
@@ -197,29 +196,11 @@ def _require_regular(sigma: complex, pivots: np.ndarray, rcond: float = 1.0) -> 
         )
 
 
-def _solver(op: "HermitianOperator", sigma: complex, block: np.ndarray,
-            factors: dict | None):
-    """``op._factor(sigma, block)``, taken from or stored in ``factors``.
-
-    The key tells 0.0 from -0.0 and carries the block's dtype, which picks
-    the tridiagonal and band LAPACK routines, so a hit repeats the fresh solve bit
-    for bit.  A refused sigma raises in ``_factor``, before the store.
-    """
-    if factors is None:
-        return op._factor(sigma, block)
-    key = (sigma, math.copysign(1.0, sigma.real), block.dtype.char)
-    solve = factors.get(key)
-    if solve is None:
-        factors.clear()  # at most one factor alive, even while factoring
-        solve = factors[key] = op._factor(sigma, block)
-    return solve
-
-
 def _unit_scale(anorm: float) -> float:
     """1.0 for a norm within 2^+-256; else the power of two c with c * anorm
     in [1, 2) (capped at 2^1023).
 
-    The LU routes factor c (A - sigma*I) and scale its solves by c; the
+    The LU routes factor c (A - sigma*I) and scale by c (``_times``); the
     tridiagonal L D L^T route solves for ones / c to get its exact rcond.
     Either way LAPACK works on numbers far from both ends of the float
     range, where unscaled condition estimators return 0 for an inverse near
@@ -232,20 +213,29 @@ def _unit_scale(anorm: float) -> float:
 
 
 def _times(c: float, solve, sigma: complex):
-    """B -> c * solve(B), scaling the solve's own fresh output in place.
+    """B -> (A - sigma*I)^-1 B, given ``solve`` for c (A - sigma*I).
 
-    The shift rule is scale invariant only down to the smallest normal
-    float, so a subnormal operator can pass it with a solution beyond the
-    float range: a scaled solve that leaves a non-finite entry raises a
-    ValueError naming sigma.  An unscaled solve (c == 1) is not checked.
+    A small operator (c > 1) solves against c * B, whose solution is the
+    answer itself; a large one (c < 1) solves against B and scales the
+    solution by c.  So no LAPACK intermediate is much smaller than B or the
+    answer, and the powers of two are exact.  The shift rule is scale
+    invariant only down to the smallest normal float, so a subnormal
+    operator can pass it with a solution beyond the float range: a scaled
+    solve that leaves a non-finite entry raises a ValueError naming sigma.
+    An unscaled solve (c == 1) is returned as it is.
     """
     if c == 1.0:
         return solve
 
     def scaled(b):
-        x = solve(b)
         with np.errstate(over="ignore"):
-            x *= c
+            if c > 1.0:
+                x = c * b
+                if np.isfinite(x).all():
+                    x = solve(x)
+            else:
+                x = solve(b)
+                x *= c
         if not np.isfinite(x).all():
             raise ValueError(
                 f"shift sigma={sigma}: the solution of (A - sigma*I) x = b "
@@ -271,31 +261,54 @@ def _require_symmetric(a, name: str) -> None:
 class HermitianOperator:
     """Base class; concrete storage lives in the subclasses."""
 
+    #: ``(key, solve)`` of the last factorization (module doc), or None.
+    _last_factor = None
+
     def __init__(self, n: int):
         self.n = int(n)
+
+    def __getstate__(self) -> dict:
+        # A solve is a closure: copies and pickles start without one.
+        state = self.__dict__.copy()
+        state.pop("_last_factor", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled and deep-copied arrays come back writable.
+        self.__dict__.update(state)
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     # -- mandatory interface -------------------------------------------------
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def shifted_solve(self, sigma: complex, rhs: np.ndarray,
-                      factors: dict | None = None) -> np.ndarray:
+    def shifted_solve(self, sigma: complex, rhs: np.ndarray) -> np.ndarray:
         """Solve (A - sigma*I) x = rhs; sigma == inf returns rhs unchanged
         and a near-singular sigma raises ValueError (see the module doc).
 
-        ``factors`` is the caller's factor cache for this operator (see the
-        module doc): a dict, empty at first, that keeps the last
-        factorization, or None to factor afresh.  A refused sigma is never
-        stored.  A zero-width block still runs the shift rule and returns
-        an (n, 0) array without a LAPACK call.  Each storage lists this
-        method in its own class dict, where a profiler can wrap it per
-        storage.
+        The factorization is the operator's last one when its key matches,
+        else a fresh one that replaces it (the factor cache of the module
+        doc); a refused sigma is never stored.  A zero-width block still
+        runs the shift rule and returns an (n, 0) array without a LAPACK
+        call.  Each storage lists this method in its own class dict, where
+        a profiler can wrap it per storage.
         """
         sigma, (block, was_1d) = as_pole(sigma), as_block(rhs)
         if np.isinf(sigma):
             return _restore(block.copy(), was_1d)
-        solve = _solver(self, sigma, block, factors)
+        # The key tells 0.0 from -0.0 and carries the block's dtype, which
+        # picks the tridiagonal and band LAPACK routines.
+        key = (sigma, math.copysign(1.0, sigma.real), block.dtype.char)
+        entry = self._last_factor
+        if entry is not None and entry[0] == key:
+            solve = entry[1]
+        else:
+            self._last_factor = None  # at most one alive, even while factoring
+            solve = self._factor(sigma, block)
+            self._last_factor = key, solve
         if block.shape[1] == 0:  # no LAPACK solve on an empty right-hand side
             return np.empty(block.shape,
                             np.result_type(block, np.float64, sigma))
@@ -345,13 +358,15 @@ def _enclose(lo: float, hi: float) -> SpectralInterval:
 
 
 class DenseOperator(HermitianOperator):
-    """Dense symmetric storage, O(n^2) matvec, LU-based shifted solves."""
+    """Dense symmetric storage, O(n^2) matvec, LU-based shifted solves.
+    The stored ``a`` is read-only."""
 
     def __init__(self, a: np.ndarray):
         a = finite(np.asarray(a, dtype=float), "matrix")
         _require_symmetric(a, "matrix")
         super().__init__(a.shape[0])
         self.a = 0.5 * (a + a.T)  # store an exactly symmetric copy
+        self.a.flags.writeable = False  # the cached factorization stays valid
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.a @ x

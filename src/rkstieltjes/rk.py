@@ -180,9 +180,6 @@ class RKDecomposition:
         self._block_sizes: list[int] = []
         self.poles_used: list[complex] = []
         self.breakdown = False
-        # shifted_solve's cache; ``_extend_together`` shares one between
-        # bases on one operator object that take the same shifts.
-        self._factors: dict = {}
 
         self._seed_cache = block.astype(dtype, copy=True)
         self._append_block(self._seed_cache.copy(order="F"))
@@ -358,8 +355,7 @@ class RKDecomposition:
                 cand = self._a_last
                 coeffs = self._h[:, self._m - self._block_sizes[-1]:]
             else:
-                cand = self.op.shifted_solve(sigma, self.last_block,
-                                             factors=self._factors)
+                cand = self.op.shifted_solve(sigma, self.last_block)
                 coeffs = None
             kept = self._append_block(np.asarray(cand, dtype=self._chunks[-1].dtype),
                                       coeffs)
@@ -372,47 +368,47 @@ class RKDecomposition:
 def _extend_together(decs: Sequence[RKDecomposition],
                      pole_lists: Sequence[Iterable[complex]]) -> None:
     """Extend each unbroken decomposition of ``decs`` by its own list of
-    ``pole_lists`` in lock-step, one pole each in turn, after reserving
-    room for each whole list: the one routine that grows several bases.
+    ``pole_lists``: the one routine that grows several bases.
 
-    Those that ask the factor cache for the same keys (one operator
-    object, one basis dtype, the same shifts) share one factor dict, so
-    each shift is factored once for all of them; any other keeps its own,
-    since the keep-last cache would refactor at every step on two shift
-    sequences.  A lone basis takes its list in one ``extend`` call.
+    Each operator keeps its last factorization (``operators`` module doc).
+    Bases on one operator object with one basis dtype and bitwise equal
+    shifts (0.0 apart from -0.0) grow in lock-step, one pole each in turn
+    after reserving room for the whole list, so they factor each shift
+    once between them.  Every other basis grows alone, one after another:
+    two shift sequences interleaved on one operator would refactor at
+    every step.  No basis depends on the order in which they grow.
     """
-    if len(decs) == 1:  # nothing to share
+    if len(decs) == 1:  # nothing to group
         if not decs[0].breakdown:
             decs[0].extend(pole_lists[0])
         return
-    live = [(dec, list(poles)) for dec, poles in zip(decs, pole_lists)
-            if not dec.breakdown]
-    shared: dict[tuple, dict] = {}
-    for dec, poles in live:
-        # Bitwise equal shifts: the cache tells 0.0 from -0.0 too.
-        shifts = np.array([as_pole(p) for p in poles], dtype=complex)
-        key = (id(dec.op), dec._chunks[-1].dtype, shifts.tobytes())
-        dec._factors = shared.setdefault(key, dec._factors)
-        dec._reserve(len(poles) * dec.block_width)
-    for j in range(max((len(poles) for _, poles in live), default=0)):
-        for dec, poles in live:
-            if j < len(poles) and not dec.breakdown:
-                dec.extend(poles[j:j + 1])
+    groups: dict[tuple, list] = {}
+    for dec, poles in zip(decs, pole_lists):
+        if not dec.breakdown:
+            poles = list(poles)
+            shifts = np.array([as_pole(p) for p in poles], dtype=complex)
+            key = (id(dec.op), dec._chunks[-1].dtype, shifts.tobytes())
+            groups.setdefault(key, []).append((dec, poles))
+    for lanes in groups.values():
+        if len(lanes) == 1:  # one extend call
+            lanes[0][0].extend(lanes[0][1])
+            continue
+        for dec, poles in lanes:
+            dec._reserve(len(poles) * dec.block_width)
+        for j in range(len(lanes[0][1])):
+            for dec, poles in lanes:
+                if not dec.breakdown:
+                    dec.extend(poles[j:j + 1])
 
 
 def build_together(seeds: Sequence[tuple[HermitianOperator, np.ndarray]],
                    pole_lists: Sequence[Iterable[complex]]
                    ) -> list[RKDecomposition]:
     """The rational Krylov bases of the ``(op, v)`` seeds, each for its own
-    list of ``pole_lists``, grown by ``_extend_together``.
-
-    The finished bases keep no factorization: a full pole list is not
-    extended again, and a dense factor costs n^2 numbers.
-    """
+    list of ``pole_lists``, grown by ``_extend_together``.  Each operator
+    keeps its last factorization afterwards, for the next call."""
     decs = [RKDecomposition(op, v) for op, v in seeds]
     _extend_together(decs, pole_lists)
-    for dec in decs:
-        dec._factors.clear()
     return decs
 
 

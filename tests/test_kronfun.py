@@ -250,9 +250,9 @@ class _CountingTridiagonal(TridiagonalOperator):
         self.calls["matvec"] += 1
         return super().matvec(x)
 
-    def shifted_solve(self, sigma, rhs, factors=None):
+    def shifted_solve(self, sigma, rhs):
         self.calls["solve"] += 1
-        return super().shifted_solve(sigma, rhs, factors)
+        return super().shifted_solve(sigma, rhs)
 
 
 def _breakdown_problem():
@@ -341,17 +341,6 @@ class TestKronIterates:
             assert res.poles_right == (np.inf,) * 3
 
 
-def _count_factors(mp, *ops) -> list:
-    """Record (index into ``ops``, sigma) for every factorization."""
-    seen = []
-    for i, op in enumerate(ops):
-        def spy(sigma, block, i=i, factor=op._factor):
-            seen.append((i, sigma))
-            return factor(sigma, block)
-        mp.setattr(op, "_factor", spy)
-    return seen
-
-
 def _one_operator_problem(n=120, seed=31):
     """A = -B on one operator object, the source paper's 2-D setting."""
     op = _tridiag(n)
@@ -362,8 +351,7 @@ def _one_operator_problem(n=120, seed=31):
 
 
 def _separate_builds(prob, psi, xi):
-    """kron_fun's result from one rk_build per side, each with its own
-    factor cache."""
+    """kron_fun's result from one rk_build per side."""
     dec_u = rk_build(prob.a_op, prob.u_factor, psi)
     dec_v = rk_build(prob.bneg_op, prob.v_factor, [-p for p in xi])
     return _solve_projected(prob, dec_u, dec_v, operator.neg)
@@ -384,15 +372,16 @@ class TestSharedFactors:
     @pytest.mark.parametrize("name", ["laplace-kron", "cauchy-kron",
                                       "eds-laplace", "eds-cauchy", "extended"])
     def test_one_factorization_per_distinct_finite_shift(self, name,
-                                                         monkeypatch):
+                                                         count_factors):
         prob = _one_operator_problem()
         pair, counts = KRON_PAIRS[name], [3, 7, 12]
-        seen = _count_factors(monkeypatch, prob.a_op)
+        seen = count_factors(prob.a_op)
         psi, xi = pair.poles(prob.interval, 12)
         kron_fun(prob, psi, xi)
         distinct = len({p for p in psi if np.isfinite(p)})
         # extended's mirror keeps 0 and inf, so -B's basis takes -0.0:
-        # another shift to the cache, factored once on that side.
+        # another shift to the cache, factored once on that side, since
+        # the two bases grow one after the other.
         assert len(seen) == distinct * (1 if pair.mirror is operator.neg else 2)
         seen.clear()
         list(kron_iterates(prob, pair, counts))
@@ -410,23 +399,37 @@ class TestSharedFactors:
                             _separate_builds(prob, psi, xi))
 
     def test_distinct_operator_objects_keep_their_own_caches(self,
-                                                             monkeypatch):
+                                                             count_factors):
         prob = _one_operator_problem()
         op = prob.a_op
         twin = op.diag_shifted(0.0)
         psi = list(zolotarev_poles(prob.interval, 8))
-        seen = _count_factors(monkeypatch, op, twin)
+        seen = count_factors(op, twin)
         apart = build_together([(op, prob.u_factor), (twin, prob.v_factor)],
                                [psi, psi])
-        assert apart[0]._factors is not apart[1]._factors
+        assert op._last_factor is not twin._last_factor
+        assert op._last_factor[0][0] == twin._last_factor[0][0] == psi[-1]
         assert sorted(seen) == sorted((i, p) for i in (0, 1) for p in psi)
         seen.clear()
         shared = build_together([(op, prob.u_factor), (op, prob.v_factor)],
                                 [psi, psi])
-        assert shared[0]._factors is shared[1]._factors
         assert sorted(seen) == sorted((0, p) for p in psi)
         for a, b in zip(apart, shared):
             np.testing.assert_array_equal(a.basis, b.basis)
+
+    def test_unmirrored_pair_on_one_operator_factors_once_per_side(
+            self, count_factors):
+        # Each side repeats its own shift: -1 on A's basis, -2 on -B's.
+        # Interleaved on the one operator, the two would refactor at every
+        # step; grown one after the other, each side factors once.
+        prob = _one_operator_problem()
+        left, right = [-1.0, np.inf] * 4, [2.0, -np.inf] * 4
+        seen = count_factors(prob.a_op)
+        res = kron_fun(prob, left, right)
+        assert seen == [(0, -1.0), (0, -2.0)]
+        assert res.poles_left == tuple(left)
+        assert res.poles_right == tuple(right)
+        _assert_same_result(res, _separate_builds(prob, left, right))
 
     def test_unequal_lists_are_each_consumed_in_full(self):
         prob = _one_operator_problem()
@@ -437,10 +440,11 @@ class TestSharedFactors:
             assert res.poles_right == tuple(right)
             _assert_same_result(res, _separate_builds(prob, left, right))
 
-    def test_one_side_breaks_down_the_other_keeps_growing(self, monkeypatch):
+    def test_one_side_breaks_down_the_other_keeps_growing(self, count_factors,
+                                                           monkeypatch):
         prob = _breakdown_problem()  # one operator; closes after 2 and 3
         psi, xi = cauchy_kron_poles(prob.interval, 5)
-        seen = _count_factors(monkeypatch, prob.a_op)
+        seen = count_factors(prob.a_op)
         res = kron_fun(prob, psi, xi)
         assert res.poles_left == tuple(psi[:2])
         assert res.poles_right == tuple(xi[:3])

@@ -1,8 +1,11 @@
+import copy
 import os
+import pickle
 import re
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -126,7 +129,7 @@ class TestTridiagonal:
             seen.append((pivots, rcond))
             return rule(shift, pivots, rcond)
 
-        skipping = op.shifted_solve(sigma, b)
+        skipping = copy.copy(op).shifted_solve(sigma, b)  # its own factor
         monkeypatch.setattr(operators, "_require_regular", spy)
         norm = BandedOperator._shifted_norm
         monkeypatch.setattr(BandedOperator, "_shifted_norm",
@@ -248,6 +251,21 @@ def test_picker_keeps_diagonal_and_tridiagonal_at_any_order():
     assert isinstance(from_dense_array(_spd_band(1, 0)), DiagonalOperator)
     assert isinstance(from_dense_array(_spd_band(2, 1)), TridiagonalOperator)
     assert isinstance(from_dense_array(_spd_band(4, 1)), TridiagonalOperator)
+
+
+def test_stored_matrix_is_read_only():
+    # A cached factorization is valid only while the matrix stays as it was.
+    a = _spd_band(6, 2)
+    for op in (DenseOperator(a), from_dense_array(a)):
+        stored = op.a if isinstance(op, DenseOperator) else op.ab
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0, 0] = 1.0
+        dense = op.to_dense()
+        dense[0, 0] = 1.0  # a writable copy
+        np.testing.assert_array_equal(op.to_dense(), a)
+        shifted = op.diag_shifted(1.0)
+        assert type(shifted) is type(op) and shifted is not op
+        np.testing.assert_array_equal(shifted.to_dense(), a + np.eye(6))
 
 
 class TestBandedOperator:
@@ -475,6 +493,31 @@ class TestShiftRule:
         solve = np.negative
         assert operators._times(1.0, solve, sigma) is solve
 
+    def test_subnormal_right_hand_side_solves_to_full_precision(self):
+        # Operator, shift and right-hand side are all subnormal, held
+        # exactly; the answer is that of the unit problem.  A scaled solve
+        # against the unscaled right-hand side put a subnormal through the
+        # triangular solves, 8.1% off in the second entry.
+        unit = BandedOperator([[3, 3, 3, 3], [1, 1, 1, 0], [0.5, 0.5, 0, 0]])
+        t = 2.0 ** -1070
+        band = BandedOperator(t * unit.ab)
+        want = unit.shifted_solve(-0.5, np.ones(4))
+        for op in (band, DenseOperator(band.to_dense())):
+            np.testing.assert_allclose(op.shifted_solve(-0.5 * t, np.full(4, t)),
+                                       want, rtol=1e-14)
+
+    def test_large_operator_solves_to_full_precision(self):
+        # The other end of the range: the solution is scaled, not the
+        # right-hand side, which stays normal down to its smallest entry.
+        unit = BandedOperator([[3, 3, 3, 3], [1, 1, 1, 0], [0.5, 0.5, 0, 0]])
+        t = 2.0 ** 400
+        band = BandedOperator(t * unit.ab)
+        b = np.full(4, 2.0 ** -700)
+        want = unit.shifted_solve(-0.5, b) / t
+        for op in (band, DenseOperator(band.to_dense())):
+            np.testing.assert_allclose(op.shifted_solve(-0.5 * t, b), want,
+                                       rtol=1e-14)
+
     def test_zero_imaginary_part_is_real(self):
         b = np.ones(8)
         for storage in self._storages(toeplitz_tridiagonal(8)):
@@ -502,16 +545,14 @@ _ZERO_WIDTH_PROBE = textwrap.dedent("""
         for op in ops:
             for sigma in (-1.0, complex(-1.0, 0.5)):
                 for dtype in (float, complex):
-                    for factors in (None, {}):
-                        out = op.shifted_solve(sigma, np.ones((op.n, 0), dtype),
-                                               factors=factors)
+                    for _ in range(2):  # a fresh factorization, then a hit
+                        out = op.shifted_solve(sigma, np.ones((op.n, 0), dtype))
                         assert out.shape == (op.n, 0), out.shape
                         assert out.dtype == np.result_type(dtype, sigma)
     lam = np.linalg.eigvalsh(ops[0].to_dense())[3]
-    factors = {}
     for _ in range(2):
         try:
-            ops[0].shifted_solve(lam, np.ones((40, 0)), factors=factors)
+            ops[0].shifted_solve(lam, np.ones((40, 0)))
         except ValueError as exc:
             assert "near-singular" in str(exc)
         else:
@@ -535,8 +576,8 @@ def test_zero_width_block_never_reaches_lapack():
 
 
 class TestFactorCache:
-    """``shifted_solve(..., factors=d)`` factors each sigma once and then
-    repeats the fresh solve bit for bit; ``RKDecomposition`` owns one d."""
+    """Each operator keeps its last factorization, across calls, and a hit
+    repeats the fresh solve bit for bit."""
 
     def _storages(self, n=12):
         op = toeplitz_tridiagonal(n)
@@ -550,43 +591,49 @@ class TestFactorCache:
         for op in self._storages():
             real = rng.standard_normal((op.n, 3))
             rhs = [real[:, 0], real, real + 1j * rng.standard_normal((op.n, 3))]
-            factors = {}
             for sigma in (-0.5, complex(1.0, 0.5), -0.5):
                 for b in rhs:
-                    fresh = op.shifted_solve(sigma, b)
+                    fresh = copy.copy(op).shifted_solve(sigma, b)
                     for _ in range(2):  # the second call is a hit
-                        got = op.shifted_solve(sigma, b, factors=factors)
+                        got = op.shifted_solve(sigma, b)
                         assert got.shape == b.shape
                         np.testing.assert_array_equal(got, fresh)
-                    assert len(factors) == 1
+                    assert op._last_factor[0][0] == sigma
 
     def test_zero_and_negative_zero_are_two_shifts(self):
         # With -0.0 on the diagonal, the two zero shifts give solutions
         # that differ in the sign of a zero entry.
         op = DenseOperator([[-0.0, 1.0, 0.0], [1.0, -0.0, 1.0], [0.0, 1.0, 3.0]])
         b = -np.eye(3)[:, 1]
-        factors = {}
-        for sigma in (0.0, -0.0):
-            got = op.shifted_solve(sigma, b, factors=factors)
-            assert got.tobytes() == op.shifted_solve(sigma, b).tobytes()
+        for sigma in (0.0, -0.0, 0.0):
+            got = op.shifted_solve(sigma, b)
+            assert got.tobytes() == copy.copy(op).shifted_solve(sigma, b).tobytes()
 
     @pytest.mark.parametrize("storage", range(4))
-    def test_extended_build_factors_once(self, storage, monkeypatch):
+    def test_extended_build_factors_once(self, storage, count_factors):
         op = self._storages(40)[storage]
-        cls = type(op)
-        calls = []
-        factor = cls._factor
-
-        def counting(self, sigma, block):
-            calls.append(sigma)
-            return factor(self, sigma, block)
-
-        monkeypatch.setattr(cls, "_factor", counting)
+        seen = count_factors(op)
         poles = STRATEGIES["extended"].first(None, 40)
-        dec = rk_build(op, np.ones(40), poles)
-        assert len(dec.poles_used) == 40
-        assert calls == [0.0]
-        assert not dec._factors  # a finished rk_build basis keeps none
+        for _ in range(2):  # the second build reuses the operator's factor
+            dec = rk_build(op, np.ones(40), poles)
+            assert len(dec.poles_used) == 40
+        assert seen == [(0, 0.0)]
+        assert op._last_factor[0][0] == 0.0  # the one factorization alive
+
+    def test_extended_driver_calls_factor_once_per_operator(self,
+                                                            count_factors):
+        # Extended Krylov's only finite shift, sigma = 0, is factored at
+        # the first call; each later call on the operator reuses it.
+        op = from_dense_array(_laplacian_2d(10).toarray())
+        assert type(op) is BandedOperator
+        f, iv = catalog_function("power", -0.5), op.exact_interval()
+        rng = np.random.default_rng(11)
+        seen = count_factors(op)
+        for _ in range(4):
+            res = funv_driver(op, f, rng.standard_normal(op.n), iv,
+                              strategy="extended", tol=1e-6)
+            assert res.converged and 0.0 in res.poles_used
+        assert seen == [(0, 0.0)]
 
     def test_refused_shift_raises_on_every_use(self):
         for op in self._storages(50)[:4]:
@@ -596,25 +643,69 @@ class TestFactorCache:
             for _ in range(2):
                 with pytest.raises(ValueError, match="near-singular"):
                     dec.extend([lam])
-                assert not dec._factors  # dropped before factoring
+                assert op._last_factor is None  # dropped, and never stored
+                with pytest.raises(ValueError, match="near-singular"):
+                    op.shifted_solve(lam, np.ones(50))
+                assert op._last_factor is None
             dec.extend([-1.0])
-            assert [k[0] for k in dec._factors] == [-1.0]
+            assert op._last_factor[0][0] == -1.0
             assert dec.poles_used == [-1.0, -1.0]
 
-    def test_distinct_poles_keep_only_the_last_factor(self, monkeypatch):
+    def test_distinct_poles_keep_only_the_last_factor(self, count_factors):
         op = toeplitz_tridiagonal(200)
         dec = RKDecomposition(op, np.ones(200))
-        factor = TridiagonalOperator._factor
-
-        def checking(self, sigma, block):
-            assert not dec._factors  # the old factor is gone first
-            return factor(self, sigma, block)
-
-        monkeypatch.setattr(TridiagonalOperator, "_factor", checking)
-        for sigma in STRATEGIES["cauchy"].first(op.exact_interval(), 30):
+        seen = count_factors(op)  # checks the old factor is gone first
+        poles = STRATEGIES["cauchy"].first(op.exact_interval(), 30)
+        for sigma in poles:
             dec.extend([sigma])
-            assert [k[0] for k in dec._factors] == [sigma]
+            assert op._last_factor[0][0] == sigma
         assert len(dec.poles_used) == 30
+        assert [s for _, s in seen] == list(poles)
+
+    def test_threads_share_an_operator(self):
+        # Four threads, more than the cores, alternate two shifts on one
+        # operator with a short switch interval, so calls miss and replace
+        # the entry another thread just stored; every result equals a
+        # serial solve on a fresh copy, bit for bit.
+        op = from_dense_array(_spd_band(300, 4))
+        rng = np.random.default_rng(13)
+        rhs = [rng.standard_normal((op.n, 2)) for _ in range(2)]
+        shifts = (-0.5, -2.0)
+        want = {(s, i): copy.copy(op).shifted_solve(s, b).tobytes()
+                for s in shifts for i, b in enumerate(rhs)}
+        done, bad = [], []
+
+        def work(i):
+            for j in range(100):
+                s = shifts[(i + j) % 2]
+                if op.shifted_solve(s, rhs[i % 2]).tobytes() != want[s, i % 2]:
+                    bad.append((i, j))
+            done.append(i)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == [0, 1, 2, 3] and not bad
+
+    def test_pickle_and_deepcopy_after_a_cached_solve(self):
+        for op in self._storages():
+            b = np.linspace(1.0, 2.0, op.n)
+            x = op.shifted_solve(-0.5, b)
+            assert op._last_factor is not None
+            for back in (pickle.loads(pickle.dumps(op)), copy.deepcopy(op)):
+                assert back._last_factor is None  # the entry stays behind
+                assert type(back) is type(op)
+                stored = back.a if isinstance(back, DenseOperator) else back.ab
+                assert not stored.flags.writeable
+                assert back.shifted_solve(-0.5, b).tobytes() == x.tobytes()
 
 
 class TestOracleFunv:

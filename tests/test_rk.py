@@ -739,6 +739,43 @@ class TestCertifiedTolerance:
                 assert not res.interval_violated, (name, strategy)
 
 
+def _check_stop_reason(strategy, spec, breaks, ell, tol, max_ell, n_custom):
+    """Run funv_driver on a 24-point diagonal and check that its stop
+    reason agrees with its trace and ``converged``."""
+    # Three distinct eigenvalues close every space at the third pole; 24
+    # distinct ones close it once the basis fills R^24, at ell >= 24.
+    d = np.repeat([1.0, 2.0, 4.0], 8) if breaks else np.linspace(1.0, 4.0, 24)
+    op, f = DiagonalOperator(d), catalog_function(*spec)
+    v = np.random.default_rng(15).standard_normal(24)
+    custom = list(-np.arange(1.0, n_custom + 1.0))
+    if ell is not None and strategy == "custom":
+        ell = min(ell, n_custom)
+    mode = {"ell": ell} if ell is not None else {"tol": tol}
+    res = funv_driver(op, f, v, (1.0, 4.0), strategy=strategy,
+                      max_ell=max_ell, custom_poles=custom, **mode)
+    ells = [row.ell for row in res.trace]
+    last = res.trace[-1]
+    assert ells == sorted(set(ells)) and ells[-1] == len(res.poles_used)
+    assert res.stop_reason in STOP_REASONS and not res.interval_violated
+    assert res.converged == (res.stop_reason in (
+        "certified", "tol", "breakdown", "fixed_ell"))
+    if res.stop_reason == "fixed_ell":
+        assert ells == [ell] and math.isnan(last.est_error)
+    elif res.stop_reason == "certified":
+        assert len(ells) == 1 and math.isnan(last.est_error)
+        assert last.bound <= tol * f(4.0) * np.linalg.norm(v)
+    elif res.stop_reason == "tol":
+        assert last.est_error <= tol
+    elif res.stop_reason == "breakdown":
+        assert ells[-1] <= 3 if breaks else ells[-1] >= op.n
+    elif res.stop_reason == "max_ell":
+        assert ells[-1] == max_ell and last.est_error > tol
+    else:  # poles_exhausted: the custom list ran out
+        assert strategy == "custom" and ells[-1] == n_custom < max_ell
+    if ell is None and res.stop_reason != "certified":
+        assert all(row.est_error > tol for row in res.trace[:-1])
+
+
 class TestStopReason:
     @settings(max_examples=60, deadline=None)
     @given(strategy=st.sampled_from(list(STRATEGIES)),
@@ -750,40 +787,17 @@ class TestStopReason:
              tol=1e-5, max_ell=30, n_custom=1)  # certified
     @example(strategy="custom", spec=("inverse",), breaks=False, ell=None,
              tol=1e-13, max_ell=30, n_custom=3)  # poles_exhausted
+    @example(strategy="zolotarev", spec=("power", -0.5), breaks=False,
+             ell=None, tol=1e-13, max_ell=24, n_custom=1)  # breakdown at 24
     def test_reason_agrees_with_trace_and_converged(self, strategy, spec,
                                                     breaks, ell, tol, max_ell,
                                                     n_custom):
-        # Three distinct eigenvalues close every space at the third pole.
-        d = np.repeat([1.0, 2.0, 4.0], 8) if breaks else np.linspace(1.0, 4.0, 24)
-        op, f = DiagonalOperator(d), catalog_function(*spec)
-        v = np.random.default_rng(15).standard_normal(24)
-        custom = list(-np.arange(1.0, n_custom + 1.0))
-        if ell is not None and strategy == "custom":
-            ell = min(ell, n_custom)
-        mode = {"ell": ell} if ell is not None else {"tol": tol}
-        res = funv_driver(op, f, v, (1.0, 4.0), strategy=strategy,
-                          max_ell=max_ell, custom_poles=custom, **mode)
-        ells = [row.ell for row in res.trace]
-        last = res.trace[-1]
-        assert ells == sorted(set(ells)) and ells[-1] == len(res.poles_used)
-        assert res.stop_reason in STOP_REASONS and not res.interval_violated
-        assert res.converged == (res.stop_reason in (
-            "certified", "tol", "breakdown", "fixed_ell"))
-        if res.stop_reason == "fixed_ell":
-            assert ells == [ell] and math.isnan(last.est_error)
-        elif res.stop_reason == "certified":
-            assert len(ells) == 1 and math.isnan(last.est_error)
-            assert last.bound <= tol * f(4.0) * np.linalg.norm(v)
-        elif res.stop_reason == "tol":
-            assert last.est_error <= tol
-        elif res.stop_reason == "breakdown":
-            assert breaks and ells[-1] <= 3
-        elif res.stop_reason == "max_ell":
-            assert ells[-1] == max_ell and last.est_error > tol
-        else:  # poles_exhausted: the custom list ran out
-            assert strategy == "custom" and ells[-1] == n_custom < max_ell
-        if ell is None and res.stop_reason != "certified":
-            assert all(row.est_error > tol for row in res.trace[:-1])
+        _check_stop_reason(strategy, spec, breaks, ell, tol, max_ell, n_custom)
+
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    def test_reason_on_every_strategy_at_the_breakdown_draw(self, strategy):
+        # The draw above that breaks down at ell = 24 on zolotarev.
+        _check_stop_reason(strategy, ("power", -0.5), False, None, 1e-13, 24, 1)
 
 
 class TestErrorSweep:
@@ -910,6 +924,7 @@ class TestIterates:
 
     @pytest.mark.parametrize("strategy", ["eds-cauchy", "zolotarev", "extended"])
     def test_seeds_on_one_operator_share_each_factorization(self, strategy,
+                                                            count_factors,
                                                             monkeypatch):
         # Both seeds take the same shifts: each is factored once for both
         # (extended's sigma = 0 once for the whole sweep), and every basis
@@ -917,10 +932,7 @@ class TestIterates:
         op, _, v, iv = self._setup()
         w = np.random.default_rng(10).standard_normal(op.n)
         s, counts = STRATEGIES[strategy], [2, 5, 9]
-        seen = []
-        factor = op._factor
-        monkeypatch.setattr(op, "_factor",
-                            lambda sigma, b: seen.append(sigma) or factor(sigma, b))
+        seen = count_factors(op)
         steps = [list(decs) for decs in grow(s, iv, counts, [(op, v), (op, w)])]
         if s.nested:
             assert len(seen) == len({p for p in s.first(iv, 9) if np.isfinite(p)})
