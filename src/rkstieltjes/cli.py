@@ -166,8 +166,8 @@ def _cmd_funv(args) -> int:
 
 def _cmd_kronfun(args) -> int:
     a_op = _parse_matrix(args.a, "--a")
-    # One spec is one operator: A = -B, enclosed once, and both bases share
-    # each factorization of a mirrored pair.
+    # One spec is one operator: A = -B, enclosed once, and with a named pair
+    # both bases share each factorization (kron_fun).
     bneg_op = a_op if args.bneg == args.a else _parse_matrix(args.bneg, "--bneg")
     f = parse_function_spec(args.function)
 

@@ -3,17 +3,16 @@
 For symmetric A (m x m), B (n x n) and F = U_F V_F^T of rank k, the target
 is the m x n matrix X with vec(X) = f(I (x) A + B (x) I) vec(F).  Both
 Kronecker factors are projected onto small rational Krylov spaces -- A
-against the left poles, -B against the negated right poles, which is the
-same space as B^T against the right poles -- and the compressed problem is
-solved by double diagonalization.  X never gets formed at full size unless
-explicitly materialized.  The factors are real; error curves against a
-dense reference are the harness's (``experiments.timed_sweep`` over
-``kron_iterates``).
+against the left poles, -B against the ``mirror`` images of the right
+poles, which is the same space as B^T against the right poles -- and the
+compressed problem is solved by double diagonalization.  X never gets
+formed at full size unless explicitly materialized.  The factors are
+real; error curves against a dense reference are the harness's
+(``experiments.timed_sweep`` over ``kron_iterates``).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -22,10 +21,10 @@ import numpy as np
 from .bounds import singular_value_bound, sylvester_residual_bound
 from .functions import StieltjesFunction
 from . import operators
-from .operators import (HermitianOperator, SpectralInterval, as_block, count,
-                        finite, positive_interval)
-from .rk import RKDecomposition, build_together, grow
-from .strategies import KronPair
+from .operators import (HermitianOperator, SpectralInterval, as_block, as_pole,
+                        count, finite, positive_interval)
+from .rk import RKDecomposition, build_together, grow, rk_build
+from .strategies import KronPair, mirror
 
 __all__ = [
     "KroneckerProblem",
@@ -164,11 +163,15 @@ def kron_fun(problem: KroneckerProblem, left_poles, right_poles,
     """Project both sides and solve the compressed problem.
 
     ``left_poles`` drive the space for A seeded with U_F; ``right_poles``
-    are the poles for B^T seeded with V_F, realized on -B with flipped
-    signs (the two spaces coincide).  ``ell`` truncates both pole lists;
-    omitted, the full lists are offered.  A basis that closes early
-    (total deflation) consumes fewer, and the result lists the poles each
-    side consumed.  An empty list is refused.
+    are the poles for B^T seeded with V_F, realized on -B as their
+    ``mirror`` images (the two spaces coincide).  ``ell`` truncates both
+    pole lists; omitted, the full lists are offered.  A basis that closes
+    early (total deflation) consumes fewer, and the result lists the poles
+    each side consumed.  An empty list is refused.  Shifts on -B equal to
+    the left poles bit for bit, as from every pair of ``KRON_PAIRS``, grow
+    both bases in lock-step (``rk.build_together``); other lists build one
+    side after the other, so two shift sequences never interleave on one
+    operator.
     """
     left, right = list(left_poles), list(right_poles)
     count(min(len(left), len(right)), "pole counts")
@@ -178,22 +181,27 @@ def kron_fun(problem: KroneckerProblem, left_poles, right_poles,
                 f"ell={ell} exceeds the supplied pole counts "
                 f"({len(left)} left, {len(right)} right)")
         left, right = left[:ell], right[:ell]
-    # rk.extend reads a zero imaginary part as real and +-inf as a matvec.
-    # With A = -B and a mirrored pair both bases take the same shifts on
-    # one operator, and build_together factors each once for both.
-    dec_u, dec_v = build_together(
-        [(problem.a_op, problem.u_factor), (problem.bneg_op, problem.v_factor)],
-        [left, [-p for p in right]])
-    return _solve_projected(problem, dec_u, dec_v, operator.neg)
+    shifts = [mirror(p) for p in right]
+    seeds = [(problem.a_op, problem.u_factor), (problem.bneg_op, problem.v_factor)]
+    if _bits(shifts) == _bits(left):
+        dec_u, dec_v = build_together(seeds, left)
+    else:
+        dec_u, dec_v = (rk_build(op, v, poles)
+                        for (op, v), poles in zip(seeds, (left, shifts)))
+    return _solve_projected(problem, dec_u, dec_v)
+
+
+def _bits(poles: list) -> bytes:
+    """The poles as ``rk.extend`` reads them, bit for bit."""
+    return np.array([as_pole(p) for p in poles], dtype=complex).tobytes()
 
 
 def _solve_projected(problem: KroneckerProblem, dec_u: RKDecomposition,
-                     dec_v: RKDecomposition,
-                     mirror: Callable[[complex], complex]) -> KroneckerResult:
+                     dec_v: RKDecomposition) -> KroneckerResult:
     """Solve the problem compressed onto the bases of A (``dec_u``) and of
     -B (``dec_v``) by double diagonalization.  The result lists the poles
-    each basis consumed; ``mirror`` maps a pole of -B's basis to the
-    right pole (for B^T) it stands for."""
+    each basis consumed, those of -B's basis as the right poles (for B^T)
+    they stand for."""
     a_small = dec_u.reduced_matrix()
     b_small = -dec_v.reduced_matrix()  # projection of B in the shared basis
     f_small = dec_u.reduced_seed() @ dec_v.reduced_seed().conj().T
@@ -213,8 +221,7 @@ def kron_iterates(problem: KroneckerProblem, pair: KronPair,
     seeds = [(problem.a_op, problem.u_factor),
              (problem.bneg_op, problem.v_factor)]
     steps = grow(pair, problem.interval, counts, seeds)
-    return (_solve_projected(problem, dec_u, dec_v, pair.mirror)
-            for dec_u, dec_v in steps)
+    return (_solve_projected(problem, dec_u, dec_v) for dec_u, dec_v in steps)
 
 
 def sylvester_residual(problem: KroneckerProblem,

@@ -16,10 +16,10 @@ most ``_SINGULAR_TOL`` times the largest, or its reciprocal 1-norm
 condition number is at most ``_SINGULAR_TOL``: exact for diagonal storage
 and an SPD tridiagonal L D L^T, LAPACK's ``gecon``/``gbcon`` estimate
 otherwise.  Both are scale invariant down to the smallest normal float:
-where the norm of A - sigma*I nears either end of the float range, the LU
-routes factor it times a power of two and the L D L^T route scales its
-rcond solve the same way (``_unit_scale``).  Pivots alone miss an
-eigenvalue whose eigenvector is localized: every pivot can stay O(1).
+where the norm of A - sigma*I nears either end of the float range, every
+route factors it times a power of two (``_unit_scale``).  Pivots alone
+miss an eigenvalue whose eigenvector is localized: every pivot can stay
+O(1).
 The band LU and L D L^T routes skip the rcond where Varah's bound (Lin.
 Algebra Appl. 11, 1975) clears it (``BandedOperator._shifted_norm``):
 with alpha = min_i(|m_ii| - sum_(j != i) |m_ij|) > 0, ||M^-1||_inf <=
@@ -200,11 +200,10 @@ def _unit_scale(anorm: float) -> float:
     """1.0 for a norm within 2^+-256; else the power of two c with c * anorm
     in [1, 2) (capped at 2^1023).
 
-    The LU routes factor c (A - sigma*I) and scale by c (``_times``); the
-    tridiagonal L D L^T route solves for ones / c to get its exact rcond.
-    Either way LAPACK works on numbers far from both ends of the float
-    range, where unscaled condition estimators return 0 for an inverse near
-    overflow, so the shift rule is scale invariant.  A power of two scales
+    Every storage factors c (A - sigma*I) and scales by c (``_times``), so
+    LAPACK and the diagonal's division work on numbers far from both ends
+    of the float range, where unscaled condition estimators return 0 for
+    an inverse near overflow, so the shift rule is scale invariant.  A power of two scales
     every rounding exactly, so the solves are bit-identical to unscaled
     ones.
     """
@@ -246,14 +245,20 @@ def _times(c: float, solve, sigma: complex):
 
 def _require_symmetric(a, name: str) -> None:
     """ValueError unless A (dense or sparse) is square with
-    ||A - A^T||_F <= _SYM_TOL ||A||_F."""
+    ||A - A^T||_F <= _SYM_TOL ||A||_F.  Both norms are taken of c A, with c
+    the ``_unit_scale`` of max |a_ij|, so neither overflows nor underflows
+    to 0 at any scale."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name}: expected a square matrix, got {a.shape}")
-    dev, norm = (np.linalg.norm(x if isinstance(x, np.ndarray) else x.data)
-                 for x in (a - a.T, a))
+    def entries(x):
+        return x if isinstance(x, np.ndarray) else x.data
+    c = _unit_scale(np.abs(entries(a)).max(initial=0.0))
+    if c != 1.0:
+        a = c * a
+    dev, norm = (np.linalg.norm(entries(x)) for x in (a - a.T, a))
     if dev > _SYM_TOL * norm:
         raise ValueError(
-            f"{name}: not symmetric, ||A - A^T|| = {dev:.3e} "
+            f"{name}: not symmetric, ||A - A^T|| = {dev / c:.3e} "
             f"exceeds {_SYM_TOL:.0e} * ||A||"
         )
 
@@ -514,8 +519,11 @@ class DiagonalOperator(BandedOperator):
 
     def _factor(self, sigma: complex, block: np.ndarray):
         denom = self.d - sigma
+        c = _unit_scale(np.abs(denom).max())
+        if c != 1.0:
+            denom *= c
         _require_regular(sigma, denom)
-        return lambda b: b / denom[:, None]
+        return _times(c, lambda b: b / denom[:, None], sigma)
 
     def _eig(self):
         # Closed form: the sorted entries and permuted unit vectors.
@@ -549,17 +557,16 @@ class TridiagonalOperator(BandedOperator):
     def _factor(self, sigma: complex, block: np.ndarray):
         d = self.d - sigma
         if self.n > 1 and np.isrealobj(d) and np.isrealobj(block):  # pttrf: n >= 2
+            anorm, c, dominant = self._shifted_norm(d)
             pttrf, pttrs = sla.get_lapack_funcs(("pttrf", "pttrs"), (d,))
-            dd, l, info = pttrf(d, self.e)
+            dd, l, info = pttrf(c * d, c * self.e, overwrite_d=True, overwrite_e=True)
             if info == 0:
-                # A - sigma*I = L D L^T is SPD, and |(A - sigma*I)^-1| is the
-                # inverse of the factors with -|l|; ones / c keeps its solve
-                # in range.
-                anorm, c, dominant = self._shifted_norm(d)
+                # c (A - sigma*I) = L D L^T is SPD, and the absolute value of
+                # its inverse is the inverse of the factors with -|l|.
                 if not (dominant and _pivot_ratio(dd) > _SINGULAR_TOL):
-                    x = pttrs(dd, -np.abs(l), np.full((self.n, 1), 1.0 / c))[0]
+                    x = pttrs(dd, -np.abs(l), np.ones((self.n, 1)))[0]
                     _require_regular(sigma, dd, 1.0 / (c * anorm * x.max()))
-                return lambda b: pttrs(dd, l, b)[0]
+                return _times(c, lambda b: pttrs(dd, l, b)[0], sigma)
         return super()._factor(sigma, block)
 
     def _eig(self):

@@ -366,56 +366,39 @@ class RKDecomposition:
 
 
 def _extend_together(decs: Sequence[RKDecomposition],
-                     pole_lists: Sequence[Iterable[complex]]) -> None:
-    """Extend each unbroken decomposition of ``decs`` by its own list of
-    ``pole_lists``: the one routine that grows several bases.
-
-    Each operator keeps its last factorization (``operators`` module doc).
-    Bases on one operator object with one basis dtype and bitwise equal
-    shifts (0.0 apart from -0.0) grow in lock-step, one pole each in turn
-    after reserving room for the whole list, so they factor each shift
-    once between them.  Every other basis grows alone, one after another:
-    two shift sequences interleaved on one operator would refactor at
-    every step.  No basis depends on the order in which they grow.
-    """
-    if len(decs) == 1:  # nothing to group
-        if not decs[0].breakdown:
-            decs[0].extend(pole_lists[0])
+                     poles: Iterable[complex]) -> None:
+    """Extend every unbroken decomposition of ``decs`` by ``poles``, the
+    one routine that grows several bases: a lone one by one ``extend``
+    call, several in lock-step, one pole each in turn after reserving room
+    for the whole list, so those on one operator factor each shift once
+    between them (``operators`` module doc).  No basis depends on the
+    order in which they grow."""
+    lanes = [dec for dec in decs if not dec.breakdown]
+    poles = list(poles)
+    if len(lanes) == 1:
+        lanes[0].extend(poles)
         return
-    groups: dict[tuple, list] = {}
-    for dec, poles in zip(decs, pole_lists):
-        if not dec.breakdown:
-            poles = list(poles)
-            shifts = np.array([as_pole(p) for p in poles], dtype=complex)
-            key = (id(dec.op), dec._chunks[-1].dtype, shifts.tobytes())
-            groups.setdefault(key, []).append((dec, poles))
-    for lanes in groups.values():
-        if len(lanes) == 1:  # one extend call
-            lanes[0][0].extend(lanes[0][1])
-            continue
-        for dec, poles in lanes:
-            dec._reserve(len(poles) * dec.block_width)
-        for j in range(len(lanes[0][1])):
-            for dec, poles in lanes:
-                if not dec.breakdown:
-                    dec.extend(poles[j:j + 1])
+    for dec in lanes:
+        dec._reserve(len(poles) * dec.block_width)
+    for sigma in poles:
+        for dec in lanes:
+            if not dec.breakdown:
+                dec.extend([sigma])
 
 
 def build_together(seeds: Sequence[tuple[HermitianOperator, np.ndarray]],
-                   pole_lists: Sequence[Iterable[complex]]
-                   ) -> list[RKDecomposition]:
-    """The rational Krylov bases of the ``(op, v)`` seeds, each for its own
-    list of ``pole_lists``, grown by ``_extend_together``.  Each operator
-    keeps its last factorization afterwards, for the next call."""
+                   poles: Iterable[complex]) -> list[RKDecomposition]:
+    """The rational Krylov bases of the ``(op, v)`` seeds for one pole
+    list, grown in lock-step by ``_extend_together``."""
     decs = [RKDecomposition(op, v) for op, v in seeds]
-    _extend_together(decs, pole_lists)
+    _extend_together(decs, poles)
     return decs
 
 
 def rk_build(op: HermitianOperator, v: np.ndarray, poles) -> RKDecomposition:
     """Build the rational Krylov basis of (op, v) for the given poles: the
     one-seed case of ``build_together``."""
-    return build_together([(op, v)], [poles])[0]
+    return build_together([(op, v)], poles)[0]
 
 
 def _reduced_funv(dec: RKDecomposition, f: Callable[[np.ndarray], np.ndarray]
@@ -550,13 +533,12 @@ def grow(s: Strategy, iv, counts: Iterable[int],
     of ``s``, at each pole count in the increasing ``counts``.
 
     Nested families extend every unbroken basis by the poles up to the
-    next count (``_extend_together``, so seeds on one operator object
-    share each factorization), and stop after every basis has broken down
-    or the stream runs out (one short of a count yields its shorter bases
-    once).  Interval-optimal families build fresh bases for every count
-    (``build_together``).  A count that is not an integer >= 1 or not above
-    the one before, and a missing custom list, raise ValueError at the
-    call.
+    next count, in lock-step (``_extend_together``), and stop after every
+    basis has broken down or the stream runs out (one short of a count
+    yields its shorter bases once).  Interval-optimal families build fresh
+    bases for every count (``build_together``).  A count that is not an
+    integer >= 1 or not above the one before, and a missing custom list,
+    raise ValueError at the call.
     """
     counts = [count(c, "pole counts") for c in counts]
     for before, c in zip(counts, counts[1:]):
@@ -579,7 +561,7 @@ def _grow(s: Strategy, iv, counts: list[int], seeds,
     if stream is None:
         for count in counts:
             poles = _fixed_poles(s, iv, count)
-            yield build_together(seeds, [poles] * len(seeds))
+            yield build_together(seeds, poles)
         return
     decs = [RKDecomposition(op, v) for op, v in seeds]
     taken = 0
@@ -589,7 +571,7 @@ def _grow(s: Strategy, iv, counts: list[int], seeds,
         if not batch:
             return
         taken += len(batch)
-        _extend_together(decs, [batch] * len(decs))
+        _extend_together(decs, batch)
         yield decs
         if all(dec.breakdown for dec in decs) or len(batch) < need:
             return

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -43,6 +42,7 @@ __all__ = [
     "KRON_PAIRS",
     "CANONICAL",
     "get_strategy",
+    "mirror",
     "strategy_bound",
 ]
 
@@ -95,21 +95,24 @@ class Strategy:
         return list(self.fixed(iv, ell))
 
 
+def mirror(p):
+    """The one map, both ways, between a shift on -B and the literal right
+    pole (for B^T) it stands for: -p, but 0 and inf are their own images,
+    so ``mirror`` is an involution."""
+    return p if p == 0 or abs(p) == math.inf else -p
+
+
 @dataclass(frozen=True)
 class KronPair(Strategy):
     """Pole pair of the Kronecker-sum solver.  Its ``stream`` or ``fixed``
-    gives the left poles (for A) like a 1-D family, and ``mirror`` maps
-    each to a literal right pole (for B^T).  Both spaces grow with the
-    left poles: the right space is built on -B, where the mirrored pole
-    -p of a certified pair is p again, and 0 and inf, the baselines'
-    poles, are their own mirror images."""
-
-    mirror: Callable[[complex], complex] = operator.neg
+    gives the left poles (for A) like a 1-D family, and the literal right
+    poles (for B^T) are their ``mirror`` images, so both bases, A's and
+    -B's, take the left poles and grow in lock-step from one list."""
 
     def poles(self, iv, ell: int) -> tuple[list, list]:
         """The left and the literal right poles at ``ell``."""
         psi = self.first(iv, ell)
-        return psi, [self.mirror(p) for p in psi]
+        return psi, [mirror(p) for p in psi]
 
 
 _EXTENDED = _repeating(extended_poles(2))
@@ -131,11 +134,10 @@ STRATEGIES: dict[str, Strategy] = {s.name: s for s in (
     Strategy("eds-cauchy", stream=_eds("cauchy"), bound=cauchy_bound,
              kron=KronPair("eds-cauchy", stream=_eds("kron-cauchy"))),
     Strategy("extended", stream=_EXTENDED, needs_interval=False,
-             kron=KronPair("extended", stream=_EXTENDED, mirror=operator.pos,
-                           needs_interval=False)),
+             kron=KronPair("extended", stream=_EXTENDED, needs_interval=False)),
     Strategy("polynomial", stream=_POLYNOMIAL, needs_interval=False,
              kron=KronPair("polynomial", stream=_POLYNOMIAL,
-                           mirror=operator.pos, needs_interval=False)),
+                           needs_interval=False)),
     Strategy("custom", stream=_custom, needs_interval=False),
 )}
 

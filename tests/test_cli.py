@@ -297,6 +297,21 @@ class TestKronfun:
                 assert len(parsed) == 2 and len(enclosed) == 2
         assert outs[0] == outs[1]
 
+    def test_extended_pair_factors_zero_once(self, monkeypatch):
+        # With one spec for --a and --bneg, both bases take sigma = 0 from
+        # the extended pair, and the operator factors it once for both.
+        from rkstieltjes.operators import TridiagonalOperator
+
+        seen, factor = [], TridiagonalOperator._factor
+        monkeypatch.setattr(TridiagonalOperator, "_factor",
+                            lambda op, sigma, block: seen.append(sigma)
+                            or factor(op, sigma, block))
+        rc = main(["kronfun", "--a", "tridiag:30", "--bneg", "tridiag:30",
+                   "--function", "power:-0.5", "--poles", "extended",
+                   "--ell", "12"])
+        assert rc == 0
+        assert seen == [0.0]
+
     def test_factor_files(self, tmp_path):
         u = tmp_path / "u.npy"
         v = tmp_path / "v.npy"

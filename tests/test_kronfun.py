@@ -1,5 +1,4 @@
 import math
-import operator
 from collections import Counter
 
 import numpy as np
@@ -28,7 +27,7 @@ from rkstieltjes.operators import (
 )
 from rkstieltjes.poles import cauchy_kron_poles, laplace_kron_poles, zolotarev_poles
 from rkstieltjes.rk import build_together, rk_build
-from rkstieltjes.strategies import KRON_PAIRS
+from rkstieltjes.strategies import KRON_PAIRS, mirror
 
 
 def _inverse(d):
@@ -353,8 +352,8 @@ def _one_operator_problem(n=120, seed=31):
 def _separate_builds(prob, psi, xi):
     """kron_fun's result from one rk_build per side."""
     dec_u = rk_build(prob.a_op, prob.u_factor, psi)
-    dec_v = rk_build(prob.bneg_op, prob.v_factor, [-p for p in xi])
-    return _solve_projected(prob, dec_u, dec_v, operator.neg)
+    dec_v = rk_build(prob.bneg_op, prob.v_factor, [mirror(p) for p in xi])
+    return _solve_projected(prob, dec_u, dec_v)
 
 
 def _assert_same_result(got, want):
@@ -379,17 +378,34 @@ class TestSharedFactors:
         psi, xi = pair.poles(prob.interval, 12)
         kron_fun(prob, psi, xi)
         distinct = len({p for p in psi if np.isfinite(p)})
-        # extended's mirror keeps 0 and inf, so -B's basis takes -0.0:
-        # another shift to the cache, factored once on that side, since
-        # the two bases grow one after the other.
-        assert len(seen) == distinct * (1 if pair.mirror is operator.neg else 2)
-        seen.clear()
+        assert len(seen) == distinct
+        # A fresh operator: kron_fun left its last shift cached.
+        prob = _one_operator_problem()
+        seen = count_factors(prob.a_op)
         list(kron_iterates(prob, pair, counts))
         if pair.nested:  # one basis pair grown through every count
             assert len(seen) == distinct
         else:
             assert len(seen) == sum(len(set(pair.first(prob.interval, c)))
                                     for c in counts)
+
+    @pytest.mark.parametrize("name", list(KRON_PAIRS))
+    def test_kron_fun_matches_kron_iterates_for_every_pair(self, name,
+                                                           count_factors):
+        # The same shifts on both paths: bit-identical results, and as
+        # many factorizations on fresh operators.
+        pair, ell = KRON_PAIRS[name], 9
+        results, factors = [], []
+        for solve in (lambda prob: kron_fun(prob, *pair.poles(prob.interval, ell)),
+                      lambda prob: list(kron_iterates(prob, pair, [ell]))[-1]):
+            prob = _one_operator_problem()
+            seen = count_factors(prob.a_op)
+            results.append(solve(prob))
+            factors.append(len(seen))
+        _assert_same_result(*results)
+        assert factors[0] == factors[1]
+        assert factors[0] == len({p for p in pair.first(prob.interval, ell)
+                                  if np.isfinite(p)})
 
     @pytest.mark.parametrize("name", ["laplace-kron", "eds-cauchy"])
     def test_bit_identical_to_separate_builds(self, name):
@@ -406,13 +422,13 @@ class TestSharedFactors:
         psi = list(zolotarev_poles(prob.interval, 8))
         seen = count_factors(op, twin)
         apart = build_together([(op, prob.u_factor), (twin, prob.v_factor)],
-                               [psi, psi])
+                               psi)
         assert op._last_factor is not twin._last_factor
         assert op._last_factor[0][0] == twin._last_factor[0][0] == psi[-1]
         assert sorted(seen) == sorted((i, p) for i in (0, 1) for p in psi)
         seen.clear()
         shared = build_together([(op, prob.u_factor), (op, prob.v_factor)],
-                                [psi, psi])
+                                psi)
         assert sorted(seen) == sorted((0, p) for p in psi)
         for a, b in zip(apart, shared):
             np.testing.assert_array_equal(a.basis, b.basis)

@@ -410,6 +410,20 @@ def test_symmetry_rule_is_relative_at_any_scale(tmp_path):
         from_dense_array(m.toarray())
 
 
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600],
+                         ids=["2^600", "2^-600"])
+def test_symmetry_rule_holds_at_both_ends_of_the_float_range(scale):
+    # Unscaled, both norms overflow (2^600) or underflow to 0 (2^-600),
+    # and the skewed matrix passed as symmetric.
+    skewed = scale * np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    for make in (DenseOperator, from_dense_array):
+        with pytest.raises(ValueError, match="not symmetric"):
+            make(skewed)
+    symmetric = scale * toeplitz_tridiagonal(3).to_dense()
+    assert isinstance(DenseOperator(symmetric), DenseOperator)
+    assert isinstance(from_dense_array(symmetric), TridiagonalOperator)
+
+
 def test_picker_refuses_silent_densification(tmp_path):
     path = str(tmp_path / "m.mtx")
 
@@ -517,6 +531,26 @@ class TestShiftRule:
         for op in (band, DenseOperator(band.to_dense())):
             np.testing.assert_allclose(op.shifted_solve(-0.5 * t, b), want,
                                        rtol=1e-14)
+
+    def test_ldlt_and_diagonal_solves_at_the_bottom_of_the_range(self):
+        # The tridiagonal L D L^T and the diagonal routes factor
+        # c (A - sigma*I) like the band: a subnormal SPD operator solves to
+        # the unit problem's answer, where the unscaled L D L^T was 6% off,
+        # and a solution beyond the float range is refused by name, where
+        # they returned nan and inf.
+        t = 2.0 ** -1070
+        unit = TridiagonalOperator(np.full(4, 3.0), np.ones(3))
+        tri = TridiagonalOperator(t * unit.d, t * unit.e)
+        diag = DiagonalOperator(t * unit.d)
+        sigma = -0.5 * t
+        np.testing.assert_allclose(tri.shifted_solve(sigma, np.full(4, t)),
+                                   unit.shifted_solve(-0.5, np.ones(4)),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(diag.shifted_solve(sigma, np.full(4, t)),
+                                   np.full(4, 1.0 / 3.5), rtol=1e-15)
+        for op in (tri, diag):
+            with pytest.raises(ValueError, match=re.escape(f"sigma={sigma}")):
+                op.shifted_solve(sigma, np.ones(4))
 
     def test_zero_imaginary_part_is_real(self):
         b = np.ones(8)

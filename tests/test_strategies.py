@@ -32,6 +32,7 @@ from rkstieltjes.strategies import (
     KRON_PAIRS,
     STRATEGIES,
     get_strategy,
+    mirror,
     strategy_bound,
 )
 
@@ -108,6 +109,14 @@ def test_kron_pairs():
         assert psi == pair.first(IV, 6)
         assert all(-x == p or math.isinf(x) and math.isinf(p)
                    for p, x in zip(psi, xi)), name
+
+
+def test_mirror_is_an_involution_fixing_zero_and_infinity():
+    for p in (-3.5, 0.25, np.float64(-2.0), -1.0 + 0.5j, 2.0 - 3.0j):
+        assert mirror(p) == -p and mirror(mirror(p)) == p
+    for p in (0.0, -0.0, math.inf, -math.inf):
+        image = mirror(p)
+        assert repr(image) == repr(p) and repr(mirror(image)) == repr(p)
 
 
 POINT = (2.0, 2.0)
