@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+import scipy.linalg as sla
 
 from .bounds import singular_value_bound, sylvester_residual_bound
 from .functions import StieltjesFunction
@@ -34,6 +35,7 @@ __all__ = [
     "kron_iterates",
     "funm_diag",
     "sylvester_residual",
+    "residual_bound",
     "dense_kron_solution",
     "singular_decay_report",
 ]
@@ -226,16 +228,68 @@ def kron_iterates(problem: KroneckerProblem, pair: KronPair,
 
 def sylvester_residual(problem: KroneckerProblem,
                        result: KroneckerResult) -> float:
-    """||A X - X B - F||_2 for the rank-structured approximation, via thin
-    QR of the stacked low-rank factors (never forms an m x n matrix)."""
+    """||A X - X B - F||_2 for the rank-structured approximation X = U Y V*,
+    never forming an m x n matrix.
+
+    The residual is [AU Y, U Y, U_F] [V, (-B)V, -V_F]*.  Each side splits
+    its operator image and its factor against its orthonormal basis
+    (``_split``): AU = U C + Q R_a and U_F = U E + Q R_x, with Q orthonormal
+    and orthogonal to U, and (-B)V = V C_n + Q' R_n, V_F = V E_v + Q' R_v.
+    So the residual is [U, Q] L K* [V, Q']* with
+    L = [[C Y, Y, E], [R_a Y, 0, R_x]] and K = [[I, C_n, -E_v],
+    [0, R_n, -R_v]], and its 2-norm is that of the small L K*.  Each side
+    holds one n x (m + k) work block, m the basis width and k the rank.
+    A result whose factors do not fit the problem raises ValueError.
+    """
+    _check_fits(problem, result)
     u, v, y = result.left, result.right, result.core
-    au = problem.a_op.matvec(u)
-    nbv = problem.bneg_op.matvec(v)  # (-B) columnwise: realizes the -XB term
-    lstack = np.hstack([au @ y, u @ y, problem.u_factor])
-    rstack = np.hstack([v, nbv, -problem.v_factor])
-    rl = np.linalg.qr(lstack, mode="r")
-    rr = np.linalg.qr(rstack, mode="r")
-    return float(np.linalg.norm(rl @ rr.conj().T, ord=2))
+    mu, mv = u.shape[1], v.shape[1]
+    c, ra = _split(u, problem.a_op, problem.u_factor)
+    cn, rn = _split(v, problem.bneg_op, problem.v_factor)
+    left = np.block([[c[:, :mu] @ y, y, c[:, mu:]],
+                     [ra[:, :mu] @ y, np.zeros((ra.shape[0], mv)), ra[:, mu:]]])
+    right = np.block([[np.eye(mv), cn[:, :mv], -cn[:, mv:]],
+                      [np.zeros((rn.shape[0], mv)), rn[:, :mv], -rn[:, mv:]]])
+    return float(np.linalg.norm(left @ right.conj().T, ord=2))
+
+
+def _split(basis: np.ndarray, op: HermitianOperator, factor: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients C of W = [op basis, factor] in the orthonormal
+    ``basis``, by two classical Gram-Schmidt passes, and the R factor of
+    the remainder, so that W = basis C + Q R with Q orthonormal and
+    orthogonal to ``basis``.  Q is never formed: the QR overwrites the one
+    work block."""
+    image = op.matvec(basis)  # before the work block: matvecs take temporaries
+    m = basis.shape[1]
+    work = np.empty((basis.shape[0], m + factor.shape[1]),
+                    dtype=np.result_type(basis, factor), order="F")
+    work[:, :m] = image
+    work[:, m:] = factor
+    del image
+    coef = basis.conj().T @ work
+    work -= basis @ coef
+    again = basis.conj().T @ work
+    work -= basis @ again
+    _, r = sla.qr(work, overwrite_a=True, mode="raw", check_finite=False)
+    return coef + again, r
+
+
+def _check_fits(problem: KroneckerProblem, result: KroneckerResult) -> None:
+    """Refuse a result of another problem: its factors' rows must match the
+    orders of A and -B, and its core the factors' widths."""
+    shape = {name: np.shape(getattr(result, name))
+             for name in ("left", "right", "core")}
+    for name, op, what in (("left", problem.a_op, "A"),
+                           ("right", problem.bneg_op, "-B")):
+        if len(shape[name]) != 2 or shape[name][0] != op.n:
+            raise ValueError(f"result.{name} has shape {shape[name]}, but "
+                             f"{what} has order {op.n}: the result is not "
+                             "of this problem")
+    want = (shape["left"][1], shape["right"][1])
+    if shape["core"] != want:
+        raise ValueError(f"result.core has shape {shape['core']}, but its "
+                         f"factors' widths need {want}")
 
 
 def dense_kron_solution(problem: KroneckerProblem) -> np.ndarray:

@@ -368,22 +368,28 @@ class RKDecomposition:
 def _extend_together(decs: Sequence[RKDecomposition],
                      poles: Iterable[complex]) -> None:
     """Extend every unbroken decomposition of ``decs`` by ``poles``, the
-    one routine that grows several bases: a lone one by one ``extend``
-    call, several in lock-step, one pole each in turn after reserving room
+    one routine that grows several bases.  Bases whose blocks share a
+    dtype grow in lock-step, one pole each in turn after reserving room
     for the whole list, so those on one operator factor each shift once
-    between them (``operators`` module doc).  No basis depends on the
-    order in which they grow."""
-    lanes = [dec for dec in decs if not dec.breakdown]
+    between them (``operators`` module doc); a lone one takes one
+    ``extend`` call.  Bases of another dtype, which the factor cache keys
+    apart, grow after them, so two dtypes never alternate on one
+    operator.  No basis depends on the order in which they grow."""
     poles = list(poles)
-    if len(lanes) == 1:
-        lanes[0].extend(poles)
-        return
-    for dec in lanes:
-        dec._reserve(len(poles) * dec.block_width)
-    for sigma in poles:
+    groups: dict[np.dtype, list[RKDecomposition]] = {}
+    for dec in decs:
+        if not dec.breakdown:
+            groups.setdefault(dec.last_block.dtype, []).append(dec)
+    for lanes in groups.values():
+        if len(lanes) == 1:
+            lanes[0].extend(poles)
+            continue
         for dec in lanes:
-            if not dec.breakdown:
-                dec.extend([sigma])
+            dec._reserve(len(poles) * dec.block_width)
+        for sigma in poles:
+            for dec in lanes:
+                if not dec.breakdown:
+                    dec.extend([sigma])
 
 
 def build_together(seeds: Sequence[tuple[HermitianOperator, np.ndarray]],

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -486,6 +488,68 @@ class TestResiduals:
         r_big = sylvester_residual(prob, kron_fun(prob, psi, xi, ell=12))
         assert r_big < r_small * 1e-3
 
+    @pytest.mark.parametrize("case", ["zolotarev", "complex", "breakdown",
+                                      "orders"])
+    def test_residual_matches_the_dense_reference(self, case):
+        # Small problems: X materialized, ||A X - X B - F||_2 formed densely.
+        if case == "orders":  # A of order 30, -B of order 40
+            rng = np.random.default_rng(14)
+            prob = kron_problem(_tridiag(30).diag_shifted(3.0),
+                                _tridiag(40).diag_shifted(3.1),
+                                rng.standard_normal((30, 2)),
+                                rng.standard_normal((40, 2)),
+                                catalog_function("inverse"))
+        else:
+            prob = _make_problem(n=40 if case == "breakdown" else 30, seed=14)
+        if case == "complex":
+            psi = [-1.0 + 2.0j, -3.0 - 1.0j, np.inf, -0.5 + 0.5j, -2.0 + 3.0j]
+        else:
+            psi = list(zolotarev_poles(prob.interval,
+                                       30 if case == "breakdown" else 6))
+        res = kron_fun(prob, psi, [mirror(p) for p in psi])
+        if case == "complex":
+            assert np.iscomplexobj(res.left) and np.iscomplexobj(res.right)
+        if case == "breakdown":
+            assert len(res.poles_left) < 30
+        a, b = prob.a_op.to_dense(), -prob.bneg_op.to_dense()
+        x = res.materialize()
+        f = prob.u_factor @ prob.v_factor.T
+        dense = np.linalg.norm(a @ x - x @ b - f, 2)
+        scale = ((np.linalg.norm(a, 2) + np.linalg.norm(b, 2))
+                 * np.linalg.norm(x, 2) + np.linalg.norm(f, 2))
+        assert abs(sylvester_residual(prob, res) - dense) <= 1e-13 * scale
+
+    def test_residual_memory_is_one_work_block_per_side(self):
+        # Stacking [AU Y, U Y, U_F] and its right partner, as a residual
+        # of n x (2m + k) blocks does, peaks near twice this budget.
+        n = 2000
+        prob = _make_problem(n=n, rank=2, seed=19)
+        res = kron_fun(prob, *laplace_kron_poles(prob.interval, 25))
+        block = n * (res.left.shape[1] + prob.rank) * 8
+        tracemalloc.start()
+        try:
+            sylvester_residual(prob, res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * block
+
+    def test_result_of_another_problem_is_refused(self):
+        small, big = _make_problem(n=30, seed=18), _make_problem(n=40, seed=18)
+        psi = zolotarev_poles(small.interval, 4)
+        res = kron_fun(small, psi, -psi)
+        with pytest.raises(ValueError,
+                           match=r"result.left has shape \(30, 10\), but A has order 40"):
+            sylvester_residual(big, res)
+        wide = dataclasses.replace(big, a_op=small.a_op,
+                                   u_factor=small.u_factor)
+        with pytest.raises(ValueError,
+                           match=r"result.right has shape \(30, 10\), but -B has order 40"):
+            sylvester_residual(wide, res)
+        with pytest.raises(ValueError, match=r"result.core has shape \(10, 9\), "
+                                             r"but its factors' widths need \(10, 10\)"):
+            sylvester_residual(small, dataclasses.replace(res, core=res.core[:, :-1]))
+
     def test_residual_bound_formula(self):
         iv = SpectralInterval(1.0, 4.0)
         b = sylvester_residual_bound(iv, 5, 2.5)
@@ -537,3 +601,12 @@ class TestSingularDecay:
             assert sigma <= bnd
         sig = [r[1] for r in rows]
         assert sig[-1] < sig[0]
+
+
+def test_all_lists_every_public_definition():
+    import rkstieltjes.kronfun as kf
+
+    own = {name for name, obj in vars(kf).items()
+           if not name.startswith("_")
+           and getattr(obj, "__module__", None) == kf.__name__}
+    assert own == set(kf.__all__)

@@ -959,6 +959,23 @@ class TestIterates:
             np.testing.assert_array_equal(dec.basis,
                                           rk_build(op, seed, poles).basis)
 
+    def test_seeds_of_two_dtypes_do_not_alternate_factorizations(
+            self, count_factors, monkeypatch):
+        # A real and a complex seed on one operator: the factor cache keys
+        # sigma = 0 apart for the two dtypes, so lock-step growth would
+        # refactor it at every step.  Each dtype grows alone: two in all.
+        op = _tridiag_op(50)
+        ones = np.ones(50)
+        seen = count_factors(op)
+        decs = list(grow(STRATEGIES["extended"], None, [10],
+                         [(op, ones), (op, (1 + 1j) * ones)]))[-1]
+        assert seen == [(0, 0.0), (0, 0.0)]
+        monkeypatch.undo()
+        poles = STRATEGIES["extended"].first(None, 10)
+        for dec, seed in zip(decs, (ones, (1 + 1j) * ones)):
+            np.testing.assert_array_equal(dec.basis,
+                                          rk_build(op, seed, poles).basis)
+
     def test_bad_arguments_raise_at_the_call(self):
         op, f, v, iv = self._setup()
         with pytest.raises(ValueError, match="unknown strategy"):
