@@ -67,20 +67,22 @@ def _parse_matrix(spec: str, option: str) -> HermitianOperator:
 def _parse_interval(spec: str, op: HermitianOperator) -> SpectralInterval:
     if spec == "auto":
         return spectral_interval(op, mode="exact-small")
-    if spec.startswith("gershgorin"):
-        floor = None
-        if ":" in spec:
-            floor = float(spec.split(":", 1)[1])
+    name, sep, floor = spec.partition(":")
+    if name == "gershgorin":
+        floor = _reals(floor, spec, 1)[0] if sep else None
         return spectral_interval(op, mode="gershgorin", floor=floor)
-    return SpectralInterval(*_split_interval(spec))
+    return SpectralInterval(*_reals(spec, spec, 2))
 
 
-def _split_interval(spec: str) -> tuple[float, float]:
+def _reals(text: str, spec: str, count: int) -> list[float]:
+    """The ``count`` comma-separated reals of ``text`` (in ``spec``)."""
     try:
-        lo, hi = (float(t) for t in spec.split(","))
+        values = [float(t) for t in text.split(",")]
     except ValueError:
+        values = []
+    if len(values) != count:
         raise SystemExit(f"--interval: expected 'a,b' (see --help), got {spec!r}")
-    return lo, hi
+    return values
 
 
 def _count_arg(text: str) -> int:
@@ -253,7 +255,7 @@ def _cmd_poles(args) -> int:
         raise SystemExit(f"--interval a,b is required for {args.strategy}")
     iv = None
     if args.interval is not None:
-        iv = positive_interval(_split_interval(args.interval))
+        iv = positive_interval(_reals(args.interval, args.interval, 2))
 
     if args.out_xi:
         seq, xi = family.poles(iv, args.ell)

@@ -170,10 +170,10 @@ def kron_fun(problem: KroneckerProblem, left_poles, right_poles,
     pole lists; omitted, the full lists are offered.  A basis that closes
     early (total deflation) consumes fewer, and the result lists the poles
     each side consumed.  An empty list is refused.  Shifts on -B equal to
-    the left poles bit for bit, as from every pair of ``KRON_PAIRS``, grow
-    both bases in lock-step (``rk.build_together``); other lists build one
-    side after the other, so two shift sequences never interleave on one
-    operator.
+    the left poles as ``operators.as_pole`` reads them, as from every pair
+    of ``KRON_PAIRS``, grow both bases in lock-step
+    (``rk.build_together``); other lists build one side after the other,
+    so two shift sequences never interleave on one operator.
     """
     left, right = list(left_poles), list(right_poles)
     count(min(len(left), len(right)), "pole counts")
@@ -185,17 +185,12 @@ def kron_fun(problem: KroneckerProblem, left_poles, right_poles,
         left, right = left[:ell], right[:ell]
     shifts = [mirror(p) for p in right]
     seeds = [(problem.a_op, problem.u_factor), (problem.bneg_op, problem.v_factor)]
-    if _bits(shifts) == _bits(left):
+    if shifts == [as_pole(p) for p in left]:
         dec_u, dec_v = build_together(seeds, left)
     else:
         dec_u, dec_v = (rk_build(op, v, poles)
                         for (op, v), poles in zip(seeds, (left, shifts)))
     return _solve_projected(problem, dec_u, dec_v)
-
-
-def _bits(poles: list) -> bytes:
-    """The poles as ``rk.extend`` reads them, bit for bit."""
-    return np.array([as_pole(p) for p in poles], dtype=complex).tobytes()
 
 
 def _solve_projected(problem: KroneckerProblem, dec_u: RKDecomposition,

@@ -8,7 +8,8 @@ or complex shifts, and produce a guaranteed enclosure of its spectrum.
 Shifts of ``inf`` act as the identity (the corresponding rational factor is
 simply omitted); the rational Krylov layer takes a matvec for an infinite
 pole and never makes that call, so the identity is kept for direct callers.
-Every pole is read by ``as_pole``: one with zero imaginary part is real.
+Every pole is read by ``as_pole``: one with zero imaginary part is real,
+-0.0 is 0.0 and -inf is inf.
 
 Shift rule, one for every storage: sigma is refused (ValueError) when the
 smallest pivot of A - sigma*I (partial pivoting, or D of L D L^T) is at
@@ -32,24 +33,26 @@ decision and no error text changes.
 
 Band solves are pivoted band LU (LAPACK ``gbtrf``/``gbtrs``) at every
 bandwidth, with two exceptions: diagonal solves divide elementwise, and
-tridiagonal solves with a real sigma and a real block at order >= 2 first
-try L D L^T without pivoting (``pttrf``/``pttrs``), which succeeds exactly
-when A - sigma*I is SPD, as it is for a positive definite A and every
-finite pole of the Stieltjes families (real and <= 0).
+tridiagonal solves with a real sigma at order >= 2 first try L D L^T
+without pivoting (``pttrf``/``pttrs``), which succeeds exactly when
+A - sigma*I is SPD, as it is for a positive definite A and every finite
+pole of the Stieltjes families (real and <= 0).
 
 Factor cache: each operator keeps its last factorization of A - sigma*I
 (LU, band LU, tridiagonal L D L^T, or the shifted diagonal) as one
-``(key, solve)`` entry, keyed by sigma (0.0 apart from -0.0) and the dtype
-of the solve.  A ``shifted_solve`` with that key, in this call or a later
-one, runs only the triangular solves, bit-identical to a fresh solve.  A
-miss drops the entry before it factors, so an operator holds at most one
-factorization: n numbers for diagonal storage, 2n for a tridiagonal
-L D L^T, (3k + 1) n for a band LU, n^2 for dense.  A refused sigma raises
-before anything is stored, so it raises on every use.  Threads may share
-an operator: the entry is swapped in one assignment and every solve
-allocates its own output, so two misses at once may both factor but never
-return a wrong result.  Copies and pickles start without the entry
-(``__getstate__``), and the stored matrix is read-only, in them too.
+``(sigma, solve)`` entry, keyed by sigma alone as ``as_pole`` reads it.
+A real sigma has a real factorization, which solves a complex block as
+one real block [Re B, Im B].  A ``shifted_solve`` at that sigma, in this
+call or a later one, runs only the triangular solves, bit-identical to a
+fresh solve.  A miss drops the entry before it factors, so an operator
+holds at most one factorization: n numbers for diagonal storage, 2n for
+a tridiagonal L D L^T, (3k + 1) n for a band LU, n^2 for dense.  A
+refused sigma raises before anything is stored, so it raises on every
+use.  Threads may share an operator: the entry is swapped in one
+assignment and every solve allocates its own output, so two misses at
+once may both factor but never return a wrong result.  Copies and
+pickles start without the entry (``__getstate__``), and the stored
+matrix is read-only, in them too.
 
 MatrixMarket files (array or coordinate) and dense arrays share one storage
 picker: square, ||A - A^T||_F <= ``_SYM_TOL`` ||A||_F, and the bandwidth k
@@ -174,10 +177,11 @@ def _restore(block: np.ndarray, was_1d: bool) -> np.ndarray:
 
 def as_pole(sigma) -> float | complex:
     """``sigma`` as a float when its imaginary part is zero, else a complex:
-    the one reading of a pole or shift, so a complex-typed ``inf`` is the
-    infinite (polynomial) pole."""
-    sigma = complex(sigma)
-    return sigma.real if sigma.imag == 0.0 else sigma
+    the one reading of a pole or shift, which decides when two shifts are
+    the same pole.  -0.0 reads as 0.0 and -inf (or a complex inf) as inf."""
+    sigma = complex(sigma) + 0.0  # -0.0 + 0.0 is 0.0
+    re = sigma.real
+    return sigma if sigma.imag != 0.0 else abs(re) if math.isinf(re) else re
 
 
 def _pivot_ratio(pivots: np.ndarray) -> float:
@@ -266,7 +270,7 @@ def _require_symmetric(a, name: str) -> None:
 class HermitianOperator:
     """Base class; concrete storage lives in the subclasses."""
 
-    #: ``(key, solve)`` of the last factorization (module doc), or None.
+    #: ``(sigma, solve)`` of the last factorization (module doc), or None.
     _last_factor = None
 
     def __init__(self, n: int):
@@ -294,33 +298,33 @@ class HermitianOperator:
         """Solve (A - sigma*I) x = rhs; sigma == inf returns rhs unchanged
         and a near-singular sigma raises ValueError (see the module doc).
 
-        The factorization is the operator's last one when its key matches,
-        else a fresh one that replaces it (the factor cache of the module
-        doc); a refused sigma is never stored.  A zero-width block still
-        runs the shift rule and returns an (n, 0) array without a LAPACK
-        call.  Each storage lists this method in its own class dict, where
-        a profiler can wrap it per storage.
+        The factorization is the operator's last one at this sigma, else a
+        fresh one that replaces it (the factor cache of the module doc); a
+        refused sigma is never stored.  A zero-width block still runs the
+        shift rule and returns an (n, 0) array without a LAPACK call.
+        Each storage lists this method in its own class dict, where a
+        profiler can wrap it per storage.
         """
         sigma, (block, was_1d) = as_pole(sigma), as_block(rhs)
         if np.isinf(sigma):
             return _restore(block.copy(), was_1d)
-        # The key tells 0.0 from -0.0 and carries the block's dtype, which
-        # picks the tridiagonal and band LAPACK routines.
-        key = (sigma, math.copysign(1.0, sigma.real), block.dtype.char)
         entry = self._last_factor
-        if entry is not None and entry[0] == key:
+        if entry is not None and entry[0] == sigma:
             solve = entry[1]
         else:
             self._last_factor = None  # at most one alive, even while factoring
-            solve = self._factor(sigma, block)
-            self._last_factor = key, solve
+            solve = self._factor(sigma)
+            self._last_factor = sigma, solve
         if block.shape[1] == 0:  # no LAPACK solve on an empty right-hand side
             return np.empty(block.shape,
                             np.result_type(block, np.float64, sigma))
+        if np.iscomplexobj(block) and isinstance(sigma, float):  # [Re B, Im B]
+            re, im = np.hsplit(solve(np.hstack((block.real, block.imag))), 2)
+            return _restore(re + 1j * im, was_1d)
         return _restore(solve(block), was_1d)
 
-    def _factor(self, sigma: complex, block: np.ndarray):
-        """Solver B -> (A - sigma*I)^-1 B for blocks of ``block``'s dtype;
+    def _factor(self, sigma: complex):
+        """Solver B -> (A - sigma*I)^-1 B, real for a real sigma;
         ValueError when the shift rule refuses sigma."""
         raise NotImplementedError
 
@@ -378,7 +382,7 @@ class DenseOperator(HermitianOperator):
 
     shifted_solve = HermitianOperator.shifted_solve
 
-    def _factor(self, sigma: complex, block: np.ndarray):
+    def _factor(self, sigma: complex):
         m = self.a.astype(np.result_type(self.a, sigma))
         m[np.diag_indices_from(m)] -= sigma
         anorm = np.linalg.norm(m, 1)
@@ -451,11 +455,11 @@ class BandedOperator(HermitianOperator):
 
     shifted_solve = HermitianOperator.shifted_solve
 
-    def _factor(self, sigma: complex, block: np.ndarray):
+    def _factor(self, sigma: complex):
         # General band form of A - sigma*I with kl = ku = k and room for
         # the fill-in of partial pivoting: A[i, j] sits in row 2k + i - j.
         n, k = self.n, self.k
-        m = np.zeros((3 * k + 1, n), dtype=np.result_type(self.ab, sigma, block))
+        m = np.zeros((3 * k + 1, n), dtype=np.result_type(self.ab, sigma))
         m[2 * k] = self.ab[0] - sigma
         for i in self._offsets:
             m[2 * k + i, :n - i] = m[2 * k - i, i:] = self.ab[i, :n - i]
@@ -517,7 +521,7 @@ class DiagonalOperator(BandedOperator):
     matvec = BandedOperator.matvec
     shifted_solve = HermitianOperator.shifted_solve
 
-    def _factor(self, sigma: complex, block: np.ndarray):
+    def _factor(self, sigma: complex):
         denom = self.d - sigma
         c = _unit_scale(np.abs(denom).max())
         if c != 1.0:
@@ -554,9 +558,9 @@ class TridiagonalOperator(BandedOperator):
     matvec = BandedOperator.matvec
     shifted_solve = HermitianOperator.shifted_solve
 
-    def _factor(self, sigma: complex, block: np.ndarray):
+    def _factor(self, sigma: complex):
         d = self.d - sigma
-        if self.n > 1 and np.isrealobj(d) and np.isrealobj(block):  # pttrf: n >= 2
+        if self.n > 1 and np.isrealobj(d):  # pttrf: n >= 2
             anorm, c, dominant = self._shifted_norm(d)
             pttrf, pttrs = sla.get_lapack_funcs(("pttrf", "pttrs"), (d,))
             dd, l, info = pttrf(c * d, c * self.e, overwrite_d=True, overwrite_e=True)
@@ -567,7 +571,7 @@ class TridiagonalOperator(BandedOperator):
                     x = pttrs(dd, -np.abs(l), np.ones((self.n, 1)))[0]
                     _require_regular(sigma, dd, 1.0 / (c * anorm * x.max()))
                 return _times(c, lambda b: pttrs(dd, l, b)[0], sigma)
-        return super()._factor(sigma, block)
+        return super()._factor(sigma)
 
     def _eig(self):
         return sla.eigh_tridiagonal(self.d, self.e)

@@ -331,9 +331,13 @@ def zolotarev_ratio(poles, interval) -> float:
     and the ratio is that maximum squared.  The maximum is searched on a
     Chebyshev grid (extrema of near-optimal rationals cluster at the
     endpoints) and polished by zooming in on the best point.  Poles must
-    be finite and outside [a, b], and 0 < a < b.
+    be real, finite and outside [a, b], and 0 < a < b.
     """
-    poles = np.atleast_1d(np.asarray(poles, dtype=float))
+    poles = np.atleast_1d(np.asarray(poles))
+    if np.iscomplexobj(poles) and np.any(poles.imag != 0.0):
+        raise ValueError(f"pole {poles[poles.imag != 0.0][0]} is complex; the "
+                         "symmetric candidate requires real poles")
+    poles = poles.real.astype(float)
     if not np.all(np.isfinite(poles)):
         raise ValueError(
             "pole sequence contains inf entries; the symmetric candidate "

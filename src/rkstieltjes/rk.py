@@ -349,7 +349,7 @@ class RKDecomposition:
             sigma = as_pole(sigma)
             if isinstance(sigma, complex) and not np.iscomplexobj(self._chunks[-1]):
                 self._promote_complex()
-            if isinstance(sigma, float) and math.isinf(sigma):
+            if sigma == math.inf:
                 # A·last_block and U*(A·last_block), the last block column
                 # of U*AU, were computed when that block was appended.
                 cand = self._a_last
@@ -368,28 +368,22 @@ class RKDecomposition:
 def _extend_together(decs: Sequence[RKDecomposition],
                      poles: Iterable[complex]) -> None:
     """Extend every unbroken decomposition of ``decs`` by ``poles``, the
-    one routine that grows several bases.  Bases whose blocks share a
-    dtype grow in lock-step, one pole each in turn after reserving room
-    for the whole list, so those on one operator factor each shift once
-    between them (``operators`` module doc); a lone one takes one
-    ``extend`` call.  Bases of another dtype, which the factor cache keys
-    apart, grow after them, so two dtypes never alternate on one
-    operator.  No basis depends on the order in which they grow."""
+    one routine that grows several bases.  They grow in lock-step, one
+    pole each in turn after reserving room for the whole list, so those
+    on one operator factor each shift once between them (``operators``
+    module doc); a lone one takes one ``extend`` call.  No basis depends
+    on the order in which they grow."""
     poles = list(poles)
-    groups: dict[np.dtype, list[RKDecomposition]] = {}
-    for dec in decs:
-        if not dec.breakdown:
-            groups.setdefault(dec.last_block.dtype, []).append(dec)
-    for lanes in groups.values():
-        if len(lanes) == 1:
-            lanes[0].extend(poles)
-            continue
+    lanes = [dec for dec in decs if not dec.breakdown]
+    if len(lanes) == 1:
+        lanes[0].extend(poles)
+        return
+    for dec in lanes:
+        dec._reserve(len(poles) * dec.block_width)
+    for sigma in poles:
         for dec in lanes:
-            dec._reserve(len(poles) * dec.block_width)
-        for sigma in poles:
-            for dec in lanes:
-                if not dec.breakdown:
-                    dec.extend([sigma])
+            if not dec.breakdown:
+                dec.extend([sigma])
 
 
 def build_together(seeds: Sequence[tuple[HermitianOperator, np.ndarray]],
@@ -470,7 +464,7 @@ def exactness_check(op: HermitianOperator, v: np.ndarray,
 
     members: dict = {}
 
-    finite = [s for s in poles if not (isinstance(s, float) and math.isinf(s))]
+    finite = [s for s in poles if s != math.inf]
     n_inf = len(poles) - len(finite)
 
     for sigma in dict.fromkeys(finite):  # distinct, order-preserving
@@ -661,8 +655,8 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
 
     Every row checks the Ritz values of its basis against the interval;
     a row whose check trips carries bound nan and sets
-    ``interval_violated``.  ``oracle`` (a reference solution of the seed's
-    block shape) fills the true-error column.
+    ``interval_violated``.  ``oracle`` (a finite reference solution of the
+    seed's block shape) fills the true-error column.
 
     Nested strategies compute the estimate in reduced coordinates: with
     x_k = U y_k and U orthonormal, ||x_k - x_(k-2)|| = ||y_k - [y_(k-2); 0]||
@@ -688,7 +682,7 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
         if oracle.ndim not in (1, 2) or as_block(oracle)[0].shape != want:
             raise ValueError(f"oracle has shape {oracle.shape}, not the "
                              f"seed's block shape {want}")
-        oracle = as_block(oracle)[0]
+        oracle = as_block(finite(oracle, "oracle"))[0]
     vnorm = float(np.linalg.norm(v))
 
     def loop(counts, **stop) -> FunvResult:

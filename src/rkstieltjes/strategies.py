@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .bounds import cauchy_bound, kron_cauchy_bound, kron_laplace_bound, laplace_bound
-from .operators import SpectralInterval, count
+from .operators import SpectralInterval, as_pole, count
 from .poles import (
     cauchy_kron_poles,
     cauchy_poles,
@@ -97,9 +97,9 @@ class Strategy:
 
 def mirror(p):
     """The one map, both ways, between a shift on -B and the literal right
-    pole (for B^T) it stands for: -p, but 0 and inf are their own images,
-    so ``mirror`` is an involution."""
-    return p if p == 0 or abs(p) == math.inf else -p
+    pole (for B^T) it stands for: -p as ``as_pole`` reads it, so 0.0 and
+    inf are their own images, an involution on poles as they are read."""
+    return as_pole(-p)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ def count_factors(monkeypatch):
     def spy_on(*ops) -> list:
         seen = []
         for i, op in enumerate(ops):
-            def spy(sigma, block, i=i, op=op, factor=op._factor):
+            def spy(sigma, i=i, op=op, factor=op._factor):
                 assert op._last_factor is None  # dropped before factoring
                 seen.append((i, sigma))
-                return factor(sigma, block)
+                return factor(sigma)
             monkeypatch.setattr(op, "_factor", spy)
         return seen
     return spy_on

@@ -180,7 +180,8 @@ class TestPoles:
         assert rc == 0
         assert out.read_text().split()[0] == "inf"
 
-    @pytest.mark.parametrize("spec", ["1,2,3", "1,x"])
+    @pytest.mark.parametrize("spec", ["1,2,3", "1,x", "gershgorin:abc",
+                                      "gershgorin-typo"])
     def test_bad_interval_is_a_usage_error(self, spec):
         for argv in (["poles", "--strategy", "zolotarev", "--ell", "3",
                       "--out", "/dev/null"],
@@ -304,8 +305,8 @@ class TestKronfun:
 
         seen, factor = [], TridiagonalOperator._factor
         monkeypatch.setattr(TridiagonalOperator, "_factor",
-                            lambda op, sigma, block: seen.append(sigma)
-                            or factor(op, sigma, block))
+                            lambda op, sigma: seen.append(sigma)
+                            or factor(op, sigma))
         rc = main(["kronfun", "--a", "tridiag:30", "--bneg", "tridiag:30",
                    "--function", "power:-0.5", "--poles", "extended",
                    "--ell", "12"])

@@ -409,6 +409,12 @@ def test_oracle_is_read_in_the_seed_block_shape():
     for bad in (ref[None, :], ref[:-1], ref[:, None, None]):
         with pytest.raises(ValueError, match="oracle has shape"):
             funv_driver(op, F, v, iv, "cauchy", ell=12, oracle=bad)
+    # A non-finite oracle would read true_error nan without a word.
+    for value in (np.nan, np.inf):
+        bad = ref.copy()
+        bad[3] = value
+        with pytest.raises(ValueError, match="oracle must be finite"):
+            funv_driver(op, F, v, iv, "cauchy", ell=12, oracle=bad)
 
 
 def test_kronecker_row_factor_is_not_transposed():

@@ -426,7 +426,7 @@ class TestSharedFactors:
         apart = build_together([(op, prob.u_factor), (twin, prob.v_factor)],
                                psi)
         assert op._last_factor is not twin._last_factor
-        assert op._last_factor[0][0] == twin._last_factor[0][0] == psi[-1]
+        assert op._last_factor[0] == twin._last_factor[0] == psi[-1]
         assert sorted(seen) == sorted((i, p) for i in (0, 1) for p in psi)
         seen.clear()
         shared = build_together([(op, prob.u_factor), (op, prob.v_factor)],
@@ -446,7 +446,21 @@ class TestSharedFactors:
         res = kron_fun(prob, left, right)
         assert seen == [(0, -1.0), (0, -2.0)]
         assert res.poles_left == tuple(left)
-        assert res.poles_right == tuple(right)
+        # The right poles as the poles are read: -inf is inf.
+        assert res.poles_right == (2.0, np.inf) * 4
+        _assert_same_result(res, _separate_builds(prob, left, right))
+
+    def test_negated_list_with_zero_and_infinity_shares_the_factors(
+            self, count_factors):
+        # The right list is the plain negation of the left one, so -0.0 and
+        # -inf stand for the poles 0 and inf: both sides take the left
+        # poles in lock-step, and the operator factors 0, -1 and 0 again.
+        prob = _one_operator_problem()
+        left, right = [0.0, np.inf, -1.0, 0.0], [-0.0, -np.inf, 1.0, 0.0]
+        seen = count_factors(prob.a_op)
+        res = kron_fun(prob, left, right)
+        assert seen == [(0, 0.0), (0, -1.0), (0, 0.0)]
+        assert res.poles_right == (0.0, np.inf, 1.0, 0.0)
         _assert_same_result(res, _separate_builds(prob, left, right))
 
     def test_unequal_lists_are_each_consumed_in_full(self):

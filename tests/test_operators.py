@@ -158,7 +158,7 @@ class TestTridiagonal:
     @pytest.mark.parametrize("sigma, dtype", [
         (2.5, float),                # inside the spectrum: indefinite
         (complex(-1.0, 0.5), float),
-        (-1.0, complex),             # real sigma, complex block
+        (-1.0, complex),             # real sigma, complex block: L D L^T
     ])
     def test_pivoted_lu_fallback(self, monkeypatch, sigma, dtype):
         rng = np.random.default_rng(3)
@@ -168,9 +168,16 @@ class TestTridiagonal:
         if dtype is complex:
             b += 1j * rng.standard_normal((20, 2))
         x, pivots, _ = self._solve_and_rule(monkeypatch, op, sigma, b)
+        assert x.dtype == np.result_type(b, sigma)
+        if dtype is complex:
+            # A real sigma left of the spectrum takes L D L^T for a complex
+            # block too: a positive real D, one real solve of [Re B, Im B].
+            assert np.isrealobj(pivots) and pivots.min() > 0.0
+            for part, want in ((x.real, b.real), (x.imag, b.imag)):
+                assert part.tobytes() == op.shifted_solve(sigma, want).tobytes()
+            return
         # The L D L^T route hands the rule a positive real D.
         assert np.iscomplexobj(pivots) or pivots.min() < 0.0
-        assert x.dtype == np.result_type(b, sigma)
         # The fallback is the band LU of the same matrix, bit for bit.
         band = BandedOperator([op.d, np.append(op.e, 0.0)])
         assert x.tobytes() == band.shifted_solve(sigma, b).tobytes()
@@ -632,16 +639,20 @@ class TestFactorCache:
                         got = op.shifted_solve(sigma, b)
                         assert got.shape == b.shape
                         np.testing.assert_array_equal(got, fresh)
-                    assert op._last_factor[0][0] == sigma
+                    assert op._last_factor[0] == sigma
 
-    def test_zero_and_negative_zero_are_two_shifts(self):
-        # With -0.0 on the diagonal, the two zero shifts give solutions
-        # that differ in the sign of a zero entry.
+    def test_negative_zero_is_the_shift_zero(self, count_factors):
+        # With -0.0 on the diagonal, A - 0.0*I and A + 0.0*I differ in the
+        # sign of a zero; -0.0 is read as the pole 0.0, so both zero shifts
+        # share one factorization and every solve is a fresh one's.
         op = DenseOperator([[-0.0, 1.0, 0.0], [1.0, -0.0, 1.0], [0.0, 1.0, 3.0]])
         b = -np.eye(3)[:, 1]
-        for sigma in (0.0, -0.0, 0.0):
-            got = op.shifted_solve(sigma, b)
-            assert got.tobytes() == copy.copy(op).shifted_solve(sigma, b).tobytes()
+        fresh = copy.copy(op).shifted_solve(0.0, b).tobytes()
+        seen = count_factors(op)
+        for sigma in (0.0, -0.0, 0.0, complex(-0.0, 0.0)):
+            assert op.shifted_solve(sigma, b).tobytes() == fresh
+        assert seen == [(0, 0.0)]
+        assert repr(op._last_factor[0]) == "0.0"
 
     @pytest.mark.parametrize("storage", range(4))
     def test_extended_build_factors_once(self, storage, count_factors):
@@ -652,7 +663,7 @@ class TestFactorCache:
             dec = rk_build(op, np.ones(40), poles)
             assert len(dec.poles_used) == 40
         assert seen == [(0, 0.0)]
-        assert op._last_factor[0][0] == 0.0  # the one factorization alive
+        assert op._last_factor[0] == 0.0  # the one factorization alive
 
     def test_extended_driver_calls_factor_once_per_operator(self,
                                                             count_factors):
@@ -682,7 +693,7 @@ class TestFactorCache:
                     op.shifted_solve(lam, np.ones(50))
                 assert op._last_factor is None
             dec.extend([-1.0])
-            assert op._last_factor[0][0] == -1.0
+            assert op._last_factor[0] == -1.0
             assert dec.poles_used == [-1.0, -1.0]
 
     def test_distinct_poles_keep_only_the_last_factor(self, count_factors):
@@ -692,7 +703,7 @@ class TestFactorCache:
         poles = STRATEGIES["cauchy"].first(op.exact_interval(), 30)
         for sigma in poles:
             dec.extend([sigma])
-            assert op._last_factor[0][0] == sigma
+            assert op._last_factor[0] == sigma
         assert len(dec.poles_used) == 30
         assert [s for _, s in seen] == list(poles)
 

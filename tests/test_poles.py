@@ -193,8 +193,10 @@ class TestZolotarev:
         ([-2.0], (0.0, 10.0), "not positive"),
         ([-2.0], (-10.0, -1.0), "not positive"),
         ([-2.0], (1.0, math.inf), "finite"),
+        ([-2.0, -1.0 + 0.5j], (1.0, 10.0), "complex"),
+        (np.array([-2.0, -1.0 - 0.5j]), (1.0, 10.0), "complex"),
     ], ids=["inf-pole", "pole-inside", "one-point", "zero-end", "negative",
-            "half-line"])
+            "half-line", "complex-pole", "complex-array"])
     def test_ratio_refuses(self, poles, interval, match):
         with pytest.raises(ValueError, match=match):
             zolotarev_ratio(poles, interval)

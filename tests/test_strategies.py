@@ -114,9 +114,12 @@ def test_kron_pairs():
 def test_mirror_is_an_involution_fixing_zero_and_infinity():
     for p in (-3.5, 0.25, np.float64(-2.0), -1.0 + 0.5j, 2.0 - 3.0j):
         assert mirror(p) == -p and mirror(mirror(p)) == p
-    for p in (0.0, -0.0, math.inf, -math.inf):
+    # Poles as they are read: -0.0 is 0.0 and -inf is inf, so each zero
+    # and infinity has the image 0.0 or inf, and that image is its own.
+    for p, want in ((0.0, 0.0), (-0.0, 0.0), (math.inf, math.inf),
+                    (-math.inf, math.inf), (complex(-math.inf, 0.0), math.inf)):
         image = mirror(p)
-        assert repr(image) == repr(p) and repr(mirror(image)) == repr(p)
+        assert repr(image) == repr(want) and repr(mirror(image)) == repr(want)
 
 
 POINT = (2.0, 2.0)
