@@ -563,11 +563,15 @@ class TridiagonalOperator(BandedOperator):
         if self.n > 1 and np.isrealobj(d):  # pttrf: n >= 2
             anorm, c, dominant = self._shifted_norm(d)
             pttrf, pttrs = sla.get_lapack_funcs(("pttrf", "pttrs"), (d,))
-            dd, l, info = pttrf(c * d, c * self.e, overwrite_d=True, overwrite_e=True)
+            # c * e is also the copy pttrf overwrites (f2py would write
+            # into the read-only e itself).
+            dd, l, info = pttrf(d if c == 1.0 else c * d, c * self.e,
+                                overwrite_d=True, overwrite_e=True)
             if info == 0:
-                # c (A - sigma*I) = L D L^T is SPD, and the absolute value of
-                # its inverse is the inverse of the factors with -|l|.
-                if not (dominant and _pivot_ratio(dd) > _SINGULAR_TOL):
+                # c (A - sigma*I) = L D L^T is SPD (every pivot > 0), and the
+                # absolute value of its inverse is the inverse of the factors
+                # with -|l|.
+                if not (dominant and dd.min() / dd.max() > _SINGULAR_TOL):
                     x = pttrs(dd, -np.abs(l), np.ones((self.n, 1)))[0]
                     _require_regular(sigma, dd, 1.0 / (c * anorm * x.max()))
                 return _times(c, lambda b: pttrs(dd, l, b)[0], sigma)

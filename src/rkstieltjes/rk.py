@@ -52,7 +52,7 @@ INTERVAL_SLACK = 1e-10
 
 #: ``FunvResult.stop_reason`` values, and the ones that count as converged.
 STOP_REASONS = ("certified", "tol", "breakdown", "max_ell",
-                "poles_exhausted", "fixed_ell")
+                "poles_exhausted", "fixed_ell", "floor")
 _CONVERGED = frozenset({"certified", "tol", "breakdown", "fixed_ell"})
 
 #: Pole-count step between the rebuilt bases of the interval-optimal
@@ -73,9 +73,11 @@ CHUNK_MIN_COLS = 32
 
 
 def _column_norms(x: np.ndarray) -> list[float]:
-    """2-norms of the columns of a narrow block; one 1-D norm per column
-    costs less than ``norm(x, axis=0)`` at the widths met here."""
-    return [np.linalg.norm(x[:, j]) for j in range(x.shape[1])]
+    """2-norms of the columns of a narrow block: sqrt(c.c) of each real
+    column made unit-stride, the bits of ``np.linalg.norm`` at a fraction
+    of its call cost."""
+    return [math.sqrt(c.dot(c)) if c.dtype.kind == "f" else np.linalg.norm(c)
+            for c in np.asfortranarray(x).T]
 
 
 def _adjoint_product(parts: list[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -144,16 +146,19 @@ class RKDecomposition:
     earlier keeps its values, because filled columns are never written
     again.
 
-    Step cost: each appended block's product A·block is kept (n x width
-    numbers), so a polynomial step takes it as its candidate with no
-    matvec, and the last block column of U*AU as its first-pass
-    coefficients.  A step reads the n x m basis once for the first-pass
-    coefficients (shifted-solve steps only), once for the first-pass
-    update, twice more when the second Gram-Schmidt pass runs, and once
-    for the cross product U*(A·block): 2 to 5 passes, where a plain block
-    CGS2 step takes 5.  Each pass runs chunk by chunk, and an update over
-    several chunks subtracts in place through one n x width scratch block,
-    so a step makes no n x m temporary.
+    Step cost: a block is orthonormalized straight into the basis's spare
+    columns, so the matvec, the next shifted solve and the cross product
+    all take one Fortran view and no block is copied; U*AU and U*v hold
+    the basis's capacity and grow only with it.  Each block's A·block is
+    kept (n x width numbers), so a polynomial step takes it as its
+    candidate with no matvec, and the last block column of U*AU as its
+    first-pass coefficients.  A step reads the n x m basis once for the
+    first-pass coefficients (shifted-solve steps only), once for the
+    first-pass update, twice more when the second Gram-Schmidt pass runs,
+    and once for the cross product U*(A·block): 2 to 5 passes, where a
+    plain block CGS2 step takes 5.  Each pass runs chunk by chunk, and an
+    update over several chunks subtracts in place through one n x width
+    scratch block, so a step makes no n x m temporary.
     """
 
     def __init__(self, op: HermitianOperator, v: np.ndarray):
@@ -175,8 +180,8 @@ class RKDecomposition:
         self._chunks = [np.zeros((n, 0), dtype=dtype, order="F")]
         self._closed = 0  # columns in the chunks before the last
         self._m = 0
-        self._h = np.zeros((0, 0), dtype=dtype)
-        self._rhs = np.zeros((0, self.block_width), dtype=dtype)
+        self._h = np.empty((0, 0), dtype=dtype)  # U*AU in its leading m x m
+        self._rhs = np.empty((0, self.block_width), dtype=dtype)  # U*v, m rows
         self._block_sizes: list[int] = []
         self.poles_used: list[complex] = []
         self.breakdown = False
@@ -216,12 +221,12 @@ class RKDecomposition:
 
     def reduced_matrix(self) -> np.ndarray:
         """Projection U*AU, symmetrized to kill roundoff skew."""
-        h = self._h
+        h = self._h[:self._m, :self._m]
         return 0.5 * (h + h.conj().T)
 
     def reduced_seed(self) -> np.ndarray:
         """Projection U*v of the seed block (m x k)."""
-        return self._rhs
+        return self._rhs[:self._m]
 
     def lift(self, y: np.ndarray) -> np.ndarray:
         """x = U y for reduced coordinates y, matching the seed's shape."""
@@ -233,25 +238,27 @@ class RKDecomposition:
     # -- growth -----------------------------------------------------------
 
     def _reserve(self, cols: int) -> None:
-        """Make room for ``cols`` more columns in the last chunk."""
-        last = self._chunks[-1]
-        fill = self._m - self._closed
+        """Make room for ``cols`` more columns in the last chunk; U*AU and
+        U*v grow to the basis's new capacity with it."""
+        last, m = self._chunks[-1], self._m
+        fill = m - self._closed
         if fill + cols <= last.shape[1]:
             return
         if len(self._chunks) == 1 and last.shape[1] < self._chunk_cols:
-            cap = max(fill + cols, min(2 * last.shape[1], self._chunk_cols))
-            buf = np.empty((last.shape[0], cap), dtype=last.dtype, order="F")
-            buf[:, :fill] = last[:, :fill]
-            self._chunks[0] = buf
-            return
-        new = np.empty((last.shape[0], max(cols, self._chunk_cols)),
-                       dtype=last.dtype, order="F")
-        if fill == 0:  # opened by an extend that raised before its first block
-            self._chunks[-1] = new
-            return
-        self._chunks[-1] = last[:, :fill]
-        self._closed += fill
-        self._chunks.append(new)
+            width = max(fill + cols, min(2 * last.shape[1], self._chunk_cols))
+        else:  # a new chunk, after the last one closes at its filled columns
+            width = max(cols, self._chunk_cols)
+            if fill:  # (an extend that raised left it empty: it is replaced)
+                self._chunks[-1:] = [last[:, :fill], last]
+                self._closed, fill = m, 0
+        self._chunks[-1] = np.empty((last.shape[0], width), dtype=last.dtype,
+                                    order="F")
+        self._chunks[-1][:, :fill] = last[:, :fill]  # a doubling's copy
+        del last  # a doubled chunk's old buffer goes before U*AU grows
+        cap, h, rhs = self._closed + width, self._h, self._rhs
+        self._h = np.empty((cap, cap), dtype=h.dtype)
+        self._rhs = np.empty((cap, self.block_width), dtype=rhs.dtype)
+        self._h[:m, :m], self._rhs[:m] = h[:m, :m], rhs[:m]
 
     def _promote_complex(self) -> None:
         """Turn the chunks complex one at a time, so the real and complex
@@ -270,7 +277,9 @@ class RKDecomposition:
         """Block Gram-Schmidt against the basis (its chunks ``parts``), then
         a column-by-column pass inside the block with rank-revealing
         deflation (drop when the surviving norm is below tol times the
-        column's incoming norm).  ``cand`` may be overwritten.
+        column's incoming norm).  The kept columns are written straight
+        into the basis's reserved spare columns, and returned as a view of
+        them; only ``_m`` makes them filled.  ``cand`` may be overwritten.
 
         ``coeffs`` are the first-pass coefficients U*cand when the caller
         already holds them.  The second pass against the basis runs only
@@ -286,47 +295,39 @@ class RKDecomposition:
         # of it, which reads m numbers instead of n.
         if any(c > p / math.sqrt(2.0) for c, p in zip(_column_norms(coeffs), pre)):
             cand = _subtract_product(parts, _adjoint_product(parts, cand), cand)
-        kept: list[np.ndarray] = []
+        fill, kept = self._m - self._closed, 0
+        out = self._chunks[-1][:, fill:fill + cand.shape[1]]
         for j in range(cand.shape[1]):
             w = cand[:, j]
             for _ in range(2):
-                for q in kept:
+                for q in out[:, :kept].T:
                     w = w - q * (q.conj() @ w)
-            nrm = np.linalg.norm(w)
+            nrm, = _column_norms(w[:, None])
             if nrm <= DEFLATION_TOL * max(pre[j], self.seed_norm * 1e-300):
                 continue
-            kept.append(w / nrm)
-        if not kept:
-            return np.zeros((cand.shape[0], 0), dtype=cand.dtype)
-        return np.column_stack(kept)
+            np.divide(w, nrm, out=out[:, kept])
+            kept += 1
+        return out[:, :kept]
 
     def _append_block(self, cand: np.ndarray,
                       coeffs: np.ndarray | None = None) -> int:
-        parts = self._parts()
+        self._reserve(cand.shape[1])
+        m, parts = self._m, self._parts()
         block = self._orthonormalize(parts, cand, coeffs)
         width = block.shape[1]
         if width == 0:
             return 0
-        m = self._m
         aw = self.op.matvec(block)
-        cross = _adjoint_product(parts, aw)
-        corner = block.conj().T @ aw
         self._a_last = aw  # a polynomial step's candidate
-
-        h = np.zeros((m + width, m + width), dtype=np.result_type(self._h, block))
-        h[:m, :m] = self._h
-        h[:m, m:] = cross
-        h[m:, :m] = cross.conj().T
-        h[m:, m:] = corner
-        self._h = h
-        self._reserve(width)
-        fill = m - self._closed
-        self._chunks[-1][:, fill:fill + width] = block
-        self._m = m + width
+        new = slice(m, m + width)
+        self._h[:m, new] = cross = _adjoint_product(parts, aw)
+        self._h[new, :m] = cross.conj().T
+        self._h[new, new] = block.conj().T @ aw
         # Earlier rows of U*v are final because earlier columns never
         # change; later blocks are orthogonal to the seed only up to
         # roundoff, so project exactly rather than padding with zeros.
-        self._rhs = np.vstack([self._rhs, block.conj().T @ self._seed_cache])
+        self._rhs[new] = block.conj().T @ self._seed_cache
+        self._m = m + width
         self._block_sizes.append(width)
         return width
 
@@ -353,15 +354,13 @@ class RKDecomposition:
                 # A·last_block and U*(A·last_block), the last block column
                 # of U*AU, were computed when that block was appended.
                 cand = self._a_last
-                coeffs = self._h[:, self._m - self._block_sizes[-1]:]
+                coeffs = self._h[:self._m, self._m - self._block_sizes[-1]:self._m]
             else:
                 cand = self.op.shifted_solve(sigma, self.last_block)
                 coeffs = None
-            kept = self._append_block(np.asarray(cand, dtype=self._chunks[-1].dtype),
-                                      coeffs)
+            self.breakdown = self._append_block(
+                np.asarray(cand, dtype=self._chunks[-1].dtype), coeffs) == 0
             self.poles_used.append(sigma)
-            if kept == 0:
-                self.breakdown = True
         return self
 
 
@@ -508,9 +507,9 @@ class FunvTraceRow:
 class FunvResult:
     """``funv_driver``'s answer.  ``stop_reason`` says why the loop ended,
     one of ``STOP_REASONS``; ``converged`` is true for ``certified``,
-    ``tol``, ``breakdown`` and ``fixed_ell``.  ``interval_violated`` is
-    set when a Ritz value proved the interval wrong (``INTERVAL_SLACK``);
-    those rows carry no bound."""
+    ``tol``, ``breakdown`` and ``fixed_ell``, not for ``floor``.
+    ``interval_violated`` is set when a Ritz value proved the interval
+    wrong (``INTERVAL_SLACK``); those rows carry no bound."""
 
     x: np.ndarray
     trace: tuple
@@ -650,8 +649,9 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
       Cauchy-Stieltjes), ell* > ``max_ell``, a tol below the floor and
       every nested family (the EDS bound column is a reference curve, not
       a certificate).  It ends with ``tol``, ``breakdown`` (an invariant
-      subspace: the iterate is exact), ``max_ell`` or ``poles_exhausted``
-      (a custom list ran out).
+      subspace: the iterate is exact), ``max_ell``, ``poles_exhausted``
+      (a custom list ran out) or ``floor``: with a tol below eps * b/a,
+      at the first estimate <= eps * b/a, where more poles stop helping.
 
     Every row checks the Ritz values of its basis against the interval;
     a row whose check trips carries bound nan and sets
@@ -709,12 +709,14 @@ def _funv_loop(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
                tol: float | None = None, fixed: str | None = None
                ) -> FunvResult:
     """``funv_driver``'s one loop over the increasing pole ``counts``: it
-    stops at the first row with an estimate <= ``tol``, or, when ``fixed``
-    names the stop reason of a one-count schedule, at that row."""
+    stops at the first row with an estimate <= ``tol`` (else <= the
+    rounding floor eps * b/a, as ``floor``), or, when ``fixed`` names the
+    stop reason of a one-count schedule, at that row."""
     steps = grow(s, iv, counts, [(op, v)], custom_poles)
     trace: list[FunvTraceRow] = []
     recent: list[np.ndarray] = []  # the last two iterates
     violated, slack = False, INTERVAL_SLACK * iv.upper
+    floor = np.finfo(float).eps * iv.kappa  # an estimate <= tol stops first
     # Nested iterates share one basis and are compared in reduced
     # coordinates; each rebuilt family's checkpoint has its own basis, so
     # those iterates are compared lifted.  An iterate two back with fewer
@@ -741,8 +743,8 @@ def _funv_loop(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
             used, est,
             math.nan if oracle is None else _rel_err(as_block(x)[0], oracle),
             math.nan if outside else strategy_bound(s.name, f, iv, used, vnorm)))
-        reason = ("breakdown" if dec.breakdown
-                  else fixed or ("tol" if est <= tol else None))
+        reason = ("breakdown" if dec.breakdown else fixed or (
+            "tol" if est <= tol else "floor" if est <= floor else None))
         if reason:
             break
     else:  # the schedule ran out before a stop

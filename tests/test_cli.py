@@ -48,12 +48,14 @@ class TestFunv:
         (["--poles", "eds-cauchy", "--tol", "1e-8"], "tol"),
         (["--poles", "polynomial", "--tol", "1e-8", "--max-ell", "3"], "max_ell"),
         (["--poles", "cauchy", "--ell", "5"], "fixed_ell"),
+        (["--poles", "cauchy", "--tol", "1e-15"], "floor"),
     ])
     def test_status_line_names_the_stop_reason(self, mode, reason, capsys):
-        main(["funv", "--matrix", "tridiag:200", "--function", "power:-0.5",
-              *mode])
+        rc = main(["funv", "--matrix", "tridiag:200", "--function",
+                   "power:-0.5", *mode])
         out, err = capsys.readouterr()
         assert f"stop_reason={reason});" in out and err == ""
+        assert rc == (1 if reason in ("max_ell", "floor") else 0)
 
     def test_wrong_interval_warns_and_prints_no_bound(self, tmp_path, capsys):
         # The spectrum reaches down to 2.4e-4, below the claimed 1.

@@ -38,7 +38,9 @@ from rkstieltjes.rk import (
     CHECKPOINT_STRIDE,
     CHUNK_MIN_COLS,
     STOP_REASONS,
+    DEFLATION_TOL,
     RKDecomposition,
+    build_together,
     exactness_check,
     funv_driver,
     grow,
@@ -149,6 +151,55 @@ class TestStepCost:
         dec = rk_build(op, v, extended_poles(40))
         assert dec.dim == 41
         assert op.matvecs == 41  # one per block: the 20 polynomial steps add none
+
+    @pytest.mark.parametrize("storage", ["tridiagonal", "dense"])
+    def test_lanes_get_fortran_blocks_and_match_lone_builds(self, storage,
+                                                            monkeypatch):
+        # C-ordered width-2 seeds; every block handed to the operator is a
+        # Fortran block, and lock-step growth changes no bit of any lane.
+        n = 300
+        op = _tridiag_op(n) if storage == "tridiagonal" else \
+            from_dense_array(_tridiag_op(n).to_dense() + np.ones((n, n)) / n)
+        rng = np.random.default_rng(23)
+        seeds = [(op, rng.standard_normal((n, 2))) for _ in range(2)]
+        seen = []
+        for name in ("matvec", "shifted_solve"):
+            def spy(*args, method=getattr(op, name), name=name):
+                seen.append((name, args[-1].flags.f_contiguous))
+                return method(*args)
+            monkeypatch.setattr(op, name, spy)
+        together = build_together(seeds, self.MIXED)
+        assert {name for name, _ in seen} == {"matvec", "shifted_solve"}
+        assert all(f_order for _, f_order in seen)
+        for dec, (_, v) in zip(together, seeds):
+            lone = rk_build(op, v, self.MIXED)
+            assert dec.dim == lone.dim == 2 * (len(self.MIXED) + 1)
+            np.testing.assert_array_equal(dec.basis, lone.basis)
+            np.testing.assert_array_equal(dec.reduced_matrix(), lone.reduced_matrix())
+            np.testing.assert_array_equal(dec.reduced_seed(), lone.reduced_seed())
+
+    @pytest.mark.parametrize("columns, width", [
+        (lambda v, w: [v, v], 1),
+        (lambda v, w: [v, 2.0 * v, w], 2),
+        (lambda v, w: [v, w + 1e-13 * v], 2),
+    ], ids=["repeated", "multiple-then-new", "nearly-dependent"])
+    def test_in_block_pass_keeps_the_mgs_width(self, columns, width):
+        n = 400
+        rng = np.random.default_rng(24)
+        seed = np.column_stack(columns(*rng.standard_normal((2, n))))
+        kept = []  # column-by-column MGS, twice, with the same deflation rule
+        for col in seed.T:
+            w = col.copy()
+            for _ in range(2):
+                for q in kept:
+                    w -= q * (q @ w)
+            if np.linalg.norm(w) > DEFLATION_TOL * np.linalg.norm(col):
+                kept.append(w / np.linalg.norm(w))
+        dec = RKDecomposition(_tridiag_op(n), seed)
+        assert dec.dim == len(kept) == width
+        u = dec.basis
+        assert np.abs(u.T @ u - np.eye(width)).max() <= 1e-14
+        assert u.flags.f_contiguous
 
     @pytest.mark.parametrize("k", [3, 4, 6])
     @pytest.mark.parametrize("poles", [polynomial_poles(10), extended_poles(10)],
@@ -304,6 +355,25 @@ class TestBasisBuffer:
             tracemalloc.stop()
         assert len(dec._chunks) == 3
         assert peak < (dec.dim + CHUNK_MIN_COLS + 4) * n * 8
+
+    def test_projections_grow_with_the_basis(self):
+        # One pole at a time at n = 3e4 up to 140 columns, as the extended
+        # tolerance loop grows: U*AU and U*v hold exactly the basis's
+        # capacity, so the peak stays within the basis, one chunk and
+        # O(m^2), and they cannot raise funv-tridiag-long's peak.
+        n = 30000
+        op = _tridiag_op(n)
+        v = np.random.default_rng(5).standard_normal(n)
+        tracemalloc.start()
+        try:
+            dec, _ = _grow_one_pole_at_a_time(op, v, extended_poles(139))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cap = sum(c.shape[1] for c in dec._chunks)
+        assert dec.dim == 140 and cap < dec.dim + CHUNK_MIN_COLS
+        assert dec._h.shape == (cap, cap) and dec._rhs.shape == (cap, 1)
+        assert peak < (dec.dim + CHUNK_MIN_COLS) * n * 8 + 4 * cap ** 2 * 8
 
     def test_growth_after_a_refused_pole(self):
         # The refused extend opened a chunk and wrote nothing into it; the
@@ -670,7 +740,8 @@ class TestCertifiedTolerance:
     def test_tol_below_the_rounding_floor_is_not_certified(self, monkeypatch):
         # Toeplitz n = 2000: eps * b/a = 3.6e-10.  The bound reaches tol
         # 1e-13 at ell* <= 80, but the error of that build levels off near
-        # 1e-11, so a tol below the floor takes the checkpoint loop.
+        # 1e-11, so a tol below the floor takes the checkpoint loop, which
+        # stops at the floor.
         op = _tridiag_op(2000)
         iv = spectral_interval(op)
         f = catalog_function("power", -0.5)
@@ -685,7 +756,7 @@ class TestCertifiedTolerance:
         args, kwargs = (op, f, v, iv), dict(strategy="cauchy", tol=tol,
                                             max_ell=80)
         res = funv_driver(*args, **kwargs)
-        assert res.stop_reason == "max_ell" and not res.converged
+        assert res.stop_reason == "floor" and not res.converged
         _assert_same_result(res, _checkpoint_loop(monkeypatch, *args, **kwargs))
 
     @pytest.mark.parametrize("interval", [
@@ -770,10 +841,13 @@ def _check_stop_reason(strategy, spec, breaks, ell, tol, max_ell, n_custom):
         assert ells[-1] <= 3 if breaks else ells[-1] >= op.n
     elif res.stop_reason == "max_ell":
         assert ells[-1] == max_ell and last.est_error > tol
+    elif res.stop_reason == "floor":  # below eps * b/a, where tol is
+        assert tol < last.est_error <= np.finfo(float).eps * 4.0
     else:  # poles_exhausted: the custom list ran out
         assert strategy == "custom" and ells[-1] == n_custom < max_ell
     if ell is None and res.stop_reason != "certified":
-        assert all(row.est_error > tol for row in res.trace[:-1])
+        floor = max(tol, np.finfo(float).eps * 4.0)
+        assert all(row.est_error > floor for row in res.trace[:-1])
 
 
 class TestStopReason:
@@ -781,7 +855,7 @@ class TestStopReason:
     @given(strategy=st.sampled_from(list(STRATEGIES)),
            spec=st.sampled_from([("phi", 1), ("power", -0.5), ("inverse",)]),
            breaks=st.booleans(), ell=st.none() | st.integers(1, 12),
-           tol=st.sampled_from([1e-2, 1e-5, 1e-9, 1e-13]),
+           tol=st.sampled_from([1e-2, 1e-5, 1e-9, 1e-13, 1e-16]),
            max_ell=st.integers(1, 30), n_custom=st.integers(1, 8))
     @example(strategy="cauchy", spec=("power", -0.5), breaks=False, ell=None,
              tol=1e-5, max_ell=30, n_custom=1)  # certified
@@ -789,6 +863,8 @@ class TestStopReason:
              tol=1e-13, max_ell=30, n_custom=3)  # poles_exhausted
     @example(strategy="zolotarev", spec=("power", -0.5), breaks=False,
              ell=None, tol=1e-13, max_ell=24, n_custom=1)  # breakdown at 24
+    @example(strategy="extended", spec=("inverse",), breaks=False, ell=None,
+             tol=1e-16, max_ell=30, n_custom=1)  # floor at 4
     def test_reason_agrees_with_trace_and_converged(self, strategy, spec,
                                                     breaks, ell, tol, max_ell,
                                                     n_custom):
@@ -798,6 +874,38 @@ class TestStopReason:
     def test_reason_on_every_strategy_at_the_breakdown_draw(self, strategy):
         # The draw above that breaks down at ell = 24 on zolotarev.
         _check_stop_reason(strategy, ("power", -0.5), False, None, 1e-13, 24, 1)
+
+
+class TestFloor:
+    # Toeplitz n = 2000, z^-1/2, tol 1e-13 < eps * b/a = 3.6e-10: the
+    # checkpoint loop rebuilt cauchy and zolotarev 100 times (20,200 poles,
+    # 12-15 s) and ran every nested family to max_ell = 400.
+    @pytest.mark.parametrize("strategy, ell, rows", [
+        ("cauchy", 28, 7), ("zolotarev", 48, 12), ("eds-cauchy", 35, 35),
+        ("eds-laplace", 43, 43), ("extended", 86, 86),
+    ])
+    def test_tol_below_the_floor_stops_at_the_floor(self, strategy, ell, rows):
+        op, f = _tridiag_op(2000), catalog_function("power", -0.5)
+        v = np.random.default_rng(7).standard_normal(2000)
+        iv = spectral_interval(op)
+        floor = np.finfo(float).eps * iv.kappa
+        res = funv_driver(op, f, v, iv, strategy=strategy, tol=1e-13,
+                          max_ell=400)
+        assert res.stop_reason == "floor" and not res.converged
+        assert (res.ell, len(res.trace)) == (ell, rows)
+        assert res.trace[-1].est_error <= floor
+        assert all(row.est_error > floor for row in res.trace[:-1])
+        ref = oracle_funv(op, f, v)
+        assert np.linalg.norm(res.x - ref) <= floor * np.linalg.norm(ref)
+
+    def test_tol_at_the_floor_stops_on_tol(self):
+        # An estimate <= eps * b/a <= tol stops on tol first.
+        op, f = _tridiag_op(2000), catalog_function("power", -0.5)
+        v = np.random.default_rng(7).standard_normal(2000)
+        iv = spectral_interval(op)
+        res = funv_driver(op, f, v, iv, strategy="eds-cauchy",
+                          tol=np.finfo(float).eps * iv.kappa, max_ell=400)
+        assert res.stop_reason == "tol" and res.converged and res.ell == 35
 
 
 class TestErrorSweep:
