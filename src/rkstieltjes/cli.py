@@ -23,7 +23,7 @@ from .experiments import (
     write_csv,
 )
 from .functions import parse_function_spec
-from .kronfun import KroneckerProblem, dense_kron_solution, kron_fun
+from .kronfun import dense_kron_solution, kron_fun, kron_problem
 from .operators import (
     HermitianOperator,
     SpectralInterval,
@@ -95,7 +95,7 @@ def _count_arg(text: str) -> int:
 
 def _load_factor(path: str) -> np.ndarray:
     """A factor as stored, a one-line text factor as a column (1-D);
-    ``KroneckerProblem`` coerces it."""
+    ``kron_problem`` coerces it."""
     return np.load(path) if path.endswith(".npy") else np.loadtxt(path, ndmin=1)
 
 
@@ -184,12 +184,14 @@ def _cmd_kronfun(args) -> int:
         u /= np.linalg.norm(u, axis=0)
         w /= np.linalg.norm(w, axis=0)
 
-    # One interval must enclose the spectra of both A and -B.
-    iva = _parse_interval(args.interval, a_op)
-    ivb = iva if bneg_op is a_op else _parse_interval(args.interval, bneg_op)
-    prob = KroneckerProblem(a_op, bneg_op, u, w, f,
-                            SpectralInterval(min(iva.lower, ivb.lower),
-                                             max(iva.upper, ivb.upper)))
+    # One interval encloses A and -B: the hull of the two sides' intervals,
+    # which kron_problem takes itself for auto.
+    interval = None
+    if args.interval != "auto":
+        interval = _parse_interval(args.interval, a_op)
+        if bneg_op is not a_op:
+            interval = interval.hull(_parse_interval(args.interval, bneg_op))
+    prob = kron_problem(a_op, bneg_op, u, w, f, interval)
 
     family = args.poles
     bound = math.nan

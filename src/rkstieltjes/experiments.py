@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import tempfile
 import time
@@ -33,6 +34,7 @@ from .kronfun import (
     KroneckerProblem,
     dense_kron_solution,
     kron_iterates,
+    kron_problem,
     singular_decay_report,
 )
 from .operators import (
@@ -95,10 +97,15 @@ class ExperimentConfig:
                else count(self.ell_max, "field 'ell_max'"))
         if ell < 4:
             raise ValueError(f"field 'ell_max': {ell} must be >= 4")
-        if self.seed < 0:
-            raise ValueError(f"field 'seed': {self.seed} must be >= 0")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"field 'seed' must be an integer, got "
+                             f"{self.seed!r}") from None
+        if seed < 0:
+            raise ValueError(f"field 'seed': {seed} must be >= 0")
         count(self.threads, "field 'threads'")
-        return replace(self, n=n, ell_max=ell)
+        return replace(self, n=n, ell_max=ell, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +140,7 @@ def fixture_2d(op, f: StieltjesFunction, seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     u = _unit_normal(rng, op.n)[:, None]
     w = _unit_normal(rng, op.n)[:, None]
-    prob = KroneckerProblem(op, op, u, w, f, op.exact_interval())
+    prob = kron_problem(op, op, u, w, f)
     return prob, dense_kron_solution(prob)
 
 

@@ -194,82 +194,56 @@ def catalog_function(name: str, *params) -> StieltjesFunction:
                          f"parameters, got {params!r}")
     if name == "phi":
         j = count(params[0], "phi index") if params else 1
-        return StieltjesFunction(
-            label=f"phi_{j}",
-            family="laplace",
-            base=_phi(j),
-            base_limit0=1.0 / math.factorial(j),
-        )
+        return StieltjesFunction(f"phi_{j}", "laplace", _phi(j),
+                                 1.0 / math.factorial(j))
     if name == "power":
         if not params:
             raise ValueError("power needs an exponent, e.g. power(-0.5)")
         expo = float(params[0])
-        alpha = -expo
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(
-                f"power exponent must lie in (-1, 0), got {expo}"
-            )
-        return StieltjesFunction(
-            label=f"z^{expo:g}",
-            family="cauchy",
-            base=_power(alpha),
-            base_limit0=math.inf,
-        )
+        if not 0.0 < -expo < 1.0:
+            raise ValueError(f"power exponent must lie in (-1, 0), got {expo}")
+        return StieltjesFunction(f"z^{expo:g}", "cauchy", _power(-expo), math.inf)
     if name == "rational":
         if len(params) != 2:
             raise ValueError("rational needs (weights, poles)")
-        f, lim = _rational_negpoles(*params)
-        return StieltjesFunction(
-            label="rational",
-            family="cauchy",
-            base=f,
-            base_limit0=lim,
-        )
+        return StieltjesFunction("rational", "cauchy", *_rational_negpoles(*params))
     return StieltjesFunction(*_FIXED[name])
 
 
-def parse_function_spec(spec: str) -> StieltjesFunction:
-    """Parse CLI shorthand like ``phi:1``, ``power:-0.5`` or ``lambertw``.
+#: CLI spellings of catalog names; any other name is read as a catalog name.
+_SPELLINGS = {"log1p": "log1p_over_z", "sqrt-exp": "one_minus_exp_sqrt_over_z",
+              "lambertw": "lambertw_scaled", "inv": "inverse"}
 
-    ``rational:w1,p1;w2,p2;...`` lists weight,pole pairs.  An argument
-    that a name cannot use (``inverse:3``, ``phi:2.5``) raises a
-    ``ValueError`` naming the spec.
-    """
+
+def _params(arg: str) -> list:
+    """The parameters that ARG spells: none, one number (an integer
+    literal as an int, for phi's index), or the columns of ``;``-joined
+    rows of numbers."""
+    if "," in arg:
+        rows = [[float(t) for t in row.split(",")]
+                for row in arg.split(";") if row]
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError("rows of different lengths")
+        return [np.array(col) for col in zip(*rows)]
+    try:
+        return [int(arg)] if arg else []
+    except ValueError:
+        return [float(arg)]
+
+
+def parse_function_spec(spec: str) -> StieltjesFunction:
+    """``catalog_function(NAME, *params)`` of CLI shorthand ``NAME[:ARG]``
+    (``phi:1``, ``power:-0.5``, ``lambertw``, ``rational:w1,p1;w2,p2``),
+    ARG read by ``_params``.  A colon after a name without parameters, and
+    what the catalog refuses, raise a ``ValueError`` naming the spec."""
     name, sep, arg = spec.partition(":")
     name = name.strip().lower()
-    aliases = {
-        "phi": "phi",
-        "power": "power",
-        "log1p": "log1p_over_z",
-        "log1p_over_z": "log1p_over_z",
-        "sqrt-exp": "one_minus_exp_sqrt_over_z",
-        "one_minus_exp_sqrt_over_z": "one_minus_exp_sqrt_over_z",
-        "lambertw": "lambertw_scaled",
-        "lambertw_scaled": "lambertw_scaled",
-        "rational": "rational",
-        "inverse": "inverse",
-        "inv": "inverse",
-    }
-    if name not in aliases:
-        raise ValueError(f"unknown function spec {spec!r}")
-    name = aliases[name]
+    name = _SPELLINGS.get(name, name)
     try:
-        if name == "phi":
-            return catalog_function("phi", int(arg) if arg else 1)
-        if name == "power":
-            if not arg:
-                raise ValueError("power needs an exponent, e.g. power:-0.5")
-            return catalog_function("power", float(arg))
-        if name == "rational":
-            pairs = [p.partition(",") for p in arg.split(";") if p]
-            if not pairs or not all(comma for _, comma, _ in pairs):
-                raise ValueError("rational needs weight,pole pairs, "
-                                 "e.g. rational:2,-1;3,-4")
-            return catalog_function("rational",
-                                    np.array([float(w) for w, _, _ in pairs]),
-                                    np.array([float(q) for _, _, q in pairs]))
-        if sep:
+        if sep and _MOST_PARAMS.get(name) == 0:
             raise ValueError(f"{name} takes no argument")
-        return catalog_function(name)
+        # An unknown name is refused as such, before its ARG is read.
+        params = _params(arg) if name in _MOST_PARAMS else []
+        return catalog_function(name, *params)
     except ValueError as exc:
         raise ValueError(f"function spec {spec!r}: {exc}") from None

@@ -117,13 +117,12 @@ def kron_problem(a_op: HermitianOperator, bneg_op: HermitianOperator,
                  u_factor: np.ndarray, v_factor: np.ndarray,
                  f: StieltjesFunction,
                  interval: SpectralInterval | None = None) -> KroneckerProblem:
-    """Assemble a problem, enclosing both spectra in one interval when the
-    caller does not pin it."""
-    if interval is None:  # one enclosure when A = -B is one operator
-        iva = a_op.exact_interval()
-        ivb = iva if bneg_op is a_op else bneg_op.exact_interval()
-        interval = SpectralInterval(min(iva.lower, ivb.lower),
-                                    max(iva.upper, ivb.upper))
+    """Assemble a problem; ``interval=None`` is the hull of the exact
+    intervals of A and -B (one enclosure when they are one operator)."""
+    if interval is None:
+        interval = a_op.exact_interval()
+        if bneg_op is not a_op:
+            interval = interval.hull(bneg_op.exact_interval())
     return KroneckerProblem(a_op, bneg_op, u_factor, v_factor, f, interval)
 
 

@@ -121,6 +121,11 @@ class SpectralInterval:
     def shifted(self, c: float) -> "SpectralInterval":
         return SpectralInterval(self.lower + c, self.upper + c)
 
+    def hull(self, other: "SpectralInterval") -> "SpectralInterval":
+        """The smallest interval enclosing this one and ``other``."""
+        return SpectralInterval(min(self.lower, other.lower),
+                                max(self.upper, other.upper))
+
     def __iter__(self):
         yield self.lower
         yield self.upper

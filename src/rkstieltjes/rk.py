@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -88,16 +88,6 @@ def _adjoint_product(parts: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     if not parts:
         return np.zeros((0, x.shape[1]), dtype=x.dtype)
     return np.vstack([p.conj().T @ x for p in parts])
-
-
-def _product(parts: list[np.ndarray], y: np.ndarray) -> np.ndarray:
-    """U y for U stored as the column chunks ``parts``."""
-    x = parts[0] @ y[:parts[0].shape[1]]
-    lo = parts[0].shape[1]
-    for p in parts[1:]:
-        x += p @ y[lo:lo + p.shape[1]]
-        lo += p.shape[1]
-    return x
 
 
 def _subtract_product(parts: list[np.ndarray], y: np.ndarray,
@@ -182,7 +172,7 @@ class RKDecomposition:
         self._m = 0
         self._h = np.empty((0, 0), dtype=dtype)  # U*AU in its leading m x m
         self._rhs = np.empty((0, self.block_width), dtype=dtype)  # U*v, m rows
-        self._block_sizes: list[int] = []
+        self._last_width = 0  # columns of the last block
         self.poles_used: list[complex] = []
         self.breakdown = False
 
@@ -213,7 +203,7 @@ class RKDecomposition:
     def last_block(self) -> np.ndarray:
         # A block never straddles two chunks; the last chunk is empty only
         # right after extend opened it.
-        w = self._block_sizes[-1]
+        w = self._last_width
         fill = self._m - self._closed
         if fill:
             return self._chunks[-1][:, fill - w:fill]
@@ -230,10 +220,13 @@ class RKDecomposition:
 
     def lift(self, y: np.ndarray) -> np.ndarray:
         """x = U y for reduced coordinates y, matching the seed's shape."""
-        x = _product(self._parts(), y)
-        if self.seed_ndim == 1:
-            return x[:, 0]
-        return x
+        first, *rest = self._parts()
+        x = first @ y[:first.shape[1]]
+        lo = first.shape[1]
+        for p in rest:
+            x += p @ y[lo:lo + p.shape[1]]
+            lo += p.shape[1]
+        return x[:, 0] if self.seed_ndim == 1 else x
 
     # -- growth -----------------------------------------------------------
 
@@ -328,7 +321,7 @@ class RKDecomposition:
         # roundoff, so project exactly rather than padding with zeros.
         self._rhs[new] = block.conj().T @ self._seed_cache
         self._m = m + width
-        self._block_sizes.append(width)
+        self._last_width = width
         return width
 
     def extend(self, poles: Iterable[complex]) -> "RKDecomposition":
@@ -354,7 +347,7 @@ class RKDecomposition:
                 # A·last_block and U*(A·last_block), the last block column
                 # of U*AU, were computed when that block was appended.
                 cand = self._a_last
-                coeffs = self._h[:self._m, self._m - self._block_sizes[-1]:self._m]
+                coeffs = self._h[:self._m, self._m - self._last_width:self._m]
             else:
                 cand = self.op.shifted_solve(sigma, self.last_block)
                 coeffs = None
@@ -455,11 +448,10 @@ def exactness_check(op: HermitianOperator, v: np.ndarray,
     """
     poles = [as_pole(s) for s in poles]
     dec = rk_build(op, v, poles)
-    parts = dec._parts()
-    block, _ = as_block(np.asarray(v, dtype=parts[0].dtype))
+    block, _ = as_block(np.asarray(v, dtype=dec.basis.dtype))
 
     def reduced(f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        return _product(parts, _reduced_funv(dec, f)[1])
+        return as_block(rk_funv(dec, f))[0]
 
     members: dict = {}
 
@@ -513,11 +505,17 @@ class FunvResult:
 
     x: np.ndarray
     trace: tuple
-    converged: bool
     strategy: str
     poles_used: tuple
     stop_reason: str | None = None
     interval_violated: bool = False
+    # Taken from a caller that copies a result field by field, and dropped:
+    # the property below (also its default) derives it from stop_reason.
+    converged: InitVar[bool | None] = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in _CONVERGED
 
     @property
     def ell(self) -> int:
@@ -591,6 +589,12 @@ def iterates(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     return ((dec, _reduced_funv(dec, f)[1]) for dec, in steps)
 
 
+def _rounding_floor(iv) -> float:
+    """eps * b/a, the rounding floor of the shifted solves, where
+    ``_certified_count`` stops certifying and ``_funv_loop`` stops."""
+    return np.finfo(float).eps * iv.kappa
+
+
 def _certified_count(s: Strategy, f: StieltjesFunction, iv, vnorm: float,
                      tol: float, max_ell: int) -> int | None:
     """The smallest ell <= ``max_ell`` with s.bound(f, iv, ell, ||v||) <=
@@ -602,7 +606,7 @@ def _certified_count(s: Strategy, f: StieltjesFunction, iv, vnorm: float,
     constant that is fixed or grows like log ell), so a bisection over
     [1, max_ell] finds it in about log2(max_ell) bound calls."""
     target = tol * f(iv.upper) * vnorm
-    if not (tol >= np.finfo(float).eps * iv.kappa and target > 0.0
+    if not (tol >= _rounding_floor(iv) and target > 0.0
             and s.bound(f, iv, max_ell, vnorm) <= target):
         return None
     lo, hi = 0, max_ell  # bound(lo) > target >= bound(hi); lo = 0 stands for none
@@ -716,7 +720,7 @@ def _funv_loop(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     trace: list[FunvTraceRow] = []
     recent: list[np.ndarray] = []  # the last two iterates
     violated, slack = False, INTERVAL_SLACK * iv.upper
-    floor = np.finfo(float).eps * iv.kappa  # an estimate <= tol stops first
+    floor = _rounding_floor(iv)  # an estimate <= tol stops first
     # Nested iterates share one basis and are compared in reduced
     # coordinates; each rebuilt family's checkpoint has its own basis, so
     # those iterates are compared lifted.  An iterate two back with fewer
@@ -750,6 +754,6 @@ def _funv_loop(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     else:  # the schedule ran out before a stop
         reason = "poles_exhausted" if used < counts[-1] else "max_ell"
     x = dec.lift(recent[-1]) if s.nested else recent[-1]
-    return FunvResult(x=x, trace=tuple(trace), converged=reason in _CONVERGED,
-                      strategy=s.name, poles_used=tuple(dec.poles_used),
-                      stop_reason=reason, interval_violated=violated)
+    return FunvResult(x=x, trace=tuple(trace), strategy=s.name,
+                      poles_used=tuple(dec.poles_used), stop_reason=reason,
+                      interval_violated=violated)

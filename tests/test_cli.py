@@ -270,18 +270,46 @@ class TestKronfun:
             bounds.append(capsys.readouterr().out.split("bound=")[1].split()[0])
         assert bounds[0] == bounds[1]
 
+    @pytest.mark.parametrize("spec", ["auto", "0.01,16", "gershgorin:0.01"])
+    def test_interval_is_the_hull_of_both_sides(self, spec, monkeypatch):
+        # Two operators: A's spectrum lies in [0, 4], -B's in [0, 16].
+        from rkstieltjes import cli
+        from rkstieltjes.operators import (SpectralInterval, spectral_interval,
+                                           toeplitz_tridiagonal)
+
+        built, make = [], cli.kron_problem
+        monkeypatch.setattr(cli, "kron_problem",
+                            lambda *a: built.append(make(*a)) or built[-1])
+        rc = main(["kronfun", "--a", "tridiag:50:1", "--bneg", "tridiag:50:4",
+                   "--function", "power:-0.5", "--ell", "4", "--poles",
+                   "cauchy-kron", "--interval", spec])
+        assert rc == 0
+        sides = [toeplitz_tridiagonal(50, c) for c in (1.0, 4.0)]
+        if spec == "auto":
+            ivs = [op.exact_interval() for op in sides]
+        elif spec.startswith("gershgorin"):
+            ivs = [spectral_interval(op, mode="gershgorin", floor=0.01)
+                   for op in sides]
+        else:
+            ivs = [SpectralInterval(0.01, 16.0)] * 2
+        want = SpectralInterval(min(iv.lower for iv in ivs),
+                                max(iv.upper for iv in ivs))
+        assert len(built) == 1 and built[0].interval == want
+
     def test_one_spec_is_one_operator(self, tmp_path, capsys, monkeypatch):
         # The same spec for --a and --bneg parses and encloses one operator,
         # and prints what two equal operators print: the spellings
-        # tridiag:40 and tridiag:40:1 parse the same matrix twice.
+        # tridiag:40 and tridiag:40:1 parse the same matrix twice.  The
+        # auto interval is kron_problem's, so its exact intervals count.
         from rkstieltjes import cli
+        from rkstieltjes.operators import TridiagonalOperator
 
         parsed, enclosed = [], []
-        parse, interval = cli._parse_matrix, cli.spectral_interval
+        parse, interval = cli._parse_matrix, TridiagonalOperator.exact_interval
         monkeypatch.setattr(cli, "_parse_matrix",
                             lambda *a: parsed.append(a) or parse(*a))
-        monkeypatch.setattr(cli, "spectral_interval",
-                            lambda op, **kw: enclosed.append(op) or interval(op, **kw))
+        monkeypatch.setattr(TridiagonalOperator, "exact_interval",
+                            lambda op: enclosed.append(op) or interval(op))
         outs = []
         for bneg in ("tridiag:40", "tridiag:40:1"):
             parsed.clear()

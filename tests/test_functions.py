@@ -165,6 +165,51 @@ def test_parse_function_spec():
             parse_function_spec(spec)
 
 
+_W, _P = np.array([2.0, 3.0]), np.array([-1.0, -4.0])
+
+# spec -> the catalog call it stands for, or None where it is refused.
+SPEC_TABLE = {
+    # every catalog name, bare and (where it takes one) with its argument
+    "phi": ("phi",), "phi:": ("phi",), "phi:2": ("phi", 2),
+    "power:-0.5": ("power", -0.5), "power:-0.25": ("power", -0.25),
+    "log1p_over_z": ("log1p_over_z",),
+    "one_minus_exp_sqrt_over_z": ("one_minus_exp_sqrt_over_z",),
+    "lambertw_scaled": ("lambertw_scaled",), "inverse": ("inverse",),
+    "rational:2,-1;3,-4": ("rational", _W, _P),
+    "rational:2,-1;3,-4;": ("rational", _W, _P),
+    "rational:2,-1": ("rational", np.array([2.0]), np.array([-1.0])),
+    # the four CLI spellings, in any case
+    "log1p": ("log1p_over_z",), "LOG1P": ("log1p_over_z",),
+    "sqrt-exp": ("one_minus_exp_sqrt_over_z",),
+    "Sqrt-Exp": ("one_minus_exp_sqrt_over_z",),
+    "lambertw": ("lambertw_scaled",), "LambertW": ("lambertw_scaled",),
+    "inv": ("inverse",), "INV": ("inverse",), "PHI:3": ("phi", 3),
+    # refused: an argument a name cannot use, a missing one, an unknown name
+    **dict.fromkeys(["phi:2.5", "phi:0", "phi:1;", "phi:2,3", "power",
+                     "power:", "power:-1", "power:x", "inverse:",
+                     "inverse:3", "inv:1", "log1p:7", "lambertw:2",
+                     "sqrt-exp:x", "rational", "rational:", "rational:2",
+                     "rational:2;3", "rational:2,-1;3", "rational:2,-1,5;3,-4",
+                     "rational:2,1", "rational:,", "nope", "nope:1",
+                     "nope:x"]),
+}
+
+
+@pytest.mark.parametrize("spec, call", SPEC_TABLE.items(), ids=list(SPEC_TABLE))
+def test_function_spec_is_its_catalog_call(spec, call):
+    # The spec reading leaves every per-name rule to catalog_function: a
+    # spec gives the catalog's function, or a refusal that names the spec.
+    if call is None:
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            parse_function_spec(spec)
+        return
+    got, want = parse_function_spec(spec), catalog_function(*call)
+    assert (got.label, got.family, got.base_limit0, got.shift) == (
+        want.label, want.family, want.base_limit0, want.shift)
+    z = np.array([0.3, 1.0, 2.5, 17.0])
+    assert got(z).tobytes() == want(z).tobytes()
+
+
 @pytest.mark.parametrize("name, params", [
     ("inverse", (3,)), ("log1p_over_z", (7,)), ("phi", (2, 9)),
     ("power", (-0.5, 3)),

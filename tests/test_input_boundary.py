@@ -23,7 +23,7 @@ from rkstieltjes.bounds import (
     sylvester_residual_bound,
 )
 from rkstieltjes.cli import main
-from rkstieltjes.experiments import ExperimentConfig, emit_bounds
+from rkstieltjes.experiments import ExperimentConfig, emit_bounds, run_experiment
 from rkstieltjes.functions import catalog_function
 from rkstieltjes.kronfun import (KroneckerProblem, kron_fun, kron_iterates,
                                  kron_problem)
@@ -210,6 +210,21 @@ def test_nan_entry_refused_by_every_storage(build):
 def test_non_integral_experiment_order_refused():
     with pytest.raises(ValueError, match="field 'n'"):
         ExperimentConfig(experiment="fig-lapl-1d", n=20.5).resolved()
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", None, -1, math.nan])
+def test_experiment_seed_is_an_integer_at_least_zero(seed, tmp_path):
+    # Refused before any work, not inside numpy's default_rng.
+    cfg = ExperimentConfig("fig-cauchy-1d", n=16, ell_max=4, seed=seed,
+                           outdir=str(tmp_path))
+    with pytest.raises(ValueError, match="field 'seed'"):
+        run_experiment(cfg)
+    assert not any(tmp_path.iterdir())
+
+
+def test_experiment_seed_reads_any_integer_type():
+    cfg = ExperimentConfig("fig-cauchy-1d", seed=np.int64(3)).resolved()
+    assert cfg.seed == 3 and type(cfg.seed) is int
 
 
 # -- every count entry point, fuzzed -----------------------------------------

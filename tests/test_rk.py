@@ -875,6 +875,20 @@ class TestStopReason:
         # The draw above that breaks down at ell = 24 on zolotarev.
         _check_stop_reason(strategy, ("power", -0.5), False, None, 1e-13, 24, 1)
 
+    def test_converged_is_read_off_the_stop_reason(self):
+        # A copy field by field, converged= included, and replace() keep it
+        # derived: it cannot disagree with stop_reason.
+        op = TridiagonalOperator(np.full(40, 2.0), np.full(39, -1.0))
+        res = rk.funv_driver(op, catalog_function("inverse"), np.ones(40),
+                             op.exact_interval(), "extended", tol=1e-8)
+        assert res.converged and "converged" not in repr(res)
+        again = dataclasses.replace(res, interval_violated=True)
+        assert again.converged and again.interval_violated
+        stopped = type(res)(x=res.x, trace=res.trace, converged=True,
+                            strategy=res.strategy, poles_used=res.poles_used,
+                            stop_reason="max_ell")
+        assert not stopped.converged
+
 
 class TestFloor:
     # Toeplitz n = 2000, z^-1/2, tol 1e-13 < eps * b/a = 3.6e-10: the
