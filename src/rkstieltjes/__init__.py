@@ -31,15 +31,12 @@ from .functions import (
 from .poles import (
     cauchy_kron_poles,
     cauchy_poles,
-    eds_poles,
     elliptic_K,
-    extended_poles,
     gamma_const,
     jacobi_dn,
     laplace_kron_poles,
     mobius_cauchy,
     mobius_kron,
-    polynomial_poles,
     rate_rho,
     read_pole_file,
     write_pole_file,

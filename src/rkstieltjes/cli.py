@@ -38,29 +38,42 @@ from .poles import read_pole_file, write_pole_file
 from .rk import funv_driver
 from .strategies import KRON_PAIRS, STRATEGIES
 
-# Strategy names the CLI generates poles for; ``custom`` takes a file.
-_NAMED = [name for name in STRATEGIES if name != "custom"]
-
 
 # ---------------------------------------------------------------------------
 # argument helpers
 
 
+# Usage and optional real fields after n of each generated matrix spec.
+_GENERATED = {"tridiag": ("tridiag:n[:scale]", ("scale",)),
+              "diffusion": ("diffusion:n[:eps[:dt]]", ("eps", "dt"))}
+
+
 def _parse_matrix(spec: str, option: str) -> HermitianOperator:
     """tridiag:n[:scale] | diffusion:n[:eps[:dt]] | diag:path | a matrix file;
-    a refused order names ``option`` and the spec."""
+    a refused field names ``option`` and the spec."""
     kind, sep, rest = spec.partition(":")
-    if sep and kind in ("tridiag", "diffusion"):
+    if sep and kind in _GENERATED:
         text, *params = rest.split(":")
+        usage, names = _GENERATED[kind]
+        if len(params) > len(names):
+            raise ValueError(f"{option} {spec!r}: expected {usage}")
         try:
             n = _count_arg(text)
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"{option} {spec!r}: n {exc}") from None
+        values = []
+        for name, param in zip(names, params):
+            try:
+                value = float(param)
+            except ValueError:
+                value = math.nan
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{option} {spec!r}: {name} must be a finite "
+                                 f"number > 0, got {param!r}")
+            values.append(value)
         if kind == "tridiag":
-            return toeplitz_tridiagonal(n, float(params[0]) if params else 1.0)
-        eps = float(params[0]) if params else 1e-2
-        dt = float(params[1]) if len(params) > 1 else 0.1
-        return diffusion_operator(n, eps, dt)
+            return toeplitz_tridiagonal(n, *values)
+        return diffusion_operator(n, *values)
     return load_matrix(rest if sep and kind == "diag" else spec)
 
 
@@ -93,6 +106,18 @@ def _count_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
+def _seed_arg(text: str) -> int:
+    """argparse ``type`` of ``--seed``: an integer >= 0, the rule of
+    ``ExperimentConfig.seed``."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return seed
+
+
 def _load_factor(path: str) -> np.ndarray:
     """A factor as stored, a one-line text factor as a column (1-D);
     ``kron_problem`` coerces it."""
@@ -116,22 +141,21 @@ def _cmd_funv(args) -> int:
 
     if args.vector is not None:
         v = np.loadtxt(args.vector, dtype=float, ndmin=1)
-        if v.size != op.n:
-            raise SystemExit(
-                f"--vector: length {v.size} does not match order {op.n}")
+        if v.shape != (op.n,):
+            raise ValueError(f"--vector {args.vector}: expected {op.n} values, "
+                             f"one per line, got shape {v.shape}")
     else:
         rng = np.random.default_rng(args.seed)
         v = rng.standard_normal(op.n)
         v /= np.linalg.norm(v)
 
-    strategy, custom = args.poles, None
+    strategy = args.poles
     if strategy.startswith("custom:"):
-        custom = list(read_pole_file(strategy[7:]))
-        strategy = "custom"
-    elif strategy not in _NAMED:
+        strategy = list(read_pole_file(strategy[7:]))
+    elif strategy not in STRATEGIES:
         raise SystemExit(
             f"--poles: unknown strategy {strategy!r}; expected one of "
-            f"{', '.join(_NAMED)} or custom:FILE")
+            f"{', '.join(STRATEGIES)} or custom:FILE")
 
     oracle = None
     if args.oracle == "on":
@@ -140,7 +164,7 @@ def _cmd_funv(args) -> int:
     result = funv_driver(
         op, f, v, iv, strategy=strategy,
         tol=args.tol, ell=args.ell, max_ell=args.max_ell,
-        oracle=oracle, custom_poles=custom)
+        oracle=oracle)
 
     if args.out:
         write_csv(args.out, ["ell", "est_error", "true_error", "bound"],
@@ -299,7 +323,7 @@ def _cmd_accept(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     # Only the subcommands that read these take them; the rest refuse them.
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0,
+    seeded.add_argument("--seed", type=_seed_arg, default=0,
                         help="seed for generated vectors/factors")
 
     p = argparse.ArgumentParser(
@@ -317,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="e.g. phi:1, power:-0.5, inverse, log1p, sqrt-exp, "
                          "lambertw, rational:w,p;w,p")
     pf.add_argument("--poles", default="zolotarev",
-                    help=f"{'|'.join(_NAMED)}|custom:FILE")
+                    help=f"{'|'.join(STRATEGIES)}|custom:FILE")
     pf.add_argument("--interval", default="auto",
                     help="a,b | auto | gershgorin[:floor]")
     pf.add_argument("--shift", type=float, default=0.0,
@@ -356,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("poles", help="generate pole files")
     pp.add_argument("--strategy", required=True,
-                    choices=list(dict.fromkeys([*_NAMED, *KRON_PAIRS])))
+                    choices=list(dict.fromkeys([*STRATEGIES, *KRON_PAIRS])))
     pp.add_argument("--interval", help="a,b (spectral enclosure)")
     pp.add_argument("--ell", type=_count_arg, required=True)
     pp.add_argument("--out", required=True)

@@ -43,11 +43,8 @@ __all__ = [
     "cauchy_poles",
     "laplace_kron_poles",
     "cauchy_kron_poles",
-    "extended_poles",
-    "polynomial_poles",
     "EDS_ZETA",
     "eds_next",
-    "eds_poles",
     "eds_pole_iter",
     "zolotarev_ratio",
     "write_pole_file",
@@ -256,16 +253,6 @@ def cauchy_kron_poles(interval, ell: int) -> tuple[np.ndarray, np.ndarray]:
     return psi, -psi
 
 
-def extended_poles(ell: int) -> np.ndarray:
-    """Alternating inf, 0, inf, 0, ... (extended Krylov), length ell."""
-    return np.where(np.arange(count(ell, "ell")) % 2 == 0, math.inf, 0.0)
-
-
-def polynomial_poles(ell: int) -> np.ndarray:
-    """All-inf sequence (plain Krylov), length ell."""
-    return np.full(count(ell, "ell"), math.inf)
-
-
 # ---------------------------------------------------------------------------
 # equidistributed sequences (EDS)
 
@@ -307,12 +294,6 @@ def eds_pole_iter(interval, variant: str) -> Iterator[float]:
     norm_const = elliptic_K(lower)
     for j in itertools.count(1):
         yield emit(eds_next(lower, norm_const, j))
-
-
-def eds_poles(interval, ell: int, variant: str) -> np.ndarray:
-    """First ``ell`` EDS poles; prefixes of a fixed infinite sequence."""
-    it = eds_pole_iter(interval, variant)
-    return np.array([next(it) for _ in range(count(ell, "ell"))])
 
 
 # ---------------------------------------------------------------------------

@@ -523,8 +523,7 @@ class FunvResult:
 
 
 def grow(s: Strategy, iv, counts: Iterable[int],
-         seeds: Sequence[tuple[HermitianOperator, np.ndarray]],
-         custom_poles: Sequence[complex] | None = None
+         seeds: Sequence[tuple[HermitianOperator, np.ndarray]]
          ) -> Iterator[list[RKDecomposition]]:
     """Yield one decomposition per ``(op, v)`` seed, all taking the poles
     of ``s``, at each pole count in the increasing ``counts``.
@@ -534,14 +533,14 @@ def grow(s: Strategy, iv, counts: Iterable[int],
     basis has broken down or the stream runs out (one short of a count
     yields its shorter bases once).  Interval-optimal families build fresh
     bases for every count (``build_together``).  A count that is not an
-    integer >= 1 or not above the one before, and a missing custom list,
-    raise ValueError at the call.
+    integer >= 1 or not above the one before raises ValueError at the
+    call.
     """
     counts = [count(c, "pole counts") for c in counts]
     for before, c in zip(counts, counts[1:]):
         if c <= before:
             raise ValueError(f"pole counts must increase, got {c} after {before}")
-    stream = s.stream(iv, custom_poles) if s.nested else None
+    stream = s.stream(iv) if s.nested else None
     return _grow(s, iv, counts, seeds, stream)
 
 
@@ -575,17 +574,16 @@ def _grow(s: Strategy, iv, counts: list[int], seeds,
 
 
 def iterates(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
-             strategy: str, iv, counts: Iterable[int],
-             custom_poles: Sequence[complex] | None = None
+             strategy: str | Sequence[complex], iv, counts: Iterable[int]
              ) -> Iterator[tuple[RKDecomposition, np.ndarray]]:
     """Yield ``(dec, y)`` at each pole count in the increasing ``counts``,
     where y are the reduced coordinates of the Galerkin iterate in
     ``dec.basis`` (``dec.lift(y)`` is the iterate itself): the one-seed
-    case of ``grow``.  Counts that are not increasing integers >= 1, an
-    unknown strategy and a missing custom list raise ValueError at the
-    call.
+    case of ``grow``.  ``strategy`` is a name or a pole list
+    (``get_strategy``).  Counts that are not increasing integers >= 1, an
+    unknown strategy and an empty list raise ValueError at the call.
     """
-    steps = grow(get_strategy(strategy), iv, counts, [(op, v)], custom_poles)
+    steps = grow(get_strategy(strategy), iv, counts, [(op, v)])
     return ((dec, _reduced_funv(dec, f)[1]) for dec, in steps)
 
 
@@ -620,12 +618,14 @@ def _certified_count(s: Strategy, f: StieltjesFunction, iv, vnorm: float,
 
 
 def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
-                interval, strategy: str = "zolotarev",
+                interval, strategy: str | Sequence[complex] = "zolotarev",
                 tol: float | None = None, ell: int | None = None,
-                max_ell: int = 80, oracle: np.ndarray | None = None,
-                custom_poles: Sequence[complex] | None = None) -> FunvResult:
+                max_ell: int = 80, oracle: np.ndarray | None = None
+                ) -> FunvResult:
     """Approximate f(A)v to a relative tolerance or at a fixed pole count.
 
+    ``strategy`` is a name of the strategy table or the caller's own pole
+    list (``get_strategy``), which runs as the nested family ``custom``.
     Exactly one of ``tol`` / ``ell`` picks the mode.  Every run is one loop
     over a schedule of pole counts (``_funv_loop``):
 
@@ -678,9 +678,9 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     s = get_strategy(strategy)
     if ell is not None:  # named for ell, in the words of grow's check
         ell = count(ell, "ell: pole counts")
-        if s.name == "custom" and len(custom_poles or ()) < ell:
+        if s.name == "custom" and len(got := s.first(iv, ell)) < ell:
             raise ValueError(f"ell={ell} needs at least {ell} custom poles, "
-                             f"got {len(custom_poles or ())}")
+                             f"got {len(got)}")
     if oracle is not None:  # compared as blocks: (n,) and (n, 1) agree
         oracle, want = np.asarray(oracle), as_block(v)[0].shape
         if oracle.ndim not in (1, 2) or as_block(oracle)[0].shape != want:
@@ -690,8 +690,7 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     vnorm = float(np.linalg.norm(v))
 
     def loop(counts, **stop) -> FunvResult:
-        return _funv_loop(op, f, v, s, iv, vnorm, counts, oracle,
-                          custom_poles, **stop)
+        return _funv_loop(op, f, v, s, iv, vnorm, counts, oracle, **stop)
 
     if ell is not None:
         return loop([ell], fixed="fixed_ell")
@@ -709,14 +708,14 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
 
 
 def _funv_loop(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
-               s: Strategy, iv, vnorm: float, counts, oracle, custom_poles,
+               s: Strategy, iv, vnorm: float, counts, oracle,
                tol: float | None = None, fixed: str | None = None
                ) -> FunvResult:
     """``funv_driver``'s one loop over the increasing pole ``counts``: it
     stops at the first row with an estimate <= ``tol`` (else <= the
     rounding floor eps * b/a, as ``floor``), or, when ``fixed`` names the
     stop reason of a one-count schedule, at that row."""
-    steps = grow(s, iv, counts, [(op, v)], custom_poles)
+    steps = grow(s, iv, counts, [(op, v)])
     trace: list[FunvTraceRow] = []
     recent: list[np.ndarray] = []  # the last two iterates
     violated, slack = False, INTERVAL_SLACK * iv.upper
@@ -746,7 +745,7 @@ def _funv_loop(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
         trace.append(FunvTraceRow(
             used, est,
             math.nan if oracle is None else _rel_err(as_block(x)[0], oracle),
-            math.nan if outside else strategy_bound(s.name, f, iv, used, vnorm)))
+            math.nan if outside else strategy_bound(s, f, iv, used, vnorm)))
         reason = ("breakdown" if dec.breakdown else fixed or (
             "tol" if est <= tol else "floor" if est <= floor else None))
         if reason:

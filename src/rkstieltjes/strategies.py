@@ -6,7 +6,8 @@ functions take the symmetric Zolotarev poles (``zolotarev``) and
 Cauchy-Stieltjes functions the Moebius half-line poles (``cauchy``).  Each
 has a nested equidistributed variant (``eds-laplace``, ``eds-cauchy``) and
 a Kronecker pair for the two-sided solver; ``extended`` and ``polynomial``
-are the uncertified baselines, and ``custom`` takes the caller's list.
+are the uncertified baselines.  A caller's own pole list is a strategy too:
+``get_strategy`` turns it into a nested record named ``custom``.
 
 Nested families hand out one pole stream, so a basis grows a pole at a
 time; the interval-optimal families depend on the target count and are
@@ -20,20 +21,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .bounds import cauchy_bound, kron_cauchy_bound, kron_laplace_bound, laplace_bound
 from .operators import SpectralInterval, as_pole, count
-from .poles import (
-    cauchy_kron_poles,
-    cauchy_poles,
-    eds_pole_iter,
-    extended_poles,
-    polynomial_poles,
-    zolotarev_poles,
-)
+from .poles import cauchy_kron_poles, cauchy_poles, eds_pole_iter, zolotarev_poles
 
 __all__ = [
     "KronPair",
@@ -47,7 +41,7 @@ __all__ = [
 ]
 
 Bound = Callable[..., float]  # (f, interval, ell, norm) -> bound
-Stream = Callable[..., Iterator[complex]]  # (interval, custom_poles) -> poles
+Stream = Callable[..., Iterator[complex]]  # (interval) -> poles
 
 
 def _uncertified(f, interval, ell: int, norm: float) -> float:
@@ -55,26 +49,19 @@ def _uncertified(f, interval, ell: int, norm: float) -> float:
 
 
 def _eds(variant: str) -> Stream:
-    return lambda iv, custom_poles: eds_pole_iter(iv, variant)
+    return lambda iv: eds_pole_iter(iv, variant)
 
 
-def _repeating(period: np.ndarray) -> Stream:
+def _repeating(period: tuple) -> Stream:
     """Nested stream repeating one period of a baseline sequence."""
-    poles = period.tolist()
-    return lambda iv, custom_poles: itertools.cycle(poles)
-
-
-def _custom(iv, custom_poles) -> Iterator[complex]:
-    if custom_poles is None or len(custom_poles) == 0:
-        raise ValueError("strategy 'custom' needs a non-empty custom_poles list")
-    return iter(list(custom_poles))
+    return lambda iv: itertools.cycle(period)
 
 
 @dataclass(frozen=True)
 class Strategy:
     """One pole family.  Exactly one of ``stream`` (nested: a pole
-    iterator for an interval and the custom list) and ``fixed`` (the
-    interval-optimal set for a count) is set."""
+    iterator for an interval) and ``fixed`` (the interval-optimal set for
+    a count) is set."""
 
     name: str
     stream: Stream | None = None
@@ -88,10 +75,10 @@ class Strategy:
         return self.stream is not None
 
     def first(self, iv, ell: int) -> list:
-        """The first ``ell`` poles of a named family."""
+        """The first ``ell`` poles, fewer where a custom list runs out."""
         ell = count(ell, "ell")
         if self.nested:
-            return list(itertools.islice(self.stream(iv, None), ell))
+            return list(itertools.islice(self.stream(iv), ell))
         return list(self.fixed(iv, ell))
 
 
@@ -115,8 +102,8 @@ class KronPair(Strategy):
         return psi, [mirror(p) for p in psi]
 
 
-_EXTENDED = _repeating(extended_poles(2))
-_POLYNOMIAL = _repeating(polynomial_poles(1))
+_EXTENDED = _repeating((math.inf, 0.0))  # extended Krylov: inf, 0, inf, 0, ...
+_POLYNOMIAL = _repeating((math.inf,))  # plain Krylov: inf, inf, ...
 
 STRATEGIES: dict[str, Strategy] = {s.name: s for s in (
     # The left poles of ``laplace_kron_poles`` are the Zolotarev poles.
@@ -138,7 +125,6 @@ STRATEGIES: dict[str, Strategy] = {s.name: s for s in (
     Strategy("polynomial", stream=_POLYNOMIAL, needs_interval=False,
              kron=KronPair("polynomial", stream=_POLYNOMIAL,
                            needs_interval=False)),
-    Strategy("custom", stream=_custom, needs_interval=False),
 )}
 
 KRON_PAIRS: dict[str, KronPair] = {
@@ -148,14 +134,24 @@ KRON_PAIRS: dict[str, KronPair] = {
 CANONICAL = {"laplace": "zolotarev", "cauchy": "cauchy"}
 
 
-def get_strategy(name: str) -> Strategy:
+def get_strategy(strategy: str | Sequence[complex]) -> Strategy:
+    """The table's record for a name.  A sequence of poles is the caller's
+    own family: a nested record named ``custom`` that hands out the poles
+    in order, ignores the interval and has no bound.  An unknown name and
+    an empty list raise ValueError."""
+    if not isinstance(strategy, str):
+        poles = list(strategy)
+        if not poles:
+            raise ValueError("strategy: the custom pole list is empty")
+        return Strategy("custom", stream=lambda iv: iter(poles),
+                        needs_interval=False)
     try:
-        return STRATEGIES[name]
+        return STRATEGIES[strategy]
     except KeyError:
-        raise ValueError(f"unknown strategy {name!r}; expected one of "
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of "
                          f"{', '.join(STRATEGIES)}") from None
 
 
-def strategy_bound(strategy: str, f, interval, ell: int, norm: float) -> float:
-    """Bound column of a 1-D trace: the named record's ``bound``."""
-    return get_strategy(strategy).bound(f, interval, ell, norm)
+def strategy_bound(s: Strategy, f, interval, ell: int, norm: float) -> float:
+    """Bound column of a 1-D trace: the record's ``bound``."""
+    return s.bound(f, interval, ell, norm)

@@ -16,6 +16,20 @@ def _read_csv(path):
     return rows[0], rows[1:]
 
 
+# A refused generated-matrix spec and what follows its name in the error.
+MATRIX_REFUSALS = {
+    "tridiag:2.5": "n must be an integer >= 1, got '2.5'",
+    "diffusion:0": "n must be an integer >= 1, got '0'",
+    "tridiag:": "n must be an integer >= 1, got ''",
+    "tridiag:100:1:7": "expected tridiag:n[:scale]",
+    "diffusion:100:0.01:0.1:9": "expected diffusion:n[:eps[:dt]]",
+    "tridiag:100:abc": "scale must be a finite number > 0, got 'abc'",
+    "tridiag:100:0": "scale must be a finite number > 0, got '0'",
+    "diffusion:100:-1": "eps must be a finite number > 0, got '-1'",
+    "diffusion:100:0.01:inf": "dt must be a finite number > 0, got 'inf'",
+}
+
+
 class TestFunv:
     def test_ell_mode_trace(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -105,13 +119,32 @@ class TestFunv:
         assert rc == 2
         assert "hilbert" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", ["tridiag:2.5", "diffusion:0", "tridiag:"])
+    @pytest.mark.parametrize("spec", MATRIX_REFUSALS)
     def test_matrix_order_names_the_option_and_spec(self, spec, capsys):
         rc = main(["funv", "--matrix", spec, "--function", "inverse",
                    "--poles", "extended", "--ell", "2"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"--matrix {spec!r}: n must be an integer >= 1" in err
+        assert f"error: --matrix {spec!r}: {MATRIX_REFUSALS[spec]}\n" == err
+
+    def test_vector_file_must_be_one_value_per_line(self, tmp_path, capsys):
+        # 5 x 2 has the order's size, 10, but is no vector.
+        vec = tmp_path / "v.txt"
+        np.savetxt(vec, np.ones((5, 2)))
+        rc = main(["funv", "--matrix", "tridiag:10", "--function", "inverse",
+                   "--ell", "2", "--vector", str(vec)])
+        assert rc == 2
+        assert (f"--vector {vec}: expected 10 values, one per line, got "
+                "shape (5, 2)") in capsys.readouterr().err
+
+    def test_custom_pole_file_shorter_than_ell(self, tmp_path, capsys):
+        pf = tmp_path / "p.txt"
+        pf.write_text("-1.0\n-2.0\n")
+        rc = main(["funv", "--matrix", "tridiag:30", "--function", "inverse",
+                   "--poles", f"custom:{pf}", "--ell", "3"])
+        assert rc == 2
+        assert "ell=3 needs at least 3 custom poles, got 2" in (
+            capsys.readouterr().err)
 
     def test_function_argument_it_cannot_use_is_refused(self, capsys):
         rc = main(["funv", "--matrix", "tridiag:20", "--function", "inverse:3",
@@ -385,6 +418,21 @@ class TestExperimentAndAccept:
         rc = main(["accept", "--only", "0,99"])
         assert rc == 2
         assert "criterion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["funv", "--matrix", "tridiag:20", "--function", "inverse", "--ell", "2"],
+     "-1"),
+    (["kronfun", "--a", "tridiag:20", "--bneg", "tridiag:20", "--function",
+      "inverse", "--ell", "2"], "-3"),
+    (["experiment", "fig-lapl-1d"], "1.5"),
+], ids=["funv", "kronfun", "experiment"])
+def test_seed_must_be_an_integer_of_at_least_zero(argv, seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--seed={seed}"])
+    assert exc.value.code == 2
+    assert (f"argument --seed: must be an integer >= 0, got {seed!r}"
+            in capsys.readouterr().err)
 
 
 def test_no_subcommand_shows_usage(capsys):

@@ -40,13 +40,11 @@ from rkstieltjes.operators import (
 from rkstieltjes.poles import (
     cauchy_kron_poles,
     cauchy_poles,
-    eds_poles,
-    extended_poles,
+    eds_pole_iter,
     gamma_const,
     laplace_kron_poles,
     mobius_cauchy,
     mobius_kron,
-    polynomial_poles,
     write_pole_file,
     zolotarev_poles,
     zolotarev_ratio,
@@ -260,16 +258,12 @@ COUNT_ENTRIES = [
     (_library(lambda x: cauchy_poles(IV, x)), "ell"),
     (_library(lambda x: laplace_kron_poles(IV, x)), "ell"),
     (_library(lambda x: cauchy_kron_poles(IV, x)), "ell"),
-    (_library(lambda x: eds_poles(IV, x, "laplace")), "ell"),
-    (_library(extended_poles), "ell"),
-    (_library(polynomial_poles), "ell"),
     *((_library(lambda x, s=s: s.first(IV, x)), "ell")
       for s in STRATEGIES.values()),
     *((_library(lambda x, p=p: p.poles(IV, x)), "ell")
       for p in KRON_PAIRS.values()),
-    *((_library(lambda x, s=s: iterates(OP, F, V, s, IV, [x],
-                                        custom_poles=[-1.0])),
-       "pole counts") for s in STRATEGIES),
+    *((_library(lambda x, s=s: iterates(OP, F, V, s, IV, [x])),
+       "pole counts") for s in [*STRATEGIES, [-1.0]]),
     (_library(lambda x: kron_iterates(PROBLEM, KRON_PAIRS["eds-cauchy"],
                                       [x])), "pole counts"),
     (_library(lambda x: funv_driver(OP, F, V, IV, "eds-cauchy", ell=x)),
@@ -339,7 +333,7 @@ INTERVAL_ENTRIES = [
     _entry(lambda iv: cauchy_poles(iv, 3), "cauchy_poles"),
     _entry(lambda iv: laplace_kron_poles(iv, 3), "laplace_kron_poles"),
     _entry(lambda iv: cauchy_kron_poles(iv, 3), "cauchy_kron_poles"),
-    *(_entry(lambda iv, v=v: eds_poles(iv, 3, v), f"eds_poles-{v}")
+    *(_entry(lambda iv, v=v: next(eds_pole_iter(iv, v)), f"eds_pole_iter-{v}")
       for v in ("laplace", "cauchy", "kron-cauchy")),
     _entry(mobius_cauchy, "mobius_cauchy"),
     _entry(mobius_kron, "mobius_kron"),

@@ -15,15 +15,12 @@ from rkstieltjes.poles import (
     cauchy_poles,
     eds_next,
     eds_pole_iter,
-    eds_poles,
     elliptic_K,
-    extended_poles,
     gamma_const,
     jacobi_dn,
     laplace_kron_poles,
     mobius_cauchy,
     mobius_kron,
-    polynomial_poles,
     rate_rho,
     read_pole_file,
     write_pole_file,
@@ -187,7 +184,7 @@ class TestZolotarev:
         assert zolotarev_ratio(poles, (a, b)) == pytest.approx(grid, rel=1e-6)
 
     @pytest.mark.parametrize("poles, interval, match", [
-        (extended_poles(4), (1.0, 10.0), "inf"),
+        (STRATEGIES["extended"].first(None, 4), (1.0, 10.0), "inf"),
         ([-2.0, 3.0], (1.0, 10.0), "inside"),
         ([-2.0], (1.0, 1.0), "0 < a < b"),
         ([-2.0], (0.0, 10.0), "not positive"),
@@ -345,11 +342,11 @@ class TestCanonicalFamilies:
         assert list(psi)[0] == pytest.approx(-2.0, rel=1e-12)
 
     def test_extended_and_polynomial(self):
-        ext = list(extended_poles(5))
+        ext = STRATEGIES["extended"].first(None, 5)
         assert ext[0] == math.inf
         assert ext[1] == 0.0
         assert ext == [math.inf, 0.0, math.inf, 0.0, math.inf]
-        assert all(math.isinf(p) for p in polynomial_poles(4))
+        assert STRATEGIES["polynomial"].first(None, 4) == [math.inf] * 4
 
 
 class TestEds:
@@ -389,23 +386,21 @@ class TestEds:
         assert min(seen) < 0.2 and max(seen) > 0.9
 
     def test_prefix_property(self):
-        short = np.asarray(list(eds_poles((1.0, 4.0), 4, "cauchy")))
-        long = np.asarray(list(eds_poles((1.0, 4.0), 9, "cauchy")))
-        np.testing.assert_allclose(long[:4], short, rtol=1e-15)
+        first = STRATEGIES["eds-cauchy"].first
+        assert first((1.0, 4.0), 9)[:4] == first((1.0, 4.0), 4)
 
     def test_iter_matches_batch(self):
         it = eds_pole_iter((2.0, 50.0), "laplace")
-        from_iter = np.asarray([next(it) for _ in range(6)])
-        batch = np.asarray(list(eds_poles((2.0, 50.0), 6, "laplace")))
-        np.testing.assert_allclose(from_iter, batch, rtol=1e-15)
+        from_iter = [next(it) for _ in range(6)]
+        assert from_iter == STRATEGIES["eds-laplace"].first((2.0, 50.0), 6)
 
     def test_variants_differ_and_are_negative(self):
-        lap = np.asarray(list(eds_poles((1.0, 4.0), 5, "laplace")))
-        cau = np.asarray(list(eds_poles((1.0, 4.0), 5, "cauchy")))
+        lap = np.asarray(STRATEGIES["eds-laplace"].first((1.0, 4.0), 5))
+        cau = np.asarray(STRATEGIES["eds-cauchy"].first((1.0, 4.0), 5))
         assert np.all(lap < 0.0) and np.all(cau < 0.0)
         assert not np.allclose(lap, cau)
-        with pytest.raises(ValueError):
-            eds_poles((1.0, 4.0), 5, "fourier")
+        with pytest.raises(ValueError, match="unknown EDS variant"):
+            next(eds_pole_iter((1.0, 4.0), "fourier"))
 
     def test_kron_cauchy_variant_uses_the_mirror_chart(self):
         # Left poles of the nested two-sided Cauchy pair: the sequence
@@ -414,14 +409,14 @@ class TestEds:
         endpoint, pullback = mobius_kron((1.0, 4.0))
         big_m = elliptic_K(endpoint)
         want = [pullback(eds_next(endpoint, big_m, j)) for j in range(1, 7)]
-        got = list(eds_poles((1.0, 4.0), 6, "kron-cauchy"))
+        got = KRON_PAIRS["eds-cauchy"].first((1.0, 4.0), 6)
         assert got == want and all(p < -1.0 for p in got)
 
 
 class TestPoleFiles:
     def test_roundtrip_with_infinite(self, tmp_path):
         path = str(tmp_path / "poles.txt")
-        write_pole_file(path, extended_poles(4))
+        write_pole_file(path, STRATEGIES["extended"].first(None, 4))
         back = read_pole_file(path)
         got = list(back)
         assert got[0] == math.inf and got[1] == 0.0
@@ -472,11 +467,6 @@ def _read_text(tmp_path, text):
 POLE_MAKERS = {
     "zolotarev": lambda tmp: zolotarev_poles((1.0, 9.0), 5),
     "cauchy": lambda tmp: cauchy_poles((1.0, 9.0), 5),
-    "eds-laplace": lambda tmp: eds_poles((1.0, 9.0), 5, "laplace"),
-    "eds-cauchy": lambda tmp: eds_poles((1.0, 9.0), 5, "cauchy"),
-    "eds-kron-cauchy": lambda tmp: eds_poles((1.0, 9.0), 5, "kron-cauchy"),
-    "extended": lambda tmp: extended_poles(5),
-    "polynomial": lambda tmp: polynomial_poles(5),
     "laplace-kron-psi": lambda tmp: laplace_kron_poles((1.0, 9.0), 5)[0],
     "laplace-kron-xi": lambda tmp: laplace_kron_poles((1.0, 9.0), 5)[1],
     "cauchy-kron-psi": lambda tmp: cauchy_kron_poles((1.0, 9.0), 5)[0],

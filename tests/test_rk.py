@@ -28,12 +28,7 @@ from rkstieltjes.operators import (
     oracle_funv,
     spectral_interval,
 )
-from rkstieltjes.poles import (
-    cauchy_poles,
-    extended_poles,
-    polynomial_poles,
-    zolotarev_poles,
-)
+from rkstieltjes.poles import cauchy_poles, zolotarev_poles
 from rkstieltjes.rk import (
     CHECKPOINT_STRIDE,
     CHUNK_MIN_COLS,
@@ -48,7 +43,15 @@ from rkstieltjes.rk import (
     rk_build,
     rk_funv,
 )
-from rkstieltjes.strategies import STRATEGIES
+from rkstieltjes.strategies import STRATEGIES, get_strategy
+
+# The table's names and "custom", which the tests below run as a pole list.
+STRATEGY_NAMES = [*STRATEGIES, "custom"]
+
+
+def _first(name, ell, iv=None):
+    """The first ``ell`` poles of the table's family ``name``."""
+    return STRATEGIES[name].first(iv, ell)
 
 
 def _tridiag_op(n, scale=1.0):
@@ -132,8 +135,8 @@ class TestStepCost:
              -2.0, 0.0, -2.0, -1.0 + 0.5j] * 4
 
     @pytest.mark.parametrize("width, poles", [
-        (1, extended_poles(200)),
-        (2, extended_poles(200)),
+        (1, _first("extended", 200)),
+        (2, _first("extended", 200)),
         (1, MIXED),
     ], ids=["extended-200", "extended-200-width-2", "mixed-custom"])
     def test_orthonormal_to_1e_13(self, width, poles):
@@ -148,7 +151,7 @@ class TestStepCost:
     def test_one_matvec_per_block(self):
         op = _CountingTridiagonal(np.full(500, 2.0), np.full(499, -1.0))
         v = np.random.default_rng(22).standard_normal(500)
-        dec = rk_build(op, v, extended_poles(40))
+        dec = rk_build(op, v, _first("extended", 40))
         assert dec.dim == 41
         assert op.matvecs == 41  # one per block: the 20 polynomial steps add none
 
@@ -202,7 +205,8 @@ class TestStepCost:
         assert u.flags.f_contiguous
 
     @pytest.mark.parametrize("k", [3, 4, 6])
-    @pytest.mark.parametrize("poles", [polynomial_poles(10), extended_poles(10)],
+    @pytest.mark.parametrize("poles", [_first("polynomial", 10),
+                                       _first("extended", 10)],
                              ids=["polynomial", "extended"])
     def test_k_distinct_eigenvalues_break_down_at_step_k(self, k, poles):
         op = DiagonalOperator(np.repeat(np.arange(1.0, k + 1), 3))
@@ -366,7 +370,7 @@ class TestBasisBuffer:
         v = np.random.default_rng(5).standard_normal(n)
         tracemalloc.start()
         try:
-            dec, _ = _grow_one_pole_at_a_time(op, v, extended_poles(139))
+            dec, _ = _grow_one_pole_at_a_time(op, v, _first("extended", 139))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -510,11 +514,31 @@ class TestDrivers:
         v = rng.standard_normal(30)
         iv = spectral_interval(op, mode="exact-small")
         custom = list(zolotarev_poles(iv, 6))
-        res = funv_driver(op, f, v, iv, strategy="custom", ell=6,
-                          custom_poles=custom)
+        res = funv_driver(op, f, v, iv, strategy=custom, ell=6)
         assert tuple(res.poles_used) == tuple(custom)
-        with pytest.raises(ValueError):
+        assert res.strategy == "custom"
+        # A list is the caller's family; "custom" is no name of the table.
+        with pytest.raises(ValueError, match="unknown strategy 'custom'"):
             funv_driver(op, f, v, iv, strategy="custom", ell=6)
+
+    @pytest.mark.parametrize("poles", [
+        pytest.param([-0.5, math.inf, 0.0, -3.0, -1.0 + 0.5j, -1.0 - 0.5j],
+                     id="mixed"),
+        pytest.param(np.array([-2.0, -0.25, -8.0, -1.0]), id="array"),
+    ])
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_ell_mode_on_a_list_is_a_build_of_its_prefix(self, poles, k):
+        # Bit for bit: strategy=lst at ell=k projects through the basis of
+        # the first k poles, with no bound.
+        op = _tridiag_op(60)
+        f = catalog_function("power", -0.5)
+        v = np.random.default_rng(12).standard_normal(60)
+        iv = spectral_interval(op, mode="exact-small")
+        res = funv_driver(op, f, v, iv, strategy=poles, ell=k)
+        dec = rk_build(op, v, poles[:k])
+        np.testing.assert_array_equal(res.x, rk_funv(dec, f))
+        assert res.poles_used == tuple(dec.poles_used)
+        assert res.stop_reason == "fixed_ell" and math.isnan(res.trace[-1].bound)
 
     @pytest.mark.parametrize("strategy, mode, with_oracle", [
         pytest.param("extended", {"tol": 1e-4}, False, id="extended"),
@@ -610,26 +634,29 @@ class TestDrivers:
         op = _tridiag_op(20)
         f = catalog_function("inverse")
         iv = spectral_interval(op, mode="exact-small")
-        with pytest.raises(ValueError, match="non-empty"):
-            funv_driver(op, f, np.ones(20), iv, strategy="custom", tol=1e-6,
-                        custom_poles=[])
+        for empty in ([], np.array([])):
+            for mode in ({"tol": 1e-6}, {"ell": 3}):
+                with pytest.raises(ValueError, match=(
+                        "^strategy: the custom pole list is empty$")):
+                    funv_driver(op, f, np.ones(20), iv, strategy=empty, **mode)
 
     def test_ell_mode_short_custom_list_rejected(self):
         op = _tridiag_op(20)
         f = catalog_function("inverse")
         iv = spectral_interval(op, mode="exact-small")
-        with pytest.raises(ValueError, match="custom poles"):
-            funv_driver(op, f, np.ones(20), iv, strategy="custom", ell=5,
-                        custom_poles=[-1.0, -2.0])
+        with pytest.raises(ValueError, match=(
+                "^ell=5 needs at least 5 custom poles, got 2$")):
+            funv_driver(op, f, np.ones(20), iv, strategy=[-1.0, -2.0], ell=5)
 
-    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
     def test_ell_below_one_rejected(self, strategy):
         op = _tridiag_op(20)
         f = catalog_function("power", -0.5)
         iv = spectral_interval(op, mode="exact-small")
+        if strategy == "custom":
+            strategy = [-1.0]
         with pytest.raises(ValueError, match="pole counts must be >= 1"):
-            funv_driver(op, f, np.ones(20), iv, strategy=strategy, ell=0,
-                        custom_poles=[-1.0])
+            funv_driver(op, f, np.ones(20), iv, strategy=strategy, ell=0)
 
     def test_unknown_strategy(self):
         op = _tridiag_op(10)
@@ -803,8 +830,6 @@ class TestCertifiedTolerance:
         for name, (op, iv) in _mix_fixtures().items():
             v = np.random.default_rng(14).standard_normal(op.n)
             for strategy in STRATEGIES:
-                if strategy == "custom":
-                    continue
                 res = funv_driver(op, f, v, iv, strategy=strategy, tol=1e-14,
                                   max_ell=60)
                 assert not res.interval_violated, (name, strategy)
@@ -818,12 +843,14 @@ def _check_stop_reason(strategy, spec, breaks, ell, tol, max_ell, n_custom):
     d = np.repeat([1.0, 2.0, 4.0], 8) if breaks else np.linspace(1.0, 4.0, 24)
     op, f = DiagonalOperator(d), catalog_function(*spec)
     v = np.random.default_rng(15).standard_normal(24)
-    custom = list(-np.arange(1.0, n_custom + 1.0))
-    if ell is not None and strategy == "custom":
-        ell = min(ell, n_custom)
+    poles = strategy
+    if strategy == "custom":
+        poles = list(-np.arange(1.0, n_custom + 1.0))
+        if ell is not None:
+            ell = min(ell, n_custom)
     mode = {"ell": ell} if ell is not None else {"tol": tol}
-    res = funv_driver(op, f, v, (1.0, 4.0), strategy=strategy,
-                      max_ell=max_ell, custom_poles=custom, **mode)
+    res = funv_driver(op, f, v, (1.0, 4.0), strategy=poles, max_ell=max_ell,
+                      **mode)
     ells = [row.ell for row in res.trace]
     last = res.trace[-1]
     assert ells == sorted(set(ells)) and ells[-1] == len(res.poles_used)
@@ -852,7 +879,7 @@ def _check_stop_reason(strategy, spec, breaks, ell, tol, max_ell, n_custom):
 
 class TestStopReason:
     @settings(max_examples=60, deadline=None)
-    @given(strategy=st.sampled_from(list(STRATEGIES)),
+    @given(strategy=st.sampled_from(STRATEGY_NAMES),
            spec=st.sampled_from([("phi", 1), ("power", -0.5), ("inverse",)]),
            breaks=st.booleans(), ell=st.none() | st.integers(1, 12),
            tol=st.sampled_from([1e-2, 1e-5, 1e-9, 1e-13, 1e-16]),
@@ -870,7 +897,7 @@ class TestStopReason:
                                                     n_custom):
         _check_stop_reason(strategy, spec, breaks, ell, tol, max_ell, n_custom)
 
-    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
     def test_reason_on_every_strategy_at_the_breakdown_draw(self, strategy):
         # The draw above that breaks down at ell = 24 on zolotarev.
         _check_stop_reason(strategy, ("power", -0.5), False, None, 1e-13, 24, 1)
@@ -951,11 +978,10 @@ class TestErrorSweep:
         f = catalog_function("inverse")
         v = np.ones(30)
         iv = spectral_interval(op, mode="exact-small")
-        steps = iterates(op, f, v, "custom", iv, [1, 2, 5],
-                         custom_poles=[-1.0, -2.0])
+        steps = iterates(op, f, v, [-1.0, -2.0], iv, [1, 2, 5])
         ells = [len(dec.poles_used) for dec, _ in steps]
         assert ells == [1, 2]
-        bounds = emit_bounds(STRATEGIES["custom"].bound, f, iv, ells, 1.0)
+        bounds = emit_bounds(get_strategy([-1.0]).bound, f, iv, ells, 1.0)
         assert all(math.isnan(b) for _, b in bounds)
 
     @pytest.mark.parametrize("strategy", ["extended", "zolotarev"])
@@ -1102,8 +1128,8 @@ class TestIterates:
         op, f, v, iv = self._setup()
         with pytest.raises(ValueError, match="unknown strategy"):
             iterates(op, f, v, "chebyshev", iv, [1])
-        with pytest.raises(ValueError, match="non-empty"):
-            iterates(op, f, v, "custom", iv, [1])
+        with pytest.raises(ValueError, match="custom pole list is empty"):
+            iterates(op, f, v, [], iv, [1])
         # Counts that do not increase: refused before the first step.
         for strategy in ("eds-cauchy", "cauchy"):
             for counts in ([5, 3], [4, 4]):

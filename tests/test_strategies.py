@@ -1,5 +1,6 @@
 """The strategy table: one record per pole family, and the bounds it names."""
 import inspect
+import itertools
 import math
 import os
 import re
@@ -19,11 +20,9 @@ from rkstieltjes.operators import SpectralInterval, positive_interval
 from rkstieltjes.poles import (
     cauchy_kron_poles,
     cauchy_poles,
-    eds_poles,
-    extended_poles,
+    eds_pole_iter,
     gamma_const,
     laplace_kron_poles,
-    polynomial_poles,
     rate_rho,
     zolotarev_poles,
 )
@@ -38,12 +37,17 @@ from rkstieltjes.strategies import (
 
 IV = SpectralInterval(0.05, 4.0)
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+CUSTOM = get_strategy([-1.0, -2.0])
+
+
+def _eds(iv, ell, variant):
+    """The first ``ell`` poles of ``eds_pole_iter(iv, variant)``."""
+    return list(itertools.islice(eds_pole_iter(iv, variant), ell))
 
 
 def test_names_and_kron_pairs():
     assert list(STRATEGIES) == ["zolotarev", "cauchy", "eds-laplace",
-                                "eds-cauchy", "extended", "polynomial",
-                                "custom"]
+                                "eds-cauchy", "extended", "polynomial"]
     assert list(KRON_PAIRS) == ["laplace-kron", "cauchy-kron", "eds-laplace",
                                 "eds-cauchy", "extended", "polynomial"]
     assert CANONICAL == {"laplace": "zolotarev", "cauchy": "cauchy"}
@@ -51,6 +55,7 @@ def test_names_and_kron_pairs():
 
 @pytest.mark.parametrize("s", [
     *(pytest.param(s, id=name) for name, s in STRATEGIES.items()),
+    pytest.param(CUSTOM, id="custom"),
     *(pytest.param(s, id=f"kron-{name}") for name, s in KRON_PAIRS.items()),
 ])
 def test_each_record_has_one_pole_source(s):
@@ -67,10 +72,12 @@ def test_unknown_name():
 @pytest.mark.parametrize("name, want", [
     ("zolotarev", lambda n: zolotarev_poles(IV, n)),
     ("cauchy", lambda n: cauchy_poles(IV, n)),
-    ("eds-laplace", lambda n: eds_poles(IV, n, "laplace")),
-    ("eds-cauchy", lambda n: eds_poles(IV, n, "cauchy")),
-    ("extended", lambda n: extended_poles(n)),
-    ("polynomial", lambda n: polynomial_poles(n)),
+    ("eds-laplace", lambda n: _eds(IV, n, "laplace")),
+    ("eds-cauchy", lambda n: _eds(IV, n, "cauchy")),
+    # The closed forms of extended and plain Krylov.
+    ("extended", lambda n: [math.inf if j % 2 == 0 else 0.0
+                            for j in range(n)]),
+    ("polynomial", lambda n: [math.inf] * n),
 ])
 def test_first_poles_match_pole_functions(name, want):
     for count in (1, 2, 7):
@@ -78,12 +85,31 @@ def test_first_poles_match_pole_functions(name, want):
                                       want(count))
 
 
+@pytest.mark.parametrize("s, variant", [
+    pytest.param(STRATEGIES["eds-laplace"], "laplace", id="eds-laplace"),
+    pytest.param(STRATEGIES["eds-cauchy"], "cauchy", id="eds-cauchy"),
+    pytest.param(KRON_PAIRS["eds-cauchy"], "kron-cauchy", id="kron-cauchy"),
+])
+def test_eds_families_are_prefixes_of_eds_pole_iter(s, variant):
+    # Every EDS variant's first(iv, ell), to the bit, at intervals and
+    # counts beyond IV: the first ell poles of its eds_pole_iter stream.
+    for iv in ((1.0, 9.0), (2.5e-6, 4.0), (1e-2, 1.6e4)):
+        for ell in (1, 5, 40):
+            got, want = s.first(iv, ell), _eds(iv, ell, variant)
+            assert [repr(p) for p in got] == [repr(p) for p in want]
+
+
 def test_custom_stream():
-    stream = STRATEGIES["custom"].stream
-    assert list(stream(None, [-1.0, -2.0])) == [-1.0, -2.0]
-    for empty in (None, []):
-        with pytest.raises(ValueError, match="non-empty"):
-            stream(None, empty)
+    assert CUSTOM.name == "custom" and CUSTOM.nested
+    assert not CUSTOM.needs_interval
+    assert list(CUSTOM.stream(None)) == [-1.0, -2.0]
+    assert list(CUSTOM.stream(IV)) == [-1.0, -2.0]  # a fresh pass each time
+    assert CUSTOM.first(IV, 5) == [-1.0, -2.0]  # a short list stops early
+    assert get_strategy(np.array([-3.0, math.inf])).first(None, 2) == [
+        -3.0, math.inf]
+    for empty in ([], (), np.array([])):
+        with pytest.raises(ValueError, match="custom pole list is empty"):
+            get_strategy(empty)
     with pytest.raises(ValueError, match=">= 1"):
         STRATEGIES["zolotarev"].first(IV, 0)
 
@@ -94,7 +120,7 @@ def test_kron_pairs():
         psi, xi = maker(IV, 6)
         assert KRON_PAIRS[name].poles(IV, 6) == (list(psi), list(xi))
     psi, xi = KRON_PAIRS["eds-laplace"].poles(IV, 6)
-    assert psi == list(eds_poles(IV, 6, "laplace"))
+    assert psi == _eds(IV, 6, "laplace")
     assert xi == [-p for p in psi]
     psi, xi = KRON_PAIRS["eds-cauchy"].poles(IV, 6)
     assert xi == [-p for p in psi] and all(p < 0 for p in psi)
@@ -191,14 +217,14 @@ def test_bounds_named_by_the_table():
                   KRON_PAIRS["cauchy-kron"].bound, cauchy_bound,
                   kron_cauchy_bound):
         assert math.isnan(bound(phi, IV, 6, 2.0))
-    for name in ("extended", "polynomial", "custom"):
-        assert math.isnan(STRATEGIES[name].bound(phi, IV, 6, 2.0))
+    for record in (STRATEGIES["extended"], STRATEGIES["polynomial"], CUSTOM):
+        assert math.isnan(record.bound(phi, IV, 6, 2.0))
     for name in ("eds-laplace", "eds-cauchy", "extended", "polynomial"):
         assert math.isnan(KRON_PAIRS[name].bound(power, IV, 6, 2.0))
-    for name, record in STRATEGIES.items():
+    for record in (*STRATEGIES.values(), CUSTOM):
         for f in (phi, power):
             want = record.bound(f, IV, 6, 2.0)
-            got = strategy_bound(name, f, IV, 6, 2.0)
+            got = strategy_bound(record, f, IV, 6, 2.0)
             assert got == want or (math.isnan(got) and math.isnan(want))
 
 
@@ -233,6 +259,7 @@ def test_observed_gamma_one_curve_is_a_bound_over_gamma_const():
 
 ALL_BOUNDS = {
     **{f"strategy:{name}": s.bound for name, s in STRATEGIES.items()},
+    "strategy:custom": CUSTOM.bound,
     **{f"kron:{name}": p.bound for name, p in KRON_PAIRS.items()},
     **{b.__name__: b for b in (laplace_bound, cauchy_bound, kron_laplace_bound,
                                kron_cauchy_bound, singular_value_bound)},
@@ -254,8 +281,26 @@ def test_positive_interval():
         positive_interval((2.0, 1.0))
 
 
-def test_readme_lists_every_name_once():
+def _readme_strategy_table():
+    """The cells of the rows of README's strategy table."""
     with open(README) as fh:
-        text = fh.read()
-    rows = re.findall(r"^\| `([a-z-]+)` \|", text, flags=re.M)
-    assert rows == list(STRATEGIES)
+        lines = fh.read().splitlines()
+    start = lines.index("| name | poles | 1-D bound | Kronecker pair (bound) |")
+    rows = itertools.takewhile(lambda line: line.startswith("|"),
+                               lines[start + 2:])
+    return [[cell.strip() for cell in row.strip("|").split("|")]
+            for row in rows]
+
+
+def test_readme_lists_every_name_once():
+    # One row per table name, then the caller's own list.
+    names = [cells[0] for cells in _readme_strategy_table()]
+    assert names == [*(f"`{name}`" for name in STRATEGIES), "`strategy=[…]`"]
+
+
+def test_readme_names_only_kron_pairs_of_the_table():
+    # A pair's name is a backticked word of letters and hyphens; bounds
+    # carry underscores and the CLI's custom pair spaces.
+    named = [name for cells in _readme_strategy_table()
+             for name in re.findall(r"`([a-z]+(?:-[a-z]+)*)`", cells[3])]
+    assert named == list(KRON_PAIRS)
