@@ -94,7 +94,7 @@ def _reals(text: str, spec: str, count: int) -> list[float]:
     except ValueError:
         values = []
     if len(values) != count:
-        raise SystemExit(f"--interval: expected 'a,b' (see --help), got {spec!r}")
+        raise ValueError(f"--interval: expected 'a,b' (see --help), got {spec!r}")
     return values
 
 
@@ -118,10 +118,19 @@ def _seed_arg(text: str) -> int:
     return seed
 
 
-def _load_factor(path: str) -> np.ndarray:
+def _load_text(path: str, option: str) -> np.ndarray:
+    """The real numbers of the text file ``path``; an entry ``np.loadtxt``
+    cannot read as a float is refused by ``option`` and file."""
+    try:
+        return np.loadtxt(path, dtype=float, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"{option} {path}: {exc}") from None
+
+
+def _load_factor(path: str, option: str) -> np.ndarray:
     """A factor as stored, a one-line text factor as a column (1-D);
     ``kron_problem`` coerces it."""
-    return np.load(path) if path.endswith(".npy") else np.loadtxt(path, ndmin=1)
+    return np.load(path) if path.endswith(".npy") else _load_text(path, option)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +149,7 @@ def _cmd_funv(args) -> int:
         iv = iv.shifted(-eta).require_positive()
 
     if args.vector is not None:
-        v = np.loadtxt(args.vector, dtype=float, ndmin=1)
+        v = _load_text(args.vector, "--vector")
         if v.shape != (op.n,):
             raise ValueError(f"--vector {args.vector}: expected {op.n} values, "
                              f"one per line, got shape {v.shape}")
@@ -153,7 +162,7 @@ def _cmd_funv(args) -> int:
     if strategy.startswith("custom:"):
         strategy = list(read_pole_file(strategy[7:]))
     elif strategy not in STRATEGIES:
-        raise SystemExit(
+        raise ValueError(
             f"--poles: unknown strategy {strategy!r}; expected one of "
             f"{', '.join(STRATEGIES)} or custom:FILE")
 
@@ -199,8 +208,9 @@ def _cmd_kronfun(args) -> int:
 
     if args.ufile or args.vfile:
         if not (args.ufile and args.vfile):
-            raise SystemExit("--ufile and --vfile must be given together")
-        u, w = _load_factor(args.ufile), _load_factor(args.vfile)
+            raise ValueError("--ufile and --vfile must be given together")
+        u = _load_factor(args.ufile, "--ufile")
+        w = _load_factor(args.vfile, "--vfile")
     else:
         rng = np.random.default_rng(args.seed)
         u = rng.standard_normal((a_op.n, args.rank))
@@ -222,7 +232,7 @@ def _cmd_kronfun(args) -> int:
     if family.startswith("custom:"):
         spec = family[7:]
         if "," not in spec:
-            raise SystemExit("--poles custom: expected custom:PSI_FILE,XI_FILE")
+            raise ValueError("--poles custom: expected custom:PSI_FILE,XI_FILE")
         psi_path, xi_path = spec.split(",", 1)
         psi = list(read_pole_file(psi_path))
         xi = list(read_pole_file(xi_path))
@@ -231,7 +241,7 @@ def _cmd_kronfun(args) -> int:
         psi, xi = pair.poles(prob.interval, args.ell)
         bound = pair.bound(f, prob.interval, args.ell, prob.rhs_norm2())
     else:
-        raise SystemExit(
+        raise ValueError(
             f"--poles: unknown family {family!r}; expected one of "
             f"{', '.join(KRON_PAIRS)} or custom:PSI_FILE,XI_FILE")
 
@@ -268,17 +278,17 @@ def _cmd_poles(args) -> int:
     if args.out_xi:
         family = KRON_PAIRS.get(args.strategy)
         if family is None:
-            raise SystemExit(
+            raise ValueError(
                 f"{args.strategy} is a 1-D strategy with one pole list; "
                 f"--out-xi needs a Kronecker pair: {', '.join(KRON_PAIRS)}")
     else:
         family = STRATEGIES.get(args.strategy)
         if family is None:
-            raise SystemExit(
+            raise ValueError(
                 f"{args.strategy} produces a pole pair; --out-xi FILE is "
                 "required for the second factor")
     if family.needs_interval and args.interval is None:
-        raise SystemExit(f"--interval a,b is required for {args.strategy}")
+        raise ValueError(f"--interval a,b is required for {args.strategy}")
     iv = None
     if args.interval is not None:
         iv = positive_interval(_reals(args.interval, args.interval, 2))

@@ -115,6 +115,33 @@ def _subtract_product(parts: list[np.ndarray], y: np.ndarray,
     return x
 
 
+_MIXED = "mixed"
+
+
+def _one_shift(shift, sigma):
+    """What a pole record knows of its finite poles after ``sigma`` when
+    it knew ``shift`` before: None while it has none, the one shift while
+    every finite pole is that real number, else ``_MIXED`` (a second
+    shift or a complex one), which no later pole changes."""
+    if sigma == math.inf or shift is _MIXED or sigma == shift:
+        return shift
+    if shift is None and not isinstance(sigma, complex):
+        return sigma
+    return _MIXED
+
+
+def _columns_from(parts: list[np.ndarray], lo: int) -> list[np.ndarray]:
+    """Views of the columns from ``lo`` on of U stored as ``parts``."""
+    if not lo:
+        return parts
+    out = []
+    for p in parts:
+        if lo < p.shape[1]:
+            out.append(p[:, lo:])
+        lo = max(lo - p.shape[1], 0)
+    return out
+
+
 class RKDecomposition:
     """Growing orthonormal basis of a rational Krylov space.
 
@@ -142,13 +169,20 @@ class RKDecomposition:
     the basis's capacity and grow only with it.  Each block's A·block is
     kept (n x width numbers), so a polynomial step takes it as its
     candidate with no matvec, and the last block column of U*AU as its
-    first-pass coefficients.  A step reads the n x m basis once for the
-    first-pass coefficients (shifted-solve steps only), once for the
-    first-pass update, twice more when the second Gram-Schmidt pass runs,
-    and once for the cross product U*(A·block): 2 to 5 passes, where a
-    plain block CGS2 step takes 5.  Each pass runs chunk by chunk, and an
-    update over several chunks subtracts in place through one n x width
-    scratch block, so a step makes no n x m temporary.
+    first-pass coefficients.
+
+    Passes over the n x m basis: while every finite pole so far is one
+    real shift (``extended``, ``polynomial``, one-shift lists), U*AU is
+    block banded and the first pass and the cross product U*(A·block)
+    read only the last few blocks (``_windows``).  Such a step reads the
+    whole basis twice: one full Gram-Schmidt pass, which always runs.  On
+    any other pole record a step reads it once for the first-pass
+    coefficients (shifted-solve steps only), once for the first-pass
+    update, twice more when the second pass runs, and once for the cross
+    product: 2 to 5 passes, where a plain block CGS2 step takes 5.  Each
+    pass runs chunk by chunk, and an update over several chunks subtracts
+    in place through one n x width scratch block, so a step makes no
+    n x m temporary.
     """
 
     def __init__(self, op: HermitianOperator, v: np.ndarray):
@@ -173,6 +207,9 @@ class RKDecomposition:
         self._h = np.empty((0, 0), dtype=dtype)  # U*AU in its leading m x m
         self._rhs = np.empty((0, self.block_width), dtype=dtype)  # U*v, m rows
         self._last_width = 0  # columns of the last block
+        self._starts: list[int] = []  # first column of each block
+        self._shift = None  # _one_shift of poles_used
+        self._cross = 0  # where the last block's column of U*AU starts
         self.poles_used: list[complex] = []
         self.breakdown = False
 
@@ -249,7 +286,7 @@ class RKDecomposition:
         self._chunks[-1][:, :fill] = last[:, :fill]  # a doubling's copy
         del last  # a doubled chunk's old buffer goes before U*AU grows
         cap, h, rhs = self._closed + width, self._h, self._rhs
-        self._h = np.empty((cap, cap), dtype=h.dtype)
+        self._h = np.zeros((cap, cap), dtype=h.dtype)  # zero outside windows
         self._rhs = np.empty((cap, self.block_width), dtype=rhs.dtype)
         self._h[:m, :m], self._rhs[:m] = h[:m, :m], rhs[:m]
 
@@ -266,7 +303,8 @@ class RKDecomposition:
         self._rhs = self._rhs.astype(np.complex128)
 
     def _orthonormalize(self, parts: list[np.ndarray], cand: np.ndarray,
-                        coeffs: np.ndarray | None = None) -> np.ndarray:
+                        coeffs: np.ndarray | None = None,
+                        lo: int = 0) -> np.ndarray:
         """Block Gram-Schmidt against the basis (its chunks ``parts``), then
         a column-by-column pass inside the block with rank-revealing
         deflation (drop when the surviving norm is below tol times the
@@ -274,19 +312,23 @@ class RKDecomposition:
         into the basis's reserved spare columns, and returned as a view of
         them; only ``_m`` makes them filled.  ``cand`` may be overwritten.
 
-        ``coeffs`` are the first-pass coefficients U*cand when the caller
-        already holds them.  The second pass against the basis runs only
+        The first pass runs against the basis columns from ``lo`` on
+        (``_windows``), with ``coeffs`` = their U*cand when the caller
+        already holds them.  After a local first pass (lo > 0) one full
+        pass always follows.  After a full one the second pass runs only
         when some column keeps less than 1/sqrt(2) of its incoming norm
         ("twice is enough": Giraud, Langou and Rozloznik 2005), so a
         near-dependent candidate always gets both passes."""
         pre = _column_norms(cand)
+        local = _columns_from(parts, lo)
         if coeffs is None:
-            coeffs = _adjoint_product(parts, cand)
-        cand = _subtract_product(parts, coeffs, cand)
+            coeffs = _adjoint_product(local, cand)
+        cand = _subtract_product(local, coeffs, cand)
         # ||cand - U c||^2 = ||cand||^2 - ||c||^2: a column keeps less than
         # 1/sqrt(2) of its norm exactly when ||c|| is more than 1/sqrt(2)
         # of it, which reads m numbers instead of n.
-        if any(c > p / math.sqrt(2.0) for c, p in zip(_column_norms(coeffs), pre)):
+        if lo or any(c > p / math.sqrt(2.0)
+                     for c, p in zip(_column_norms(coeffs), pre)):
             cand = _subtract_product(parts, _adjoint_product(parts, cand), cand)
         fill, kept = self._m - self._closed, 0
         out = self._chunks[-1][:, fill:fill + cand.shape[1]]
@@ -302,27 +344,70 @@ class RKDecomposition:
             kept += 1
         return out[:, :kept]
 
-    def _append_block(self, cand: np.ndarray,
-                      coeffs: np.ndarray | None = None) -> int:
+    def _append_block(self, cand: np.ndarray, coeffs: np.ndarray | None = None,
+                      first: int = 0, cross: int = 0) -> int:
+        """Orthonormalize ``cand`` into the next block (first pass from
+        column ``first``) and project it: its column of U*AU is computed
+        from column ``cross`` on; above it stays the zero ``_reserve``
+        wrote (``_windows``)."""
         self._reserve(cand.shape[1])
         m, parts = self._m, self._parts()
-        block = self._orthonormalize(parts, cand, coeffs)
+        block = self._orthonormalize(parts, cand, coeffs, first)
         width = block.shape[1]
         if width == 0:
             return 0
         aw = self.op.matvec(block)
         self._a_last = aw  # a polynomial step's candidate
         new = slice(m, m + width)
-        self._h[:m, new] = cross = _adjoint_product(parts, aw)
-        self._h[new, :m] = cross.conj().T
+        self._h[cross:m, new] = col = _adjoint_product(
+            _columns_from(parts, cross), aw)
+        self._h[new, cross:m] = col.conj().T
         self._h[new, new] = block.conj().T @ aw
         # Earlier rows of U*v are final because earlier columns never
         # change; later blocks are orthogonal to the seed only up to
         # roundoff, so project exactly rather than padding with zeros.
         self._rhs[new] = block.conj().T @ self._seed_cache
+        self._starts.append(m)
+        self._cross = cross
         self._m = m + width
         self._last_width = width
         return width
+
+    def _windows(self, sigma) -> tuple[int, int]:
+        """The first basis columns of the next step's first pass and of its
+        block's column of U*AU, where the pole record proves every entry
+        above them zero, else 0 (the whole basis).
+
+        While every finite pole, ``sigma`` included, is one real shift s,
+        the space after step j is span{(A - sI)^d V : -f_j <= d <= p_j}
+        for the seed block V, f_j finite and p_j infinite poles so far (a
+        Laurent-polynomial space: Jagels and Reichel, Linear Algebra Appl.
+        431, 2009).  So with A Hermitian, A maps the blocks before an
+        infinite step's block into the space up to that block, and
+        (A - sI)^-1 does the same for a finite step.  Block j is made by
+        step j (block 0 is the seed) and the next block is block k:
+        * its column of U*AU is zero above the block of the last infinite
+          step before k;
+        * a finite step's first-pass coefficients U*(A - sI)^-1 u, u in
+          block k - 1, are zero above the block of the last finite step
+          before k - 1;
+        * an infinite step's are the last block column of U*AU, zero above
+          where that column started.
+        The argument holds block by block; ``_starts`` holds each block's
+        first column, so a narrower deflated block counts its real width.
+        """
+        if _one_shift(self._shift, sigma) is _MIXED:
+            return 0, 0
+        poles, k = self.poles_used, len(self._starts)
+        j = k - 1  # the last infinite step before k, else 0: the seed
+        while j > 0 and poles[j - 1] != math.inf:
+            j -= 1
+        if sigma == math.inf:
+            return self._cross, self._starts[j]
+        i = k - 2  # the last finite step before k - 1, else 0
+        while i > 0 and poles[i - 1] == math.inf:
+            i -= 1
+        return self._starts[max(i, 0)], self._starts[j]
 
     def extend(self, poles: Iterable[complex]) -> "RKDecomposition":
         """Consume poles (inf for a multiplication step) until the list is
@@ -343,17 +428,21 @@ class RKDecomposition:
             sigma = as_pole(sigma)
             if isinstance(sigma, complex) and not np.iscomplexobj(self._chunks[-1]):
                 self._promote_complex()
+            first, cross = self._windows(sigma)
             if sigma == math.inf:
                 # A·last_block and U*(A·last_block), the last block column
                 # of U*AU, were computed when that block was appended.
                 cand = self._a_last
-                coeffs = self._h[:self._m, self._m - self._last_width:self._m]
+                coeffs = self._h[first:self._m,
+                                 self._m - self._last_width:self._m]
             else:
                 cand = self.op.shifted_solve(sigma, self.last_block)
                 coeffs = None
             self.breakdown = self._append_block(
-                np.asarray(cand, dtype=self._chunks[-1].dtype), coeffs) == 0
+                np.asarray(cand, dtype=self._chunks[-1].dtype), coeffs,
+                first, cross) == 0
             self.poles_used.append(sigma)
+            self._shift = _one_shift(self._shift, sigma)
         return self
 
 

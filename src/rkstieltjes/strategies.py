@@ -18,6 +18,7 @@ the family or the function class.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -137,12 +138,15 @@ CANONICAL = {"laplace": "zolotarev", "cauchy": "cauchy"}
 def get_strategy(strategy: str | Sequence[complex]) -> Strategy:
     """The table's record for a name.  A sequence of poles is the caller's
     own family: a nested record named ``custom`` that hands out the poles
-    in order, ignores the interval and has no bound.  An unknown name and
-    an empty list raise ValueError."""
+    in order, ignores the interval and has no bound.  An unknown name, an
+    empty list and a NaN pole raise ValueError."""
     if not isinstance(strategy, str):
         poles = list(strategy)
         if not poles:
             raise ValueError("strategy: the custom pole list is empty")
+        for i, p in enumerate(poles):
+            if cmath.isnan(complex(p)):
+                raise ValueError(f"strategy: pole {i} of the custom list is nan")
         return Strategy("custom", stream=lambda iv: iter(poles),
                         needs_interval=False)
     try:

@@ -1,6 +1,7 @@
 """End-to-end command coverage through main(argv)."""
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,25 @@ class TestFunv:
         assert (f"--vector {vec}: expected 10 values, one per line, got "
                 "shape (5, 2)") in capsys.readouterr().err
 
+    def test_vector_file_entry_that_is_no_real_number(self, tmp_path, capsys):
+        vec = tmp_path / "v.txt"
+        vec.write_text("1\n2\n-1+0.5j\n")
+        rc = main(["funv", "--matrix", "tridiag:3", "--function", "inverse",
+                   "--ell", "1", "--vector", str(vec)])
+        assert rc == 2
+        assert (f"error: --vector {vec}: could not convert string '-1+0.5j' "
+                "to float64") in capsys.readouterr().err
+
+    def test_unknown_strategy_exits_2(self, capsys):
+        # Exit 1 is an unconverged run's; a refusal is a usage error.
+        rc = main(["funv", "--matrix", "tridiag:20", "--function", "inverse",
+                   "--ell", "2", "--poles", "bogus"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --poles: unknown strategy 'bogus'; expected one of "
+            "zolotarev, cauchy, eds-laplace, eds-cauchy, extended, "
+            "polynomial or custom:FILE\n")
+
     def test_custom_pole_file_shorter_than_ell(self, tmp_path, capsys):
         pf = tmp_path / "p.txt"
         pf.write_text("-1.0\n-2.0\n")
@@ -172,10 +192,10 @@ class TestPoles:
         assert len(vals) == 4
         assert all(-10 < p < -1 for p in vals)
 
-    def test_kron_pair_needs_out_xi(self, tmp_path):
-        with pytest.raises(SystemExit, match="out-xi"):
-            main(["poles", "--strategy", "cauchy-kron", "--interval", "1,4",
-                  "--ell", "3", "--out", str(tmp_path / "psi.txt")])
+    def test_kron_pair_needs_out_xi(self, tmp_path, capsys):
+        assert main(["poles", "--strategy", "cauchy-kron", "--interval", "1,4",
+                     "--ell", "3", "--out", str(tmp_path / "psi.txt")]) == 2
+        assert "--out-xi FILE is required" in capsys.readouterr().err
         rc = main(["poles", "--strategy", "cauchy-kron", "--interval", "1,4",
                    "--ell", "3", "--out", str(tmp_path / "psi.txt"),
                    "--out-xi", str(tmp_path / "xi.txt")])
@@ -200,12 +220,12 @@ class TestPoles:
             STRATEGIES["eds-cauchy"].first((1.0, 4.0), 5))
         assert not np.array_equal(read_pole_file(one), want_psi)
 
-    def test_out_xi_refused_for_a_1d_strategy(self, tmp_path):
+    def test_out_xi_refused_for_a_1d_strategy(self, tmp_path, capsys):
         out = tmp_path / "p.txt"
-        with pytest.raises(SystemExit, match="1-D strategy.*--out-xi"):
-            main(["poles", "--strategy", "cauchy", "--interval", "1,4",
-                  "--ell", "3", "--out", str(out),
-                  "--out-xi", str(tmp_path / "xi.txt")])
+        assert main(["poles", "--strategy", "cauchy", "--interval", "1,4",
+                     "--ell", "3", "--out", str(out),
+                     "--out-xi", str(tmp_path / "xi.txt")]) == 2
+        assert re.search("1-D strategy.*--out-xi", capsys.readouterr().err)
         assert not out.exists()
 
     def test_extended_needs_no_interval(self, tmp_path):
@@ -215,15 +235,16 @@ class TestPoles:
         assert rc == 0
         assert out.read_text().split()[0] == "inf"
 
-    @pytest.mark.parametrize("spec", ["1,2,3", "1,x", "gershgorin:abc",
+    @pytest.mark.parametrize("spec", ["1", "1,2,3", "1,x", "gershgorin:abc",
                                       "gershgorin-typo"])
-    def test_bad_interval_is_a_usage_error(self, spec):
+    def test_bad_interval_is_a_usage_error(self, spec, capsys):
         for argv in (["poles", "--strategy", "zolotarev", "--ell", "3",
                       "--out", "/dev/null"],
                      ["funv", "--matrix", "tridiag:20", "--function",
                       "inverse", "--ell", "3"]):
-            with pytest.raises(SystemExit, match="--interval: expected 'a,b'"):
-                main(argv + ["--interval", spec])
+            assert main(argv + ["--interval", spec]) == 2
+            assert (f"error: --interval: expected 'a,b' (see --help), got "
+                    f"{spec!r}\n") == capsys.readouterr().err
 
     @pytest.mark.parametrize("strategy, pair", [
         ("cauchy", False), ("eds-cauchy", False), ("cauchy-kron", True),
@@ -246,10 +267,11 @@ class TestPoles:
         assert "interval [1e-300, 1e+300] is too wide" in err
         assert not out.exists()
 
-    def test_interval_required_for_zolotarev(self):
-        with pytest.raises(SystemExit, match="interval"):
-            main(["poles", "--strategy", "zolotarev", "--ell", "3",
-                  "--out", "/dev/null"])
+    def test_interval_required_for_zolotarev(self, capsys):
+        assert main(["poles", "--strategy", "zolotarev", "--ell", "3",
+                     "--out", "/dev/null"]) == 2
+        assert ("--interval a,b is required for zolotarev"
+                in capsys.readouterr().err)
 
 
 class TestKronfun:
@@ -386,6 +408,31 @@ class TestKronfun:
                    "--function", "inverse", "--ufile", str(u),
                    "--vfile", str(v), "--poles", "extended", "--ell", "6"])
         assert rc == 0
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--ufile", "u.txt"], "--ufile and --vfile must be given together"),
+        (["--poles", "bogus"], "--poles: unknown family 'bogus'; expected "
+         "one of laplace-kron, cauchy-kron, eds-laplace, eds-cauchy, "
+         "extended, polynomial or custom:PSI_FILE,XI_FILE"),
+        (["--poles", "custom:psi.txt"],
+         "--poles custom: expected custom:PSI_FILE,XI_FILE"),
+    ], ids=["ufile-alone", "unknown-poles", "custom-one-file"])
+    def test_refusal_exits_2(self, extra, message, capsys):
+        rc = main(["kronfun", "--a", "tridiag:20", "--bneg", "tridiag:20",
+                   "--function", "inverse", "--ell", "2", *extra])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_text_factor_entry_that_is_no_real_number(self, tmp_path, capsys):
+        u, v = tmp_path / "u.txt", tmp_path / "v.txt"
+        u.write_text("1\n" * 20)
+        v.write_text("1\n" * 19 + "x\n")
+        rc = main(["kronfun", "--a", "tridiag:20:2", "--bneg", "tridiag:20:2",
+                   "--function", "inverse", "--ufile", str(u),
+                   "--vfile", str(v), "--poles", "extended", "--ell", "3"])
+        assert rc == 2
+        assert (f"error: --vfile {v}: could not convert string 'x' to "
+                "float64") in capsys.readouterr().err
 
     def test_complex_factor_file_refused(self, tmp_path, capsys):
         u = tmp_path / "u.npy"

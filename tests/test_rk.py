@@ -14,6 +14,7 @@ from rkstieltjes.experiments import (
     _eig_fixtures,
     diffusion_operator,
     emit_bounds,
+    fixture_1d,
     solutions_1d,
     timed_sweep,
     with_bounds,
@@ -213,6 +214,116 @@ class TestStepCost:
         dec = rk_build(op, np.arange(1.0, 3 * k + 1), poles)
         assert dec.breakdown
         assert dec.dim == len(dec.poles_used) == k
+
+
+class TestWindow:
+    """While every finite pole is one real shift, U*AU is block banded and a
+    step reads the whole basis twice; any other pole record takes the full
+    path, the code before the window existed."""
+
+    @pytest.mark.parametrize("name, n, ell, width, blocks", [
+        ("extended", 100_000, 220, 1, 2),  # criterion 5's extended sweep
+        ("extended", 2000, 200, 2, 2),
+        ("polynomial", 2000, 100, 1, 1),
+    ], ids=["extended-criterion-5", "extended-width-2", "polynomial"])
+    def test_reduced_matrix_is_banded_and_basis_orthonormal(
+            self, name, n, ell, width, blocks):
+        op, f = _tridiag_op(n), catalog_function("power", -0.5)
+        v = fixture_1d(op, f, 7)[0]
+        if width == 2:
+            v = np.column_stack([v, np.random.default_rng(8).standard_normal(n)])
+        dec = rk_build(op, v, _first(name, ell))
+        assert dec.dim == width * (ell + 1)
+        u = dec.basis
+        fresh = u.T @ op.matvec(u)
+        tiny = 4 * np.finfo(float).eps * 4.0  # ||A|| <= 4
+        b = np.arange(dec.dim) // width
+        outside = np.abs(b[:, None] - b[None, :]) > blocks
+        assert np.abs(fresh[outside]).max() <= tiny
+        h = dec.reduced_matrix()
+        assert not h[outside].any()  # the window writes those entries as 0
+        assert np.abs(h - fresh).max() <= tiny
+        assert np.linalg.norm(u.T @ u - np.eye(dec.dim), 2) <= 5e-15
+
+    @pytest.mark.parametrize("poles", [
+        [math.inf, -0.1] * 30, [math.inf] * 60, [-0.1] * 60,
+        [math.inf, -0.1, -0.1, math.inf, math.inf, -0.1] * 10,
+        [-0.1, -0.1, math.inf, -0.1, math.inf, math.inf, math.inf] * 8,
+    ], ids=["extended", "polynomial", "shift-invert", "mixed", "mixed-2"])
+    def test_windows_drop_only_rounding(self, poles):
+        # Above its window, a step's first-pass coefficients U*cand and its
+        # block's column U*(A·block) are rounding, computed afresh.
+        op = _tridiag_op(2000)
+        dec = RKDecomposition(op, np.random.default_rng(12).standard_normal(2000))
+        eps = np.finfo(float).eps
+        for sigma in poles:
+            first, cross = dec._windows(sigma)
+            u, last = dec.basis, dec.last_block
+            cand = op.matvec(last) if sigma == math.inf else \
+                op.shifted_solve(sigma, last)
+            assert np.abs(u[:, :first].T @ cand).max(initial=0.0) <= \
+                4 * eps * np.linalg.norm(cand)
+            dec.extend([sigma])
+            col = u[:, :cross].T @ op.matvec(dec.last_block)
+            assert np.abs(col).max(initial=0.0) <= 4 * eps * 4.0  # ||A|| <= 4
+        assert first > 0  # the windows were open
+
+    @pytest.mark.parametrize("name", ["extended", "polynomial"])
+    def test_a_windowed_step_reads_the_basis_twice(self, name, monkeypatch):
+        # A full read is a product with every filled column; the first
+        # pass and the cross column of a windowed step read a few.
+        op = _tridiag_op(3000)
+        dec = RKDecomposition(op, np.random.default_rng(9).standard_normal(3000))
+        full = []
+        for fn in ("_adjoint_product", "_subtract_product"):
+            def spy(parts, *args, fn=getattr(rk, fn)):
+                if sum(p.shape[1] for p in parts) == dec.dim:
+                    full.append(1)
+                return fn(parts, *args)
+            monkeypatch.setattr(rk, fn, spy)
+        reads = []
+        for sigma in _first(name, 80):
+            full.clear()
+            dec.extend([sigma])
+            reads.append(len(full))
+        # Step 1 sees no earlier infinite step, so it reads the whole
+        # basis for its cross column too; step 2's first pass is full.
+        assert reads[0] >= 2
+        assert reads[2:] == [2] * 78
+
+    # A second distinct shift, or a complex one, before any window opens.
+    @pytest.mark.parametrize("strategy", [
+        "zolotarev", "eds-cauchy",
+        [-1.0, math.inf, -2.0, math.inf, -1.0] * 6,
+        [math.inf, -1.0 + 0.5j, math.inf, -1.0 - 0.5j] * 6,
+    ], ids=["zolotarev", "eds-cauchy", "two-shifts", "complex"])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_no_window_without_one_shift(self, strategy, width, monkeypatch):
+        # Every window is the whole basis, the path whose arithmetic is
+        # the code's before windows existed.
+        op, f = _tridiag_op(1500), catalog_function("power", -0.5)
+        v = np.random.default_rng(10).standard_normal((1500, width))
+        seen = []
+        windows = RKDecomposition._windows
+        monkeypatch.setattr(RKDecomposition, "_windows",
+                            lambda dec, s: seen.append(windows(dec, s))
+                            or seen[-1])
+        funv_driver(op, f, v, spectral_interval(op), strategy=strategy, ell=24)
+        assert len(seen) == 24 and set(seen) == {(0, 0)}
+
+    def test_window_ends_at_a_second_shift(self):
+        # The one-shift prefix is windowed; from the second shift on every
+        # window is the whole basis, and the band holds on the prefix.
+        op = _tridiag_op(1500)
+        v = np.random.default_rng(11).standard_normal(1500)
+        dec = rk_build(op, v, _first("extended", 10))
+        assert dec._windows(0.0) != (0, 0)
+        assert dec._windows(-1.0) == (0, 0)
+        dec.extend([-1.0, math.inf, 0.0])
+        assert dec._windows(math.inf) == dec._windows(0.0) == (0, 0)
+        h = dec.reduced_matrix()
+        assert not h[:3, 4:11].any()
+        assert np.abs(h[:, 11:]).min() > 0.0
 
 
 class TestExtend:

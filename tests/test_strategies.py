@@ -114,6 +114,17 @@ def test_custom_stream():
         STRATEGIES["zolotarev"].first(IV, 0)
 
 
+@pytest.mark.parametrize("poles, index", [
+    ([math.nan], 0), ([-1.0, math.inf, np.nan], 2),
+    (np.array([-1.0, complex(-2.0, math.nan)]), 1),
+], ids=["nan", "third-of-three", "complex-nan-part"])
+def test_custom_nan_pole_refused_by_index(poles, index):
+    # Refused when the list is read, not at a shifted solve.
+    with pytest.raises(ValueError) as exc:
+        get_strategy(poles)
+    assert str(exc.value) == f"strategy: pole {index} of the custom list is nan"
+
+
 def test_kron_pairs():
     for name, maker in (("laplace-kron", laplace_kron_poles),
                         ("cauchy-kron", cauchy_kron_poles)):
