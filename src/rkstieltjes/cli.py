@@ -50,7 +50,7 @@ _GENERATED = {"tridiag": ("tridiag:n[:scale]", ("scale",)),
 
 def _parse_matrix(spec: str, option: str) -> HermitianOperator:
     """tridiag:n[:scale] | diffusion:n[:eps[:dt]] | diag:path | a matrix file;
-    a refused field names ``option`` and the spec."""
+    a refused field or file names ``option`` and the spec or file."""
     kind, sep, rest = spec.partition(":")
     if sep and kind in _GENERATED:
         text, *params = rest.split(":")
@@ -74,7 +74,10 @@ def _parse_matrix(spec: str, option: str) -> HermitianOperator:
         if kind == "tridiag":
             return toeplitz_tridiagonal(n, *values)
         return diffusion_operator(n, *values)
-    return load_matrix(rest if sep and kind == "diag" else spec)
+    try:
+        return load_matrix(rest if sep and kind == "diag" else spec)
+    except ValueError as exc:
+        raise ValueError(f"{option} {exc}") from None
 
 
 def _parse_interval(spec: str, op: HermitianOperator) -> SpectralInterval:

@@ -22,7 +22,7 @@ import scipy.linalg as sla
 from .bounds import singular_value_bound, sylvester_residual_bound
 from .functions import StieltjesFunction
 from . import operators
-from .operators import (HermitianOperator, SpectralInterval, as_block, as_pole,
+from .operators import (HermitianOperator, SpectralInterval, as_block, as_poles,
                         count, finite, positive_interval)
 from .rk import RKDecomposition, build_together, grow, rk_build
 from .strategies import KronPair, mirror
@@ -168,13 +168,14 @@ def kron_fun(problem: KroneckerProblem, left_poles, right_poles,
     ``mirror`` images (the two spaces coincide).  ``ell`` truncates both
     pole lists; omitted, the full lists are offered.  A basis that closes
     early (total deflation) consumes fewer, and the result lists the poles
-    each side consumed.  An empty list is refused.  Shifts on -B equal to
-    the left poles as ``operators.as_pole`` reads them, as from every pair
-    of ``KRON_PAIRS``, grow both bases in lock-step
+    each side consumed.  A NaN (``operators.as_poles``) or an empty list
+    is refused before any work.  Shifts on -B equal to the left poles, as
+    from every pair of ``KRON_PAIRS``, grow both bases in lock-step
     (``rk.build_together``); other lists build one side after the other,
     so two shift sequences never interleave on one operator.
     """
-    left, right = list(left_poles), list(right_poles)
+    left = as_poles(left_poles, "left_poles")
+    right = as_poles(right_poles, "right_poles")
     count(min(len(left), len(right)), "pole counts")
     if ell is not None:
         if count(ell, "ell") > min(len(left), len(right)):
@@ -184,7 +185,7 @@ def kron_fun(problem: KroneckerProblem, left_poles, right_poles,
         left, right = left[:ell], right[:ell]
     shifts = [mirror(p) for p in right]
     seeds = [(problem.a_op, problem.u_factor), (problem.bneg_op, problem.v_factor)]
-    if shifts == [as_pole(p) for p in left]:
+    if shifts == left:
         dec_u, dec_v = build_together(seeds, left)
     else:
         dec_u, dec_v = (rk_build(op, v, poles)

@@ -8,8 +8,8 @@ or complex shifts, and produce a guaranteed enclosure of its spectrum.
 Shifts of ``inf`` act as the identity (the corresponding rational factor is
 simply omitted); the rational Krylov layer takes a matvec for an infinite
 pole and never makes that call, so the identity is kept for direct callers.
-Every pole is read by ``as_pole``: one with zero imaginary part is real,
--0.0 is 0.0 and -inf is inf.
+Every pole is read by ``as_pole``, every pole list by ``as_poles``: one
+with zero imaginary part is real, -0.0 is 0.0, -inf is inf and NaN raises.
 
 Shift rule, one for every storage: sigma is refused (ValueError) when the
 smallest pivot of A - sigma*I (partial pivoting, or D of L D L^T) is at
@@ -180,13 +180,26 @@ def _restore(block: np.ndarray, was_1d: bool) -> np.ndarray:
     return block[:, 0] if was_1d else block
 
 
-def as_pole(sigma) -> float | complex:
+def as_pole(sigma, name: str = "pole") -> float | complex:
     """``sigma`` as a float when its imaginary part is zero, else a complex:
     the one reading of a pole or shift, which decides when two shifts are
-    the same pole.  -0.0 reads as 0.0 and -inf (or a complex inf) as inf."""
+    the same pole.  -0.0 reads as 0.0 and -inf (or a complex inf) as inf;
+    a NaN in either part is refused, naming ``name``."""
     sigma = complex(sigma) + 0.0  # -0.0 + 0.0 is 0.0
+    if sigma != sigma:
+        raise ValueError(f"{name} is NaN")
     re = sigma.real
     return sigma if sigma.imag != 0.0 else abs(re) if math.isinf(re) else re
+
+
+def as_poles(poles, name: str) -> list:
+    """The poles of an iterable as ``as_pole`` reads them, all before any is
+    used; a NaN raises ``"{name}: pole {i} is NaN"``."""
+    poles = list(poles)
+    try:
+        return [as_pole(p) for p in poles]
+    except ValueError:  # read again, naming each pole, to name the refused one
+        return [as_pole(p, f"{name}: pole {i}") for i, p in enumerate(poles)]
 
 
 def _pivot_ratio(pivots: np.ndarray) -> float:
@@ -310,7 +323,7 @@ class HermitianOperator:
         Each storage lists this method in its own class dict, where a
         profiler can wrap it per storage.
         """
-        sigma, (block, was_1d) = as_pole(sigma), as_block(rhs)
+        sigma, (block, was_1d) = as_pole(sigma, "sigma"), as_block(rhs)
         if np.isinf(sigma):
             return _restore(block.copy(), was_1d)
         entry = self._last_factor
@@ -706,20 +719,24 @@ def load_matrix(path: str) -> HermitianOperator:
     MatrixMarket files (``.mtx``/``.mm`` or a ``%%MatrixMarket`` header)
     are accepted in array or coordinate form and go through the storage
     picker.  Any other file is read as a plain text diagonal, one value per
-    line.
+    line.  A file either reader cannot parse is refused naming ``path``.
     """
     with open(path, "rb") as fh:
         head = fh.read(64)
-    if path.endswith((".mtx", ".mm")) or head.startswith(b"%%MatrixMarket"):
+    market = path.endswith((".mtx", ".mm")) or head.startswith(b"%%MatrixMarket")
+    if market:
         import scipy.io
-
-        return _pick_storage(scipy.io.mmread(path), path)
-    d = np.loadtxt(path, dtype=float, ndmin=1)
-    if d.ndim != 1:
+    try:
+        a = scipy.io.mmread(path) if market else np.loadtxt(path, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if market:
+        return _pick_storage(a, path)
+    if a.ndim != 1:
         raise ValueError(
-            f"{path}: expected one diagonal value per line, got shape {d.shape}"
+            f"{path}: expected one diagonal value per line, got shape {a.shape}"
         )
-    return DiagonalOperator(d)
+    return DiagonalOperator(a)
 
 
 def from_dense_array(m: np.ndarray) -> HermitianOperator:

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy.special import ellipkm1
 
-from .operators import count, positive_interval
+from .operators import as_pole, as_poles, count, positive_interval
 
 __all__ = [
     "elliptic_K",
@@ -314,15 +314,12 @@ def zolotarev_ratio(poles, interval) -> float:
     endpoints) and polished by zooming in on the best point.  Poles must
     be real, finite and outside [a, b], and 0 < a < b.
     """
-    poles = np.atleast_1d(np.asarray(poles))
-    if np.iscomplexobj(poles) and np.any(poles.imag != 0.0):
-        raise ValueError(f"pole {poles[poles.imag != 0.0][0]} is complex; the "
-                         "symmetric candidate requires real poles")
-    poles = poles.real.astype(float)
-    if not np.all(np.isfinite(poles)):
-        raise ValueError(
-            "pole sequence contains inf entries; the symmetric candidate "
-            "requires finite poles")
+    poles = as_poles(np.atleast_1d(poles), "poles")
+    bad = [p for p in poles if isinstance(p, complex) or p == math.inf]
+    if bad:
+        raise ValueError(f"pole {bad[0]} is complex or infinite; the "
+                         "symmetric candidate requires real finite poles")
+    poles = np.array(poles)
     a, b = positive_interval(interval)
     if not a < b:
         raise ValueError(f"interval [{a}, {b}] must satisfy 0 < a < b")
@@ -358,47 +355,33 @@ def zolotarev_ratio(poles, interval) -> float:
 
 
 def write_pole_file(path: str, poles) -> None:
-    """One pole per line, 17 significant digits, ``inf`` spelled literally.
-
-    A NaN pole is refused: written as ``inf`` it would come back as a
-    polynomial step."""
-    lines = []
-    for i, p in enumerate(np.atleast_1d(poles)):
-        if np.isnan(p):
-            raise ValueError(f"{path}: pole {i} is NaN")
-        if isinstance(p, complex) and p.imag != 0.0:
-            lines.append(f"{p.real:.17g}{p.imag:+.17g}j")
-        elif not np.isfinite(np.real(p)):
-            lines.append("inf")
-        else:
-            lines.append(f"{float(np.real(p)):.17g}")
+    """One pole per line as ``operators.as_poles`` reads it, 17 significant
+    digits, ``inf`` spelled literally.  A NaN pole is refused before the
+    file is opened: written as ``inf`` it would come back as a polynomial
+    step."""
+    lines = [f"{p.real:.17g}{p.imag:+.17g}j" if isinstance(p, complex)
+             else f"{p:.17g}" for p in as_poles(np.atleast_1d(poles), path)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_pole_file(path: str) -> np.ndarray:
-    """Parse a pole file; accepts ``inf`` and complex literals like 1+2j.
-
-    The array is complex when the file holds a complex pole, float
-    otherwise.  A NaN pole is refused with its file and line."""
+    """Parse a pole file: one ``complex()`` literal a line (``inf``, ``1+2j``)
+    read by ``operators.as_pole``, skipping blank and ``#`` lines.  The array
+    is complex when a pole is, float otherwise.  A NaN or a token that is no
+    number is refused with its file, line and token."""
     poles: list[complex | float] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             tok = line.strip()
             if not tok or tok.startswith("#"):
                 continue
-            if tok.lower() in ("inf", "+inf", "infinity"):
-                poles.append(math.inf)
-                continue
+            name = f"{path}:{lineno}: pole {tok!r}"
             try:
-                pole = float(tok)
-            except ValueError:
                 pole = complex(tok)
-            if np.isnan(pole):
-                raise ValueError(f"{path}:{lineno}: pole {tok!r} is NaN")
-            poles.append(pole)
+            except ValueError:
+                raise ValueError(f"{name} is not a number") from None
+            poles.append(as_pole(pole, name))
     if not poles:
         raise ValueError(f"{path}: no poles found")
-    if any(isinstance(p, complex) for p in poles):
-        return np.array(poles, dtype=complex)
-    return np.array(poles, dtype=float)
+    return np.array(poles)

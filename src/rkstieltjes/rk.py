@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .functions import StieltjesFunction
-from .operators import (HermitianOperator, as_block, as_pole, count, finite,
+from .operators import (HermitianOperator, as_block, as_poles, count, finite,
                         positive_interval)
 from .poles import cauchy_poles, zolotarev_poles
 from .strategies import Strategy, get_strategy, strategy_bound
@@ -413,10 +413,10 @@ class RKDecomposition:
         """Consume poles (inf for a multiplication step) until the list is
         exhausted or the space becomes invariant.
 
-        Refuses to grow a decomposition already flagged by total deflation;
-        an empty pole list is a no-op either way.
+        Refuses a NaN pole before any step and a decomposition closed by
+        total deflation (an empty list is a no-op either way).
         """
-        poles = list(poles)
+        poles = as_poles(poles, "poles")
         if poles and self.breakdown:
             raise RuntimeError(
                 "decomposition was closed by total deflation (invariant "
@@ -425,7 +425,6 @@ class RKDecomposition:
         for sigma in poles:
             if self.breakdown:
                 break
-            sigma = as_pole(sigma)
             if isinstance(sigma, complex) and not np.iscomplexobj(self._chunks[-1]):
                 self._promote_complex()
             first, cross = self._windows(sigma)
@@ -454,7 +453,7 @@ def _extend_together(decs: Sequence[RKDecomposition],
     on one operator factor each shift once between them (``operators``
     module doc); a lone one takes one ``extend`` call.  No basis depends
     on the order in which they grow."""
-    poles = list(poles)
+    poles = as_poles(poles, "poles")
     lanes = [dec for dec in decs if not dec.breakdown]
     if len(lanes) == 1:
         lanes[0].extend(poles)
@@ -535,7 +534,7 @@ def exactness_check(op: HermitianOperator, v: np.ndarray,
     matvecs on the full operator, and through the reduced problem; the
     space built with those poles must make the two agree.
     """
-    poles = [as_pole(s) for s in poles]
+    poles = as_poles(poles, "poles")
     dec = rk_build(op, v, poles)
     block, _ = as_block(np.asarray(v, dtype=dec.basis.dtype))
 

@@ -18,7 +18,6 @@ the family or the function class.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .bounds import cauchy_bound, kron_cauchy_bound, kron_laplace_bound, laplace_bound
-from .operators import SpectralInterval, as_pole, count
+from .operators import SpectralInterval, as_pole, as_poles, count
 from .poles import cauchy_kron_poles, cauchy_poles, eds_pole_iter, zolotarev_poles
 
 __all__ = [
@@ -139,14 +138,11 @@ def get_strategy(strategy: str | Sequence[complex]) -> Strategy:
     """The table's record for a name.  A sequence of poles is the caller's
     own family: a nested record named ``custom`` that hands out the poles
     in order, ignores the interval and has no bound.  An unknown name, an
-    empty list and a NaN pole raise ValueError."""
+    empty list and a NaN pole (``operators.as_poles``) raise ValueError."""
     if not isinstance(strategy, str):
-        poles = list(strategy)
+        poles = as_poles(strategy, "strategy")
         if not poles:
             raise ValueError("strategy: the custom pole list is empty")
-        for i, p in enumerate(poles):
-            if cmath.isnan(complex(p)):
-                raise ValueError(f"strategy: pole {i} of the custom list is nan")
         return Strategy("custom", stream=lambda iv: iter(poles),
                         needs_interval=False)
     try:

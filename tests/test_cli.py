@@ -172,6 +172,15 @@ class TestFunv:
         assert rc == 2
         assert "'inverse:3'" in capsys.readouterr().err
 
+    def test_custom_pole_file_token_that_is_no_number(self, tmp_path, capsys):
+        pf = tmp_path / "bad.txt"
+        pf.write_text("-1\n-2..5\n")
+        rc = main(["funv", "--matrix", "tridiag:30", "--function", "inverse",
+                   "--poles", f"custom:{pf}", "--ell", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {pf}:2: pole '-2..5' is not a number\n")
+
     def test_diag_file_goes_through_load_matrix(self, tmp_path, capsys):
         two_columns = tmp_path / "d.txt"
         two_columns.write_text("1 2\n3 4\n")
@@ -434,6 +443,38 @@ class TestKronfun:
         assert (f"error: --vfile {v}: could not convert string 'x' to "
                 "float64") in capsys.readouterr().err
 
+    def test_custom_pair_files_run_as_the_named_pair(self, tmp_path, capsys):
+        # Pole files of a pair, written by `poles --out-xi`, give the named
+        # pair's result; a custom pair has no bound.
+        psi, xi = tmp_path / "psi.txt", tmp_path / "xi.txt"
+        assert main(["poles", "--strategy", "cauchy-kron", "--interval",
+                     "0.01,4", "--ell", "8", "--out", str(psi),
+                     "--out-xi", str(xi)]) == 0
+        capsys.readouterr()
+        run = ["kronfun", "--a", "tridiag:40", "--bneg", "tridiag:40",
+               "--function", "power:-0.5", "--rank", "2", "--ell", "8",
+               "--interval", "0.01,4", "--poles"]
+        printed = []
+        for poles in ("cauchy-kron", f"custom:{psi},{xi}"):
+            assert main(run + [poles]) == 0
+            out = capsys.readouterr().out
+            printed.append({k: v for k, v in re.findall(r"(\w+)=(\S+)", out)})
+        named, custom = printed
+        for key in ("storage_rank", "norm2"):
+            assert custom[key] == named[key]
+        assert named["bound"] != "nan" and custom["bound"] == "nan"
+
+    def test_custom_pole_file_token_that_is_no_number(self, tmp_path, capsys):
+        psi, xi = tmp_path / "psi.txt", tmp_path / "xi.txt"
+        psi.write_text("-1\n-2\n")
+        xi.write_text("1\n# second\n2,5\n")
+        rc = main(["kronfun", "--a", "tridiag:20", "--bneg", "tridiag:20",
+                   "--function", "inverse", "--ell", "2",
+                   "--poles", f"custom:{psi},{xi}"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {xi}:3: pole '2,5' is not a number\n")
+
     def test_complex_factor_file_refused(self, tmp_path, capsys):
         u = tmp_path / "u.npy"
         v = tmp_path / "v.npy"
@@ -444,6 +485,22 @@ class TestKronfun:
                    "--vfile", str(v), "--poles", "extended", "--ell", "3"])
         assert rc == 2
         assert "u_factor is complex" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--matrix", "--a", "--bneg"])
+def test_text_diagonal_entry_that_is_no_real_number(option, tmp_path, capsys):
+    d = tmp_path / "d.txt"
+    d.write_text("1\nabc\n3\n")
+    spec = f"diag:{d}"
+    if option == "--matrix":
+        argv = ["funv", "--matrix", spec, "--function", "inverse", "--ell", "1"]
+    else:
+        sides = {"--a": "tridiag:3", "--bneg": "tridiag:3", option: spec}
+        argv = ["kronfun", *(x for kv in sides.items() for x in kv),
+                "--function", "inverse", "--ell", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {option} {d}: could not convert string 'abc' to float64")
 
 
 class TestExperimentAndAccept:

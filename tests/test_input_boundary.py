@@ -1,7 +1,7 @@
 """The input boundary: every count goes through ``operators.count``, every
 outside array through ``operators.finite``, every interval through
-``operators.positive_interval`` and every pole through ``operators.as_pole``,
-so a bad count, a non-finite entry or a malformed interval is refused with
+``operators.positive_interval`` and every pole list through
+``operators.as_poles``, so a bad count, a non-finite entry or a malformed interval is refused with
 a ValueError (CLI: exit 2) that names the argument, before any work is
 done, and no shape is guessed."""
 import contextlib
@@ -49,7 +49,8 @@ from rkstieltjes.poles import (
     zolotarev_poles,
     zolotarev_ratio,
 )
-from rkstieltjes.rk import RKDecomposition, exactness_check, funv_driver, iterates
+from rkstieltjes.rk import (RKDecomposition, build_together, exactness_check,
+                            funv_driver, iterates, rk_build)
 from rkstieltjes.strategies import KRON_PAIRS, STRATEGIES
 
 N = 30
@@ -146,6 +147,12 @@ def test_non_finite_seed_refused(bad):
         RKDecomposition(OP, v)
     with pytest.raises(ValueError, match="seed must be finite"):
         funv_driver(OP, F, v, IV, strategy="eds-cauchy", tol=1e-8)
+
+
+def test_seed_with_the_wrong_number_of_rows_refused():
+    with pytest.raises(ValueError,
+                       match=f"^seed has {N + 1} rows, operator order is {N}$"):
+        RKDecomposition(OP, np.ones(N + 1))
 
 
 def test_overflowing_seed_norm_refused():
@@ -461,3 +468,77 @@ def test_complex_typed_infinite_pole_is_a_polynomial_step():
     report = exactness_check(OP, V, poles)
     assert report.max_rel_err <= 1e-12
     assert report.members == exactness_check(OP, V, [math.inf, -1.0]).members
+
+
+# -- pole lists: read whole by operators.as_poles before any work -------------
+
+
+# A NaN pole list and the index of its NaN.
+NAN_POLE_LISTS = {
+    "nan": ([math.nan, -1.0, math.inf], 0),
+    "complex-nan-part": ([-1.0, complex(-2.0, math.nan), math.inf], 1),
+    "nan-last": ([-1.0, math.inf, -2.0, math.nan], 3),
+}
+
+# Every entry point that takes a pole list, called with ``poles`` and a
+# temporary file path, and the name its refusal gives the list (the path for
+# ``write_pole_file``).
+POLE_LIST_ENTRIES = {
+    "rk_build": (lambda poles, path: rk_build(OP, V, poles), "poles"),
+    "RKDecomposition.extend": (
+        lambda poles, path: RKDecomposition(OP, V).extend(poles), "poles"),
+    "build_together": (lambda poles, path: build_together(
+        [(OP, V), (OP, np.arange(1.0, N + 1))], poles), "poles"),
+    "kron_fun-left": (lambda poles, path: kron_fun(
+        PROBLEM, poles, [1.0] * len(poles)), "left_poles"),
+    "kron_fun-right": (lambda poles, path: kron_fun(
+        PROBLEM, [-1.0] * len(poles), poles), "right_poles"),
+    "exactness_check": (lambda poles, path: exactness_check(OP, V, poles),
+                        "poles"),
+    "funv_driver": (lambda poles, path: funv_driver(
+        OP, F, V, IV, strategy=poles, ell=len(poles)), "strategy"),
+    "zolotarev_ratio": (lambda poles, path: zolotarev_ratio(poles, IV),
+                        "poles"),
+    "write_pole_file": (lambda poles, path: write_pole_file(path, poles),
+                        None),
+}
+
+
+@pytest.mark.parametrize("entry", POLE_LIST_ENTRIES)
+@pytest.mark.parametrize("case", NAN_POLE_LISTS)
+def test_every_pole_list_entry_point_refuses_nan_by_index(entry, case,
+                                                          tmp_path,
+                                                          monkeypatch):
+    poles, index = NAN_POLE_LISTS[case]
+    call, name = POLE_LIST_ENTRIES[entry]
+    path = str(tmp_path / "poles.txt")
+    factored = []
+    factor = TridiagonalOperator._factor
+    monkeypatch.setattr(OP, "_last_factor", None)  # every shift would factor
+    monkeypatch.setattr(TridiagonalOperator, "_factor",
+                        lambda op, sigma: factored.append(sigma)
+                        or factor(op, sigma))
+    with pytest.raises(ValueError) as exc:
+        call(poles, path)
+    assert str(exc.value) == f"{name or path}: pole {index} is NaN"
+    assert factored == []
+    assert not (tmp_path / "poles.txt").exists()
+
+
+@pytest.mark.parametrize("sigma", [math.nan, complex(-1.0, math.nan)])
+def test_a_nan_shift_is_refused_by_name(sigma):
+    with pytest.raises(ValueError, match="^sigma is NaN$"):
+        OP.shifted_solve(sigma, V)
+
+
+@pytest.mark.parametrize("case", NAN_POLE_LISTS)
+def test_refused_extend_leaves_the_decomposition_unchanged(case):
+    dec = rk_build(OP, V, [-1.0, math.inf])
+    basis, h = dec.basis.copy(), dec.reduced_matrix()
+    with pytest.raises(ValueError, match="is NaN"):
+        dec.extend(NAN_POLE_LISTS[case][0])
+    assert dec.dim == 3 and dec.poles_used == [-1.0, math.inf]
+    np.testing.assert_array_equal(dec.basis, basis)
+    np.testing.assert_array_equal(dec.reduced_matrix(), h)
+    dec.extend([-2.0])  # and it still grows
+    assert dec.dim == 4

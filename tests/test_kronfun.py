@@ -94,6 +94,14 @@ class TestFunmDiag:
         ref = scipy.linalg.solve_sylvester(a, -b, fmat)
         np.testing.assert_allclose(got, ref, rtol=1e-10)
 
+    def test_non_finite_value_of_f_is_refused(self):
+        a = np.diag([1.0, 2.0])
+        b = np.diag([-1.0, -2.0])  # differences 2, 3, 3 and 4
+        with pytest.raises(ValueError, match="^f evaluated at eigenvalue "
+                                             "difference 4 is not finite$"):
+            funm_diag(lambda d: np.where(d > 3.5, np.inf, 1.0), a, b,
+                      np.ones((2, 2)))
+
     def test_domain_error_names_difference(self):
         a = np.diag([1.0, 2.0])
         b = np.diag([3.0, 4.0])  # differences go negative

@@ -233,6 +233,24 @@ def test_spectral_interval_modes():
         spectral_interval(op, mode="gershgorin")
     floored = spectral_interval(op, mode="gershgorin", floor=w[0])
     assert floored.lower == pytest.approx(w[0])
+    with pytest.raises(ValueError,
+                       match="^unknown spectral interval mode 'exact'$"):
+        spectral_interval(op, mode="exact")
+
+
+@pytest.mark.parametrize("op", [
+    pytest.param(DiagonalOperator([3.0, -1.0, 2.0, 0.5, 2.0]), id="diagonal"),
+    pytest.param(TridiagonalOperator([4.0, 1.0, 3.0, 2.5, 5.0],
+                                     [0.5, -1.0, 0.25, 2.0]), id="tridiagonal"),
+])
+def test_dense_eig_matches_eigh_of_the_dense_matrix(op):
+    # Diagonal and tridiagonal storage decompose without a dense copy.
+    dense = op.to_dense()
+    w, q = op.dense_eig()
+    np.testing.assert_allclose(w, np.linalg.eigh(dense)[0], rtol=1e-14,
+                               atol=1e-14)
+    np.testing.assert_allclose(q.T @ q, np.eye(op.n), atol=1e-14)
+    np.testing.assert_allclose(dense @ q, q * w, atol=1e-13)
 
 
 def test_from_dense_array_chooses_storage():
@@ -243,6 +261,9 @@ def test_from_dense_array_chooses_storage():
     assert isinstance(from_dense_array(full), DenseOperator)
     with pytest.raises(ValueError):
         from_dense_array(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError,
+                       match=re.escape("expected a square matrix, got (2, 3)")):
+        from_dense_array(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("k", [2, 3, 7])
@@ -459,6 +480,20 @@ def test_load_plain_text_diagonal(tmp_path):
     np.testing.assert_array_equal(op.d, [1.5, 2.5, 3.5])
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("d.txt", "1\nabc\n", "could not convert string 'abc' to float64"),
+    ("a.mtx", "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n"
+              "1 1 abc\n2 2 1\n", "Invalid floating-point value"),
+])
+def test_load_matrix_names_a_file_it_cannot_parse(tmp_path, name, text,
+                                                  message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*"
+                       + re.escape(message)):
+        load_matrix(str(path))
+
+
 class TestShiftRule:
     """One near-singular rule and one dtype rule for the four storages."""
 
@@ -600,6 +635,19 @@ _ZERO_WIDTH_PROBE = textwrap.dedent("""
             raise AssertionError("a refused shift solved a zero-width block")
     print("ok")
 """)
+
+
+@pytest.mark.parametrize("sigma", [-1.0, complex(-1.0, 0.5)])
+def test_zero_width_block_is_an_empty_result(sigma):
+    # In this process too: the (n, 0) result has the solve's dtype, and a
+    # refused shift still raises.
+    op = toeplitz_tridiagonal(6)
+    for dtype in (float, complex):
+        out = op.shifted_solve(sigma, np.ones((6, 0), dtype))
+        assert out.shape == (6, 0)
+        assert out.dtype == np.result_type(dtype, sigma)
+    with pytest.raises(ValueError, match="near-singular"):
+        op.shifted_solve(np.linalg.eigvalsh(op.to_dense())[2], np.ones((6, 0)))
 
 
 def test_zero_width_block_never_reaches_lapack():

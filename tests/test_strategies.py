@@ -122,7 +122,7 @@ def test_custom_nan_pole_refused_by_index(poles, index):
     # Refused when the list is read, not at a shifted solve.
     with pytest.raises(ValueError) as exc:
         get_strategy(poles)
-    assert str(exc.value) == f"strategy: pole {index} of the custom list is nan"
+    assert str(exc.value) == f"strategy: pole {index} is NaN"
 
 
 def test_kron_pairs():
