@@ -29,7 +29,16 @@ twice ``_SINGULAR_TOL``, with the pivot ratio passing, the shift is
 accepted without the L D L^T route's second solve or ``gbcon``.  The
 true rcond and LAPACK's estimate are both at least the bound, and every
 other shift, each refused one included, takes the rcond route, so no
-decision and no error text changes.
+decision and no error text changes.  Below the spectrum, where every
+finite pole of the Stieltjes families lies, the check is O(1): a band
+operator keeps its Gershgorin ends gl = min(d - r) and gu = max(d + r),
+and a real sigma below gl has ||M||_1 = gu - sigma and alpha = gl -
+sigma.  These decide only where alpha clears twice ``_SINGULAR_TOL``
+times ||M||_1 by 8 eps (|gl| + |gu| + |sigma|), more than their rounding
+can move it, and ||M||_1 needs no scaling; every other shift (sigma = 0
+on a Laplacian, where alpha = 0) runs the O(n) passes.  Diagonal storage
+reads its pivot ratio from min d - sigma and max d - sigma for sigma <=
+min d, exactly, as subtraction rounds monotonically.
 
 Band solves are pivoted band LU (LAPACK ``gbtrf``/``gbtrs``) at every
 bandwidth, with two exceptions: diagonal solves divide elementwise, and
@@ -81,6 +90,9 @@ _SYM_TOL = 1e-12
 #: A shift is refused when the pivot ratio or the reciprocal condition
 #: number of A - sigma*I is at or below this.
 _SINGULAR_TOL = 1e-13
+
+#: Machine epsilon as a Python float, for the O(1) shift check's scalars.
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -456,6 +468,10 @@ class BandedOperator(HermitianOperator):
             e = np.abs(self.ab[i, :self.n - i])
             self._radii[i:] += e
             self._radii[:-i] += e
+        # The Gershgorin ends min(d - r) and max(d + r), read by
+        # ``gershgorin`` and by the shift rule's O(1) route below them.
+        self._gl = float(np.min(self.ab[0] - self._radii))
+        self._gu = float(np.max(self.ab[0] + self._radii))
 
     @property
     def d(self) -> np.ndarray:
@@ -481,22 +497,41 @@ class BandedOperator(HermitianOperator):
         m[2 * k] = self.ab[0] - sigma
         for i in self._offsets:
             m[2 * k + i, :n - i] = m[2 * k - i, i:] = self.ab[i, :n - i]
-        anorm, c, dominant = self._shifted_norm(m[2 * k])
+        anorm, c, dominant = self._shifted_norm(m[2 * k], sigma)
         if c != 1.0:
             m *= c
         gbtrf, gbcon, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (m,))
         lu, piv, _ = gbtrf(m, k, k, overwrite_ab=True)
         if not (dominant and _pivot_ratio(lu[2 * k]) > _SINGULAR_TOL):
+            anorm = self._norm(sigma) if anorm is None else anorm
             _require_regular(sigma, lu[2 * k], gbcon(k, k, lu, piv, c * anorm)[0])
         return _times(c, lambda b: gbtrs(lu, k, k, b, piv)[0], sigma)
 
-    def _shifted_norm(self, d: np.ndarray) -> tuple[float, float, bool]:
+    def _norm(self, sigma: complex) -> float:
+        """||A - sigma*I||_1, by one O(n) pass."""
+        return np.max(np.abs(self.ab[0] - sigma) + self._radii)
+
+    def _shifted_norm(self, d: np.ndarray,
+                      sigma: complex) -> tuple[float | None, float, bool]:
         """For M = A - sigma*I with diagonal ``d``: ||M||_1, its
         ``_unit_scale`` c, and whether Varah's bound clears the rcond half
         of the shift rule twice over (module doc); the factor 2 covers the
         rounding of alpha and of LAPACK's estimate.  A margin below the
         normal range is exact (gradual underflow), so c * alpha compares
-        in the units of c, scale invariant like the rule."""
+        in the units of c, scale invariant like the rule.
+
+        A real sigma first tries the O(1) route (module doc): ||M||_1 =
+        gu - sigma and alpha = gl - sigma, off the passes' values by a few
+        ulps of S = |gl| + |gu| + |sigma|, answer "dominant" only where
+        alpha - 2 tol ||M||_1 > 8 eps S and ||M||_1 lies well inside
+        2^+-256, so the passes would too, with c = 1.  That route returns
+        ||M||_1 as None: the rcond route, which prints it, calls ``_norm``."""
+        if isinstance(sigma, float):
+            anorm, alpha = self._gu - sigma, self._gl - sigma
+            slack = 8.0 * _EPS * (abs(self._gl) + abs(self._gu) + abs(sigma))
+            if (alpha - 2.0 * _SINGULAR_TOL * anorm > slack
+                    and -250 < math.frexp(anorm)[1] <= 250):
+                return None, 1.0, True
         absd = np.abs(d)
         anorm = np.max(absd + self._radii)
         c = _unit_scale(anorm)
@@ -504,8 +539,7 @@ class BandedOperator(HermitianOperator):
         return anorm, c, c * alpha > 2.0 * _SINGULAR_TOL * (c * anorm)
 
     def gershgorin(self) -> SpectralInterval:
-        return SpectralInterval(float(np.min(self.ab[0] - self._radii)),
-                                float(np.max(self.ab[0] + self._radii)))
+        return SpectralInterval(self._gl, self._gu)
 
     def to_dense(self) -> np.ndarray:
         a = np.diag(self.ab[0])
@@ -541,10 +575,16 @@ class DiagonalOperator(BandedOperator):
 
     def _factor(self, sigma: complex):
         denom = self.d - sigma
-        c = _unit_scale(np.abs(denom).max())
+        # At or below min d, |d - sigma| = d - sigma, whose ends are those of
+        # d minus sigma exactly, as subtraction rounds monotonically.  The
+        # power of two c leaves their ratio as it is wherever it can pass.
+        below = isinstance(sigma, float) and sigma <= self._gl
+        hi = self._gu - sigma if below else np.abs(denom).max()
+        c = _unit_scale(hi)
         if c != 1.0:
             denom *= c
-        _require_regular(sigma, denom)
+        if not (below and (self._gl - sigma) / (hi or 1.0) > _SINGULAR_TOL):
+            _require_regular(sigma, denom)
         return _times(c, lambda b: b / denom[:, None], sigma)
 
     def _eig(self):
@@ -579,7 +619,7 @@ class TridiagonalOperator(BandedOperator):
     def _factor(self, sigma: complex):
         d = self.d - sigma
         if self.n > 1 and np.isrealobj(d):  # pttrf: n >= 2
-            anorm, c, dominant = self._shifted_norm(d)
+            anorm, c, dominant = self._shifted_norm(d, sigma)
             pttrf, pttrs = sla.get_lapack_funcs(("pttrf", "pttrs"), (d,))
             # c * e is also the copy pttrf overwrites (f2py would write
             # into the read-only e itself).
@@ -590,6 +630,7 @@ class TridiagonalOperator(BandedOperator):
                 # absolute value of its inverse is the inverse of the factors
                 # with -|l|.
                 if not (dominant and dd.min() / dd.max() > _SINGULAR_TOL):
+                    anorm = self._norm(sigma) if anorm is None else anorm
                     x = pttrs(dd, -np.abs(l), np.ones((self.n, 1)))[0]
                     _require_regular(sigma, dd, 1.0 / (c * anorm * x.max()))
                 return _times(c, lambda b: pttrs(dd, l, b)[0], sigma)

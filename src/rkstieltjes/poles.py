@@ -368,8 +368,9 @@ def write_pole_file(path: str, poles) -> None:
 def read_pole_file(path: str) -> np.ndarray:
     """Parse a pole file: one ``complex()`` literal a line (``inf``, ``1+2j``)
     read by ``operators.as_pole``, skipping blank and ``#`` lines.  The array
-    is complex when a pole is, float otherwise.  A NaN or a token that is no
-    number is refused with its file, line and token."""
+    is complex when a pole is, float otherwise.  A NaN, a token that is no
+    number and a number beyond the float range (``1e999``, which would
+    read as inf) are each refused with the file, line and token."""
     poles: list[complex | float] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -381,6 +382,9 @@ def read_pole_file(path: str) -> np.ndarray:
                 pole = complex(tok)
             except ValueError:
                 raise ValueError(f"{name} is not a number") from None
+            if (math.isinf(pole.real) or math.isinf(pole.imag)) and (
+                    "inf" not in tok.lower()):
+                raise ValueError(f"{name} overflows")
             poles.append(as_pole(pole, name))
     if not poles:
         raise ValueError(f"{path}: no poles found")

@@ -181,6 +181,15 @@ class TestFunv:
         assert capsys.readouterr().err == (
             f"error: {pf}:2: pole '-2..5' is not a number\n")
 
+    def test_custom_pole_file_token_that_overflows(self, tmp_path, capsys):
+        pf = tmp_path / "bad.txt"
+        pf.write_text("-1\n1e999999\n")
+        rc = main(["funv", "--matrix", "tridiag:30", "--function", "inverse",
+                   "--poles", f"custom:{pf}", "--ell", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {pf}:2: pole '1e999999' overflows\n")
+
     def test_diag_file_goes_through_load_matrix(self, tmp_path, capsys):
         two_columns = tmp_path / "d.txt"
         two_columns.write_text("1 2\n3 4\n")

@@ -6,6 +6,9 @@ strictly diagonally dominant with a positive diagonal (so SPD, spectrum
 above 0.1); each is built in every storage that can hold it.
 """
 
+import copy
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,7 +23,7 @@ from rkstieltjes.operators import (
     TridiagonalOperator,
     toeplitz_tridiagonal,
 )
-from rkstieltjes.poles import zolotarev_poles
+from rkstieltjes.poles import cauchy_poles, zolotarev_poles
 from rkstieltjes.rk import exactness_check
 
 _floats = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
@@ -77,10 +80,10 @@ def storages(ab, scale=1.0):
 _shifted_norm = BandedOperator._shifted_norm
 
 
-def _never(op, d):
+def _never(op, d, sigma):
     """``BandedOperator._shifted_norm`` with the dominance bound forced
     off: every shift takes the rcond route."""
-    anorm, c, _ = _shifted_norm(op, d)
+    anorm, c, _ = _shifted_norm(op, d, sigma)
     return anorm, c, False
 
 
@@ -203,8 +206,8 @@ def _dominance_spy(mp) -> list[bool]:
     """Record whether Varah's bound cleared each factorization's shift."""
     answers = []
 
-    def spy(op, d):
-        out = _shifted_norm(op, d)
+    def spy(op, d, sigma):
+        out = _shifted_norm(op, d, sigma)
         answers.append(out[2])
         return out
 
@@ -280,6 +283,118 @@ def test_dominance_skips_the_rcond_at_zolotarev_poles(make):
         cleared.clear()
         toeplitz_tridiagonal(1500).shifted_solve(0.0, ones)
         assert cleared == [False] and len(rule_calls) == 1
+
+
+def _norm_pass_spy(mp) -> list[bool]:
+    """Record, per factorization, whether it ran the O(n) norm passes:
+    ``_shifted_norm``'s own, or the exact norm of the rcond route after an
+    O(1) answer (``_norm``)."""
+    passes = []
+    norm = BandedOperator._norm
+
+    def spy(op, d, sigma):
+        out = _shifted_norm(op, d, sigma)
+        passes.append(out[0] is not None)
+        return out
+
+    def spy_norm(op, sigma):
+        passes.append(True)
+        return norm(op, sigma)
+
+    mp.setattr(BandedOperator, "_shifted_norm", spy)
+    mp.setattr(BandedOperator, "_norm", spy_norm)
+    return passes
+
+
+@pytest.mark.parametrize("make", [toeplitz_tridiagonal, diffusion_operator])
+def test_stieltjes_poles_skip_the_norm_passes(make):
+    # Every Zolotarev and Cauchy pole lies below the lower Gershgorin end
+    # (0 on these Laplacians) by a margin, so its shift check is O(1);
+    # sigma = 0 has alpha = 0 and runs the passes.
+    op = make(2000)
+    ones = np.ones(op.n)
+    iv = op.exact_interval()
+    poles = [*zolotarev_poles(iv, 30), *cauchy_poles(iv, 30)]
+    with pytest.MonkeyPatch.context() as mp:
+        passes = _norm_pass_spy(mp)
+        for sigma in poles:
+            op.shifted_solve(sigma, ones)
+        assert passes == [False] * len(poles)
+        passes.clear()
+        op.shifted_solve(0.0, ones)
+        assert passes == [True]
+
+
+def _o_n_route(op):
+    """A copy of ``op`` whose shift checks all run the O(n) passes: no
+    shift lies at or below a lower Gershgorin end of -inf."""
+    slow = copy.copy(op)
+    slow._gl = -math.inf
+    return slow
+
+
+def _seen(op, sigma, b, forced_rcond):
+    """What a factorization at sigma shows: the solve's bits or the
+    refusal's text, the dominance answers and the rconds the shift rule
+    got (not for diagonal storage, which calls the rule only to refuse
+    and has no rcond), with the rcond route forced or not.  A copy
+    factors, so the factor cache hides nothing."""
+    op, rconds, rule = copy.copy(op), [], operators._require_regular
+
+    def spy(shift, pivots, rcond=1.0):
+        rconds.append(float(rcond).hex())  # its bits, NaN included
+        return rule(shift, pivots, rcond)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_require_regular", spy)
+        answers = _dominance_spy(mp)
+        if forced_rcond:  # over the spy, which still records the answers
+            answering = BandedOperator._shifted_norm
+            mp.setattr(BandedOperator, "_shifted_norm",
+                       lambda op, d, s: (*answering(op, d, s)[:2], False))
+        try:
+            out = op.shifted_solve(sigma, b).tobytes()
+        except ValueError as err:
+            out = str(err)
+    return out, answers, None if isinstance(op, DiagonalOperator) else rconds
+
+
+def _near(sigma, steps):
+    return [sigma + j * math.ulp(sigma) for j in steps]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spd_bands(), st.booleans(),
+       st.sampled_from([1.0, 2.0**-1000, 2.0**1000, 2.0**-256, 2.0**256,
+                        2.0**-252, 2.0**252, 2.0**-249, 2.0**249]),
+       st.floats(0.0, 100.0, **_floats), st.integers(-16, 16))
+def test_o1_shift_check_matches_the_o_n_passes(ab, laplacian, scale, far, j):
+    # Below the lower Gershgorin end gl the shift check reads the two ends
+    # alone.  It gives the O(n) passes' decisions, solves and texts bit for
+    # bit: at gl and one float either side of it, near the threshold
+    # alpha = 2 tol ||M||_1 and the O(1) route's margin above it, far
+    # below gl and inside the Gershgorin discs, at scales that do and do
+    # not need ``_unit_scale``, and with gl near 0 (as on a Laplacian; a
+    # diagonal entry may be 0).
+    if laplacian:
+        ab = ab.copy()
+        ab[0] -= BandedOperator(ab).gershgorin().lower
+    tol, eps = operators._SINGULAR_TOL, np.finfo(float).eps
+    for op in band_storages(ab, scale):
+        gl, gu = op.gershgorin()
+        b = np.linspace(-1.0, 2.0, op.n)
+        # alpha = 2 tol ||M||_1, and alpha - 2 tol ||M||_1 = the margin
+        # 8 eps (|gl| + |gu| + |sigma|), whose sigma has the sign of `edge`.
+        threshold = (gl - 2 * tol * gu) / (1 - 2 * tol)
+        edge = gl - 2 * tol * gu - 8 * eps * (abs(gl) + abs(gu))
+        margin = edge / (1 - 2 * tol + math.copysign(8 * eps, edge))
+        shifts = [gl, math.nextafter(gl, -math.inf), math.nextafter(gl, math.inf),
+                  gl - scale * far, *_near(threshold, (j, -j)),
+                  *_near(margin, (j, -j)), 0.5 * (gl + gu), gu]
+        for sigma in shifts:
+            for forced in (False, True):
+                assert (_seen(op, sigma, b, forced)
+                        == _seen(_o_n_route(op), sigma, b, forced)), sigma
 
 
 @st.composite

@@ -133,7 +133,7 @@ class TestTridiagonal:
         monkeypatch.setattr(operators, "_require_regular", spy)
         norm = BandedOperator._shifted_norm
         monkeypatch.setattr(BandedOperator, "_shifted_norm",
-                            lambda op, d: (*norm(op, d)[:2], False))
+                            lambda op, d, sigma: (*norm(op, d, sigma)[:2], False))
         x = op.shifted_solve(sigma, b)
         np.testing.assert_allclose(
             x, np.linalg.solve(op.to_dense() - sigma * np.eye(op.n), b),

@@ -465,6 +465,16 @@ class TestPoleFiles:
                 f"bad.txt:2: pole '{token}' is not a number")):
             read_pole_file(str(path))
 
+    @pytest.mark.parametrize("token", ["1e999999", "-1e400", "1e999j",
+                                       "1+1e999j", "1e999-1j"])
+    def test_read_refuses_a_token_that_overflows(self, tmp_path, token):
+        # A typo in an exponent would read as inf, a matvec step.
+        path = tmp_path / "bad.txt"
+        path.write_text(f"-1\n{token}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad.txt:2: pole '{token}' overflows")):
+            read_pole_file(str(path))
+
     def test_read_refuses_a_file_of_comments_only(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# no poles\n\n# here\n")
@@ -473,7 +483,7 @@ class TestPoleFiles:
 
     def test_tokens_read_as_as_pole_reads_them(self, tmp_path):
         # -inf is inf, -0 is 0 and a zero imaginary part is real.
-        got = _read_text(tmp_path, "-inf\n-0\n+Infinity\n-2+0j\n1e500\n")
+        got = _read_text(tmp_path, "-inf\n-0\n+Infinity\n-2+0j\nINF\n")
         assert got.dtype == float
         assert list(got) == [math.inf, 0.0, math.inf, -2.0, math.inf]
         assert math.copysign(1.0, got[1]) == 1.0
