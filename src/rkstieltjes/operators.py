@@ -94,6 +94,14 @@ _SINGULAR_TOL = 1e-13
 #: Machine epsilon as a Python float, for the O(1) shift check's scalars.
 _EPS = float(np.finfo(float).eps)
 
+#: Band Cholesky factorizations per end of ``BandedOperator.exact_interval``
+#: before it falls back to ``scipy.linalg.eigvals_banded``.
+_BRACKET_BUDGET = 32
+
+#: ``exact_interval`` closes the bracket of an end of the band spectrum at
+#: this share of the end, or at 4 eps max(|gl|, |gu|), its rounding floor.
+_BRACKET_CLOSE = 2e-14
+
 
 @dataclass(frozen=True)
 class SpectralInterval:
@@ -245,6 +253,20 @@ def _unit_scale(anorm: float) -> float:
     return 1.0 if -256 < e <= 256 else math.ldexp(1.0, min(1 - e, 1023))
 
 
+def _band_cholesky(ab: np.ndarray, sigma: float, anorm: float):
+    """``(c, L)``: the lower band Cholesky factor L of c (A - sigma*I), for
+    A in the lower band form ``ab`` and c the ``_unit_scale`` of ``anorm``
+    >= ||A - sigma*I||, by LAPACK ``pbtrf`` in O(n k^2).  L is None where
+    a pivot is not positive: c (A - sigma*I) is not numerically positive
+    definite, so by Sylvester's law of inertia A has an eigenvalue at or
+    below sigma, up to the factorization's backward error."""
+    c = _unit_scale(anorm)
+    m = c * ab
+    m[0] = c * (ab[0] - sigma)
+    factor, info = sla.lapack.dpbtrf(m, lower=1, overwrite_ab=1)
+    return c, (factor if info == 0 else None)
+
+
 def _times(c: float, solve, sigma: complex):
     """B -> (A - sigma*I)^-1 B, given ``solve`` for c (A - sigma*I).
 
@@ -394,6 +416,61 @@ def _enclose(lo: float, hi: float) -> SpectralInterval:
     # eigenvalue outside the reported interval.
     pad = 8.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1e-300)
     return SpectralInterval(lo - pad, hi + pad)
+
+
+def _band_lowest(ab: np.ndarray, gl: float, gu: float,
+                 floor: float = -math.inf) -> float | None:
+    """A lower bound of the smallest eigenvalue of the band A (lower form
+    ``ab``, Gershgorin ends ``gl`` <= ``gu``), by a bracket [lo, hi]
+    closed to ``_BRACKET_CLOSE`` (``BandedOperator.exact_interval``).
+
+    lo is the last shift t whose ``_band_cholesky`` succeeds, starting
+    from max(gl - 8 eps scale, ``floor``), scale = max(|gl|, |gu|).  hi is the
+    least of min_i a_ii, every shift whose factorization fails, and the
+    Rayleigh quotients of two inverse-iteration steps on each successful
+    factor.  The next shift is that quotient less the residual norm,
+    which keeps it below the spectrum once the vector has converged;
+    where that is not above lo, or after a failure, it is the bracket's
+    midpoint.  None where the first shift fails, a solve overflows, or
+    the bracket is still open after ``_BRACKET_BUDGET`` factorizations.
+    """
+    scale = max(abs(gl), abs(gu))
+    lo = max(gl - 8.0 * _EPS * scale, floor)
+    hi = float(ab[0].min())  # e_i^T A e_i >= the smallest eigenvalue
+    x = np.random.default_rng(0).standard_normal((ab.shape[1], 1))
+    x /= np.abs(x).max()
+    factor, t = None, lo
+    for _ in range(_BRACKET_BUDGET):
+        c, trial = _band_cholesky(ab, t, max(gu - t, t - gl))
+        step = math.inf  # after a failure: the midpoint
+        if trial is None:
+            if factor is None:
+                return None
+            hi = t
+        else:
+            lo, factor = t, trial
+            # Two steps of inverse iteration, each vector scaled to a
+            # largest entry of 1, so no 2-norm below over- or underflows.
+            for _ in range(2):
+                prev, y = x, sla.lapack.dpbtrs(factor, x, lower=1)[0]
+                s = float(np.abs(y).max())
+                if not s < math.inf:
+                    return None
+                x = y / s
+            # c (A - lo I) (s x) = prev: Rayleigh quotient and residual of
+            # c (A - lo I) at x, then both in units of A.
+            xx = float(np.vdot(x, x))
+            mu = float(np.vdot(x, prev)) / (s * xx)
+            r = prev - (mu * s) * x
+            hi = min(hi, lo + mu / c)
+            step = math.sqrt(float(np.vdot(r, r)) / xx) / (s * c)
+        close = max(_BRACKET_CLOSE * abs(hi), 4.0 * _EPS * scale)
+        if hi - lo <= close:
+            return lo
+        t = hi - max(step, 0.5 * close)
+        if not t > lo:
+            t = 0.5 * (lo + hi)
+    return None
 
 
 class DenseOperator(HermitianOperator):
@@ -549,7 +626,21 @@ class BandedOperator(HermitianOperator):
         return a
 
     def exact_interval(self) -> SpectralInterval:
-        # Eigenvalues only, from the band: no n x n array.
+        """The two ends of the spectrum by inertia (``_band_lowest``, O(n k^2)
+        per band Cholesky factorization): the lower end on A, with no shift
+        below 0, and the upper on -A, both through ``_enclose``.
+        ``scipy.linalg.eigvals_banded`` (O(n^2 k), no n x n array) takes
+        over where A itself has no Cholesky factor (indefinite or singular
+        input), where an end is still open after ``_BRACKET_BUDGET``
+        factorizations, and where the interval's lower end is not
+        positive, so every interval ``positive_interval`` refuses is the
+        eigensolver's."""
+        lo = _band_lowest(self.ab, self._gl, self._gu, floor=0.0)
+        neg_hi = None if lo is None else _band_lowest(-self.ab, -self._gu, -self._gl)
+        if neg_hi is not None:
+            iv = _enclose(lo, -neg_hi)
+            if iv.lower > 0.0:
+                return iv
         w = sla.eigvals_banded(self.ab, lower=True)
         return _enclose(w[0], w[-1])
 
@@ -697,8 +788,11 @@ def spectral_interval(
         ``floor`` (required whenever the disc lower bound is <= 0, as for
         discrete Laplacians).  ``exact-small`` computes the extreme
         eigenvalues: in closed form for c*tridiag(-1, 2, -1), by bisection
-        for other tridiagonals, from the band for band storage, and from a
-        dense decomposition otherwise (order capped by ``DENSE_EIG_LIMIT``).
+        for other tridiagonals, by inertia for other band storage (band
+        Cholesky brackets, O(n k^2) per factorization, at most
+        ``_BRACKET_BUDGET`` per end, with ``eigvals_banded`` as the
+        fallback; ``BandedOperator.exact_interval``), and from a dense
+        decomposition otherwise (order capped by ``DENSE_EIG_LIMIT``).
     """
     if mode == "gershgorin":
         iv = op.gershgorin()

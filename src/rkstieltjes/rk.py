@@ -18,6 +18,7 @@ from dataclasses import InitVar, dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy.linalg import get_blas_funcs
 
 from .functions import StieltjesFunction
 from .operators import (HermitianOperator, as_block, as_poles, count, finite,
@@ -72,12 +73,29 @@ CHUNK_BYTES = 4 << 20
 CHUNK_MIN_COLS = 32
 
 
+#: A fast column norm inside [2^-500, 2^500] is kept; outside it (0 and
+#: inf included) its square may have underflowed or overflowed.
+_NORM_RANGE = (2.0 ** -500, 2.0 ** 500)
+
+
 def _column_norms(x: np.ndarray) -> list[float]:
     """2-norms of the columns of a narrow block: sqrt(c.c) of each real
     column made unit-stride, the bits of ``np.linalg.norm`` at a fraction
-    of its call cost."""
-    return [math.sqrt(c.dot(c)) if c.dtype.kind == "f" else np.linalg.norm(c)
-            for c in np.asfortranarray(x).T]
+    of its call cost (``np.vdot``, which raises no overflow warning).  A
+    norm that reads 0, inf or lies outside ``_NORM_RANGE`` is taken again
+    by BLAS ``nrm2``, which scales as it sums, so a column of any finite
+    scale gets its norm; a zero-length column reads 0."""
+    norms = []
+    for c in np.asfortranarray(x).T:
+        if c.dtype.kind == "f":
+            s = math.sqrt(np.vdot(c, c))
+        else:
+            with np.errstate(over="ignore"):
+                s = float(np.linalg.norm(c))
+        if not _NORM_RANGE[0] <= s <= _NORM_RANGE[1] and c.size:
+            s = float(get_blas_funcs("nrm2", (c,))(c))
+        norms.append(s)
+    return norms
 
 
 def _adjoint_product(parts: list[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -193,9 +211,9 @@ class RKDecomposition:
         self.op = op
         self.seed_ndim = np.asarray(v).ndim
         self.block_width = block.shape[1]
-        self.seed_norm = float(np.linalg.norm(block))
-        if not 0.0 < self.seed_norm < math.inf:
-            raise ValueError(f"seed norm must be > 0 and finite, got {self.seed_norm}")
+        seed_norm = float(np.linalg.norm(block))
+        if not 0.0 < seed_norm < math.inf:
+            raise ValueError(f"seed norm must be > 0 and finite, got {seed_norm}")
 
         n = op.n
         dtype = np.complex128 if np.iscomplexobj(block) else np.float64
@@ -338,7 +356,7 @@ class RKDecomposition:
                 for q in out[:, :kept].T:
                     w = w - q * (q.conj() @ w)
             nrm, = _column_norms(w[:, None])
-            if nrm <= DEFLATION_TOL * max(pre[j], self.seed_norm * 1e-300):
+            if nrm <= DEFLATION_TOL * pre[j]:
                 continue
             np.divide(w, nrm, out=out[:, kept])
             kept += 1

@@ -23,6 +23,7 @@ from rkstieltjes.kronfun import (
 )
 from rkstieltjes.operators import (
     DENSE_EIG_LIMIT,
+    DiagonalOperator,
     SpectralInterval,
     TridiagonalOperator,
     from_dense_array,
@@ -149,7 +150,8 @@ class TestProblemConstruction:
 
     def test_one_operator_is_enclosed_once(self, monkeypatch):
         # With A = -B on one object the interval is read once; each
-        # exact_interval of a band is an O(n^2 k) eigensolve.
+        # exact_interval of a band is a run of O(n k^2) band Cholesky
+        # factorizations, or an O(n^2 k) eigensolve where those fall back.
         op, other = _tridiag(30), _tridiag(30, scale=2.0)
         want = op.exact_interval()
         calls = []
@@ -248,6 +250,26 @@ class TestKronFun:
         assert res.core.shape == (5, 7)
         with pytest.raises(ValueError):
             kron_fun(prob, psi, xi, ell=5)  # exceeds the shorter list
+
+
+@pytest.mark.parametrize("s", [600, -600])
+def test_scaled_spectrum_scales_the_result(s):
+    # f(2^s A, A = -B) F = 2^(-s/2) f(A) F for z^-1/2.  At 2^+-600 the
+    # basis once overflowed or underflowed its column norms and returned a
+    # rank-2 result 0.87 off.
+    rng = np.random.default_rng(5)
+    d = np.concatenate([np.linspace(1.0, 2.0, 20), np.linspace(50.0, 1000.0, 100)])
+    u, w = rng.standard_normal((120, 2)), rng.standard_normal((120, 2))
+    f, pair = catalog_function("power", -0.5), KRON_PAIRS["cauchy-kron"]
+
+    def run(c):
+        op = DiagonalOperator(c * d)
+        prob = kron_problem(op, op, u, w, f)
+        return kron_fun(prob, *pair.poles(prob.interval, 12)).materialize()
+
+    base, got = run(1.0), run(2.0 ** s)
+    err = np.linalg.norm(got * 2.0 ** (s / 2) - base)
+    assert err <= 1e-12 * np.linalg.norm(base)
 
 
 class _CountingTridiagonal(TridiagonalOperator):

@@ -8,6 +8,7 @@ above 0.1); each is built in every storage that can hold it.
 
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -418,3 +419,97 @@ def test_exactness_check_on_random_spaces(ab, poles, seed):
     op = storages(ab)[0]
     v = np.random.default_rng(seed).standard_normal(op.n)
     assert exactness_check(op, v, poles).max_rel_err <= 1e-9
+
+
+def _band_ends(ab):
+    """The unpadded extreme eigenvalues from ``eigvals_banded``, the
+    reference of the band interval."""
+    w = operators.sla.eigvals_banded(ab, lower=True)
+    return w[0], w[-1]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("eigvals_banded reached")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(spd_bands(max_n=40), st.sampled_from([1.0, 2.0**600, 2.0**-600]))
+def test_band_interval_encloses_the_eigensolver_ends(ab, scale):
+    # The inertia brackets, every draw held in band storage, at scales
+    # that need ``_unit_scale``: the eigensolver's ends lie inside, within
+    # 1e-10 relative; the eigensolver is not called and no RuntimeWarning
+    # is emitted.
+    op = BandedOperator(scale * ab)
+    lo, hi = _band_ends(op.ab)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(operators.sla, "eigvals_banded", _refuse)
+        warnings.simplefilter("error", RuntimeWarning)
+        iv = op.exact_interval()
+    assert iv.lower <= lo and hi <= iv.upper
+    assert iv.lower >= lo - 1e-10 * lo and iv.upper <= hi + 1e-10 * hi
+
+
+def _refusal(interval) -> str:
+    with pytest.raises(ValueError) as exc:
+        operators.positive_interval(interval)
+    return str(exc.value)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spd_bands(max_n=40), st.booleans(), st.floats(0.01, 1.0, **_floats))
+def test_band_interval_of_an_unfactorable_band_is_the_eigensolvers(
+        ab, singular, at):
+    # A graph Laplacian (off-diagonals <= 0, zero row sums: singular), or
+    # the band shifted so that its smallest eigenvalue is negative.  The
+    # interval is the eigensolver's, and so is its refusal text.
+    ab = ab.copy()
+    if singular:
+        ab[1:] = -np.abs(ab[1:])
+        ab[0] = 0.0
+        ab[0] = BandedOperator(ab)._radii
+    else:
+        lo, hi = _band_ends(ab)
+        ab[0] -= lo + at * (hi - lo)
+    op = BandedOperator(ab)
+    want = operators._enclose(*_band_ends(op.ab))
+    iv = op.exact_interval()
+    assert iv == want
+    assert _refusal(iv) == _refusal(want)
+
+
+@pytest.mark.parametrize("budget", [1, operators._BRACKET_BUDGET])
+def test_band_interval_keeps_to_its_factorization_budget(budget, monkeypatch):
+    # At most the budget per end; one factorization cannot close a bracket
+    # that starts at the Gershgorin end, so it falls back to the
+    # eigensolver.
+    ab = np.zeros((4, 60))
+    ab[0], ab[1, :-1], ab[3, :-3] = np.linspace(3.0, 9.0, 60), -1.0, 0.5
+    op = BandedOperator(ab)
+    calls, real = [], operators._band_cholesky
+    monkeypatch.setattr(operators, "_band_cholesky",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    monkeypatch.setattr(operators, "_BRACKET_BUDGET", budget)
+    iv = op.exact_interval()
+    assert len(calls) <= 2 * budget
+    lo, hi = _band_ends(op.ab)
+    if budget == 1:
+        assert iv == operators._enclose(lo, hi)
+    else:
+        assert iv.lower <= lo and hi <= iv.upper
+
+
+@pytest.mark.parametrize("m", [32, 70])
+def test_five_point_laplacian_interval_by_inertia(m, monkeypatch):
+    # funv-mtx-dense's 32 x 32 grid and the 70 x 70 one (n = 4900, k = 70),
+    # against the closed form 4 - 2 cos(i t) - 2 cos(j t), t = pi/(m + 1):
+    # 8 sin^2(t/2) and 8 cos^2(t/2) at the ends.
+    n = m * m
+    ab = np.zeros((m + 1, n))
+    ab[0], ab[m, :n - m] = 4.0, -1.0
+    ab[1, :n - 1] = np.where(np.arange(1, n) % m, -1.0, 0.0)
+    monkeypatch.setattr(operators.sla, "eigvals_banded", _refuse)
+    iv = BandedOperator(ab).exact_interval()
+    t = math.pi / (m + 1)
+    lo, hi = 8.0 * math.sin(t / 2) ** 2, 8.0 * math.cos(t / 2) ** 2
+    assert lo * (1 - 1e-10) <= iv.lower <= lo
+    assert hi <= iv.upper <= hi * (1 + 1e-10)

@@ -1028,6 +1028,35 @@ class TestStopReason:
         assert not stopped.converged
 
 
+def _gapped(n):
+    """20 points in [1, 2] and the rest in [50, 1000]."""
+    return np.concatenate([np.linspace(1.0, 2.0, 20),
+                           np.linspace(50.0, 1000.0, n - 20)])
+
+
+class TestScaledOperator:
+    # f(2^s A) v = 2^(-s/2) f(A) v for z^-1/2.  At 2^+-600 a column norm
+    # taken as sqrt(c.c) overflows or underflows, and the basis read it as
+    # a breakdown: "converged" with a relative error of 0.92.
+    @pytest.mark.parametrize("s", [600, -600, 1000, -1000])
+    @pytest.mark.parametrize("strategy",
+                             ["extended", "zolotarev", "eds-cauchy", "cauchy"])
+    def test_scaled_spectrum_scales_the_result(self, strategy, s):
+        d, f = _gapped(600), catalog_function("power", -0.5)
+        v = np.random.default_rng(3).standard_normal(600)
+
+        def run(c):
+            return funv_driver(DiagonalOperator(c * d), f, v,
+                               SpectralInterval(c, 1000.0 * c),
+                               strategy=strategy, ell=12)
+
+        base, res = run(1.0), run(2.0 ** s)
+        assert res.stop_reason == base.stop_reason == "fixed_ell"
+        # Compared in the units of the scale-1 result: 2^(s/2) is exact.
+        err = np.linalg.norm(res.x * 2.0 ** (s / 2) - base.x)
+        assert err <= 1e-12 * np.linalg.norm(base.x)
+
+
 class TestFloor:
     # Toeplitz n = 2000, z^-1/2, tol 1e-13 < eps * b/a = 3.6e-10: the
     # checkpoint loop rebuilt cauchy and zolotarev 100 times (20,200 poles,
