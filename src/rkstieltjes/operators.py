@@ -11,34 +11,27 @@ pole and never makes that call, so the identity is kept for direct callers.
 Every pole is read by ``as_pole``, every pole list by ``as_poles``: one
 with zero imaginary part is real, -0.0 is 0.0, -inf is inf and NaN raises.
 
-Shift rule, one for every storage: sigma is refused (ValueError) when the
-smallest pivot of A - sigma*I (partial pivoting, or D of L D L^T) is at
-most ``_SINGULAR_TOL`` times the largest, or its reciprocal 1-norm
-condition number is at most ``_SINGULAR_TOL``: exact for diagonal storage
-and an SPD tridiagonal L D L^T, LAPACK's ``gecon``/``gbcon`` estimate
-otherwise.  Both are scale invariant down to the smallest normal float:
-where the norm of A - sigma*I nears either end of the float range, every
-route factors it times a power of two (``_unit_scale``).  Pivots alone
-miss an eigenvalue whose eigenvector is localized: every pivot can stay
-O(1).
-The band LU and L D L^T routes skip the rcond where Varah's bound (Lin.
-Algebra Appl. 11, 1975) clears it (``BandedOperator._shifted_norm``):
-with alpha = min_i(|m_ii| - sum_(j != i) |m_ij|) > 0, ||M^-1||_inf <=
-1/alpha, so for M = A - sigma*I = M^T, rcond >= alpha / ||M||_1.  Above
-twice ``_SINGULAR_TOL``, with the pivot ratio passing, the shift is
-accepted without the L D L^T route's second solve or ``gbcon``.  The
-true rcond and LAPACK's estimate are both at least the bound, and every
-other shift, each refused one included, takes the rcond route, so no
-decision and no error text changes.  Below the spectrum, where every
-finite pole of the Stieltjes families lies, the check is O(1): a band
-operator keeps its Gershgorin ends gl = min(d - r) and gu = max(d + r),
-and a real sigma below gl has ||M||_1 = gu - sigma and alpha = gl -
-sigma.  These decide only where alpha clears twice ``_SINGULAR_TOL``
-times ||M||_1 by 8 eps (|gl| + |gu| + |sigma|), more than their rounding
-can move it, and ||M||_1 needs no scaling; every other shift (sigma = 0
-on a Laplacian, where alpha = 0) runs the O(n) passes.  Diagonal storage
-reads its pivot ratio from min d - sigma and max d - sigma for sigma <=
-min d, exactly, as subtraction rounds monotonically.
+Shift rule, one for every storage (``HermitianOperator._factor``): sigma
+is refused (ValueError) when the smallest pivot of A - sigma*I (partial
+pivoting, D of L D L^T, or the diagonal itself) is at most
+``_SINGULAR_TOL`` times the largest, or its reciprocal 1-norm condition
+number is at most ``_SINGULAR_TOL``: exact for diagonal storage and an SPD
+tridiagonal L D L^T, LAPACK's ``gecon``/``gbcon`` estimate otherwise.
+Pivots alone miss an eigenvalue whose eigenvector is localized: every
+pivot can stay O(1).  Both tests are scale invariant down to the smallest
+normal float: where the norm of A - sigma*I nears either end of the float
+range, it is factored times a power of two (``_unit_scale``).
+The rcond is skipped where Varah's bound (Lin. Algebra Appl. 11, 1975)
+clears it twice over and the pivot ratio passes: with r_i = sum_(j != i)
+|a_ij| and alpha = min_i(|m_ii| - r_i) > 0, ||M^-1||_inf <= 1/alpha, so
+for M = A - sigma*I = M^T, rcond >= alpha / ||M||_1.  The true rcond and
+LAPACK's estimate are both at least the bound, and every other shift,
+each refused one included, takes the rcond route, so no decision and no
+error text changes.  Every operator keeps r and its Gershgorin ends gl =
+min(d - r) and gu = max(d + r), so below the spectrum, where every finite
+pole of the Stieltjes families lies, the check is O(1)
+(``HermitianOperator._shifted_norm``); other shifts (sigma = 0 on a
+Laplacian, where alpha = 0) run O(n) passes.
 
 Band solves are pivoted band LU (LAPACK ``gbtrf``/``gbtrs``) at every
 bandwidth, with two exceptions: diagonal solves divide elementwise, and
@@ -227,7 +220,7 @@ def _pivot_ratio(pivots: np.ndarray) -> float:
     return pivots.min() / (pivots.max() or 1.0)  # all zero: ratio 0
 
 
-def _require_regular(sigma: complex, pivots: np.ndarray, rcond: float = 1.0) -> None:
+def _require_regular(sigma: complex, pivots: np.ndarray, rcond: float) -> None:
     """The shift rule of the module docstring; NaN refuses too."""
     ratio = _pivot_ratio(pivots)
     if not (ratio > _SINGULAR_TOL and rcond > _SINGULAR_TOL):
@@ -377,11 +370,62 @@ class HermitianOperator:
 
     def _factor(self, sigma: complex):
         """Solver B -> (A - sigma*I)^-1 B, real for a real sigma;
-        ValueError when the shift rule refuses sigma."""
+        ValueError when the shift rule (module doc) refuses sigma.  The
+        one home of the rule: each storage only factors (``_decompose``)."""
+        d = self.d - sigma
+        anorm, c, dominant = self._shifted_norm(d, sigma)
+        pivots, ratio, rcond, solve = self._decompose(sigma, c, d)
+        if not (dominant and ratio > _SINGULAR_TOL):
+            anorm = self._norm(sigma) if anorm is None else anorm
+            _require_regular(sigma, pivots, rcond(c * anorm))
+        return _times(c, solve, sigma)
+
+    def _decompose(self, sigma: complex, c: float, d: np.ndarray):
+        """``(pivots, ratio, rcond, solve)`` of c (A - sigma*I), whose
+        diagonal is c ``d``: the pivots of its factorization and their
+        ratio (``_pivot_ratio``), ``rcond(||c (A - sigma*I)||_1)``, its
+        reciprocal 1-norm condition number, and B -> (c (A - sigma*I))^-1 B."""
         raise NotImplementedError
 
+    def _discs(self, radii: np.ndarray) -> None:
+        """Keep the off-diagonal absolute row sums (= column sums) r and
+        the Gershgorin ends min(d - r), max(d + r) (module doc)."""
+        self._radii = radii
+        self._gl = float(np.min(self.d - radii))
+        self._gu = float(np.max(self.d + radii))
+
+    def _norm(self, sigma: complex) -> float:
+        """||A - sigma*I||_1, by one O(n) pass."""
+        return np.max(np.abs(self.d - sigma) + self._radii)
+
+    def _shifted_norm(self, d: np.ndarray,
+                      sigma: complex) -> tuple[float | None, float, bool]:
+        """For M = A - sigma*I with diagonal ``d``: ||M||_1, its
+        ``_unit_scale`` c, and whether Varah's bound clears the rcond half
+        of the shift rule twice over (module doc); the factor 2 covers the
+        rounding of alpha and of LAPACK's estimate.  A margin below the
+        normal range is exact (gradual underflow), so c * alpha compares
+        in the units of c, scale invariant like the rule.
+
+        A real sigma first tries ||M||_1 = gu - sigma and alpha = gl -
+        sigma, off the passes' values by a few ulps of S = |gl| + |gu| +
+        |sigma|: "dominant", with c = 1 and ||M||_1 as None (``_norm``
+        computes it), where alpha - 2 tol ||M||_1 > 8 eps S and ||M||_1
+        lies well inside 2^+-256, so the passes would say the same."""
+        if isinstance(sigma, float):
+            anorm, alpha = self._gu - sigma, self._gl - sigma
+            slack = 8.0 * _EPS * (abs(self._gl) + abs(self._gu) + abs(sigma))
+            if (alpha - 2.0 * _SINGULAR_TOL * anorm > slack
+                    and -250 < math.frexp(anorm)[1] <= 250):
+                return None, 1.0, True
+        absd = np.abs(d)
+        anorm = np.max(absd + self._radii)
+        c = _unit_scale(anorm)
+        alpha = np.min(absd - self._radii)
+        return anorm, c, c * alpha > 2.0 * _SINGULAR_TOL * (c * anorm)
+
     def gershgorin(self) -> SpectralInterval:
-        raise NotImplementedError
+        return SpectralInterval(self._gl, self._gu)
 
     def to_dense(self) -> np.ndarray:
         raise NotImplementedError
@@ -483,28 +527,30 @@ class DenseOperator(HermitianOperator):
         super().__init__(a.shape[0])
         self.a = 0.5 * (a + a.T)  # store an exactly symmetric copy
         self.a.flags.writeable = False  # the cached factorization stays valid
+        off = np.abs(self.a)
+        np.fill_diagonal(off, 0.0)  # off-diagonal sums, no cancellation
+        self._discs(off.sum(axis=1))
+
+    @property
+    def d(self) -> np.ndarray:
+        """The diagonal, a read-only view of ``a``."""
+        return np.diag(self.a)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.a @ x
 
     shifted_solve = HermitianOperator.shifted_solve
 
-    def _factor(self, sigma: complex):
-        m = self.a.astype(np.result_type(self.a, sigma))
-        m[np.diag_indices_from(m)] -= sigma
-        anorm = np.linalg.norm(m, 1)
-        c = _unit_scale(anorm)
+    def _decompose(self, sigma: complex, c: float, d: np.ndarray):
+        m = self.a.astype(d.dtype)
+        m[np.diag_indices_from(m)] = d
         if c != 1.0:
             m *= c
         getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), (m,))
         lu, piv, _ = getrf(m, overwrite_a=True)
-        _require_regular(sigma, np.diag(lu), gecon(lu, c * anorm)[0])
-        return _times(c, lambda b: sla.lu_solve((lu, piv), b), sigma)
-
-    def gershgorin(self) -> SpectralInterval:
-        d = np.diag(self.a)
-        radii = np.sum(np.abs(self.a), axis=1) - np.abs(d)
-        return SpectralInterval(float(np.min(d - radii)), float(np.max(d + radii)))
+        pivots = np.diag(lu)
+        return (pivots, _pivot_ratio(pivots), lambda cnorm: gecon(lu, cnorm)[0],
+                lambda b: sla.lu_solve((lu, piv), b))
 
     def to_dense(self) -> np.ndarray:
         return self.a.copy()
@@ -536,19 +582,14 @@ class BandedOperator(HermitianOperator):
         self.ab = finite(ab, "band")
         self.ab.flags.writeable = False
         self.k = self.ab.shape[0] - 1
-        # The stored off-diagonals that hold a nonzero, and the off-diagonal
-        # absolute row sums (= column sums), read by every factorization's
-        # norm and by ``gershgorin``.
+        # The stored off-diagonals that hold a nonzero.
         self._offsets = [i for i in range(1, self.k + 1) if self.ab[i].any()]
-        self._radii = np.zeros(self.n)
+        radii = np.zeros(self.n)
         for i in self._offsets:
             e = np.abs(self.ab[i, :self.n - i])
-            self._radii[i:] += e
-            self._radii[:-i] += e
-        # The Gershgorin ends min(d - r) and max(d + r), read by
-        # ``gershgorin`` and by the shift rule's O(1) route below them.
-        self._gl = float(np.min(self.ab[0] - self._radii))
-        self._gu = float(np.max(self.ab[0] + self._radii))
+            radii[i:] += e
+            radii[:-i] += e
+        self._discs(radii)
 
     @property
     def d(self) -> np.ndarray:
@@ -566,57 +607,21 @@ class BandedOperator(HermitianOperator):
 
     shifted_solve = HermitianOperator.shifted_solve
 
-    def _factor(self, sigma: complex):
+    def _decompose(self, sigma: complex, c: float, d: np.ndarray):
         # General band form of A - sigma*I with kl = ku = k and room for
         # the fill-in of partial pivoting: A[i, j] sits in row 2k + i - j.
         n, k = self.n, self.k
-        m = np.zeros((3 * k + 1, n), dtype=np.result_type(self.ab, sigma))
-        m[2 * k] = self.ab[0] - sigma
+        m = np.zeros((3 * k + 1, n), dtype=d.dtype)
+        m[2 * k] = d
         for i in self._offsets:
             m[2 * k + i, :n - i] = m[2 * k - i, i:] = self.ab[i, :n - i]
-        anorm, c, dominant = self._shifted_norm(m[2 * k], sigma)
         if c != 1.0:
             m *= c
         gbtrf, gbcon, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), (m,))
         lu, piv, _ = gbtrf(m, k, k, overwrite_ab=True)
-        if not (dominant and _pivot_ratio(lu[2 * k]) > _SINGULAR_TOL):
-            anorm = self._norm(sigma) if anorm is None else anorm
-            _require_regular(sigma, lu[2 * k], gbcon(k, k, lu, piv, c * anorm)[0])
-        return _times(c, lambda b: gbtrs(lu, k, k, b, piv)[0], sigma)
-
-    def _norm(self, sigma: complex) -> float:
-        """||A - sigma*I||_1, by one O(n) pass."""
-        return np.max(np.abs(self.ab[0] - sigma) + self._radii)
-
-    def _shifted_norm(self, d: np.ndarray,
-                      sigma: complex) -> tuple[float | None, float, bool]:
-        """For M = A - sigma*I with diagonal ``d``: ||M||_1, its
-        ``_unit_scale`` c, and whether Varah's bound clears the rcond half
-        of the shift rule twice over (module doc); the factor 2 covers the
-        rounding of alpha and of LAPACK's estimate.  A margin below the
-        normal range is exact (gradual underflow), so c * alpha compares
-        in the units of c, scale invariant like the rule.
-
-        A real sigma first tries the O(1) route (module doc): ||M||_1 =
-        gu - sigma and alpha = gl - sigma, off the passes' values by a few
-        ulps of S = |gl| + |gu| + |sigma|, answer "dominant" only where
-        alpha - 2 tol ||M||_1 > 8 eps S and ||M||_1 lies well inside
-        2^+-256, so the passes would too, with c = 1.  That route returns
-        ||M||_1 as None: the rcond route, which prints it, calls ``_norm``."""
-        if isinstance(sigma, float):
-            anorm, alpha = self._gu - sigma, self._gl - sigma
-            slack = 8.0 * _EPS * (abs(self._gl) + abs(self._gu) + abs(sigma))
-            if (alpha - 2.0 * _SINGULAR_TOL * anorm > slack
-                    and -250 < math.frexp(anorm)[1] <= 250):
-                return None, 1.0, True
-        absd = np.abs(d)
-        anorm = np.max(absd + self._radii)
-        c = _unit_scale(anorm)
-        alpha = np.min(absd - self._radii)
-        return anorm, c, c * alpha > 2.0 * _SINGULAR_TOL * (c * anorm)
-
-    def gershgorin(self) -> SpectralInterval:
-        return SpectralInterval(self._gl, self._gu)
+        return (lu[2 * k], _pivot_ratio(lu[2 * k]),
+                lambda cnorm: gbcon(k, k, lu, piv, cnorm)[0],
+                lambda b: gbtrs(lu, k, k, b, piv)[0])
 
     def to_dense(self) -> np.ndarray:
         a = np.diag(self.ab[0])
@@ -664,19 +669,16 @@ class DiagonalOperator(BandedOperator):
     matvec = BandedOperator.matvec
     shifted_solve = HermitianOperator.shifted_solve
 
-    def _factor(self, sigma: complex):
-        denom = self.d - sigma
-        # At or below min d, |d - sigma| = d - sigma, whose ends are those of
-        # d minus sigma exactly, as subtraction rounds monotonically.  The
-        # power of two c leaves their ratio as it is wherever it can pass.
-        below = isinstance(sigma, float) and sigma <= self._gl
-        hi = self._gu - sigma if below else np.abs(denom).max()
-        c = _unit_scale(hi)
-        if c != 1.0:
-            denom *= c
-        if not (below and (self._gl - sigma) / (hi or 1.0) > _SINGULAR_TOL):
-            _require_regular(sigma, denom)
-        return _times(c, lambda b: b / denom[:, None], sigma)
+    def _decompose(self, sigma: complex, c: float, d: np.ndarray):
+        # The pivots are the diagonal, whose ratio is the exact rcond.  At
+        # or below min d, their ends are min d - sigma and max d - sigma,
+        # exactly (subtraction rounds monotonically); c moves no ratio > tol.
+        if isinstance(sigma, float) and sigma <= self._gl:
+            ratio = (self._gl - sigma) / ((self._gu - sigma) or 1.0)
+        else:
+            ratio = _pivot_ratio(d)
+        d = c * d if c != 1.0 else d
+        return d, ratio, lambda cnorm: 1.0, lambda b: b / d[:, None]
 
     def _eig(self):
         # Closed form: the sorted entries and permuted unit vectors.
@@ -707,25 +709,23 @@ class TridiagonalOperator(BandedOperator):
     matvec = BandedOperator.matvec
     shifted_solve = HermitianOperator.shifted_solve
 
-    def _factor(self, sigma: complex):
-        d = self.d - sigma
+    def _decompose(self, sigma: complex, c: float, d: np.ndarray):
         if self.n > 1 and np.isrealobj(d):  # pttrf: n >= 2
-            anorm, c, dominant = self._shifted_norm(d, sigma)
             pttrf, pttrs = sla.get_lapack_funcs(("pttrf", "pttrs"), (d,))
-            # c * e is also the copy pttrf overwrites (f2py would write
-            # into the read-only e itself).
+            # pttrf overwrites both inputs: d, and c * e for the read-only
+            # e, which f2py would write into.
             dd, l, info = pttrf(d if c == 1.0 else c * d, c * self.e,
                                 overwrite_d=True, overwrite_e=True)
             if info == 0:
                 # c (A - sigma*I) = L D L^T is SPD (every pivot > 0), and the
                 # absolute value of its inverse is the inverse of the factors
                 # with -|l|.
-                if not (dominant and dd.min() / dd.max() > _SINGULAR_TOL):
-                    anorm = self._norm(sigma) if anorm is None else anorm
+                def rcond(cnorm):
                     x = pttrs(dd, -np.abs(l), np.ones((self.n, 1)))[0]
-                    _require_regular(sigma, dd, 1.0 / (c * anorm * x.max()))
-                return _times(c, lambda b: pttrs(dd, l, b)[0], sigma)
-        return super()._factor(sigma)
+                    return 1.0 / (cnorm * x.max())
+                return dd, dd.min() / dd.max(), rcond, lambda b: pttrs(dd, l, b)[0]
+            d = self.d - sigma  # in place of the overwritten one
+        return super()._decompose(sigma, c, d)
 
     def _eig(self):
         return sla.eigh_tridiagonal(self.d, self.e)

@@ -1,5 +1,15 @@
 """Shared test helpers."""
 import pytest
+from hypothesis import settings
+
+# ``--hypothesis-profile=explore``: fresh random draws on every run, none
+# replayed from or saved to a database, and a failing draw printed with
+# its reproduction blob.  Where CI is set, Hypothesis loads its own ``ci``
+# profile instead, which is derandomized: it tries the same draws on every
+# run.  A test that sets its own ``max_examples`` keeps that count, so an
+# exploratory job repeats the run for more draws.
+settings.register_profile("explore", derandomize=False, database=None,
+                          print_blob=True, max_examples=1000)
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ from rkstieltjes.operators import (
     BandedOperator,
     DenseOperator,
     DiagonalOperator,
+    HermitianOperator,
     TridiagonalOperator,
     toeplitz_tridiagonal,
 )
@@ -59,12 +60,12 @@ def spd_bands(draw, min_n=1, max_n=10):
     return ab
 
 
-def band_storages(ab, scale=1.0):
-    """The operator scale*A in every band storage that can hold it, the
-    most specialized first."""
+def storages(ab, scale=1.0):
+    """The operator scale*A in every storage that can hold it, the most
+    specialized first and dense last."""
     ab = scale * ab
     a = band_to_dense(ab)
-    ops = [BandedOperator(ab)]
+    ops = [BandedOperator(ab), DenseOperator(a)]
     if not np.tril(a, -2).any():
         ops.insert(0, TridiagonalOperator(np.diag(a), np.diag(a, -1)))
     if not np.tril(a, -1).any():
@@ -72,28 +73,40 @@ def band_storages(ab, scale=1.0):
     return ops
 
 
-def storages(ab, scale=1.0):
-    """The operator scale*A in every storage that can hold it, the most
-    specialized first and dense last."""
-    return band_storages(ab, scale) + [DenseOperator(band_to_dense(scale * ab))]
-
-
-_shifted_norm = BandedOperator._shifted_norm
+_shifted_norm = HermitianOperator._shifted_norm
 
 
 def _never(op, d, sigma):
-    """``BandedOperator._shifted_norm`` with the dominance bound forced
+    """``HermitianOperator._shifted_norm`` with the dominance bound forced
     off: every shift takes the rcond route."""
     anorm, c, _ = _shifted_norm(op, d, sigma)
     return anorm, c, False
 
 
 def refuses(op, sigma) -> bool:
+    return verdict(op, sigma) is not None
+
+
+def verdict(op, sigma) -> str | None:
+    """None where ``op`` solves (A - sigma*I) x = 1, else what refused it:
+    "near-singular" (the shift rule) or "overflows" (a scaled solve whose
+    answer leaves the float range)."""
     try:
         op.shifted_solve(sigma, np.ones(op.n))
-    except ValueError:
-        return True
-    return False
+    except ValueError as err:
+        return "overflows" if "overflows" in str(err) else "near-singular"
+    return None
+
+
+def solution_is_finite(ab, sigma, scale) -> bool:
+    """Whether the solution of scale (A - sigma*I) x = 1 is a finite float:
+    a dense solve of 2^p (A - sigma*I), whose 1-norm lies in [1, 2), gives
+    y = x scale / 2^p, so x has the exponent of max|y| plus p - log2(scale)."""
+    m = band_to_dense(ab) - sigma * np.eye(ab.shape[1])
+    p = 1 - math.frexp(np.linalg.norm(m, 1))[1]
+    y = np.linalg.solve(math.ldexp(1.0, p) * m, np.ones(m.shape[0]))
+    exponent = math.frexp(np.abs(y).max())[1] + p - (math.frexp(scale)[1] - 1)
+    return exponent <= 1024
 
 
 def exact_eigenvalue(ab, k):
@@ -172,7 +185,7 @@ def test_tridiagonal_routes_match_dense_storage(ab, gap, k, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators, "_require_regular", spy)
-        mp.setattr(BandedOperator, "_shifted_norm", _never)
+        mp.setattr(HermitianOperator, "_shifted_norm", _never)
         got = tri.shifted_solve(sigma, b)
     np.testing.assert_allclose(got, dense.shifted_solve(sigma, b),
                                rtol=1e-10, atol=1e-12)
@@ -197,10 +210,22 @@ def test_tridiagonal_routes_match_dense_storage(ab, gap, k, seed):
 # conditioned, but unscaled factors put its inverse near overflow.
 @example(ab=np.array([[1.0, 1.0], [np.finfo(float).tiny, 0.0]]),
          k=0, sigma=0.0, scale=2.0**66)
+# A - 1*I = [[0, e], [e, 0]] is perfectly conditioned and its solution,
+# 2.3e295, is finite; scaled by 2^-66 the solution is 1.7e315, beyond the
+# float range, and the scaled solve refuses it as an overflow.
+@example(ab=np.array([[1.0, 1.0], [4.3865844e-296, 0.0]]),
+         k=0, sigma=0.0, scale=2.0**-66)
 def test_scaling_keeps_accept_or_refuse(ab, k, sigma, scale):
+    # The shift rule refuses the same shifts at every scale; apart from it,
+    # a solve is refused as an overflow exactly where its solution at that
+    # scale is not a finite float.
     for s in (exact_eigenvalue(ab, k), sigma):
         for op, scaled in zip(storages(ab), storages(ab, scale)):
-            assert refuses(op, s) == refuses(scaled, scale * s)
+            seen = verdict(op, s), verdict(scaled, scale * s)
+            assert (seen[0] == "near-singular") == (seen[1] == "near-singular")
+            if seen[0] != "near-singular":
+                for v, t in zip(seen, (1.0, scale)):
+                    assert (v == "overflows") == (not solution_is_finite(ab, s, t))
 
 
 def _dominance_spy(mp) -> list[bool]:
@@ -212,7 +237,7 @@ def _dominance_spy(mp) -> list[bool]:
         answers.append(out[2])
         return out
 
-    mp.setattr(BandedOperator, "_shifted_norm", spy)
+    mp.setattr(HermitianOperator, "_shifted_norm", spy)
     return answers
 
 
@@ -226,15 +251,16 @@ def _rcond(a, sigma) -> float:
        st.sampled_from([1.0, 2.0**-1000, 2.0**1000]))
 def test_dominance_skip_keeps_accept_or_refuse(ab, k, sigma, scale):
     # Skipping the rcond where Varah's bound clears it accepts and refuses
-    # the same shifts as the forced rcond route, at every scale down to the
-    # bottom of the float range, and skips only truly well-conditioned ones.
+    # the same shifts as the forced rcond route, in every storage and at
+    # every scale down to the bottom of the float range, and skips only
+    # truly well-conditioned ones.
     for s in (exact_eigenvalue(ab, k), sigma):
-        for op in band_storages(ab, scale):
+        for op in storages(ab, scale):
             with pytest.MonkeyPatch.context() as mp:
                 cleared = _dominance_spy(mp)
                 refused = refuses(op, scale * s)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(BandedOperator, "_shifted_norm", _never)
+                mp.setattr(HermitianOperator, "_shifted_norm", _never)
                 assert refuses(op, scale * s) == refused
             if any(cleared):
                 assert _rcond(band_to_dense(ab), s) > operators._SINGULAR_TOL
@@ -243,18 +269,19 @@ def test_dominance_skip_keeps_accept_or_refuse(ab, k, sigma, scale):
 @pytest.mark.parametrize("op", [
     TridiagonalOperator(np.full(50, 2.0), np.full(49, -1.0)),
     BandedOperator([np.full(40, 6.0), np.full(40, -4.0), np.full(40, 1.0)]),
-], ids=["tridiagonal", "band"])
+    DenseOperator(toeplitz_tridiagonal(50).to_dense()),
+], ids=["tridiagonal", "band", "dense"])
 def test_refused_shift_prints_its_rcond(op):
     # Just left of the spectrum: SPD, pivot ratio fine, rcond below the
-    # rule's.  The text is the rcond route's (L D L^T exact, gbcon's
-    # estimate for the band) with the skip allowed or forced off.
+    # rule's.  The text is the rcond route's (L D L^T exact, gbcon's or
+    # gecon's estimate otherwise) with the skip allowed or forced off.
     w = np.linalg.eigvalsh(op.to_dense())
     sigma = w[0] - 1e-14 * w[-1]
     texts = []
     for allowed in (True, False):
         with pytest.MonkeyPatch.context() as mp:
             if not allowed:
-                mp.setattr(BandedOperator, "_shifted_norm", _never)
+                mp.setattr(HermitianOperator, "_shifted_norm", _never)
             with pytest.raises(ValueError, match="near-singular") as err:
                 op.shifted_solve(sigma, np.ones(op.n))
         texts.append(str(err.value))
@@ -265,12 +292,16 @@ def test_refused_shift_prints_its_rcond(op):
         assert printed == pytest.approx(_rcond(op.to_dense(), sigma), rel=0.06)
 
 
-@pytest.mark.parametrize("make", [toeplitz_tridiagonal, diffusion_operator])
+@pytest.mark.parametrize("make", [
+    lambda: toeplitz_tridiagonal(1500), lambda: diffusion_operator(1500),
+    lambda: DenseOperator(toeplitz_tridiagonal(300).to_dense()),
+], ids=["toeplitz_tridiagonal", "diffusion_operator", "dense"])
 def test_dominance_skips_the_rcond_at_zolotarev_poles(make):
-    # Every Zolotarev pole of the 1-D fixtures clears Varah's bound, so no
-    # shift rule call and no rcond solve; sigma = 0 on the Laplacian, whose
-    # interior rows have margin 0, never does.
-    op = make(1500)
+    # Every Zolotarev pole of the 1-D fixtures, in tridiagonal and in dense
+    # storage, clears Varah's bound, so no shift rule call and no rcond
+    # solve; sigma = 0 on these Laplacians, whose interior rows have margin
+    # 0, never does.
+    op = make()
     ones = np.ones(op.n)
     poles = zolotarev_poles(op.exact_interval(), 25)
     with pytest.MonkeyPatch.context() as mp:
@@ -282,7 +313,7 @@ def test_dominance_skips_the_rcond_at_zolotarev_poles(make):
             op.shifted_solve(sigma, ones)
         assert cleared == [True] * len(poles) and rule_calls == []
         cleared.clear()
-        toeplitz_tridiagonal(1500).shifted_solve(0.0, ones)
+        make().shifted_solve(0.0, ones)
         assert cleared == [False] and len(rule_calls) == 1
 
 
@@ -291,7 +322,7 @@ def _norm_pass_spy(mp) -> list[bool]:
     ``_shifted_norm``'s own, or the exact norm of the rcond route after an
     O(1) answer (``_norm``)."""
     passes = []
-    norm = BandedOperator._norm
+    norm = HermitianOperator._norm
 
     def spy(op, d, sigma):
         out = _shifted_norm(op, d, sigma)
@@ -302,8 +333,8 @@ def _norm_pass_spy(mp) -> list[bool]:
         passes.append(True)
         return norm(op, sigma)
 
-    mp.setattr(BandedOperator, "_shifted_norm", spy)
-    mp.setattr(BandedOperator, "_norm", spy_norm)
+    mp.setattr(HermitianOperator, "_shifted_norm", spy)
+    mp.setattr(HermitianOperator, "_norm", spy_norm)
     return passes
 
 
@@ -337,9 +368,9 @@ def _o_n_route(op):
 def _seen(op, sigma, b, forced_rcond):
     """What a factorization at sigma shows: the solve's bits or the
     refusal's text, the dominance answers and the rconds the shift rule
-    got (not for diagonal storage, which calls the rule only to refuse
-    and has no rcond), with the rcond route forced or not.  A copy
-    factors, so the factor cache hides nothing."""
+    got (diagonal storage hands it 1.0: its pivot ratio is the exact
+    rcond), with the rcond route forced or not.  A copy factors, so the
+    factor cache hides nothing."""
     op, rconds, rule = copy.copy(op), [], operators._require_regular
 
     def spy(shift, pivots, rcond=1.0):
@@ -350,14 +381,14 @@ def _seen(op, sigma, b, forced_rcond):
         mp.setattr(operators, "_require_regular", spy)
         answers = _dominance_spy(mp)
         if forced_rcond:  # over the spy, which still records the answers
-            answering = BandedOperator._shifted_norm
-            mp.setattr(BandedOperator, "_shifted_norm",
+            answering = HermitianOperator._shifted_norm
+            mp.setattr(HermitianOperator, "_shifted_norm",
                        lambda op, d, s: (*answering(op, d, s)[:2], False))
         try:
             out = op.shifted_solve(sigma, b).tobytes()
         except ValueError as err:
             out = str(err)
-    return out, answers, None if isinstance(op, DiagonalOperator) else rconds
+    return out, answers, rconds
 
 
 def _near(sigma, steps):
@@ -376,12 +407,12 @@ def test_o1_shift_check_matches_the_o_n_passes(ab, laplacian, scale, far, j):
     # alpha = 2 tol ||M||_1 and the O(1) route's margin above it, far
     # below gl and inside the Gershgorin discs, at scales that do and do
     # not need ``_unit_scale``, and with gl near 0 (as on a Laplacian; a
-    # diagonal entry may be 0).
+    # diagonal entry may be 0), in every storage.
     if laplacian:
         ab = ab.copy()
         ab[0] -= BandedOperator(ab).gershgorin().lower
     tol, eps = operators._SINGULAR_TOL, np.finfo(float).eps
-    for op in band_storages(ab, scale):
+    for op in storages(ab, scale):
         gl, gu = op.gershgorin()
         b = np.linspace(-1.0, 2.0, op.n)
         # alpha = 2 tol ||M||_1, and alpha - 2 tol ||M||_1 = the margin

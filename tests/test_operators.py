@@ -24,6 +24,7 @@ from rkstieltjes.operators import (
     BandedOperator,
     DenseOperator,
     DiagonalOperator,
+    HermitianOperator,
     SpectralInterval,
     TridiagonalOperator,
     from_dense_array,
@@ -131,8 +132,8 @@ class TestTridiagonal:
 
         skipping = copy.copy(op).shifted_solve(sigma, b)  # its own factor
         monkeypatch.setattr(operators, "_require_regular", spy)
-        norm = BandedOperator._shifted_norm
-        monkeypatch.setattr(BandedOperator, "_shifted_norm",
+        norm = HermitianOperator._shifted_norm
+        monkeypatch.setattr(HermitianOperator, "_shifted_norm",
                             lambda op, d, sigma: (*norm(op, d, sigma)[:2], False))
         x = op.shifted_solve(sigma, b)
         np.testing.assert_allclose(
@@ -501,6 +502,22 @@ class TestShiftRule:
         return [op, DenseOperator(op.to_dense()),
                 DiagonalOperator(np.linalg.eigvalsh(op.to_dense())),
                 BandedOperator([op.d, np.append(op.e, 0.0)])]
+
+    def test_the_rule_has_one_home(self):
+        # Only the base class decides on a shift; every storage only
+        # factors, so no storage can fork the rule.
+        classes = [c for c in vars(operators).values()
+                   if isinstance(c, type) and c.__module__ == operators.__name__]
+        storages = [c for c in classes if issubclass(c, HermitianOperator)
+                    and c is not HermitianOperator]
+        assert set(storages) == {DenseOperator, BandedOperator,
+                                 DiagonalOperator, TridiagonalOperator}
+        for cls in classes:
+            if cls is not HermitianOperator:
+                assert not {"_factor", "_shifted_norm", "_norm",
+                            "gershgorin"} & vars(cls).keys(), cls
+        for cls in storages:
+            assert "_decompose" in vars(cls), cls
 
     def test_eigenvalue_shift_refused_by_every_storage(self):
         op = toeplitz_tridiagonal(50)
