@@ -15,8 +15,9 @@ Shift rule, one for every storage (``HermitianOperator._factor``): sigma
 is refused (ValueError) when the smallest pivot of A - sigma*I (partial
 pivoting, D of L D L^T, or the diagonal itself) is at most
 ``_SINGULAR_TOL`` times the largest, or its reciprocal 1-norm condition
-number is at most ``_SINGULAR_TOL``: exact for diagonal storage and an SPD
-tridiagonal L D L^T, LAPACK's ``gecon``/``gbcon`` estimate otherwise.
+number is at most ``_SINGULAR_TOL``: exact for diagonal storage, an SPD
+tridiagonal L D L^T and an SPD Z-matrix band (below), LAPACK's
+``gecon``/``gbcon`` estimate otherwise.
 Pivots alone miss an eigenvalue whose eigenvector is localized: every
 pivot can stay O(1).  Both tests are scale invariant down to the smallest
 normal float: where the norm of A - sigma*I nears either end of the float
@@ -34,27 +35,39 @@ pole of the Stieltjes families lies, the check is O(1)
 Laplacian, where alpha = 0) run O(n) passes.
 
 Band solves are pivoted band LU (LAPACK ``gbtrf``/``gbtrs``) at every
-bandwidth, with two exceptions: diagonal solves divide elementwise, and
+bandwidth, with three exceptions: diagonal solves divide elementwise;
 tridiagonal solves with a real sigma at order >= 2 first try L D L^T
 without pivoting (``pttrf``/``pttrs``), which succeeds exactly when
 A - sigma*I is SPD, as it is for a positive definite A and every finite
-pole of the Stieltjes families (real and <= 0).
+pole of the Stieltjes families (real and <= 0); and a band with k >= 2
+whose stored off-diagonals are all <= 0 (decided once, when it is built)
+first tries band Cholesky (``pbtrf``/``pbtrs``) at a real sigma.  Its
+success proves c (A - sigma*I) an SPD Z-matrix, a Stieltjes matrix, as
+it is for the discretized diffusion operators (a five-point Laplacian)
+at every such pole; its inverse is entrywise nonnegative, so
+||M^-1||_1 = max(M^-1 1) and one ``pbtrs`` against a vector of ones gives
+the exact rcond, and the pivots are D of L D L^T, the squares of
+diag(L).  A failed Cholesky, a complex sigma or any other band takes the
+band LU.  Every array LAPACK factors is built in Fortran order, so every
+factorization works in place with no transient copy; dense storage
+factors the transpose of its symmetric copy, which is the copy itself.
 
 Factor cache: each operator keeps its last factorization of A - sigma*I
-(LU, band LU, tridiagonal L D L^T, or the shifted diagonal) as one
-``(sigma, solve)`` entry, keyed by sigma alone as ``as_pole`` reads it.
-A real sigma has a real factorization, which solves a complex block as
-one real block [Re B, Im B].  A ``shifted_solve`` at that sigma, in this
-call or a later one, runs only the triangular solves, bit-identical to a
-fresh solve.  A miss drops the entry before it factors, so an operator
-holds at most one factorization: n numbers for diagonal storage, 2n for
-a tridiagonal L D L^T, (3k + 1) n for a band LU, n^2 for dense.  A
-refused sigma raises before anything is stored, so it raises on every
-use.  Threads may share an operator: the entry is swapped in one
-assignment and every solve allocates its own output, so two misses at
-once may both factor but never return a wrong result.  Copies and
-pickles start without the entry (``__getstate__``), and the stored
-matrix is read-only, in them too.
+(LU, band LU or Cholesky, tridiagonal L D L^T, or the shifted diagonal)
+as one ``(sigma, solve)`` entry, keyed by sigma alone as ``as_pole``
+reads it.  A real sigma has a real factorization, which solves a complex
+block as one real block [Re B, Im B].  A ``shifted_solve`` at that sigma,
+in this call or a later one, runs only the triangular solves,
+bit-identical to a fresh solve.  A miss drops the entry before it
+factors, so an operator holds at most one factorization: n numbers for
+diagonal storage, 2n for a tridiagonal L D L^T, (k + 1) n for a band
+Cholesky, (3k + 1) n for a band LU, n^2 for dense.  A refused sigma
+raises before anything is stored, so it raises on every use.  Threads
+may share an operator: the entry is swapped in one assignment and every
+solve allocates its own output, so two misses at once may both factor
+but never return a wrong result.  Copies and pickles start without the
+entry (``__getstate__``), and the stored matrix is read-only, in them
+too.
 
 MatrixMarket files (array or coordinate) and dense arrays share one storage
 picker: square, ||A - A^T||_F <= ``_SYM_TOL`` ||A||_F, and the bandwidth k
@@ -246,18 +259,30 @@ def _unit_scale(anorm: float) -> float:
     return 1.0 if -256 < e <= 256 else math.ldexp(1.0, min(1 - e, 1023))
 
 
-def _band_cholesky(ab: np.ndarray, sigma: float, anorm: float):
-    """``(c, L)``: the lower band Cholesky factor L of c (A - sigma*I), for
-    A in the lower band form ``ab`` and c the ``_unit_scale`` of ``anorm``
-    >= ||A - sigma*I||, by LAPACK ``pbtrf`` in O(n k^2).  L is None where
-    a pivot is not positive: c (A - sigma*I) is not numerically positive
-    definite, so by Sylvester's law of inertia A has an eigenvalue at or
-    below sigma, up to the factorization's backward error."""
-    c = _unit_scale(anorm)
-    m = c * ab
-    m[0] = c * (ab[0] - sigma)
+def _pbtrf(ab: np.ndarray, c: float, diag: np.ndarray) -> np.ndarray | None:
+    """The lower band Cholesky factor L of the band whose off-diagonals are
+    c times those of the lower band form ``ab`` and whose diagonal is
+    ``diag``, by LAPACK ``pbtrf`` in O(n k^2), or None where a pivot is not
+    positive (the band is not numerically positive definite).  The band is
+    built in Fortran order, so ``pbtrf`` factors it in place."""
+    m = np.empty(ab.shape, order="F")
+    np.multiply(ab, c, out=m)
+    m[0] = diag
     factor, info = sla.lapack.dpbtrf(m, lower=1, overwrite_ab=1)
-    return c, (factor if info == 0 else None)
+    return factor if info == 0 else None
+
+
+def _band_cholesky(ab: np.ndarray, sigma: float, anorm: float,
+                   sign: float = 1.0):
+    """``(c, L)``: the lower band Cholesky factor L of c (B - sigma*I),
+    B = ``sign`` * A (+-A), for A in the lower band form ``ab`` and c the
+    ``_unit_scale`` of ``anorm`` >= ||B - sigma*I|| (``_pbtrf``).  L is
+    None where a pivot is not positive: c (B - sigma*I) is not numerically
+    positive definite, so by Sylvester's law of inertia B has an
+    eigenvalue at or below sigma, up to the factorization's backward
+    error."""
+    c = _unit_scale(anorm)
+    return c, _pbtrf(ab, sign * c, c * (sign * ab[0] - sigma))
 
 
 def _times(c: float, solve, sigma: complex):
@@ -463,36 +488,39 @@ def _enclose(lo: float, hi: float) -> SpectralInterval:
 
 
 def _band_lowest(ab: np.ndarray, gl: float, gu: float,
-                 floor: float = -math.inf) -> float | None:
-    """A lower bound of the smallest eigenvalue of the band A (lower form
-    ``ab``, Gershgorin ends ``gl`` <= ``gu``), by a bracket [lo, hi]
-    closed to ``_BRACKET_CLOSE`` (``BandedOperator.exact_interval``).
+                 floor: float = -math.inf, sign: float = 1.0) -> float | None:
+    """A lower bound of the smallest eigenvalue of the band B = ``sign`` * A
+    (+-A, so -A needs no copy), for A in the lower band form ``ab`` and B's
+    Gershgorin ends ``gl`` <= ``gu``, by a bracket [lo, hi] closed to
+    ``_BRACKET_CLOSE`` (``BandedOperator.exact_interval``).
 
     lo is the last shift t whose ``_band_cholesky`` succeeds, starting
     from max(gl - 8 eps scale, ``floor``), scale = max(|gl|, |gu|).  hi is the
-    least of min_i a_ii, every shift whose factorization fails, and the
+    least of min_i b_ii, every shift whose factorization fails, and the
     Rayleigh quotients of two inverse-iteration steps on each successful
     factor.  The next shift is that quotient less the residual norm,
     which keeps it below the spectrum once the vector has converged;
     where that is not above lo, or after a failure, it is the bracket's
     midpoint.  None where the first shift fails, a solve overflows, or
     the bracket is still open after ``_BRACKET_BUDGET`` factorizations.
+    One factor is alive at a time: each is dropped after its two steps.
     """
     scale = max(abs(gl), abs(gu))
     lo = max(gl - 8.0 * _EPS * scale, floor)
-    hi = float(ab[0].min())  # e_i^T A e_i >= the smallest eigenvalue
+    # e_i^T B e_i >= the smallest eigenvalue
+    hi = float(ab[0].min()) if sign > 0 else -float(ab[0].max())
     x = np.random.default_rng(0).standard_normal((ab.shape[1], 1))
     x /= np.abs(x).max()
-    factor, t = None, lo
+    found, t = False, lo
     for _ in range(_BRACKET_BUDGET):
-        c, trial = _band_cholesky(ab, t, max(gu - t, t - gl))
+        c, factor = _band_cholesky(ab, t, max(gu - t, t - gl), sign)
         step = math.inf  # after a failure: the midpoint
-        if trial is None:
-            if factor is None:
+        if factor is None:
+            if not found:
                 return None
             hi = t
         else:
-            lo, factor = t, trial
+            lo, found = t, True
             # Two steps of inverse iteration, each vector scaled to a
             # largest entry of 1, so no 2-norm below over- or underflows.
             for _ in range(2):
@@ -501,8 +529,9 @@ def _band_lowest(ab: np.ndarray, gl: float, gu: float,
                 if not s < math.inf:
                     return None
                 x = y / s
-            # c (A - lo I) (s x) = prev: Rayleigh quotient and residual of
-            # c (A - lo I) at x, then both in units of A.
+            factor = None
+            # c (B - lo I) (s x) = prev: Rayleigh quotient and residual of
+            # c (B - lo I) at x, then both in units of A.
             xx = float(np.vdot(x, x))
             mu = float(np.vdot(x, prev)) / (s * xx)
             r = prev - (mu * s) * x
@@ -547,7 +576,9 @@ class DenseOperator(HermitianOperator):
         if c != 1.0:
             m *= c
         getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), (m,))
-        lu, piv, _ = getrf(m, overwrite_a=True)
+        # m is symmetric, so m.T, its Fortran-ordered view, is m itself:
+        # getrf factors it in place, with no transposed copy.
+        lu, piv, _ = getrf(m.T, overwrite_a=True)
         pivots = np.diag(lu)
         return (pivots, _pivot_ratio(pivots), lambda cnorm: gecon(lu, cnorm)[0],
                 lambda b: sla.lu_solve((lu, piv), b))
@@ -560,7 +591,8 @@ class DenseOperator(HermitianOperator):
 
 
 class BandedOperator(HermitianOperator):
-    """Symmetric band storage with LAPACK band LU shifted solves.
+    """Symmetric band storage with LAPACK band Cholesky or band LU shifted
+    solves (module doc).
 
     ``ab`` is the lower band form read by ``scipy.linalg.eig_banded``:
     ``ab[i, j] = A[j + i, j]`` for the bandwidth k = ``ab.shape[0] - 1``,
@@ -584,6 +616,10 @@ class BandedOperator(HermitianOperator):
         self.k = self.ab.shape[0] - 1
         # The stored off-diagonals that hold a nonzero.
         self._offsets = [i for i in range(1, self.k + 1) if self.ab[i].any()]
+        # Whether a real shift tries band Cholesky first (``_decompose``):
+        # k >= 2 and no stored off-diagonal is positive, so every
+        # A - sigma*I is a Z-matrix.
+        self._z_band = self.k >= 2 and not (self.ab[1:] > 0.0).any()
         radii = np.zeros(self.n)
         for i in self._offsets:
             e = np.abs(self.ab[i, :self.n - i])
@@ -608,10 +644,24 @@ class BandedOperator(HermitianOperator):
     shifted_solve = HermitianOperator.shifted_solve
 
     def _decompose(self, sigma: complex, c: float, d: np.ndarray):
+        n, k = self.n, self.k
+        if self._z_band and isinstance(sigma, float):
+            factor = _pbtrf(self.ab, c, c * d if c != 1.0 else d)
+            if factor is not None:
+                # c (A - sigma*I) = L L^T is an SPD Z-matrix, so its inverse
+                # is entrywise nonnegative and its 1-norm is max(M^-1 1)
+                # exactly.  The D of L D L^T are the squares of diag(L).
+                pbtrs, pivots = sla.lapack.dpbtrs, factor[0] ** 2
+
+                def rcond(cnorm):
+                    x = pbtrs(factor, np.ones((n, 1)), lower=1)[0]
+                    return 1.0 / (cnorm * x.max())
+                return (pivots, _pivot_ratio(pivots), rcond,
+                        lambda b: pbtrs(factor, b, lower=1)[0])
         # General band form of A - sigma*I with kl = ku = k and room for
         # the fill-in of partial pivoting: A[i, j] sits in row 2k + i - j.
-        n, k = self.n, self.k
-        m = np.zeros((3 * k + 1, n), dtype=d.dtype)
+        # In Fortran order, so gbtrf factors it in place.
+        m = np.zeros((3 * k + 1, n), dtype=d.dtype, order="F")
         m[2 * k] = d
         for i in self._offsets:
             m[2 * k + i, :n - i] = m[2 * k - i, i:] = self.ab[i, :n - i]
@@ -641,7 +691,8 @@ class BandedOperator(HermitianOperator):
         positive, so every interval ``positive_interval`` refuses is the
         eigensolver's."""
         lo = _band_lowest(self.ab, self._gl, self._gu, floor=0.0)
-        neg_hi = None if lo is None else _band_lowest(-self.ab, -self._gu, -self._gl)
+        neg_hi = None if lo is None else _band_lowest(
+            self.ab, -self._gu, -self._gl, sign=-1.0)
         if neg_hi is not None:
             iv = _enclose(lo, -neg_hi)
             if iv.lower > 0.0:

@@ -640,12 +640,13 @@ def grow(s: Strategy, iv, counts: Iterable[int],
     yields its shorter bases once).  Interval-optimal families build fresh
     bases for every count (``build_together``).  A count that is not an
     integer >= 1 or not above the one before raises ValueError at the
-    call.
+    call; a ``range`` with start >= 1 and step >= 1 is checked in O(1).
     """
-    counts = [count(c, "pole counts") for c in counts]
-    for before, c in zip(counts, counts[1:]):
-        if c <= before:
-            raise ValueError(f"pole counts must increase, got {c} after {before}")
+    if not (isinstance(counts, range) and counts.start >= 1 and counts.step >= 1):
+        counts = [count(c, "pole counts") for c in counts]
+        for before, c in zip(counts, counts[1:]):
+            if c <= before:
+                raise ValueError(f"pole counts must increase, got {c} after {before}")
     stream = s.stream(iv) if s.nested else None
     return _grow(s, iv, counts, seeds, stream)
 
@@ -658,7 +659,7 @@ def _fixed_poles(s: Strategy, iv, count: int) -> np.ndarray:
     return globals().get(s.fixed.__name__, s.fixed)(iv, count)
 
 
-def _grow(s: Strategy, iv, counts: list[int], seeds,
+def _grow(s: Strategy, iv, counts: Sequence[int], seeds,
           stream: Iterator[complex] | None):
     if stream is None:
         for count in counts:

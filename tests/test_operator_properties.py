@@ -3,7 +3,8 @@ a rational Krylov space reproduces the rational functions of its poles.
 
 Matrices are random symmetric band matrices of bandwidth at most 3, made
 strictly diagonally dominant with a positive diagonal (so SPD, spectrum
-above 0.1); each is built in every storage that can hold it.
+above 0.1); each is built in every storage that can hold it.  The band
+Cholesky route has its own draws at the end: band Z-matrices.
 """
 
 import copy
@@ -17,16 +18,18 @@ from hypothesis import strategies as st
 
 from rkstieltjes import operators
 from rkstieltjes.experiments import diffusion_operator
+from rkstieltjes.functions import catalog_function
 from rkstieltjes.operators import (
     BandedOperator,
     DenseOperator,
     DiagonalOperator,
     HermitianOperator,
     TridiagonalOperator,
+    oracle_funv,
     toeplitz_tridiagonal,
 )
 from rkstieltjes.poles import cauchy_poles, zolotarev_poles
-from rkstieltjes.rk import exactness_check
+from rkstieltjes.rk import exactness_check, funv_driver
 
 _floats = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
 
@@ -529,18 +532,181 @@ def test_band_interval_keeps_to_its_factorization_budget(budget, monkeypatch):
         assert iv.lower <= lo and hi <= iv.upper
 
 
-@pytest.mark.parametrize("m", [32, 70])
-def test_five_point_laplacian_interval_by_inertia(m, monkeypatch):
-    # funv-mtx-dense's 32 x 32 grid and the 70 x 70 one (n = 4900, k = 70),
-    # against the closed form 4 - 2 cos(i t) - 2 cos(j t), t = pi/(m + 1):
-    # 8 sin^2(t/2) and 8 cos^2(t/2) at the ends.
+def laplacian_band(m):
+    """Lower band form of the five-point Laplacian on an m x m grid (order
+    m^2, bandwidth m), whose spectrum is 4 - 2 cos(i t) - 2 cos(j t),
+    t = pi/(m + 1)."""
     n = m * m
     ab = np.zeros((m + 1, n))
     ab[0], ab[m, :n - m] = 4.0, -1.0
     ab[1, :n - 1] = np.where(np.arange(1, n) % m, -1.0, 0.0)
+    return ab
+
+
+@pytest.mark.parametrize("m", [32, 70])
+def test_five_point_laplacian_interval_by_inertia(m, monkeypatch):
+    # funv-mtx-dense's 32 x 32 grid and the 70 x 70 one (n = 4900, k = 70),
+    # against the closed form: 8 sin^2(t/2) and 8 cos^2(t/2) at the ends.
     monkeypatch.setattr(operators.sla, "eigvals_banded", _refuse)
-    iv = BandedOperator(ab).exact_interval()
+    iv = BandedOperator(laplacian_band(m)).exact_interval()
     t = math.pi / (m + 1)
     lo, hi = 8.0 * math.sin(t / 2) ** 2, 8.0 * math.cos(t / 2) ** 2
     assert lo * (1 - 1e-10) <= iv.lower <= lo
     assert hi <= iv.upper <= hi * (1 + 1e-10)
+
+
+# -- the Cholesky route of Z-bands -------------------------------------------
+
+
+@st.composite
+def z_bands(draw, min_n=3, max_n=12):
+    """Lower band form ab of a positive semidefinite band Z-matrix: k = 2
+    or 3 (capped at n - 1), every off-diagonal in [-1, 0] (some 0), and a
+    diagonal above the off-diagonal row sums by [0, 1], so a row may have
+    margin 0, as the interior rows of a Laplacian do."""
+    n = draw(st.integers(min_n, max_n))
+    k = min(draw(st.sampled_from([2, 3])), n - 1)
+    off = draw(st.lists(st.floats(0.0, 1.0, **_floats) | st.just(0.0),
+                        min_size=k * n, max_size=k * n))
+    ab = np.vstack([np.zeros(n), -np.reshape(off, (k, n))])
+    margin = draw(st.lists(st.floats(0.0, 1.0, **_floats), min_size=n,
+                           max_size=n))
+    ab[0] = BandedOperator(ab)._radii + margin
+    return ab
+
+
+def _route_spy(mp) -> list[bool]:
+    """Record, per band Cholesky attempt, whether it succeeded."""
+    routes, real = [], operators._pbtrf
+
+    def spy(*args):
+        factor = real(*args)
+        routes.append(factor is not None)
+        return factor
+
+    mp.setattr(operators, "_pbtrf", spy)
+    return routes
+
+
+def _rule_spy(mp) -> list[float]:
+    """Record the rcond each shift rule call gets."""
+    rconds, rule = [], operators._require_regular
+
+    def spy(shift, pivots, rcond=1.0):
+        rconds.append(rcond)
+        return rule(shift, pivots, rcond)
+
+    mp.setattr(operators, "_require_regular", spy)
+    return rconds
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(z_bands(), st.floats(0.0, 15.0, **_floats), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_z_band_shift_is_decided_by_the_exact_rcond(ab, u, forced, seed):
+    # Below the spectrum, c (A - sigma*I) of a Z-band is an SPD Z-matrix:
+    # band Cholesky factors it, and the rcond the rule gets is the exact
+    # one, with or without the dominance skip.  So each shift is accepted
+    # or refused as the dense rcond says, and each solution is the dense
+    # solve's to within its condition.  Where the dense rcond lies within
+    # 10% of the threshold, its own rounding could decide, so such draws
+    # are skipped.
+    op = BandedOperator(ab)
+    assert op._z_band
+    a = band_to_dense(op.ab)
+    w = np.linalg.eigvalsh(a)
+    sigma = float(w[0] - 10.0 ** -u * (np.abs(a).sum(axis=1).max() or 1.0))
+    exact = _rcond(a, sigma)
+    tol = operators._SINGULAR_TOL
+    assume(abs(math.log(exact / tol)) > 0.1)
+    b = np.random.default_rng(seed).standard_normal(op.n)
+    with pytest.MonkeyPatch.context() as mp:
+        routes, rconds = _route_spy(mp), _rule_spy(mp)
+        if forced:
+            mp.setattr(HermitianOperator, "_shifted_norm", _never)
+        try:
+            got = op.shifted_solve(sigma, b)
+        except ValueError as err:
+            assert "near-singular" in str(err)
+            got = None
+    assert (got is None) == (exact <= tol)
+    if u <= 10.0:  # clearly below the spectrum: the Cholesky route
+        assert routes == [True]
+        if rconds:
+            np.testing.assert_allclose(rconds, [exact], rtol=1e-6)
+    if got is not None:
+        want = np.linalg.solve(a - sigma * np.eye(op.n), b)
+        err = np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert err <= 1e3 * np.finfo(float).eps / exact
+
+
+def test_a_positive_off_diagonal_sends_a_band_to_lu():
+    # One positive stored off-diagonal, or a bandwidth below 2 (where
+    # tridiagonal storage has its own L D L^T), and no Cholesky is tried.
+    ab = laplacian_band(4)
+    flipped = ab.copy()
+    flipped[4, 5] = 1.0
+    narrow = ab[:2]
+    for band in (flipped, narrow):
+        op = BandedOperator(band)
+        assert not op._z_band
+        with pytest.MonkeyPatch.context() as mp:
+            routes = _route_spy(mp)
+            got = op.shifted_solve(-0.5, np.ones(op.n))
+        assert routes == []
+        want = np.linalg.solve(band_to_dense(op.ab) + 0.5 * np.eye(op.n),
+                               np.ones(op.n))
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+    assert BandedOperator(ab)._z_band
+
+
+@pytest.mark.parametrize("m", [8, 32])
+def test_cholesky_and_lu_routes_decide_alike_near_the_laplacian_minimum(m):
+    # Shifts at 0 and at lambda_min (1 +- 10^-j) of a 2-D Laplacian: the
+    # Cholesky route and the forced band LU (gbtrf, gbcon's estimate)
+    # accept and refuse the same shifts, and agree on the rcond and the
+    # solution of every accepted one; gbcon's Hager-Higham estimate is
+    # exact on a matrix with a nonnegative inverse.
+    op = BandedOperator(laplacian_band(m))
+    lu = copy.copy(op)
+    lu._z_band = False
+    t = math.pi / (m + 1)
+    lo = 8.0 * math.sin(t / 2) ** 2
+    b = np.linspace(-1.0, 2.0, op.n)
+    shifts = [0.0, lo, *(lo * (1.0 + s * 10.0 ** -j)
+                         for j in range(1, 16) for s in (-1.0, 1.0))]
+    for sigma in shifts:
+        seen = []
+        for o in (op, lu):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(HermitianOperator, "_shifted_norm", _never)
+                rconds = _rule_spy(mp)
+                try:
+                    x = copy.copy(o).shifted_solve(sigma, b)
+                except ValueError:
+                    x = None
+            seen.append((x, rconds[0]))
+        (x, rcond), (y, lu_rcond) = seen
+        assert (x is None) == (y is None), sigma
+        if x is not None:  # both are exact to rounding times the condition
+            slack = 1e3 * np.finfo(float).eps / rcond
+            np.testing.assert_allclose(rcond, lu_rcond, rtol=slack)
+            np.testing.assert_allclose(x, y, rtol=slack)
+        if sigma == 0.0 and m == 32:  # funv-mtx-dense's shift
+            assert f"{rcond:.3e}" == f"{lu_rcond:.3e}" == "1.562e-03"
+
+
+def test_cauchy_driver_on_a_band_laplacian_matches_the_oracle():
+    # Every Cauchy pole is a fresh shift below the spectrum, so every step
+    # factors by band Cholesky.
+    op = BandedOperator(laplacian_band(12))
+    f = catalog_function("power", -0.5)
+    v = np.random.default_rng(12).standard_normal(op.n)
+    iv = op.exact_interval()
+    with pytest.MonkeyPatch.context() as mp:
+        routes = _route_spy(mp)
+        res = funv_driver(op, f, v, iv, "cauchy", tol=1e-8)
+    assert res.stop_reason == "certified"
+    assert len(routes) == res.ell and all(routes)
+    want = oracle_funv(op, f, v)
+    assert np.linalg.norm(res.x - want) <= 1e-8 * np.linalg.norm(want)

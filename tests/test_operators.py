@@ -363,6 +363,63 @@ class TestBandedOperator:
         assert err < 1e-13
 
 
+def _peak_bytes(call) -> int:
+    """The peak of what ``call()`` allocates, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFactorMemory:
+    """Every factorization works in place: a fresh shifted solve peaks
+    near its one factor array, where a C-ordered array and the Fortran
+    copy LAPACK needs of it peak near twice that.  The band is the
+    five-point Laplacian of a 32 x 32 grid (n = 1024, k = 32)."""
+
+    M = 32
+    N = M * M
+
+    def _laplacian(self, flip=False):
+        # With the outer band's sign flipped the matrix is similar to the
+        # Laplacian (by diag of +-1 per grid row) but no Z-matrix.
+        op = from_dense_array(_laplacian_2d(self.M).toarray())
+        return BandedOperator([*op.ab[:-1], -op.ab[-1]]) if flip else op
+
+    @pytest.mark.parametrize("flip, sigma", [(True, -0.5), (False, 0.3 + 0.1j)],
+                             ids=["not-a-z-band", "complex-shift"])
+    def test_band_lu_peaks_near_one_lu_array(self, flip, sigma):
+        op, b = self._laplacian(flip), np.ones(self.N)
+        assert op.k == self.M
+        itemsize = np.dtype(np.result_type(float, sigma)).itemsize
+        peak = _peak_bytes(lambda: op.shifted_solve(sigma, b))
+        assert peak < 1.25 * (3 * op.k + 1) * op.n * itemsize
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.5])
+    def test_z_band_cholesky_peaks_near_one_band(self, sigma):
+        # The factor, (k + 1) x n, and a few n-vectors: the shifted
+        # diagonal, the pivots, the rcond's solve and the solution.
+        op, b = self._laplacian(), np.ones(self.N)
+        peak = _peak_bytes(lambda: op.shifted_solve(sigma, b))
+        assert peak < 1.25 * (op.k + 1) * op.n * 8 + 16 * op.n * 8
+
+    def test_band_interval_keeps_one_factor_alive(self):
+        # Both ends bracket A and -A without a negated copy of the band.
+        op = self._laplacian()
+        peak = _peak_bytes(op.exact_interval)
+        assert peak < 1.25 * (op.k + 1) * op.n * 8 + 16 * op.n * 8
+
+    @pytest.mark.parametrize("sigma", [-0.5, complex(1.0, 0.5)])
+    def test_dense_lu_peaks_near_one_matrix(self, sigma):
+        n = 400
+        op = DenseOperator(_spd_band(n, n - 1, seed=4))
+        itemsize = np.dtype(np.result_type(float, sigma)).itemsize
+        peak = _peak_bytes(lambda: op.shifted_solve(sigma, np.ones(n)))
+        assert peak < 1.25 * n * n * itemsize
+
+
 def test_matrix_market_roundtrip(tmp_path):
     op = toeplitz_tridiagonal(9, 1.5)
     path = str(tmp_path / "t.mtx")
@@ -633,7 +690,8 @@ _ZERO_WIDTH_PROBE = textwrap.dedent("""
     ops = [toeplitz_tridiagonal(40), toeplitz_tridiagonal(2),
            DenseOperator(toeplitz_tridiagonal(5).to_dense()),
            DiagonalOperator(np.arange(1.0, 6.0)),
-           BandedOperator([np.full(9, 4.0), np.full(9, -1.0), np.full(9, 0.5)])]
+           BandedOperator([np.full(9, 4.0), np.full(9, -1.0), np.full(9, 0.5)]),
+           BandedOperator([np.full(9, 4.0), np.full(9, -1.0), np.full(9, -0.5)])]
     for _ in range(50):
         for op in ops:
             for sigma in (-1.0, complex(-1.0, 0.5)):

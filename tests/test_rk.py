@@ -1264,6 +1264,29 @@ class TestIterates:
             np.testing.assert_array_equal(dec.basis,
                                           rk_build(op, seed, poles).basis)
 
+    def test_a_range_of_counts_is_checked_in_o1(self, monkeypatch):
+        # A range with start >= 1 and step >= 1 (nested tolerance runs pass
+        # range(1, max_ell + 1)) is checked without reading each count; it
+        # yields the steps of the same counts as a list.  Any other input
+        # is read count by count, with the same refusals.
+        op, f, v, iv = self._setup()
+        calls, real = [], rk.count
+        monkeypatch.setattr(rk, "count",
+                            lambda c, name: calls.append(c) or real(c, name))
+        steps = iterates(op, f, v, "eds-cauchy", iv, range(2, 401, 3))
+        assert calls == []
+        got = [len(dec.poles_used) for dec, _ in itertools.islice(steps, 4)]
+        assert got == [2, 5, 8, 11] and calls == []
+        listed = iterates(op, f, v, "eds-cauchy", iv, [2, 5, 8, 11])
+        assert [len(dec.poles_used) for dec, _ in listed] == got
+        assert calls == [2, 5, 8, 11]
+        with pytest.raises(ValueError, match="pole counts must be >= 1"):
+            iterates(op, f, v, "eds-cauchy", iv, range(0, 5))
+        with pytest.raises(ValueError,
+                           match="pole counts must increase, got 4 after 5"):
+            iterates(op, f, v, "eds-cauchy", iv, range(5, 0, -1))
+        assert list(iterates(op, f, v, "eds-cauchy", iv, range(1, 1))) == []
+
     def test_bad_arguments_raise_at_the_call(self):
         op, f, v, iv = self._setup()
         with pytest.raises(ValueError, match="unknown strategy"):
