@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from contextlib import closing
 from dataclasses import InitVar, dataclass, replace
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -71,6 +74,10 @@ CHUNK_BYTES = 4 << 20
 #: Fewest columns in a chunk: every chunk adds Python and BLAS calls to
 #: each pass over the basis, so chunks stay at least this wide at large n.
 CHUNK_MIN_COLS = 32
+
+#: Smallest reduced order whose eigensolve a nested tolerance run hands to
+#: a worker thread while the next basis step runs (``_overlap_pays``).
+OVERLAP_MIN_DIM = 48
 
 
 #: A fast column norm inside [2^-500, 2^500] is kept; outside it (0 and
@@ -158,6 +165,21 @@ def _columns_from(parts: list[np.ndarray], lo: int) -> list[np.ndarray]:
             out.append(p[:, lo:])
         lo = max(lo - p.shape[1], 0)
     return out
+
+
+def _lift(parts: list[np.ndarray], y: np.ndarray, seed_ndim: int) -> np.ndarray:
+    """U y for U stored as the column chunks ``parts``, from the first
+    y.shape[0] columns, as a 1-D vector when ``seed_ndim`` is 1."""
+    r = y.shape[0]
+    first, *rest = parts
+    x = first[:, :r] @ y[:first.shape[1]]
+    lo = first.shape[1]
+    for p in rest:
+        if lo >= r:
+            break
+        x += p[:, :r - lo] @ y[lo:lo + p.shape[1]]
+        lo += p.shape[1]
+    return x[:, 0] if seed_ndim == 1 else x
 
 
 class RKDecomposition:
@@ -274,14 +296,14 @@ class RKDecomposition:
         return self._rhs[:self._m]
 
     def lift(self, y: np.ndarray) -> np.ndarray:
-        """x = U y for reduced coordinates y, matching the seed's shape."""
-        first, *rest = self._parts()
-        x = first @ y[:first.shape[1]]
-        lo = first.shape[1]
-        for p in rest:
-            x += p @ y[lo:lo + p.shape[1]]
-            lo += p.shape[1]
-        return x[:, 0] if self.seed_ndim == 1 else x
+        """x = U y for reduced coordinates y (r x k), matching the seed's
+        shape.  y may belong to an earlier row of this basis: it is lifted
+        from the first r columns, which never change once filled.  A y with
+        more rows than ``dim`` raises ValueError."""
+        if y.shape[0] > self._m:
+            raise ValueError(f"y has {y.shape[0]} rows, but the basis has "
+                             f"only {self._m} columns")
+        return _lift(self._parts(), y, self.seed_ndim)
 
     # -- growth -----------------------------------------------------------
 
@@ -499,13 +521,25 @@ def rk_build(op: HermitianOperator, v: np.ndarray, poles) -> RKDecomposition:
     return build_together([(op, v)], poles)[0]
 
 
+def _ritz(h: np.ndarray, rhs: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W, Q and Q* rhs for the reduced matrix h = Q W Q*, its Ritz values
+    w ascending: the part of ``_reduced_funv`` that does not call f."""
+    w, q = np.linalg.eigh(h)
+    return w, q, q.conj().T @ rhs
+
+
+def _galerkin(f: Callable[[np.ndarray], np.ndarray], w: np.ndarray,
+              q: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w and y = Q f(W) coeff from the output of ``_ritz``."""
+    return w, q @ (np.asarray(f(w))[:, None] * coeff)
+
+
 def _reduced_funv(dec: RKDecomposition, f: Callable[[np.ndarray], np.ndarray]
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The Ritz values w, ascending, and the coordinates y = Q f(W) Q* U*v
     (m x k) of the Galerkin iterate in the basis, where U*AU = Q W Q*."""
-    w, q = np.linalg.eigh(dec.reduced_matrix())
-    coeff = q.conj().T @ dec.reduced_seed()
-    return w, q @ (np.asarray(f(w))[:, None] * coeff)
+    return _galerkin(f, *_ritz(dec.reduced_matrix(), dec.reduced_seed()))
 
 
 def rk_funv(dec: RKDecomposition, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -685,7 +719,8 @@ def iterates(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
              ) -> Iterator[tuple[RKDecomposition, np.ndarray]]:
     """Yield ``(dec, y)`` at each pole count in the increasing ``counts``,
     where y are the reduced coordinates of the Galerkin iterate in
-    ``dec.basis`` (``dec.lift(y)`` is the iterate itself): the one-seed
+    ``dec.basis`` (``dec.lift(y)`` is the iterate itself, also after later
+    steps have grown ``dec``, which nested families reuse): the one-seed
     case of ``grow``.  ``strategy`` is a name or a pole list
     (``get_strategy``).  Counts that are not increasing integers >= 1, an
     unknown strategy and an empty list raise ValueError at the call.
@@ -775,6 +810,18 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     is lifted only when ``oracle`` asks for the true error).  Iterates are
     not kept: memory is the basis, O(n * capacity), plus the last two
     reduced or (for the rebuilt families) full iterates.
+
+    A nested family in ``tol=`` mode may solve row k's reduced
+    eigenproblem on one worker thread while this thread grows row k + 1's
+    basis step.  It does so from reduced order ``OVERLAP_MIN_DIM`` on a
+    basis of at least ``CHUNK_BYTES`` whose last chunk has room for the
+    step, and only when the environment OpenBLAS read at load
+    (OPENBLAS_NUM_THREADS, else GOTO_NUM_THREADS, else OMP_NUM_THREADS)
+    pins BLAS to one thread and a second CPU is free; with more BLAS
+    threads the run stays serial.  The result is bit-identical either
+    way: a step grown past the stop row is discarded, and an error it
+    raised is not seen.  f is called on this thread only, and the worker
+    is joined before the call returns or raises.
     """
     if (tol is None) == (ell is None):
         raise ValueError("pass exactly one of tol= or ell=")
@@ -814,6 +861,88 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     return res if ell_star is None else replace(res, interval_violated=True)
 
 
+def _blas_leaves_cpu(environ, cpus: int) -> bool:
+    """Whether BLAS runs one thread with a second CPU free, as OpenBLAS
+    reads ``environ`` when it loads: the first of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS that holds an integer >= 1
+    decides, and with none OpenBLAS takes every CPU."""
+    for key in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(environ.get(key, ""))
+        except ValueError:
+            continue
+        if threads >= 1:
+            return threads == 1 and cpus >= 2
+    return False
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+#: Read once, at import: numpy, imported above, has loaded OpenBLAS.
+_SPARE_CPU = _blas_leaves_cpu(os.environ, _cpus())
+
+
+def _overlap_pays(dec: RKDecomposition) -> bool:
+    """Whether this row's eigensolve overlaps the next basis step
+    (``_solved_rows``); the step must not allocate a chunk.  Below these
+    sizes the hand-off costs more than it hides: overlapping every row
+    made ``extended`` requests at n = 2000 (76 poles) 27-33% slower and
+    ``eds-cauchy`` ones at n = 1e5 (32 poles) 1-5% slower, one BLAS
+    thread on a 2-vCPU Xeon."""
+    last, m = dec._chunks[-1], dec.dim
+    return (_SPARE_CPU and m >= OVERLAP_MIN_DIM
+            and last.shape[0] * m * last.itemsize >= CHUNK_BYTES
+            and m - dec._closed + dec.block_width <= last.shape[1])
+
+
+def _solved_rows(steps, f, overlap: bool):
+    """Yield ``(dec, w, y, used, breakdown, lift)`` for each basis of the
+    one-seed ``grow`` output ``steps``: ``_reduced_funv``'s w and y, the
+    row's pole count and breakdown flag, and a function that lifts from
+    the row's columns.
+
+    With ``overlap``, a row that ``_overlap_pays`` runs ``_ritz`` on one
+    worker thread while this thread grows the next step, so ``dec`` may
+    hold one step more than ``used`` (its lift stays real even if that
+    step made the basis complex).  An exception of that step is raised
+    when the next row is asked for.  The worker is joined when the
+    generator closes."""
+    pool = None
+    try:
+        got = next(steps, None)
+        while got is not None:
+            dec, = got
+            used, broke, failed = len(dec.poles_used), dec.breakdown, None
+            if not (overlap and _overlap_pays(dec)):
+                w, y = _reduced_funv(dec, f)
+                yield dec, w, y, used, broke, dec.lift
+                got = next(steps, None)
+                continue
+            if pool is None:  # imported here: most runs never overlap
+                from concurrent.futures import ThreadPoolExecutor
+                pool = ThreadPoolExecutor(max_workers=1)
+            job = pool.submit(_ritz, dec.reduced_matrix(), dec.reduced_seed())
+            lift = partial(_lift, dec._parts(), seed_ndim=dec.seed_ndim)
+            try:
+                got = next(steps, None)
+            except Exception as exc:
+                got, failed = None, exc
+            w, y = _galerkin(f, *job.result())
+            del job  # its result holds the m x m eigenvectors
+            yield dec, w, y, used, broke, lift
+            if failed is not None:
+                raise failed
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
 def _funv_loop(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
                s: Strategy, iv, vnorm: float, counts, oracle,
                tol: float | None = None, fixed: str | None = None
@@ -821,8 +950,11 @@ def _funv_loop(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     """``funv_driver``'s one loop over the increasing pole ``counts``: it
     stops at the first row with an estimate <= ``tol`` (else <= the
     rounding floor eps * b/a, as ``floor``), or, when ``fixed`` names the
-    stop reason of a one-count schedule, at that row."""
-    steps = grow(s, iv, counts, [(op, v)])
+    stop reason of a one-count schedule, at that row.  A nested family in
+    tolerance mode may overlap each row's eigensolve with the next basis
+    step (``_solved_rows``)."""
+    rows = _solved_rows(grow(s, iv, counts, [(op, v)]), f,
+                        s.nested and tol is not None)
     trace: list[FunvTraceRow] = []
     recent: list[np.ndarray] = []  # the last two iterates
     violated, slack = False, INTERVAL_SLACK * iv.upper
@@ -831,35 +963,34 @@ def _funv_loop(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     # coordinates; each rebuilt family's checkpoint has its own basis, so
     # those iterates are compared lifted.  An iterate two back with fewer
     # rows is zero-padded.
-    for dec, in steps:
-        w, y = _reduced_funv(dec, f)
-        x = dec.lift(y) if oracle is not None or not s.nested else None
-        z = y if s.nested else x
-        if len(recent) < 2:  # nothing two back; a one-count run has one step
-            est = math.nan if fixed else math.inf
-        else:
-            r = recent[0].shape[0]
-            num = math.hypot(float(np.linalg.norm(z[:r] - recent[0])),
-                             float(np.linalg.norm(z[r:])))
-            den = float(np.linalg.norm(z))
-            est = num / den if den > 0.0 else 0.0
-        recent = [*recent[-1:], z]
-        used = len(dec.poles_used)
-        # Ritz values lie in [lambda_min, lambda_max]: one beyond the
-        # interval by more than the rounding slack proves it wrong.
-        outside = bool(w[0] < iv.lower - slack or w[-1] > iv.upper + slack)
-        violated = violated or outside
-        trace.append(FunvTraceRow(
-            used, est,
-            math.nan if oracle is None else _rel_err(as_block(x)[0], oracle),
-            math.nan if outside else strategy_bound(s, f, iv, used, vnorm)))
-        reason = ("breakdown" if dec.breakdown else fixed or (
-            "tol" if est <= tol else "floor" if est <= floor else None))
-        if reason:
-            break
-    else:  # the schedule ran out before a stop
-        reason = "poles_exhausted" if used < counts[-1] else "max_ell"
-    x = dec.lift(recent[-1]) if s.nested else recent[-1]
+    with closing(rows):
+        for dec, w, y, used, broke, lift in rows:
+            x = lift(y) if oracle is not None or not s.nested else None
+            z = y if s.nested else x
+            if len(recent) < 2:  # nothing two back; a one-count run has one step
+                est = math.nan if fixed else math.inf
+            else:
+                r = recent[0].shape[0]
+                num = math.hypot(float(np.linalg.norm(z[:r] - recent[0])),
+                                 float(np.linalg.norm(z[r:])))
+                den = float(np.linalg.norm(z))
+                est = num / den if den > 0.0 else 0.0
+            recent = [*recent[-1:], z]
+            # Ritz values lie in [lambda_min, lambda_max]: one beyond the
+            # interval by more than the rounding slack proves it wrong.
+            outside = bool(w[0] < iv.lower - slack or w[-1] > iv.upper + slack)
+            violated = violated or outside
+            trace.append(FunvTraceRow(
+                used, est,
+                math.nan if oracle is None else _rel_err(as_block(x)[0], oracle),
+                math.nan if outside else strategy_bound(s, f, iv, used, vnorm)))
+            reason = ("breakdown" if broke else fixed or (
+                "tol" if est <= tol else "floor" if est <= floor else None))
+            if reason:
+                break
+        else:  # the schedule ran out before a stop
+            reason = "poles_exhausted" if used < counts[-1] else "max_ell"
+    x = lift(recent[-1]) if s.nested else recent[-1]
     return FunvResult(x=x, trace=tuple(trace), strategy=s.name,
-                      poles_used=tuple(dec.poles_used), stop_reason=reason,
+                      poles_used=tuple(dec.poles_used[:used]), stop_reason=reason,
                       interval_violated=violated)

@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -425,6 +426,20 @@ class TestBasisBuffer:
         y = rng.standard_normal((grown.dim, width))
         np.testing.assert_allclose(grown.lift(y), u @ y if width > 1 else u @ y[:, 0],
                                    rtol=0, atol=1e-12)
+
+    def test_lift_from_the_first_columns_of_several_chunks(self):
+        n = self.N_CHUNKED
+        op = _tridiag_op(n)
+        rng = np.random.default_rng(12)
+        dec, _ = _grow_one_pole_at_a_time(op, rng.standard_normal(n),
+                                          _first("extended", 69))
+        u = dec.basis
+        assert len(dec._chunks) == 3
+        for r in (1, CHUNK_MIN_COLS - 1, CHUNK_MIN_COLS, CHUNK_MIN_COLS + 1,
+                  2 * CHUNK_MIN_COLS + 1, dec.dim):
+            y = rng.standard_normal((r, 1))
+            np.testing.assert_allclose(dec.lift(y), u[:, :r] @ y[:, 0],
+                                       rtol=0, atol=1e-12)
 
     def test_filled_chunks_are_never_copied(self):
         n = self.N_CHUNKED
@@ -1174,6 +1189,23 @@ class TestIterates:
         _, y = steps[-1]
         np.testing.assert_allclose(dec.lift(y), rk_funv(dec, f), rtol=1e-14)
 
+    def test_lift_of_an_earlier_row_after_the_basis_grew(self):
+        # iterates grows one basis: a y kept from an earlier row lifts from
+        # that row's columns once later rows have grown it.
+        op = _tridiag_op(200)
+        f = catalog_function("power", -0.5)
+        v = np.random.default_rng(3).standard_normal(200)
+        iv = spectral_interval(op, mode="exact-small")
+        rows = [(dec, y, dec.lift(y)) for dec, y in
+                iterates(op, f, v, "extended", iv, range(1, 7))]
+        dec = rows[-1][0]
+        assert dec.dim == 7
+        for _, y, x in rows:
+            np.testing.assert_array_equal(dec.lift(y), x)
+        with pytest.raises(ValueError,
+                           match="y has 8 rows, but the basis has only 7"):
+            dec.lift(np.ones((8, 1)))
+
     def test_rebuilt_family_yields_fresh_bases(self):
         op, f, v, iv = self._setup()
         steps = list(iterates(op, f, v, "zolotarev", iv, [2, 5]))
@@ -1298,3 +1330,147 @@ class TestIterates:
             for counts in ([5, 3], [4, 4]):
                 with pytest.raises(ValueError, match="pole counts must increase"):
                     iterates(op, f, v, strategy, iv, counts)
+
+
+class TestOverlap:
+    """Row k's eigensolve on a worker thread while row k + 1's basis step
+    runs (``rk._solved_rows``), forced on and off through the private
+    predicate ``rk._overlap_pays``: every output is bit-identical."""
+
+    @staticmethod
+    def _both(monkeypatch, *args, **kwargs):
+        out = []
+        for pays in (True, False):
+            monkeypatch.setattr(rk, "_overlap_pays", lambda dec, pays=pays: pays)
+            out.append(funv_driver(*args, **kwargs))
+        monkeypatch.undo()
+        return out
+
+    @staticmethod
+    def _assert_identical(a, b):
+        np.testing.assert_array_equal(a.x, b.x)
+        assert a.x.dtype == b.x.dtype and a.x.shape == b.x.shape
+        np.testing.assert_array_equal(
+            [dataclasses.astuple(row) for row in a.trace],
+            [dataclasses.astuple(row) for row in b.trace])  # nan == nan here
+        assert a.poles_used == b.poles_used
+        assert a.stop_reason == b.stop_reason
+        assert a.interval_violated == b.interval_violated
+
+    @pytest.mark.parametrize("n, strategy, tol, oracle", [
+        (20000, "extended", 1e-6, False),
+        (3000, "eds-cauchy", 1e-8, False),
+        (2000, "extended", 1e-8, True),
+    ])
+    def test_outputs_are_bit_identical(self, monkeypatch, n, strategy, tol,
+                                       oracle):
+        op = _tridiag_op(n)
+        f = catalog_function("power", -0.5)
+        v = np.random.default_rng(21).standard_normal(n)
+        iv = spectral_interval(op, mode="exact-small")
+        ref = oracle_funv(op, f, v) if oracle else None
+        on, off = self._both(monkeypatch, op, f, v, iv, strategy, tol=tol,
+                             max_ell=200, oracle=ref)
+        self._assert_identical(on, off)
+        assert on.stop_reason == "tol" and on.ell > 20
+        # The gate as this process's BLAS set-up decides it gives the same.
+        self._assert_identical(
+            funv_driver(op, f, v, iv, strategy, tol=tol, max_ell=200,
+                        oracle=ref), off)
+
+    def test_breakdown_row_is_bit_identical(self, monkeypatch):
+        op = DiagonalOperator(np.repeat([1.0, 2.0, 3.0, 5.0], 5))
+        on, off = self._both(monkeypatch, op, catalog_function("inverse"),
+                             np.ones(20), (1.0, 5.0), "polynomial", tol=1e-14)
+        self._assert_identical(on, off)
+        assert on.stop_reason == "breakdown" and len(on.poles_used) == 4
+
+    @staticmethod
+    def _custom(at=None, pole=None):
+        """``funv_driver``'s arguments for a pole list on a diagonal
+        operator, with ``pole`` (by default a refused one, singular)
+        inserted at index ``at``."""
+        d = np.linspace(1.0, 10.0, 400)
+        poles = [math.inf, -0.5] * 40
+        if at is not None:
+            poles.insert(at, float(d[7]) if pole is None else pole)
+        v = np.random.default_rng(22).standard_normal(400)
+        return (DiagonalOperator(d), catalog_function("power", -0.5), v,
+                (1.0, 10.0), poles)
+
+    def _serial_stop(self):
+        res = funv_driver(*self._custom(), tol=1e-6)
+        assert res.stop_reason == "tol"
+        return len(res.poles_used)
+
+    def test_refused_pole_after_the_stop_row_is_not_raised(self, monkeypatch):
+        stop = self._serial_stop()
+        on, off = self._both(monkeypatch, *self._custom(stop), tol=1e-6)
+        self._assert_identical(on, off)
+        assert len(on.poles_used) == stop and on.stop_reason == "tol"
+
+    def test_complex_pole_after_the_stop_row_keeps_x_real(self, monkeypatch):
+        # The discarded step turns the basis complex; x is still lifted
+        # from the stop row's real columns.
+        stop = self._serial_stop()
+        on, off = self._both(monkeypatch, *self._custom(stop, -1.0 + 0.5j),
+                             tol=1e-6)
+        self._assert_identical(on, off)
+        assert on.x.dtype == np.float64 and len(on.poles_used) == stop
+
+    def test_refused_pole_before_the_stop_row_raises_as_serial(self,
+                                                               monkeypatch):
+        args = self._custom(self._serial_stop() - 3)
+        errors = []
+        for pays in (True, False):
+            monkeypatch.setattr(rk, "_overlap_pays", lambda dec, pays=pays: pays)
+            with pytest.raises(ValueError, match="singular") as info:
+                funv_driver(*args, tol=1e-6)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    def test_worker_thread_is_joined_on_return_and_raise(self, monkeypatch):
+        stop = self._serial_stop()
+        monkeypatch.setattr(rk, "_overlap_pays", lambda dec: True)
+        before = threading.active_count()
+        funv_driver(*self._custom(stop), tol=1e-6)
+        assert threading.active_count() == before
+        with pytest.raises(ValueError, match="singular"):
+            funv_driver(*self._custom(stop - 3), tol=1e-6)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("environ, cpus, spare", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+        ({"OMP_NUM_THREADS": "1"}, 4, True),
+        ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "1"}, 2, True),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 4, False),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, False),
+        ({}, 4, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
+    ])
+    def test_blas_gate(self, environ, cpus, spare):
+        # The first variable OpenBLAS reads that holds a thread count
+        # decides; unset, it takes every CPU.
+        assert rk._blas_leaves_cpu(environ, cpus) is spare
+
+    def test_size_gates(self, monkeypatch):
+        monkeypatch.setattr(rk, "_SPARE_CPU", True)
+        n = TestBasisBuffer.N_CHUNKED  # chunks of CHUNK_MIN_COLS = 32 columns
+        op = _tridiag_op(n)
+        v = np.random.default_rng(23).standard_normal(n)
+        dec = RKDecomposition(op, v)
+        seen = {}
+        for sigma in _first("extended", 69):
+            dec.extend([sigma])
+            seen[dec.dim] = rk._overlap_pays(dec)
+        assert rk.OVERLAP_MIN_DIM == 48
+        assert not any(seen[m] for m in range(2, 48))  # below the order
+        assert seen[48] and seen[63]
+        assert not seen[64]  # the last chunk is full: the step opens one
+        assert seen[65] and seen[70]
+        monkeypatch.setattr(rk, "_SPARE_CPU", False)
+        assert not rk._overlap_pays(dec)
+        monkeypatch.setattr(rk, "_SPARE_CPU", True)
+        small, _ = _grow_one_pole_at_a_time(_tridiag_op(2000), v[:2000],
+                                            _first("extended", 69))
+        assert not rk._overlap_pays(small)  # under CHUNK_BYTES
