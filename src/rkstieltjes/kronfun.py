@@ -13,6 +13,7 @@ real; error curves against a dense reference are the harness's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -94,13 +95,20 @@ class KroneckerProblem:
 class KroneckerResult:
     """Low-rank approximation X ~ left @ core @ right^T with orthonormal
     left/right factors, so ||X||_2 == ||core||_2 and singular values of the
-    approximation are those of the core."""
+    approximation are those of the core.
+
+    ``projections`` is the pair (U*AU, V*(-B)V) that the double
+    diagonalization read, the small matrices whose eigenvalues are the
+    Ritz values of both sides; ``sylvester_residual`` splits the operator
+    images with it in O(n m k).  A result built without it (None) has its
+    whole images split there, in O(n (m + k)^2)."""
 
     left: np.ndarray
     right: np.ndarray
     core: np.ndarray
     poles_left: tuple
     poles_right: tuple
+    projections: tuple | None = None
 
     @property
     def storage_rank(self) -> int:
@@ -203,9 +211,11 @@ def _solve_projected(problem: KroneckerProblem, dec_u: RKDecomposition,
     b_small = -dec_v.reduced_matrix()  # projection of B in the shared basis
     f_small = dec_u.reduced_seed() @ dec_v.reduced_seed().conj().T
     core = funm_diag(problem.f, a_small, b_small, f_small)
+    bneg_small = np.negative(b_small, out=b_small)  # V*(-B)V, exactly
     return KroneckerResult(left=dec_u.basis, right=dec_v.basis, core=core,
                            poles_left=tuple(dec_u.poles_used),
-                           poles_right=tuple(map(mirror, dec_v.poles_used)))
+                           poles_right=tuple(map(mirror, dec_v.poles_used)),
+                           projections=(a_small, bneg_small))
 
 
 def kron_iterates(problem: KroneckerProblem, pair: KronPair,
@@ -227,52 +237,120 @@ def sylvester_residual(problem: KroneckerProblem,
     never forming an m x n matrix.
 
     The residual is [AU Y, U Y, U_F] [V, (-B)V, -V_F]*.  Each side splits
-    its operator image and its factor against its orthonormal basis
-    (``_split``): AU = U C + Q R_a and U_F = U E + Q R_x, with Q orthonormal
-    and orthogonal to U, and (-B)V = V C_n + Q' R_n, V_F = V E_v + Q' R_v.
-    So the residual is [U, Q] L K* [V, Q']* with
-    L = [[C Y, Y, E], [R_a Y, 0, R_x]] and K = [[I, C_n, -E_v],
-    [0, R_n, -R_v]], and its 2-norm is that of the small L K*.  Each side
-    holds one n x (m + k) work block, m the basis width and k the rank.
-    A result whose factors do not fit the problem raises ValueError.
+    (``_split``) [AU, U_F] = U [H, E] + Q [R_a, R_x], with Q orthonormal
+    and orthogonal to U, and likewise (-B)V = V H_n + Q' R_n,
+    V_F = V E_v + Q' R_v.  So the residual is [U, Q] L K* [V, Q']* with
+    L = [[H Y, Y, E], [R_a Y, 0, R_x]] and K = [[I, H_n, -E_v],
+    [0, R_n, -R_v]], and its 2-norm is that of the small L K*, (2m + k)
+    columns wide, m the basis width and k the rank.
+
+    For a rational Krylov basis U of A seeded with U_F, (I - UU*)AU has
+    rank at most k and U_F lies in span U, so Q needs only 3k columns: with
+    H the stored projection, a side costs O(n m k) flops and holds O(n k)
+    numbers.  A seeded Gaussian probe checks that split, and where it
+    leaves more than ``SPLIT_TOL`` sqrt(n) times the interval's upper end
+    (a bound on ||A|| and ||B||) outside [U, Q], or the result stores no
+    projections, the side splits the whole image AU instead: O(n (m + k)^2)
+    flops and one n x (m + k) work block.  Either way the value is the
+    residual of X to within about 2 SPLIT_TOL sqrt(n) upper ||X||, besides
+    the rounding of the sums that form it.  A result whose factors or
+    projections do not fit the problem raises ValueError.
     """
     _check_fits(problem, result)
     u, v, y = result.left, result.right, result.core
-    mu, mv = u.shape[1], v.shape[1]
-    c, ra = _split(u, problem.a_op, problem.u_factor)
-    cn, rn = _split(v, problem.bneg_op, problem.v_factor)
-    left = np.block([[c[:, :mu] @ y, y, c[:, mu:]],
-                     [ra[:, :mu] @ y, np.zeros((ra.shape[0], mv)), ra[:, mu:]]])
-    right = np.block([[np.eye(mv), cn[:, :mv], -cn[:, mv:]],
-                      [np.zeros((rn.shape[0], mv)), rn[:, :mv], -rn[:, mv:]]])
+    hu, hv = result.projections or (None, None)
+    upper = problem.interval.upper
+    h, e, ra, rx = _split(u, problem.a_op, problem.u_factor, hu, upper)
+    hn, ev, rn, rv = _split(v, problem.bneg_op, problem.v_factor, hv, upper)
+    mv = v.shape[1]
+    left = np.block([[h @ y, y, e],
+                     [ra @ y, np.zeros((ra.shape[0], mv)), rx]])
+    right = np.block([[np.eye(mv), hn, -ev],
+                      [np.zeros((rn.shape[0], mv)), rn, -rv]])
     return float(np.linalg.norm(left @ right.conj().T, ord=2))
 
 
-def _split(basis: np.ndarray, op: HermitianOperator, factor: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients C of W = [op basis, factor] in the orthonormal
-    ``basis``, by two classical Gram-Schmidt passes, and the R factor of
-    the remainder, so that W = basis C + Q R with Q orthonormal and
-    orthogonal to ``basis``.  Q is never formed: the QR overwrites the one
-    work block."""
-    image = op.matvec(basis)  # before the work block: matvecs take temporaries
-    m = basis.shape[1]
-    work = np.empty((basis.shape[0], m + factor.shape[1]),
+#: How much of op(U g) the structured split of ``sylvester_residual`` may
+#: leave outside [U, Q], g its standard Gaussian probe, as a fraction of
+#: sqrt(n) times the interval's upper end: the rounding of an n-term inner
+#: product, where bases that keep their orthogonality read 3-8 times less
+#: from n = 30 to 3e5.  In expectation the probe reads ||M||_F >= ||M||_2
+#: of the part M of op U left out, which changes the residual by at most
+#: ||M||_2 ||X||; the whole image is split where the probe reads more.
+SPLIT_TOL = 16 * np.finfo(float).eps
+
+#: Seed of the Gaussian sketch and probe of ``_split``.
+_SKETCH_SEED = 2011
+
+
+def _split(basis: np.ndarray, op: HermitianOperator, factor: np.ndarray,
+           h: np.ndarray | None, upper: float) -> tuple[np.ndarray, ...]:
+    """H, E, R_a and R_x with [op basis, factor] = basis [H, E] + Q [R_a,
+    R_x], Q orthonormal and orthogonal to ``basis``.
+
+    Given the projection ``h`` = U* op U, Q orthonormalizes the remainder
+    of [op U G, factor], G a seeded Gaussian m x 2k sketch: the range of
+    (I - UU*) op U has rank at most k for a rational Krylov basis, and G
+    mixes every column of U into it, whichever carries a direction.  Then
+    R_a = (op Q)*U - (Q*U) H and R_x = Q*factor - (Q*U) E read Q against
+    the exact images, so a Q that rounding left off orthogonality still
+    splits them.  A probe g accepts this split when the norm of
+    op U g - U H g - Q R_a g is at most SPLIT_TOL sqrt(n) upper.
+    Otherwise, or without ``h``, the whole image is split: H and E are the
+    coefficients of [op U, factor] and [R_a, R_x] the R factor of its
+    remainder, Q never formed."""
+    n, m = basis.shape
+    k = factor.shape[1]
+    if h is not None:
+        rng = np.random.default_rng(_SKETCH_SEED)
+        sketch = rng.standard_normal((m, min(m, 2 * k)))
+        g = rng.standard_normal(m)
+        coef, work = _remainder(basis, op, sketch, factor)
+        q, _ = sla.qr(work, mode="economic", overwrite_a=True,
+                      check_finite=False)
+        del work
+        e = coef[:, -k:]
+        qu = q.conj().T @ basis
+        ra = -(qu @ h)
+        for lo in range(0, q.shape[1], k):  # n x k matvec temporaries
+            ra[lo:lo + k] += op.matvec(q[:, lo:lo + k]).conj().T @ basis
+        rx = q.conj().T @ factor - qu @ e
+        image = op.matvec(basis @ g)
+        miss = np.linalg.norm(image - basis @ (h @ g) - q @ (ra @ g))
+        if miss <= SPLIT_TOL * math.sqrt(n) * upper:
+            return h, e, ra, rx
+        del q, image
+    coef, work = _remainder(basis, op, None, factor)
+    _, r = sla.qr(work, overwrite_a=True, mode="raw", check_finite=False)
+    return coef[:, :m], coef[:, m:], r[:, :m], r[:, m:]
+
+
+def _remainder(basis: np.ndarray, op: HermitianOperator,
+               sketch: np.ndarray | None, factor: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients C of W = [op basis sketch, factor] in the orthonormal
+    ``basis``, by two classical Gram-Schmidt passes, and the remainder
+    W - basis C, in one Fortran-ordered work block; ``sketch`` None stands
+    for the identity."""
+    # op's image before the work block: matvecs take temporaries.
+    image = op.matvec(basis if sketch is None else basis @ sketch)
+    c = image.shape[1]
+    work = np.empty((basis.shape[0], c + factor.shape[1]),
                     dtype=np.result_type(basis, factor), order="F")
-    work[:, :m] = image
-    work[:, m:] = factor
+    work[:, :c] = image
+    work[:, c:] = factor
     del image
     coef = basis.conj().T @ work
     work -= basis @ coef
     again = basis.conj().T @ work
     work -= basis @ again
-    _, r = sla.qr(work, overwrite_a=True, mode="raw", check_finite=False)
-    return coef + again, r
+    return coef + again, work
 
 
 def _check_fits(problem: KroneckerProblem, result: KroneckerResult) -> None:
     """Refuse a result of another problem: its factors' rows must match the
-    orders of A and -B, and its core the factors' widths."""
+    orders of A and -B, its core the factors' widths, and a stored
+    projection its factor's width on both sides."""
     shape = {name: np.shape(getattr(result, name))
              for name in ("left", "right", "core")}
     for name, op, what in (("left", problem.a_op, "A"),
@@ -285,6 +363,16 @@ def _check_fits(problem: KroneckerProblem, result: KroneckerResult) -> None:
     if shape["core"] != want:
         raise ValueError(f"result.core has shape {shape['core']}, but its "
                          f"factors' widths need {want}")
+    if result.projections is None:
+        return
+    if len(result.projections) != 2:
+        raise ValueError("result.projections must be the pair "
+                         "(U*AU, V*(-B)V)")
+    for i, (side, width) in enumerate(zip(("left", "right"), want)):
+        got = np.shape(result.projections[i])
+        if got != (width, width):
+            raise ValueError(f"result.projections[{i}] has shape {got}, but "
+                             f"result.{side} has width {width}")
 
 
 def dense_kron_solution(problem: KroneckerProblem) -> np.ndarray:

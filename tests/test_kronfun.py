@@ -5,11 +5,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkstieltjes.experiments import solutions_2d, timed_sweep, with_bounds
+from rkstieltjes import kronfun
 from rkstieltjes.functions import catalog_function
 from rkstieltjes.kronfun import (
     KroneckerProblem,
+    KroneckerResult,
     _solve_projected,
     dense_kron_solution,
     funm_diag,
@@ -515,6 +519,51 @@ class TestSharedFactors:
         _assert_same_result(res, _separate_builds(prob, psi, xi))
 
 
+def _residual_scale(prob, res):
+    """(||A|| + ||B||) ||X|| + ||F||, the size of the residual's terms."""
+    a, b = prob.a_op.to_dense(), -prob.bneg_op.to_dense()
+    return ((np.linalg.norm(a, 2) + np.linalg.norm(b, 2)) * res.norm2()
+            + prob.rhs_norm2())
+
+
+def _assert_dense_residual(prob, res):
+    """The residual against ||A X - X B - F||_2 formed densely."""
+    a, b = prob.a_op.to_dense(), -prob.bneg_op.to_dense()
+    x = res.materialize()
+    f = prob.u_factor @ prob.v_factor.T
+    dense = np.linalg.norm(a @ x - x @ b - f, 2)
+    scale = _residual_scale(prob, res)
+    assert abs(sylvester_residual(prob, res) - dense) <= 1e-13 * scale
+
+
+def _spy_whole_splits(monkeypatch):
+    """A list that records each remainder ``sylvester_residual`` forms:
+    True for the whole image AU, False for a sketch of it."""
+    whole = []
+
+    def spy(basis, op, sketch, factor):
+        whole.append(sketch is None)
+        return remainder(basis, op, sketch, factor)
+
+    remainder = kronfun._remainder
+    monkeypatch.setattr(kronfun, "_remainder", spy)
+    return whole
+
+
+def _smooth_problem(n, rank):
+    """The 1-D Laplacian on both sides, factors sin(j pi x) on a grid of
+    [0, 1] with end points, close to its eigenvectors."""
+    op = _tridiag(n)
+    x = np.linspace(0.0, 1.0, n)[:, None]
+    u = np.sin(np.pi * x * np.arange(1, rank + 1))
+    return kron_problem(op, op, u, u.copy(), catalog_function("inverse"))
+
+
+#: Poles added after a pair's own: infinity and the complex poles of
+#: ``TestResiduals``'s ``complex`` case.
+_EXTRA_POLES = [np.inf, -1.0 + 2.0j, -3.0 - 1.0j, -0.5 + 0.5j, -2.0 + 3.0j]
+
+
 class TestResiduals:
     def test_residual_small_on_converged_solve(self):
         prob = _make_problem(n=30, seed=10)
@@ -555,13 +604,90 @@ class TestResiduals:
             assert np.iscomplexobj(res.left) and np.iscomplexobj(res.right)
         if case == "breakdown":
             assert len(res.poles_left) < 30
-        a, b = prob.a_op.to_dense(), -prob.bneg_op.to_dense()
-        x = res.materialize()
-        f = prob.u_factor @ prob.v_factor.T
-        dense = np.linalg.norm(a @ x - x @ b - f, 2)
-        scale = ((np.linalg.norm(a, 2) + np.linalg.norm(b, 2))
-                 * np.linalg.norm(x, 2) + np.linalg.norm(f, 2))
-        assert abs(sylvester_residual(prob, res) - dense) <= 1e-13 * scale
+        _assert_dense_residual(prob, res)
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    @pytest.mark.parametrize("ell", [1, 5, 12])
+    @pytest.mark.parametrize("name", list(KRON_PAIRS))
+    def test_every_pair_matches_the_dense_reference(self, name, ell, rank):
+        prob = _make_problem(n=30, rank=rank, seed=20 + ell)
+        res = kron_fun(prob, *KRON_PAIRS[name].poles(prob.interval, ell))
+        _assert_dense_residual(prob, res)
+
+    def test_result_built_by_hand_gives_the_same_residual(self):
+        # Without the stored projections each side splits its whole image.
+        prob = _make_problem(n=40, rank=2, seed=21)
+        res = kron_fun(prob, *KRON_PAIRS["cauchy-kron"].poles(prob.interval, 7))
+        by_hand = KroneckerResult(res.left, res.right, res.core,
+                                  res.poles_left, res.poles_right)
+        assert by_hand.projections is None
+        got, want = (sylvester_residual(prob, r) for r in (by_hand, res))
+        assert abs(got - want) <= 1e-13 * _residual_scale(prob, res)
+
+    @settings(max_examples=40, deadline=None)
+    @given(orders=st.tuples(st.integers(5, 40), st.integers(5, 40)),
+           gap=st.floats(0.05, 2.0), rank=st.integers(1, 3),
+           name=st.sampled_from(list(KRON_PAIRS)), ell=st.integers(1, 12),
+           extra=st.lists(st.sampled_from(_EXTRA_POLES), max_size=4),
+           seed=st.integers(0, 2 ** 16))
+    def test_residual_matches_the_dense_reference_property(
+            self, orders, gap, rank, name, ell, extra, seed):
+        # A != -B: two orders and shifts; the pair's poles, then infinity
+        # and complex poles mirrored onto -B.
+        rng = np.random.default_rng(seed)
+        na, nb = orders
+        prob = kron_problem(_tridiag(na).diag_shifted(3.0),
+                            _tridiag(nb).diag_shifted(3.0 + gap),
+                            rng.standard_normal((na, rank)),
+                            rng.standard_normal((nb, rank)),
+                            catalog_function("inverse"))
+        psi, xi = KRON_PAIRS[name].poles(prob.interval, ell)
+        res = kron_fun(prob, [*psi, *extra], [*xi, *map(mirror, extra)])
+        _assert_dense_residual(prob, res)
+
+    @pytest.mark.parametrize("stored", [True, False])
+    def test_basis_of_another_space_is_split_whole(self, stored, monkeypatch):
+        # An orthonormal basis of the right shape whose span is no rational
+        # Krylov space of A: the probe finds A U g outside [U, Q], so the
+        # left side splits its whole image and the value stays right.
+        prob = _make_problem(n=60, rank=2, seed=22)
+        res = kron_fun(prob, *laplace_kron_poles(prob.interval, 5))
+        other, _ = np.linalg.qr(np.random.default_rng(23).standard_normal(
+            res.left.shape))
+        swapped = dataclasses.replace(res, left=other)
+        if not stored:
+            swapped = dataclasses.replace(swapped, projections=None)
+        whole = _spy_whole_splits(monkeypatch)
+        _assert_dense_residual(prob, swapped)
+        # Left: the sketch, refused by the probe, then the whole image.
+        assert whole == ([False, True, False] if stored else [True, True])
+
+    def test_kron_fun_bases_take_the_structured_split(self, monkeypatch):
+        prob = _make_problem(n=200, rank=3, seed=24)
+        whole = _spy_whole_splits(monkeypatch)
+        for pair in KRON_PAIRS.values():
+            sylvester_residual(prob, kron_fun(prob, *pair.poles(prob.interval,
+                                                                12)))
+        assert whole == [False] * 2 * len(KRON_PAIRS)
+
+    @pytest.mark.parametrize("name", list(KRON_PAIRS))
+    def test_smooth_factors_match_the_dense_reference(self, name):
+        # Near-eigenvectors of A as factors, at ell = 30.
+        prob = _smooth_problem(n=400, rank=3)
+        res = kron_fun(prob, *KRON_PAIRS[name].poles(prob.interval, 30))
+        _assert_dense_residual(prob, res)
+
+    def test_basis_that_lost_orthogonality_is_split_whole(self, monkeypatch):
+        # With infinite poles and three smooth columns, kron_fun's basis at
+        # n = 800 is orthonormal only to about 1e-5; U*AU then leaves part
+        # of AU in span U, which no n x 3k block can hold.
+        prob = _smooth_problem(n=800, rank=3)
+        res = kron_fun(prob, *KRON_PAIRS["extended"].poles(prob.interval, 30))
+        gram = res.left.T @ res.left - np.eye(res.left.shape[1])
+        assert np.linalg.norm(gram) > 1e-8
+        whole = _spy_whole_splits(monkeypatch)
+        _assert_dense_residual(prob, res)
+        assert whole == [False, True, False, True]
 
     def test_residual_memory_is_one_work_block_per_side(self):
         # Stacking [AU Y, U Y, U_F] and its right partner, as a residual
@@ -578,6 +704,20 @@ class TestResiduals:
             tracemalloc.stop()
         assert peak < 4 * block
 
+    def test_residual_memory_is_a_few_rank_wide_blocks(self):
+        # Each side splits with n x k and n x 3k blocks only; a split of
+        # the whole image AU held 61 blocks of n x k here.
+        n, rank = 2000, 2
+        prob = _make_problem(n=n, rank=rank, seed=19)
+        res = kron_fun(prob, *laplace_kron_poles(prob.interval, 25))
+        tracemalloc.start()
+        try:
+            sylvester_residual(prob, res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * rank * 8
+
     def test_result_of_another_problem_is_refused(self):
         small, big = _make_problem(n=30, seed=18), _make_problem(n=40, seed=18)
         psi = zolotarev_poles(small.interval, 4)
@@ -593,6 +733,23 @@ class TestResiduals:
         with pytest.raises(ValueError, match=r"result.core has shape \(10, 9\), "
                                              r"but its factors' widths need \(10, 10\)"):
             sylvester_residual(small, dataclasses.replace(res, core=res.core[:, :-1]))
+
+    def test_projection_of_another_width_is_refused(self):
+        prob = _make_problem(n=30, seed=18)
+        psi = zolotarev_poles(prob.interval, 4)
+        res = kron_fun(prob, psi, -psi)
+        a_small, bneg_small = res.projections
+        for i, pair, side in ((0, (a_small[:-1, :-1], bneg_small), "left"),
+                              (1, (a_small, bneg_small[:, :-1]), "right")):
+            with pytest.raises(ValueError, match=rf"result.projections\[{i}\] "
+                                                 r"has shape \(\d+, 9\), but "
+                                                 rf"result.{side} has width 10"):
+                sylvester_residual(prob,
+                                   dataclasses.replace(res, projections=pair))
+        with pytest.raises(ValueError, match="result.projections must be "
+                                             "the pair"):
+            sylvester_residual(prob, dataclasses.replace(res,
+                                                         projections=(a_small,)))
 
     def test_residual_bound_formula(self):
         iv = SpectralInterval(1.0, 4.0)
