@@ -229,6 +229,10 @@ def as_poles(poles, name: str) -> list:
 
 
 def _pivot_ratio(pivots: np.ndarray) -> float:
+    """min |p| / max |p| (0 where every pivot is 0); positive real pivots,
+    as an SPD factorization gives, are read with no |p| copy."""
+    if np.isrealobj(pivots) and (lo := pivots.min()) > 0.0:
+        return lo / pivots.max()
     pivots = np.abs(pivots)
     return pivots.min() / (pivots.max() or 1.0)  # all zero: ratio 0
 
@@ -282,7 +286,10 @@ def _band_cholesky(ab: np.ndarray, sigma: float, anorm: float,
     eigenvalue at or below sigma, up to the factorization's backward
     error."""
     c = _unit_scale(anorm)
-    return c, _pbtrf(ab, sign * c, c * (sign * ab[0] - sigma))
+    diag = sign * ab[0]  # c (B - sigma I)'s diagonal, in one vector
+    diag -= sigma
+    diag *= c
+    return c, _pbtrf(ab, sign * c, diag)
 
 
 def _times(c: float, solve, sigma: complex):
@@ -400,6 +407,7 @@ class HermitianOperator:
         d = self.d - sigma
         anorm, c, dominant = self._shifted_norm(d, sigma)
         pivots, ratio, rcond, solve = self._decompose(sigma, c, d)
+        del d  # factored (or its buffer holds the pivots)
         if not (dominant and ratio > _SINGULAR_TOL):
             anorm = self._norm(sigma) if anorm is None else anorm
             _require_regular(sigma, pivots, rcond(c * anorm))
@@ -409,7 +417,8 @@ class HermitianOperator:
         """``(pivots, ratio, rcond, solve)`` of c (A - sigma*I), whose
         diagonal is c ``d``: the pivots of its factorization and their
         ratio (``_pivot_ratio``), ``rcond(||c (A - sigma*I)||_1)``, its
-        reciprocal 1-norm condition number, and B -> (c (A - sigma*I))^-1 B."""
+        reciprocal 1-norm condition number, and B -> (c (A - sigma*I))^-1 B.
+        ``d`` is scratch: a storage may overwrite it."""
         raise NotImplementedError
 
     def _discs(self, radii: np.ndarray) -> None:
@@ -443,10 +452,13 @@ class HermitianOperator:
             if (alpha - 2.0 * _SINGULAR_TOL * anorm > slack
                     and -250 < math.frexp(anorm)[1] <= 250):
                 return None, 1.0, True
-        absd = np.abs(d)
-        anorm = np.max(absd + self._radii)
+        work = np.abs(d)  # |d| + r, then |d| - r, in one buffer
+        work += self._radii
+        anorm = np.max(work)
         c = _unit_scale(anorm)
-        alpha = np.min(absd - self._radii)
+        np.abs(d, out=work)
+        work -= self._radii
+        alpha = np.min(work)
         return anorm, c, c * alpha > 2.0 * _SINGULAR_TOL * (c * anorm)
 
     def gershgorin(self) -> SpectralInterval:
@@ -524,12 +536,14 @@ def _band_lowest(ab: np.ndarray, gl: float, gu: float,
             # Two steps of inverse iteration, each vector scaled to a
             # largest entry of 1, so no 2-norm below over- or underflows.
             for _ in range(2):
-                prev, y = x, sla.lapack.dpbtrs(factor, x, lower=1)[0]
-                s = float(np.abs(y).max())
+                prev = x
+                y = sla.lapack.dpbtrs(factor, x, lower=1)[0]
+                s = max(float(y.max()), -float(y.min()))  # max |y|, or NaN
                 if not s < math.inf:
                     return None
-                x = y / s
-            factor = None
+                y /= s
+                x = y
+            factor = y = None
             # c (B - lo I) (s x) = prev: Rayleigh quotient and residual of
             # c (B - lo I) at x, then both in units of A.
             xx = float(np.vdot(x, x))
@@ -537,6 +551,7 @@ def _band_lowest(ab: np.ndarray, gl: float, gu: float,
             r = prev - (mu * s) * x
             hi = min(hi, lo + mu / c)
             step = math.sqrt(float(np.vdot(r, r)) / xx) / (s * c)
+            prev = r = None  # only x lives on to the next factorization
         close = max(_BRACKET_CLOSE * abs(hi), 4.0 * _EPS * scale)
         if hi - lo <= close:
             return lo
@@ -650,11 +665,15 @@ class BandedOperator(HermitianOperator):
             if factor is not None:
                 # c (A - sigma*I) = L L^T is an SPD Z-matrix, so its inverse
                 # is entrywise nonnegative and its 1-norm is max(M^-1 1)
-                # exactly.  The D of L D L^T are the squares of diag(L).
-                pbtrs, pivots = sla.lapack.dpbtrs, factor[0] ** 2
+                # exactly.  The D of L D L^T are the squares of diag(L),
+                # written over d, which the factor no longer needs; the
+                # rcond solves in place in its vector of ones.
+                pbtrs = sla.lapack.dpbtrs
+                pivots = np.square(factor[0], out=d)
 
                 def rcond(cnorm):
-                    x = pbtrs(factor, np.ones((n, 1)), lower=1)[0]
+                    x = pbtrs(factor, np.ones((n, 1)), lower=1,
+                              overwrite_b=1)[0]
                     return 1.0 / (cnorm * x.max())
                 return (pivots, _pivot_ratio(pivots), rcond,
                         lambda b: pbtrs(factor, b, lower=1)[0])

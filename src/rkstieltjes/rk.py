@@ -66,18 +66,19 @@ CHECKPOINT_STRIDE = 4
 #: Most products of two resolvents that ``exactness_check`` verifies.
 EXACTNESS_MAX_PAIRS = 10
 
-#: The basis doubles one buffer with a copy until it holds about this many
-#: bytes; after that it adds chunks of that many columns, never fewer than
-#: ``CHUNK_MIN_COLS``, and copies no filled column again.
-CHUNK_BYTES = 4 << 20
-
-#: Fewest columns in a chunk: every chunk adds Python and BLAS calls to
-#: each pass over the basis, so chunks stay at least this wide at large n.
+#: Chunk width of the basis at every order: the first chunk doubles with a
+#: copy up to this many columns; after that a full chunk closes at its
+#: filled columns and a new one of at least this many columns opens, so no
+#: filled column is copied again.  Every chunk adds Python and BLAS calls
+#: to each pass over the basis, so chunks are not made narrower.
 CHUNK_MIN_COLS = 32
 
 #: Smallest reduced order whose eigensolve a nested tolerance run hands to
 #: a worker thread while the next basis step runs (``_overlap_pays``).
 OVERLAP_MIN_DIM = 48
+
+#: Smallest basis, in bytes, for which it does so.
+OVERLAP_MIN_BYTES = 4 << 20
 
 
 #: A fast column norm inside [2^-500, 2^500] is kept; outside it (0 and
@@ -107,12 +108,18 @@ def _column_norms(x: np.ndarray) -> list[float]:
 
 def _adjoint_product(parts: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     """U* x for U stored as the column chunks ``parts`` (none while the
-    basis is empty)."""
+    basis is empty).  Each chunk's product is written into its rows of one
+    result, with no per-chunk temporary and no stacking pass."""
     if len(parts) == 1:
         return parts[0].conj().T @ x
-    if not parts:
-        return np.zeros((0, x.shape[1]), dtype=x.dtype)
-    return np.vstack([p.conj().T @ x for p in parts])
+    out = np.empty((sum(p.shape[1] for p in parts), x.shape[1]),
+                   dtype=np.result_type(*parts, x))
+    lo = 0
+    for p in parts:
+        hi = lo + p.shape[1]
+        np.matmul(p.conj().T, x, out=out[lo:hi])
+        lo = hi
+    return out
 
 
 def _subtract_product(parts: list[np.ndarray], y: np.ndarray,
@@ -138,6 +145,15 @@ def _subtract_product(parts: list[np.ndarray], y: np.ndarray,
         x -= scratch
         lo += p.shape[1]
     return x
+
+
+def _sweep_out(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w minus its components along the orthonormal columns of ``q``, by
+    two modified Gram-Schmidt sweeps; w is not written."""
+    for _ in range(2):
+        for c in q.T:
+            w = w - c * (c.conj() @ w)
+    return w
 
 
 _MIXED = "mixed"
@@ -191,17 +207,16 @@ class RKDecomposition:
     A-invariant and every further iterate is exact).
 
     The columns live in a list of Fortran-order chunks.  While the basis
-    is small it is one buffer that doubles with a copy, up to the chunk
-    width: about ``CHUNK_BYTES`` of columns, never fewer than
-    ``CHUNK_MIN_COLS``.  After that a full chunk is closed at its filled
-    columns and a new one of the chunk width opens, so no filled column is
-    copied again and a pole-at-a-time caller holds at most one chunk of
-    spare room.  ``extend`` reserves room for its whole pole list first,
-    so a one-shot build is one contiguous array.  ``basis`` is a view of
-    the filled columns while they sit in one chunk and a Fortran copy once
-    they span several; ``last_block`` is always a view.  A ``basis`` taken
-    earlier keeps its values, because filled columns are never written
-    again.
+    is small it is one buffer that doubles with a copy, up to
+    ``CHUNK_MIN_COLS`` columns at every order n.  After that a full chunk
+    is closed at its filled columns and a new one of that width opens, so
+    no filled column is copied again and a pole-at-a-time caller holds at
+    most one chunk of spare room.  ``extend`` reserves room for its whole
+    pole list first, so a one-shot build is one contiguous array.
+    ``basis`` is a view of the filled columns while they sit in one chunk
+    and a Fortran copy once they span several; ``last_block`` is always a
+    view.  A ``basis`` taken earlier keeps its values, because filled
+    columns are never written again.
 
     Step cost: a block is orthonormalized straight into the basis's spare
     columns, so the matvec, the next shifted solve and the cross product
@@ -239,8 +254,6 @@ class RKDecomposition:
 
         n = op.n
         dtype = np.complex128 if np.iscomplexobj(block) else np.float64
-        self._chunk_cols = max(CHUNK_MIN_COLS,
-                               CHUNK_BYTES // (n * np.dtype(dtype).itemsize))
         self._chunks = [np.zeros((n, 0), dtype=dtype, order="F")]
         self._closed = 0  # columns in the chunks before the last
         self._m = 0
@@ -314,10 +327,10 @@ class RKDecomposition:
         fill = m - self._closed
         if fill + cols <= last.shape[1]:
             return
-        if len(self._chunks) == 1 and last.shape[1] < self._chunk_cols:
-            width = max(fill + cols, min(2 * last.shape[1], self._chunk_cols))
+        if len(self._chunks) == 1 and last.shape[1] < CHUNK_MIN_COLS:
+            width = max(fill + cols, min(2 * last.shape[1], CHUNK_MIN_COLS))
         else:  # a new chunk, after the last one closes at its filled columns
-            width = max(cols, self._chunk_cols)
+            width = max(cols, CHUNK_MIN_COLS)
             if fill:  # (an extend that raised left it empty: it is replaced)
                 self._chunks[-1:] = [last[:, :fill], last]
                 self._closed, fill = m, 0
@@ -358,7 +371,12 @@ class RKDecomposition:
         pass always follows.  After a full one the second pass runs only
         when some column keeps less than 1/sqrt(2) of its incoming norm
         ("twice is enough": Giraud, Langou and Rozloznik 2005), so a
-        near-dependent candidate always gets both passes."""
+        near-dependent candidate always gets both passes.  The in-block
+        pass applies the same test to each column: one it leaves with less
+        than 1/sqrt(2) of its norm after the basis passes carries their
+        error against U magnified by that cancellation, so it gets one more
+        pass against U and the kept columns (near-dependent block
+        remainders, as A makes from smooth seed columns)."""
         pre = _column_norms(cand)
         local = _columns_from(parts, lo)
         if coeffs is None:
@@ -374,10 +392,19 @@ class RKDecomposition:
         out = self._chunks[-1][:, fill:fill + cand.shape[1]]
         for j in range(cand.shape[1]):
             w = cand[:, j]
-            for _ in range(2):
-                for q in out[:, :kept].T:
-                    w = w - q * (q.conj() @ w)
             nrm, = _column_norms(w[:, None])
+            if kept:
+                post = nrm
+                w = _sweep_out(out[:, :kept], w)
+                nrm, = _column_norms(w[:, None])
+                if DEFLATION_TOL * pre[j] < nrm < post / math.sqrt(2.0):
+                    # The sweep cancelled most of w, so the basis passes'
+                    # error against U, eps * post, is large beside nrm:
+                    # one more pass against U and the kept columns.
+                    w = _subtract_product(
+                        parts, _adjoint_product(parts, w[:, None]), w[:, None])
+                    w = _sweep_out(out[:, :kept], w[:, 0])
+                    nrm, = _column_norms(w[:, None])
             if nrm <= DEFLATION_TOL * pre[j]:
                 continue
             np.divide(w, nrm, out=out[:, kept])
@@ -814,8 +841,8 @@ def funv_driver(op: HermitianOperator, f: StieltjesFunction, v: np.ndarray,
     A nested family in ``tol=`` mode may solve row k's reduced
     eigenproblem on one worker thread while this thread grows row k + 1's
     basis step.  It does so from reduced order ``OVERLAP_MIN_DIM`` on a
-    basis of at least ``CHUNK_BYTES`` whose last chunk has room for the
-    step, and only when the environment OpenBLAS read at load
+    basis of at least ``OVERLAP_MIN_BYTES`` whose last chunk has room for
+    the step, and only when the environment OpenBLAS read at load
     (OPENBLAS_NUM_THREADS, else GOTO_NUM_THREADS, else OMP_NUM_THREADS)
     pins BLAS to one thread and a second CPU is free; with more BLAS
     threads the run stays serial.  The result is bit-identical either
@@ -897,7 +924,7 @@ def _overlap_pays(dec: RKDecomposition) -> bool:
     thread on a 2-vCPU Xeon."""
     last, m = dec._chunks[-1], dec.dim
     return (_SPARE_CPU and m >= OVERLAP_MIN_DIM
-            and last.shape[0] * m * last.itemsize >= CHUNK_BYTES
+            and last.shape[0] * m * last.itemsize >= OVERLAP_MIN_BYTES
             and m - dec._closed + dec.block_width <= last.shape[1])
 
 

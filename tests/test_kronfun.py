@@ -678,11 +678,15 @@ class TestResiduals:
         _assert_dense_residual(prob, res)
 
     def test_basis_that_lost_orthogonality_is_split_whole(self, monkeypatch):
-        # With infinite poles and three smooth columns, kron_fun's basis at
-        # n = 800 is orthonormal only to about 1e-5; U*AU then leaves part
+        # Both bases of a kron_fun result, perturbed by hand until
+        # ||U*U - I||_2 reads about 3e-6: the stored U*AU then leaves part
         # of AU in span U, which no n x 3k block can hold.
         prob = _smooth_problem(n=800, rank=3)
         res = kron_fun(prob, *KRON_PAIRS["extended"].poles(prob.interval, 30))
+        rng = np.random.default_rng(29)
+        res = dataclasses.replace(res, **{
+            side: getattr(res, side) + 1e-7 * rng.standard_normal(
+                getattr(res, side).shape) for side in ("left", "right")})
         gram = res.left.T @ res.left - np.eye(res.left.shape[1])
         assert np.linalg.norm(gram) > 1e-8
         whole = _spy_whole_splits(monkeypatch)

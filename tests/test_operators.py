@@ -405,6 +405,36 @@ class TestFactorMemory:
         peak = _peak_bytes(lambda: op.shifted_solve(sigma, b))
         assert peak < 1.25 * (op.k + 1) * op.n * 8 + 16 * op.n * 8
 
+    NARROW_N = 100_000
+
+    def _narrow_z_band(self):
+        """A Laplacian-like Z-band with k = 2, where the O(n) temporaries
+        weigh as much as the factor, 3n numbers."""
+        n = self.NARROW_N
+        return BandedOperator([np.full(n, 2.5), np.full(n, -1.0),
+                               np.full(n, -0.25)])
+
+    @pytest.mark.parametrize("sigma, vectors", [(0.0, 2), (-0.5, 1)])
+    def test_narrow_z_band_holds_few_vectors_beside_its_factor(self, sigma,
+                                                              vectors):
+        # Beside the factor a fresh solve holds the solution and, where
+        # the rcond runs (sigma = 0 on this Laplacian-like band), the
+        # pivots and the rcond's own vector: the shifted diagonal, the
+        # passes over |d|, a copy of |pivots| and the rcond's right-hand
+        # side used to peak at 7n.
+        op, b = self._narrow_z_band(), np.ones(self.NARROW_N)
+        assert op._z_band
+        peak = _peak_bytes(lambda: op.shifted_solve(sigma, b))
+        assert peak < (op.k + 1 + vectors + 0.25) * op.n * 8
+
+    def test_narrow_band_interval_holds_two_vectors_beside_a_factor(self):
+        # Beside the one factor, the band's shifted diagonal or the two
+        # inverse-iteration vectors; with the last step's vectors kept into
+        # the next factorization it peaked at 8n.
+        op = self._narrow_z_band()
+        peak = _peak_bytes(op.exact_interval)
+        assert peak < (op.k + 1 + 2.25) * op.n * 8
+
     def test_band_interval_keeps_one_factor_alive(self):
         # Both ends bracket A and -A without a negated copy of the band.
         op = self._laplacian()

@@ -1,5 +1,6 @@
 """Rational Krylov core: basis invariants, exactness, drivers."""
 import dataclasses
+import functools
 import itertools
 import math
 import threading
@@ -23,6 +24,8 @@ from rkstieltjes.experiments import (
 from rkstieltjes.functions import catalog_function
 from rkstieltjes.kronfun import KroneckerProblem, kron_fun
 from rkstieltjes.operators import (
+    BandedOperator,
+    DenseOperator,
     DiagonalOperator,
     SpectralInterval,
     TridiagonalOperator,
@@ -117,6 +120,55 @@ class TestBasisInvariants:
         x = rk_funv(dec, lambda w: 1.0 / w)
         r = op.matvec(x) - v
         assert np.linalg.norm(dec.basis.T @ r) <= 1e-10 * np.linalg.norm(v)
+
+
+@functools.lru_cache(maxsize=None)
+def _block_fixture(storage):
+    """An operator of the given storage, its spectral interval and its
+    eigenvectors: the 1-D Laplacian (n = 800), a Laplacian-like Z-band
+    with k = 2 (n = 800), and a dense matrix with eigenvalues spread over
+    [1e-4, 4] (n = 400)."""
+    if storage == "tridiagonal":
+        op = _tridiag_op(800)
+    elif storage == "band":
+        op = BandedOperator([np.full(800, 3.0), np.full(800, -1.0),
+                             np.full(800, -0.5)])
+    else:
+        g = np.random.default_rng(7).standard_normal((400, 400))
+        q, _ = np.linalg.qr(g)
+        op = DenseOperator((q * np.geomspace(1e-4, 4.0, 400)) @ q.T)
+    return op, op.exact_interval(), np.linalg.eigh(op.to_dense())[1]
+
+
+class TestBlockOrthogonality:
+    # Smooth columns leave block remainders that are nearly dependent, so
+    # the in-block pass cancels most of a column; before that column got
+    # one more pass against the basis, the tridiagonal cases below lost
+    # orthogonality to 8e-6 (width 3) and 3e-5 (width 4).
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(storage=st.sampled_from(["tridiagonal", "band", "dense"]),
+           strategy=st.sampled_from(list(STRATEGIES)),
+           kind=st.sampled_from(["gaussian", "smooth", "near-eigenvector"]),
+           width=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    @example(storage="tridiagonal", strategy="extended", kind="smooth",
+             width=3, seed=0)
+    @example(storage="tridiagonal", strategy="polynomial", kind="smooth",
+             width=4, seed=0)
+    @example(storage="band", strategy="eds-cauchy", kind="smooth", width=4,
+             seed=0)
+    def test_block_basis_is_orthonormal(self, storage, strategy, kind, width,
+                                        seed):
+        op, iv, vecs = _block_fixture(storage)
+        rng = np.random.default_rng(seed)
+        if kind == "gaussian":
+            v = rng.standard_normal((op.n, width))
+        elif kind == "smooth":
+            x = np.linspace(0.0, 1.0, op.n)[:, None]
+            v = np.sin(np.pi * x * np.arange(1, width + 1))
+        else:
+            v = vecs[:, :width] + 1e-6 * rng.standard_normal((op.n, width))
+        u = rk_build(op, v, _first(strategy, 25, iv)).basis
+        assert np.linalg.norm(u.T @ u - np.eye(u.shape[1]), 2) <= 1e-13
 
 
 class _CountingTridiagonal(TridiagonalOperator):
@@ -392,13 +444,14 @@ def _grow_one_pole_at_a_time(op, v, poles):
 
 
 class TestBasisBuffer:
-    # At this order a chunk of CHUNK_BYTES holds fewer than CHUNK_MIN_COLS
-    # columns, so the chunk width is CHUNK_MIN_COLS.
+    # The chunk width is CHUNK_MIN_COLS at every order: the layout tests
+    # run at a small order and at one where 32 columns exceed 4 MiB.
     N_CHUNKED = 20000
+    ORDERS = [2000, N_CHUNKED]
 
+    @pytest.mark.parametrize("n", ORDERS)
     @pytest.mark.parametrize("width", [1, 2])
-    def test_one_pole_growth_matches_one_shot_build(self, width):
-        n = self.N_CHUNKED
+    def test_one_pole_growth_matches_one_shot_build(self, width, n):
         op = _tridiag_op(n)
         rng = np.random.default_rng(11)
         v = rng.standard_normal(n) if width == 1 else rng.standard_normal((n, width))
@@ -406,7 +459,6 @@ class TestBasisBuffer:
         whole = rk_build(op, v, poles)
         grown, layouts = _grow_one_pole_at_a_time(op, v, poles)
         c = CHUNK_MIN_COLS
-        assert grown._chunk_cols == c
         # The first chunk doubles up to the chunk width, then chunks of that
         # width are added: 1 -> 43 columns (2 -> 86 for the block).
         assert grown.dim == whole.dim == width * (len(poles) + 1)
@@ -427,8 +479,8 @@ class TestBasisBuffer:
         np.testing.assert_allclose(grown.lift(y), u @ y if width > 1 else u @ y[:, 0],
                                    rtol=0, atol=1e-12)
 
-    def test_lift_from_the_first_columns_of_several_chunks(self):
-        n = self.N_CHUNKED
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_lift_from_the_first_columns_of_several_chunks(self, n):
         op = _tridiag_op(n)
         rng = np.random.default_rng(12)
         dec, _ = _grow_one_pole_at_a_time(op, rng.standard_normal(n),
@@ -441,8 +493,8 @@ class TestBasisBuffer:
             np.testing.assert_allclose(dec.lift(y), u[:, :r] @ y[:, 0],
                                        rtol=0, atol=1e-12)
 
-    def test_filled_chunks_are_never_copied(self):
-        n = self.N_CHUNKED
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_filled_chunks_are_never_copied(self, n):
         op = _tridiag_op(n)
         dec = RKDecomposition(op, np.random.default_rng(3).standard_normal(n))
         while len(dec._chunks) < 2:
@@ -456,10 +508,10 @@ class TestBasisBuffer:
         np.testing.assert_array_equal(dec._chunks[0], snapshot)
         np.testing.assert_array_equal(dec.basis[:, :first.shape[1]], snapshot)
 
-    def test_one_shot_builds_are_views(self):
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_one_shot_builds_are_views(self, n):
         # A one-shot build past the chunk width is still one array, and
         # both rk_build's basis and the Kronecker bases are views of it.
-        n = self.N_CHUNKED
         op = _tridiag_op(n)
         poles = [math.inf] * (CHUNK_MIN_COLS + 8)
         dec = rk_build(op, np.ones(n), poles)
@@ -485,6 +537,23 @@ class TestBasisBuffer:
             tracemalloc.stop()
         assert len(dec._chunks) == 3
         assert peak < (dec.dim + CHUNK_MIN_COLS + 4) * n * 8
+
+    def test_small_order_peak_is_basis_plus_one_chunk(self):
+        # At n = 2000 the first chunk used to double up to 262 columns
+        # (4 MiB), so the 64 -> 128 copy held 192 columns for a basis of
+        # 65: the peak of an extended tolerance run to 80 columns.
+        n = 2000
+        op = _tridiag_op(n)
+        v = np.random.default_rng(6).standard_normal(n)
+        tracemalloc.start()
+        try:
+            dec, _ = _grow_one_pole_at_a_time(op, v, _first("extended", 79))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cap = sum(c.shape[1] for c in dec._chunks)
+        assert dec.dim == 80 and cap == 3 * CHUNK_MIN_COLS
+        assert peak < (dec.dim + CHUNK_MIN_COLS + 4) * n * 8 + 4 * cap ** 2 * 8
 
     def test_projections_grow_with_the_basis(self):
         # One pole at a time at n = 3e4 up to 140 columns, as the extended
@@ -1473,4 +1542,4 @@ class TestOverlap:
         monkeypatch.setattr(rk, "_SPARE_CPU", True)
         small, _ = _grow_one_pole_at_a_time(_tridiag_op(2000), v[:2000],
                                             _first("extended", 69))
-        assert not rk._overlap_pays(small)  # under CHUNK_BYTES
+        assert not rk._overlap_pays(small)  # under OVERLAP_MIN_BYTES
