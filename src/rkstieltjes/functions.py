@@ -46,10 +46,11 @@ class StieltjesFunction:
             raise ValueError(f"shift must be finite and >= 0, got {self.shift!r}")
 
     def __call__(self, z):
-        """Evaluate f0(z + shift); defined for z + shift > 0 only."""
+        """Evaluate f0(z + shift); defined for z + shift > 0 only.  At
+        shift 0, z itself goes to f0: z + 0.0 is z for every z > 0."""
         arr = np.asarray(z, dtype=float)
-        w = arr + self.shift
-        if not np.all(w > 0.0):  # NaN refuses too
+        w = arr + self.shift if self.shift else arr
+        if not (w > 0.0).all():  # NaN refuses too
             bad = float(np.min(arr))
             raise ValueError(
                 f"{self.label} is undefined at z={bad!r} (z + shift must be > 0)"

@@ -251,7 +251,12 @@ def sylvester_residual(problem: KroneckerProblem,
     leaves more than ``SPLIT_TOL`` sqrt(n) times the interval's upper end
     (a bound on ||A|| and ||B||) outside [U, Q], or the result stores no
     projections, the side splits the whole image AU instead: O(n (m + k)^2)
-    flops and one n x (m + k) work block.  Either way the value is the
+    flops and one n x (m + k) work block.  That is the route of a result
+    built without projections and of a basis of another space (one that
+    is not the rational Krylov basis of its side).  On ``kron_fun``'s own
+    results the probe accepts the structured split on all but a rare side
+    where it reads just above its line, which then costs the whole split
+    and gets the same value (README).  Either way the value is the
     residual of X to within about 2 SPLIT_TOL sqrt(n) upper ||X||, besides
     the rounding of the sums that form it.  A result whose factors or
     projections do not fit the problem raises ValueError.
@@ -274,9 +279,11 @@ def sylvester_residual(problem: KroneckerProblem,
 #: leave outside [U, Q], g its standard Gaussian probe, as a fraction of
 #: sqrt(n) times the interval's upper end: the rounding of an n-term inner
 #: product, where bases that keep their orthogonality read 3-8 times less
-#: from n = 30 to 3e5.  In expectation the probe reads ||M||_F >= ||M||_2
-#: of the part M of op U left out, which changes the residual by at most
-#: ||M||_2 ||X||; the whole image is split where the probe reads more.
+#: from n = 30 to 3e5, though up to about the line itself at n = 800,
+#: rank 3, ell = 25 (1.08 times it on one side).  In expectation the probe
+#: reads ||M||_F >= ||M||_2 of the part M of op U left out, which changes
+#: the residual by at most ||M||_2 ||X||; the whole image is split where
+#: the probe reads more.
 SPLIT_TOL = 16 * np.finfo(float).eps
 
 #: Seed of the Gaussian sketch and probe of ``_split``.
@@ -298,7 +305,10 @@ def _split(basis: np.ndarray, op: HermitianOperator, factor: np.ndarray,
     op U g - U H g - Q R_a g is at most SPLIT_TOL sqrt(n) upper.
     Otherwise, or without ``h``, the whole image is split: H and E are the
     coefficients of [op U, factor] and [R_a, R_x] the R factor of its
-    remainder, Q never formed."""
+    remainder, Q never formed.  That route serves a result without
+    projections and a basis that is not the rational Krylov basis of
+    ``op`` and ``factor``; a ``kron_fun`` basis takes the sketch but on a
+    rare probe that reads just above its line."""
     n, m = basis.shape
     k = factor.shape[1]
     if h is not None:

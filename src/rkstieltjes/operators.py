@@ -383,11 +383,11 @@ class HermitianOperator:
         profiler can wrap it per storage.
         """
         sigma, (block, was_1d) = as_pole(sigma, "sigma"), as_block(rhs)
-        if np.isinf(sigma):
-            return _restore(block.copy(), was_1d)
         entry = self._last_factor
         if entry is not None and entry[0] == sigma:
             solve = entry[1]
+        elif sigma == math.inf:  # as_pole reads every infinity as inf
+            return _restore(block.copy(), was_1d)
         else:
             self._last_factor = None  # at most one alive, even while factoring
             solve = self._factor(sigma)
@@ -395,7 +395,7 @@ class HermitianOperator:
         if block.shape[1] == 0:  # no LAPACK solve on an empty right-hand side
             return np.empty(block.shape,
                             np.result_type(block, np.float64, sigma))
-        if np.iscomplexobj(block) and isinstance(sigma, float):  # [Re B, Im B]
+        if block.dtype.kind == "c" and isinstance(sigma, float):  # [Re B, Im B]
             re, im = np.hsplit(solve(np.hstack((block.real, block.imag))), 2)
             return _restore(re + 1j * im, was_1d)
         return _restore(solve(block), was_1d)
@@ -648,13 +648,14 @@ class BandedOperator(HermitianOperator):
         return self.ab[0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        block, was_1d = as_block(x)
+        x = np.asarray(x)
+        block = x if x.ndim == 2 else as_block(x)[0]
         out = self.ab[0][:, None] * block
         for i in self._offsets:
             e = self.ab[i, :self.n - i, None]
             out[:-i] += e * block[i:]
             out[i:] += e * block[:-i]
-        return _restore(out, was_1d)
+        return out if x.ndim == 2 else out[:, 0]
 
     shifted_solve = HermitianOperator.shifted_solve
 

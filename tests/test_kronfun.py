@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkstieltjes.experiments import solutions_2d, timed_sweep, with_bounds
+from rkstieltjes.experiments import (diffusion_operator, solutions_2d,
+                                     timed_sweep, with_bounds)
 from rkstieltjes import kronfun
 from rkstieltjes.functions import catalog_function
 from rkstieltjes.kronfun import (
@@ -31,6 +32,7 @@ from rkstieltjes.operators import (
     SpectralInterval,
     TridiagonalOperator,
     from_dense_array,
+    toeplitz_tridiagonal,
 )
 from rkstieltjes.poles import cauchy_kron_poles, laplace_kron_poles, zolotarev_poles
 from rkstieltjes.rk import build_together, rk_build
@@ -669,6 +671,54 @@ class TestResiduals:
             sylvester_residual(prob, kron_fun(prob, *pair.poles(prob.interval,
                                                                 12)))
         assert whole == [False] * 2 * len(KRON_PAIRS)
+
+    @pytest.mark.parametrize("n, operator, factors", [
+        (30, "toeplitz", "gaussian"), (30, "diffusion", "smooth"),
+        (200, "toeplitz", "smooth"), (200, "diffusion", "gaussian"),
+        (800, "toeplitz", "gaussian"), (800, "diffusion", "smooth"),
+        (1500, "toeplitz", "smooth"), (1500, "diffusion", "gaussian"),
+    ])
+    def test_probe_accepts_kron_fun_results_over_a_grid_slice(
+            self, n, operator, factors, monkeypatch):
+        # A slice of the grid n in {30, 200, 800, 1500} x {Toeplitz,
+        # diffusion} x rank 1-3 x {Gaussian, sin(j pi x)} factors x every
+        # pair x ell in {1, 5, 12, 25}, f = 1/z, where 2 of 2,304 sides
+        # split whole (the draw of the next test): that route serves
+        # results without projections and bases of another space, not
+        # kron_fun's own.
+        op = toeplitz_tridiagonal(n) if operator == "toeplitz" \
+            else diffusion_operator(n)
+        rng = np.random.default_rng(n)
+        whole = _spy_whole_splits(monkeypatch)
+        sides = 0
+        for rank in (1, 2, 3):
+            if factors == "smooth":
+                x = np.linspace(0.0, 1.0, n)[:, None]
+                u = w = np.sin(np.pi * x * np.arange(1, rank + 1))
+            else:
+                u, w = rng.standard_normal((2, n, rank))
+            prob = kron_problem(op, op, u, w, catalog_function("inverse"))
+            for pair in KRON_PAIRS.values():
+                for ell in (1, 5, 12, 25):
+                    res = kron_fun(prob, *pair.poles(prob.interval, ell))
+                    assert math.isfinite(sylvester_residual(prob, res))
+                    sides += 2
+        assert whole == [False] * sides == [False] * 144
+
+    def test_probe_just_above_its_line_splits_whole_with_the_same_value(
+            self, monkeypatch):
+        # The one draw of that grid whose probe missed: the left basis is
+        # orthonormal, but the probe reads 1.08 times SPLIT_TOL sqrt(n)
+        # upper, so that side takes the whole split; the value is right.
+        op = toeplitz_tridiagonal(800)
+        u, w = np.random.default_rng(8003).standard_normal((2, 800, 3))
+        prob = kron_problem(op, op, u, w, catalog_function("inverse"))
+        res = kron_fun(prob, *KRON_PAIRS["cauchy-kron"].poles(prob.interval, 25))
+        gram = res.left.T @ res.left - np.eye(res.left.shape[1])
+        assert np.linalg.norm(gram, 2) <= 1e-14
+        whole = _spy_whole_splits(monkeypatch)
+        _assert_dense_residual(prob, res)
+        assert whole == [False, True, False]
 
     @pytest.mark.parametrize("name", list(KRON_PAIRS))
     def test_smooth_factors_match_the_dense_reference(self, name):

@@ -629,6 +629,133 @@ class TestBasisBuffer:
         assert dec.dim == 6
         assert np.linalg.norm(u.conj().T @ u - np.eye(dec.dim), 2) <= 1e-12
 
+    def test_complex_pole_at_a_time_peak_has_no_chunk_conjugate(self):
+        # U* x on a complex chunk is conj(x* U)^T, so no pass conjugates a
+        # chunk into an n x 32 copy.  With that copy the peak here was
+        # 103.5 complex columns; the basis (64), the band LU (4), U*v's
+        # seed, A u and the step's blocks come to about 75.
+        n = 8000
+        op = _tridiag_op(n)
+        v = np.random.default_rng(7).standard_normal(n)
+        poles = [-0.5 + 0.3j * j for j in range(1, 64)]
+        tracemalloc.start()
+        try:
+            dec, _ = _grow_one_pole_at_a_time(op, v, poles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c.shape[1] for c in dec._chunks] == [CHUNK_MIN_COLS] * 2
+        assert dec.dim == 2 * CHUNK_MIN_COLS and np.iscomplexobj(dec._chunks[0])
+        assert peak < 82 * n * 16
+        u = dec.basis
+        assert np.linalg.norm(u.conj().T @ u - np.eye(dec.dim), 2) <= 1e-12
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _symmetrized(dec) -> np.ndarray:
+    h = dec._h[:dec.dim, :dec.dim]
+    return 0.5 * (h + h.conj().T)
+
+
+class TestReducedMatrixView:
+    """``reduced_matrix`` of a width-1 real basis is a read-only view of
+    the stored U*AU, which each step writes exactly symmetric; block and
+    complex bases get a fresh symmetrized copy."""
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_width_one_real_view_is_the_symmetrized_matrix(self, name):
+        op = _tridiag_op(300)
+        iv = op.exact_interval()
+        v = np.random.default_rng(31).standard_normal(300)
+        ell = CHUNK_MIN_COLS + 8  # across the first chunk boundary
+        poles = ([math.inf, -0.3, -1.0, math.inf, -0.05] * 9)[:ell] \
+            if name == "custom" else _first(name, ell, iv)
+        dec = RKDecomposition(op, v)
+        views = []
+        for sigma in poles:
+            dec.extend([sigma])
+            h = dec.reduced_matrix()
+            assert not h.flags.writeable
+            assert np.shares_memory(h, dec._h)
+            assert _bits(h) == _bits(_symmetrized(dec))
+            views.append((h, h.copy()))
+        assert len(dec._chunks) == 2
+        for h, snapshot in views:  # growth never writes a view's entries
+            assert _bits(h) == _bits(snapshot)
+        with pytest.raises(ValueError, match="read-only"):
+            h[0, 0] = 1.0
+
+    def test_breakdown_row_is_a_view(self):
+        op = DiagonalOperator(np.repeat([1.0, 2.0, 3.0, 5.0], 5))
+        dec = rk_build(op, np.ones(20), [math.inf] * 6)
+        assert dec.breakdown and dec.dim == 4
+        h = dec.reduced_matrix()
+        assert not h.flags.writeable and np.shares_memory(h, dec._h)
+        assert _bits(h) == _bits(_symmetrized(dec))
+
+    @pytest.mark.parametrize("case", ["block", "complex", "complex-block"])
+    def test_block_and_complex_bases_get_a_fresh_copy(self, case):
+        op = _tridiag_op(200)
+        rng = np.random.default_rng(32)
+        v = rng.standard_normal(200 if case == "complex" else (200, 2))
+        poles = [math.inf, -0.5, -1.0 + 0.5j, math.inf] if "complex" in case \
+            else [math.inf, -0.5, -2.0, math.inf]
+        dec = rk_build(op, v, poles)
+        h = dec.reduced_matrix()
+        assert h.flags.writeable and not np.shares_memory(h, dec._h)
+        assert _bits(h) == _bits(_symmetrized(dec))
+        np.testing.assert_array_equal(h, h.conj().T)
+        h[0, 0] = 0.0  # the copy is the caller's
+        assert dec._h[0, 0] != 0.0
+
+
+class TestLagTwoEstimate:
+    """The estimate of a nested tolerance run is the ``np.linalg.norm``
+    formula over the reduced iterates, bit for bit."""
+
+    @pytest.mark.parametrize("strategy, width", [
+        ("extended", 1), ("eds-cauchy", 1), ("extended", 2),
+        ([math.inf, -0.5 + 0.3j, 0.0, -1.0 - 0.6j, -0.2] * 8, 1),
+        ([math.inf, -0.5 + 0.3j, 0.0, -1.0 - 0.6j, -0.2] * 8, 2),
+    ])
+    def test_estimate_is_the_norm_formula(self, strategy, width):
+        n = 400
+        op = _tridiag_op(n)
+        iv = op.exact_interval()
+        f = catalog_function("power", -0.5)
+        rng = np.random.default_rng(33)
+        v = rng.standard_normal(n if width == 1 else (n, width))
+        res = funv_driver(op, f, v, iv, strategy, tol=1e-9, max_ell=40)
+        ys = [y for _, y in iterates(op, f, v, strategy, iv,
+                                     range(1, res.ell + 1))]
+        want = []
+        for k in range(2, len(ys)):
+            y, old = ys[k], ys[k - 2]
+            r = old.shape[0]
+            num = math.hypot(float(np.linalg.norm(y[:r] - old)),
+                             float(np.linalg.norm(y[r:])))
+            want.append(num / float(np.linalg.norm(y)))
+        got = [row.est_error for row in res.trace[2:]]
+        assert len(got) == len(want) > 5
+        assert np.iscomplexobj(ys[-1]) == (not isinstance(strategy, str))
+        assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+
+def test_one_basis_extend_together_refuses_nan_with_the_same_text():
+    op = _tridiag_op(50)
+    v = np.ones(50)
+    texts = []
+    for lanes in (1, 2):
+        decs = [RKDecomposition(op, v) for _ in range(lanes)]
+        with pytest.raises(ValueError) as info:
+            rk._extend_together(decs, [-1.0, math.inf, math.nan])
+        texts.append(str(info.value))
+        assert all(dec.dim == 1 and not dec.poles_used for dec in decs)
+    assert texts == ["poles: pole 2 is NaN"] * 2
+
 
 class TestExactness:
     def test_rational_functions_reproduced(self, small_problem):
@@ -1446,6 +1573,31 @@ class TestOverlap:
         self._assert_identical(
             funv_driver(op, f, v, iv, strategy, tol=tol, max_ell=200,
                         oracle=ref), off)
+
+    def test_worker_reads_the_view(self, monkeypatch):
+        # A forced overlap hands each row's read-only view of U*AU to the
+        # worker while this thread writes the next step's row and column.
+        n = 2000
+        op = _tridiag_op(n)
+        f = catalog_function("power", -0.5)
+        v = np.random.default_rng(24).standard_normal(n)
+        iv = spectral_interval(op, mode="exact-small")
+        seen = []
+        ritz = rk._ritz
+
+        def spy(h, rhs):
+            seen.append((threading.current_thread() is threading.main_thread(),
+                         h.flags.writeable, h.base is not None))
+            return ritz(h, rhs)
+
+        monkeypatch.setattr(rk, "_ritz", spy)
+        on, off = self._both(monkeypatch, op, f, v, iv, "extended", tol=1e-8,
+                             max_ell=200)
+        self._assert_identical(on, off)
+        rows = len(on.trace)
+        assert rows > 20 and len(seen) == 2 * rows
+        assert set(seen[:rows]) == {(False, False, True)}  # overlapped
+        assert set(seen[rows:]) == {(True, False, True)}  # serial
 
     def test_breakdown_row_is_bit_identical(self, monkeypatch):
         op = DiagonalOperator(np.repeat([1.0, 2.0, 3.0, 5.0], 5))
